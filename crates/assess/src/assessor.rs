@@ -5,13 +5,17 @@
 //! behind Figures 7 (sampling time), 10 and 11 (evolve+assess time per
 //! plan).
 //!
-//! Rounds are processed in blocks aligned to the extended-dagger
-//! macro-cycle so the raw state matrix stays small regardless of the total
-//! round count; the same block/chunk layout is used by the parallel engine
-//! so serial and parallel assessments are bit-identical.
+//! Rounds are processed in chunks aligned to the extended-dagger
+//! macro-cycle; the same chunk layout is used by the parallel engine so
+//! serial and parallel assessments are bit-identical. Per chunk there is
+//! one path: materialise whichever rows of the plan's cone the engine's
+//! [`FailureTable`] is missing — everything on a fresh seed, a few rows
+//! when a search neighbour touches a new host, nothing on a repeat — then
+//! route-and-check.
 
 use crate::check::StructureChecker;
 use crate::driver::{AssessmentDriver, PartialEstimate};
+use crate::table::{FailureTable, RowSource};
 use recloud_apps::{ApplicationSpec, DeploymentPlan};
 use recloud_faults::{FaultInjector, FaultModel};
 use recloud_obs::{Counter, Gauge, Histogram};
@@ -20,7 +24,7 @@ use recloud_sampling::{
     BitMatrix, ExtendedDaggerSampler, MonteCarloSampler, ReliabilityEstimate, ResultAccumulator,
     Sampler, WideWord,
 };
-use recloud_topology::Topology;
+use recloud_topology::{ComponentId, Topology};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -42,28 +46,13 @@ impl SamplerKind {
             SamplerKind::MonteCarlo => "monte-carlo",
         }
     }
-}
 
-/// A stack-allocated sampler of either kind. `run_chunk` constructs one
-/// per chunk; using an enum instead of `Box<dyn Sampler>` keeps the chunk
-/// hot loop free of heap allocation (both samplers are a bare RNG).
-enum AnySampler {
-    Dagger(ExtendedDaggerSampler),
-    Mc(MonteCarloSampler),
-}
-
-impl AnySampler {
-    fn new(kind: SamplerKind, seed: u64) -> Self {
-        match kind {
-            SamplerKind::ExtendedDagger => AnySampler::Dagger(ExtendedDaggerSampler::seeded(seed)),
-            SamplerKind::MonteCarlo => AnySampler::Mc(MonteCarloSampler::seeded(seed)),
-        }
-    }
-
-    fn sample_into(&mut self, probs: &[f64], matrix: &mut BitMatrix) {
+    /// Runs `f` with this kind's sampler for `seed`. Both samplers are a
+    /// bare seed, so building one per chunk on the stack is free.
+    fn with_sampler<R>(self, seed: u64, f: impl FnOnce(&mut dyn Sampler) -> R) -> R {
         match self {
-            AnySampler::Dagger(s) => s.sample_into(probs, matrix),
-            AnySampler::Mc(s) => s.sample_into(probs, matrix),
+            SamplerKind::ExtendedDagger => f(&mut ExtendedDaggerSampler::seeded(seed)),
+            SamplerKind::MonteCarlo => f(&mut MonteCarloSampler::seeded(seed)),
         }
     }
 }
@@ -150,27 +139,30 @@ pub struct DrivenAssessment {
 
 /// Reusable assessment engine for one (topology, fault model) pair.
 ///
-/// Construction allocates all scratch (state matrices, router, block
-/// buffers); assessing N plans performs no further allocation beyond the
-/// per-plan [`StructureChecker`].
+/// Construction builds the router; the failure-state table grows one slot
+/// per chunk on first use and is reused from then on, so assessing N
+/// plans performs no further allocation beyond the per-plan
+/// [`StructureChecker`].
 pub struct Assessor {
     topology: Topology,
     model: FaultModel,
     kind: SamplerKind,
     router: Box<dyn Router + Send>,
-    /// Rounds per processing chunk; aligned to the dagger macro-cycle,
-    /// then rounded up to the kernel lane width (256), and identical for
-    /// serial and parallel execution.
-    chunk_rounds: usize,
-    /// Per-chunk scratch matrices, sized once and reused for every chunk.
-    arena: ChunkArena,
-    /// Collapsed tables of the most recent master seed, one per chunk.
-    /// Lets common-random-number searches (which assess every plan on the
-    /// same table, §3.3) skip sampling and collapsing entirely after the
-    /// first plan. The failure-state table does not depend on the plan
-    /// (§3.2.1), so this is a pure cache.
-    table_cache: Option<TableCache>,
-    /// Optional fault injection applied to every sampled chunk before
+    /// Macro-cycle of the model's probability vector.
+    s_max: usize,
+    /// The failure-state table: per chunk, the rows materialised so far
+    /// for the slot's seed. The table does not depend on the plan
+    /// (§3.2.1), so plans assessed on one seed — a common-random-number
+    /// search (§3.3) — share it, each adding only the rows its cone is
+    /// the first to name. Its chunk width is the macro-cycle rounded up to
+    /// the kernel lane width (256), identical for serial and parallel
+    /// execution.
+    table: FailureTable,
+    /// The router's cone of no hosts: the rows it reads whatever the plan.
+    base_cone: Vec<ComponentId>,
+    /// Scratch: the cone of the plan under assessment, `base_cone` first.
+    cone: Vec<ComponentId>,
+    /// Optional fault injection applied to every sampled row before
     /// fault-tree collapsing — forced failures flow through the full
     /// correlated-failure path (what-if analyses, sensitivity reports).
     injector: Option<FaultInjector>,
@@ -179,38 +171,8 @@ pub struct Assessor {
     /// the narrower ones exist for equivalence tests and width-vs-width
     /// benchmarking.
     width: BatchWidth,
-    /// Cached global-registry instrument handles (stage histograms,
-    /// rounds counter, cache_bytes gauge).
+    /// Cached global-registry instrument handles.
     obs: AssessInstruments,
-}
-
-struct TableCache {
-    master_seed: u64,
-    chunks: Vec<BitMatrix>,
-}
-
-/// The reusable per-chunk scratch arena: the raw sampled-event matrix and
-/// the collapsed effective-state matrix, both wide-word aligned. Sized
-/// once per (model shape, chunk width) — at construction or reseed — and
-/// written in place by every chunk thereafter, so the sample → collapse →
-/// check hot loop performs no allocation.
-struct ChunkArena {
-    raw: BitMatrix,
-    collapsed: BitMatrix,
-}
-
-impl ChunkArena {
-    fn new(events: usize, components: usize, chunk_rounds: usize) -> Self {
-        ChunkArena {
-            raw: BitMatrix::new(events, chunk_rounds),
-            collapsed: BitMatrix::new(components, chunk_rounds),
-        }
-    }
-
-    /// Resident bytes of both matrices — exported as `assess.arena_bytes`.
-    fn bytes(&self) -> usize {
-        self.raw.bytes() + self.collapsed.bytes()
-    }
 }
 
 /// Cached handles into the process-wide [`recloud_obs::global()`]
@@ -225,11 +187,15 @@ struct AssessInstruments {
     total_us: Arc<Histogram>,
     /// Completed assessments.
     assessments_total: Arc<Counter>,
-    /// Current collapsed-table cache footprint of the newest engine.
+    /// Bytes of materialised table rows of the newest engine.
     cache_bytes: Arc<Gauge>,
-    /// Current chunk-arena footprint (raw + collapsed scratch matrices)
-    /// of the newest engine.
+    /// Bytes the newest engine's table has allocated.
     arena_bytes: Arc<Gauge>,
+    /// Table rows sampled (component rows + dependency-event rows).
+    rows_materialised: Arc<Counter>,
+    /// Rows a request's cone named; against the component count this is
+    /// the sampled-width ratio.
+    cone_rows: Arc<Histogram>,
 }
 
 impl AssessInstruments {
@@ -240,25 +206,25 @@ impl AssessInstruments {
             assessments_total: registry.counter("assess.assessments_total"),
             cache_bytes: registry.gauge("assess.cache_bytes"),
             arena_bytes: registry.gauge("assess.arena_bytes"),
+            rows_materialised: registry.counter("assess.rows_materialised_total"),
+            cone_rows: registry.histogram("assess.cone_rows"),
         }
     }
 }
 
 impl Assessor {
-    /// Target chunk size in rounds before alignment. Chosen so a
-    /// Large-scale raw matrix stays around ~10 MB while chunks remain
-    /// numerous enough for 4-way parallel speedup at 10⁴ rounds. The
-    /// actual chunk width rounds this up to a dagger macro-cycle multiple
-    /// and then to the kernel lane width (256), so full chunks decompose
-    /// into whole wide words; extended-dagger truncation at chunk
-    /// boundaries is bias-free, so the extra lane-alignment rounds are
-    /// statistically harmless.
+    /// Target chunk size in rounds before alignment, chosen so chunks
+    /// remain numerous enough for 4-way parallel speedup at 10⁴ rounds.
+    /// The actual chunk width rounds this up to a dagger macro-cycle
+    /// multiple and then to the kernel lane width (256), so full chunks
+    /// decompose into whole wide words; extended-dagger truncation at
+    /// chunk boundaries is bias-free, so the extra lane-alignment rounds
+    /// are statistically harmless.
     const TARGET_CHUNK: usize = 2_500;
 
-    /// The chunk width for a probability vector: macro-cycle aligned, then
+    /// The chunk width for a macro-cycle: macro-cycle aligned, then
     /// lane-width aligned.
-    fn chunk_width(probs: &[f64]) -> usize {
-        let s_max = ExtendedDaggerSampler::macro_cycle(probs);
+    fn chunk_width(s_max: usize) -> usize {
         (Self::TARGET_CHUNK.div_ceil(s_max) * s_max).next_multiple_of(WideWord::LANES)
     }
 
@@ -269,40 +235,54 @@ impl Assessor {
 
     /// Creates an assessor with an explicit sampler choice.
     pub fn with_sampler(topology: &Topology, model: FaultModel, kind: SamplerKind) -> Self {
-        let chunk_rounds = Self::chunk_width(model.probs());
-        let arena =
-            ChunkArena::new(model.num_events(), model.num_topology_components(), chunk_rounds);
+        let s_max = ExtendedDaggerSampler::macro_cycle(model.probs());
+        let router = make_router(topology);
         Assessor {
             topology: topology.clone(),
             model,
             kind,
-            router: make_router(topology),
-            chunk_rounds,
-            arena,
-            table_cache: None,
+            base_cone: Self::base_cone_of(router.as_ref(), topology),
+            router,
+            s_max,
+            table: FailureTable::new(Self::chunk_width(s_max)),
+            cone: Vec::new(),
             injector: None,
             width: BatchWidth::Wide256,
             obs: AssessInstruments::from_global(),
         }
     }
 
+    fn base_cone_of(router: &dyn Router, topology: &Topology) -> Vec<ComponentId> {
+        let mut base = Vec::new();
+        router.cone(topology.num_components(), &mut std::iter::empty(), &mut base);
+        base
+    }
+
     /// Installs (or clears) a fault injector applied to every sampled
-    /// chunk. Invalidates the table cache.
+    /// row. Invalidates the table.
     pub fn set_injector(&mut self, injector: Option<FaultInjector>) {
         self.injector = injector;
-        self.table_cache = None;
+        self.table.invalidate(&self.model, self.table.chunk_rounds());
+    }
+
+    /// Replaces the router [`make_router`] picked — for leveled fabrics
+    /// served by [`recloud_routing::UpDownRouter`], and for checking one
+    /// router against another. The table is router-independent and stays.
+    pub fn set_router(&mut self, router: Box<dyn Router + Send>) {
+        self.base_cone = Self::base_cone_of(router.as_ref(), &self.topology);
+        self.router = router;
     }
 
     /// Replaces the fault model, keeping the topology, router and — when
-    /// the new model has the same matrix shapes — the scratch allocations.
+    /// the new model has the same shape — the table's allocations.
     ///
     /// This is what lets a long-running server reuse one engine across
     /// requests with different model seeds: router construction (the
     /// expensive part at large scales) happens once per (topology, worker),
     /// while each reseed only swaps probability tables. Assessments after a
     /// reseed are bit-identical to a freshly constructed engine with the
-    /// same model; the table cache is invalidated because cached tables
-    /// were sampled under the previous model.
+    /// same model; every table row is invalidated because it was sampled
+    /// under the previous model.
     ///
     /// # Panics
     /// Panics if `model` was built for a different topology (component
@@ -313,14 +293,9 @@ impl Assessor {
             self.topology.num_components(),
             "model was built for a different topology"
         );
-        let chunk_rounds = Self::chunk_width(model.probs());
-        if chunk_rounds != self.chunk_rounds || model.num_events() != self.model.num_events() {
-            self.chunk_rounds = chunk_rounds;
-            self.arena =
-                ChunkArena::new(model.num_events(), model.num_topology_components(), chunk_rounds);
-        }
+        self.s_max = ExtendedDaggerSampler::macro_cycle(model.probs());
+        self.table.invalidate(&model, Self::chunk_width(self.s_max));
         self.model = model;
-        self.table_cache = None;
     }
 
     /// Selects the batched (wide, 256-rounds-per-operation) or scalar
@@ -345,26 +320,22 @@ impl Assessor {
         self.width
     }
 
-    /// Bytes held by the reusable per-chunk scratch arena (raw +
-    /// collapsed matrices). Exported as the `assess.arena_bytes` gauge.
+    /// Bytes the failure-state table has allocated (one slot per chunk
+    /// index ever assessed). Exported as the `assess.arena_bytes` gauge.
     pub fn arena_bytes(&self) -> usize {
-        self.arena.bytes()
+        self.table.allocated_bytes()
     }
 
-    /// Bytes held by the cached collapsed failure-state tables (one
-    /// [`BitMatrix`] clone per chunk). Searches assess thousands of plans
-    /// against one cached table; this keeps that footprint observable so
-    /// it cannot silently balloon.
+    /// Bytes of the table rows materialised for the current seed — what a
+    /// repeat assessment on that seed reuses. Searches assess thousands of
+    /// plans against one table; this keeps that footprint observable so it
+    /// cannot silently balloon.
     pub fn cache_bytes(&self) -> usize {
-        match &self.table_cache {
-            Some(c) => c.chunks.iter().map(|m| m.bytes()).sum(),
-            None => 0,
-        }
+        self.table.valid_bytes()
     }
 
     /// Routes and checks the first `rounds` columns of `table`, feeding
-    /// verdicts into `acc` — the shared inner loop of the fresh and
-    /// cached-table paths, in both scalar and batched flavors.
+    /// verdicts into `acc`, in the scalar and the batched flavors.
     fn route_and_check(
         router: &mut dyn Router,
         width: BatchWidth,
@@ -405,11 +376,12 @@ impl Assessor {
     /// The chunk layout for a round count: (chunk index, rounds in chunk).
     /// Shared with the parallel engine so results are execution-identical.
     pub fn chunk_layout(&self, rounds: usize) -> Vec<(u32, usize)> {
-        let mut out = Vec::new();
+        let chunk_rounds = self.table.chunk_rounds();
+        let mut out = Vec::with_capacity(rounds.div_ceil(chunk_rounds));
         let mut remaining = rounds;
         let mut idx = 0u32;
         while remaining > 0 {
-            let n = remaining.min(self.chunk_rounds);
+            let n = remaining.min(chunk_rounds);
             out.push((idx, n));
             remaining -= n;
             idx += 1;
@@ -441,7 +413,8 @@ impl Assessor {
     }
 
     /// Runs one chunk of rounds, feeding verdicts into `acc`. Exposed for
-    /// the parallel engine's workers.
+    /// the parallel engine's workers, which see chunks of many seeds in
+    /// any order: the chunk is keyed by its seed alone, in table slot 0.
     pub fn run_chunk(
         &mut self,
         checker: &mut StructureChecker,
@@ -449,47 +422,61 @@ impl Assessor {
         rounds: usize,
         acc: &mut ResultAccumulator,
     ) -> Timings {
-        assert!(rounds <= self.chunk_rounds, "chunk exceeds scratch capacity");
+        self.name_cone(checker);
+        self.chunk(0, checker, chunk_seed, rounds, acc)
+    }
+
+    /// Fills `self.cone` with the rows the router may read for this plan.
+    fn name_cone(&mut self, checker: &StructureChecker) {
+        self.cone.clear();
+        self.router.cone(self.topology.num_components(), &mut checker.hosts(), &mut self.cone);
+        assert!(self.cone.starts_with(&self.base_cone), "a cone starts with the cone of no hosts");
+    }
+
+    /// The one per-chunk path: materialise what `self.cone` is missing in
+    /// table slot `slot` — sampling each row for the chunk's own `rounds`,
+    /// not the table width — then route-and-check.
+    fn chunk(
+        &mut self,
+        slot: usize,
+        checker: &mut StructureChecker,
+        chunk_seed: u64,
+        rounds: usize,
+        acc: &mut ResultAccumulator,
+    ) -> Timings {
         let t0 = Instant::now();
-        let mut sampler = AnySampler::new(self.kind, chunk_seed);
-        // The arena matrices are sized for a full chunk; for a short tail
-        // chunk we sample the full arena width and check only the first
-        // `rounds` columns. Sampling whole chunks keeps the matrix shape
-        // fixed (no reallocation) at negligible cost.
-        let t_sample = Instant::now();
-        sampler.sample_into(self.model.probs(), &mut self.arena.raw);
-        if let Some(injector) = &self.injector {
-            injector.apply(&mut self.arena.raw);
+        let Assessor { table, cone, base_cone, model, injector, s_max, .. } = self;
+        let m = self.kind.with_sampler(chunk_seed, move |sampler| {
+            let src = RowSource { sampler, model, s_max: *s_max, injector: injector.as_ref() };
+            table.materialise(slot, chunk_seed, rounds, cone.split_at(base_cone.len()), &src)
+        });
+        if m.rows > 0 {
+            self.obs.rows_materialised.add(m.rows as u64);
         }
-        let sampling = t_sample.elapsed();
 
-        let t_collapse = Instant::now();
-        self.model.collapse_into(&self.arena.raw, &mut self.arena.collapsed);
-        let collapse = t_collapse.elapsed();
-
-        let t_check = Instant::now();
-        Self::route_and_check(
-            self.router.as_mut(),
-            self.width,
-            checker,
-            &self.arena.collapsed,
-            rounds,
-            acc,
-        );
-        let check = t_check.elapsed();
+        // A chunk that found all its rows in place reads the clock twice.
+        let t_check = if m.rows > 0 { Instant::now() } else { t0 };
+        Self::route_and_check(self.router.as_mut(), self.width, checker, m.states, rounds, acc);
+        let end = Instant::now();
         // Per-chunk observability is recorded by the AssessmentDriver when
         // this chunk's result is fed back — one recording site for the
-        // serial, cached-table, and parallel paths alike.
-        Timings { sampling, collapse, check, total: t0.elapsed() }
+        // serial and parallel paths alike.
+        Timings {
+            sampling: m.sampling,
+            collapse: m.collapse,
+            check: end - t_check,
+            total: end - t0,
+        }
     }
 
     /// Assesses one deployment plan over `rounds` route-and-check rounds
-    /// (§4.1 default: 10⁴). Deterministic for a given seed.
+    /// (§4.1 default: 10⁴). Deterministic for a given seed, whatever the
+    /// engine assessed before.
     ///
-    /// Repeated calls with the same `seed` reuse the cached collapsed
-    /// failure-state table (the table is plan-independent), paying only
-    /// the route-and-check cost — the fast path of common-random-number
-    /// searches.
+    /// Repeated calls with the same `seed` reuse the rows already in the
+    /// table (it is plan-independent), paying only for rows the new plan
+    /// is the first to read plus the route-and-check — the fast path of
+    /// common-random-number searches.
     ///
     /// Thin consumer of [`Assessor::drive`]: runs the full layout with no
     /// stopping rule.
@@ -504,13 +491,12 @@ impl Assessor {
     }
 
     /// Runs the [`AssessmentDriver`] over `rounds`, executing chunks
-    /// serially (cached-table or fresh path) and yielding a
-    /// [`PartialEstimate`] to `on_partial` after every chunk. The drive
-    /// stops early when the callback breaks or when `target_ciw` is
-    /// reached (the driver's `stop_hint`); the returned assessment then
-    /// covers exactly the rounds executed so far and `completed` is
-    /// false. Completed drives are bit-identical to the pre-driver
-    /// chunk loops for any seed.
+    /// serially and yielding a [`PartialEstimate`] to `on_partial` after
+    /// every chunk. The drive stops early when the callback breaks or when
+    /// `target_ciw` is reached (the driver's `stop_hint`); the returned
+    /// assessment then covers exactly the rounds executed so far and
+    /// `completed` is false. The rows an early-stopped drive materialised
+    /// stay valid for a follow-up on the same seed.
     ///
     /// # Panics
     /// Panics if `rounds` is zero.
@@ -527,54 +513,23 @@ impl Assessor {
         let mut checker = StructureChecker::new(spec, plan);
         let mut driver = AssessmentDriver::new(self.chunk_layout(rounds), seed, target_ciw);
         let t0 = Instant::now();
-
-        let cache_ok = matches!(&self.table_cache,
-            Some(c) if c.master_seed == seed && c.chunks.len() >= driver.chunks_total());
-        if cache_ok {
-            let cache = self.table_cache.take().expect("checked above");
-            while let Some(task) = driver.next_task() {
-                let t_check = Instant::now();
-                let table = &cache.chunks[task.chunk as usize];
-                let mut local = ResultAccumulator::new();
-                Self::route_and_check(
-                    self.router.as_mut(),
-                    self.width,
-                    &mut checker,
-                    table,
-                    task.rounds,
-                    &mut local,
-                );
-                let timings = Timings { check: t_check.elapsed(), ..Timings::default() };
-                let partial = driver.feed(task.chunk, local.rounds(), local.successes(), &timings);
-                let flow = on_partial(&partial);
-                if partial.stop_hint || flow.is_break() {
-                    break;
-                }
+        self.name_cone(&checker);
+        while let Some(task) = driver.next_task() {
+            let mut local = ResultAccumulator::new();
+            let t =
+                self.chunk(task.chunk as usize, &mut checker, task.seed, task.rounds, &mut local);
+            let partial = driver.feed(task.chunk, local.rounds(), local.successes(), &t);
+            let flow = on_partial(&partial);
+            if partial.stop_hint || flow.is_break() {
+                break;
             }
-            self.table_cache = Some(cache);
-        } else {
-            let mut chunks = Vec::with_capacity(driver.chunks_total());
-            while let Some(task) = driver.next_task() {
-                let mut local = ResultAccumulator::new();
-                let t = self.run_chunk(&mut checker, task.seed, task.rounds, &mut local);
-                chunks.push(self.arena.collapsed.clone());
-                let partial = driver.feed(task.chunk, local.rounds(), local.successes(), &t);
-                let flow = on_partial(&partial);
-                if partial.stop_hint || flow.is_break() {
-                    break;
-                }
-            }
-            // An early-stopped drive caches the chunk tables it did
-            // sample: tables are deterministic per (seed, chunk) and the
-            // cache-hit check requires enough chunks for the follow-up
-            // request, so a partial cache is still a correct cache.
-            self.table_cache = Some(TableCache { master_seed: seed, chunks });
         }
         driver.set_total(t0.elapsed());
         self.obs.total_us.record(driver.timings().total.as_micros() as u64);
         self.obs.assessments_total.inc();
+        self.obs.cone_rows.record(self.cone.len() as u64);
         self.obs.cache_bytes.set(self.cache_bytes() as i64);
-        self.obs.arena_bytes.set(self.arena.bytes() as i64);
+        self.obs.arena_bytes.set(self.arena_bytes() as i64);
         DrivenAssessment {
             assessment: Assessment {
                 estimate: driver.estimate(),
@@ -585,13 +540,15 @@ impl Assessor {
         }
     }
 
-    /// Measures pure failure-state generation over `rounds` rounds — the
-    /// Figure 7 microbenchmark (no collapsing, no routing).
+    /// Measures pure full-width failure-state generation over `rounds`
+    /// rounds — the Figure 7 microbenchmark (no collapsing, no routing).
     pub fn sampling_time(&mut self, rounds: usize, seed: u64) -> Duration {
+        let mut raw = BitMatrix::new(self.model.num_events(), self.table.chunk_rounds());
         let t0 = Instant::now();
         for (chunk, _n) in self.chunk_layout(rounds) {
-            let mut sampler = AnySampler::new(self.kind, Self::chunk_seed(seed, chunk));
-            sampler.sample_into(self.model.probs(), &mut self.arena.raw);
+            self.kind.with_sampler(Self::chunk_seed(seed, chunk), |sampler| {
+                sampler.sample_into(self.model.probs(), &mut raw)
+            });
         }
         t0.elapsed()
     }
@@ -743,10 +700,10 @@ mod tests {
     }
 
     #[test]
-    fn table_cache_is_transparent() {
-        // Same seed twice: second call hits the cache and must return the
-        // exact same counts; a different plan on the cached table must
-        // also match a fresh engine's result for that (plan, seed).
+    fn table_reuse_is_transparent() {
+        // Same seed twice: the second call finds its rows in the table and
+        // must return the exact same counts; a different plan on that table
+        // must also match a fresh engine's result for that (plan, seed).
         let (t, mut a, spec) = setup(SamplerKind::ExtendedDagger);
         let mut rng = Rng::new(12);
         let plan1 = DeploymentPlan::random(&spec, t.hosts(), &mut rng);
@@ -784,7 +741,7 @@ mod tests {
     /// The tentpole invariant: every kernel lane width — scalar, 64-lane,
     /// 256-lane — produces bit-identical assessments (same successes, same
     /// rounds) across specs (simple and complex) and word/wide-boundary
-    /// round counts, on both the fresh and the cached-table paths.
+    /// round counts, on a fresh seed and on rows already in the table.
     #[test]
     fn batched_equals_scalar_bit_for_bit() {
         let t = FatTreeParams::new(4).build();
@@ -818,7 +775,7 @@ mod tests {
                     (rw.estimate.successes, rw.estimate.rounds),
                     "spec {si} rounds {rounds} word64"
                 );
-                // Cached-table path (second assess with the same seed).
+                // Second assess with the same seed: no row is missing.
                 let rs2 = scalar.assess(spec, &plan, rounds, 9);
                 let rb2 = wide.assess(spec, &plan, rounds, 9);
                 assert_eq!(rs2.estimate.successes, rb2.estimate.successes);
@@ -850,29 +807,135 @@ mod tests {
         }
     }
 
+    /// A plan whose instances sit on the given `(pod, edge, slot)` hosts.
+    fn plan_on(t: &Topology, spec: &ApplicationSpec, at: &[(u32, u32, u32)]) -> DeploymentPlan {
+        let m = t.fat_tree().unwrap();
+        DeploymentPlan::new(spec, vec![at.iter().map(|&(p, e, s)| m.host(p, e, s)).collect()])
+    }
+
+    /// Rows a cone costs: its components plus the supplies they draw from.
+    fn rows_of(t: &Topology, components: &[ComponentId]) -> usize {
+        let mut supplies: Vec<_> = components.iter().filter_map(|&c| t.power_of(c)).collect();
+        supplies.sort_unstable();
+        supplies.dedup();
+        components.len() + supplies.len()
+    }
+
     #[test]
-    fn cache_bytes_accounts_every_chunk() {
+    fn cache_bytes_accounts_materialised_rows() {
         let (t, mut a, spec) = setup(SamplerKind::ExtendedDagger);
-        assert_eq!(a.cache_bytes(), 0, "no cache before the first assessment");
-        let mut rng = Rng::new(21);
-        let plan = DeploymentPlan::random(&spec, t.hosts(), &mut rng);
+        assert_eq!(a.cache_bytes(), 0, "nothing materialised before the first assessment");
+        assert_eq!(a.arena_bytes(), 0, "slots are allocated on first use");
+        let m = *t.fat_tree().unwrap();
+        // Two hosts under one edge switch: the cone is the top of the
+        // fabric plus one host pod's worth of one rack.
+        let plan = plan_on(&t, &spec, &[(0, 0, 0), (0, 0, 1)]);
+        let mut cone: Vec<ComponentId> =
+            (0..2).flat_map(|g| [m.core(g, 0), m.core(g, 1)]).collect();
+        cone.extend([m.border(0), m.border(1), m.host(0, 0, 0), m.host(0, 0, 1), m.edge(0, 0)]);
+        cone.extend([m.agg(0, 0), m.agg(0, 1)]);
         let rounds = 6_000;
         a.assess(&spec, &plan, rounds, 5);
-        let layout = a.chunk_layout(rounds);
-        // One collapsed-matrix clone per chunk: components × chunk words.
-        let per_chunk = t.num_components() * a.chunk_rounds.div_ceil(64) * 8;
-        assert_eq!(a.cache_bytes(), layout.len() * per_chunk);
-        // Pin the absolute footprint so searches can't silently balloon:
-        // k=4 fat-tree = 36 components, chunk = 2560 rounds = 40 words
-        // (already a wide-word multiple, so no padding).
-        assert_eq!(a.cache_bytes(), 3 * 36 * 40 * 8);
-        a.set_injector(None); // invalidates the cache
+        // k=4 fat-tree, chunk = 2560 rounds = 40 words a row, 3 chunks.
+        assert_eq!(a.chunk_layout(rounds).len(), 3);
+        let first = rows_of(&t, &cone);
+        assert!(first < t.num_components() / 2, "{first} rows of {}", t.num_components());
+        assert_eq!(a.cache_bytes(), 3 * first * 40 * 8);
+        // The same plan again adds nothing; a neighbour in another pod
+        // adds its host, edge switch and pod aggs (and their supplies).
+        a.assess(&spec, &plan, rounds, 5);
+        assert_eq!(a.cache_bytes(), 3 * first * 40 * 8);
+        a.assess(&spec, &plan_on(&t, &spec, &[(0, 0, 0), (1, 1, 0)]), rounds, 5);
+        cone.extend([m.host(1, 1, 0), m.edge(1, 1), m.agg(1, 0), m.agg(1, 1)]);
+        assert_eq!(a.cache_bytes(), 3 * rows_of(&t, &cone) * 40 * 8);
+        // Allocation is the full table: 36 component rows + 5 supply rows
+        // per slot (plus stamps), whatever was materialised.
+        let allocated = a.arena_bytes();
+        assert!(allocated >= 3 * (36 + 5) * 40 * 8, "{allocated}");
+        a.set_injector(None); // invalidates the table, keeps the allocation
         assert_eq!(a.cache_bytes(), 0);
+        assert_eq!(a.arena_bytes(), allocated);
+    }
+
+    /// Same seed ⇒ same answer, whatever the engine did before and
+    /// however the chunks are executed.
+    #[test]
+    fn answers_do_not_depend_on_history_or_execution() {
+        let t = FatTreeParams::new(4).build();
+        let spec = ApplicationSpec::k_of_n(2, 3);
+        let model = || FaultModel::paper_default(&t, 11);
+        let mut rng = Rng::new(31);
+        let plan = DeploymentPlan::random(&spec, t.hosts(), &mut rng);
+        let (rounds, seed) = (9_000, 77);
+        let counts = |a: Assessment| (a.estimate.rounds, a.estimate.successes);
+        let want = counts(Assessor::new(&t, model()).assess(&spec, &plan, rounds, seed));
+
+        // After other plans on the same seed, and after shorter requests.
+        let mut a = Assessor::new(&t, model());
+        for _ in 0..6 {
+            let other = DeploymentPlan::random(&spec, t.hosts(), &mut rng);
+            a.assess(&spec, &other, [400, 2_560, rounds][rng.next_below(3)], seed);
+        }
+        assert_eq!(counts(a.assess(&spec, &plan, rounds, seed)), want, "after other plans");
+        // After a reseed round trip.
+        a.reseed(FaultModel::paper_default(&t, 12));
+        a.assess(&spec, &plan, rounds, seed);
+        a.reseed(model());
+        assert_eq!(counts(a.assess(&spec, &plan, rounds, seed)), want, "after reseed");
+        // Early-stopped, then resumed on the rows the stop left behind.
+        let stopped =
+            a.drive(&spec, &plan, rounds, seed + 1, None, &mut |_| ControlFlow::Break(()));
+        assert!(!stopped.completed);
+        let mut fresh = Assessor::new(&t, model());
+        assert_eq!(
+            counts(a.assess(&spec, &plan, rounds, seed + 1)),
+            counts(fresh.assess(&spec, &plan, rounds, seed + 1)),
+            "resumed after an early stop"
+        );
+        // Streamed: the last partial is the answer.
+        let mut last = None;
+        let streamed = a.drive(&spec, &plan, rounds, seed, None, &mut |p| {
+            last = Some(p.rounds_done);
+            ControlFlow::Continue(())
+        });
+        assert_eq!(counts(streamed.assessment), want, "streamed");
+        assert_eq!(last, Some(rounds as u64));
+        // Through the master/worker engine.
+        for workers in [1, 2, 4] {
+            let par = crate::ParallelAssessor::new(&t, model(), workers);
+            assert_eq!(counts(par.assess(&spec, &plan, rounds, seed)), want, "{workers} workers");
+        }
+    }
+
+    /// The sampled-width regression guard, by count: a 5-host plan on the
+    /// Large fat-tree reads 5 hosts, ≤ 5 edge switches, ≤ 5 × 24 pod aggs,
+    /// 576 cores, 24 borders and ≤ 5 supplies of 29,934 components.
+    #[test]
+    fn large_fat_tree_plan_materialises_its_cone_only() {
+        let t = FatTreeParams::new(48).build();
+        let mut a = Assessor::new(&t, FaultModel::paper_default(&t, 1));
+        let spec = ApplicationSpec::k_of_n(4, 5);
+        let plan = DeploymentPlan::random(&spec, t.hosts(), &mut Rng::new(2));
+        let before = recloud_obs::global().snapshot();
+        let chunk_rounds = a.chunk_layout(1 << 20)[0].1;
+        let rounds = 2 * chunk_rounds + 100;
+        let chunks = a.chunk_layout(rounds).len();
+        assert_eq!(chunks, 3);
+        a.assess(&spec, &plan, rounds, 9);
+        let row_bytes = BitMatrix::new(1, chunk_rounds).bytes();
+        let rows_per_chunk = a.cache_bytes() / row_bytes / chunks;
+        assert!((600..=800).contains(&rows_per_chunk), "{rows_per_chunk} rows per chunk");
+        let after = recloud_obs::global().snapshot();
+        let counted = after.counter("assess.rows_materialised_total").unwrap_or(0)
+            - before.counter("assess.rows_materialised_total").unwrap_or(0);
+        assert!(counted >= (rows_per_chunk * chunks) as u64, "counter saw {counted} rows");
+        let cone = after.histogram("assess.cone_rows").expect("cone histogram registered");
+        assert!(cone.count >= 1);
     }
 
     /// The serving-layer invariant: a reseeded engine is indistinguishable
     /// from a freshly built one — same counts, bit-identical score — and
-    /// reseeding drops the (now stale) table cache.
+    /// reseeding invalidates the (now stale) table rows.
     #[test]
     fn reseed_matches_fresh_engine_bit_for_bit() {
         let t = FatTreeParams::new(4).build();
@@ -881,10 +944,10 @@ mod tests {
         let plan = DeploymentPlan::random(&spec, t.hosts(), &mut rng);
         let mut reused = Assessor::new(&t, FaultModel::paper_default(&t, 11));
         reused.assess(&spec, &plan, 3_000, 11);
-        assert!(reused.cache_bytes() > 0, "first assessment populates the table cache");
+        assert!(reused.cache_bytes() > 0, "first assessment populates the table");
         for seed in [12u64, 13, 11] {
             reused.reseed(FaultModel::paper_default(&t, seed));
-            assert_eq!(reused.cache_bytes(), 0, "reseed must drop the stale table cache");
+            assert_eq!(reused.cache_bytes(), 0, "reseed must invalidate the stale rows");
             let r = reused.assess(&spec, &plan, 3_000, seed);
             let mut fresh = Assessor::new(&t, FaultModel::paper_default(&t, seed));
             let f = fresh.assess(&spec, &plan, 3_000, seed);
@@ -925,8 +988,8 @@ mod tests {
         let mut rng = Rng::new(77);
         let plan = DeploymentPlan::random(&spec, t.hosts(), &mut rng);
         let rounds = 4_000usize;
-        a.assess(&spec, &plan, rounds, 8); // fresh: sampling + collapse + check
-        a.assess(&spec, &plan, rounds, 8); // cached table: check only
+        a.assess(&spec, &plan, rounds, 8); // fresh seed: sampling + collapse + check
+        a.assess(&spec, &plan, rounds, 8); // rows already there: check only
         let after = recloud_obs::global().snapshot();
 
         let delta =
@@ -938,8 +1001,8 @@ mod tests {
             after.histogram(name).map_or(0, |h| h.count)
                 - before.histogram(name).map_or(0, |h| h.count)
         };
-        assert!(hist_delta("assess.sampling_us") >= chunks, "fresh path samples per chunk");
-        assert!(hist_delta("assess.check_us") >= 2 * chunks, "both paths check per chunk");
+        assert!(hist_delta("assess.sampling_us") >= chunks, "a fresh seed samples per chunk");
+        assert!(hist_delta("assess.check_us") >= 2 * chunks, "both calls check per chunk");
         assert!(hist_delta("assess.total_us") >= 2);
         assert!(after.gauge("assess.cache_bytes").is_some(), "cache footprint gauge registered");
     }

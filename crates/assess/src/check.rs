@@ -74,6 +74,12 @@ impl StructureChecker {
         }
     }
 
+    /// Every instance host of the plan, in component order — the hosts
+    /// this checker will ask a router about.
+    pub fn hosts(&self) -> impl Iterator<Item = ComponentId> + '_ {
+        self.hosts.iter().flatten().copied()
+    }
+
     /// Checks the (up to) 256 rounds of wide word `wide` in one sweep; lane
     /// r of the result is the verdict of round `256·wide + r`, bit-identical
     /// to [`StructureChecker::round_reliable`] on that round. Only the low

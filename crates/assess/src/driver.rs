@@ -12,8 +12,8 @@
 //!
 //! Three consumers drive it:
 //!
-//! - [`Assessor::drive`] (serial, fresh or cached-table) pulls tasks one
-//!   at a time and feeds each result back immediately;
+//! - [`Assessor::drive`] (serial) pulls tasks one at a time and feeds
+//!   each result back immediately;
 //! - [`crate::parallel::ParallelAssessor::assess`] drains `next_task`
 //!   into wire-encoded task frames up front and feeds decoded result
 //!   frames back in whatever order workers finish them — the estimate is
@@ -161,10 +161,9 @@ impl AssessmentDriver {
     /// estimate. Chunks may arrive in any order; the estimate is a pure
     /// function of the accumulated totals.
     ///
-    /// Stage histograms record only the stages that actually ran: the
-    /// cached-table path feeds zero sampling/collapse durations and those
-    /// chunks stay out of the sampling histograms, exactly as before the
-    /// driver refactor.
+    /// Stage histograms record only the stages that actually ran: a chunk
+    /// that found all its rows in the table feeds zero sampling/collapse
+    /// durations and stays out of those histograms.
     pub fn feed(
         &mut self,
         chunk: u32,

@@ -34,6 +34,7 @@ pub mod indaas;
 pub mod parallel;
 pub mod sensitivity;
 pub mod sequential;
+mod table;
 pub mod wire;
 
 pub use assessor::{Assessment, Assessor, BatchWidth, DrivenAssessment, SamplerKind, Timings};

@@ -129,9 +129,10 @@ impl ParallelAssessor {
                 .map(|c| c.iter().map(|&h| ComponentId(h)).collect())
                 .collect();
             let plan = DeploymentPlan::new(spec, assignments);
-            // One engine per worker: its chunk arena (and router) are
-            // built once here and reused for every chunk the worker
-            // drains, so steady-state workers allocate nothing.
+            // One engine per worker: its router is built once here and
+            // its table slot on the first chunk, both reused for every
+            // chunk the worker drains, so steady-state workers allocate
+            // nothing.
             let mut engine = Assessor::with_sampler(&self.topology, self.model.clone(), self.kind);
             engine.set_width(self.width);
             let mut checker = StructureChecker::new(spec, &plan);

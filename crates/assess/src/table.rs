@@ -1,0 +1,277 @@
+//! The engine's persistent failure-state table.
+//!
+//! The failure-state table of §3.2.1 does not depend on the plan under
+//! assessment, and with per-component sampler streams
+//! ([`Sampler::sample_row`]) neither does any single row of it depend on
+//! the other rows. So the table is filled *on demand*: one [`Slot`] per
+//! chunk holds the chunk's effective (collapsed) states, and a row is
+//! materialised — own sample, OR the fault tree over its dependency
+//! events' raw rows — the first time a plan's cone names it. A fresh seed
+//! on a 27K-host fat-tree materialises the few hundred rows a 5-host plan
+//! can read; a search on one seed extends the table as neighbours touch
+//! new hosts; a router without a narrow cone names every row and gets the
+//! full-width table.
+//!
+//! # Invariants
+//!
+//! * A slot is keyed by `(chunk seed, rounds)`. Row `r` is *valid* iff
+//!   `stamp[r] == epoch`; a valid row equals the row function of
+//!   `(seed, r)` at `rounds` rounds under the engine's current model and
+//!   injector, with the dependency tree folded in for component rows.
+//! * Invalidation is `epoch += 1` — O(1), no row is cleared. Epochs start
+//!   at 1 and stamps at 0; should the epoch wrap, stamps are zeroed.
+//! * A request for the same seed with `n ≤ rounds` reads the valid rows
+//!   as they are (rows are prefix-stable); any other request re-keys the
+//!   slot. New rows are always sampled at the slot's `rounds`, so all
+//!   valid rows of a slot agree on their width.
+//! * Rows depend on the model and the injector, so whoever changes either
+//!   calls [`FailureTable::invalidate`]. Invalid slots keep their memory:
+//!   all slots of a table are one width, the widest chunk asked of it.
+//! * In debug builds invalid rows are poisoned (all-failed): a router
+//!   that reads outside its declared cone changes verdicts and fails the
+//!   equivalence tests instead of passing on stale-but-plausible bits.
+
+use recloud_faults::{FaultInjector, FaultModel};
+use recloud_sampling::{BitMatrix, Sampler, WideWord};
+use recloud_topology::ComponentId;
+use std::time::{Duration, Instant};
+
+/// Everything a row is a function of besides its slot's key.
+pub(crate) struct RowSource<'a> {
+    pub sampler: &'a dyn Sampler,
+    pub model: &'a FaultModel,
+    /// Macro-cycle of `model.probs()`.
+    pub s_max: usize,
+    pub injector: Option<&'a FaultInjector>,
+}
+
+impl RowSource<'_> {
+    /// Row of the dependency matrix that holds tree event `e`.
+    fn dep_row(&self, e: ComponentId) -> usize {
+        self.model.dependency_slot(e).expect("tree events are dependency events")
+    }
+
+    /// Event `e`'s raw sampled row: its own stream, then forced states.
+    fn sample(&self, e: ComponentId, rounds: usize, row: &mut [u64]) {
+        self.sampler.sample_row(e.index(), self.model.prob_of(e), self.s_max, rounds, row);
+        if let Some(injector) = self.injector {
+            injector.apply_row(e, row, rounds);
+        }
+    }
+}
+
+/// What [`FailureTable::materialise`] hands back.
+pub(crate) struct Materialised<'a> {
+    /// The slot's effective-state matrix, every cone row valid.
+    pub states: &'a BitMatrix,
+    /// Time spent sampling / collapsing; both zero when nothing was missing.
+    pub sampling: Duration,
+    pub collapse: Duration,
+    /// Rows materialised by this call (component rows + dependency rows).
+    pub rows: usize,
+}
+
+/// One chunk's rows.
+struct Slot {
+    seed: u64,
+    rounds: usize,
+    /// Effective states, one row per topology component — what routers read.
+    states: BitMatrix,
+    /// Raw sampled states of the model's dependency events, one row per
+    /// [`FaultModel::dependency_events`] entry, shared by all consumers.
+    deps: BitMatrix,
+    state_stamp: Vec<u32>,
+    dep_stamp: Vec<u32>,
+    epoch: u32,
+    /// Valid rows of `states` / of `deps` in the current epoch.
+    valid_states: usize,
+    valid_deps: usize,
+    /// Every base-cone row is valid in the current epoch.
+    base_valid: bool,
+}
+
+impl Slot {
+    fn new(model: &FaultModel, width: usize) -> Self {
+        let (components, deps) = (model.num_topology_components(), model.dependency_events().len());
+        let mut slot = Slot {
+            seed: 0,
+            rounds: 0,
+            states: BitMatrix::new(components, width),
+            deps: BitMatrix::new(deps, width),
+            state_stamp: vec![0; components],
+            dep_stamp: vec![0; deps],
+            epoch: 0,
+            valid_states: 0,
+            valid_deps: 0,
+            base_valid: false,
+        };
+        slot.invalidate();
+        slot
+    }
+
+    fn invalidate(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.state_stamp.fill(0);
+            self.dep_stamp.fill(0);
+            self.epoch = 1;
+        }
+        (self.rounds, self.valid_states, self.valid_deps) = (0, 0, 0);
+        self.base_valid = false;
+        if cfg!(debug_assertions) {
+            for c in 0..self.states.components() {
+                self.states.row_words_mut(c).fill(!0);
+            }
+        }
+    }
+
+    /// Makes dependency event `e`'s raw row valid.
+    fn ensure_dep(&mut self, src: &RowSource, e: ComponentId) -> usize {
+        let slot = src.dep_row(e);
+        if self.dep_stamp[slot] != self.epoch {
+            src.sample(e, self.rounds, self.deps.row_words_mut(slot));
+            self.dep_stamp[slot] = self.epoch;
+            self.valid_deps += 1;
+        }
+        slot
+    }
+
+    fn bytes(&self) -> usize {
+        self.states.bytes()
+            + self.deps.bytes()
+            + 4 * (self.state_stamp.len() + self.dep_stamp.len())
+    }
+}
+
+/// Per-chunk slots of lazily materialised rows; see the module docs.
+pub(crate) struct FailureTable {
+    chunk_rounds: usize,
+    /// Rounds every slot is allocated for: the widest chunk since the
+    /// slots were last dropped, so all slots of a table have one width.
+    slot_rounds: usize,
+    slots: Vec<Slot>,
+    /// Scratch: components sampled but not yet collapsed.
+    pending: Vec<ComponentId>,
+}
+
+impl FailureTable {
+    pub fn new(chunk_rounds: usize) -> Self {
+        FailureTable {
+            chunk_rounds,
+            slot_rounds: chunk_rounds,
+            slots: Vec::new(),
+            pending: Vec::new(),
+        }
+    }
+
+    pub fn chunk_rounds(&self) -> usize {
+        self.chunk_rounds
+    }
+
+    /// Every row becomes invalid. Slots that still fit `model` — same row
+    /// counts, at least `chunk_rounds` wide — keep their allocations (a
+    /// slot wider than the chunk is harmless: readers never look past the
+    /// chunk's rounds); otherwise all are dropped and rebuilt on demand.
+    /// Paper-default models differ in macro-cycle, hence chunk width, from
+    /// seed to seed, so a served engine settles on its widest: slots made
+    /// while a narrower chunk is current are still `slot_rounds` wide, or
+    /// a narrow seed that needs more chunks than the last wide one would
+    /// leave narrow slots behind for the next wide seed to drop all over.
+    pub fn invalidate(&mut self, model: &FaultModel, chunk_rounds: usize) {
+        let same_shape = |s: &Slot| {
+            s.states.components() == model.num_topology_components()
+                && s.deps.components() == model.dependency_events().len()
+        };
+        if !self.slots.iter().all(same_shape) || chunk_rounds > self.slot_rounds {
+            self.slots.clear();
+            self.slot_rounds = chunk_rounds;
+        }
+        self.chunk_rounds = chunk_rounds;
+        self.slots.iter_mut().for_each(Slot::invalidate);
+    }
+
+    /// Makes every row the cone names valid in slot `index` for
+    /// `(seed, rounds)`. The cone comes in two parts: `base`, the router's
+    /// host-independent rows — the same list on every call, so a slot
+    /// checks it once per epoch — and `hosts`, what this plan adds.
+    pub fn materialise(
+        &mut self,
+        index: usize,
+        seed: u64,
+        rounds: usize,
+        (base, hosts): (&[ComponentId], &[ComponentId]),
+        src: &RowSource,
+    ) -> Materialised<'_> {
+        assert!(rounds <= self.chunk_rounds, "chunk exceeds table width");
+        while self.slots.len() <= index {
+            self.slots.push(Slot::new(src.model, self.slot_rounds));
+        }
+        let slot = &mut self.slots[index];
+        if slot.seed != seed || slot.rounds < rounds {
+            if slot.valid_states + slot.valid_deps > 0 {
+                slot.invalidate();
+            }
+            (slot.seed, slot.rounds) = (seed, rounds);
+        }
+
+        // Sampling pass: own rows of the missing components, and the raw
+        // rows of the dependency events their trees read.
+        let mut t_sample = None;
+        let before = slot.valid_states + slot.valid_deps;
+        self.pending.clear();
+        let base = if slot.base_valid { &[] } else { base };
+        for &c in base.iter().chain(hosts) {
+            if slot.state_stamp[c.index()] == slot.epoch {
+                continue;
+            }
+            t_sample.get_or_insert_with(Instant::now);
+            slot.state_stamp[c.index()] = slot.epoch;
+            slot.valid_states += 1;
+            self.pending.push(c);
+            if src.model.dependency_slot(c).is_some() {
+                // A component other trees read: its raw row lives in
+                // `deps`, its effective row starts as a copy.
+                let dep = slot.ensure_dep(src, c);
+                slot.states.row_words_mut(c.index()).copy_from_slice(slot.deps.row_words(dep));
+            } else {
+                src.sample(c, slot.rounds, slot.states.row_words_mut(c.index()));
+            }
+            for e in src.model.tree_of(c).into_iter().flat_map(|tree| tree.leaf_events()) {
+                slot.ensure_dep(src, e);
+            }
+        }
+        slot.base_valid = true;
+        let Some(t_sample) = t_sample else {
+            return Materialised {
+                states: &slot.states,
+                sampling: Duration::ZERO,
+                collapse: Duration::ZERO,
+                rows: 0,
+            };
+        };
+        let sampling = t_sample.elapsed();
+
+        let t_collapse = Instant::now();
+        let wides = slot.rounds.div_ceil(WideWord::LANES);
+        let Slot { states, deps, .. } = slot;
+        for &c in &self.pending {
+            src.model.or_dependencies_into(c.index(), states, wides, |e, ww| {
+                deps.wide_word(src.dep_row(e), ww)
+            });
+        }
+        let collapse = t_collapse.elapsed();
+        let rows = slot.valid_states + slot.valid_deps - before;
+        Materialised { states: &slot.states, sampling, collapse, rows }
+    }
+
+    /// Bytes of valid rows, over all slots.
+    pub fn valid_bytes(&self) -> usize {
+        let row_bytes = |s: &Slot| s.states.words_per_row() * 8;
+        self.slots.iter().map(|s| (s.valid_states + s.valid_deps) * row_bytes(s)).sum()
+    }
+
+    /// Bytes allocated, over all slots.
+    pub fn allocated_bytes(&self) -> usize {
+        self.slots.iter().map(Slot::bytes).sum()
+    }
+}

@@ -1,12 +1,12 @@
-//! Arena guard: the steady-state chunk loop — sample into the arena,
-//! collapse in place, wide route-and-check — must be allocation-free.
-//! The whole point of the reusable [`ChunkArena`] and the stack-built
-//! samplers is that after the first chunk warms every scratch buffer
-//! (arena matrices at construction, the checker's bit-sliced counters on
-//! first use, the router's wide scratch), subsequent chunks only write
-//! into memory that already exists. A counting global allocator proves
-//! it, so the hot path cannot silently regress back to per-chunk
-//! allocation.
+//! Table guard: the steady-state chunk loop — materialise the cone's rows
+//! in the engine's table slot, collapse in place, wide route-and-check —
+//! must be allocation-free, on fresh seeds too. The whole point of the
+//! persistent failure-state table and the stack-built samplers is that
+//! after the first assessment warms every buffer (one table slot per
+//! chunk, the cone scratch, the checker's bit-sliced counters, the
+//! router's wide scratch), later ones only write into memory that already
+//! exists. A counting global allocator proves it, so the hot path cannot
+//! silently regress back to a matrix per chunk.
 
 use recloud_apps::{ApplicationSpec, DeploymentPlan};
 use recloud_assess::{Assessor, StructureChecker};
@@ -59,8 +59,8 @@ fn wide_chunk_loop_does_not_allocate() {
     let mut rng = Rng::new(6);
     let plan = DeploymentPlan::random(&spec, t.hosts(), &mut rng);
 
-    // Setup may allocate — that is the point of the arena: construction
-    // sizes every scratch buffer once.
+    // Setup and the first chunk may allocate: the first use of a table
+    // slot sizes it once.
     let mut engine = Assessor::new(&t, model);
     let mut checker = StructureChecker::new(&spec, &plan);
     let mut acc = ResultAccumulator::new();
@@ -76,4 +76,77 @@ fn wide_chunk_loop_does_not_allocate() {
         assert_eq!(allocs, 0, "chunk of {rounds} rounds allocated {allocs} times");
     }
     assert!(acc.rounds() > 0, "the counted chunks really ran");
+}
+
+/// A whole assessment on a seed the engine has never seen allocates what
+/// the plan itself needs — the per-plan `StructureChecker` and the
+/// driver's chunk layout (one vector) — and nothing that scales with the
+/// table: no matrix per chunk, whatever the round count.
+#[test]
+fn fresh_seed_assessment_allocates_only_for_the_plan() {
+    let t = FatTreeParams::new(4).build();
+    let spec = ApplicationSpec::k_of_n(2, 4);
+    let plan = DeploymentPlan::random(&spec, t.hosts(), &mut Rng::new(6));
+    let mut engine = Assessor::new(&t, FaultModel::paper_default(&t, 11));
+    let rounds = 9_000; // four chunks, the last one short
+    engine.assess(&spec, &plan, rounds, 1); // warm-up: sizes the four slots
+
+    // What a plan costs: its checker, including the bit-sliced counters
+    // the checker grows on its first chunk.
+    let per_plan = allocations_during(|| {
+        let mut checker = StructureChecker::new(&spec, &plan);
+        let mut acc = ResultAccumulator::new();
+        engine.run_chunk(&mut checker, Assessor::chunk_seed(1, 0), 300, &mut acc);
+    });
+    for seed in [2u64, 3, 4] {
+        let allocs = allocations_during(|| {
+            let a = engine.assess(&spec, &plan, rounds, seed);
+            assert_eq!(a.estimate.rounds, rounds as u64);
+        });
+        assert_eq!(allocs, per_plan + 1, "seed {seed}: {allocs} allocations");
+    }
+    // Reseeding with a model of the same shape keeps the table's memory.
+    engine.reseed(FaultModel::paper_default(&t, 11));
+    let allocs = allocations_during(|| {
+        engine.assess(&spec, &plan, rounds, 5);
+    });
+    assert_eq!(allocs, per_plan + 1, "after reseed: {allocs} allocations");
+}
+
+/// Paper-default models differ in macro-cycle, hence in chunk width, from
+/// seed to seed. A served engine alternating between them settles on one
+/// set of slots: a narrow-chunk seed needs more chunks than a wide-chunk
+/// one, and the extra slots it adds must not make the next wide seed
+/// drop and rebuild the table.
+#[test]
+fn alternating_chunk_widths_settle_on_one_table() {
+    let t = FatTreeParams::new(4).build();
+    let spec = ApplicationSpec::k_of_n(2, 4);
+    let plan = DeploymentPlan::random(&spec, t.hosts(), &mut Rng::new(6));
+    let width_of = |seed: u64| {
+        Assessor::new(&t, FaultModel::paper_default(&t, seed)).chunk_layout(1 << 20)[0].1
+    };
+    let narrow = width_of(11);
+    let wide_seed = (12u64..200).find(|&s| width_of(s) > narrow).expect("a wider model seed");
+    let rounds = 10 * narrow + 100;
+    assert!(rounds.div_ceil(narrow) > rounds.div_ceil(width_of(wide_seed)));
+
+    let mut engine = Assessor::new(&t, FaultModel::paper_default(&t, wide_seed));
+    engine.assess(&spec, &plan, rounds, 1);
+    engine.reseed(FaultModel::paper_default(&t, 11));
+    engine.assess(&spec, &plan, rounds, 1); // adds the narrow seed's extra slot
+    let per_plan = allocations_during(|| {
+        let mut checker = StructureChecker::new(&spec, &plan);
+        let mut acc = ResultAccumulator::new();
+        engine.run_chunk(&mut checker, Assessor::chunk_seed(1, 0), 300, &mut acc);
+    });
+    let settled = engine.arena_bytes();
+    for (round, model_seed) in [wide_seed, 11, wide_seed, 11].into_iter().enumerate() {
+        engine.reseed(FaultModel::paper_default(&t, model_seed));
+        let allocs = allocations_during(|| {
+            engine.assess(&spec, &plan, rounds, 2 + round as u64);
+        });
+        assert_eq!(allocs, per_plan + 1, "model seed {model_seed}: {allocs} allocations");
+        assert_eq!(engine.arena_bytes(), settled, "model seed {model_seed} rebuilt the table");
+    }
 }

@@ -1,0 +1,153 @@
+//! Cone materialisation ≡ the full-width table, bit for bit.
+//!
+//! The engine samples and collapses only the rows a plan's cone names.
+//! This property holds it to the pipeline it replaced — sample every
+//! event of the chunk, force injections, collapse every row, route and
+//! check — built from the same public stages and the same streams, for
+//! every router, sampler and kernel width, across plan *sequences* on one
+//! seed (so rows left by earlier plans, shorter requests and longer ones
+//! are all reused), with shared software and with a fault injector.
+//!
+//! Test builds poison rows that were never materialised (all-failed) and
+//! the failure probabilities here are high, so a router that read outside
+//! its declared cone would change verdicts and fail rather than pass on
+//! plausible stale bits.
+
+use recloud_apps::{ApplicationSpec, DeploymentPlan};
+use recloud_assess::{Assessor, BatchWidth, SamplerKind, StructureChecker};
+use recloud_faults::{FaultInjector, FaultModel, ProbabilityConfig};
+use recloud_routing::{make_router, GenericRouter, Router, UpDownRouter};
+use recloud_sampling::proptest::forall;
+use recloud_sampling::{
+    prop_assert_eq, BitMatrix, ExtendedDaggerSampler, MonteCarloSampler, ResultAccumulator,
+    Sampler, WideWord,
+};
+use recloud_topology::{FatTreeParams, LeafSpineParams, Topology};
+
+/// The full-width reference: every row of every chunk, at the table's
+/// full chunk width, checked over the chunk's own rounds.
+struct FullWidth {
+    model: FaultModel,
+    kind: SamplerKind,
+    injector: Option<FaultInjector>,
+    router: Box<dyn Router + Send>,
+    raw: BitMatrix,
+    states: BitMatrix,
+}
+
+impl FullWidth {
+    fn assess(
+        &mut self,
+        spec: &ApplicationSpec,
+        plan: &DeploymentPlan,
+        layout: &[(u32, usize)],
+        seed: u64,
+    ) -> (u64, u64) {
+        let mut checker = StructureChecker::new(spec, plan);
+        let mut acc = ResultAccumulator::new();
+        for &(chunk, n) in layout {
+            let chunk_seed = Assessor::chunk_seed(seed, chunk);
+            match self.kind {
+                SamplerKind::ExtendedDagger => ExtendedDaggerSampler::seeded(chunk_seed)
+                    .sample_into(self.model.probs(), &mut self.raw),
+                SamplerKind::MonteCarlo => MonteCarloSampler::seeded(chunk_seed)
+                    .sample_into(self.model.probs(), &mut self.raw),
+            }
+            if let Some(injector) = &self.injector {
+                injector.apply(&mut self.raw);
+            }
+            self.model.collapse_into(&self.raw, &mut self.states);
+            for ww in 0..n.div_ceil(WideWord::LANES) {
+                let lanes = (n - ww * WideWord::LANES).min(WideWord::LANES);
+                self.router.begin_wide(&self.states, ww);
+                let mask = checker.wide_reliable(self.router.as_mut(), &self.states, ww, lanes);
+                acc.push_wide(mask, lanes as u32);
+            }
+        }
+        (acc.rounds(), acc.successes())
+    }
+}
+
+/// A fabric and a way to build the router under test on it: the analytic
+/// fat-tree router, the valley-free reference BFS, and physical BFS on a
+/// fat-tree and on a leaf-spine.
+fn fabric(which: usize) -> (Topology, fn(&Topology) -> Box<dyn Router + Send>) {
+    match which {
+        0 => (FatTreeParams::new(4).build(), make_router),
+        1 => (FatTreeParams::new(6).build(), make_router),
+        2 => (FatTreeParams::new(4).build(), |t| Box::new(UpDownRouter::for_fat_tree(t))),
+        3 => (FatTreeParams::new(4).build(), |t| Box::new(GenericRouter::new(t))),
+        _ => (LeafSpineParams::new(3, 4, 3).border_spines(2).build(), make_router),
+    }
+}
+
+#[test]
+fn cone_materialised_equals_full_width() {
+    forall("cone-materialised == full-width, over plan sequences", |g| {
+        let (t, router_for) = fabric(g.usize_in(0..5));
+        // Unreliable on purpose, with mixed dagger cycle lengths.
+        let probabilities = ProbabilityConfig::Normal {
+            switch: (g.f64_in(0.05..0.2), 0.03),
+            other: (g.f64_in(0.05..0.25), 0.05),
+        };
+        let mut model = FaultModel::new(&t, &probabilities, g.any_u64());
+        model.attach_power_dependencies(&t);
+        if g.any_bool() {
+            model.attach_shared_software(&t, g.usize_in(1..4), 0.06, 0.03);
+        }
+        let injector = g.any_bool().then(|| {
+            let any = |g: &mut recloud_sampling::proptest::Gen| {
+                recloud_topology::ComponentId::from_index(g.usize_in(0..model.num_events()))
+            };
+            let mut injector = FaultInjector::new();
+            injector.fail_rounds(any(g), 10..g.usize_in(11..900));
+            injector.fail(t.power_supplies()[g.usize_in(0..t.power_supplies().len())]);
+            injector.revive(any(g)).fail_rounds(any(g), 0..3_000);
+            injector
+        });
+        let kind = if g.any_bool() { SamplerKind::ExtendedDagger } else { SamplerKind::MonteCarlo };
+        let (k, n) = (g.u32_in(1..3), g.u32_in(3..5));
+        let spec = match g.usize_in(0..3) {
+            0 => ApplicationSpec::k_of_n(k, n),
+            1 => ApplicationSpec::layered(&[(k, n), (1, 2)]),
+            _ => ApplicationSpec::microservice(2, 1, 1, 2),
+        };
+
+        let mut engine = Assessor::with_sampler(&t, model.clone(), kind);
+        engine.set_router(router_for(&t));
+        engine.set_injector(injector.clone());
+        engine.set_width(
+            [BatchWidth::Scalar, BatchWidth::Word64, BatchWidth::Wide256][g.usize_in(0..3)],
+        );
+        let chunk_rounds = engine.chunk_layout(1 << 20)[0].1;
+        let mut reference = FullWidth {
+            raw: BitMatrix::new(model.num_events(), chunk_rounds),
+            states: BitMatrix::new(model.num_topology_components(), chunk_rounds),
+            router: router_for(&t),
+            model,
+            kind,
+            injector,
+        };
+
+        let seed = g.any_u64();
+        let mut plan = DeploymentPlan::random(&spec, t.hosts(), g.rng());
+        for step in 0..g.usize_in(1..5) {
+            // One chunk with a ragged tail, or a chunk and a bit.
+            let rounds = g.usize_in(1..chunk_rounds + 400);
+            let got = engine.assess(&spec, &plan, rounds, seed).estimate;
+            let want = reference.assess(&spec, &plan, &engine.chunk_layout(rounds), seed);
+            prop_assert_eq!(
+                (got.rounds, got.successes),
+                want,
+                "{} {kind:?} step {step} rounds {rounds} plan {plan}",
+                reference.router.name()
+            );
+            plan = if g.any_bool() {
+                plan.neighbor(t.hosts(), g.rng())
+            } else {
+                DeploymentPlan::random(&spec, t.hosts(), g.rng())
+            };
+        }
+        Ok(())
+    });
+}

@@ -428,15 +428,14 @@ pub struct AssessBenchGroup {
     pub scale: String,
     /// "scalar" or "batched".
     pub mode: String,
-    /// Median wall time of one cached-table assessment.
+    /// Median wall time of one assessment whose rows are all in the table.
     pub median: Duration,
     /// Median absolute deviation of the samples.
     pub mad: Duration,
     /// Rounds routed-and-checked per second at the median.
     pub rounds_per_sec: f64,
-    /// Resident bytes of the engine's reusable chunk arena (raw +
-    /// collapsed scratch matrices) — the peak per-engine scratch
-    /// footprint at this scale.
+    /// Bytes the engine's failure-state table has allocated — the
+    /// per-engine footprint at this scale.
     pub arena_bytes: usize,
 }
 
@@ -471,8 +470,8 @@ pub fn bench_assess(opts: &ReproOptions, json: Option<&str>) {
         for (mi, mode) in ["scalar", "batched"].iter().enumerate() {
             let mut assessor = Assessor::new(&topo, model.clone());
             assessor.set_batched(*mode == "batched");
-            // Warm-up populates the table cache; timed runs are pure
-            // route-and-check over the cached tables.
+            // Warm-up materialises the plan's rows; timed runs are pure
+            // route-and-check over the table.
             assessor.assess(&spec, &plan, rounds, opts.seed);
             let mut times: Vec<Duration> = (0..samples)
                 .map(|_| {
@@ -521,7 +520,7 @@ pub fn bench_assess(opts: &ReproOptions, json: Option<&str>) {
         let plan = DeploymentPlan::random(&spec, topo.hosts(), &mut rng);
         let mut assessor = Assessor::new(&topo, model);
         assessor.set_batched(true);
-        assessor.assess(&spec, &plan, rounds, opts.seed); // warm the table cache
+        assessor.assess(&spec, &plan, rounds, opts.seed); // warm the table
 
         // A single batched assessment is ~tens of microseconds, so one
         // timed call would drown the delta in scheduler jitter. Each

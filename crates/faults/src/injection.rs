@@ -62,26 +62,45 @@ impl FaultInjector {
     /// Applies all injections to a raw sampled matrix, in registration
     /// order (later injections win on conflict).
     pub fn apply(&self, matrix: &mut BitMatrix) {
+        let rounds = matrix.rounds();
         for inj in &self.injections {
-            match inj {
-                Injection::FailAll(c) => {
-                    for w in 0..matrix.words_per_row() {
-                        matrix.set_word(c.index(), w, u64::MAX);
-                    }
-                }
-                Injection::FailRange(c, range) => {
-                    for r in range.clone() {
-                        if r < matrix.rounds() {
-                            matrix.set(c.index(), r);
-                        }
-                    }
-                }
-                Injection::ReviveAll(c) => {
-                    for w in 0..matrix.words_per_row() {
-                        matrix.set_word(c.index(), w, 0);
-                    }
+            inj.apply(matrix.row_words_mut(inj.component().index()), rounds);
+        }
+    }
+
+    /// Applies the injections that target event `c` to that event's raw
+    /// sampled row alone (`rounds` bits of `row`), in registration order.
+    /// Injections on different rows commute, so applying this to every row
+    /// equals [`FaultInjector::apply`] on the whole matrix.
+    pub fn apply_row(&self, c: ComponentId, row: &mut [u64], rounds: usize) {
+        for inj in self.injections.iter().filter(|inj| inj.component() == c) {
+            inj.apply(row, rounds);
+        }
+    }
+}
+
+impl Injection {
+    fn component(&self) -> ComponentId {
+        match self {
+            Injection::FailAll(c) | Injection::FailRange(c, _) | Injection::ReviveAll(c) => *c,
+        }
+    }
+
+    /// Forces the first `rounds` bits of one row; bits beyond stay zero.
+    fn apply(&self, row: &mut [u64], rounds: usize) {
+        match self {
+            Injection::FailAll(_) => {
+                for (w, word) in row.iter_mut().enumerate() {
+                    let n = rounds.saturating_sub(w * 64).min(64);
+                    *word = if n == 64 { !0 } else { (1u64 << n) - 1 };
                 }
             }
+            Injection::FailRange(_, range) => {
+                for r in range.start..range.end.min(rounds) {
+                    row[r / 64] |= 1u64 << (r % 64);
+                }
+            }
+            Injection::ReviveAll(_) => row.fill(0),
         }
     }
 }
@@ -135,6 +154,25 @@ mod tests {
         inj2.revive(ComponentId(0)).fail(ComponentId(0));
         inj2.apply(&mut m2);
         assert_eq!(m2.total_failures(), 16);
+    }
+
+    #[test]
+    fn row_application_equals_matrix_application() {
+        let mut inj = FaultInjector::new();
+        inj.fail(ComponentId(0)).revive(ComponentId(1)).fail_rounds(ComponentId(1), 60..70);
+        inj.fail_rounds(ComponentId(2), 5..400).revive(ComponentId(3)).fail(ComponentId(3));
+        let mut whole = BitMatrix::new(5, 130);
+        whole.set(1, 3);
+        whole.set(4, 7);
+        let mut by_row = whole.clone();
+        inj.apply(&mut whole);
+        for c in 0..5 {
+            inj.apply_row(ComponentId(c as u32), by_row.row_words_mut(c), 130);
+        }
+        assert_eq!(whole, by_row);
+        assert_eq!(whole.row(0).count_ones(), 130);
+        assert_eq!(whole.row(2).count_ones(), 125);
+        assert_eq!(whole.row(4).count_ones(), 1, "untargeted rows are left alone");
     }
 
     #[test]

@@ -10,13 +10,19 @@
 //!   component fails *because of its dependencies* (§3.2.3). A component's
 //!   effective state in a round is `own sampled state OR tree(deps)`.
 //!
-//! Collapsing raw sampled states into effective states is word-parallel
-//! (64 rounds per operation) and is one of the two hot loops of
-//! assessment; see [`FaultModel::collapse_into`].
+//! Collapsing raw sampled states into effective states is wide-parallel
+//! (256 rounds per operation) and row-local: a component's effective row
+//! needs only its own raw row and the raw rows of its tree's basic events
+//! ([`FaultModel::or_dependencies_into`]). [`FaultModel::collapse_into`]
+//! is that step for every row of a full-width matrix; the assessor runs
+//! it for the rows a plan can read, keeping the raw rows of the
+//! *dependency events* — events some tree references, indexed by
+//! [`FaultModel::dependency_slot`] — so consumers of one power supply
+//! share one sampled row.
 
 use crate::probability::ProbabilityConfig;
 use crate::tree::FaultTree;
-use recloud_sampling::BitMatrix;
+use recloud_sampling::{BitMatrix, WideWord};
 use recloud_topology::{ComponentId, ComponentKind, SoftwareKind, Topology};
 
 /// An auxiliary sampled event that is not a topology component (shared OS
@@ -38,7 +44,13 @@ pub struct FaultModel {
     probs: Vec<f64>,
     aux: Vec<AuxComponent>,
     trees: Vec<Option<FaultTree>>,
+    /// Events referenced by at least one tree, in first-attachment order.
+    dep_events: Vec<ComponentId>,
+    /// Per event: its position in `dep_events`, or `NO_SLOT`.
+    dep_slot: Vec<u32>,
 }
+
+const NO_SLOT: u32 = u32::MAX;
 
 impl FaultModel {
     /// Builds a model with the given probability assignment and **no**
@@ -50,6 +62,8 @@ impl FaultModel {
             probs,
             aux: Vec::new(),
             trees: vec![None; topology.num_components()],
+            dep_events: Vec::new(),
+            dep_slot: vec![NO_SLOT; topology.num_components()],
         }
     }
 
@@ -102,6 +116,7 @@ impl FaultModel {
         assert!((0.0..=1.0).contains(&p), "probability {p} out of range");
         let id = ComponentId::from_index(self.probs.len());
         self.probs.push(p);
+        self.dep_slot.push(NO_SLOT);
         self.aux.push(AuxComponent { id, kind, label: label.to_owned() });
         id
     }
@@ -114,7 +129,35 @@ impl FaultModel {
     /// Replaces a component's dependency tree.
     pub fn set_tree(&mut self, id: ComponentId, tree: FaultTree) {
         assert!(id.index() < self.topo_components, "trees attach to topology components");
+        self.index_dependencies(&tree);
         self.trees[id.index()] = Some(tree);
+    }
+
+    /// Registers a tree's basic events as dependency events. Events of a
+    /// tree that is later replaced stay registered, which only costs an
+    /// unused slot.
+    fn index_dependencies(&mut self, tree: &FaultTree) {
+        for e in tree.leaf_events() {
+            let slot = &mut self.dep_slot[e.index()];
+            if *slot == NO_SLOT {
+                *slot = self.dep_events.len() as u32;
+                self.dep_events.push(e);
+            }
+        }
+    }
+
+    /// The dependency events: every event some component's tree
+    /// references (power supplies, shared software, …).
+    pub fn dependency_events(&self) -> &[ComponentId] {
+        &self.dep_events
+    }
+
+    /// Position of `event` in [`FaultModel::dependency_events`], if any
+    /// tree references it.
+    #[inline]
+    pub fn dependency_slot(&self, event: ComponentId) -> Option<usize> {
+        let slot = self.dep_slot[event.index()];
+        (slot != NO_SLOT).then_some(slot as usize)
     }
 
     /// ORs another dependency tree into a component's existing tree (or
@@ -122,6 +165,7 @@ impl FaultModel {
     /// seamlessly" path.
     pub fn or_attach(&mut self, id: ComponentId, tree: FaultTree) {
         assert!(id.index() < self.topo_components, "trees attach to topology components");
+        self.index_dependencies(&tree);
         let slot = &mut self.trees[id.index()];
         *slot = Some(match slot.take() {
             Some(existing) => FaultTree::or_merge(&existing, &tree),
@@ -200,12 +244,32 @@ impl FaultModel {
             .collect()
     }
 
+    /// ORs component `c`'s dependency tree into its row of `out` over the
+    /// first `wides` wide words. The row must already hold `c`'s own
+    /// sampled states; `event_wide(e, ww)` reads wide word `ww` of basic
+    /// event `e`'s *raw* sampled states. A no-op for a component without
+    /// a tree.
+    pub fn or_dependencies_into(
+        &self,
+        c: usize,
+        out: &mut BitMatrix,
+        wides: usize,
+        event_wide: impl Fn(ComponentId, usize) -> WideWord,
+    ) {
+        if let Some(tree) = &self.trees[c] {
+            for ww in 0..wides {
+                let dep = tree.eval_wide(&|e: ComponentId| event_wide(e, ww));
+                out.set_wide_word(c, ww, out.wide_word(c, ww) | dep);
+            }
+        }
+    }
+
     /// Collapses raw sampled event states into effective per-component
-    /// states, 256 rounds per operation: dependency trees are evaluated
-    /// over [`recloud_sampling::WideWord`]s and written directly into the
-    /// wide-aligned rows
-    /// of `out`. `out` must have `num_topology_components()` rows and the
-    /// same round count as `raw` (which makes their wide layouts match).
+    /// states, 256 rounds per operation: every row of `out` becomes the
+    /// component's own raw row ORed with its dependency tree
+    /// ([`FaultModel::or_dependencies_into`]). `out` must have
+    /// `num_topology_components()` rows and the same round count as `raw`
+    /// (which makes their wide layouts match).
     ///
     /// After this call, downstream route-and-check only ever looks at
     /// `out`: all correlated-failure reasoning has been folded in.
@@ -215,19 +279,8 @@ impl FaultModel {
         assert_eq!(raw.rounds(), out.rounds(), "round count mismatch");
         let wides = raw.wide_words_per_row();
         for c in 0..self.topo_components {
-            match &self.trees[c] {
-                None => {
-                    for ww in 0..wides {
-                        out.set_wide_word(c, ww, raw.wide_word(c, ww));
-                    }
-                }
-                Some(tree) => {
-                    for ww in 0..wides {
-                        let dep = tree.eval_wide(&|e: ComponentId| raw.wide_word(e.index(), ww));
-                        out.set_wide_word(c, ww, raw.wide_word(c, ww) | dep);
-                    }
-                }
-            }
+            out.row_words_mut(c).copy_from_slice(raw.row_words(c));
+            self.or_dependencies_into(c, out, wides, |e, ww| raw.wide_word(e.index(), ww));
         }
     }
 }
@@ -317,6 +370,28 @@ mod tests {
         assert_eq!(m.num_events(), before + 1);
         assert_eq!(m.prob_of(id), 0.002);
         assert_eq!(m.num_topology_components(), t.num_components());
+    }
+
+    #[test]
+    fn dependency_events_are_exactly_what_trees_reference() {
+        let (t, mut m) = tiny_model();
+        assert_eq!(m.dependency_events(), t.power_supplies(), "paper default: the supplies");
+        let ids = m.attach_shared_software(&t, 2, 0.01, 0.005);
+        let mut want = t.power_supplies().to_vec();
+        want.extend(&ids);
+        let mut got = m.dependency_events().to_vec();
+        got.sort_unstable();
+        assert_eq!(got, want);
+        for (slot, &e) in m.dependency_events().iter().enumerate() {
+            assert_eq!(m.dependency_slot(e), Some(slot));
+        }
+        assert_eq!(m.dependency_slot(t.hosts()[0]), None);
+        // Every tree's events are registered, whichever way it was attached.
+        for c in t.components() {
+            for e in m.tree_of(c.id).into_iter().flat_map(|tree| tree.leaf_events()) {
+                assert!(m.dependency_slot(e).is_some(), "{c} reads unregistered {e}");
+            }
+        }
     }
 
     #[test]

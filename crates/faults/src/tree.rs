@@ -60,14 +60,21 @@ impl FaultTree {
         self.nodes.is_empty()
     }
 
+    /// The event of every leaf, in node order, repeats included — what
+    /// the tree reads when evaluated, without allocating.
+    pub fn leaf_events(&self) -> impl Iterator<Item = ComponentId> + '_ {
+        self.nodes.iter().filter_map(|n| match n {
+            Node::Basic(c) => Some(*c),
+            _ => None,
+        })
+    }
+
     /// All basic events referenced, in first-appearance order, deduplicated.
     pub fn basic_events(&self) -> Vec<ComponentId> {
         let mut out = Vec::new();
-        for n in &self.nodes {
-            if let Node::Basic(c) = n {
-                if !out.contains(c) {
-                    out.push(*c);
-                }
+        for c in self.leaf_events() {
+            if !out.contains(&c) {
+                out.push(c);
             }
         }
         out

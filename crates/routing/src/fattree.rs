@@ -258,6 +258,31 @@ impl Router for FatTreeRouter {
         "fat-tree-analytic"
     }
 
+    /// Valley-free routing reads the top of the fabric (every core and
+    /// border switch) and, per host, the host itself, its edge switch and
+    /// its pod's aggregation switches — the closed forms in the module
+    /// docs mention nothing else.
+    fn cone(
+        &self,
+        _components: usize,
+        hosts: &mut dyn Iterator<Item = ComponentId>,
+        out: &mut Vec<ComponentId>,
+    ) {
+        let m = &self.meta;
+        out.extend((0..m.half * m.half).map(|i| ComponentId(m.core_base + i)));
+        out.extend((0..m.half).map(|g| m.border(g)));
+        let mut pods_seen = 0u128; // k ≤ 128, so at most 127 host pods
+        for h in hosts {
+            let pos = m.host_position(h);
+            out.push(h);
+            out.push(m.edge(pos.pod, pos.edge));
+            if (pods_seen >> pos.pod) & 1 == 0 {
+                pods_seen |= 1 << pos.pod;
+                out.extend((0..m.half).map(|g| m.agg(pos.pod, g)));
+            }
+        }
+    }
+
     /// Digests the switch tiers once per 64 rounds instead of once per
     /// round — the word-parallel analogue of [`Router::begin_round`], and
     /// the reason batched assessment re-reads ~64× fewer switch bits.

@@ -86,6 +86,29 @@ pub trait Router {
     /// Human-readable router name for reports.
     fn name(&self) -> &'static str;
 
+    /// The *cone* of a set of hosts: appends to `out` a superset of every
+    /// row of a `components`-row state matrix that `begin_round`/`_word`/
+    /// `_wide` and the `external_reach*`/`connects*` queries may read
+    /// while all queried hosts are among `hosts`. Verdicts about those
+    /// hosts are a function of the cone's rows alone, so a caller may
+    /// leave every other row unsampled. Repeats are allowed. (The
+    /// `screen_*` masks may read any row: stale rows only make them more
+    /// conservative.)
+    ///
+    /// The rows named for no hosts at all — what the router reads whatever
+    /// is asked — come first in every cone, so a caller can check that
+    /// prefix once and only each plan's remainder afterwards.
+    ///
+    /// The default names every row, which is correct for any router.
+    fn cone(
+        &self,
+        components: usize,
+        _hosts: &mut dyn Iterator<Item = ComponentId>,
+        out: &mut Vec<ComponentId>,
+    ) {
+        out.extend((0..components).map(ComponentId::from_index));
+    }
+
     /// Installs the context for the 64 rounds of word `word` (the batched
     /// analogue of [`Router::begin_round`]). The default is a no-op:
     /// fallback word implementations re-derive any scalar context they
@@ -418,6 +441,69 @@ mod agreement_tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// The cone contract: with every row outside the declared cone forced
+    /// failed, every protocol still returns the verdicts of the true
+    /// matrix for queries about the cone's hosts.
+    #[test]
+    fn verdicts_depend_on_cone_rows_only() {
+        let t = FatTreeParams::new(6).build();
+        let rounds = 300;
+        let states = random_states(&t, rounds, 0.15, 41);
+        let m = t.fat_tree().unwrap();
+        // Pairs under one edge switch, in one pod, and across pods.
+        let hosts = [m.host(0, 0, 0), m.host(0, 0, 1), m.host(0, 1, 0), m.host(3, 2, 1)];
+        let routers: Vec<Box<dyn Router>> = vec![
+            Box::new(FatTreeRouter::new(&t)),
+            Box::new(UpDownRouter::for_fat_tree(&t)),
+            Box::new(GenericRouter::new(&t)),
+        ];
+        for mut r in routers {
+            let name = r.name();
+            let mut cone = Vec::new();
+            r.cone(t.num_components(), &mut hosts.iter().copied(), &mut cone);
+            let mut poisoned = BitMatrix::new(t.num_components(), rounds);
+            for c in 0..t.num_components() {
+                poisoned.row_words_mut(c).fill(!0);
+            }
+            for c in &cone {
+                poisoned.row_words_mut(c.index()).copy_from_slice(states.row_words(c.index()));
+            }
+            if name == "fat-tree-analytic" {
+                assert!(cone.len() < t.num_components() / 2, "analytic cone is narrow");
+            }
+            for ww in 0..states.wide_words_per_row() {
+                let mask = states.wide_mask(ww);
+                let mut ask = |m: &BitMatrix| -> Vec<WideWord> {
+                    r.begin_wide(m, ww);
+                    let mut out: Vec<WideWord> =
+                        hosts.iter().map(|&h| r.external_reach_wide(m, h, ww) & mask).collect();
+                    r.begin_wide(m, ww);
+                    for &a in &hosts {
+                        for &b in &hosts {
+                            out.push(r.connects_wide(m, a, b, ww) & mask);
+                        }
+                    }
+                    out
+                };
+                assert_eq!(ask(&states), ask(&poisoned), "{name}: wide word {ww}");
+            }
+            for round in (0..rounds).step_by(7) {
+                let mut ask = |m: &BitMatrix| -> Vec<bool> {
+                    r.begin_round(m, round);
+                    let mut out: Vec<bool> =
+                        hosts.iter().map(|&h| r.external_reaches(m, h)).collect();
+                    for &a in &hosts {
+                        for &b in &hosts {
+                            out.push(r.connects(m, a, b));
+                        }
+                    }
+                    out
+                };
+                assert_eq!(ask(&states), ask(&poisoned), "{name}: round {round}");
             }
         }
     }

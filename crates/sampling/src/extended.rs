@@ -10,30 +10,28 @@
 //! surviving round is still covered by exactly one subinterval of mass
 //! `p_i`, so the per-round failure fraction remains `p_i` — no bias.
 //!
-//! The matrix is generated macro-cycle by macro-cycle; callers that want to
-//! bound memory sample one macro-cycle block at a time (see
+//! "Independently per component" is taken literally: component `c` draws
+//! from its own stream `derive_seed(seed, c)`, so its row does not depend
+//! on which other components are sampled, nor on how many rounds beyond
+//! its own are asked for (see [`Sampler::sample_row`]). A row is generated
+//! macro-cycle by macro-cycle; callers that want to bound memory sample
+//! one macro-cycle-aligned block at a time (see
 //! [`ExtendedDaggerSampler::macro_cycle`]).
 
 use crate::dagger::DaggerCycle;
-use crate::rng::Rng;
-use crate::state::BitMatrix;
+use crate::rng::{derive_seed, Rng};
 use crate::Sampler;
 
 /// Extended dagger failure-state generator.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct ExtendedDaggerSampler {
-    rng: Rng,
+    seed: u64,
 }
 
 impl ExtendedDaggerSampler {
     /// Creates a sampler with the given seed.
     pub fn seeded(seed: u64) -> Self {
-        ExtendedDaggerSampler { rng: Rng::new(seed) }
-    }
-
-    /// Creates a sampler from an existing stream (used by parallel workers).
-    pub fn from_rng(rng: Rng) -> Self {
-        ExtendedDaggerSampler { rng }
+        ExtendedDaggerSampler { seed }
     }
 
     /// The macro-cycle length for a probability vector: the longest dagger
@@ -70,44 +68,34 @@ impl ExtendedDaggerSampler {
 }
 
 impl Sampler for ExtendedDaggerSampler {
-    fn sample_into(&mut self, probs: &[f64], matrix: &mut BitMatrix) {
-        assert_eq!(
-            probs.len(),
-            matrix.components(),
-            "probability vector and matrix disagree on component count"
-        );
-        matrix.clear();
-        let rounds = matrix.rounds();
-        if rounds == 0 {
+    fn sample_row(&self, c: usize, p: f64, s_max: usize, rounds: usize, row: &mut [u64]) {
+        debug_assert!((0.0..=1.0).contains(&p), "p={p} out of range");
+        row.fill(0);
+        if p <= 0.0 {
             return;
         }
-        let s_max = Self::macro_cycle(probs);
-        for (c, &p) in probs.iter().enumerate() {
-            debug_assert!((0.0..=1.0).contains(&p), "p={p} out of range");
-            if p <= 0.0 {
-                continue;
-            }
-            let cycle = DaggerCycle::new(p);
-            let s = cycle.s as usize;
-            let mut block_start = 0;
-            while block_start < rounds {
-                // One macro-cycle: this component's own cycles, truncated at
-                // s_max (and at the matrix end).
-                let block_len = s_max.min(rounds - block_start);
-                let mut sub_start = 0;
-                while sub_start < block_len {
-                    let sub_len = s.min(block_len - sub_start);
-                    if let Some(offset) = cycle.draw(&mut self.rng) {
-                        if (offset as usize) < sub_len {
-                            matrix.set(c, block_start + sub_start + offset as usize);
-                        }
-                        // Failures drawn past the truncation are discarded
-                        // rounds (Fig 4), intentionally dropped.
+        let mut rng = Rng::new(derive_seed(self.seed, c as u64));
+        let cycle = DaggerCycle::new(p);
+        let s = cycle.s as usize;
+        let mut block_start = 0;
+        while block_start < rounds {
+            // One macro-cycle: this component's own cycles, truncated at
+            // s_max (and at the row end).
+            let block_len = s_max.min(rounds - block_start);
+            let mut sub_start = 0;
+            while sub_start < block_len {
+                let sub_len = s.min(block_len - sub_start);
+                if let Some(offset) = cycle.draw(&mut rng) {
+                    if (offset as usize) < sub_len {
+                        let round = block_start + sub_start + offset as usize;
+                        row[round / 64] |= 1u64 << (round % 64);
                     }
-                    sub_start += s;
+                    // Failures drawn past the truncation are discarded
+                    // rounds (Fig 4), intentionally dropped.
                 }
-                block_start += s_max;
+                sub_start += s;
             }
+            block_start += s_max;
         }
     }
 
@@ -119,6 +107,7 @@ impl Sampler for ExtendedDaggerSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::BitMatrix;
 
     #[test]
     fn macro_cycle_is_longest_cycle() {

@@ -5,48 +5,36 @@
 //! system uses, and the baseline that Figure 7 compares dagger sampling
 //! against. With `C` components and `X` rounds it performs `C × X` draws,
 //! which is what makes it "unsuitable ... especially in large data
-//! centers".
+//! centers". Like the dagger sampler, every component draws from its own
+//! `derive_seed(seed, c)` stream.
 
-use crate::rng::Rng;
-use crate::state::BitMatrix;
+use crate::rng::{derive_seed, Rng};
 use crate::Sampler;
 
 /// Monte-Carlo failure-state generator.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct MonteCarloSampler {
-    rng: Rng,
+    seed: u64,
 }
 
 impl MonteCarloSampler {
     /// Creates a sampler with the given seed.
     pub fn seeded(seed: u64) -> Self {
-        MonteCarloSampler { rng: Rng::new(seed) }
-    }
-
-    /// Creates a sampler from an existing stream (used by parallel workers).
-    pub fn from_rng(rng: Rng) -> Self {
-        MonteCarloSampler { rng }
+        MonteCarloSampler { seed }
     }
 }
 
 impl Sampler for MonteCarloSampler {
-    fn sample_into(&mut self, probs: &[f64], matrix: &mut BitMatrix) {
-        assert_eq!(
-            probs.len(),
-            matrix.components(),
-            "probability vector and matrix disagree on component count"
-        );
-        matrix.clear();
-        let rounds = matrix.rounds();
-        for (c, &p) in probs.iter().enumerate() {
-            debug_assert!((0.0..=1.0).contains(&p), "p={p} out of range");
-            if p <= 0.0 {
-                continue;
-            }
-            for round in 0..rounds {
-                if self.rng.next_f64() < p {
-                    matrix.set(c, round);
-                }
+    fn sample_row(&self, c: usize, p: f64, _s_max: usize, rounds: usize, row: &mut [u64]) {
+        debug_assert!((0.0..=1.0).contains(&p), "p={p} out of range");
+        row.fill(0);
+        if p <= 0.0 {
+            return;
+        }
+        let mut rng = Rng::new(derive_seed(self.seed, c as u64));
+        for round in 0..rounds {
+            if rng.next_f64() < p {
+                row[round / 64] |= 1u64 << (round % 64);
             }
         }
     }
@@ -59,6 +47,7 @@ impl Sampler for MonteCarloSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::BitMatrix;
 
     #[test]
     fn zero_probability_never_fails() {

@@ -113,8 +113,22 @@ impl BitMatrix {
     /// Borrowed view of component `c`'s row.
     #[inline]
     pub fn row(&self, c: usize) -> BitRow<'_> {
+        BitRow { words: self.row_words(c), len: self.rounds }
+    }
+
+    /// Component `c`'s row as raw words, alignment padding included.
+    #[inline]
+    pub fn row_words(&self, c: usize) -> &[u64] {
         let start = c * self.words_per_row;
-        BitRow { words: &self.bits[start..start + self.words_per_row], len: self.rounds }
+        &self.bits[start..start + self.words_per_row]
+    }
+
+    /// Mutable [`BitMatrix::row_words`], for writers that fill one row at
+    /// a time. Writers keep bits beyond the round count zero.
+    #[inline]
+    pub fn row_words_mut(&mut self, c: usize) -> &mut [u64] {
+        let start = c * self.words_per_row;
+        &mut self.bits[start..start + self.words_per_row]
     }
 
     /// Number of 64-bit words per component row.

@@ -5,7 +5,7 @@
 //! fault model is far more expensive than a Tiny assessment, so engines
 //! persist across requests; when a request arrives with a different
 //! master seed, [`Assessor::reseed`] swaps the fault model in place and
-//! invalidates the table cache, which `recloud-assess` proves bit-exact
+//! invalidates the failure-state table, which `recloud-assess` proves bit-exact
 //! against a freshly constructed engine. That equivalence is the serving
 //! contract: an `AssessPlan` answer must match what the CLI's
 //! `recloud assess` path computes for the same `(preset, plan, rounds,

@@ -4,9 +4,9 @@
 #   scripts/ci.sh
 #
 # Mirrors what reviewers run by hand: formatting, a warnings-as-errors
-# release build of every target, the full test suite, and an explicit
-# pass of the hermetic-dependency guard (the workspace must build with
-# zero external crates).
+# release build of every target, the full test suite, an explicit pass of
+# the hermetic-dependency guard (the workspace must build with zero
+# external crates), the benchmark package, and the daemon smoke gates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,6 +25,24 @@ cargo test -q --workspace
 
 echo "== hermetic dependency guard =="
 cargo test -q --test hermetic
+
+echo "== benchmark package gate =="
+# benchmark/ is its own workspace, so nothing above compiles it: a change
+# to the surface it measures (benchmark/README.md, "The measured surface")
+# would otherwise first fail in the driver's gate. Build it, run its unit
+# tests, and run the claimed workload briefly — its last stdout line must
+# report "correct": true, i.e. the untouched full-width stage replay still
+# equals Assessor::assess bit for bit. The package is used as it is; the
+# shared target directory only saves compiling the crates twice.
+(
+  export CARGO_TARGET_DIR="$PWD/target"
+  cargo build --release --offline --manifest-path benchmark/Cargo.toml
+  cargo test -q --offline --manifest-path benchmark/Cargo.toml
+  BENCH_OUT="$(benchmark/run.sh --workload assess_large_fresh --seed 1 --seconds 2 --trace 0)"
+  echo "$BENCH_OUT" | tail -n 1 | grep -Eq '"correct": ?true' \
+    || { echo "benchmark gate: assess_large_fresh did not report correct"; echo "$BENCH_OUT" | tail -n 3; exit 1; }
+)
+echo "benchmark gate: package builds, tests pass, replay agrees"
 
 echo "== server smoke test =="
 # Start the daemon on an ephemeral port, discover the port via
