@@ -19,7 +19,7 @@ use crate::table::{FailureTable, RowSource};
 use recloud_apps::{ApplicationSpec, DeploymentPlan};
 use recloud_faults::{FaultInjector, FaultModel};
 use recloud_obs::{Counter, Gauge, Histogram};
-use recloud_routing::{make_router, Router};
+use recloud_routing::{make_router, Router, TableKey};
 use recloud_sampling::{
     BitMatrix, ExtendedDaggerSampler, MonteCarloSampler, ReliabilityEstimate, ResultAccumulator,
     Sampler, WideWord,
@@ -189,10 +189,14 @@ struct AssessInstruments {
     assessments_total: Arc<Counter>,
     /// Bytes of materialised table rows of the newest engine.
     cache_bytes: Arc<Gauge>,
-    /// Bytes the newest engine's table has allocated.
+    /// Bytes the newest engine's table and its router's memo have allocated.
     arena_bytes: Arc<Gauge>,
     /// Table rows sampled (component rows + dependency-event rows).
     rows_materialised: Arc<Counter>,
+    /// Digests the router derived from table rows
+    /// ([`Router::memo_stats`]). Flat while a search runs on a held
+    /// table; climbing with it means the table is being re-keyed.
+    digests_built: Arc<Counter>,
     /// Rows a request's cone named; against the component count this is
     /// the sampled-width ratio.
     cone_rows: Arc<Histogram>,
@@ -207,6 +211,7 @@ impl AssessInstruments {
             cache_bytes: registry.gauge("assess.cache_bytes"),
             arena_bytes: registry.gauge("assess.arena_bytes"),
             rows_materialised: registry.counter("assess.rows_materialised_total"),
+            digests_built: registry.counter("assess.digests_built_total"),
             cone_rows: registry.histogram("assess.cone_rows"),
         }
     }
@@ -267,9 +272,13 @@ impl Assessor {
 
     /// Replaces the router [`make_router`] picked — for leveled fabrics
     /// served by [`recloud_routing::UpDownRouter`], and for checking one
-    /// router against another. The table is router-independent and stays.
+    /// router against another. The table is router-independent and its
+    /// rows stay; what does not carry over is the note that the *old*
+    /// router's cone of no hosts is in place, since the new one's may be
+    /// wider.
     pub fn set_router(&mut self, router: Box<dyn Router + Send>) {
         self.base_cone = Self::base_cone_of(router.as_ref(), &self.topology);
+        self.table.recheck_base();
         self.router = router;
     }
 
@@ -321,9 +330,10 @@ impl Assessor {
     }
 
     /// Bytes the failure-state table has allocated (one slot per chunk
-    /// index ever assessed). Exported as the `assess.arena_bytes` gauge.
+    /// index ever assessed) plus what the router keeps about it
+    /// ([`Router::memo_stats`]). Exported as the `assess.arena_bytes` gauge.
     pub fn arena_bytes(&self) -> usize {
-        self.table.allocated_bytes()
+        self.table.allocated_bytes() + self.router.memo_stats().0
     }
 
     /// Bytes of the table rows materialised for the current seed — what a
@@ -334,13 +344,15 @@ impl Assessor {
         self.table.valid_bytes()
     }
 
-    /// Routes and checks the first `rounds` columns of `table`, feeding
-    /// verdicts into `acc`, in the scalar and the batched flavors.
+    /// Routes and checks the first `rounds` columns of `table` — the table
+    /// slot `key` names — feeding verdicts into `acc`, in the scalar and
+    /// the batched flavors.
     fn route_and_check(
         router: &mut dyn Router,
         width: BatchWidth,
         checker: &mut StructureChecker,
         table: &BitMatrix,
+        key: TableKey,
         rounds: usize,
         acc: &mut ResultAccumulator,
     ) {
@@ -349,7 +361,7 @@ impl Assessor {
                 let wides = rounds.div_ceil(WideWord::LANES);
                 for ww in 0..wides {
                     let n = (rounds - ww * WideWord::LANES).min(WideWord::LANES);
-                    router.begin_wide(table, ww);
+                    router.begin_wide_keyed(table, ww, key);
                     let mask = checker.wide_reliable(router, table, ww, n);
                     acc.push_wide(mask, n as u32);
                 }
@@ -456,8 +468,14 @@ impl Assessor {
 
         // A chunk that found all its rows in place reads the clock twice.
         let t_check = if m.rows > 0 { Instant::now() } else { t0 };
-        Self::route_and_check(self.router.as_mut(), self.width, checker, m.states, rounds, acc);
+        let router = self.router.as_mut();
+        let (_, digests_before) = router.memo_stats();
+        Self::route_and_check(router, self.width, checker, m.states, m.key, rounds, acc);
         let end = Instant::now();
+        let (_, digests) = router.memo_stats();
+        if digests > digests_before {
+            self.obs.digests_built.add(digests - digests_before);
+        }
         // Per-chunk observability is recorded by the AssessmentDriver when
         // this chunk's result is fed back — one recording site for the
         // serial and parallel paths alike.
@@ -857,6 +875,34 @@ mod tests {
         assert_eq!(a.arena_bytes(), allocated);
     }
 
+    /// The router's memo is part of the engine's footprint, and its digest
+    /// count tells a held table (flat) from a re-keyed one (climbing).
+    #[test]
+    fn held_table_builds_no_digests_and_arena_bytes_include_the_memo() {
+        let (t, mut a, spec) = setup(SamplerKind::ExtendedDagger);
+        let before = recloud_obs::global().snapshot();
+        let rounds = 6_000; // 3 chunks of 10 wide words, the last one short
+        a.assess(&spec, &plan_on(&t, &spec, &[(0, 0, 0), (0, 1, 1)]), rounds, 5);
+        let (memo, built) = a.router.memo_stats();
+        let wides = rounds.div_ceil(WideWord::LANES) as u64;
+        assert_eq!(built, wides * 2, "per wide word: the border row and pod 0");
+        assert!(memo > 0);
+        assert_eq!(a.arena_bytes(), a.table.allocated_bytes() + memo);
+        // Same pod, other hosts: everything is served from the memo.
+        a.assess(&spec, &plan_on(&t, &spec, &[(0, 1, 0), (0, 0, 1)]), rounds, 5);
+        assert_eq!(a.router.memo_stats(), (memo, built));
+        // A new pod adds its digest (and derives the border row again to
+        // build it); a new seed re-keys and rebuilds everything.
+        a.assess(&spec, &plan_on(&t, &spec, &[(0, 0, 0), (2, 0, 0)]), rounds, 5);
+        assert_eq!(a.router.memo_stats(), (memo, built + 2 * wides));
+        a.assess(&spec, &plan_on(&t, &spec, &[(0, 0, 0), (2, 0, 0)]), rounds, 6);
+        assert_eq!(a.router.memo_stats(), (memo, built + 5 * wides));
+        let after = recloud_obs::global().snapshot();
+        let counted = after.counter("assess.digests_built_total").unwrap_or(0)
+            - before.counter("assess.digests_built_total").unwrap_or(0);
+        assert!(counted >= built + 5 * wides, "counter saw {counted} digests");
+    }
+
     /// Same seed ⇒ same answer, whatever the engine did before and
     /// however the chunks are executed.
     #[test]
@@ -905,6 +951,30 @@ mod tests {
             let par = crate::ParallelAssessor::new(&t, model(), workers);
             assert_eq!(counts(par.assess(&spec, &plan, rounds, seed)), want, "{workers} workers");
         }
+    }
+
+    /// A router swapped in on a seed the table already holds must get its
+    /// own cone of no hosts materialised: the up/down reference reads
+    /// every row, the analytic router it replaces left most unsampled.
+    #[test]
+    fn set_router_materialises_the_new_routers_base_cone() {
+        let t = FatTreeParams::new(8).build();
+        let model = || FaultModel::paper_default(&t, 1);
+        let spec = ApplicationSpec::k_of_n(2, 3);
+        let plan = DeploymentPlan::random(&spec, t.hosts(), &mut Rng::new(3));
+        let updown = || Box::new(recloud_routing::UpDownRouter::for_fat_tree(&t));
+        let (rounds, seed) = (6_000, 7);
+        let mut fresh = Assessor::new(&t, model());
+        fresh.set_router(updown());
+        let want = fresh.assess(&spec, &plan, rounds, seed).estimate.successes;
+        assert!(want > 5_000, "a healthy fabric: {want}");
+
+        let mut a = Assessor::new(&t, model());
+        assert_eq!(a.assess(&spec, &plan, rounds, seed).estimate.successes, want);
+        let narrow = a.cache_bytes();
+        a.set_router(updown());
+        assert_eq!(a.assess(&spec, &plan, rounds, seed).estimate.successes, want);
+        assert!(a.cache_bytes() > 2 * narrow, "the full-width cone was materialised");
     }
 
     /// The sampled-width regression guard, by count: a 5-host plan on the

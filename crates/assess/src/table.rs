@@ -20,6 +20,16 @@
 //!   injector, with the dependency tree folded in for component rows.
 //! * Invalidation is `epoch += 1` — O(1), no row is cleared. Epochs start
 //!   at 1 and stamps at 0; should the epoch wrap, stamps are zeroed.
+//! * A slot carries a *generation*, minted from a process-wide counter
+//!   on every re-key, whether or not a row was valid. Invalidation zeroes
+//!   `rounds`, so the first request after it re-keys: no row is ever read
+//!   under a generation older than the last invalidation. Under one
+//!   generation a valid row never changes — rows are only ever added — so
+//!   anything derived from valid rows alone may be kept for as long as
+//!   the generation lasts. [`Materialised::key`] hands `(slot,
+//!   generation)` to the router
+//!   ([`recloud_routing::Router::begin_wide_keyed`]), which keeps its
+//!   plan-independent digests under it.
 //! * A request for the same seed with `n ≤ rounds` reads the valid rows
 //!   as they are (rows are prefix-stable); any other request re-keys the
 //!   slot. New rows are always sampled at the slot's `rounds`, so all
@@ -32,9 +42,22 @@
 //!   equivalence tests instead of passing on stale-but-plausible bits.
 
 use recloud_faults::{FaultInjector, FaultModel};
+use recloud_routing::TableKey;
 use recloud_sampling::{BitMatrix, Sampler, WideWord};
 use recloud_topology::ComponentId;
+use std::num::NonZeroU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+
+/// Mints slot generations: process-wide, so no two table contents — of
+/// any slot, of any engine — ever share one, and a router can tell them
+/// apart without knowing which table it is looking at.
+static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
+
+fn mint_generation() -> NonZeroU64 {
+    NonZeroU64::new(NEXT_GENERATION.fetch_add(1, Ordering::Relaxed))
+        .expect("2^64 generations minted")
+}
 
 /// Everything a row is a function of besides its slot's key.
 pub(crate) struct RowSource<'a> {
@@ -64,6 +87,8 @@ impl RowSource<'_> {
 pub(crate) struct Materialised<'a> {
     /// The slot's effective-state matrix, every cone row valid.
     pub states: &'a BitMatrix,
+    /// The slot and the generation of its rows.
+    pub key: TableKey,
     /// Time spent sampling / collapsing; both zero when nothing was missing.
     pub sampling: Duration,
     pub collapse: Duration,
@@ -83,6 +108,8 @@ struct Slot {
     state_stamp: Vec<u32>,
     dep_stamp: Vec<u32>,
     epoch: u32,
+    /// Names the rows valid under the current key; see the module docs.
+    generation: NonZeroU64,
     /// Valid rows of `states` / of `deps` in the current epoch.
     valid_states: usize,
     valid_deps: usize,
@@ -101,6 +128,7 @@ impl Slot {
             state_stamp: vec![0; components],
             dep_stamp: vec![0; deps],
             epoch: 0,
+            generation: mint_generation(),
             valid_states: 0,
             valid_deps: 0,
             base_valid: false,
@@ -212,7 +240,9 @@ impl FailureTable {
                 slot.invalidate();
             }
             (slot.seed, slot.rounds) = (seed, rounds);
+            slot.generation = mint_generation();
         }
+        let key = TableKey { slot: index, generation: slot.generation };
 
         // Sampling pass: own rows of the missing components, and the raw
         // rows of the dependency events their trees read.
@@ -244,6 +274,7 @@ impl FailureTable {
         let Some(t_sample) = t_sample else {
             return Materialised {
                 states: &slot.states,
+                key,
                 sampling: Duration::ZERO,
                 collapse: Duration::ZERO,
                 rows: 0,
@@ -261,7 +292,14 @@ impl FailureTable {
         }
         let collapse = t_collapse.elapsed();
         let rows = slot.valid_states + slot.valid_deps - before;
-        Materialised { states: &slot.states, sampling, collapse, rows }
+        Materialised { states: &slot.states, key, sampling, collapse, rows }
+    }
+
+    /// The next call per slot checks the whole cone again: for a new
+    /// router, whose cone of no hosts may name rows the old one's did not.
+    /// Valid rows stay valid.
+    pub fn recheck_base(&mut self) {
+        self.slots.iter_mut().for_each(|s| s.base_valid = false);
     }
 
     /// Bytes of valid rows, over all slots.

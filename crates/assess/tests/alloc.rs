@@ -4,9 +4,9 @@
 //! persistent failure-state table and the stack-built samplers is that
 //! after the first assessment warms every buffer (one table slot per
 //! chunk, the cone scratch, the checker's bit-sliced counters, the
-//! router's wide scratch), later ones only write into memory that already
-//! exists. A counting global allocator proves it, so the hot path cannot
-//! silently regress back to a matrix per chunk.
+//! router's per-slot digest memo), later ones only write into memory that
+//! already exists. A counting global allocator proves it, so the hot path
+//! cannot silently regress back to a matrix per chunk.
 
 use recloud_apps::{ApplicationSpec, DeploymentPlan};
 use recloud_assess::{Assessor, StructureChecker};
@@ -65,7 +65,7 @@ fn wide_chunk_loop_does_not_allocate() {
     let mut checker = StructureChecker::new(&spec, &plan);
     let mut acc = ResultAccumulator::new();
     // Warm-up chunk: first use grows the checker's bit-sliced K-of-N
-    // counters and fills the router's lazy per-pod scratch.
+    // counters and sizes the router's memo for slot 0.
     engine.run_chunk(&mut checker, Assessor::chunk_seed(42, 0), 2_000, &mut acc);
 
     // Steady state: full and short-tail chunks alike must not allocate.
@@ -148,5 +148,41 @@ fn alternating_chunk_widths_settle_on_one_table() {
         });
         assert_eq!(allocs, per_plan + 1, "model seed {model_seed}: {allocs} allocations");
         assert_eq!(engine.arena_bytes(), settled, "model seed {model_seed} rebuilt the table");
+    }
+}
+
+/// The router keeps its plan-independent digests per table slot. The
+/// first search on an engine — neighbouring plans assessed on one seed —
+/// sizes that memo; every later search, on the same seed or another,
+/// writes into it and allocates nothing beyond what its plans cost.
+#[test]
+fn later_searches_allocate_nothing_for_the_memo() {
+    let t = FatTreeParams::new(6).build();
+    let spec = ApplicationSpec::k_of_n(2, 4);
+    let mut rng = Rng::new(6);
+    let mut plans = vec![DeploymentPlan::random(&spec, t.hosts(), &mut rng)];
+    for i in 0..39 {
+        plans.push(plans[i].neighbor(t.hosts(), &mut rng));
+    }
+    let mut engine = Assessor::new(&t, FaultModel::paper_default(&t, 11));
+    let rounds = 9_000; // four slots
+    let search = |engine: &mut Assessor, seed: u64| {
+        allocations_during(|| {
+            for plan in &plans {
+                engine.assess(&spec, plan, rounds, seed);
+            }
+        })
+    };
+    search(&mut engine, 1);
+    let settled = engine.arena_bytes();
+    let per_plan = allocations_during(|| {
+        let mut checker = StructureChecker::new(&spec, &plans[0]);
+        let mut acc = ResultAccumulator::new();
+        engine.run_chunk(&mut checker, Assessor::chunk_seed(1, 0), 300, &mut acc);
+    });
+    for seed in [1u64, 2, 3] {
+        let allocs = search(&mut engine, seed);
+        assert_eq!(allocs, 40 * (per_plan + 1), "search on seed {seed}");
+        assert_eq!(engine.arena_bytes(), settled, "seed {seed} grew the memo");
     }
 }

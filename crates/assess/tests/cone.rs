@@ -12,6 +12,14 @@
 //! the failure probabilities here are high, so a router that read outside
 //! its declared cone would change verdicts and fail rather than pass on
 //! plausible stale bits.
+//!
+//! The second property is about what the router keeps between plans: the
+//! engine hands it `(slot, generation)` with every wide word, the
+//! fat-tree router serves its plan-independent digests from a memo under
+//! that key, and the reference is a *new* router on the unkeyed path for
+//! every plan. The sequences cross every edge that mints a generation, so
+//! a digest outliving its rows — or built from rows not yet in the cone —
+//! shows up as a different count.
 
 use recloud_apps::{ApplicationSpec, DeploymentPlan};
 use recloud_assess::{Assessor, BatchWidth, SamplerKind, StructureChecker};
@@ -23,6 +31,7 @@ use recloud_sampling::{
     Sampler, WideWord,
 };
 use recloud_topology::{FatTreeParams, LeafSpineParams, Topology};
+use std::ops::ControlFlow;
 
 /// The full-width reference: every row of every chunk, at the table's
 /// full chunk width, checked over the chunk's own rounds.
@@ -36,6 +45,23 @@ struct FullWidth {
 }
 
 impl FullWidth {
+    fn new(
+        model: FaultModel,
+        kind: SamplerKind,
+        injector: Option<FaultInjector>,
+        router: Box<dyn Router + Send>,
+        chunk_rounds: usize,
+    ) -> Self {
+        FullWidth {
+            raw: BitMatrix::new(model.num_events(), chunk_rounds),
+            states: BitMatrix::new(model.num_topology_components(), chunk_rounds),
+            router,
+            model,
+            kind,
+            injector,
+        }
+    }
+
     fn assess(
         &mut self,
         spec: &ApplicationSpec,
@@ -68,10 +94,13 @@ impl FullWidth {
     }
 }
 
+/// Builds the router under test on a fabric.
+type RouterFor = fn(&Topology) -> Box<dyn Router + Send>;
+
 /// A fabric and a way to build the router under test on it: the analytic
 /// fat-tree router, the valley-free reference BFS, and physical BFS on a
 /// fat-tree and on a leaf-spine.
-fn fabric(which: usize) -> (Topology, fn(&Topology) -> Box<dyn Router + Send>) {
+fn fabric(which: usize) -> (Topology, RouterFor) {
     match which {
         0 => (FatTreeParams::new(4).build(), make_router),
         1 => (FatTreeParams::new(6).build(), make_router),
@@ -81,17 +110,23 @@ fn fabric(which: usize) -> (Topology, fn(&Topology) -> Box<dyn Router + Send>) {
     }
 }
 
+/// A model unreliable on purpose, with mixed dagger cycle lengths (so
+/// chunk widths differ from model to model).
+fn unreliable_model(t: &Topology, g: &mut recloud_sampling::proptest::Gen) -> FaultModel {
+    let probabilities = ProbabilityConfig::Normal {
+        switch: (g.f64_in(0.05..0.2), 0.03),
+        other: (g.f64_in(0.05..0.25), 0.05),
+    };
+    let mut model = FaultModel::new(t, &probabilities, g.any_u64());
+    model.attach_power_dependencies(t);
+    model
+}
+
 #[test]
 fn cone_materialised_equals_full_width() {
     forall("cone-materialised == full-width, over plan sequences", |g| {
         let (t, router_for) = fabric(g.usize_in(0..5));
-        // Unreliable on purpose, with mixed dagger cycle lengths.
-        let probabilities = ProbabilityConfig::Normal {
-            switch: (g.f64_in(0.05..0.2), 0.03),
-            other: (g.f64_in(0.05..0.25), 0.05),
-        };
-        let mut model = FaultModel::new(&t, &probabilities, g.any_u64());
-        model.attach_power_dependencies(&t);
+        let mut model = unreliable_model(&t, g);
         if g.any_bool() {
             model.attach_shared_software(&t, g.usize_in(1..4), 0.06, 0.03);
         }
@@ -120,14 +155,7 @@ fn cone_materialised_equals_full_width() {
             [BatchWidth::Scalar, BatchWidth::Word64, BatchWidth::Wide256][g.usize_in(0..3)],
         );
         let chunk_rounds = engine.chunk_layout(1 << 20)[0].1;
-        let mut reference = FullWidth {
-            raw: BitMatrix::new(model.num_events(), chunk_rounds),
-            states: BitMatrix::new(model.num_topology_components(), chunk_rounds),
-            router: router_for(&t),
-            model,
-            kind,
-            injector,
-        };
+        let mut reference = FullWidth::new(model, kind, injector, router_for(&t), chunk_rounds);
 
         let seed = g.any_u64();
         let mut plan = DeploymentPlan::random(&spec, t.hosts(), g.rng());
@@ -150,4 +178,118 @@ fn cone_materialised_equals_full_width() {
         }
         Ok(())
     });
+}
+
+#[test]
+fn kept_digests_equal_a_fresh_unkeyed_replay_across_generation_edges() {
+    forall("memo engine == fresh full-width unkeyed replay per plan", |g| {
+        let t = FatTreeParams::new([4, 6][g.usize_in(0..2)]).build();
+        let routers: [RouterFor; 2] = [make_router, |t| Box::new(UpDownRouter::for_fat_tree(t))];
+        let kind = if g.any_bool() { SamplerKind::ExtendedDagger } else { SamplerKind::MonteCarlo };
+        let spec = match g.usize_in(0..4) {
+            0 => ApplicationSpec::layered(&[(1, 3), (1, 2)]),
+            _ => ApplicationSpec::k_of_n(g.u32_in(1..3), g.u32_in(3..6)),
+        };
+        let (mut model, mut injector, mut router) = (unreliable_model(&t, g), None, 0);
+        // The engine under test: one for the whole sequence, 256 lanes,
+        // so the analytic router's memo is live from the first plan on.
+        let mut engine = Assessor::with_sampler(&t, model.clone(), kind);
+        let mut seed = g.any_u64();
+        let mut plan = DeploymentPlan::random(&spec, t.hosts(), g.rng());
+        for step in 0..g.usize_in(3..9) {
+            let edge = g.usize_in(0..9);
+            match edge {
+                0 => seed = g.any_u64(),
+                1 => {
+                    model = unreliable_model(&t, g);
+                    engine.reseed(model.clone());
+                }
+                2 => {
+                    injector = g.any_bool().then(|| {
+                        let mut injector = FaultInjector::new();
+                        let e = g.usize_in(0..model.num_events());
+                        injector.fail_rounds(
+                            recloud_topology::ComponentId::from_index(e),
+                            0..g.usize_in(1..3_000),
+                        );
+                        injector
+                    });
+                    engine.set_injector(injector.clone());
+                }
+                3 => {
+                    router = 1 - router;
+                    engine.set_router(routers[router](&t));
+                }
+                _ => {} // same seed: a shorter follow-up, or a longer one
+            }
+            let chunk_rounds = engine.chunk_layout(1 << 20)[0].1;
+            let rounds = g.usize_in(1..2 * chunk_rounds + 400);
+            let layout = engine.chunk_layout(rounds);
+            let fresh = routers[router](&t);
+            let want = FullWidth::new(model.clone(), kind, injector.clone(), fresh, chunk_rounds)
+                .assess(&spec, &plan, &layout, seed);
+            let got = match edge {
+                // Stopped after the first chunk, then resumed on the rows
+                // (and digests) the stop left behind.
+                4 => {
+                    let stopped = engine
+                        .drive(&spec, &plan, rounds, seed, None, &mut |_| ControlFlow::Break(()));
+                    prop_assert_eq!(stopped.completed, layout.len() == 1);
+                    engine.assess(&spec, &plan, rounds, seed).estimate
+                }
+                // What a `ParallelAssessor` worker does: every chunk
+                // through slot 0, re-keyed chunk by chunk, in any order.
+                5 => {
+                    let mut checker = StructureChecker::new(&spec, &plan);
+                    let mut acc = ResultAccumulator::new();
+                    for &(chunk, n) in layout.iter().rev() {
+                        engine.run_chunk(
+                            &mut checker,
+                            Assessor::chunk_seed(seed, chunk),
+                            n,
+                            &mut acc,
+                        );
+                    }
+                    prop_assert_eq!((acc.rounds(), acc.successes()), want, "step {step} by chunk");
+                    engine.assess(&spec, &plan, rounds, seed).estimate
+                }
+                _ => engine.assess(&spec, &plan, rounds, seed).estimate,
+            };
+            prop_assert_eq!(
+                (got.rounds, got.successes),
+                want,
+                "{kind:?} step {step} edge {edge} rounds {rounds} plan {plan}"
+            );
+            plan = if g.any_bool() {
+                plan.neighbor(t.hosts(), g.rng())
+            } else {
+                DeploymentPlan::random(&spec, t.hosts(), g.rng())
+            };
+        }
+        Ok(())
+    });
+}
+
+/// The master/worker engine builds one assessor per worker and sends it
+/// chunks of one plan in arrival order, all through table slot 0.
+#[test]
+fn parallel_workers_rekey_slot_zero_per_chunk() {
+    let t = FatTreeParams::new(6).build();
+    let model = FaultModel::paper_default(&t, 5);
+    let spec = ApplicationSpec::k_of_n(2, 4);
+    let serial = Assessor::new(&t, model.clone());
+    let chunk_rounds = serial.chunk_layout(1 << 20)[0].1;
+    let kind = SamplerKind::ExtendedDagger;
+    let mut reference = FullWidth::new(model.clone(), kind, None, make_router(&t), chunk_rounds);
+    let mut rng = recloud_sampling::Rng::new(17);
+    for workers in [1, 2] {
+        let parallel = recloud_assess::ParallelAssessor::new(&t, model.clone(), workers);
+        for seed in [3u64, 3, 4] {
+            let plan = DeploymentPlan::random(&spec, t.hosts(), &mut rng);
+            let rounds = 3 * chunk_rounds + 77;
+            let got = parallel.assess(&spec, &plan, rounds, seed).estimate;
+            let want = reference.assess(&spec, &plan, &serial.chunk_layout(rounds), seed);
+            assert_eq!((got.rounds, got.successes), want, "{workers} workers, seed {seed}");
+        }
+    }
 }

@@ -19,10 +19,22 @@
 //! couple of AND operations. The per-round cost is O(#switches), not
 //! O(#hosts): begin_round on the Large fabric touches ~2.9K bits.
 //!
+//! The 256-lane protocol goes one step further. Of the masks above,
+//! `border_ok` and the per-pod `pod_ext = OR_g agg(p, g) ∧ border_ok[g]`
+//! mention no host: they are digests of the table's rows, the same for
+//! every plan that lands in the pod. [`Router::begin_wide_keyed`] names
+//! the table those rows belong to, so the router keeps `pod_ext` per
+//! table slot in a [`Memo`], and a later plan on the same table reads it
+//! instead of the `k/2` agg rows, `k/2` border rows and up to `k²/4` core
+//! rows it summarises. `border_ok` is only an ingredient of `pod_ext`; it
+//! is kept for the one wide word a `pod_ext` was last built in — every pod
+//! a plan brings to a fresh wide word shares it — and derived again when
+//! a later plan brings a new pod to a held one.
+//!
 //! Verdict-equivalence with the valley-free reference BFS is enforced by
 //! tests in `lib.rs` and by property tests.
 
-use crate::Router;
+use crate::{Router, TableKey};
 use recloud_sampling::{BitMatrix, WideWord};
 use recloud_topology::{ComponentId, FatTreeMeta, Topology};
 
@@ -54,17 +66,55 @@ pub struct FatTreeRouter {
     pod_agg_any_w: Vec<u64>,
     pod_wstamp: Vec<u32>,
     wepoch: u32,
-    /// Wide-protocol context (the 256-lane kernel) — same shapes as the
-    /// word-protocol masks above, one [`WideWord`] lane per round of the
-    /// current wide word.
+    /// Wide-protocol context (the 256-lane kernel): the wide word, and
+    /// where its digests live — `memos[memo]`, row `memo_row`.
     wide: usize,
-    core_any_ww: Vec<WideWord>,
-    border_ok_ww: Vec<WideWord>,
-    agg_ww: Vec<WideWord>,
-    pod_ext_ww: Vec<WideWord>,
-    pod_agg_any_ww: Vec<WideWord>,
-    pod_wwstamp: Vec<u32>,
-    wwepoch: u32,
+    memo: usize,
+    memo_row: usize,
+    /// `memos[0]` serves the unkeyed [`Router::begin_wide`] (one row,
+    /// forgotten on every call); `memos[1 + slot]` holds table slot
+    /// `slot`'s digests. Sized on first use.
+    memos: Vec<Memo>,
+    /// Per core group g: border(g) alive AND some core of g alive, over
+    /// the wide word `border_of` names — (memo, row, generation), the last
+    /// one a `pod_ext` was built for.
+    border_ok_wide: Vec<WideWord>,
+    border_of: (usize, usize, u64),
+    /// What [`Router::memo_stats`] reports: bytes held by `memos`, and
+    /// digests built so far, over all memos.
+    memo_bytes: usize,
+    digests_built: u64,
+}
+
+/// Plan-independent digests of one state matrix, one row per wide word,
+/// each filled the first time it is read under the current generation; a
+/// new generation clears the `built` bits and so forgets everything.
+#[derive(Default)]
+struct Memo {
+    /// What the set `built` bits were built under; 0 before the first.
+    generation: u64,
+    /// `[wide]`: bit p set iff `pod_ext` of pod p is built (k ≤ 128, so
+    /// p ≤ 126).
+    built: Vec<u128>,
+    /// `[wide · pods + p]`: OR over g of `agg(p, g) & border_ok[g]` — the
+    /// rounds in which pod p has some externally-viable uplink group.
+    pod_ext: Vec<WideWord>,
+}
+
+impl Memo {
+    /// Starts over under `generation`, sized for `wides` rows. Allocates
+    /// only when the size changes.
+    fn restart(&mut self, generation: u64, wides: usize, pods: usize) {
+        self.generation = generation;
+        self.built.clear();
+        self.built.resize(wides, 0);
+        self.pod_ext.resize(wides * pods, WideWord::ZERO);
+    }
+
+    fn bytes(&self) -> usize {
+        std::mem::size_of::<WideWord>() * self.pod_ext.len()
+            + std::mem::size_of::<u128>() * self.built.len()
+    }
 }
 
 impl FatTreeRouter {
@@ -95,13 +145,13 @@ impl FatTreeRouter {
             pod_wstamp: vec![0; pods],
             wepoch: 0,
             wide: 0,
-            core_any_ww: vec![WideWord::ZERO; half],
-            border_ok_ww: vec![WideWord::ZERO; half],
-            agg_ww: vec![WideWord::ZERO; pods * half],
-            pod_ext_ww: vec![WideWord::ZERO; pods],
-            pod_agg_any_ww: vec![WideWord::ZERO; pods],
-            pod_wwstamp: vec![0; pods],
-            wwepoch: 0,
+            memo: 0,
+            memo_row: 0,
+            memos: Vec::new(),
+            border_ok_wide: vec![WideWord::ZERO; half],
+            border_of: (0, 0, 0),
+            memo_bytes: 0,
+            digests_built: 0,
         }
     }
 
@@ -149,26 +199,60 @@ impl FatTreeRouter {
         !states.wide_word(c.index(), wide)
     }
 
-    /// Fills the per-pod wide-lane masks on first use within a wide word —
-    /// the 256-lane mirror of [`FatTreeRouter::pod_words_of`].
+    /// Points the wide protocol at row `row` of `memos[memo]`, which holds
+    /// `wides` rows under `generation` — or is made to.
+    fn install(&mut self, wide: usize, memo: usize, row: usize, wides: usize, generation: u64) {
+        if self.memos.len() <= memo {
+            self.memos.resize_with(memo + 1, Memo::default);
+        }
+        let m = &mut self.memos[memo];
+        if m.generation != generation {
+            let before = m.bytes();
+            m.restart(generation, wides, self.meta.host_pods as usize);
+            self.memo_bytes = self.memo_bytes + m.bytes() - before;
+        }
+        debug_assert!(row < m.built.len(), "wide word beyond the memo");
+        (self.wide, self.memo, self.memo_row) = (wide, memo, row);
+    }
+
+    /// Pod `pod`'s externally-viable-uplink mask over the installed wide
+    /// word, from the memo; built on first read from the pod's agg rows
+    /// and the word's `border_ok` (derived from the border and core rows
+    /// unless the last build was for this very word). Only rows of the
+    /// cone of a host in `pod` are read, and only when such a host is
+    /// asked about.
     #[inline]
-    fn pod_wides_of(&mut self, states: &BitMatrix, pod: u32) {
-        let p = pod as usize;
-        if self.pod_wwstamp[p] == self.wwepoch {
-            return;
+    fn pod_ext_wide(&mut self, states: &BitMatrix, pod: u32) -> WideWord {
+        let (half, pods) = (self.meta.half as usize, self.meta.host_pods as usize);
+        let m = &mut self.memos[self.memo];
+        let built = &mut m.built[self.memo_row];
+        let at = self.memo_row * pods + pod as usize;
+        if (*built >> pod) & 1 == 1 {
+            return m.pod_ext[at];
         }
-        let half = self.meta.half as usize;
+        let border_of = (self.memo, self.memo_row, m.generation);
+        if self.border_of != border_of {
+            for (g, ok) in self.border_ok_wide.iter_mut().enumerate() {
+                let mut any = WideWord::ZERO;
+                for j in 0..half {
+                    any |= Self::alive_wide(states, self.meta.core(g as u32, j as u32), self.wide);
+                    if any.is_ones() {
+                        break; // every lane already covered
+                    }
+                }
+                *ok = any & Self::alive_wide(states, self.meta.border(g as u32), self.wide);
+            }
+            self.border_of = border_of;
+            self.digests_built += 1;
+        }
         let mut ext = WideWord::ZERO;
-        let mut any = WideWord::ZERO;
-        for g in 0..half {
-            let agg = Self::alive_wide(states, self.meta.agg(pod, g as u32), self.wide);
-            self.agg_ww[p * half + g] = agg;
-            ext |= agg & self.border_ok_ww[g];
-            any |= agg;
+        for (g, &ok) in self.border_ok_wide.iter().enumerate() {
+            ext |= Self::alive_wide(states, self.meta.agg(pod, g as u32), self.wide) & ok;
         }
-        self.pod_ext_ww[p] = ext;
-        self.pod_agg_any_ww[p] = any;
-        self.pod_wwstamp[p] = self.wwepoch;
+        m.pod_ext[at] = ext;
+        *built |= 1 << pod;
+        self.digests_built += 1;
+        ext
     }
 
     /// Per-pod agg mask, computed on first use in a round. Keeping this
@@ -353,24 +437,24 @@ impl Router for FatTreeRouter {
         both & ea & eb & cross
     }
 
-    /// Digests the switch tiers once per 256 rounds — the wide analogue of
-    /// [`Router::begin_word`].
-    fn begin_wide(&mut self, states: &BitMatrix, wide: usize) {
-        self.wide = wide;
-        self.wwepoch = self.wwepoch.wrapping_add(1).max(1);
-        let half = self.meta.half;
-        for g in 0..half {
-            let mut any = WideWord::ZERO;
-            for j in 0..half {
-                any |= Self::alive_wide(states, self.meta.core(g, j), wide);
-                if any.is_ones() {
-                    break; // every lane already covered
-                }
-            }
-            self.core_any_ww[g as usize] = any;
-            self.border_ok_ww[g as usize] =
-                any & Self::alive_wide(states, self.meta.border(g), wide);
-        }
+    /// Installs wide word `wide` of a matrix the router knows nothing
+    /// about: `states` may have been overwritten since the last call, so
+    /// the digests live in a one-row memo that is forgotten here.
+    fn begin_wide(&mut self, _states: &BitMatrix, wide: usize) {
+        let forgotten = self.memos.first().map_or(0, |m| m.generation) + 1;
+        self.install(wide, 0, 0, 1, forgotten);
+    }
+
+    /// Installs wide word `wide` of table slot `key.slot`. Rows never
+    /// change under one generation, so whatever digest an earlier plan
+    /// built under `key.generation` is served as it is.
+    fn begin_wide_keyed(&mut self, states: &BitMatrix, wide: usize, key: TableKey) {
+        let wides = states.wide_words_per_row();
+        self.install(wide, 1 + key.slot, wide, wides, key.generation.get());
+    }
+
+    fn memo_stats(&self) -> (usize, u64) {
+        (self.memo_bytes, self.digests_built)
     }
 
     fn wide_native(&self) -> bool {
@@ -386,45 +470,9 @@ impl Router for FatTreeRouter {
         debug_assert!(self.meta.is_host(host), "external_reach_wide takes a host id");
         debug_assert_eq!(wide, self.wide, "begin_wide installs the wide context");
         let pos = self.meta.host_position(host);
-        self.pod_wides_of(states, pos.pod);
         Self::alive_wide(states, host, wide)
             & Self::alive_wide(states, self.meta.edge(pos.pod, pos.edge), wide)
-            & self.pod_ext_ww[pos.pod as usize]
-    }
-
-    fn connects_wide(
-        &mut self,
-        states: &BitMatrix,
-        a: ComponentId,
-        b: ComponentId,
-        wide: usize,
-    ) -> WideWord {
-        debug_assert!(self.meta.is_host(a) && self.meta.is_host(b), "connects_wide takes host ids");
-        debug_assert_eq!(wide, self.wide, "begin_wide installs the wide context");
-        let both = Self::alive_wide(states, a, wide) & Self::alive_wide(states, b, wide);
-        if a == b {
-            return both;
-        }
-        let pa = self.meta.host_position(a);
-        let pb = self.meta.host_position(b);
-        let ea = Self::alive_wide(states, self.meta.edge(pa.pod, pa.edge), wide);
-        if pa.pod == pb.pod && pa.edge == pb.edge {
-            return both & ea;
-        }
-        let eb = Self::alive_wide(states, self.meta.edge(pb.pod, pb.edge), wide);
-        if pa.pod == pb.pod {
-            self.pod_wides_of(states, pa.pod);
-            return both & ea & eb & self.pod_agg_any_ww[pa.pod as usize];
-        }
-        self.pod_wides_of(states, pa.pod);
-        self.pod_wides_of(states, pb.pod);
-        let half = self.meta.half as usize;
-        let (ia, ib) = (pa.pod as usize * half, pb.pod as usize * half);
-        let mut cross = WideWord::ZERO;
-        for g in 0..half {
-            cross |= self.agg_ww[ia + g] & self.agg_ww[ib + g] & self.core_any_ww[g];
-        }
-        both & ea & eb & cross
+            & self.pod_ext_wide(states, pos.pod)
     }
 }
 
@@ -627,8 +675,11 @@ mod tests {
         // Cross-pod connectivity: round 130's dead core group 0 still
         // leaves group 1 cores for east-west, so only rounds 0, 65, 200 cut
         // it in the first wide word.
-        r.begin_wide(&states, 0);
-        let conn = r.connects_wide(&states, h, m.host(1, 0, 0), 0) & states.wide_mask(0);
+        let mut conn = WideWord::ZERO;
+        for w in 0..WideWord::WORDS {
+            r.begin_word(&states, w);
+            conn.set_word(w, r.connects_word(&states, h, m.host(1, 0, 0), w));
+        }
         let mut cexpect = WideWord::ONES;
         for lane in [0usize, 65, 200] {
             cexpect.set_word(lane / 64, cexpect.word(lane / 64) & !(1u64 << (lane % 64)));
@@ -636,13 +687,10 @@ mod tests {
         assert_eq!(conn, cexpect & states.wide_mask(0));
     }
 
-    /// The native wide path must equal the four word queries it replaces.
-    #[test]
-    fn wide_equals_stacked_words() {
-        let (t, m, _) = setup(4);
-        let rounds = 257;
+    /// A matrix in which every bit fails with probability 1/12.
+    fn random_states(t: &Topology, rounds: usize, seed: u64) -> BitMatrix {
         let mut states = BitMatrix::new(t.num_components(), rounds);
-        let mut rng = recloud_sampling::Rng::new(42);
+        let mut rng = recloud_sampling::Rng::new(seed);
         for c in 0..states.components() {
             for r in 0..rounds {
                 if rng.next_below(12) == 0 {
@@ -650,6 +698,63 @@ mod tests {
                 }
             }
         }
+        states
+    }
+
+    /// Digests are kept per (slot, generation) and only there: a second
+    /// pass under the same key builds nothing, a new generation or another
+    /// slot derives its own, and the unkeyed call follows the matrix it is
+    /// handed even when that changed since the last call.
+    #[test]
+    fn keyed_wide_keeps_digests_per_generation_and_unkeyed_never_remembers() {
+        let (t, _, _) = setup(4);
+        let (a, b) = (random_states(&t, 300, 42), random_states(&t, 300, 43));
+        let ask = |r: &mut FatTreeRouter, s: &BitMatrix, key: Option<TableKey>| {
+            let mut out = Vec::new();
+            for ww in 0..s.wide_words_per_row() {
+                match key {
+                    Some(key) => r.begin_wide_keyed(s, ww, key),
+                    None => r.begin_wide(s, ww),
+                }
+                let mask = s.wide_mask(ww);
+                out.extend(t.hosts().iter().map(|&h| r.external_reach_wide(s, h, ww) & mask));
+            }
+            out
+        };
+        let want_a = ask(&mut FatTreeRouter::new(&t), &a, None);
+        let want_b = ask(&mut FatTreeRouter::new(&t), &b, None);
+        assert_ne!(want_a, want_b);
+
+        let mut r = FatTreeRouter::new(&t);
+        assert_eq!(r.memo_stats(), (0, 0), "nothing is kept before the first wide word");
+        assert_eq!(ask(&mut r, &a, None), want_a);
+        assert_eq!(ask(&mut r, &b, None), want_b, "unkeyed: same router, new contents");
+
+        let generation = |g| std::num::NonZeroU64::new(g).expect("nonzero");
+        let key = TableKey { slot: 2, generation: generation(7) };
+        let (_, before) = r.memo_stats();
+        assert_eq!(ask(&mut r, &a, Some(key)), want_a);
+        let (bytes, built) = r.memo_stats();
+        // k = 4: per wide word one border row and three host pods.
+        assert_eq!(built - before, 2 * (1 + 3));
+        assert_eq!(ask(&mut r, &a, Some(key)), want_a);
+        assert_eq!(r.memo_stats(), (bytes, built), "a held table builds nothing");
+
+        let rekeyed = TableKey { generation: generation(8), ..key };
+        assert_eq!(ask(&mut r, &b, Some(rekeyed)), want_b, "new generation, new contents");
+        assert_eq!(r.memo_stats(), (bytes, 2 * built - before), "same memory, built anew");
+        let other = TableKey { slot: 0, generation: generation(9) };
+        assert_eq!(ask(&mut r, &a, Some(other)), want_a);
+        let (_, built) = r.memo_stats();
+        assert_eq!(ask(&mut r, &b, Some(rekeyed)), want_b, "slot 2 still holds generation 8");
+        assert_eq!(r.memo_stats().1, built);
+    }
+
+    /// The native wide path must equal the four word queries it replaces.
+    #[test]
+    fn wide_equals_stacked_words() {
+        let (t, m, _) = setup(4);
+        let states = random_states(&t, 257, 42);
         let mut r = FatTreeRouter::new(&t);
         let hosts = [m.host(0, 0, 0), m.host(0, 0, 1), m.host(1, 1, 0), m.host(2, 0, 1)];
         for ww in 0..states.wide_words_per_row() {
@@ -657,16 +762,12 @@ mod tests {
             let mask = states.wide_mask(ww);
             let reach: Vec<WideWord> =
                 hosts.iter().map(|&h| r.external_reach_wide(&states, h, ww) & mask).collect();
-            let conn: Vec<WideWord> =
-                hosts.iter().map(|&h| r.connects_wide(&states, hosts[0], h, ww) & mask).collect();
             for i in 0..WideWord::WORDS {
                 let w = ww * WideWord::WORDS + i;
                 r.begin_word(&states, w);
                 for (j, &h) in hosts.iter().enumerate() {
                     let rw = r.external_reach_word(&states, h, w) & states.word_mask(w);
                     assert_eq!(reach[j].word(i), rw, "reach ww={ww} sub={i} host={h}");
-                    let cw = r.connects_word(&states, hosts[0], h, w) & states.word_mask(w);
-                    assert_eq!(conn[j].word(i), cw, "conn ww={ww} sub={i} host={h}");
                 }
             }
         }

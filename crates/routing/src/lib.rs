@@ -41,6 +41,7 @@ pub use updown::UpDownRouter;
 
 use recloud_sampling::{BitMatrix, WideWord};
 use recloud_topology::{ComponentId, Topology, TopologyKind};
+use std::num::NonZeroU64;
 
 /// Reachability oracle for one sampling round — or, through the word and
 /// wide APIs, for 64 or 256 rounds at a time.
@@ -57,13 +58,16 @@ use recloud_topology::{ComponentId, Topology, TopologyKind};
 /// the scalar query on that round. Bits beyond the matrix's round count
 /// are unspecified — callers mask with [`BitMatrix::word_mask`].
 ///
-/// Wide protocol (the 256-lane kernel): call [`Router::begin_wide`] with a
-/// wide-word index `ww`, then issue [`Router::external_reach_wide`] /
-/// [`Router::connects_wide`] queries for the same `(states, ww)`. Lane `r`
-/// of a result wide word is the verdict for round `256·ww + r`. The default
-/// implementations decompose a wide word into its four 64-round subwords
-/// through the word API, so every router gets the wide API for free and the
-/// 64-bit path remains the degenerate width.
+/// Wide protocol (the 256-lane kernel): call [`Router::begin_wide`] — or
+/// [`Router::begin_wide_keyed`] when `states` is a slot of a failure-state
+/// table — with a wide-word index `ww`, then issue
+/// [`Router::external_reach_wide`] queries for the same `(states, ww)`.
+/// Lane `r` of a result wide word is the verdict for round `256·ww + r`.
+/// The default implementation decomposes a wide word into its four
+/// 64-round subwords through the word API, so every router gets the wide
+/// API for free and the 64-bit path remains the degenerate width. There
+/// is no wide `connects`: structures with cross-component requirements
+/// are checked through the word protocol.
 ///
 /// All protocols share router scratch: interleaving them is allowed only by
 /// re-issuing the relevant `begin_*` call first.
@@ -88,10 +92,10 @@ pub trait Router {
 
     /// The *cone* of a set of hosts: appends to `out` a superset of every
     /// row of a `components`-row state matrix that `begin_round`/`_word`/
-    /// `_wide` and the `external_reach*`/`connects*` queries may read
-    /// while all queried hosts are among `hosts`. Verdicts about those
-    /// hosts are a function of the cone's rows alone, so a caller may
-    /// leave every other row unsampled. Repeats are allowed. (The
+    /// `_wide`/`_wide_keyed` and the `external_reach*`/`connects*` queries
+    /// may read while all queried hosts are among `hosts`. Verdicts about
+    /// those hosts are a function of the cone's rows alone, so a caller
+    /// may leave every other row unsampled. Repeats are allowed. (The
     /// `screen_*` masks may read any row: stale rows only make them more
     /// conservative.)
     ///
@@ -208,6 +212,26 @@ pub trait Router {
     /// per 64-round subword.
     fn begin_wide(&mut self, _states: &BitMatrix, _wide: usize) {}
 
+    /// [`Router::begin_wide`] for a matrix with an identity: `states` is
+    /// slot `key.slot` of a failure-state table, and every row the router
+    /// may read for the hosts it is asked about (their [`Router::cone`])
+    /// holds the same bits whenever the same `key` is presented again. A
+    /// router may therefore keep, per slot, anything it derives from those
+    /// rows and serve it to later plans under the same generation; under
+    /// any other generation it must derive it anew. The default ignores
+    /// the key. The unkeyed call promises nothing about `states` and must
+    /// not remember.
+    fn begin_wide_keyed(&mut self, states: &BitMatrix, wide: usize, _key: TableKey) {
+        self.begin_wide(states, wide);
+    }
+
+    /// What the router keeps for [`Router::begin_wide_keyed`]: bytes held,
+    /// and digests derived from table rows so far (a count that only
+    /// grows; it stands still while plans are served from what is kept).
+    fn memo_stats(&self) -> (usize, u64) {
+        (0, 0)
+    }
+
     /// True when the wide queries are answered natively in 256-lane bit
     /// algebra rather than by the word-decomposition default.
     fn wide_native(&self) -> bool {
@@ -244,27 +268,19 @@ pub trait Router {
         }
         out
     }
+}
 
-    /// 256-round batched [`Router::connects`]; same contract and default
-    /// strategy as [`Router::external_reach_wide`].
-    fn connects_wide(
-        &mut self,
-        states: &BitMatrix,
-        a: ComponentId,
-        b: ComponentId,
-        wide: usize,
-    ) -> WideWord {
-        let mut out = WideWord::ZERO;
-        for i in 0..WideWord::WORDS {
-            let w = wide * WideWord::WORDS + i;
-            if states.rounds_in_word(w) == 0 {
-                break;
-            }
-            self.begin_word(states, w);
-            out.set_word(i, self.connects_word(states, a, b, w));
-        }
-        out
-    }
+/// Names the contents of one slot of a failure-state table for
+/// [`Router::begin_wide_keyed`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TableKey {
+    /// The slot (chunk index) within its table.
+    pub slot: usize,
+    /// Minted anew whenever the slot's rows may no longer be what they
+    /// were — on every re-key to another seed or round count, which is
+    /// also the first thing to happen after an invalidation — and never
+    /// reused within the process.
+    pub generation: NonZeroU64,
 }
 
 /// Picks the best router for a topology: analytic for fat-trees, generic
@@ -397,7 +413,8 @@ mod agreement_tests {
     /// Every router's wide API must agree lane-for-lane with its own word
     /// verdicts — native 256-lane algebra (analytic) and the
     /// word-decomposition default (reference BFS routers) alike — across a
-    /// full wide word plus a ragged tail.
+    /// full wide word plus a ragged tail. (`connects` has no wide form;
+    /// `word_api_agrees_with_scalar_for_every_router` covers its words.)
     #[test]
     fn wide_api_agrees_with_word_for_every_router() {
         let t = FatTreeParams::new(4).build();
@@ -418,11 +435,6 @@ mod agreement_tests {
                 let screen = r.screen_wide(&states, ww);
                 let reach: Vec<WideWord> =
                     probes.iter().map(|&h| r.external_reach_wide(&states, h, ww) & mask).collect();
-                r.begin_wide(&states, ww);
-                let conn: Vec<WideWord> = probes
-                    .iter()
-                    .map(|&h| r.connects_wide(&states, probes[0], h, ww) & mask)
-                    .collect();
                 for i in 0..WideWord::WORDS {
                     let w = ww * WideWord::WORDS + i;
                     let wmask = states.word_mask(w);
@@ -433,11 +445,6 @@ mod agreement_tests {
                             reach[j].word(i),
                             r.external_reach_word(&states, h, w) & wmask,
                             "{name}: external ww={ww} sub={i} host {h}"
-                        );
-                        assert_eq!(
-                            conn[j].word(i),
-                            r.connects_word(&states, probes[0], h, w) & wmask,
-                            "{name}: connects ww={ww} sub={i} host {h}"
                         );
                     }
                 }
@@ -479,17 +486,25 @@ mod agreement_tests {
                 let mask = states.wide_mask(ww);
                 let mut ask = |m: &BitMatrix| -> Vec<WideWord> {
                     r.begin_wide(m, ww);
-                    let mut out: Vec<WideWord> =
-                        hosts.iter().map(|&h| r.external_reach_wide(m, h, ww) & mask).collect();
-                    r.begin_wide(m, ww);
+                    hosts.iter().map(|&h| r.external_reach_wide(m, h, ww) & mask).collect()
+                };
+                assert_eq!(ask(&states), ask(&poisoned), "{name}: wide word {ww}");
+            }
+            for w in 0..rounds.div_ceil(64) {
+                let mask = states.word_mask(w);
+                let mut ask = |m: &BitMatrix| -> Vec<u64> {
+                    r.begin_word(m, w);
+                    let mut out: Vec<u64> =
+                        hosts.iter().map(|&h| r.external_reach_word(m, h, w) & mask).collect();
+                    r.begin_word(m, w);
                     for &a in &hosts {
                         for &b in &hosts {
-                            out.push(r.connects_wide(m, a, b, ww) & mask);
+                            out.push(r.connects_word(m, a, b, w) & mask);
                         }
                     }
                     out
                 };
-                assert_eq!(ask(&states), ask(&poisoned), "{name}: wide word {ww}");
+                assert_eq!(ask(&states), ask(&poisoned), "{name}: word {w}");
             }
             for round in (0..rounds).step_by(7) {
                 let mut ask = |m: &BitMatrix| -> Vec<bool> {

@@ -724,6 +724,41 @@ mod tests {
         assert_eq!(out1.stats, out2.stats);
     }
 
+    /// A CRN search assesses every plan on one held table, where the
+    /// router serves its plan-independent digests from what earlier plans
+    /// built. The same search with every plan scored on an engine built
+    /// for that plan alone must make the same 300 decisions.
+    #[test]
+    fn crn_search_on_a_held_table_equals_a_fresh_engine_per_plan() {
+        struct FreshEnginePerPlan {
+            spec: ApplicationSpec,
+            rounds: usize,
+            crn_seed: u64,
+        }
+        impl Objective for FreshEnginePerPlan {
+            fn measure(&self, plan: &DeploymentPlan, held: f64) -> f64 {
+                let fresh = engine(3).assess(&self.spec, plan, self.rounds, self.crn_seed);
+                assert_eq!(fresh.estimate.score.to_bits(), held.to_bits(), "plan {plan}");
+                fresh.estimate.score
+            }
+            fn name(&self) -> &'static str {
+                "fresh-engine-per-plan"
+            }
+        }
+        let spec = ApplicationSpec::k_of_n(4, 5);
+        // Two table slots, the second one short.
+        let cfg = SearchConfig { crn_seed: Some(99), ..SearchConfig::iterations(300, 3_000, 21) };
+        let mut held = engine(3);
+        let want = Searcher::new(&mut held).search(&spec, &ReliabilityObjective, &cfg, None);
+        let fresh = FreshEnginePerPlan { spec: spec.clone(), rounds: cfg.rounds, crn_seed: 99 };
+        let got = Searcher::new(&mut engine(3)).search(&spec, &fresh, &cfg, None);
+        assert_eq!(got.best_plan, want.best_plan);
+        assert_eq!(got.best_measure.to_bits(), want.best_measure.to_bits());
+        assert_eq!(got.stats, want.stats);
+        assert_eq!(want.stats.plans_assessed, 300);
+        assert!(want.trajectory.len() > 1, "the search moved");
+    }
+
     #[test]
     fn desired_score_stops_early() {
         let mut assessor = engine(1);
