@@ -200,6 +200,11 @@ struct AssessInstruments {
     /// Rows a request's cone named; against the component count this is
     /// the sampled-width ratio.
     cone_rows: Arc<Histogram>,
+    /// Model swaps ([`Assessor::reseed`]) and what each took (µs): with
+    /// the queue wait and the first chunk's `assess.total_us`, the parts
+    /// of a served first estimate on a seed the engine did not hold.
+    reseeds_total: Arc<Counter>,
+    reseed_us: Arc<Histogram>,
 }
 
 impl AssessInstruments {
@@ -213,6 +218,8 @@ impl AssessInstruments {
             rows_materialised: registry.counter("assess.rows_materialised_total"),
             digests_built: registry.counter("assess.digests_built_total"),
             cone_rows: registry.histogram("assess.cone_rows"),
+            reseeds_total: registry.counter("assess.reseeds_total"),
+            reseed_us: registry.histogram("assess.reseed_us"),
         }
     }
 }
@@ -233,6 +240,13 @@ impl Assessor {
         (Self::TARGET_CHUNK.div_ceil(s_max) * s_max).next_multiple_of(WideWord::LANES)
     }
 
+    /// What a model's numbers fix about an engine: the macro-cycle of its
+    /// probability vector and the chunk width that follows from it.
+    pub(crate) fn chunking_of(model: &FaultModel) -> (usize, usize) {
+        let s_max = ExtendedDaggerSampler::macro_cycle(model.probs());
+        (s_max, Self::chunk_width(s_max))
+    }
+
     /// Creates a dagger-based assessor (reCloud's default).
     pub fn new(topology: &Topology, model: FaultModel) -> Self {
         Self::with_sampler(topology, model, SamplerKind::ExtendedDagger)
@@ -240,7 +254,7 @@ impl Assessor {
 
     /// Creates an assessor with an explicit sampler choice.
     pub fn with_sampler(topology: &Topology, model: FaultModel, kind: SamplerKind) -> Self {
-        let s_max = ExtendedDaggerSampler::macro_cycle(model.probs());
+        let (s_max, chunk_rounds) = Self::chunking_of(&model);
         let router = make_router(topology);
         Assessor {
             topology: topology.clone(),
@@ -249,7 +263,7 @@ impl Assessor {
             base_cone: Self::base_cone_of(router.as_ref(), topology),
             router,
             s_max,
-            table: FailureTable::new(Self::chunk_width(s_max)),
+            table: FailureTable::new(chunk_rounds),
             cone: Vec::new(),
             injector: None,
             width: BatchWidth::Wide256,
@@ -288,10 +302,12 @@ impl Assessor {
     /// This is what lets a long-running server reuse one engine across
     /// requests with different model seeds: router construction (the
     /// expensive part at large scales) happens once per (topology, worker),
-    /// while each reseed only swaps probability tables. Assessments after a
-    /// reseed are bit-identical to a freshly constructed engine with the
-    /// same model; every table row is invalidated because it was sampled
-    /// under the previous model.
+    /// while each reseed only swaps probability tables — the caller clones
+    /// [`Assessor::model`] (the structure is shared, the clone copies the
+    /// numbers), [`FaultModel::redraw`]s it and hands it back here.
+    /// Assessments after a reseed are bit-identical to a freshly
+    /// constructed engine with the same model; every table row is
+    /// invalidated because it was sampled under the previous model.
     ///
     /// # Panics
     /// Panics if `model` was built for a different topology (component
@@ -302,9 +318,13 @@ impl Assessor {
             self.topology.num_components(),
             "model was built for a different topology"
         );
-        self.s_max = ExtendedDaggerSampler::macro_cycle(model.probs());
-        self.table.invalidate(&model, Self::chunk_width(self.s_max));
+        let t0 = Instant::now();
+        let (s_max, chunk_rounds) = Self::chunking_of(&model);
+        self.s_max = s_max;
+        self.table.invalidate(&model, chunk_rounds);
         self.model = model;
+        self.obs.reseeds_total.inc();
+        self.obs.reseed_us.record(t0.elapsed().as_micros() as u64);
     }
 
     /// Selects the batched (wide, 256-rounds-per-operation) or scalar
@@ -388,7 +408,12 @@ impl Assessor {
     /// The chunk layout for a round count: (chunk index, rounds in chunk).
     /// Shared with the parallel engine so results are execution-identical.
     pub fn chunk_layout(&self, rounds: usize) -> Vec<(u32, usize)> {
-        let chunk_rounds = self.table.chunk_rounds();
+        Self::layout(self.table.chunk_rounds(), rounds)
+    }
+
+    /// `rounds` rounds cut into chunks of `chunk_rounds` (a model's
+    /// [`Assessor::chunking_of`] width), the last one short.
+    pub(crate) fn layout(chunk_rounds: usize, rounds: usize) -> Vec<(u32, usize)> {
         let mut out = Vec::with_capacity(rounds.div_ceil(chunk_rounds));
         let mut remaining = rounds;
         let mut idx = 0u32;
@@ -587,7 +612,7 @@ pub fn assess_once(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recloud_faults::ProbabilityConfig;
+    use recloud_faults::{FaultTree, ProbabilityConfig};
     use recloud_sampling::Rng;
     use recloud_topology::FatTreeParams;
 
@@ -1005,7 +1030,10 @@ mod tests {
 
     /// The serving-layer invariant: a reseeded engine is indistinguishable
     /// from a freshly built one — same counts, bit-identical score — and
-    /// reseeding invalidates the (now stale) table rows.
+    /// reseeding invalidates the (now stale) table rows. The model comes
+    /// the way the engine pool makes it — the engine's own, cloned and
+    /// redrawn — or built from scratch; the seeds cross both chunk widths
+    /// paper-default models have here, in both directions.
     #[test]
     fn reseed_matches_fresh_engine_bit_for_bit() {
         let t = FatTreeParams::new(4).build();
@@ -1015,15 +1043,79 @@ mod tests {
         let mut reused = Assessor::new(&t, FaultModel::paper_default(&t, 11));
         reused.assess(&spec, &plan, 3_000, 11);
         assert!(reused.cache_bytes() > 0, "first assessment populates the table");
-        for seed in [12u64, 13, 11] {
-            reused.reseed(FaultModel::paper_default(&t, seed));
+        let before = recloud_obs::global().snapshot();
+        let seeds: Vec<u64> = (12..24).chain([11]).collect();
+        let mut widths = Vec::new();
+        for (i, &seed) in seeds.iter().enumerate() {
+            let model = if i % 4 == 3 {
+                FaultModel::paper_default(&t, seed)
+            } else {
+                let mut model = reused.model().clone();
+                model.redraw(&t, &ProbabilityConfig::PaperDefault, seed);
+                model
+            };
+            reused.reseed(model);
             assert_eq!(reused.cache_bytes(), 0, "reseed must invalidate the stale rows");
-            let r = reused.assess(&spec, &plan, 3_000, seed);
+            let r = reused.assess(&spec, &plan, 6_000, seed);
             let mut fresh = Assessor::new(&t, FaultModel::paper_default(&t, seed));
-            let f = fresh.assess(&spec, &plan, 3_000, seed);
+            let f = fresh.assess(&spec, &plan, 6_000, seed);
             assert_eq!(r.estimate.score.to_bits(), f.estimate.score.to_bits(), "seed {seed}");
             assert_eq!(r.estimate.successes, f.estimate.successes);
             assert_eq!(r.estimate.rounds, f.estimate.rounds);
+            assert_eq!(reused.chunk_layout(6_000), fresh.chunk_layout(6_000), "seed {seed}");
+            widths.push(reused.chunk_layout(1 << 20)[0].1);
+        }
+        assert!(widths.contains(&2_560) && widths.contains(&2_816), "{widths:?}");
+        assert!(widths.windows(2).any(|w| w[0] < w[1]) && widths.windows(2).any(|w| w[0] > w[1]));
+        // Every reseed is counted and timed (other tests only add).
+        let after = recloud_obs::global().snapshot();
+        let reseeds = after.counter("assess.reseeds_total").unwrap_or(0)
+            - before.counter("assess.reseeds_total").unwrap_or(0);
+        assert!(reseeds >= seeds.len() as u64, "counter saw {reseeds} reseeds");
+        let timed = after.histogram("assess.reseed_us").map_or(0, |h| h.count)
+            - before.histogram("assess.reseed_us").map_or(0, |h| h.count);
+        assert!(timed >= seeds.len() as u64, "histogram saw {timed} reseeds");
+    }
+
+    /// Copy-on-write isolation, seen from the answers: models that share
+    /// a structure do not see each other change. Whatever is done to a
+    /// clone — or to the original while a clone is alive — the other one
+    /// assesses exactly as before.
+    #[test]
+    fn changing_a_model_leaves_its_clones_answers_alone() {
+        let t = FatTreeParams::new(4).build();
+        let spec = ApplicationSpec::k_of_n(2, 3);
+        let plan = DeploymentPlan::random(&spec, t.hosts(), &mut Rng::new(31));
+        let host = plan.hosts_of(0)[0];
+        let answer = |model: &FaultModel| {
+            let e = assess_once(&t, model.clone(), &spec, &plan, 6_000, 7).estimate;
+            (e.score.to_bits(), e.variance.to_bits(), e.successes)
+        };
+        let want = answer(&FaultModel::paper_default(&t, 11));
+        type Change<'a> = (&'a str, &'a dyn Fn(&mut FaultModel));
+        let changes: [Change; 6] = [
+            ("set_tree", &|m| m.set_tree(host, FaultTree::single(plan.hosts_of(0)[1]))),
+            ("or_attach", &|m| m.or_attach(host, FaultTree::single(plan.hosts_of(0)[2]))),
+            ("add_auxiliary", &|m| {
+                let aux = m.add_auxiliary(recloud_topology::ComponentKind::CoolingUnit, "c", 0.3);
+                m.or_attach(host, FaultTree::single(aux));
+            }),
+            ("attach_shared_software", &|m| {
+                m.attach_shared_software(&t, 2, 0.2, 0.1);
+            }),
+            ("set_prob", &|m| m.set_prob(host, 0.5)),
+            ("redraw", &|m| m.redraw(&t, &ProbabilityConfig::PaperDefault, 13)),
+        ];
+        for (name, change) in changes {
+            let mut original = FaultModel::paper_default(&t, 11);
+            let mut clone = original.clone();
+            change(&mut clone);
+            assert_ne!(answer(&clone), want, "{name} changed the clone");
+            assert_eq!(answer(&original), want, "{name} on a clone reached the original");
+            let kept = original.clone();
+            change(&mut original);
+            assert_eq!(answer(&original), answer(&clone), "{name}: same change, same model");
+            assert_eq!(answer(&kept), want, "{name} on the original reached a clone");
         }
     }
 

@@ -37,6 +37,9 @@ pub struct ParallelAssessor {
     model: FaultModel,
     kind: SamplerKind,
     workers: usize,
+    /// The model's chunk width: the serial engine's, so both cut a round
+    /// count into the same chunks.
+    chunk_rounds: usize,
     /// Kernel lane width of every worker engine: 256-lane wide by default;
     /// the narrower paths exist for equivalence tests and benchmarking.
     /// Chunks are lane-width aligned (the serial engine's layout), so full
@@ -63,6 +66,7 @@ impl ParallelAssessor {
         assert!(workers >= 1, "need at least one worker");
         ParallelAssessor {
             topology: topology.clone(),
+            chunk_rounds: Assessor::chunking_of(&model).1,
             model,
             kind,
             workers,
@@ -106,9 +110,8 @@ impl ParallelAssessor {
         // Chunk layout and seeding must match the serial engine's, so the
         // master runs the same AssessmentDriver every other path uses —
         // its task hand-out becomes the wire-encoded fan-out.
-        let probe = Assessor::with_sampler(&self.topology, self.model.clone(), self.kind);
-        let mut driver = AssessmentDriver::new(probe.chunk_layout(rounds), seed, None);
-        drop(probe);
+        let layout = Assessor::layout(self.chunk_rounds, rounds);
+        let mut driver = AssessmentDriver::new(layout, seed, None);
 
         let (task_tx, task_rx) = channel::<Bytes>();
         let (result_tx, result_rx) = channel::<Bytes>();
@@ -132,7 +135,8 @@ impl ParallelAssessor {
             // One engine per worker: its router is built once here and
             // its table slot on the first chunk, both reused for every
             // chunk the worker drains, so steady-state workers allocate
-            // nothing.
+            // nothing. The model clone copies the probabilities only; the
+            // trees are the master's, shared.
             let mut engine = Assessor::with_sampler(&self.topology, self.model.clone(), self.kind);
             engine.set_width(self.width);
             let mut checker = StructureChecker::new(spec, &plan);

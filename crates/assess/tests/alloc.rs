@@ -10,7 +10,7 @@
 
 use recloud_apps::{ApplicationSpec, DeploymentPlan};
 use recloud_assess::{Assessor, StructureChecker};
-use recloud_faults::FaultModel;
+use recloud_faults::{FaultModel, ProbabilityConfig};
 use recloud_sampling::{ResultAccumulator, Rng};
 use recloud_topology::FatTreeParams;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -111,6 +111,31 @@ fn fresh_seed_assessment_allocates_only_for_the_plan() {
         engine.assess(&spec, &plan, rounds, 5);
     });
     assert_eq!(allocs, per_plan + 1, "after reseed: {allocs} allocations");
+}
+
+/// A seed changes the model's numbers, not its structure. Taking a warmed
+/// engine to a new model seed the way the engine pool does — clone the
+/// engine's model, redraw it, hand it back — allocates the clone's
+/// probability vector and nothing else: no tree, no table slot, whatever
+/// the component count.
+#[test]
+fn reseed_to_a_new_model_seed_allocates_one_block() {
+    for k in [4, 8] {
+        let t = FatTreeParams::new(k).build();
+        let spec = ApplicationSpec::k_of_n(2, 4);
+        let plan = DeploymentPlan::random(&spec, t.hosts(), &mut Rng::new(6));
+        let mut engine = Assessor::new(&t, FaultModel::paper_default(&t, 11));
+        engine.assess(&spec, &plan, 9_000, 1);
+        for model_seed in [12u64, 13, 14, 11] {
+            let allocs = allocations_during(|| {
+                let mut model = engine.model().clone();
+                model.redraw(&t, &ProbabilityConfig::PaperDefault, model_seed);
+                engine.reseed(model);
+            });
+            assert_eq!(allocs, 1, "k={k}, model seed {model_seed}: {allocs} allocations");
+            engine.assess(&spec, &plan, 9_000, 1);
+        }
+    }
 }
 
 /// Paper-default models differ in macro-cycle, hence in chunk width, from

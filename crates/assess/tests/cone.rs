@@ -110,14 +110,18 @@ fn fabric(which: usize) -> (Topology, RouterFor) {
     }
 }
 
-/// A model unreliable on purpose, with mixed dagger cycle lengths (so
-/// chunk widths differ from model to model).
-fn unreliable_model(t: &Topology, g: &mut recloud_sampling::proptest::Gen) -> FaultModel {
-    let probabilities = ProbabilityConfig::Normal {
+/// Probabilities unreliable on purpose, with mixed dagger cycle lengths
+/// (so chunk widths differ from draw to draw).
+fn unreliable_probabilities(g: &mut recloud_sampling::proptest::Gen) -> ProbabilityConfig {
+    ProbabilityConfig::Normal {
         switch: (g.f64_in(0.05..0.2), 0.03),
         other: (g.f64_in(0.05..0.25), 0.05),
-    };
-    let mut model = FaultModel::new(t, &probabilities, g.any_u64());
+    }
+}
+
+/// A model under [`unreliable_probabilities`].
+fn unreliable_model(t: &Topology, g: &mut recloud_sampling::proptest::Gen) -> FaultModel {
+    let mut model = FaultModel::new(t, &unreliable_probabilities(g), g.any_u64());
     model.attach_power_dependencies(t);
     model
 }
@@ -201,7 +205,14 @@ fn kept_digests_equal_a_fresh_unkeyed_replay_across_generation_edges() {
             match edge {
                 0 => seed = g.any_u64(),
                 1 => {
-                    model = unreliable_model(&t, g);
+                    // A new model: built from scratch, or — the served
+                    // path — the engine's own, cloned and redrawn.
+                    if g.any_bool() {
+                        model = unreliable_model(&t, g);
+                    } else {
+                        model = engine.model().clone();
+                        model.redraw(&t, &unreliable_probabilities(g), g.any_u64());
+                    }
                     engine.reseed(model.clone());
                 }
                 2 => {

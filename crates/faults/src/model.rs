@@ -19,11 +19,26 @@
 //! *dependency events* — events some tree references, indexed by
 //! [`FaultModel::dependency_slot`] — so consumers of one power supply
 //! share one sampled row.
+//!
+//! # Structure and numbers
+//!
+//! A model has two parts with different lifetimes. The *structure* —
+//! trees, dependency events and their slots, auxiliary components — is
+//! the infrastructure (§3.2.3): it changes when a dependency feed does.
+//! The *numbers* — the probability vector — are a feed (§2.1, §3.2.2
+//! "can adjust p quickly"): a new model seed, a monitoring update. The
+//! structure sits behind one `Arc` that clones share and that the first
+//! structural change of a clone copies ([`FaultModel::set_tree`],
+//! [`FaultModel::or_attach`], [`FaultModel::add_auxiliary`], the
+//! `attach_*` calls); the numbers are owned per model, so `clone()`
+//! copies one `f64` vector, and [`FaultModel::redraw`] overwrites it in
+//! place. Either way two models never see each other's changes.
 
 use crate::probability::ProbabilityConfig;
 use crate::tree::FaultTree;
 use recloud_sampling::{BitMatrix, WideWord};
 use recloud_topology::{ComponentId, ComponentKind, SoftwareKind, Topology};
+use std::sync::Arc;
 
 /// An auxiliary sampled event that is not a topology component (shared OS
 /// image, library version, room-level cooling, …).
@@ -41,7 +56,15 @@ pub struct AuxComponent {
 #[derive(Clone, Debug)]
 pub struct FaultModel {
     topo_components: usize,
+    /// The numbers: one probability per event, owned by this model.
     probs: Vec<f64>,
+    /// Everything a seed does not draw, shared copy-on-write with clones.
+    structure: Arc<Structure>,
+}
+
+/// The seed-independent part of a [`FaultModel`].
+#[derive(Clone, Debug)]
+struct Structure {
     aux: Vec<AuxComponent>,
     trees: Vec<Option<FaultTree>>,
     /// Events referenced by at least one tree, in first-attachment order.
@@ -52,6 +75,31 @@ pub struct FaultModel {
 
 const NO_SLOT: u32 = u32::MAX;
 
+impl Structure {
+    /// Registers a tree's basic events as dependency events. Events of a
+    /// tree that is later replaced stay registered, which only costs an
+    /// unused slot.
+    fn index_dependencies(&mut self, tree: &FaultTree) {
+        for e in tree.leaf_events() {
+            let slot = &mut self.dep_slot[e.index()];
+            if *slot == NO_SLOT {
+                *slot = self.dep_events.len() as u32;
+                self.dep_events.push(e);
+            }
+        }
+    }
+
+    fn or_attach(&mut self, id: ComponentId, tree: FaultTree) {
+        assert!(id.index() < self.trees.len(), "trees attach to topology components");
+        self.index_dependencies(&tree);
+        let slot = &mut self.trees[id.index()];
+        *slot = Some(match slot.take() {
+            Some(existing) => FaultTree::or_merge(&existing, &tree),
+            None => tree,
+        });
+    }
+}
+
 impl FaultModel {
     /// Builds a model with the given probability assignment and **no**
     /// dependency trees (hosts and switches fail only by themselves).
@@ -60,10 +108,12 @@ impl FaultModel {
         FaultModel {
             topo_components: topology.num_components(),
             probs,
-            aux: Vec::new(),
-            trees: vec![None; topology.num_components()],
-            dep_events: Vec::new(),
-            dep_slot: vec![NO_SLOT; topology.num_components()],
+            structure: Arc::new(Structure {
+                aux: Vec::new(),
+                trees: vec![None; topology.num_components()],
+                dep_events: Vec::new(),
+                dep_slot: vec![NO_SLOT; topology.num_components()],
+            }),
         }
     }
 
@@ -73,6 +123,22 @@ impl FaultModel {
         let mut m = FaultModel::new(topology, &ProbabilityConfig::PaperDefault, seed);
         m.attach_power_dependencies(topology);
         m
+    }
+
+    /// Draws the topology components' probabilities again, in place, for
+    /// `seed`: afterwards the model is the one that was built with `seed`
+    /// in the first place — `paper_default(t, a)` redrawn under
+    /// [`ProbabilityConfig::PaperDefault`] with `b` equals
+    /// `paper_default(t, b)` field for field — because the structure never
+    /// depended on the seed and the numbers come from the same stream
+    /// [`ProbabilityConfig::assign`] reads. Auxiliary events are not part
+    /// of any assignment and keep their probabilities.
+    ///
+    /// # Panics
+    /// Panics if `topology` is not the one the model was built for
+    /// (component count mismatch).
+    pub fn redraw(&mut self, topology: &Topology, config: &ProbabilityConfig, seed: u64) {
+        config.fill(topology, seed, &mut self.probs[..self.topo_components]);
     }
 
     /// Total number of sampled events (topology components + auxiliaries).
@@ -108,7 +174,7 @@ impl FaultModel {
 
     /// Registered auxiliary components.
     pub fn aux_components(&self) -> &[AuxComponent] {
-        &self.aux
+        &self.structure.aux
     }
 
     /// Adds an auxiliary sampled event and returns its id.
@@ -116,47 +182,36 @@ impl FaultModel {
         assert!((0.0..=1.0).contains(&p), "probability {p} out of range");
         let id = ComponentId::from_index(self.probs.len());
         self.probs.push(p);
-        self.dep_slot.push(NO_SLOT);
-        self.aux.push(AuxComponent { id, kind, label: label.to_owned() });
+        let structure = Arc::make_mut(&mut self.structure);
+        structure.dep_slot.push(NO_SLOT);
+        structure.aux.push(AuxComponent { id, kind, label: label.to_owned() });
         id
     }
 
     /// The dependency tree of a topology component, if any.
     pub fn tree_of(&self, id: ComponentId) -> Option<&FaultTree> {
-        self.trees[id.index()].as_ref()
+        self.structure.trees[id.index()].as_ref()
     }
 
     /// Replaces a component's dependency tree.
     pub fn set_tree(&mut self, id: ComponentId, tree: FaultTree) {
         assert!(id.index() < self.topo_components, "trees attach to topology components");
-        self.index_dependencies(&tree);
-        self.trees[id.index()] = Some(tree);
-    }
-
-    /// Registers a tree's basic events as dependency events. Events of a
-    /// tree that is later replaced stay registered, which only costs an
-    /// unused slot.
-    fn index_dependencies(&mut self, tree: &FaultTree) {
-        for e in tree.leaf_events() {
-            let slot = &mut self.dep_slot[e.index()];
-            if *slot == NO_SLOT {
-                *slot = self.dep_events.len() as u32;
-                self.dep_events.push(e);
-            }
-        }
+        let structure = Arc::make_mut(&mut self.structure);
+        structure.index_dependencies(&tree);
+        structure.trees[id.index()] = Some(tree);
     }
 
     /// The dependency events: every event some component's tree
     /// references (power supplies, shared software, …).
     pub fn dependency_events(&self) -> &[ComponentId] {
-        &self.dep_events
+        &self.structure.dep_events
     }
 
     /// Position of `event` in [`FaultModel::dependency_events`], if any
     /// tree references it.
     #[inline]
     pub fn dependency_slot(&self, event: ComponentId) -> Option<usize> {
-        let slot = self.dep_slot[event.index()];
+        let slot = self.structure.dep_slot[event.index()];
         (slot != NO_SLOT).then_some(slot as usize)
     }
 
@@ -164,21 +219,16 @@ impl FaultModel {
     /// installs it if none exists) — the "integrate new dependency feeds
     /// seamlessly" path.
     pub fn or_attach(&mut self, id: ComponentId, tree: FaultTree) {
-        assert!(id.index() < self.topo_components, "trees attach to topology components");
-        self.index_dependencies(&tree);
-        let slot = &mut self.trees[id.index()];
-        *slot = Some(match slot.take() {
-            Some(existing) => FaultTree::or_merge(&existing, &tree),
-            None => tree,
-        });
+        Arc::make_mut(&mut self.structure).or_attach(id, tree);
     }
 
     /// Attaches the topology's power assignment as dependency trees: every
     /// powered component fails when its supply fails (§4.1).
     pub fn attach_power_dependencies(&mut self, topology: &Topology) {
+        let structure = Arc::make_mut(&mut self.structure);
         for c in topology.components() {
             if let Some(supply) = topology.power_of(c.id) {
-                self.or_attach(c.id, FaultTree::single(supply));
+                structure.or_attach(c.id, FaultTree::single(supply));
             }
         }
     }
@@ -223,7 +273,7 @@ impl FaultModel {
         if raw.get(id.index(), round) {
             return true;
         }
-        match &self.trees[id.index()] {
+        match &self.structure.trees[id.index()] {
             Some(t) => t.eval(&|c: ComponentId| raw.get(c.index(), round)),
             None => false,
         }
@@ -256,7 +306,7 @@ impl FaultModel {
         wides: usize,
         event_wide: impl Fn(ComponentId, usize) -> WideWord,
     ) {
-        if let Some(tree) = &self.trees[c] {
+        if let Some(tree) = &self.structure.trees[c] {
             for ww in 0..wides {
                 let dep = tree.eval_wide(&|e: ComponentId| event_wide(e, ww));
                 out.set_wide_word(c, ww, out.wide_word(c, ww) | dep);
@@ -288,8 +338,9 @@ impl FaultModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recloud_sampling::{ExtendedDaggerSampler, Sampler};
-    use recloud_topology::FatTreeParams;
+    use recloud_sampling::proptest::forall;
+    use recloud_sampling::{prop_assert, prop_assert_eq, ExtendedDaggerSampler, Sampler};
+    use recloud_topology::{FatTreeParams, LeafSpineParams};
 
     fn tiny_model() -> (Topology, FaultModel) {
         let t = FatTreeParams::new(4).build();
@@ -454,5 +505,96 @@ mod tests {
         assert_eq!(radius, vec![host]);
         // The external node fails nothing.
         assert_eq!(m.blast_radius(t.external()), vec![t.external()]);
+    }
+
+    /// Two models are the same model: numbers bit for bit, every tree,
+    /// the dependency events in order and every event's slot.
+    fn same_model(a: &FaultModel, b: &FaultModel) -> Result<(), String> {
+        let bits = |m: &FaultModel| m.probs().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(a), bits(b));
+        prop_assert_eq!(a.num_topology_components(), b.num_topology_components());
+        for c in (0..a.num_topology_components()).map(ComponentId::from_index) {
+            prop_assert_eq!(a.tree_of(c), b.tree_of(c), "tree of {c}");
+        }
+        prop_assert_eq!(a.dependency_events(), b.dependency_events());
+        for e in (0..a.num_events()).map(ComponentId::from_index) {
+            prop_assert_eq!(a.dependency_slot(e), b.dependency_slot(e), "slot of {e}");
+        }
+        prop_assert_eq!(a.aux_components(), b.aux_components());
+        Ok(())
+    }
+
+    #[test]
+    fn redrawn_through_any_seed_chain_equals_built_with_the_last() {
+        forall("redraw(s) == paper_default(s), whatever was drawn before", |g| {
+            let t = match g.usize_in(0..4) {
+                0 => FatTreeParams::new(4).build(),
+                1 => FatTreeParams::new(6).build(),
+                2 => LeafSpineParams::new(3, 4, 3).border_spines(2).build(),
+                _ => LeafSpineParams::new(2, 5, 4).build(),
+            };
+            let mut model = FaultModel::paper_default(&t, g.any_u64());
+            let mut with_software = model.clone();
+            let (image_p, library_p) = (g.f64_in(0.0..0.2), g.f64_in(0.0..0.2));
+            let aux =
+                with_software.attach_shared_software(&t, g.usize_in(1..4), image_p, library_p);
+            for _ in 0..g.usize_in(1..5) {
+                let seed = g.any_u64();
+                model.redraw(&t, &ProbabilityConfig::PaperDefault, seed);
+                same_model(&model, &FaultModel::paper_default(&t, seed))?;
+
+                // Auxiliaries are nobody's draw: they keep their numbers,
+                // and the rest is the model built with this seed and then
+                // given the same software.
+                with_software.redraw(&t, &ProbabilityConfig::PaperDefault, seed);
+                let (library, images) = aux.split_last().expect("images, then the library");
+                prop_assert!(images.iter().all(|&i| with_software.prob_of(i) == image_p));
+                prop_assert_eq!(with_software.prob_of(*library), library_p);
+                let mut rebuilt = FaultModel::paper_default(&t, seed);
+                rebuilt.attach_shared_software(&t, images.len(), image_p, library_p);
+                same_model(&with_software, &rebuilt)?;
+            }
+            Ok(())
+        });
+    }
+
+    /// Clones share one structure allocation; a change to the numbers
+    /// keeps sharing it, a change to the structure copies it first, and
+    /// either way the other model is what it was.
+    #[test]
+    fn clones_share_structure_until_one_changes_it() {
+        let (t, a) = tiny_model();
+        let untouched = FaultModel::paper_default(&t, 1);
+        let host = t.hosts()[0];
+        let supply = t.power_supplies()[0];
+        let numbers: [fn(&mut FaultModel, &Topology); 2] = [
+            |m, t| m.set_prob(t.hosts()[0], 0.5),
+            |m, t| m.redraw(t, &ProbabilityConfig::PaperDefault, 99),
+        ];
+        for change in numbers {
+            let mut b = a.clone();
+            change(&mut b, &t);
+            assert!(Arc::ptr_eq(&a.structure, &b.structure), "numbers are not structure");
+            assert_ne!(a.probs(), b.probs());
+            same_model(&a, &untouched).unwrap();
+        }
+        let structure: [&dyn Fn(&mut FaultModel); 4] = [
+            &|m| m.set_tree(host, FaultTree::single(supply)),
+            &|m| m.or_attach(host, FaultTree::single(t.hosts()[1])),
+            &|m| {
+                m.add_auxiliary(ComponentKind::CoolingUnit, "room-cooling", 0.002);
+            },
+            &|m| {
+                m.attach_shared_software(&t, 2, 0.01, 0.005);
+            },
+        ];
+        for change in structure {
+            let mut b = a.clone();
+            assert!(Arc::ptr_eq(&a.structure, &b.structure), "untouched clones share");
+            change(&mut b);
+            assert!(!Arc::ptr_eq(&a.structure, &b.structure), "a changed clone has its own");
+            assert!(same_model(&a, &b).is_err(), "the change took");
+            same_model(&a, &untouched).unwrap();
+        }
     }
 }

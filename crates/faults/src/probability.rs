@@ -45,14 +45,23 @@ impl ProbabilityConfig {
     ///
     /// Deterministic for a given `seed`.
     pub fn assign(&self, topology: &Topology, seed: u64) -> Vec<f64> {
+        let mut probs = vec![0.0; topology.num_components()];
+        self.fill(topology, seed, &mut probs);
+        probs
+    }
+
+    /// Writes the assignment for `(topology, seed)` over `probs`, one
+    /// entry per topology component: the one draw routine behind
+    /// [`ProbabilityConfig::assign`] and [`crate::FaultModel::redraw`].
+    /// The draws come from one sequential stream in component order, so a
+    /// refilled vector equals a freshly assigned one bit for bit.
+    pub(crate) fn fill(&self, topology: &Topology, seed: u64, probs: &mut [f64]) {
+        assert_eq!(probs.len(), topology.num_components(), "one probability per component");
         let mut rng = Rng::new(seed);
-        topology
-            .components()
-            .iter()
-            .map(|c| {
-                if c.kind == ComponentKind::External {
-                    return 0.0;
-                }
+        for (p, c) in probs.iter_mut().zip(topology.components()) {
+            *p = if c.kind == ComponentKind::External {
+                0.0
+            } else {
                 match self {
                     ProbabilityConfig::PaperDefault => {
                         if c.kind.is_switch() {
@@ -72,8 +81,8 @@ impl ProbabilityConfig {
                         .map(|(_, p)| *p)
                         .unwrap_or(*default),
                 }
-            })
-            .collect()
+            };
+        }
     }
 }
 

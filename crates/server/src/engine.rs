@@ -3,13 +3,20 @@
 //! Each worker thread owns one [`EnginePool`]: a map from topology preset
 //! to a live `(Topology, Assessor)` pair. Building a topology and its
 //! fault model is far more expensive than a Tiny assessment, so engines
-//! persist across requests; when a request arrives with a different
-//! master seed, [`Assessor::reseed`] swaps the fault model in place and
-//! invalidates the failure-state table, which `recloud-assess` proves bit-exact
-//! against a freshly constructed engine. That equivalence is the serving
-//! contract: an `AssessPlan` answer must match what the CLI's
-//! `recloud assess` path computes for the same `(preset, plan, rounds,
-//! seed)` down to the last bit of the score.
+//! persist across requests. A seed changes the model's numbers, not its
+//! structure: when a request arrives with a different master seed, the
+//! engine's model is cloned (the trees are shared, only the probability
+//! vector is copied), redrawn in place for the new seed
+//! ([`FaultModel::redraw`], field for field the model
+//! `FaultModel::paper_default` would build) and handed to
+//! [`Assessor::reseed`], which invalidates the failure-state table —
+//! `recloud-assess` proves that bit-exact against a freshly constructed
+//! engine. That equivalence is the serving contract: an `AssessPlan`
+//! answer must match what the CLI's `recloud assess` path computes for
+//! the same `(preset, plan, rounds, seed)` down to the last bit of the
+//! score. A request is validated against the topology *before* any of
+//! this, so one that will be refused never costs the engine the table it
+//! was serving from.
 //!
 //! All request semantics live here rather than in the connection or
 //! worker plumbing: spec/plan construction, topology-aware host
@@ -22,7 +29,7 @@ use crate::protocol::{
 use recloud::{DeployError, ReCloud};
 use recloud_apps::{ApplicationSpec, DeploymentPlan, Requirements};
 use recloud_assess::{compare_plans, Assessor, PartialEstimate, SamplerKind};
-use recloud_faults::FaultModel;
+use recloud_faults::{FaultModel, ProbabilityConfig};
 use recloud_search::{
     ParallelSearchConfig, ParallelSearcher, ReliabilityObjective, SearchBudget, SearchConfig,
 };
@@ -66,7 +73,7 @@ pub fn shape_for(k: u32, n: u32, layers: usize) -> Vec<(u32, u32)> {
 /// duplicate hosts (which `DeploymentPlan::new` would panic on — a panic
 /// a network peer must never be able to trigger). Host ids are *not*
 /// checked against a topology here; that needs the worker's engine and
-/// happens in [`EnginePool::validate_hosts`].
+/// happens in the [`EnginePool`] call that runs the request.
 pub fn build_plan(
     spec: &ApplicationSpec,
     assignments: &[Vec<u32>],
@@ -92,6 +99,28 @@ struct Slot {
     assessor: Assessor,
 }
 
+impl Slot {
+    /// The engine, holding the paper-default model of `seed`. Call once
+    /// the request is known to run: a new seed invalidates the table.
+    fn engine(&mut self, seed: u64) -> &mut Assessor {
+        if self.seed != seed {
+            let mut model = self.assessor.model().clone();
+            model.redraw(&self.topology, &ProbabilityConfig::PaperDefault, seed);
+            self.assessor.reseed(model);
+            self.seed = seed;
+        }
+        &mut self.assessor
+    }
+
+    fn check_fits(&self, spec: &ApplicationSpec, n: u32) -> Result<(), String> {
+        let hosts = self.topology.hosts().len();
+        if spec.total_instances() > hosts {
+            return Err(format!("n={n} exceeds the preset's {hosts} hosts"));
+        }
+        Ok(())
+    }
+}
+
 /// Per-worker cache of live assessment engines, one per topology preset.
 #[derive(Default)]
 pub struct EnginePool {
@@ -104,18 +133,17 @@ impl EnginePool {
         EnginePool::default()
     }
 
+    /// The preset's slot, whatever seed its engine holds; `seed` is what
+    /// a slot that does not exist yet is built with. The topology does
+    /// not depend on the seed, so requests are validated against the slot
+    /// first and only then ask it for [`Slot::engine`].
     fn slot(&mut self, preset: Preset, seed: u64) -> &mut Slot {
-        let slot = self.slots.entry(preset.tag()).or_insert_with(|| {
+        self.slots.entry(preset.tag()).or_insert_with(|| {
             let topology = preset.scale().build();
             let model = FaultModel::paper_default(&topology, seed);
             let assessor = Assessor::with_sampler(&topology, model, SamplerKind::ExtendedDagger);
             Slot { seed, topology, assessor }
-        });
-        if slot.seed != seed {
-            slot.assessor.reseed(FaultModel::paper_default(&slot.topology, seed));
-            slot.seed = seed;
-        }
-        slot
+        })
     }
 
     fn check_hosts(topology: &Topology, assignments: &[Vec<u32>]) -> Result<(), String> {
@@ -134,18 +162,6 @@ impl EnginePool {
         Ok(())
     }
 
-    /// Validates raw host ids against a preset's topology without running
-    /// anything. Materializes the preset's engine as a side effect.
-    pub fn validate_hosts(
-        &mut self,
-        preset: Preset,
-        seed: u64,
-        assignments: &[Vec<u32>],
-    ) -> Result<(), String> {
-        let slot = self.slot(preset, seed);
-        Self::check_hosts(&slot.topology, assignments)
-    }
-
     /// Runs one assessment exactly as the CLI path would: paper-default
     /// fault model for `(preset topology, seed)`, extended dagger
     /// sampling, `rounds` route-and-check rounds.
@@ -157,7 +173,7 @@ impl EnginePool {
     ) -> Result<AssessResponse, String> {
         let slot = self.slot(req.preset, req.seed);
         Self::check_hosts(&slot.topology, &req.assignments)?;
-        let a = slot.assessor.assess(spec, plan, req.rounds as usize, req.seed);
+        let a = slot.engine(req.seed).assess(spec, plan, req.rounds as usize, req.seed);
         Ok(AssessResponse {
             score: a.estimate.score,
             variance: a.estimate.variance,
@@ -187,8 +203,13 @@ impl EnginePool {
         Self::check_hosts(&slot.topology, &req.assignments)?;
         let cadence = cadence.max(1) as usize;
         let mut fed = 0usize;
-        let driven =
-            slot.assessor.drive(spec, plan, req.rounds as usize, req.seed, None, &mut |p| {
+        let driven = slot.engine(req.seed).drive(
+            spec,
+            plan,
+            req.rounds as usize,
+            req.seed,
+            None,
+            &mut |p| {
                 fed += 1;
                 if fed % cadence == 0 {
                     on_partial(p);
@@ -198,7 +219,8 @@ impl EnginePool {
                 } else {
                     ControlFlow::Continue(())
                 }
-            });
+            },
+        );
         let e = driven.assessment.estimate;
         Ok((
             AssessResponse {
@@ -222,7 +244,7 @@ impl EnginePool {
     ) -> Result<CompareResponse, String> {
         let slot = self.slot(req.preset, req.seed);
         Self::check_hosts(&slot.topology, &req.plans)?;
-        let cmp = compare_plans(&mut slot.assessor, spec, plans, req.rounds as usize, req.seed);
+        let cmp = compare_plans(slot.engine(req.seed), spec, plans, req.rounds as usize, req.seed);
         Ok(CompareResponse {
             ranking: cmp
                 .ranking
@@ -242,14 +264,9 @@ impl EnginePool {
     pub fn search(&mut self, req: &SearchRequest) -> Result<SearchResponse, String> {
         let slot = self.slot(req.preset, req.seed);
         let spec = ApplicationSpec::k_of_n(req.k, req.n);
-        if spec.total_instances() > slot.topology.hosts().len() {
-            return Err(format!(
-                "n={} exceeds the preset's {} hosts",
-                req.n,
-                slot.topology.hosts().len()
-            ));
-        }
-        let service = ReCloud::paper_default(&slot.topology, req.seed);
+        slot.check_fits(&spec, req.n)?;
+        let model = slot.engine(req.seed).model().clone();
+        let service = ReCloud::new(&slot.topology, model, req.seed);
         let requirements = Requirements::paper_default()
             .budget(Duration::from_millis(req.budget_ms as u64))
             .rounds(req.rounds as usize);
@@ -282,14 +299,8 @@ impl EnginePool {
     ) -> Result<SearchResponse, String> {
         let slot = self.slot(req.preset, req.seed);
         let spec = ApplicationSpec::k_of_n(req.k, req.n);
-        if spec.total_instances() > slot.topology.hosts().len() {
-            return Err(format!(
-                "n={} exceeds the preset's {} hosts",
-                req.n,
-                slot.topology.hosts().len()
-            ));
-        }
-        let model = FaultModel::paper_default(&slot.topology, req.seed);
+        slot.check_fits(&spec, req.n)?;
+        let model = slot.engine(req.seed).model().clone();
         let searcher =
             ParallelSearcher::with_sampler(&slot.topology, model, SamplerKind::ExtendedDagger);
         let config =
@@ -339,13 +350,15 @@ mod tests {
     }
 
     /// The serving contract: a pooled engine answers bit-identically to
-    /// the CLI path (fresh model + fresh assessor), across seed changes.
+    /// the CLI path (fresh model + fresh assessor), across seed changes —
+    /// a long run of distinct seeds, each model redrawn from the one
+    /// before, and back to the first.
     #[test]
     fn pool_matches_fresh_cli_path_bit_for_bit() {
         let topology = Preset::Tiny.scale().build();
         let hosts = first_hosts(&topology, 3);
         let mut pool = EnginePool::new();
-        for seed in [11, 29, 11] {
+        for seed in (0..40).map(|i| 11 + 18 * i).chain([11]) {
             let req = tiny_request(seed, hosts.clone());
             let spec = spec_for(req.k, req.n, req.assignments.len());
             let plan = build_plan(&spec, &req.assignments).unwrap();

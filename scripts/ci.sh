@@ -30,18 +30,21 @@ echo "== benchmark package gate =="
 # benchmark/ is its own workspace, so nothing above compiles it: a change
 # to the surface it measures (benchmark/README.md, "The measured surface")
 # would otherwise first fail in the driver's gate. Build it, run its unit
-# tests, and run the two in-process workloads briefly — the fresh-seed one
-# and the held-table search, which between them take both sides of the
-# router's digest memo. Each last stdout line must report "correct": true
-# with "failed": 0: the workload's own post-checks hold, which for the
-# fresh-seed one includes the untouched full-width unkeyed stage replay
-# equalling Assessor::assess bit for bit. The package is used as it is;
-# the shared target directory only saves compiling the crates twice.
+# tests, and run three workloads briefly — the in-process fresh-seed one
+# and held-table search, which between them take both sides of the
+# router's digest memo, and the streaming daemon, whose every request
+# carries a new model seed. Each last stdout line must report
+# "correct": true with "failed": 0: the workload's own post-checks hold,
+# which for the fresh-seed one includes the untouched full-width unkeyed
+# stage replay equalling Assessor::assess bit for bit, and for the
+# streamed one recomputing reseeded, streamed answers in-process. The
+# package is used as it is; the shared target directory only saves
+# compiling the crates twice.
 (
   export CARGO_TARGET_DIR="$PWD/target"
   cargo build --release --offline --manifest-path benchmark/Cargo.toml
   cargo test -q --offline --manifest-path benchmark/Cargo.toml
-  for WORKLOAD in assess_large_fresh search_medium_crn; do
+  for WORKLOAD in assess_large_fresh search_medium_crn stream_medium_long; do
     BENCH_OUT="$(benchmark/run.sh --workload "$WORKLOAD" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
     echo "$BENCH_OUT" | grep -Eq '"correct": ?true' && echo "$BENCH_OUT" | grep -Eq '"failed": ?0[,}]' \
       || { echo "benchmark gate: $WORKLOAD did not report correct with no failures"; echo "$BENCH_OUT"; exit 1; }
