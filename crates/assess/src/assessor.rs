@@ -60,34 +60,11 @@ impl SamplerKind {
 /// Lane width of the route-and-check kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchWidth {
-    /// One round per operation — the reference path every batched width is
+    /// One round per operation — the reference path the wide kernel is
     /// proven bit-identical to.
     Scalar,
-    /// 64 rounds per operation through the word-granular Router API (PR 2's
-    /// kernel, kept as the degenerate wide width).
-    Word64,
     /// 256 rounds per operation through the wide Router API (the default).
     Wide256,
-}
-
-impl BatchWidth {
-    /// Rounds processed per kernel operation.
-    pub fn lanes(self) -> usize {
-        match self {
-            BatchWidth::Scalar => 1,
-            BatchWidth::Word64 => 64,
-            BatchWidth::Wide256 => WideWord::LANES,
-        }
-    }
-
-    /// Name used in benchmark reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            BatchWidth::Scalar => "scalar",
-            BatchWidth::Word64 => "word64",
-            BatchWidth::Wide256 => "batched",
-        }
-    }
 }
 
 /// Per-stage wall-clock breakdown of one assessment.
@@ -166,10 +143,9 @@ pub struct Assessor {
     /// fault-tree collapsing — forced failures flow through the full
     /// correlated-failure path (what-if analyses, sensitivity reports).
     injector: Option<FaultInjector>,
-    /// Route-and-check lane width: 256 lanes by default, with the 64-lane
-    /// and scalar paths kept selectable — all widths are bit-identical;
-    /// the narrower ones exist for equivalence tests and width-vs-width
-    /// benchmarking.
+    /// Route-and-check lane width: 256 lanes by default, with the scalar
+    /// reference kept selectable — both are bit-identical; the scalar one
+    /// exists for equivalence tests and width-vs-width benchmarking.
     width: BatchWidth,
     /// Cached global-registry instrument handles.
     obs: AssessInstruments,
@@ -327,19 +303,10 @@ impl Assessor {
         self.obs.reseed_us.record(t0.elapsed().as_micros() as u64);
     }
 
-    /// Selects the batched (wide, 256-rounds-per-operation) or scalar
-    /// route-and-check path. Both produce bit-identical assessments; the
-    /// scalar path exists for equivalence tests and benchmarking.
-    pub fn set_batched(&mut self, batched: bool) {
-        self.width = if batched { BatchWidth::Wide256 } else { BatchWidth::Scalar };
-    }
-
-    /// True when a batched (64- or 256-lane) route-and-check path is active.
-    pub fn batched(&self) -> bool {
-        self.width != BatchWidth::Scalar
-    }
-
-    /// Selects an explicit kernel lane width.
+    /// Selects the kernel lane width: the wide (256-rounds-per-operation)
+    /// route-and-check path or the scalar reference. Both produce
+    /// bit-identical assessments; the scalar path exists for equivalence
+    /// tests and benchmarking.
     pub fn set_width(&mut self, width: BatchWidth) {
         self.width = width;
     }
@@ -384,15 +351,6 @@ impl Assessor {
                     router.begin_wide_keyed(table, ww, key);
                     let mask = checker.wide_reliable(router, table, ww, n);
                     acc.push_wide(mask, n as u32);
-                }
-            }
-            BatchWidth::Word64 => {
-                let words = rounds.div_ceil(64);
-                for w in 0..words {
-                    let n = (rounds - w * 64).min(64);
-                    router.begin_word(table, w);
-                    let mask = checker.word_reliable(router, table, w, n);
-                    acc.push_word(mask, n as u32);
                 }
             }
             BatchWidth::Scalar => {
@@ -781,8 +739,8 @@ mod tests {
         assert_eq!(prefix.estimate.rounds, 4_000);
     }
 
-    /// The tentpole invariant: every kernel lane width — scalar, 64-lane,
-    /// 256-lane — produces bit-identical assessments (same successes, same
+    /// The tentpole invariant: both kernel lane widths — scalar and
+    /// 256-lane — produce bit-identical assessments (same successes, same
     /// rounds) across specs (simple and complex) and word/wide-boundary
     /// round counts, on a fresh seed and on rows already in the table.
     #[test]
@@ -799,24 +757,15 @@ mod tests {
             for rounds in [63usize, 64, 65, 255, 256, 257, 2_500, 2_563] {
                 let model = FaultModel::paper_default(&t, 11);
                 let mut scalar = Assessor::new(&t, model.clone());
-                scalar.set_batched(false);
-                let mut word64 = Assessor::new(&t, model.clone());
-                word64.set_width(BatchWidth::Word64);
+                scalar.set_width(BatchWidth::Scalar);
                 let mut wide = Assessor::new(&t, model);
-                assert!(wide.batched());
                 assert_eq!(wide.width(), BatchWidth::Wide256);
                 let rs = scalar.assess(spec, &plan, rounds, 9);
-                let rw = word64.assess(spec, &plan, rounds, 9);
                 let rb = wide.assess(spec, &plan, rounds, 9);
                 assert_eq!(
                     (rs.estimate.successes, rs.estimate.rounds),
                     (rb.estimate.successes, rb.estimate.rounds),
                     "spec {si} rounds {rounds} fresh"
-                );
-                assert_eq!(
-                    (rs.estimate.successes, rs.estimate.rounds),
-                    (rw.estimate.successes, rw.estimate.rounds),
-                    "spec {si} rounds {rounds} word64"
                 );
                 // Second assess with the same seed: no row is missing.
                 let rs2 = scalar.assess(spec, &plan, rounds, 9);
@@ -837,7 +786,7 @@ mod tests {
         let mut rng = Rng::new(15);
         let plan = DeploymentPlan::random(&spec, t.hosts(), &mut rng);
         let mut scalar = Assessor::new(&t, model.clone());
-        scalar.set_batched(false);
+        scalar.set_width(BatchWidth::Scalar);
         let mut batched = Assessor::new(&t, model);
         for rounds in [65usize, 4_000] {
             let rs = scalar.assess(&spec, &plan, rounds, 3);

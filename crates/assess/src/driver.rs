@@ -15,8 +15,8 @@
 //! - [`Assessor::drive`] (serial) pulls tasks one at a time and feeds
 //!   each result back immediately;
 //! - [`crate::parallel::ParallelAssessor::assess`] drains `next_task`
-//!   into wire-encoded task frames up front and feeds decoded result
-//!   frames back in whatever order workers finish them — the estimate is
+//!   into its task channel up front and feeds the workers' results back
+//!   in whatever order they finish them — the estimate is
 //!   a pure function of the (rounds, successes) totals, so arrival order
 //!   is irrelevant and parallel results stay bit-identical to serial;
 //! - the serving daemon's streaming path forwards each partial over RCS1
@@ -53,7 +53,7 @@ pub struct PartialEstimate {
 }
 
 /// One chunk of work, ready to hand to an executor (serial `run_chunk`,
-/// a wire-encoded task frame, a server worker).
+/// a parallel worker's task channel, a server worker).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChunkTask {
     /// Chunk index within the layout.

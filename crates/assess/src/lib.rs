@@ -18,9 +18,8 @@
 //!
 //! [`assessor::Assessor`] is the single-threaded engine;
 //! [`parallel::ParallelAssessor`] is the MapReduce-style master/worker
-//! engine of §3.2.1/§4.2.4, with task and result frames crossing a real
-//! wire codec ([`wire`]) to model the distributed implementation's
-//! serialization cost. [`ground_truth`] computes *exact* reliabilities for
+//! engine of §3.2.1/§4.2.4, with typed tasks and results crossing in-repo
+//! channels. [`ground_truth`] computes *exact* reliabilities for
 //! small models by weighted exhaustive enumeration, which the test suite
 //! uses to validate both samplers and the error bounds.
 
@@ -35,7 +34,6 @@ pub mod parallel;
 pub mod sensitivity;
 pub mod sequential;
 mod table;
-pub mod wire;
 
 pub use assessor::{Assessment, Assessor, BatchWidth, DrivenAssessment, SamplerKind, Timings};
 pub use check::StructureChecker;

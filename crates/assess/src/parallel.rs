@@ -5,14 +5,17 @@
 //! master node then gathers the results from each worker node to compute
 //! the overall reliability score."
 //!
-//! This engine reproduces that structure in-process: the master encodes a
-//! [`crate::wire::JobFrame`] (the plan under test) and per-chunk
-//! [`crate::wire::TaskFrame`]s, workers decode them, build their own
-//! assessment context (sampler, state matrices, router — the §4.2.4
-//! "context setup"), run the chunks, and answer with encoded
-//! [`crate::wire::ResultFrame`]s that the master reduces. All frames cross
-//! in-repo MPMC channels ([`recloud_sampling::sync`]) as raw bytes,
-//! standing in for the paper's network transport.
+//! This engine reproduces that structure in-process: the master queues one
+//! [`ChunkTask`] per chunk, workers — threads sharing the plan by
+//! reference — build their own assessment context (sampler, state
+//! matrices, router — the §4.2.4 "context setup"), run the chunks, and
+//! answer with `(chunk, rounds, successes, timings)` results that the
+//! master reduces. Tasks and results cross in-repo MPMC channels
+//! ([`recloud_sampling::sync`]) as typed values: the paper's
+//! "serialization/transmission/deserialization" cost belongs to a
+//! network this engine does not have, and modelling it with a byte codec
+//! measured 131 ns per chunk against chunks of 0.1–10 ms (EXPERIMENTS.md,
+//! Fig 12).
 //!
 //! Chunk seeds are derived exactly as in the serial [`Assessor`], so a
 //! parallel assessment returns **bit-identical** scores to the serial one
@@ -21,15 +24,13 @@
 
 use crate::assessor::{Assessment, Assessor, BatchWidth, SamplerKind, Timings};
 use crate::check::StructureChecker;
-use crate::driver::AssessmentDriver;
-use crate::wire::{JobFrame, ResultFrame, TaskFrame};
+use crate::driver::{AssessmentDriver, ChunkTask};
 use recloud_apps::{ApplicationSpec, DeploymentPlan};
 use recloud_faults::FaultModel;
 use recloud_sampling::sync::{channel, scoped_workers};
-use recloud_sampling::wire::Bytes;
 use recloud_sampling::ResultAccumulator;
-use recloud_topology::{ComponentId, Topology};
-use std::time::{Duration, Instant};
+use recloud_topology::Topology;
+use std::time::Instant;
 
 /// Master/worker assessment engine.
 pub struct ParallelAssessor {
@@ -41,7 +42,7 @@ pub struct ParallelAssessor {
     /// count into the same chunks.
     chunk_rounds: usize,
     /// Kernel lane width of every worker engine: 256-lane wide by default;
-    /// the narrower paths exist for equivalence tests and benchmarking.
+    /// the scalar reference exists for equivalence tests and benchmarking.
     /// Chunks are lane-width aligned (the serial engine's layout), so full
     /// chunks decompose into whole wide words on every worker.
     width: BatchWidth,
@@ -74,13 +75,8 @@ impl ParallelAssessor {
         }
     }
 
-    /// Selects the batched (wide) or scalar route-and-check path in every
-    /// worker engine. Both produce bit-identical assessments.
-    pub fn set_batched(&mut self, batched: bool) {
-        self.width = if batched { BatchWidth::Wide256 } else { BatchWidth::Scalar };
-    }
-
-    /// Selects an explicit kernel lane width for every worker engine.
+    /// Selects the kernel lane width of every worker engine. Both widths
+    /// produce bit-identical assessments.
     pub fn set_width(&mut self, width: BatchWidth) {
         self.width = width;
     }
@@ -97,41 +93,19 @@ impl ParallelAssessor {
         assert!(rounds > 0, "cannot assess over zero rounds");
         let t0 = Instant::now();
 
-        // The master serializes the job once; every worker gets a copy of
-        // the bytes, exactly as a network fan-out would.
-        let job = JobFrame {
-            rounds_total: rounds as u64,
-            assignments: (0..spec.num_components())
-                .map(|c| plan.hosts_of(c).iter().map(|h| h.0).collect())
-                .collect(),
-        }
-        .encode();
-
         // Chunk layout and seeding must match the serial engine's, so the
         // master runs the same AssessmentDriver every other path uses —
-        // its task hand-out becomes the wire-encoded fan-out.
+        // its task hand-out becomes the fan-out.
         let layout = Assessor::layout(self.chunk_rounds, rounds);
         let mut driver = AssessmentDriver::new(layout, seed, None);
 
-        let (task_tx, task_rx) = channel::<Bytes>();
-        let (result_tx, result_rx) = channel::<Bytes>();
+        let (task_tx, task_rx) = channel::<ChunkTask>();
+        let (result_tx, result_rx) = channel::<(u32, u64, u64, Timings)>();
         while let Some(task) = driver.next_task() {
-            let frame =
-                TaskFrame { chunk: task.chunk, seed: task.seed, rounds: task.rounds as u32 };
-            task_tx.send(frame.encode()).expect("task channel open");
+            task_tx.send(task).expect("task channel open");
         }
         drop(task_tx); // workers drain until empty
         scoped_workers(self.workers, |_worker_id| {
-            // Worker-side job setup: deserialize the plan and build the
-            // full assessment context. Each worker decodes its own copy of
-            // the job bytes, exactly as a remote node would.
-            let job = JobFrame::decode(job.clone()).expect("master sent a valid job frame");
-            let assignments: Vec<Vec<ComponentId>> = job
-                .assignments
-                .iter()
-                .map(|c| c.iter().map(|&h| ComponentId(h)).collect())
-                .collect();
-            let plan = DeploymentPlan::new(spec, assignments);
             // One engine per worker: its router is built once here and
             // its table slot on the first chunk, both reused for every
             // chunk the worker drains, so steady-state workers allocate
@@ -139,38 +113,23 @@ impl ParallelAssessor {
             // trees are the master's, shared.
             let mut engine = Assessor::with_sampler(&self.topology, self.model.clone(), self.kind);
             engine.set_width(self.width);
-            let mut checker = StructureChecker::new(spec, &plan);
+            let mut checker = StructureChecker::new(spec, plan);
             while let Ok(task) = task_rx.recv() {
-                let task = TaskFrame::decode(task).expect("master sent a valid task");
                 let mut local = ResultAccumulator::new();
-                let t = engine.run_chunk(&mut checker, task.seed, task.rounds as usize, &mut local);
-                let frame = ResultFrame {
-                    chunk: task.chunk,
-                    rounds: local.rounds(),
-                    successes: local.successes(),
-                    sampling_ns: t.sampling.as_nanos() as u64,
-                    collapse_ns: t.collapse.as_nanos() as u64,
-                    check_ns: t.check.as_nanos() as u64,
-                    total_ns: t.total.as_nanos() as u64,
-                };
-                result_tx.send(frame.encode()).expect("result channel open");
+                let t = engine.run_chunk(&mut checker, task.seed, task.rounds, &mut local);
+                result_tx
+                    .send((task.chunk, local.rounds(), local.successes(), t))
+                    .expect("result channel open");
             }
         });
         drop(result_tx);
-        // Master-side reduce: decoded result frames feed the shared
-        // driver. All workers have joined, so every result frame is
+        // Master-side reduce. All workers have joined, so every result is
         // queued; chunk arrival order is irrelevant because the driver's
         // estimate is a pure function of the accumulated totals.
         while !driver.is_complete() {
-            let frame = result_rx.recv().expect("every chunk produces a result");
-            let r = ResultFrame::decode(frame).expect("workers send valid results");
-            let timings = Timings {
-                sampling: Duration::from_nanos(r.sampling_ns),
-                collapse: Duration::from_nanos(r.collapse_ns),
-                check: Duration::from_nanos(r.check_ns),
-                total: Duration::from_nanos(r.total_ns),
-            };
-            driver.feed(r.chunk, r.rounds, r.successes, &timings);
+            let (chunk, rounds, successes, timings) =
+                result_rx.recv().expect("every chunk produces a result");
+            driver.feed(chunk, rounds, successes, &timings);
         }
         // Stage timings are summed CPU time across workers; `total` is the
         // master's wall clock (what Fig 12 plots).
@@ -194,6 +153,7 @@ mod tests {
     use recloud_apps::ApplicationSpec;
     use recloud_sampling::Rng;
     use recloud_topology::FatTreeParams;
+    use std::time::Duration;
 
     fn setup() -> (Topology, FaultModel, ApplicationSpec, DeploymentPlan) {
         let t = FatTreeParams::new(4).build();
@@ -223,7 +183,7 @@ mod tests {
     fn batched_parallel_equals_scalar_serial() {
         let (t, model, spec, plan) = setup();
         let mut scalar = Assessor::new(&t, model.clone());
-        scalar.set_batched(false);
+        scalar.set_width(BatchWidth::Scalar);
         let reference = scalar.assess(&spec, &plan, 9_000, 13);
         for workers in [1, 2, 4] {
             let par = ParallelAssessor::new(&t, model.clone(), workers);
@@ -236,7 +196,7 @@ mod tests {
         }
         // And the explicit scalar parallel path matches too.
         let mut par = ParallelAssessor::new(&t, model, 2);
-        par.set_batched(false);
+        par.set_width(BatchWidth::Scalar);
         let r = par.assess(&spec, &plan, 9_000, 13);
         assert_eq!(r.estimate.successes, reference.estimate.successes);
     }

@@ -155,9 +155,7 @@ fn cone_materialised_equals_full_width() {
         let mut engine = Assessor::with_sampler(&t, model.clone(), kind);
         engine.set_router(router_for(&t));
         engine.set_injector(injector.clone());
-        engine.set_width(
-            [BatchWidth::Scalar, BatchWidth::Word64, BatchWidth::Wide256][g.usize_in(0..3)],
-        );
+        engine.set_width([BatchWidth::Scalar, BatchWidth::Wide256][g.usize_in(0..2)]);
         let chunk_rounds = engine.chunk_layout(1 << 20)[0].1;
         let mut reference = FullWidth::new(model, kind, injector, router_for(&t), chunk_rounds);
 

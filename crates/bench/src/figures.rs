@@ -4,7 +4,7 @@
 
 use crate::{fmt_ms, paper_env, redundancy_specs, time_ms, TextTable, REDUNDANCY};
 use recloud_apps::{ApplicationSpec, DeploymentPlan, WorkloadMap};
-use recloud_assess::{Assessor, ParallelAssessor, SamplerKind};
+use recloud_assess::{Assessor, BatchWidth, ParallelAssessor, SamplerKind};
 use recloud_faults::{FaultModel, ProbabilityConfig};
 use recloud_sampling::Rng;
 use recloud_search::{
@@ -273,8 +273,8 @@ pub fn fig12(opts: &ReproOptions) {
     println!("hardware threads available: {cores}");
     if cores < 2 {
         println!("NOTE: on a single-core machine the worker pool can only exhibit the");
-        println!("      overhead side of the paper's trade-off (serialization + context");
-        println!("      setup); speedups require >= 2 cores. See EXPERIMENTS.md.");
+        println!("      overhead side of the paper's trade-off (per-worker context setup);");
+        println!("      speedups require >= 2 cores. See EXPERIMENTS.md.");
     }
     let round_counts: &[usize] =
         if opts.quick { &[1_000, 10_000] } else { &[1_000, 10_000, 100_000] };
@@ -467,9 +467,10 @@ pub fn bench_assess(opts: &ReproOptions, json: Option<&str>) {
         let mut rng = Rng::new(opts.seed);
         let plan = DeploymentPlan::random(&spec, topo.hosts(), &mut rng);
         let mut medians = [Duration::ZERO; 2];
-        for (mi, mode) in ["scalar", "batched"].iter().enumerate() {
+        let modes = [("scalar", BatchWidth::Scalar), ("batched", BatchWidth::Wide256)];
+        for (mi, (mode, width)) in modes.iter().enumerate() {
             let mut assessor = Assessor::new(&topo, model.clone());
-            assessor.set_batched(*mode == "batched");
+            assessor.set_width(*width);
             // Warm-up materialises the plan's rows; timed runs are pure
             // route-and-check over the table.
             assessor.assess(&spec, &plan, rounds, opts.seed);
@@ -519,7 +520,6 @@ pub fn bench_assess(opts: &ReproOptions, json: Option<&str>) {
         let mut rng = Rng::new(opts.seed);
         let plan = DeploymentPlan::random(&spec, topo.hosts(), &mut rng);
         let mut assessor = Assessor::new(&topo, model);
-        assessor.set_batched(true);
         assessor.assess(&spec, &plan, rounds, opts.seed); // warm the table
 
         // A single batched assessment is ~tens of microseconds, so one
@@ -1046,8 +1046,7 @@ fn serve_bench_json(
         ));
     }
     s.push_str("  ],\n");
-    // Cache totals come from the instrument counters — the daemon-wide
-    // source of truth the legacy StatsResponse duplicated.
+    // Cache totals come from the daemon's instrument counters.
     let hits = instruments.counter("server.cache_hits_total").unwrap_or(0);
     let misses = instruments.counter("server.cache_misses_total").unwrap_or(0);
     s.push_str(&format!(

@@ -34,21 +34,6 @@ impl ResultAccumulator {
         self.successes += reliable as u64;
     }
 
-    /// Records one 64-round verdict word from the bit-sliced route-and-check
-    /// path: bit r of `mask` is round r's verdict, of which only the low
-    /// `n` bits are valid (a short tail word passes `n < 64`; higher bits
-    /// are ignored, whatever they hold).
-    ///
-    /// # Panics
-    /// Panics if `n > 64`.
-    #[inline]
-    pub fn push_word(&mut self, mask: u64, n: u32) {
-        assert!(n <= 64, "a verdict word holds at most 64 rounds");
-        let valid = if n == 64 { !0 } else { (1u64 << n) - 1 };
-        self.rounds += n as u64;
-        self.successes += (mask & valid).count_ones() as u64;
-    }
-
     /// Records one 256-round verdict wide word from the 256-lane
     /// route-and-check path: lane r of `mask` is round r's verdict, of
     /// which only the low `n` lanes are valid.
@@ -194,44 +179,16 @@ mod tests {
     }
 
     #[test]
-    fn push_word_equals_bit_pushes() {
-        let mask = 0xDEAD_BEEF_0123_4567u64;
-        for n in [1u32, 7, 63, 64] {
-            let mut word = ResultAccumulator::new();
-            word.push_word(mask, n);
-            let mut bits = ResultAccumulator::new();
-            for r in 0..n {
-                bits.push((mask >> r) & 1 == 1);
-            }
-            assert_eq!(word, bits, "n={n}");
-        }
-        // Garbage above the valid bits must not count.
-        let mut acc = ResultAccumulator::new();
-        acc.push_word(!0, 3);
-        assert_eq!(acc.rounds(), 3);
-        assert_eq!(acc.successes(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 64 rounds")]
-    fn push_word_rejects_oversized() {
-        ResultAccumulator::new().push_word(0, 65);
-    }
-
-    #[test]
-    fn push_wide_equals_word_pushes() {
+    fn push_wide_equals_bit_pushes() {
         let mask = WideWord([0xDEAD_BEEF_0123_4567, !0, 0, 0x8000_0000_0000_0001]);
         for n in [1u32, 63, 64, 65, 128, 255, 256] {
             let mut wide = ResultAccumulator::new();
             wide.push_wide(mask, n);
-            let mut words = ResultAccumulator::new();
-            let mut left = n;
-            for i in 0..4 {
-                let take = left.min(64);
-                words.push_word(mask.word(i), take);
-                left -= take;
+            let mut bits = ResultAccumulator::new();
+            for r in 0..n as usize {
+                bits.push((mask.word(r / 64) >> (r % 64)) & 1 == 1);
             }
-            assert_eq!(wide, words, "n={n}");
+            assert_eq!(wide, bits, "n={n}");
         }
         // Garbage above the valid lanes must not count.
         let mut acc = ResultAccumulator::new();

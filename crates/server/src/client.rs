@@ -5,7 +5,7 @@
 use crate::protocol::{
     read_frame, write_frame, AssessRequest, AssessResponse, CacheEntry, MetricsResponse,
     PartialResponse, Request, Response, SearchEventResponse, SearchRequest, SearchResponse,
-    StatsResponse, TraceResponse, TraceSpan,
+    TraceResponse, TraceSpan,
 };
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -208,14 +208,6 @@ impl Client {
                 Err(bad_data(format!("server error {code:?}: {message}")))
             }
             other => Err(bad_data(format!("expected TraceResult, got {other:?}"))),
-        }
-    }
-
-    /// Reads the server's counters.
-    pub fn stats(&mut self) -> io::Result<StatsResponse> {
-        match self.call(&Request::Stats)? {
-            Response::Stats(s) => Ok(s),
-            other => Err(bad_data(format!("expected StatsResult, got {other:?}"))),
         }
     }
 

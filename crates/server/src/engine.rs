@@ -26,8 +26,7 @@ use crate::protocol::{
     AssessRequest, AssessResponse, CompareEntry, CompareRequest, CompareResponse, Preset,
     SearchEventResponse, SearchRequest, SearchResponse,
 };
-use recloud::{DeployError, ReCloud};
-use recloud_apps::{ApplicationSpec, DeploymentPlan, Requirements};
+use recloud_apps::{ApplicationSpec, DeploymentPlan};
 use recloud_assess::{compare_plans, Assessor, PartialEstimate, SamplerKind};
 use recloud_faults::{FaultModel, ProbabilityConfig};
 use recloud_search::{
@@ -164,32 +163,27 @@ impl EnginePool {
 
     /// Runs one assessment exactly as the CLI path would: paper-default
     /// fault model for `(preset topology, seed)`, extended dagger
-    /// sampling, `rounds` route-and-check rounds.
+    /// sampling, `rounds` route-and-check rounds. Thin consumer of
+    /// [`EnginePool::assess_streaming`], the way `Assessor::assess` is of
+    /// `Assessor::drive`: the full drive, nobody listening, nobody
+    /// cancelling.
     pub fn assess(
         &mut self,
         req: &AssessRequest,
         spec: &ApplicationSpec,
         plan: &DeploymentPlan,
     ) -> Result<AssessResponse, String> {
-        let slot = self.slot(req.preset, req.seed);
-        Self::check_hosts(&slot.topology, &req.assignments)?;
-        let a = slot.engine(req.seed).assess(spec, plan, req.rounds as usize, req.seed);
-        Ok(AssessResponse {
-            score: a.estimate.score,
-            variance: a.estimate.variance,
-            rounds: a.estimate.rounds,
-            successes: a.estimate.successes,
-            cached: false,
-        })
+        let never = AtomicBool::new(false);
+        self.assess_streaming(req, spec, plan, 1, &never, &mut |_| {}).map(|(resp, _)| resp)
     }
 
-    /// Streaming variant of [`EnginePool::assess`]: drives the shared
+    /// The one assessment path: drives the shared
     /// [`AssessmentDriver`](recloud_assess::AssessmentDriver) through
     /// `Assessor::drive`, invoking `on_partial` once every `cadence` fed
     /// chunks, and checking `cancel` between chunks. Returns the final
     /// answer plus whether every chunk actually ran; a cancelled drive
-    /// covers exactly the rounds fed so far, so a completed stream is
-    /// bit-identical to the plain [`EnginePool::assess`] answer.
+    /// covers exactly the rounds fed so far, and a completed one answers
+    /// the same bits whoever listened.
     pub fn assess_streaming(
         &mut self,
         req: &AssessRequest,
@@ -256,31 +250,6 @@ impl EnginePool {
                     tied_with_best: r.tied_with_best,
                 })
                 .collect(),
-        })
-    }
-
-    /// Runs the simulated-annealing placement search server-side and
-    /// returns the best plan found within the budget.
-    pub fn search(&mut self, req: &SearchRequest) -> Result<SearchResponse, String> {
-        let slot = self.slot(req.preset, req.seed);
-        let spec = ApplicationSpec::k_of_n(req.k, req.n);
-        slot.check_fits(&spec, req.n)?;
-        let model = slot.engine(req.seed).model().clone();
-        let service = ReCloud::new(&slot.topology, model, req.seed);
-        let requirements = Requirements::paper_default()
-            .budget(Duration::from_millis(req.budget_ms as u64))
-            .rounds(req.rounds as usize);
-        let outcome = service.deploy_best_effort(&spec, &requirements).map_err(|e| match e {
-            DeployError::RequirementsNotMet { best_reliability, .. } => {
-                format!("search ended below target (best {best_reliability})")
-            }
-            other => format!("search failed: {other:?}"),
-        })?;
-        Ok(SearchResponse {
-            reliability: outcome.reliability,
-            ciw95: outcome.ciw95,
-            plans_assessed: outcome.plans_assessed as u64,
-            hosts: outcome.plan.hosts_of(0).iter().map(|h| h.index() as u32).collect(),
         })
     }
 
@@ -501,8 +470,9 @@ mod tests {
         EnginePool::check_hosts(&topology, &[a.hosts.clone()]).unwrap();
     }
 
+    /// `iters = 0`: one chain on the request's wall-clock budget.
     #[test]
-    fn search_returns_a_valid_plan() {
+    fn wall_clock_search_returns_a_valid_plan() {
         let mut pool = EnginePool::new();
         let req = SearchRequest {
             preset: Preset::Tiny,
@@ -512,7 +482,7 @@ mod tests {
             n: 3,
             budget_ms: 150,
         };
-        let resp = pool.search(&req).unwrap();
+        let resp = pool.search_streaming(&req, 1, 0, &|_| {}).unwrap();
         assert_eq!(resp.hosts.len(), 3);
         assert!(resp.plans_assessed >= 1);
         assert!((0.0..=1.0).contains(&resp.reliability));

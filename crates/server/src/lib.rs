@@ -9,12 +9,10 @@
 //!
 //! The moving parts, bottom-up:
 //!
-//! * [`protocol`] — the RCS1 length-prefixed binary frame codec
-//!   (requests: Ping / AssessPlan / SearchPlacement / ComparePlans /
-//!   Stats / Shutdown / MetricsDump / AssessStream / AssessCancel;
-//!   responses incl. Busy, Error, and streamed Partial), built on the
-//!   same `recloud::wire` substrate as the parallel assessor's RCW1
-//!   codec;
+//! * [`protocol`] — the RCS1 length-prefixed binary frame codec: every
+//!   frame a field list in one kind table, from which encode, decode and
+//!   the documented frame table derive, over the `recloud::wire` byte
+//!   buffers;
 //! * [`cache`] — an LRU result cache keyed by the 128-bit
 //!   [`recloud_assess::assessment_key`] fingerprint of everything that
 //!   determines an assessment;

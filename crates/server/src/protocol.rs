@@ -7,111 +7,46 @@
 //! payload   := magic:u32 ("RCS1") kind:u8 body
 //! ```
 //!
-//! Request kinds (client → server):
+//! A frame's body is a *field list*: the definition of its struct or enum
+//! variant below, nothing else. The two `frames!` invocations are the
+//! kind table (byte, name, direction, body); `encode`, `decode`, the codec
+//! tests and the table below all come from them, so adding a frame is one
+//! row and one field list. `frame_table.md` is that table as the unit test
+//! `frame_table_is_the_documented_one` renders it; DESIGN.md carries the
+//! same rows.
 //!
-//! | kind | frame            | body |
-//! |------|------------------|------|
-//! | 0x01 | Ping             | `token:u64` |
-//! | 0x02 | AssessPlan       | `preset:u8 rounds:u32 seed:u64 k:u32 n:u32 n_layers:u32 { n_hosts:u32 host:u32… }…` |
-//! | 0x03 | SearchPlacement  | `preset:u8 rounds:u32 seed:u64 k:u32 n:u32 budget_ms:u32` |
-//! | 0x04 | ComparePlans     | `preset:u8 rounds:u32 seed:u64 k:u32 n:u32 n_plans:u32 { n_hosts:u32 host:u32… }…` |
-//! | 0x05 | Stats            | (empty) |
-//! | 0x06 | Shutdown         | (empty) |
-//! | 0x07 | MetricsDump      | `journal_tail:u32` |
-//! | 0x08 | AssessStream     | AssessPlan body, then `cadence:u32` (partial every `cadence` chunks) |
-//! | 0x09 | AssessCancel     | (empty; only meaningful mid-stream) |
-//! | 0x0A | SearchStream     | SearchPlacement body, then `workers:u32 iters:u32` |
-//! | 0x0B | CacheSync        | `max_entries:u32` |
-//! | 0x0C | TraceDump        | `trace_id:u64` (0 = most recently finished trace) |
-//! | 0x0D | TraceContext     | `trace_id:u64 parent_span:u32` (fire-and-forget; no response) |
-//! | 0x0E | TraceUpload      | `trace_id:u64 n:u32 { id:u32 parent:u32 kind:str start_us:u64 end_us:u64 v0:u64 v1:u64 }…` (fire-and-forget) |
-//! | 0x0F | Hello            | `tenant:str` (`len:u16 utf8…`) |
+#![doc = include_str!("frame_table.md")]
 //!
-//! Response kinds (server → client):
+//! Field types: integers little-endian; `f64` as IEEE-754 bits, so a
+//! reliability score crosses the wire bit-exactly and a served assessment
+//! can be compared bit-for-bit against a local one; `bool` is one byte;
+//! `str` is `len:u16 utf8…`; `u128` is `lo:u64 hi:u64`; `[T]` is
+//! `n:u32 T…`; `hist` is `count:u64 sum:u64 max:u64 n:u8 { bucket:u8
+//! count:u64 }…` (non-zero buckets of the fixed 64-bucket layout only).
+//! One rule bounds every count: a `[T]` whose `n` elements cannot fit in
+//! the bytes that remain is [`ProtoError::Truncated`] before anything is
+//! reserved. Decoders are checked by construction: truncation on any
+//! prefix, wrong magic and unknown kinds surface as [`ProtoError`]s,
+//! never panics — hostile bytes are an expected input for a network
+//! daemon.
 //!
-//! | kind | frame        | body |
-//! |------|--------------|------|
-//! | 0x81 | Pong         | `token:u64` |
-//! | 0x82 | AssessResult | `score:f64 variance:f64 rounds:u64 successes:u64 cached:u8` |
-//! | 0x83 | SearchResult | `reliability:f64 ciw95:f64 plans_assessed:u64 n_hosts:u32 host:u32…` |
-//! | 0x84 | CompareResult| `n:u32 { input_index:u32 score:f64 ciw95:f64 tied:u8 }…` |
-//! | 0x85 | StatsResult  | six `u64` then three `u32` counters (see [`StatsResponse`]) |
-//! | 0x86 | Busy         | `queued:u32 capacity:u32` |
-//! | 0x87 | Error        | `code:u8 msg_len:u16 msg:utf8…` |
-//! | 0x88 | ShutdownAck  | `completed:u64` |
-//! | 0x89 | MetricsResult| serialized instrument snapshot + journal tail (see [`MetricsResponse`]) |
-//! | 0x8A | Partial      | `rounds_done:u64 rounds_total:u64 score:f64 ciw:f64` |
-//! | 0x8B | SearchEvent  | `chain:u32 iteration:u64 elapsed_us:u64 measure:f64 reliability:f64 temperature:f64` |
-//! | 0x8C | CacheSegment | `n:u32 { key_lo:u64 key_hi:u64 score:f64 variance:f64 rounds:u64 successes:u64 }…` |
-//! | 0x8D | TraceResult  | `trace_id:u64 dropped:u64 n:u32 { span… }…` (span layout as TraceUpload) |
-//! | 0x8E | HelloAck     | `tenant:str` (the tenant the connection is now attributed to) |
+//! The retired kinds decode as [`ProtoError::BadKind`] like any unknown
+//! kind and are never reused. A SearchStream with `workers = 1, iters = 0`
+//! is the search 0x03 ran; MetricsDump carries every number 0x85 did.
 //!
-//! An AssessStream exchange is: client sends 0x08, server emits zero or
-//! more 0x8A Partial frames (one every `cadence` fed chunks) and finishes
-//! with a 0x82 AssessResult that is **bit-identical** to what the plain
-//! AssessPlan request would have returned for the same arguments. The
-//! client may send 0x09 AssessCancel at any point mid-stream; the server
-//! stops feeding chunks and still sends the final 0x82 covering the rounds
-//! done so far. An AssessCancel outside a stream is a silent no-op.
-//!
-//! A SearchStream exchange runs the population-based parallel annealer
-//! (`workers` chains) server-side: the server emits one 0x8B SearchEvent
-//! per best-plan improvement in any chain (`anneal.best` trajectory
-//! points: iteration, wall-clock offset, measure, reliability,
-//! temperature) and finishes with a 0x83 SearchResult. With `iters > 0`
-//! the search runs a deterministic iteration budget per chain and the
-//! final frame is a pure function of (seed, workers, iters) — identical
-//! to a non-streamed parallel search with the same configuration;
-//! `iters = 0` falls back to the wall-clock `budget_ms`. AssessCancel
-//! mid-stream is accepted and ignored (a search cannot stop early
-//! without changing its answer).
-//!
-//! All integers little-endian; `f64` as IEEE-754 bits — the same
-//! conventions as the parallel engine's RCW1 codec, so a reliability score
-//! crosses the wire bit-exactly and a served assessment can be compared
-//! bit-for-bit against a local one. Decoders are checked by construction:
-//! truncation on any prefix, wrong magic and unknown kinds surface as
-//! [`ProtoError`]s, never panics — hostile bytes are an expected input for
-//! a network daemon.
-//!
-//! A CacheSync exchange is one shot: the requester (typically a freshly
-//! started daemon told `--peer <addr>`) asks for up to `max_entries`
-//! cache entries and the server answers with a single 0x8C CacheSegment
-//! carrying its most-recently-used entries, fingerprint included, so
-//! the requester can adopt whatever it is missing. Entries travel
-//! without the transient `cached` flag — the fingerprint *is* the
-//! identity, and the assessment fields cross bit-exactly like every
-//! other f64 on this wire.
-//!
-//! Tracing rides on three frames. A client that wants its request traced
-//! sends 0x0D TraceContext first — fire-and-forget, no response — naming
-//! the trace id and the client-side span the server's work should hang
-//! under; the connection's next request is then recorded as a span tree
-//! (queue wait, cache lookup, worker execution, per-chunk kernel spans,
-//! store append). After the response, the client may send 0x0E
-//! TraceUpload (also fire-and-forget) to contribute its own completed
-//! spans — connect, request, per-Partial — which the server absorbs into
-//! the same tree and marks the trace finished. Anyone can then fetch the
-//! assembled tree with 0x0C TraceDump (`trace_id` 0 means "the most
-//! recently finished trace") and gets one 0x8D TraceResult back.
-//!
-//! A Hello frame names the tenant the connection's subsequent requests
-//! belong to: the server validates the id (non-empty, at most
-//! [`MAX_TENANT_LEN`] bytes, `[A-Za-z0-9._-]` only — tenant ids embed
-//! into instrument names), answers with 0x8E HelloAck, and from then on
-//! attributes the connection's work to per-tenant
-//! `tenant.<id>.{requests_total,busy_total,latency_us}` series and the
-//! per-tenant admission budget (`recloud serve --tenant-budget N`). A
-//! connection that never says Hello serves under the `default` tenant —
-//! Hello is strictly opt-in, and a later Hello re-homes the connection
-//! (mid-stream it is a protocol error like any other non-cancel frame).
-//!
-//! MetricsDump was added after Shutdown (0x06) and Busy (0x86) already
-//! occupied the original kind proposal, so it takes the next free pair
-//! (0x07 request / 0x89 response) — existing frames keep their kinds
-//! and wire layout, byte for byte.
+//! Most exchanges are one request, one response; each variant's doc says
+//! what its frame means, DESIGN.md ("Wire protocol (RCS1)") why. The rest:
+//! an AssessStream is answered by zero or more Partial frames and a final
+//! Assess — bit-identical to the plain AssessPlan answer, which is the
+//! same job with no Partial forwarded — and may be cut short by an
+//! AssessCancel, after which the final frame covers the rounds done; a
+//! SearchStream by SearchEvent frames and a final Search, ignoring
+//! cancels (a search cannot stop early without changing its answer);
+//! TraceContext, TraceUpload and a stale AssessCancel get no response at
+//! all. Mid-stream, any frame but AssessCancel is a protocol error.
 
 use recloud::wire::{ByteReader, ByteWriter, Bytes};
+use recloud_obs::{Event, HistogramSnapshot, MetricsSnapshot};
 use recloud_topology::Scale;
 use std::fmt;
 use std::io::{Read, Write};
@@ -148,6 +83,13 @@ pub const MAX_TRACE_SPANS: u32 = 2_048;
 /// instrument names (`tenant.<id>.requests_total`), so they stay short
 /// and charset-restricted.
 pub const MAX_TENANT_LEN: usize = 64;
+/// Upper bound on distinct tenants per daemon. Every tenant is three
+/// instruments in every `Metrics` frame: at most 873 bytes with a
+/// [`MAX_TENANT_LEN`] id and all 64 latency buckets in use, so 512 of them
+/// (447 KB) plus a full 4,096-event journal tail (~290 KB) still fit
+/// [`MAX_FRAME_LEN`] — no client can grow the snapshot past what the
+/// daemon is able to send.
+pub const MAX_TENANTS: usize = 512;
 /// The tenant a connection serves under until (unless) it says Hello.
 pub const DEFAULT_TENANT: &str = "default";
 
@@ -248,207 +190,6 @@ impl Preset {
     }
 }
 
-/// An AssessPlan request: score one explicit deployment plan.
-///
-/// `assignments` holds one host list per application layer; a single layer
-/// means the plain K-of-N spec, more mean [`ApplicationSpec::layered`]
-/// with `(k, n)` per layer (`recloud_apps::ApplicationSpec`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AssessRequest {
-    /// Topology preset the plan refers to.
-    pub preset: Preset,
-    /// Route-and-check rounds.
-    pub rounds: u32,
-    /// Master seed: fault model + sampling, exactly as the CLI path.
-    pub seed: u64,
-    /// Per-layer requirement K.
-    pub k: u32,
-    /// Per-layer instance count N.
-    pub n: u32,
-    /// Raw host ids, one `Vec` per layer, each of length `n`.
-    pub assignments: Vec<Vec<u32>>,
-}
-
-/// A SearchPlacement request: run the annealing search server-side.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SearchRequest {
-    /// Topology preset to place into.
-    pub preset: Preset,
-    /// Route-and-check rounds per assessed candidate.
-    pub rounds: u32,
-    /// Master seed.
-    pub seed: u64,
-    /// Requirement K.
-    pub k: u32,
-    /// Instance count N.
-    pub n: u32,
-    /// Search budget in milliseconds.
-    pub budget_ms: u32,
-}
-
-/// A ComparePlans request: rank candidate K-of-N plans with error bounds.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CompareRequest {
-    /// Topology preset the plans refer to.
-    pub preset: Preset,
-    /// Route-and-check rounds per candidate.
-    pub rounds: u32,
-    /// Master seed (per-candidate seeds derive from it).
-    pub seed: u64,
-    /// Requirement K.
-    pub k: u32,
-    /// Instance count N.
-    pub n: u32,
-    /// Candidate plans, each `n` raw host ids.
-    pub plans: Vec<Vec<u32>>,
-}
-
-/// A client → server frame.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Request {
-    /// Liveness probe; echoed back in [`Response::Pong`].
-    Ping {
-        /// Opaque token the server echoes.
-        token: u64,
-    },
-    /// Assess one plan.
-    AssessPlan(AssessRequest),
-    /// Search for a plan.
-    SearchPlacement(SearchRequest),
-    /// Rank candidate plans.
-    ComparePlans(CompareRequest),
-    /// Read server counters.
-    Stats,
-    /// Drain in-flight jobs and exit.
-    Shutdown,
-    /// Read the full instrument snapshot (counters, gauges, latency
-    /// histograms) plus the newest journal events. Supersedes
-    /// [`Request::Stats`].
-    MetricsDump {
-        /// How many of the newest journal events to include (0 = none).
-        journal_tail: u32,
-    },
-    /// Assess one plan, streaming [`Response::Partial`] running estimates
-    /// while the chunks accumulate; finishes with a [`Response::Assess`]
-    /// bit-identical to the plain [`Request::AssessPlan`] answer.
-    AssessStream {
-        /// The underlying assessment, exactly as AssessPlan carries it.
-        req: AssessRequest,
-        /// Emit one Partial every `cadence` fed chunks (>= 1).
-        cadence: u32,
-    },
-    /// Cancel the in-flight stream on this connection: the server stops
-    /// feeding chunks and sends the final Assess frame over the rounds
-    /// done so far. Outside a stream this is a silent no-op (no response).
-    AssessCancel,
-    /// Search for a plan with the population-based parallel annealer,
-    /// streaming [`Response::SearchEvent`] best-plan improvements as they
-    /// happen; finishes with a [`Response::Search`] carrying the winning
-    /// chain's outcome.
-    SearchStream {
-        /// The underlying search, exactly as SearchPlacement carries it.
-        req: SearchRequest,
-        /// Annealing chains to run concurrently (>= 1).
-        workers: u32,
-        /// Per-chain iteration budget. Nonzero makes the search a pure
-        /// function of (seed, workers, iters); 0 falls back to the
-        /// wall-clock `budget_ms`.
-        iters: u32,
-    },
-    /// Pull up to `max_entries` of the peer's most-recently-used cache
-    /// entries as one [`Response::CacheSegment`] — the fleet
-    /// warm-start path (`recloud serve --peer`).
-    CacheSync {
-        /// Entry budget, `1..=`[`MAX_SYNC_ENTRIES`].
-        max_entries: u32,
-    },
-    /// Fetch a finished trace's span tree as one [`Response::Trace`].
-    TraceDump {
-        /// The trace to fetch; 0 asks for the most recently finished one.
-        trace_id: u64,
-    },
-    /// Arm tracing for this connection's next request (fire-and-forget —
-    /// the server sends no response). The server's request span will be
-    /// parented under the client's `parent_span`.
-    TraceContext {
-        /// Nonzero trace id chosen by the client.
-        trace_id: u64,
-        /// Client-side span to parent the server's work under (0 = root).
-        parent_span: u32,
-    },
-    /// Contribute the client's completed spans to a trace and mark it
-    /// finished (fire-and-forget — the server sends no response).
-    TraceUpload {
-        /// The trace the spans belong to.
-        trace_id: u64,
-        /// Completed client-side spans, ids from the client's base.
-        spans: Vec<TraceSpan>,
-    },
-    /// Name the tenant this connection's subsequent requests belong to;
-    /// answered with [`Response::HelloAck`]. Connections that never say
-    /// Hello serve under [`DEFAULT_TENANT`].
-    Hello {
-        /// Tenant id: non-empty, at most [`MAX_TENANT_LEN`] bytes of
-        /// `[A-Za-z0-9._-]` (it embeds into instrument names).
-        tenant: String,
-    },
-}
-
-/// One span on the wire (inside [`Request::TraceUpload`] and
-/// [`Response::Trace`]): the tracer's record with the stage name carried
-/// as a length-prefixed string.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceSpan {
-    /// Span id, unique within the trace; never 0.
-    pub id: u32,
-    /// Parent span id; 0 marks a root span.
-    pub parent: u32,
-    /// Stage name, e.g. `"queue.wait"` or `"assess.chunk"`.
-    pub kind: String,
-    /// Absolute start, microseconds since the Unix epoch.
-    pub start_us: u64,
-    /// Absolute end; 0 if the span never closed.
-    pub end_us: u64,
-    /// First kind-specific tag (e.g. rounds for `assess.chunk`).
-    pub v0: u64,
-    /// Second kind-specific tag (e.g. chunk index).
-    pub v1: u64,
-}
-
-fn put_trace_spans(w: &mut ByteWriter, spans: &[TraceSpan]) {
-    w.put_u32_le(spans.len() as u32);
-    for s in spans {
-        w.put_u32_le(s.id);
-        w.put_u32_le(s.parent);
-        put_str(w, &s.kind);
-        w.put_u64_le(s.start_us);
-        w.put_u64_le(s.end_us);
-        w.put_u64_le(s.v0);
-        w.put_u64_le(s.v1);
-    }
-}
-
-fn get_trace_spans(r: &mut ByteReader) -> Result<Vec<TraceSpan>, ProtoError> {
-    let n = r.get_u32_le().ok_or(ProtoError::Truncated)? as usize;
-    let mut spans = Vec::with_capacity(n.min(MAX_TRACE_SPANS as usize));
-    for _ in 0..n {
-        spans.push(TraceSpan {
-            id: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-            parent: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-            kind: get_str(r)?,
-            start_us: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-            end_us: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-            v0: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-            v1: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-        });
-    }
-    Ok(spans)
-}
-
-fn trace_spans_len(spans: &[TraceSpan]) -> usize {
-    4 + spans.iter().map(|s| 4 + 4 + 2 + s.kind.len() + 4 * 8).sum::<usize>()
-}
-
 /// Error codes carried in [`Response::Error`] frames.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
@@ -475,853 +216,672 @@ impl ErrorCode {
     }
 }
 
-/// The assessment answer: the estimate's determining fields, bit-exact.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AssessResponse {
-    /// Reliability score (Eq 1).
-    pub score: f64,
-    /// Conservative variance (Eq 2).
-    pub variance: f64,
-    /// Rounds checked.
-    pub rounds: u64,
-    /// Rounds in which the plan was reliable.
-    pub successes: u64,
-    /// True when served from the result cache.
-    pub cached: bool,
+/// One RCS1 field type. A frame body is a list of these, written and read
+/// in declaration order; its layout is stated nowhere else.
+trait Wire: Sized {
+    /// Fewest bytes a value can occupy — what `[T]`'s count rule divides
+    /// the remaining bytes by.
+    const MIN_LEN: usize;
+    /// The type as the frame table prints it.
+    #[cfg(test)]
+    fn ty() -> String;
+    /// Exact encoded size, so `encode` allocates once.
+    fn wire_len(&self) -> usize;
+    fn put(&self, w: &mut ByteWriter);
+    fn get(r: &mut ByteReader) -> Result<Self, ProtoError>;
 }
 
-/// The search answer.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SearchResponse {
-    /// Assessed reliability of the chosen plan.
-    pub reliability: f64,
-    /// 95% confidence-interval width.
-    pub ciw95: f64,
-    /// Plans assessed during the search.
-    pub plans_assessed: u64,
-    /// Raw host ids of the chosen plan (single K-of-N component).
-    pub hosts: Vec<u32>,
+/// A read that ran out of bytes is a truncated frame.
+fn whole<T>(read: Option<T>) -> Result<T, ProtoError> {
+    read.ok_or(ProtoError::Truncated)
 }
 
-/// One ranked candidate in a [`CompareResponse`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CompareEntry {
-    /// Position of the plan in the request's list.
-    pub input_index: u32,
-    /// Reliability score.
-    pub score: f64,
-    /// 95% confidence-interval width.
-    pub ciw95: f64,
-    /// Statistically indistinguishable from the winner.
-    pub tied_with_best: bool,
+/// A fixed-size field: its table name, its width, how `$v` is written to
+/// `$w` and how a value is read from `$r` (which may refuse it).
+macro_rules! wire_fixed {
+    ($t:ty, $name:literal, $len:literal, ($v:ident, $w:ident) => $put:expr, $r:ident => $get:expr) => {
+        impl Wire for $t {
+            const MIN_LEN: usize = $len;
+            #[cfg(test)]
+            fn ty() -> String {
+                $name.into()
+            }
+            fn wire_len(&self) -> usize {
+                $len
+            }
+            fn put(&self, $w: &mut ByteWriter) {
+                let $v = *self;
+                $put
+            }
+            fn get($r: &mut ByteReader) -> Result<Self, ProtoError> {
+                $get
+            }
+        }
+    };
 }
+wire_fixed!(u8, "u8", 1, (v, w) => w.put_u8(v), r => whole(r.get_u8()));
+wire_fixed!(u32, "u32", 4, (v, w) => w.put_u32_le(v), r => whole(r.get_u32_le()));
+wire_fixed!(u64, "u64", 8, (v, w) => w.put_u64_le(v), r => whole(r.get_u64_le()));
+wire_fixed!(f64, "f64", 8, (v, w) => w.put_f64_le(v), r => whole(r.get_f64_le()));
+wire_fixed!(i64, "i64", 8, (v, w) => w.put_u64_le(v as u64), r => Ok(u64::get(r)? as i64));
+wire_fixed!(bool, "bool", 1, (v, w) => w.put_u8(v as u8), r => Ok(u8::get(r)? != 0));
+wire_fixed!(Preset, "u8", 1, (v, w) => w.put_u8(v.tag()), r => Preset::from_tag(u8::get(r)?));
+wire_fixed!(ErrorCode, "u8", 1, (v, w) => w.put_u8(v as u8), r => ErrorCode::from_u8(u8::get(r)?));
+wire_fixed!(
+    u128, "u128", 16,
+    (v, w) => { w.put_u64_le(v as u64); w.put_u64_le((v >> 64) as u64) },
+    r => Ok(u128::from(u64::get(r)?) | (u128::from(u64::get(r)?) << 64)) // lo, then hi
+);
 
-/// The comparison answer, best plan first.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CompareResponse {
-    /// Candidates sorted by descending reliability.
-    pub ranking: Vec<CompareEntry>,
-}
-
-/// Server counters, all monotonic since start except `queued`: exactly
-/// six `u64` fields followed by three `u32` fields, encoded in
-/// declaration order (the doc table's "nine counters").
-///
-/// **Deprecated in favor of [`Request::MetricsDump`] /
-/// [`Response::Metrics`]**, which carries full latency distributions,
-/// gauges and the event journal instead of nine bare totals. The Stats
-/// frame (0x05/0x85) is kept wire-compatible for existing clients; new
-/// code should prefer MetricsDump. (Not `#[deprecated]` — the daemon
-/// itself still answers Stats, and builds are `-D warnings`.)
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsResponse {
-    /// Requests received (all kinds).
-    pub received: u64,
-    /// Jobs completed by workers.
-    pub completed: u64,
-    /// Assessments answered from the result cache.
-    pub cache_hits: u64,
-    /// Assessments that missed the cache.
-    pub cache_misses: u64,
-    /// Requests rejected with Busy (queue full).
-    pub busy_rejections: u64,
-    /// Connections dropped for protocol errors.
-    pub protocol_errors: u64,
-    /// Jobs currently queued.
-    pub queued: u32,
-    /// Admission-control queue capacity.
-    pub capacity: u32,
-    /// Worker-pool size.
-    pub workers: u32,
-}
-
-/// A running estimate mid-stream: the (R, CIW) pair of Eqs 1 and 3 over
-/// the rounds fed so far. `rounds_done` is monotonically nondecreasing
-/// across the partials of one stream.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PartialResponse {
-    /// Rounds accumulated so far.
-    pub rounds_done: u64,
-    /// Rounds the full request would run.
-    pub rounds_total: u64,
-    /// Running reliability estimate R (Eq 1).
-    pub score: f64,
-    /// Running 95% confidence-interval width (Eq 3).
-    pub ciw: f64,
-}
-
-/// One best-plan improvement inside a streamed parallel search: a
-/// trajectory point from whichever chain just raised its own best, tagged
-/// with the chain index. `iteration` counts plans assessed by that chain.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SearchEventResponse {
-    /// Which annealing chain improved (0-based).
-    pub chain: u32,
-    /// Plans assessed by that chain when the improvement landed.
-    pub iteration: u64,
-    /// Microseconds since that chain's search started.
-    pub elapsed_us: u64,
-    /// The new best objective measure M (Eq 7).
-    pub measure: f64,
-    /// The new best plan's reliability R (Eq 1).
-    pub reliability: f64,
-    /// The temperature t (Eq 6) at the improvement.
-    pub temperature: f64,
-}
-
-/// One cache entry in flight inside a [`CacheSegmentResponse`]: the
-/// assessment fingerprint plus the determining [`AssessResponse`]
-/// fields (the transient `cached` flag never travels).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CacheEntry {
-    /// Assessment fingerprint (`recloud_assess::assessment_key`).
-    pub key: u128,
-    /// Reliability score (Eq 1).
-    pub score: f64,
-    /// Conservative variance (Eq 2).
-    pub variance: f64,
-    /// Rounds checked.
-    pub rounds: u64,
-    /// Rounds in which the plan was reliable.
-    pub successes: u64,
-}
-
-/// The CacheSync answer: the peer's most-recently-used cache entries,
-/// newest first, at most the request's `max_entries`.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct CacheSegmentResponse {
-    /// Cache entries, most recently used first.
-    pub entries: Vec<CacheEntry>,
-}
-
-/// The TraceDump answer: one trace's assembled span tree.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TraceResponse {
-    /// The trace the spans belong to; 0 when no such trace exists (the
-    /// id was never begun, was evicted, or nothing has finished yet).
-    pub trace_id: u64,
-    /// Spans dropped past the tracer's per-trace capacity.
-    pub dropped: u64,
-    /// Spans in record order (parents precede children per process, but
-    /// absorbed client spans may follow server spans that reference them).
-    pub spans: Vec<TraceSpan>,
-}
-
-/// The MetricsDump answer: a merged snapshot of the server's private
-/// registry and the process-global one (assess/search instruments),
-/// plus up to `journal_tail` of the newest journal events.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricsResponse {
-    /// Every registered instrument, sorted by name.
-    pub snapshot: recloud_obs::MetricsSnapshot,
-    /// Newest journal events, oldest first.
-    pub events: Vec<recloud_obs::Event>,
-}
-
-/// A server → client frame.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Response {
-    /// Ping echo.
-    Pong {
-        /// The request's token.
-        token: u64,
-    },
-    /// Assessment result.
-    Assess(AssessResponse),
-    /// Search result.
-    Search(SearchResponse),
-    /// Comparison result.
-    Compare(CompareResponse),
-    /// Counter snapshot.
-    Stats(StatsResponse),
-    /// Admission control rejected the request; retry later.
-    Busy {
-        /// Jobs queued at rejection time.
-        queued: u32,
-        /// The queue capacity.
-        capacity: u32,
-    },
-    /// The request failed; the connection will be dropped for protocol
-    /// errors and kept for semantic ones.
-    Error {
-        /// Machine-readable cause.
-        code: ErrorCode,
-        /// Human-readable detail.
-        message: String,
-    },
-    /// Shutdown acknowledged; the server drains and exits.
-    ShutdownAck {
-        /// Jobs completed over the server's lifetime.
-        completed: u64,
-    },
-    /// Instrument snapshot + journal tail.
-    Metrics(MetricsResponse),
-    /// A mid-stream running estimate; only appears between an
-    /// AssessStream request and its final [`Response::Assess`].
-    Partial(PartialResponse),
-    /// A best-plan improvement; only appears between a SearchStream
-    /// request and its final [`Response::Search`].
-    SearchEvent(SearchEventResponse),
-    /// A batch of cache entries answering a [`Request::CacheSync`].
-    CacheSegment(CacheSegmentResponse),
-    /// A trace's span tree answering a [`Request::TraceDump`].
-    Trace(TraceResponse),
-    /// Acknowledges a [`Request::Hello`], echoing the tenant the
-    /// connection is now attributed to.
-    HelloAck {
-        /// The accepted tenant id.
-        tenant: String,
-    },
-}
-
-fn put_header(w: &mut ByteWriter, kind: u8) {
-    w.put_u32_le(MAGIC);
-    w.put_u8(kind);
-}
-
-fn read_header(r: &mut ByteReader) -> Result<u8, ProtoError> {
-    let magic = r.get_u32_le().ok_or(ProtoError::Truncated)?;
-    if magic != MAGIC {
-        return Err(ProtoError::BadMagic(magic));
+/// `len:u16 utf8…`, cut at `u16::MAX` bytes on the way out.
+impl Wire for String {
+    const MIN_LEN: usize = 2;
+    #[cfg(test)]
+    fn ty() -> String {
+        "str".into()
     }
-    r.get_u8().ok_or(ProtoError::Truncated)
+    fn wire_len(&self) -> usize {
+        2 + self.len().min(u16::MAX as usize)
+    }
+    fn put(&self, w: &mut ByteWriter) {
+        let bytes = &self.as_bytes()[..self.len().min(u16::MAX as usize)];
+        w.put_u16_le(bytes.len() as u16);
+        w.put_slice(bytes);
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, ProtoError> {
+        let len = whole(r.get_u16_le())? as usize;
+        let bytes = whole(r.get_bytes(len))?;
+        Ok(std::str::from_utf8(bytes.as_slice()).map_err(|_| ProtoError::BadString)?.to_string())
+    }
 }
 
-fn put_host_lists(w: &mut ByteWriter, lists: &[Vec<u32>]) {
-    w.put_u32_le(lists.len() as u32);
-    for list in lists {
-        w.put_u32_le(list.len() as u32);
-        for &h in list {
-            w.put_u32_le(h);
+/// `n:u32 T…`. The one count rule of this codec: `n` elements take at
+/// least `n * T::MIN_LEN` bytes, so a count the remaining bytes cannot
+/// hold is `Truncated` before anything is reserved — a frame can make the
+/// decoder reserve no more than a small multiple of its own size.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_LEN: usize = 4;
+    #[cfg(test)]
+    fn ty() -> String {
+        format!("[{}]", T::ty())
+    }
+    fn wire_len(&self) -> usize {
+        4 + self.iter().map(Wire::wire_len).sum::<usize>()
+    }
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_u32_le(self.len() as u32);
+        for v in self {
+            v.put(w);
         }
     }
-}
-
-fn get_host_lists(r: &mut ByteReader) -> Result<Vec<Vec<u32>>, ProtoError> {
-    let n_lists = r.get_u32_le().ok_or(ProtoError::Truncated)? as usize;
-    let mut lists = Vec::with_capacity(n_lists.min(1 << 10));
-    for _ in 0..n_lists {
-        let n = r.get_u32_le().ok_or(ProtoError::Truncated)? as usize;
-        if r.remaining() < 4 * n {
+    fn get(r: &mut ByteReader) -> Result<Self, ProtoError> {
+        let n = u32::get(r)? as usize;
+        if n.saturating_mul(T::MIN_LEN) > r.remaining() {
             return Err(ProtoError::Truncated);
         }
-        lists.push((0..n).map(|_| r.get_u32_le().unwrap()).collect());
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::get(r)?);
+        }
+        Ok(out)
     }
-    Ok(lists)
 }
 
-fn host_lists_len(lists: &[Vec<u32>]) -> usize {
-    4 + lists.iter().map(|l| 4 + 4 * l.len()).sum::<usize>()
-}
-
-/// Writes a length-prefixed UTF-8 string (`len:u16 bytes…`), truncating
-/// at `u16::MAX` bytes like the Error-frame message.
-fn put_str(w: &mut ByteWriter, s: &str) {
-    let bytes = s.as_bytes();
-    let bytes = &bytes[..bytes.len().min(u16::MAX as usize)];
-    w.put_u16_le(bytes.len() as u16);
-    w.put_slice(bytes);
-}
-
-fn get_str(r: &mut ByteReader) -> Result<String, ProtoError> {
-    let len = r.get_u16_le().ok_or(ProtoError::Truncated)? as usize;
-    let bytes = r.get_bytes(len).ok_or(ProtoError::Truncated)?;
-    Ok(std::str::from_utf8(bytes.as_slice()).map_err(|_| ProtoError::BadString)?.to_string())
-}
-
-/// Encodes a [`MetricsResponse`] body: counters, gauges, histograms
-/// (sparse non-zero buckets only), then journal events. Layout:
-///
-/// ```text
-/// n_counters:u32 { name:str total:u64 }…
-/// n_gauges:u32   { name:str value:i64 }…
-/// n_hists:u32    { name:str count:u64 sum:u64 max:u64
-///                  n_buckets:u8 { bucket:u8 count:u64 }… }…
-/// n_events:u32   { seq:u64 ts_us:u64 thread:u64 kind:str
-///                  v0:u64 v1:u64 f0:f64 f1:f64 }…
-/// str := len:u16 utf8…
-/// ```
-fn put_metrics(w: &mut ByteWriter, m: &MetricsResponse) {
-    w.put_u32_le(m.snapshot.counters.len() as u32);
-    for (name, v) in &m.snapshot.counters {
-        put_str(w, name);
-        w.put_u64_le(*v);
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN;
+    #[cfg(test)]
+    fn ty() -> String {
+        format!("{{{} {}}}", A::ty(), B::ty())
     }
-    w.put_u32_le(m.snapshot.gauges.len() as u32);
-    for (name, v) in &m.snapshot.gauges {
-        put_str(w, name);
-        w.put_u64_le(*v as u64);
+    fn wire_len(&self) -> usize {
+        self.0.wire_len() + self.1.wire_len()
     }
-    w.put_u32_le(m.snapshot.histograms.len() as u32);
-    for (name, h) in &m.snapshot.histograms {
-        put_str(w, name);
-        w.put_u64_le(h.count);
-        w.put_u64_le(h.sum);
-        w.put_u64_le(h.max);
-        let nonzero: Vec<(usize, u64)> =
-            h.buckets.iter().copied().enumerate().filter(|&(_, c)| c != 0).collect();
-        w.put_u8(nonzero.len() as u8);
-        for (bucket, count) in nonzero {
+    fn put(&self, w: &mut ByteWriter) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, ProtoError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// The one layout that is not a field list: only the non-zero buckets of
+/// the fixed 64-bucket histogram travel, as `n:u8 { bucket:u8 count:u64 }…`.
+impl Wire for HistogramSnapshot {
+    const MIN_LEN: usize = 25;
+    #[cfg(test)]
+    fn ty() -> String {
+        "hist".into()
+    }
+    fn wire_len(&self) -> usize {
+        25 + 9 * self.buckets.iter().filter(|&&c| c != 0).count()
+    }
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_u64_le(self.count);
+        w.put_u64_le(self.sum);
+        w.put_u64_le(self.max);
+        w.put_u8(self.buckets.iter().filter(|&&c| c != 0).count() as u8);
+        for (bucket, &count) in self.buckets.iter().enumerate().filter(|&(_, &c)| c != 0) {
             w.put_u8(bucket as u8);
             w.put_u64_le(count);
         }
     }
-    w.put_u32_le(m.events.len() as u32);
-    for e in &m.events {
-        w.put_u64_le(e.seq);
-        w.put_u64_le(e.ts_micros);
-        w.put_u64_le(e.thread);
-        put_str(w, &e.kind);
-        w.put_u64_le(e.v0);
-        w.put_u64_le(e.v1);
-        w.put_f64_le(e.f0);
-        w.put_f64_le(e.f1);
-    }
-}
-
-fn get_metrics(r: &mut ByteReader) -> Result<MetricsResponse, ProtoError> {
-    let mut snapshot = recloud_obs::MetricsSnapshot::default();
-    let n = r.get_u32_le().ok_or(ProtoError::Truncated)? as usize;
-    snapshot.counters.reserve(n.min(1 << 10));
-    for _ in 0..n {
-        let name = get_str(r)?;
-        let v = r.get_u64_le().ok_or(ProtoError::Truncated)?;
-        snapshot.counters.push((name, v));
-    }
-    let n = r.get_u32_le().ok_or(ProtoError::Truncated)? as usize;
-    snapshot.gauges.reserve(n.min(1 << 10));
-    for _ in 0..n {
-        let name = get_str(r)?;
-        let v = r.get_u64_le().ok_or(ProtoError::Truncated)? as i64;
-        snapshot.gauges.push((name, v));
-    }
-    let n = r.get_u32_le().ok_or(ProtoError::Truncated)? as usize;
-    snapshot.histograms.reserve(n.min(1 << 10));
-    for _ in 0..n {
-        let name = get_str(r)?;
-        let mut h = recloud_obs::HistogramSnapshot {
-            count: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-            sum: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-            max: r.get_u64_le().ok_or(ProtoError::Truncated)?,
+    fn get(r: &mut ByteReader) -> Result<Self, ProtoError> {
+        let mut h = HistogramSnapshot {
+            count: u64::get(r)?,
+            sum: u64::get(r)?,
+            max: u64::get(r)?,
             ..Default::default()
         };
-        let n_buckets = r.get_u8().ok_or(ProtoError::Truncated)? as usize;
-        for _ in 0..n_buckets {
-            let bucket = r.get_u8().ok_or(ProtoError::Truncated)?;
-            let count = r.get_u64_le().ok_or(ProtoError::Truncated)?;
+        for _ in 0..u8::get(r)? {
+            let bucket = u8::get(r)?;
+            let count = u64::get(r)?;
             *h.buckets.get_mut(bucket as usize).ok_or(ProtoError::BadBucket(bucket))? = count;
         }
-        snapshot.histograms.push((name, h));
-    }
-    let n = r.get_u32_le().ok_or(ProtoError::Truncated)? as usize;
-    let mut events = Vec::with_capacity(n.min(1 << 12));
-    for _ in 0..n {
-        let seq = r.get_u64_le().ok_or(ProtoError::Truncated)?;
-        let ts_micros = r.get_u64_le().ok_or(ProtoError::Truncated)?;
-        let thread = r.get_u64_le().ok_or(ProtoError::Truncated)?;
-        let kind = get_str(r)?;
-        events.push(recloud_obs::Event {
-            seq,
-            ts_micros,
-            thread,
-            kind,
-            v0: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-            v1: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-            f0: r.get_f64_le().ok_or(ProtoError::Truncated)?,
-            f1: r.get_f64_le().ok_or(ProtoError::Truncated)?,
-        });
-    }
-    Ok(MetricsResponse { snapshot, events })
-}
-
-fn finish(r: &ByteReader) -> Result<(), ProtoError> {
-    if r.is_exhausted() {
-        Ok(())
-    } else {
-        Err(ProtoError::TrailingBytes(r.remaining()))
+        Ok(h)
     }
 }
 
-impl Request {
-    /// Encodes the request payload (without the transport length prefix)
-    /// in a single allocation.
-    pub fn encode(&self) -> Bytes {
-        match self {
-            Request::Ping { token } => {
-                let mut w = ByteWriter::with_capacity(HEADER_LEN + 8);
-                put_header(&mut w, 0x01);
-                w.put_u64_le(*token);
-                w.freeze()
+/// `name:type` per field, space-separated — a frame-table body. A field
+/// that is itself a field list is spliced in, which is what makes
+/// `AssessStream` read "the AssessPlan body, then `cadence`".
+#[cfg(test)]
+fn fields_layout(fields: &[(&str, String)]) -> String {
+    let parts: Vec<String> = fields
+        .iter()
+        .map(|(name, ty)| match ty.strip_prefix('{').and_then(|t| t.strip_suffix('}')) {
+            Some(inner) => inner.to_string(),
+            None => format!("{name}:{ty}"),
+        })
+        .collect();
+    parts.join(" ")
+}
+
+/// Gives structs the codec from their field lists: the struct definitions
+/// themselves, or (`impl`) the public fields of a struct defined elsewhere.
+macro_rules! wire_struct {
+    (impl $name:ty { $($field:ident: $fty:ty),* $(,)? }) => {
+        impl Wire for $name {
+            const MIN_LEN: usize = 0 $(+ <$fty as Wire>::MIN_LEN)*;
+            #[cfg(test)]
+            fn ty() -> String {
+                format!(
+                    "{{{}}}",
+                    fields_layout(&[$((stringify!($field), <$fty as Wire>::ty())),*])
+                )
             }
-            Request::AssessPlan(a) => {
-                let mut w = ByteWriter::with_capacity(
-                    HEADER_LEN + 1 + 4 + 8 + 4 + 4 + host_lists_len(&a.assignments),
-                );
-                put_header(&mut w, 0x02);
-                w.put_u8(a.preset.tag());
-                w.put_u32_le(a.rounds);
-                w.put_u64_le(a.seed);
-                w.put_u32_le(a.k);
-                w.put_u32_le(a.n);
-                put_host_lists(&mut w, &a.assignments);
-                w.freeze()
+                        fn wire_len(&self) -> usize {
+                0 $(+ self.$field.wire_len())*
             }
-            Request::SearchPlacement(s) => {
-                let mut w = ByteWriter::with_capacity(HEADER_LEN + 1 + 4 + 8 + 4 + 4 + 4);
-                put_header(&mut w, 0x03);
-                w.put_u8(s.preset.tag());
-                w.put_u32_le(s.rounds);
-                w.put_u64_le(s.seed);
-                w.put_u32_le(s.k);
-                w.put_u32_le(s.n);
-                w.put_u32_le(s.budget_ms);
-                w.freeze()
+                        fn put(&self, w: &mut ByteWriter) {
+                $(self.$field.put(w);)*
             }
-            Request::ComparePlans(c) => {
-                let mut w = ByteWriter::with_capacity(
-                    HEADER_LEN + 1 + 4 + 8 + 4 + 4 + host_lists_len(&c.plans),
-                );
-                put_header(&mut w, 0x04);
-                w.put_u8(c.preset.tag());
-                w.put_u32_le(c.rounds);
-                w.put_u64_le(c.seed);
-                w.put_u32_le(c.k);
-                w.put_u32_le(c.n);
-                put_host_lists(&mut w, &c.plans);
-                w.freeze()
-            }
-            Request::Stats => {
-                let mut w = ByteWriter::with_capacity(HEADER_LEN);
-                put_header(&mut w, 0x05);
-                w.freeze()
-            }
-            Request::Shutdown => {
-                let mut w = ByteWriter::with_capacity(HEADER_LEN);
-                put_header(&mut w, 0x06);
-                w.freeze()
-            }
-            Request::MetricsDump { journal_tail } => {
-                let mut w = ByteWriter::with_capacity(HEADER_LEN + 4);
-                put_header(&mut w, 0x07);
-                w.put_u32_le(*journal_tail);
-                w.freeze()
-            }
-            Request::AssessStream { req: a, cadence } => {
-                let mut w = ByteWriter::with_capacity(
-                    HEADER_LEN + 1 + 4 + 8 + 4 + 4 + host_lists_len(&a.assignments) + 4,
-                );
-                put_header(&mut w, 0x08);
-                w.put_u8(a.preset.tag());
-                w.put_u32_le(a.rounds);
-                w.put_u64_le(a.seed);
-                w.put_u32_le(a.k);
-                w.put_u32_le(a.n);
-                put_host_lists(&mut w, &a.assignments);
-                w.put_u32_le(*cadence);
-                w.freeze()
-            }
-            Request::AssessCancel => {
-                let mut w = ByteWriter::with_capacity(HEADER_LEN);
-                put_header(&mut w, 0x09);
-                w.freeze()
-            }
-            Request::SearchStream { req: s, workers, iters } => {
-                let mut w = ByteWriter::with_capacity(HEADER_LEN + 1 + 4 + 8 + 4 + 4 + 4 + 4 + 4);
-                put_header(&mut w, 0x0A);
-                w.put_u8(s.preset.tag());
-                w.put_u32_le(s.rounds);
-                w.put_u64_le(s.seed);
-                w.put_u32_le(s.k);
-                w.put_u32_le(s.n);
-                w.put_u32_le(s.budget_ms);
-                w.put_u32_le(*workers);
-                w.put_u32_le(*iters);
-                w.freeze()
-            }
-            Request::CacheSync { max_entries } => {
-                let mut w = ByteWriter::with_capacity(HEADER_LEN + 4);
-                put_header(&mut w, 0x0B);
-                w.put_u32_le(*max_entries);
-                w.freeze()
-            }
-            Request::TraceDump { trace_id } => {
-                let mut w = ByteWriter::with_capacity(HEADER_LEN + 8);
-                put_header(&mut w, 0x0C);
-                w.put_u64_le(*trace_id);
-                w.freeze()
-            }
-            Request::TraceContext { trace_id, parent_span } => {
-                let mut w = ByteWriter::with_capacity(HEADER_LEN + 8 + 4);
-                put_header(&mut w, 0x0D);
-                w.put_u64_le(*trace_id);
-                w.put_u32_le(*parent_span);
-                w.freeze()
-            }
-            Request::TraceUpload { trace_id, spans } => {
-                let mut w = ByteWriter::with_capacity(HEADER_LEN + 8 + trace_spans_len(spans));
-                put_header(&mut w, 0x0E);
-                w.put_u64_le(*trace_id);
-                put_trace_spans(&mut w, spans);
-                w.freeze()
-            }
-            Request::Hello { tenant } => {
-                let mut w = ByteWriter::with_capacity(HEADER_LEN + 2 + tenant.len());
-                put_header(&mut w, 0x0F);
-                put_str(&mut w, tenant);
-                w.freeze()
+                        // Built in the frame's place, not copied into it: 45 -> 39 ns per Assess.
+            #[inline(always)]
+            fn get(r: &mut ByteReader) -> Result<Self, ProtoError> {
+                Ok(Self { $($field: Wire::get(r)?),* })
             }
         }
+    };
+    ($($(#[$meta:meta])* pub struct $name:ident {
+        $($(#[$fmeta:meta])* pub $field:ident: $fty:ty),* $(,)?
+    })*) => {$(
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $fty),*
+        }
+        wire_struct!(impl $name { $($field: $fty),* });
+    )*};
+}
+
+/// One row of the kind table, as the frame-table renderer reads it.
+#[cfg(test)]
+struct KindRow {
+    kind: u8,
+    name: &'static str,
+    body: fn() -> String,
+}
+
+/// Defines one direction of the protocol: the enum, its kind table and
+/// `encode`/`decode`. A row is `kind Variant`, `kind Variant(binding:
+/// Body)` or `kind Variant { field: Type, … }`; the body is written and
+/// read in the order it is declared.
+macro_rules! frames {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident, $table:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $kind:literal $variant:ident
+                $(($inner:ident: $ity:ty))?
+                $({ $($(#[$fmeta:meta])* $field:ident: $fty:ty),* $(,)? })?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $($(#[$vmeta])* $variant $(($ity))? $({ $($(#[$fmeta])* $field: $fty),* })?),*
+        }
+
+        #[cfg(test)]
+        const $table: &[KindRow] = &[$(KindRow {
+            kind: $kind,
+            name: stringify!($variant),
+            body: || fields_layout(&[
+                $((stringify!($inner), <$ity as Wire>::ty()),)?
+                $($((stringify!($field), <$fty as Wire>::ty()),)*)?
+            ]),
+        }),*];
+
+        impl $name {
+            /// Encodes the payload (without the transport length prefix)
+            /// in a single exact-size allocation.
+            pub fn encode(&self) -> Bytes {
+                match self {
+                    $($name::$variant $(($inner))? $({ $($field),* })? => {
+                        let len = HEADER_LEN
+                            $(+ $inner.wire_len())? $($(+ $field.wire_len())*)?;
+                        let mut w = ByteWriter::with_capacity(len);
+                        w.put_u32_le(MAGIC);
+                        w.put_u8($kind);
+                        $($inner.put(&mut w);)?
+                        $($($field.put(&mut w);)*)?
+                        debug_assert_eq!(w.len(), len, "wire_len must be exact");
+                        w.freeze()
+                    })*
+                }
+            }
+
+            /// Decodes a payload, rejecting truncation, bad magic, kinds
+            /// of the other direction or of no direction, and trailing
+            /// bytes.
+            pub fn decode(buf: Bytes) -> Result<$name, ProtoError> {
+                let mut r = ByteReader::new(buf);
+                let magic = u32::get(&mut r)?;
+                if magic != MAGIC {
+                    return Err(ProtoError::BadMagic(magic));
+                }
+                let frame = match u8::get(&mut r)? {
+                    $($kind => $name::$variant
+                        $((<$ity as Wire>::get(&mut r)?))?
+                        $({ $($field: <$fty as Wire>::get(&mut r)?),* })?,)*
+                    other => return Err(ProtoError::BadKind(other)),
+                };
+                if r.is_exhausted() {
+                    Ok(frame)
+                } else {
+                    Err(ProtoError::TrailingBytes(r.remaining()))
+                }
+            }
+        }
+    };
+}
+
+wire_struct! {
+    /// An AssessPlan request: score one explicit deployment plan.
+    ///
+    /// `assignments` holds one host list per application layer; a single layer
+    /// means the plain K-of-N spec, more mean [`ApplicationSpec::layered`]
+    /// with `(k, n)` per layer (`recloud_apps::ApplicationSpec`).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct AssessRequest {
+        /// Topology preset the plan refers to.
+        pub preset: Preset,
+        /// Route-and-check rounds.
+        pub rounds: u32,
+        /// Master seed: fault model + sampling, exactly as the CLI path.
+        pub seed: u64,
+        /// Per-layer requirement K.
+        pub k: u32,
+        /// Per-layer instance count N.
+        pub n: u32,
+        /// Raw host ids, one `Vec` per layer, each of length `n`.
+        pub assignments: Vec<Vec<u32>>,
     }
 
-    /// Decodes a request payload, rejecting truncation, bad magic,
-    /// unknown kinds and trailing bytes.
-    pub fn decode(buf: Bytes) -> Result<Request, ProtoError> {
-        let mut r = ByteReader::new(buf);
-        let kind = read_header(&mut r)?;
-        let req = match kind {
-            0x01 => Request::Ping { token: r.get_u64_le().ok_or(ProtoError::Truncated)? },
-            0x02 => Request::AssessPlan(AssessRequest {
-                preset: Preset::from_tag(r.get_u8().ok_or(ProtoError::Truncated)?)?,
-                rounds: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-                seed: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-                k: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-                n: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-                assignments: get_host_lists(&mut r)?,
-            }),
-            0x03 => Request::SearchPlacement(SearchRequest {
-                preset: Preset::from_tag(r.get_u8().ok_or(ProtoError::Truncated)?)?,
-                rounds: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-                seed: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-                k: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-                n: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-                budget_ms: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-            }),
-            0x04 => Request::ComparePlans(CompareRequest {
-                preset: Preset::from_tag(r.get_u8().ok_or(ProtoError::Truncated)?)?,
-                rounds: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-                seed: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-                k: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-                n: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-                plans: get_host_lists(&mut r)?,
-            }),
-            0x05 => Request::Stats,
-            0x06 => Request::Shutdown,
-            0x07 => {
-                Request::MetricsDump { journal_tail: r.get_u32_le().ok_or(ProtoError::Truncated)? }
-            }
-            0x08 => Request::AssessStream {
-                req: AssessRequest {
-                    preset: Preset::from_tag(r.get_u8().ok_or(ProtoError::Truncated)?)?,
-                    rounds: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-                    seed: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-                    k: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-                    n: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-                    assignments: get_host_lists(&mut r)?,
-                },
-                cadence: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-            },
-            0x09 => Request::AssessCancel,
-            0x0A => Request::SearchStream {
-                req: SearchRequest {
-                    preset: Preset::from_tag(r.get_u8().ok_or(ProtoError::Truncated)?)?,
-                    rounds: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-                    seed: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-                    k: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-                    n: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-                    budget_ms: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-                },
-                workers: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-                iters: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-            },
-            0x0B => {
-                Request::CacheSync { max_entries: r.get_u32_le().ok_or(ProtoError::Truncated)? }
-            }
-            0x0C => Request::TraceDump { trace_id: r.get_u64_le().ok_or(ProtoError::Truncated)? },
-            0x0D => Request::TraceContext {
-                trace_id: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-                parent_span: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-            },
-            0x0E => Request::TraceUpload {
-                trace_id: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-                spans: get_trace_spans(&mut r)?,
-            },
-            0x0F => Request::Hello { tenant: get_str(&mut r)? },
-            other => return Err(ProtoError::BadKind(other)),
-        };
-        finish(&r)?;
-        Ok(req)
+    /// The search a SearchStream request runs server-side.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct SearchRequest {
+        /// Topology preset to place into.
+        pub preset: Preset,
+        /// Route-and-check rounds per assessed candidate.
+        pub rounds: u32,
+        /// Master seed.
+        pub seed: u64,
+        /// Requirement K.
+        pub k: u32,
+        /// Instance count N.
+        pub n: u32,
+        /// Search budget in milliseconds.
+        pub budget_ms: u32,
+    }
+
+    /// A ComparePlans request: rank candidate K-of-N plans with error bounds.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct CompareRequest {
+        /// Topology preset the plans refer to.
+        pub preset: Preset,
+        /// Route-and-check rounds per candidate.
+        pub rounds: u32,
+        /// Master seed (per-candidate seeds derive from it).
+        pub seed: u64,
+        /// Requirement K.
+        pub k: u32,
+        /// Instance count N.
+        pub n: u32,
+        /// Candidate plans, each `n` raw host ids.
+        pub plans: Vec<Vec<u32>>,
+    }
+
+    /// One span on the wire (inside [`Request::TraceUpload`] and
+    /// [`Response::Trace`]): the tracer's record with the stage name carried
+    /// as a length-prefixed string.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct TraceSpan {
+        /// Span id, unique within the trace; never 0.
+        pub id: u32,
+        /// Parent span id; 0 marks a root span.
+        pub parent: u32,
+        /// Stage name, e.g. `"queue.wait"` or `"assess.chunk"`.
+        pub kind: String,
+        /// Absolute start, microseconds since the Unix epoch.
+        pub start_us: u64,
+        /// Absolute end; 0 if the span never closed.
+        pub end_us: u64,
+        /// First kind-specific tag (e.g. rounds for `assess.chunk`).
+        pub v0: u64,
+        /// Second kind-specific tag (e.g. chunk index).
+        pub v1: u64,
     }
 }
 
-impl Response {
-    /// Encodes the response payload (without the transport length prefix)
-    /// in a single allocation.
-    pub fn encode(&self) -> Bytes {
-        match self {
-            Response::Pong { token } => {
-                let mut w = ByteWriter::with_capacity(HEADER_LEN + 8);
-                put_header(&mut w, 0x81);
-                w.put_u64_le(*token);
-                w.freeze()
-            }
-            Response::Assess(a) => {
-                let mut w = ByteWriter::with_capacity(HEADER_LEN + 8 + 8 + 8 + 8 + 1);
-                put_header(&mut w, 0x82);
-                w.put_f64_le(a.score);
-                w.put_f64_le(a.variance);
-                w.put_u64_le(a.rounds);
-                w.put_u64_le(a.successes);
-                w.put_u8(a.cached as u8);
-                w.freeze()
-            }
-            Response::Search(s) => {
-                let mut w =
-                    ByteWriter::with_capacity(HEADER_LEN + 8 + 8 + 8 + 4 + 4 * s.hosts.len());
-                put_header(&mut w, 0x83);
-                w.put_f64_le(s.reliability);
-                w.put_f64_le(s.ciw95);
-                w.put_u64_le(s.plans_assessed);
-                w.put_u32_le(s.hosts.len() as u32);
-                for &h in &s.hosts {
-                    w.put_u32_le(h);
-                }
-                w.freeze()
-            }
-            Response::Compare(c) => {
-                let mut w = ByteWriter::with_capacity(HEADER_LEN + 4 + 21 * c.ranking.len());
-                put_header(&mut w, 0x84);
-                w.put_u32_le(c.ranking.len() as u32);
-                for e in &c.ranking {
-                    w.put_u32_le(e.input_index);
-                    w.put_f64_le(e.score);
-                    w.put_f64_le(e.ciw95);
-                    w.put_u8(e.tied_with_best as u8);
-                }
-                w.freeze()
-            }
-            Response::Stats(s) => {
-                let mut w = ByteWriter::with_capacity(HEADER_LEN + 6 * 8 + 3 * 4);
-                put_header(&mut w, 0x85);
-                w.put_u64_le(s.received);
-                w.put_u64_le(s.completed);
-                w.put_u64_le(s.cache_hits);
-                w.put_u64_le(s.cache_misses);
-                w.put_u64_le(s.busy_rejections);
-                w.put_u64_le(s.protocol_errors);
-                w.put_u32_le(s.queued);
-                w.put_u32_le(s.capacity);
-                w.put_u32_le(s.workers);
-                w.freeze()
-            }
-            Response::Busy { queued, capacity } => {
-                let mut w = ByteWriter::with_capacity(HEADER_LEN + 4 + 4);
-                put_header(&mut w, 0x86);
-                w.put_u32_le(*queued);
-                w.put_u32_le(*capacity);
-                w.freeze()
-            }
-            Response::Error { code, message } => {
-                let msg = message.as_bytes();
-                let msg = &msg[..msg.len().min(u16::MAX as usize)];
-                let mut w = ByteWriter::with_capacity(HEADER_LEN + 1 + 2 + msg.len());
-                put_header(&mut w, 0x87);
-                w.put_u8(*code as u8);
-                w.put_u16_le(msg.len() as u16);
-                w.put_slice(msg);
-                w.freeze()
-            }
-            Response::ShutdownAck { completed } => {
-                let mut w = ByteWriter::with_capacity(HEADER_LEN + 8);
-                put_header(&mut w, 0x88);
-                w.put_u64_le(*completed);
-                w.freeze()
-            }
-            Response::Metrics(m) => {
-                let mut w = ByteWriter::with_capacity(HEADER_LEN + 512);
-                put_header(&mut w, 0x89);
-                put_metrics(&mut w, m);
-                w.freeze()
-            }
-            Response::Partial(p) => {
-                let mut w = ByteWriter::with_capacity(HEADER_LEN + 8 + 8 + 8 + 8);
-                put_header(&mut w, 0x8A);
-                w.put_u64_le(p.rounds_done);
-                w.put_u64_le(p.rounds_total);
-                w.put_f64_le(p.score);
-                w.put_f64_le(p.ciw);
-                w.freeze()
-            }
-            Response::SearchEvent(e) => {
-                let mut w = ByteWriter::with_capacity(HEADER_LEN + 4 + 8 + 8 + 8 + 8 + 8);
-                put_header(&mut w, 0x8B);
-                w.put_u32_le(e.chain);
-                w.put_u64_le(e.iteration);
-                w.put_u64_le(e.elapsed_us);
-                w.put_f64_le(e.measure);
-                w.put_f64_le(e.reliability);
-                w.put_f64_le(e.temperature);
-                w.freeze()
-            }
-            Response::CacheSegment(c) => {
-                let mut w = ByteWriter::with_capacity(HEADER_LEN + 4 + 48 * c.entries.len());
-                put_header(&mut w, 0x8C);
-                w.put_u32_le(c.entries.len() as u32);
-                for e in &c.entries {
-                    w.put_u64_le(e.key as u64);
-                    w.put_u64_le((e.key >> 64) as u64);
-                    w.put_f64_le(e.score);
-                    w.put_f64_le(e.variance);
-                    w.put_u64_le(e.rounds);
-                    w.put_u64_le(e.successes);
-                }
-                w.freeze()
-            }
-            Response::Trace(t) => {
-                let mut w =
-                    ByteWriter::with_capacity(HEADER_LEN + 8 + 8 + trace_spans_len(&t.spans));
-                put_header(&mut w, 0x8D);
-                w.put_u64_le(t.trace_id);
-                w.put_u64_le(t.dropped);
-                put_trace_spans(&mut w, &t.spans);
-                w.freeze()
-            }
-            Response::HelloAck { tenant } => {
-                let mut w = ByteWriter::with_capacity(HEADER_LEN + 2 + tenant.len());
-                put_header(&mut w, 0x8E);
-                put_str(&mut w, tenant);
-                w.freeze()
-            }
-        }
+frames! {
+    /// A client → server frame.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum Request, REQUEST_KINDS {
+        /// Liveness probe; echoed back in [`Response::Pong`].
+        0x01 Ping {
+            /// Opaque token the server echoes.
+            token: u64,
+        },
+        /// Assess one plan.
+        0x02 AssessPlan(req: AssessRequest),
+        /// Rank candidate plans.
+        0x04 ComparePlans(req: CompareRequest),
+        /// Drain in-flight jobs and exit.
+        0x06 Shutdown,
+        /// Read the full instrument snapshot (counters, gauges, latency
+        /// histograms) plus the newest journal events.
+        0x07 MetricsDump {
+            /// How many of the newest journal events to include (0 = none).
+            journal_tail: u32,
+        },
+        /// Assess one plan, streaming [`Response::Partial`] running estimates
+        /// while the chunks accumulate; finishes with a [`Response::Assess`]
+        /// bit-identical to the plain [`Request::AssessPlan`] answer.
+        0x08 AssessStream {
+            /// The underlying assessment, exactly as AssessPlan carries it.
+            req: AssessRequest,
+            /// Emit one Partial every `cadence` fed chunks (>= 1).
+            cadence: u32,
+        },
+        /// Cancel the in-flight stream on this connection: the server stops
+        /// feeding chunks and sends the final Assess frame over the rounds
+        /// done so far. Outside a stream this is a silent no-op (no response).
+        0x09 AssessCancel,
+        /// Search for a plan with the population-based parallel annealer,
+        /// streaming [`Response::SearchEvent`] best-plan improvements as they
+        /// happen; finishes with a [`Response::Search`] carrying the winning
+        /// chain's outcome.
+        0x0A SearchStream {
+            /// The underlying search.
+            req: SearchRequest,
+            /// Annealing chains to run concurrently (>= 1).
+            workers: u32,
+            /// Per-chain iteration budget. Nonzero makes the search a pure
+            /// function of (seed, workers, iters); 0 falls back to the
+            /// wall-clock `budget_ms`.
+            iters: u32,
+        },
+        /// Pull up to `max_entries` of the peer's most-recently-used cache
+        /// entries as one [`Response::CacheSegment`] — the fleet
+        /// warm-start path (`recloud serve --peer`).
+        0x0B CacheSync {
+            /// Entry budget, `1..=`[`MAX_SYNC_ENTRIES`].
+            max_entries: u32,
+        },
+        /// Fetch a finished trace's span tree as one [`Response::Trace`].
+        0x0C TraceDump {
+            /// The trace to fetch; 0 asks for the most recently finished one.
+            trace_id: u64,
+        },
+        /// Arm tracing for this connection's next request (fire-and-forget —
+        /// the server sends no response). The server's request span will be
+        /// parented under the client's `parent_span`.
+        0x0D TraceContext {
+            /// Nonzero trace id chosen by the client.
+            trace_id: u64,
+            /// Client-side span to parent the server's work under (0 = root).
+            parent_span: u32,
+        },
+        /// Contribute the client's completed spans to a trace and mark it
+        /// finished (fire-and-forget — the server sends no response).
+        0x0E TraceUpload {
+            /// The trace the spans belong to.
+            trace_id: u64,
+            /// Completed client-side spans, ids from the client's base.
+            spans: Vec<TraceSpan>,
+        },
+        /// Name the tenant this connection's subsequent requests belong to;
+        /// answered with [`Response::HelloAck`]. Connections that never say
+        /// Hello serve under [`DEFAULT_TENANT`].
+        0x0F Hello {
+            /// Tenant id: non-empty, at most [`MAX_TENANT_LEN`] bytes of
+            /// `[A-Za-z0-9._-]` (it embeds into instrument names). A daemon
+            /// keeps at most [`MAX_TENANTS`] of them: a Hello that would mint
+            /// one more is answered `Error{Invalid}` and changes nothing.
+            tenant: String,
+        },
+    }
+}
+
+wire_struct! {
+    /// The assessment answer: the estimate's determining fields, bit-exact.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct AssessResponse {
+        /// Reliability score (Eq 1).
+        pub score: f64,
+        /// Conservative variance (Eq 2).
+        pub variance: f64,
+        /// Rounds checked.
+        pub rounds: u64,
+        /// Rounds in which the plan was reliable.
+        pub successes: u64,
+        /// True when served from the result cache.
+        pub cached: bool,
     }
 
-    /// Decodes a response payload.
-    pub fn decode(buf: Bytes) -> Result<Response, ProtoError> {
-        let mut r = ByteReader::new(buf);
-        let kind = read_header(&mut r)?;
-        let resp = match kind {
-            0x81 => Response::Pong { token: r.get_u64_le().ok_or(ProtoError::Truncated)? },
-            0x82 => Response::Assess(AssessResponse {
-                score: r.get_f64_le().ok_or(ProtoError::Truncated)?,
-                variance: r.get_f64_le().ok_or(ProtoError::Truncated)?,
-                rounds: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-                successes: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-                cached: r.get_u8().ok_or(ProtoError::Truncated)? != 0,
-            }),
-            0x83 => {
-                let reliability = r.get_f64_le().ok_or(ProtoError::Truncated)?;
-                let ciw95 = r.get_f64_le().ok_or(ProtoError::Truncated)?;
-                let plans_assessed = r.get_u64_le().ok_or(ProtoError::Truncated)?;
-                let n = r.get_u32_le().ok_or(ProtoError::Truncated)? as usize;
-                if r.remaining() < 4 * n {
-                    return Err(ProtoError::Truncated);
-                }
-                let hosts = (0..n).map(|_| r.get_u32_le().unwrap()).collect();
-                Response::Search(SearchResponse { reliability, ciw95, plans_assessed, hosts })
-            }
-            0x84 => {
-                let n = r.get_u32_le().ok_or(ProtoError::Truncated)? as usize;
-                let mut ranking = Vec::with_capacity(n.min(1 << 10));
-                for _ in 0..n {
-                    ranking.push(CompareEntry {
-                        input_index: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-                        score: r.get_f64_le().ok_or(ProtoError::Truncated)?,
-                        ciw95: r.get_f64_le().ok_or(ProtoError::Truncated)?,
-                        tied_with_best: r.get_u8().ok_or(ProtoError::Truncated)? != 0,
-                    });
-                }
-                Response::Compare(CompareResponse { ranking })
-            }
-            0x85 => Response::Stats(StatsResponse {
-                received: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-                completed: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-                cache_hits: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-                cache_misses: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-                busy_rejections: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-                protocol_errors: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-                queued: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-                capacity: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-                workers: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-            }),
-            0x86 => Response::Busy {
-                queued: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-                capacity: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-            },
-            0x87 => {
-                let code = ErrorCode::from_u8(r.get_u8().ok_or(ProtoError::Truncated)?)?;
-                let len = r.get_u16_le().ok_or(ProtoError::Truncated)? as usize;
-                let bytes = r.get_bytes(len).ok_or(ProtoError::Truncated)?;
-                let message = std::str::from_utf8(bytes.as_slice())
-                    .map_err(|_| ProtoError::BadString)?
-                    .to_string();
-                Response::Error { code, message }
-            }
-            0x88 => {
-                Response::ShutdownAck { completed: r.get_u64_le().ok_or(ProtoError::Truncated)? }
-            }
-            0x89 => Response::Metrics(get_metrics(&mut r)?),
-            0x8A => Response::Partial(PartialResponse {
-                rounds_done: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-                rounds_total: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-                score: r.get_f64_le().ok_or(ProtoError::Truncated)?,
-                ciw: r.get_f64_le().ok_or(ProtoError::Truncated)?,
-            }),
-            0x8B => Response::SearchEvent(SearchEventResponse {
-                chain: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-                iteration: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-                elapsed_us: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-                measure: r.get_f64_le().ok_or(ProtoError::Truncated)?,
-                reliability: r.get_f64_le().ok_or(ProtoError::Truncated)?,
-                temperature: r.get_f64_le().ok_or(ProtoError::Truncated)?,
-            }),
-            0x8C => {
-                let n = r.get_u32_le().ok_or(ProtoError::Truncated)? as usize;
-                if r.remaining() < 48 * n {
-                    return Err(ProtoError::Truncated);
-                }
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let key_lo = r.get_u64_le().unwrap();
-                    let key_hi = r.get_u64_le().unwrap();
-                    entries.push(CacheEntry {
-                        key: u128::from(key_lo) | (u128::from(key_hi) << 64),
-                        score: r.get_f64_le().unwrap(),
-                        variance: r.get_f64_le().unwrap(),
-                        rounds: r.get_u64_le().unwrap(),
-                        successes: r.get_u64_le().unwrap(),
-                    });
-                }
-                Response::CacheSegment(CacheSegmentResponse { entries })
-            }
-            0x8D => Response::Trace(TraceResponse {
-                trace_id: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-                dropped: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-                spans: get_trace_spans(&mut r)?,
-            }),
-            0x8E => Response::HelloAck { tenant: get_str(&mut r)? },
-            other => return Err(ProtoError::BadKind(other)),
-        };
-        finish(&r)?;
-        Ok(resp)
+    /// The search answer.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct SearchResponse {
+        /// Assessed reliability of the chosen plan.
+        pub reliability: f64,
+        /// 95% confidence-interval width.
+        pub ciw95: f64,
+        /// Plans assessed during the search.
+        pub plans_assessed: u64,
+        /// Raw host ids of the chosen plan (single K-of-N component).
+        pub hosts: Vec<u32>,
+    }
+
+    /// One ranked candidate in a [`CompareResponse`].
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct CompareEntry {
+        /// Position of the plan in the request's list.
+        pub input_index: u32,
+        /// Reliability score.
+        pub score: f64,
+        /// 95% confidence-interval width.
+        pub ciw95: f64,
+        /// Statistically indistinguishable from the winner.
+        pub tied_with_best: bool,
+    }
+
+    /// The comparison answer, best plan first.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct CompareResponse {
+        /// Candidates sorted by descending reliability.
+        pub ranking: Vec<CompareEntry>,
+    }
+
+    /// A running estimate mid-stream: the (R, CIW) pair of Eqs 1 and 3 over
+    /// the rounds fed so far. `rounds_done` is monotonically nondecreasing
+    /// across the partials of one stream.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct PartialResponse {
+        /// Rounds accumulated so far.
+        pub rounds_done: u64,
+        /// Rounds the full request would run.
+        pub rounds_total: u64,
+        /// Running reliability estimate R (Eq 1).
+        pub score: f64,
+        /// Running 95% confidence-interval width (Eq 3).
+        pub ciw: f64,
+    }
+
+    /// One best-plan improvement inside a streamed parallel search: a
+    /// trajectory point from whichever chain just raised its own best, tagged
+    /// with the chain index. `iteration` counts plans assessed by that chain.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct SearchEventResponse {
+        /// Which annealing chain improved (0-based).
+        pub chain: u32,
+        /// Plans assessed by that chain when the improvement landed.
+        pub iteration: u64,
+        /// Microseconds since that chain's search started.
+        pub elapsed_us: u64,
+        /// The new best objective measure M (Eq 7).
+        pub measure: f64,
+        /// The new best plan's reliability R (Eq 1).
+        pub reliability: f64,
+        /// The temperature t (Eq 6) at the improvement.
+        pub temperature: f64,
+    }
+
+    /// One cache entry in flight inside a [`CacheSegmentResponse`]: the
+    /// assessment fingerprint plus the determining [`AssessResponse`]
+    /// fields (the transient `cached` flag never travels).
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct CacheEntry {
+        /// Assessment fingerprint (`recloud_assess::assessment_key`).
+        pub key: u128,
+        /// Reliability score (Eq 1).
+        pub score: f64,
+        /// Conservative variance (Eq 2).
+        pub variance: f64,
+        /// Rounds checked.
+        pub rounds: u64,
+        /// Rounds in which the plan was reliable.
+        pub successes: u64,
+    }
+
+    /// The CacheSync answer: the peer's most-recently-used cache entries,
+    /// newest first, at most the request's `max_entries`.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct CacheSegmentResponse {
+        /// Cache entries, most recently used first.
+        pub entries: Vec<CacheEntry>,
+    }
+
+    /// The TraceDump answer: one trace's assembled span tree.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct TraceResponse {
+        /// The trace the spans belong to; 0 when no such trace exists (the
+        /// id was never begun, was evicted, or nothing has finished yet).
+        pub trace_id: u64,
+        /// Spans dropped past the tracer's per-trace capacity.
+        pub dropped: u64,
+        /// Spans in record order (parents precede children per process, but
+        /// absorbed client spans may follow server spans that reference them).
+        pub spans: Vec<TraceSpan>,
+    }
+}
+
+wire_struct!(impl MetricsSnapshot {
+    counters: Vec<(String, u64)>,
+    gauges: Vec<(String, i64)>,
+    histograms: Vec<(String, HistogramSnapshot)>,
+});
+wire_struct!(impl Event {
+    seq: u64, ts_micros: u64, thread: u64, kind: String, v0: u64, v1: u64, f0: f64, f1: f64,
+});
+
+wire_struct! {
+    /// The MetricsDump answer: a merged snapshot of the server's private
+    /// registry and the process-global one (assess/search instruments),
+    /// plus up to `journal_tail` of the newest journal events.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct MetricsResponse {
+        /// Every registered instrument, sorted by name.
+        pub snapshot: MetricsSnapshot,
+        /// Newest journal events, oldest first.
+        pub events: Vec<Event>,
+    }
+}
+
+frames! {
+    /// A server → client frame.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Response, RESPONSE_KINDS {
+        /// Ping echo.
+        0x81 Pong {
+            /// The request's token.
+            token: u64,
+        },
+        /// Assessment result.
+        0x82 Assess(resp: AssessResponse),
+        /// Search result.
+        0x83 Search(resp: SearchResponse),
+        /// Comparison result.
+        0x84 Compare(resp: CompareResponse),
+        /// Admission control rejected the request; retry later.
+        0x86 Busy {
+            /// Jobs queued at rejection time.
+            queued: u32,
+            /// The queue capacity.
+            capacity: u32,
+        },
+        /// The request failed; the connection will be dropped for protocol
+        /// errors and kept for semantic ones.
+        0x87 Error {
+            /// Machine-readable cause.
+            code: ErrorCode,
+            /// Human-readable detail.
+            message: String,
+        },
+        /// Shutdown acknowledged; the server drains and exits.
+        0x88 ShutdownAck {
+            /// Jobs completed over the server's lifetime.
+            completed: u64,
+        },
+        /// Instrument snapshot + journal tail.
+        0x89 Metrics(resp: MetricsResponse),
+        /// A mid-stream running estimate; only appears between an
+        /// AssessStream request and its final [`Response::Assess`].
+        0x8A Partial(resp: PartialResponse),
+        /// A best-plan improvement; only appears between a SearchStream
+        /// request and its final [`Response::Search`].
+        0x8B SearchEvent(resp: SearchEventResponse),
+        /// A batch of cache entries answering a [`Request::CacheSync`].
+        0x8C CacheSegment(resp: CacheSegmentResponse),
+        /// A trace's span tree answering a [`Request::TraceDump`].
+        0x8D Trace(resp: TraceResponse),
+        /// Acknowledges a [`Request::Hello`], echoing the tenant the
+        /// connection is now attributed to.
+        0x8E HelloAck {
+            /// The accepted tenant id.
+            tenant: String,
+        },
     }
 }
 
@@ -1373,35 +933,31 @@ pub fn validate_shape(req: &Request) -> Result<(), String> {
         }
         Ok(())
     };
+    // `1..=max` host lists (layers, candidate plans), each of `n` hosts.
+    let check_lists = |lists: &[Vec<u32>], n: u32, max: u32, many: &str, one: &str| {
+        if lists.is_empty() || lists.len() > max as usize {
+            return Err(format!("need 1..={max} {many} (got {})", lists.len()));
+        }
+        match lists.iter().enumerate().find(|(_, list)| list.len() != n as usize) {
+            Some((i, list)) => Err(format!("{one} {i} assigns {} hosts but n={n}", list.len())),
+            None => Ok(()),
+        }
+    };
     let check_assess = |a: &AssessRequest| -> Result<(), String> {
         check_spec(a.k, a.n, a.rounds)?;
-        if a.assignments.is_empty() || a.assignments.len() > MAX_LAYERS as usize {
-            return Err(format!("need 1..={MAX_LAYERS} layers (got {})", a.assignments.len()));
-        }
-        for (i, layer) in a.assignments.iter().enumerate() {
-            if layer.len() != a.n as usize {
-                return Err(format!("layer {i} assigns {} hosts but n={}", layer.len(), a.n));
-            }
-        }
-        Ok(())
+        check_lists(&a.assignments, a.n, MAX_LAYERS, "layers", "layer")
     };
     match req {
         Request::Ping { .. }
-        | Request::Stats
         | Request::Shutdown
         | Request::MetricsDump { .. }
         | Request::AssessCancel
         | Request::TraceDump { .. } => Ok(()),
-        Request::TraceContext { trace_id, .. } => {
-            if *trace_id == 0 {
-                return Err("trace id 0 is reserved for \"no trace\"".to_string());
-            }
-            Ok(())
+        Request::TraceContext { trace_id: 0, .. } | Request::TraceUpload { trace_id: 0, .. } => {
+            Err("trace id 0 is reserved for \"no trace\"".to_string())
         }
-        Request::TraceUpload { trace_id, spans } => {
-            if *trace_id == 0 {
-                return Err("trace id 0 is reserved for \"no trace\"".to_string());
-            }
+        Request::TraceContext { .. } => Ok(()),
+        Request::TraceUpload { spans, .. } => {
             if spans.len() > MAX_TRACE_SPANS as usize {
                 return Err(format!(
                     "need at most {MAX_TRACE_SPANS} uploaded spans (got {})",
@@ -1436,7 +992,6 @@ pub fn validate_shape(req: &Request) -> Result<(), String> {
             }
             Ok(())
         }
-        Request::SearchPlacement(s) => check_spec(s.k, s.n, s.rounds),
         Request::SearchStream { req: s, workers, iters } => {
             check_spec(s.k, s.n, s.rounds)?;
             if *workers == 0 || *workers > MAX_SEARCH_CHAINS {
@@ -1460,18 +1015,7 @@ pub fn validate_shape(req: &Request) -> Result<(), String> {
         }
         Request::ComparePlans(c) => {
             check_spec(c.k, c.n, c.rounds)?;
-            if c.plans.is_empty() || c.plans.len() > MAX_PLANS as usize {
-                return Err(format!(
-                    "need 1..={MAX_PLANS} candidate plans (got {})",
-                    c.plans.len()
-                ));
-            }
-            for (i, plan) in c.plans.iter().enumerate() {
-                if plan.len() != c.n as usize {
-                    return Err(format!("plan {i} assigns {} hosts but n={}", plan.len(), c.n));
-                }
-            }
-            Ok(())
+            check_lists(&c.plans, c.n, MAX_PLANS, "candidate plans", "plan")
         }
     }
 }
@@ -1479,6 +1023,11 @@ pub fn validate_shape(req: &Request) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Kinds that once had a frame. They decode as `BadKind` and their
+    /// bytes are never given to another frame.
+    const RETIRED_KINDS: [(u8, &str); 3] =
+        [(0x03, "SearchPlacement"), (0x05, "Stats"), (0x85, "StatsResult")];
 
     fn sample_requests() -> Vec<Request> {
         vec![
@@ -1499,14 +1048,6 @@ mod tests {
                 n: 2,
                 assignments: vec![vec![72, 73], vec![80, 81]],
             }),
-            Request::SearchPlacement(SearchRequest {
-                preset: Preset::Small,
-                rounds: 5_000,
-                seed: 7,
-                k: 4,
-                n: 5,
-                budget_ms: 2_000,
-            }),
             Request::ComparePlans(CompareRequest {
                 preset: Preset::Medium,
                 rounds: 1_000,
@@ -1515,7 +1056,6 @@ mod tests {
                 n: 2,
                 plans: vec![vec![72, 73], vec![74, 75], vec![76, 77]],
             }),
-            Request::Stats,
             Request::Shutdown,
             Request::MetricsDump { journal_tail: 0 },
             Request::MetricsDump { journal_tail: 256 },
@@ -1579,16 +1119,11 @@ mod tests {
     }
 
     fn sample_metrics() -> MetricsResponse {
-        let mut hist = recloud_obs::HistogramSnapshot {
-            count: 3,
-            sum: 1_234,
-            max: 1_000,
-            ..Default::default()
-        };
+        let mut hist = HistogramSnapshot { count: 3, sum: 1_234, max: 1_000, ..Default::default() };
         hist.buckets[0] = 1;
         hist.buckets[9] = 2;
         MetricsResponse {
-            snapshot: recloud_obs::MetricsSnapshot {
+            snapshot: MetricsSnapshot {
                 counters: vec![
                     ("server.cache_hits".into(), 40),
                     ("server.requests_total".into(), 100),
@@ -1596,7 +1131,7 @@ mod tests {
                 gauges: vec![("server.queue_depth".into(), -1), ("x".into(), i64::MAX)],
                 histograms: vec![("server.latency_us.assess".into(), hist)],
             },
-            events: vec![recloud_obs::Event {
+            events: vec![Event {
                 seq: 7,
                 ts_micros: 1_700_000_000_000_000,
                 thread: 3,
@@ -1635,17 +1170,6 @@ mod tests {
                         tied_with_best: false,
                     },
                 ],
-            }),
-            Response::Stats(StatsResponse {
-                received: 100,
-                completed: 90,
-                cache_hits: 40,
-                cache_misses: 50,
-                busy_rejections: 3,
-                protocol_errors: 2,
-                queued: 5,
-                capacity: 64,
-                workers: 4,
             }),
             Response::Busy { queued: 64, capacity: 64 },
             Response::Error { code: ErrorCode::Invalid, message: "id 9999 is not a host".into() },
@@ -1691,85 +1215,204 @@ mod tests {
         ]
     }
 
-    /// Satellite: every request/response frame round-trips bit-identically
-    /// — the decoded value re-encodes to the exact same bytes.
-    #[test]
-    fn every_frame_roundtrips_bit_identically() {
-        for req in sample_requests() {
-            let bytes = req.encode();
-            let back = Request::decode(bytes.clone()).unwrap();
-            assert_eq!(back, req);
-            assert_eq!(back.encode(), bytes, "re-encode must be byte-identical: {req:?}");
-        }
-        for resp in sample_responses() {
-            let bytes = resp.encode();
-            let back = Response::decode(bytes.clone()).unwrap();
-            assert_eq!(back, resp);
-            assert_eq!(back.encode(), bytes, "re-encode must be byte-identical: {resp:?}");
-        }
+    /// One direction of the protocol as bytes: its kind table, its encoded
+    /// samples, its own decoder (re-encoding what it decoded) and the other
+    /// direction's.
+    struct Direction {
+        rows: &'static [KindRow],
+        samples: Vec<Bytes>,
+        recode: fn(Bytes) -> Result<Bytes, ProtoError>,
+        other: fn(Bytes) -> Result<Bytes, ProtoError>,
     }
 
-    /// Satellite: every strict prefix of every frame is rejected as
-    /// Truncated (or another ProtoError), never a panic — extending the
-    /// PR 1 truncation guarantee to the server codec.
-    #[test]
-    fn every_prefix_cut_is_rejected() {
-        for req in sample_requests() {
-            let whole = req.encode();
-            for cut in 0..whole.len() {
-                assert!(
-                    Request::decode(whole.slice(..cut)).is_err(),
-                    "{req:?} cut={cut} must not decode"
-                );
-            }
-        }
-        for resp in sample_responses() {
-            let whole = resp.encode();
-            for cut in 0..whole.len() {
-                assert!(
-                    Response::decode(whole.slice(..cut)).is_err(),
-                    "{resp:?} cut={cut} must not decode"
-                );
-            }
-        }
+    /// Both directions. Encoding a sample here also checks that it decodes
+    /// to an equal value.
+    fn directions() -> [Direction; 2] {
+        let request: fn(Bytes) -> _ = |b| Request::decode(b).map(|r| r.encode());
+        let response: fn(Bytes) -> _ = |b| Response::decode(b).map(|r| r.encode());
+        let requests = sample_requests().into_iter().map(|sample| {
+            let bytes = sample.encode();
+            assert_eq!(Request::decode(bytes.clone()), Ok(sample));
+            bytes
+        });
+        let responses = sample_responses().into_iter().map(|sample| {
+            let bytes = sample.encode();
+            assert_eq!(Response::decode(bytes.clone()), Ok(sample));
+            bytes
+        });
+        [
+            Direction {
+                rows: REQUEST_KINDS,
+                samples: requests.collect(),
+                recode: request,
+                other: response,
+            },
+            Direction {
+                rows: RESPONSE_KINDS,
+                samples: responses.collect(),
+                recode: response,
+                other: request,
+            },
+        ]
     }
 
-    #[test]
-    fn trailing_bytes_are_rejected() {
+    /// A payload under our magic that no encoder would write.
+    fn raw(kind: u8, body: &[u8]) -> Bytes {
         let mut w = ByteWriter::new();
-        w.put_slice(&Request::Stats.encode());
-        w.put_u8(0);
-        assert_eq!(Request::decode(w.freeze()), Err(ProtoError::TrailingBytes(1)));
+        w.put_u32_le(MAGIC);
+        w.put_u8(kind);
+        w.put_slice(body);
+        w.freeze()
+    }
+
+    /// Driven by the kind table, so a frame added without a sample fails
+    /// here. Every row has samples, and each of them round-trips — the
+    /// decoded value equals the sample and re-encodes to the same bytes —
+    /// is `Truncated` on every strict prefix, `TrailingBytes` when padded,
+    /// and a `BadKind` to the other direction's decoder.
+    #[test]
+    fn every_kind_has_samples_that_roundtrip_and_reject_cuts_padding_and_the_other_direction() {
+        for d in directions() {
+            for row in d.rows {
+                let samples: Vec<_> = d.samples.iter().filter(|s| s[4] == row.kind).collect();
+                assert!(!samples.is_empty(), "0x{:02X} {} has no sample", row.kind, row.name);
+                for &whole in &samples {
+                    assert_eq!((d.recode)(whole.clone()).as_ref(), Ok(whole), "{}", row.name);
+                    for cut in 0..whole.len() {
+                        let cut_off = (d.recode)(whole.slice(..cut));
+                        assert_eq!(cut_off, Err(ProtoError::Truncated), "{} cut={cut}", row.name);
+                    }
+                    let padded = Bytes::from([whole.as_slice(), &[0]].concat());
+                    assert_eq!((d.recode)(padded), Err(ProtoError::TrailingBytes(1)));
+                    assert_eq!((d.other)(whole.clone()), Err(ProtoError::BadKind(row.kind)));
+                }
+            }
+            for s in &d.samples {
+                assert!(d.rows.iter().any(|row| row.kind == s[4]), "sample of no row: {s:?}");
+            }
+        }
+    }
+
+    /// `golden_frames.txt` holds one `kind hex` line per kind, written by
+    /// the encoder of the commit before the frame table existed (PR 14)
+    /// from that kind's longest sample. The bytes must not move.
+    #[test]
+    fn golden_frames() {
+        let unhex = |hex: &str| -> Vec<u8> {
+            (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                .collect()
+        };
+        let golden: Vec<(u8, Vec<u8>)> = include_str!("golden_frames.txt")
+            .lines()
+            .map(|line| line.split_once(' ').expect("kind hex"))
+            .map(|(kind, hex)| (unhex(kind.trim_start_matches("0x"))[0], unhex(hex)))
+            .collect();
+        let mut rows = 0;
+        for d in directions() {
+            for row in d.rows {
+                let (_, want) = golden
+                    .iter()
+                    .find(|(kind, _)| *kind == row.kind)
+                    .unwrap_or_else(|| panic!("no golden line for 0x{:02X}", row.kind));
+                let longest =
+                    d.samples.iter().filter(|s| s[4] == row.kind).rev().max_by_key(|s| s.len());
+                assert_eq!(longest.unwrap().as_slice(), want.as_slice(), "{} moved", row.name);
+                let back = (d.recode)(Bytes::from(want.clone()));
+                assert_eq!(back.as_deref(), Ok(want.as_slice()), "{} fed back", row.name);
+                rows += 1;
+            }
+        }
+        assert_eq!(rows, golden.len(), "a golden line names no kind of the table");
     }
 
     #[test]
-    fn bad_magic_and_kind_are_rejected() {
+    fn retired_kinds_are_bad_kinds_and_never_reused() {
+        for (kind, name) in RETIRED_KINDS {
+            for d in directions() {
+                assert!(d.rows.iter().all(|row| row.kind != kind), "{name}'s byte was reused");
+                // Bare, and with what used to be a valid body behind it.
+                for body in [0, 60] {
+                    let frame = raw(kind, &vec![0; body]);
+                    assert_eq!((d.recode)(frame), Err(ProtoError::BadKind(kind)), "{name}");
+                }
+            }
+        }
+    }
+
+    /// The frame table as `frame_table.md` and DESIGN.md carry it.
+    fn frame_table() -> String {
+        let mut out = String::new();
+        for (title, rows) in [
+            ("Request kinds (client → server):", REQUEST_KINDS),
+            ("Response kinds (server → client):", RESPONSE_KINDS),
+        ] {
+            out += &format!("{title}\n\n| kind | frame | body |\n|------|-------|------|\n");
+            for row in rows {
+                let body = match (row.body)() {
+                    body if body.is_empty() => "(empty)".to_string(),
+                    body => format!("`{body}`"),
+                };
+                out += &format!("| 0x{:02X} | {} | {body} |\n", row.kind, row.name);
+            }
+            out += "\n";
+        }
+        out += "Retired kinds (decode as `BadKind`, never reused):\n\n";
+        out += "| kind | frame |\n|------|-------|\n";
+        for (kind, name) in RETIRED_KINDS {
+            out += &format!("| 0x{kind:02X} | {name} |\n");
+        }
+        out
+    }
+
+    /// `frame_table.md` (which the module doc includes) is the rendered
+    /// table, and DESIGN.md carries every row of it; on a mismatch the
+    /// expected block is printed for pasting.
+    #[test]
+    fn frame_table_is_the_documented_one() {
+        let table = frame_table();
+        assert!(include_str!("frame_table.md") == table, "frame_table.md should be:\n{table}");
+        let design = include_str!("../../../DESIGN.md");
+        for row in table.lines().filter(|row| !row.is_empty()) {
+            assert!(design.lines().any(|l| l == row), "DESIGN.md lacks {row}; expected:\n{table}");
+        }
+    }
+
+    #[test]
+    fn bad_magic_kind_and_preset_are_rejected() {
         let mut w = ByteWriter::new();
         w.put_u32_le(0xDEAD_BEEF);
         w.put_u8(0x01);
         w.put_u64_le(0);
         assert_eq!(Request::decode(w.freeze()), Err(ProtoError::BadMagic(0xDEAD_BEEF)));
-
-        let mut w = ByteWriter::new();
-        put_header(&mut w, 0x7F);
-        assert_eq!(Request::decode(w.freeze()), Err(ProtoError::BadKind(0x7F)));
-        let mut w = ByteWriter::new();
-        put_header(&mut w, 0x02);
-        w.put_u8(9); // preset tag 9 does not exist
-        w.put_u32_le(1);
-        w.put_u64_le(1);
-        w.put_u32_le(1);
-        w.put_u32_le(1);
-        w.put_u32_le(0);
-        assert_eq!(Request::decode(w.freeze()), Err(ProtoError::BadPreset(9)));
+        assert_eq!(Request::decode(raw(0x7F, &[])), Err(ProtoError::BadKind(0x7F)));
+        // An AssessPlan whose preset tag does not exist.
+        assert_eq!(Request::decode(raw(0x02, &[9; 25])), Err(ProtoError::BadPreset(9)));
     }
 
+    /// The count rule: a `[T]` whose count the remaining bytes cannot hold
+    /// is `Truncated` up front, whatever `T` is — one element too many is
+    /// enough, and `u32::MAX` reserves nothing.
     #[test]
-    fn request_kind_cannot_decode_as_response() {
-        let ping = Request::Ping { token: 1 }.encode();
-        assert_eq!(Response::decode(ping), Err(ProtoError::BadKind(0x01)));
-        let pong = Response::Pong { token: 1 }.encode();
-        assert_eq!(Request::decode(pong), Err(ProtoError::BadKind(0x81)));
+    fn a_count_the_remaining_bytes_cannot_hold_is_truncated() {
+        // `fixed` zero bytes of leading fields, the count, `tail` zero bytes.
+        let frame = |kind, fixed: usize, count: u32, tail: usize| {
+            raw(kind, &[vec![0; fixed], count.to_le_bytes().to_vec(), vec![0; tail]].concat())
+        };
+        for count in [3, u32::MAX] {
+            // AssessPlan: two empty host lists fit in 8 bytes, three do not.
+            assert_eq!(Request::decode(frame(0x02, 21, count, 8)), Err(ProtoError::Truncated));
+            // TraceUpload: two minimal spans (42 bytes each) fit in 84 bytes.
+            assert_eq!(Request::decode(frame(0x0E, 8, count, 84)), Err(ProtoError::Truncated));
+            // Search: two hosts fit in 8 bytes.
+            assert_eq!(Response::decode(frame(0x83, 24, count, 8)), Err(ProtoError::Truncated));
+            // CacheSegment: two 48-byte entries fit in 96 bytes.
+            assert_eq!(Response::decode(frame(0x8C, 0, count, 96)), Err(ProtoError::Truncated));
+            // Metrics: two minimal counters (10 bytes each) fit in 20 bytes.
+            assert_eq!(Response::decode(frame(0x89, 0, count, 20)), Err(ProtoError::Truncated));
+        }
+        assert!(Request::decode(frame(0x02, 21, 2, 8)).is_ok(), "two empty lists do fit");
     }
 
     #[test]
@@ -1806,7 +1449,7 @@ mod tests {
 
     #[test]
     fn half_written_frame_is_unexpected_eof() {
-        let payload = Request::Stats.encode();
+        let payload = Request::Shutdown.encode();
         let mut wire = Vec::new();
         write_frame(&mut wire, &payload).unwrap();
         wire.truncate(wire.len() - 2);
@@ -1916,37 +1559,11 @@ mod tests {
         }
     }
 
-    /// Satellite: the deprecated Stats frame and its MetricsDump
-    /// successor both round-trip — wire compatibility is kept while the
-    /// richer frame takes over. Also pins the Stats layout to exactly
-    /// six `u64` + three `u32` (the "nine counters" the docs promise).
+    /// The sparse bucket encoding reconstructs the full 64-bucket layout.
     #[test]
-    fn stats_and_metrics_dump_frames_both_roundtrip() {
-        let stats = Response::Stats(StatsResponse {
-            received: 1,
-            completed: 2,
-            cache_hits: 3,
-            cache_misses: 4,
-            busy_rejections: 5,
-            protocol_errors: 6,
-            queued: 7,
-            capacity: 8,
-            workers: 9,
-        });
-        let bytes = stats.encode();
-        assert_eq!(bytes.len(), HEADER_LEN + 6 * 8 + 3 * 4, "six u64 + three u32");
-        assert_eq!(Response::decode(bytes.clone()).unwrap(), stats);
-        assert_eq!(Response::decode(bytes.clone()).unwrap().encode(), bytes);
-
-        let dump = Request::MetricsDump { journal_tail: 64 };
-        assert_eq!(Request::decode(dump.encode()).unwrap(), dump);
-        let metrics = Response::Metrics(sample_metrics());
-        let bytes = metrics.encode();
-        let back = Response::decode(bytes.clone()).unwrap();
-        assert_eq!(back, metrics);
-        assert_eq!(back.encode(), bytes, "re-encode must be byte-identical");
-        // Sparse bucket encoding reconstructs the full 64-bucket layout.
-        let Response::Metrics(m) = back else { unreachable!() };
+    fn metrics_histograms_travel_sparse() {
+        let bytes = Response::Metrics(sample_metrics()).encode();
+        let Response::Metrics(m) = Response::decode(bytes).unwrap() else { unreachable!() };
         let h = m.snapshot.histogram("server.latency_us.assess").unwrap();
         assert_eq!(h.buckets[9], 2);
         assert_eq!(h.buckets.iter().sum::<u64>(), 3);
@@ -1955,27 +1572,17 @@ mod tests {
 
     #[test]
     fn metrics_bad_bucket_index_is_rejected() {
-        let mut m = sample_metrics();
-        m.snapshot.histograms[0].1.buckets = [0; 64];
-        let good = Response::Metrics(m).encode();
-        // Find the sparse-bucket region: re-encode with a hand-built
-        // frame instead — simpler: corrupt via encode of a valid frame
-        // is brittle, so build the body directly.
-        drop(good);
         let mut w = ByteWriter::new();
-        put_header(&mut w, 0x89);
         w.put_u32_le(0); // counters
         w.put_u32_le(0); // gauges
         w.put_u32_le(1); // one histogram
-        put_str(&mut w, "h");
-        w.put_u64_le(1); // count
-        w.put_u64_le(1); // sum
-        w.put_u64_le(1); // max
+        "h".to_string().put(&mut w);
+        w.put_bytes(1, 24); // count, sum, max
         w.put_u8(1); // one sparse bucket
         w.put_u8(64); // out of range
         w.put_u64_le(1);
         w.put_u32_le(0); // events
-        assert_eq!(Response::decode(w.freeze()), Err(ProtoError::BadBucket(64)));
+        assert_eq!(Response::decode(raw(0x89, &w.into_vec())), Err(ProtoError::BadBucket(64)));
     }
 
     #[test]

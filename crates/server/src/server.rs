@@ -48,12 +48,12 @@ use crate::engine::{build_plan, shape_for, spec_for, EnginePool};
 use crate::protocol::{
     validate_shape, AssessRequest, AssessResponse, CacheSegmentResponse, CompareRequest, ErrorCode,
     MetricsResponse, PartialResponse, Request, Response, SearchEventResponse, SearchRequest,
-    StatsResponse, TraceResponse, TraceSpan, DEFAULT_TENANT, MAX_FRAME_LEN, MAX_SYNC_ENTRIES,
+    TraceResponse, TraceSpan, DEFAULT_TENANT, MAX_FRAME_LEN, MAX_SYNC_ENTRIES, MAX_TENANTS,
 };
 use crate::reactor::{raw_fd, Poller, PollerKind, Waker};
 use recloud::sync::{self, Receiver, Sender, TryRecvError};
 use recloud_apps::{ApplicationSpec, DeploymentPlan};
-use recloud_assess::assessment_key;
+use recloud_assess::{assessment_key, PartialEstimate};
 use recloud_obs::{trace, Counter, Gauge, Histogram, KindId, Registry, SpanCtx, SpanRecord};
 use recloud_store::{Entry as StoreEntry, Op as StoreOp, Store, StoreConfig};
 use std::cell::Cell;
@@ -62,7 +62,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -124,39 +124,35 @@ impl Default for ServerConfig {
     }
 }
 
-/// Final counter snapshot returned by [`Server::run`].
+/// Final counter snapshot returned by [`Server::run`]: six of the
+/// server registry's counters under the names embedders print. There is
+/// one ledger — a `MetricsDump` taken at the same instant reads the same
+/// numbers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServeSummary {
-    /// Requests received (all kinds).
+    /// Requests decoded, all kinds (`server.requests_total`).
     pub received: u64,
-    /// Jobs completed by workers.
+    /// Jobs completed by workers plus cache hits (`server.completed_total`).
     pub completed: u64,
-    /// Assessments answered from the result cache.
+    /// Assessments answered from the result cache
+    /// (`server.cache_hits_total`).
     pub cache_hits: u64,
-    /// Assessments that had to run.
+    /// Assessments that had to run (`server.cache_misses_total`).
     pub cache_misses: u64,
-    /// Requests turned away with `Busy`.
+    /// Requests turned away with `Busy` (`server.busy_total`).
     pub busy_rejections: u64,
-    /// Connections that spoke the protocol wrong.
+    /// Frames that spoke the protocol wrong: undecodable, oversized, cut
+    /// off by EOF, or anything but a cancel mid-stream
+    /// (`server.decode_errors_total`).
     pub protocol_errors: u64,
-}
-
-#[derive(Default)]
-struct Counters {
-    received: AtomicU64,
-    completed: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    busy_rejections: AtomicU64,
-    protocol_errors: AtomicU64,
 }
 
 /// Request kinds that get their own latency histogram. `Shutdown` is
 /// excluded — its "latency" is the drain, not a serving cost — and so is
 /// `AssessCancel`, which has no reply frame. A `stream` sample is the
 /// whole exchange, first partial to final frame.
-const LATENCY_KINDS: [&str; 9] =
-    ["ping", "assess", "search", "compare", "stats", "metrics", "stream", "search_stream", "sync"];
+const LATENCY_KINDS: [&str; 7] =
+    ["ping", "assess", "compare", "metrics", "stream", "search_stream", "sync"];
 
 /// Per-server observability handles, backed by a private
 /// [`Registry`] so concurrent servers (and tests) see isolated,
@@ -166,6 +162,8 @@ const LATENCY_KINDS: [&str; 9] =
 struct ServerInstruments {
     registry: Registry,
     requests_total: Arc<Counter>,
+    /// Jobs a worker finished without error, plus cache hits.
+    completed: Arc<Counter>,
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
     cache_evictions: Arc<Counter>,
@@ -195,8 +193,8 @@ struct ServerInstruments {
     /// Wall-clock per served request, admission wait included, indexed
     /// like [`LATENCY_KINDS`].
     latency: [Arc<Histogram>; LATENCY_KINDS.len()],
-    /// Journal event emitted when a connection closes: `v0` = frames
-    /// decoded on it, `v1` = decode errors it produced.
+    /// Journal event emitted when a connection closes: `v0` = complete
+    /// frames it sent, `v1` = protocol errors it produced.
     conn_close: KindId,
     /// Journal event emitted when a stream's drive is cancelled: `v0` =
     /// rounds done, `v1` = rounds the cancel saved.
@@ -204,14 +202,19 @@ struct ServerInstruments {
 }
 
 impl ServerInstruments {
-    fn new() -> Self {
+    fn new(config: &ServerConfig) -> Self {
         let registry = Registry::new();
+        // Set once: the configuration a stats reader needs beside the
+        // queue-depth gauge.
+        registry.gauge("server.workers").set(config.workers as i64);
+        registry.gauge("server.queue_capacity").set(config.queue_capacity as i64);
         let latency =
             LATENCY_KINDS.map(|kind| registry.histogram(&format!("server.latency_us.{kind}")));
         let conn_close = registry.journal().kind_id("conn.close");
         let stream_cancel = registry.journal().kind_id("stream.cancel");
         ServerInstruments {
             requests_total: registry.counter("server.requests_total"),
+            completed: registry.counter("server.completed_total"),
             cache_hits: registry.counter("server.cache_hits_total"),
             cache_misses: registry.counter("server.cache_misses_total"),
             cache_evictions: registry.counter("server.cache_evictions_total"),
@@ -240,13 +243,11 @@ impl ServerInstruments {
         match request {
             Request::Ping { .. } => Some(0),
             Request::AssessPlan(_) => Some(1),
-            Request::SearchPlacement(_) => Some(2),
-            Request::ComparePlans(_) => Some(3),
-            Request::Stats => Some(4),
-            Request::MetricsDump { .. } => Some(5),
-            Request::AssessStream { .. } => Some(6),
-            Request::SearchStream { .. } => Some(7),
-            Request::CacheSync { .. } => Some(8),
+            Request::ComparePlans(_) => Some(2),
+            Request::MetricsDump { .. } => Some(3),
+            Request::AssessStream { .. } => Some(4),
+            Request::SearchStream { .. } => Some(5),
+            Request::CacheSync { .. } => Some(6),
             // Trace frames are connection-side bookkeeping (two of the
             // three don't even reply) — no latency histogram. Hello is
             // likewise per-connection setup, not served work.
@@ -261,27 +262,24 @@ impl ServerInstruments {
 }
 
 enum JobKind {
+    /// AssessPlan and AssessStream alike: a plain request is a stream
+    /// that forwards no `Partial` (`cadence` is `None`) and whose cancel
+    /// flag nobody holds.
     Assess {
         req: AssessRequest,
         spec: ApplicationSpec,
         plan: DeploymentPlan,
         key: u128,
+        /// Forward one `Partial` every this many fed chunks.
+        cadence: Option<u32>,
+        /// Shared with the reactor; the engine checks it between chunks
+        /// and stops feeding once set.
+        cancel: Arc<AtomicBool>,
     },
-    Search(SearchRequest),
     Compare {
         req: CompareRequest,
         spec: ApplicationSpec,
         plans: Vec<DeploymentPlan>,
-    },
-    StreamAssess {
-        req: AssessRequest,
-        cadence: u32,
-        spec: ApplicationSpec,
-        plan: DeploymentPlan,
-        key: u128,
-        /// Shared with the connection thread; the engine checks it
-        /// between chunks and stops feeding once set.
-        cancel: Arc<AtomicBool>,
     },
     /// A streamed parallel search. No cancel flag: stopping an annealing
     /// population early would change its answer, so the drive always runs
@@ -309,7 +307,6 @@ pub struct Server {
     listener: TcpListener,
     local_addr: SocketAddr,
     config: ServerConfig,
-    counters: Counters,
     obs: ServerInstruments,
     cache: Mutex<ResultCache>,
     /// The durable spill log (`--store`); every uncached assessment is
@@ -334,7 +331,7 @@ impl Server {
         assert!(config.workers >= 1, "need at least one worker");
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let obs = ServerInstruments::new();
+        let obs = ServerInstruments::new(&config);
         let mut cache = ResultCache::new(config.cache_capacity);
         let mut store = match &config.store_dir {
             Some(dir) => {
@@ -369,7 +366,6 @@ impl Server {
             listener,
             local_addr,
             config,
-            counters: Counters::default(),
             obs,
             cache: Mutex::new(cache),
             store: store.map(Mutex::new),
@@ -416,27 +412,12 @@ impl Server {
 
     fn summary(&self) -> ServeSummary {
         ServeSummary {
-            received: self.counters.received.load(Ordering::Relaxed),
-            completed: self.counters.completed.load(Ordering::Relaxed),
-            cache_hits: self.counters.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.counters.cache_misses.load(Ordering::Relaxed),
-            busy_rejections: self.counters.busy_rejections.load(Ordering::Relaxed),
-            protocol_errors: self.counters.protocol_errors.load(Ordering::Relaxed),
-        }
-    }
-
-    fn stats(&self) -> StatsResponse {
-        let s = self.summary();
-        StatsResponse {
-            received: s.received,
-            completed: s.completed,
-            cache_hits: s.cache_hits,
-            cache_misses: s.cache_misses,
-            busy_rejections: s.busy_rejections,
-            protocol_errors: s.protocol_errors,
-            queued: self.depth.load(Ordering::Relaxed) as u32,
-            capacity: self.config.queue_capacity as u32,
-            workers: self.config.workers as u32,
+            received: self.obs.requests_total.value(),
+            completed: self.obs.completed.value(),
+            cache_hits: self.obs.cache_hits.value(),
+            cache_misses: self.obs.cache_misses.value(),
+            busy_rejections: self.obs.busy_rejections.value(),
+            protocol_errors: self.obs.decode_errors.value(),
         }
     }
 
@@ -480,7 +461,7 @@ impl Server {
                 trace::tracer().end(ctx.trace_id, ctx.span);
             }
             if !matches!(response, Response::Error { .. }) {
-                self.counters.completed.fetch_add(1, Ordering::Relaxed);
+                self.obs.completed.inc();
             }
             let _ = job.reply.send(response);
             // Nudge the reactor so the final frame forwards immediately
@@ -492,24 +473,9 @@ impl Server {
     /// Executes one dequeued job on this worker's engine pool.
     fn run_job(&self, job: &Job, pool: &mut EnginePool, waker: &Waker) -> Response {
         match &job.kind {
-            JobKind::Assess { req, spec, plan, key } => match pool.assess(req, spec, plan) {
-                Ok(resp) => {
-                    self.cache_finished_assessment(*key, resp);
-                    Response::Assess(resp)
-                }
-                Err(message) => Response::Error { code: ErrorCode::Invalid, message },
-            },
-            JobKind::Search(req) => match pool.search(req) {
-                Ok(resp) => Response::Search(resp),
-                Err(message) => Response::Error { code: ErrorCode::Invalid, message },
-            },
-            JobKind::Compare { req, spec, plans } => match pool.compare(req, spec, plans) {
-                Ok(resp) => Response::Compare(resp),
-                Err(message) => Response::Error { code: ErrorCode::Invalid, message },
-            },
-            JobKind::StreamAssess { req, cadence, spec, plan, key, cancel } => {
+            JobKind::Assess { req, spec, plan, key, cadence, cancel } => {
                 let reply = &job.reply;
-                let streamed = pool.assess_streaming(req, spec, plan, *cadence, cancel, &mut |p| {
+                let mut forward = |p: &PartialEstimate| {
                     let _ = reply.send(Response::Partial(PartialResponse {
                         rounds_done: p.rounds_done,
                         rounds_total: p.rounds_total,
@@ -517,7 +483,13 @@ impl Server {
                         ciw: p.ciw,
                     }));
                     waker.wake();
-                });
+                };
+                let streamed = match cadence {
+                    Some(every) => {
+                        pool.assess_streaming(req, spec, plan, *every, cancel, &mut forward)
+                    }
+                    None => pool.assess_streaming(req, spec, plan, 1, cancel, &mut |_| {}),
+                };
                 match streamed {
                     Ok((resp, completed)) => {
                         if completed {
@@ -545,6 +517,10 @@ impl Server {
                     Err(message) => Response::Error { code: ErrorCode::Invalid, message },
                 }
             }
+            JobKind::Compare { req, spec, plans } => match pool.compare(req, spec, plans) {
+                Ok(resp) => Response::Compare(resp),
+                Err(message) => Response::Error { code: ErrorCode::Invalid, message },
+            },
             JobKind::StreamSearch { req, workers, iters } => {
                 let reply = &job.reply;
                 let sink = |e: SearchEventResponse| {
@@ -1131,101 +1107,82 @@ impl<'a> Reactor<'a> {
             conn.mark_unwritable();
         } else {
             if !conn.inbound.is_empty() {
-                self.srv.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                conn.decode_errors += 1;
-                self.srv.obs.decode_errors.inc();
+                self.count_protocol_error(conn);
             }
             conn.closing = true;
         }
     }
 
-    /// Consumes complete frames from the inbound buffer. Idle
-    /// connections decode and handle requests; a streaming in-flight
-    /// job accepts only `AssessCancel` mid-stream; a non-streaming one
-    /// leaves the bytes buffered.
-    fn process_inbound(&mut self, conn: &mut Conn) {
-        loop {
-            if conn.closing {
-                return;
+    /// One protocol error on this connection: its own tally (journalled
+    /// at close) and the daemon's.
+    fn count_protocol_error(&self, conn: &mut Conn) {
+        conn.decode_errors += 1;
+        self.srv.obs.decode_errors.inc();
+    }
+
+    /// The one place a complete frame leaves the inbound buffer, whatever
+    /// the connection is doing, and so the one definition of the tallies:
+    /// every complete frame counts into the connection's `frames`; one
+    /// that decodes counts into `server.requests_total`; one that does not
+    /// — or a length prefix past [`MAX_FRAME_LEN`] — is a protocol error
+    /// and comes back as the `Error` reply an idle connection is owed.
+    /// `None` while the buffer holds no complete frame.
+    fn take_request(&self, conn: &mut Conn) -> Option<Result<Request, Response>> {
+        let (code, message) = match take_frame(&mut conn.inbound) {
+            TakenFrame::Incomplete => return None,
+            TakenFrame::Oversized(len) => {
+                (ErrorCode::Oversized, format!("frame length {len} exceeds {MAX_FRAME_LEN}"))
             }
-            let stream_cancel = match &conn.inflight {
-                Some(inflight) if inflight.streaming => Some(inflight.cancel.clone()),
-                Some(_) => return,
-                None => None,
-            };
-            if let Some(cancel) = stream_cancel {
-                match take_frame(&mut conn.inbound) {
-                    TakenFrame::Incomplete => return,
-                    TakenFrame::Oversized(_) => {
-                        self.srv.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        self.srv.obs.decode_errors.inc();
-                        conn.peer_open = false;
-                        conn.mark_unwritable();
-                        return;
-                    }
-                    TakenFrame::Frame(payload) => {
-                        self.srv.counters.received.fetch_add(1, Ordering::Relaxed);
+            TakenFrame::Frame(payload) => {
+                conn.frames += 1;
+                match Request::decode(payload.into()) {
+                    Ok(request) => {
                         self.srv.obs.requests_total.inc();
-                        match Request::decode(payload.into()) {
-                            Ok(Request::AssessCancel) => {
-                                if let Some(cancel) = &cancel {
-                                    cancel.store(true, Ordering::Release);
-                                }
-                            }
-                            // Only AssessCancel is defined mid-stream;
-                            // anything else is a protocol error that
-                            // also stops the drive.
-                            _ => {
-                                self.srv.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                                self.srv.obs.decode_errors.inc();
-                                conn.peer_open = false;
-                                conn.mark_unwritable();
-                                return;
-                            }
-                        }
+                        return Some(Ok(request));
+                    }
+                    Err(e) => (ErrorCode::Malformed, e.to_string()),
+                }
+            }
+        };
+        self.count_protocol_error(conn);
+        Some(Err(Response::Error { code, message }))
+    }
+
+    /// Consumes complete frames from the inbound buffer. Idle
+    /// connections handle requests and answer an undecodable frame with
+    /// its `Error` before closing; a streaming in-flight job accepts only
+    /// `AssessCancel` — anything else, decodable or not, is a protocol
+    /// error that stops the drive, unanswered because the stream's frames
+    /// own the socket; a non-streaming one leaves the bytes buffered.
+    fn process_inbound(&mut self, conn: &mut Conn) {
+        while !conn.closing {
+            let mid_stream = match &conn.inflight {
+                Some(inflight) if inflight.streaming => true,
+                Some(_) => return,
+                None => false,
+            };
+            let Some(taken) = self.take_request(conn) else { return };
+            match taken {
+                Ok(request) if !mid_stream => self.handle_request(conn, request),
+                Ok(Request::AssessCancel) => {
+                    if let Some(cancel) = conn.inflight.as_ref().and_then(|i| i.cancel.as_ref()) {
+                        cancel.store(true, Ordering::Release);
                     }
                 }
-            } else {
-                match take_frame(&mut conn.inbound) {
-                    TakenFrame::Incomplete => return,
-                    TakenFrame::Oversized(len) => {
-                        self.srv.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        conn.decode_errors += 1;
-                        self.srv.obs.decode_errors.inc();
-                        buffer_frame(
-                            conn,
-                            &Response::Error {
-                                code: ErrorCode::Oversized,
-                                message: format!("frame length {len} exceeds {MAX_FRAME_LEN}"),
-                            },
-                        );
-                        conn.closing = true;
-                        return;
+                Err(reply) if !mid_stream => {
+                    buffer_frame(conn, &reply);
+                    conn.closing = true;
+                }
+                // Mid-stream, and not a cancel: a decodable request is an
+                // offence on top of being a request; an undecodable frame
+                // was counted as one when it was taken.
+                offence => {
+                    if offence.is_ok() {
+                        self.count_protocol_error(conn);
                     }
-                    TakenFrame::Frame(payload) => {
-                        self.srv.counters.received.fetch_add(1, Ordering::Relaxed);
-                        conn.frames += 1;
-                        match Request::decode(payload.into()) {
-                            Ok(request) => {
-                                self.srv.obs.requests_total.inc();
-                                self.handle_request(conn, request);
-                            }
-                            Err(e) => {
-                                self.srv.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                                conn.decode_errors += 1;
-                                self.srv.obs.decode_errors.inc();
-                                buffer_frame(
-                                    conn,
-                                    &Response::Error {
-                                        code: ErrorCode::Malformed,
-                                        message: e.to_string(),
-                                    },
-                                );
-                                conn.closing = true;
-                                return;
-                            }
-                        }
-                    }
+                    conn.peer_open = false;
+                    conn.mark_unwritable();
+                    return;
                 }
             }
         }
@@ -1316,6 +1273,16 @@ impl<'a> Reactor<'a> {
                 false
             }
             Request::Hello { tenant } => {
+                // Only Hello mints tenants past the first, so only Hello is
+                // capped: a connection that never says it always has
+                // `default` to serve under.
+                if !self.tenants.contains_key(&tenant) && self.tenants.len() >= MAX_TENANTS {
+                    let message = format!(
+                        "this daemon already serves {MAX_TENANTS} tenants; {tenant:?} would be one more"
+                    );
+                    buffer_frame(conn, &Response::Error { code: ErrorCode::Invalid, message });
+                    return false;
+                }
                 let state = self.tenant_state(&tenant);
                 conn.tenant = Some(state);
                 buffer_frame(conn, &Response::HelloAck { tenant });
@@ -1357,17 +1324,13 @@ impl<'a> Reactor<'a> {
                 buffer_frame(conn, &Response::Pong { token });
                 return false;
             }
-            Request::Stats => {
-                buffer_frame(conn, &Response::Stats(self.srv.stats()));
-                return false;
-            }
             Request::MetricsDump { journal_tail } => {
                 let resp = Response::Metrics(self.srv.metrics(journal_tail));
                 buffer_frame(conn, &resp);
                 return false;
             }
             Request::Shutdown => {
-                let completed = self.srv.counters.completed.load(Ordering::Relaxed);
+                let completed = self.srv.obs.completed.value();
                 buffer_frame(conn, &Response::ShutdownAck { completed });
                 self.srv.begin_shutdown();
                 conn.closing = true;
@@ -1387,58 +1350,16 @@ impl<'a> Reactor<'a> {
                 return false;
             }
             Request::AssessPlan(req) => {
-                let tenant = self.conn_tenant(conn);
-                tenant.requests_total.inc();
-                let (spec, plan, key) = match prepare_assess(&req) {
-                    Ok(parts) => parts,
-                    Err(response) => {
-                        buffer_frame(conn, &response);
-                        return false;
-                    }
-                };
-                if let Some(hit) = self.srv.cache_lookup(key, traced) {
-                    self.srv.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    self.srv.obs.cache_hits.inc();
-                    self.srv.counters.completed.fetch_add(1, Ordering::Relaxed);
-                    tenant.latency_us.record(started.elapsed().as_micros() as u64);
-                    buffer_frame(conn, &Response::Assess(hit));
+                let Some(job) = self.assess_job(conn, req, None, traced, started) else {
                     return false;
-                }
-                self.srv.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-                self.srv.obs.cache_misses.inc();
-                (JobKind::Assess { req, spec, plan, key }, None)
+                };
+                job
             }
             Request::AssessStream { req, cadence } => {
-                let tenant = self.conn_tenant(conn);
-                tenant.requests_total.inc();
-                let (spec, plan, key) = match prepare_assess(&req) {
-                    Ok(parts) => parts,
-                    Err(response) => {
-                        buffer_frame(conn, &response);
-                        return false;
-                    }
-                };
-                if let Some(hit) = self.srv.cache_lookup(key, traced) {
-                    self.srv.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    self.srv.obs.cache_hits.inc();
-                    self.srv.counters.completed.fetch_add(1, Ordering::Relaxed);
-                    tenant.latency_us.record(started.elapsed().as_micros() as u64);
-                    // A degenerate stream: the cached final frame with
-                    // no partials — the answer is already known in full.
-                    buffer_frame(conn, &Response::Assess(hit));
+                let Some(job) = self.assess_job(conn, req, Some(cadence), traced, started) else {
                     return false;
-                }
-                self.srv.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-                self.srv.obs.cache_misses.inc();
-                let cancel = Arc::new(AtomicBool::new(false));
-                (
-                    JobKind::StreamAssess { req, cadence, spec, plan, key, cancel: cancel.clone() },
-                    Some(cancel),
-                )
-            }
-            Request::SearchPlacement(req) => {
-                self.conn_tenant(conn).requests_total.inc();
-                (JobKind::Search(req), None)
+                };
+                job
             }
             Request::SearchStream { req, workers, iters } => {
                 self.conn_tenant(conn).requests_total.inc();
@@ -1475,8 +1396,44 @@ impl<'a> Reactor<'a> {
             | Request::TraceUpload { .. }
             | Request::Hello { .. } => return false,
         };
-        let streaming = matches!(kind, JobKind::StreamAssess { .. } | JobKind::StreamSearch { .. });
-        self.admit(conn, kind, cancel, streaming, traced, latency_idx, started)
+        self.admit(conn, kind, cancel, traced, latency_idx, started)
+    }
+
+    /// The assess-family front half, plain and streamed alike: count the
+    /// tenant's request, build the plan, probe the cache. A hit is
+    /// answered on the spot — for a stream, a degenerate one: the final
+    /// frame with no partials, the answer being known in full — and
+    /// `None` comes back, as it does for a plan that cannot be built;
+    /// a miss comes back as the job to admit, with the cancel flag the
+    /// reactor keeps when the request streams.
+    fn assess_job(
+        &mut self,
+        conn: &mut Conn,
+        req: AssessRequest,
+        cadence: Option<u32>,
+        traced: Option<SpanCtx>,
+        started: Instant,
+    ) -> Option<(JobKind, Option<Arc<AtomicBool>>)> {
+        let tenant = self.conn_tenant(conn);
+        tenant.requests_total.inc();
+        let (spec, plan, key) = match prepare_assess(&req) {
+            Ok(parts) => parts,
+            Err(response) => {
+                buffer_frame(conn, &response);
+                return None;
+            }
+        };
+        if let Some(hit) = self.srv.cache_lookup(key, traced) {
+            self.srv.obs.cache_hits.inc();
+            self.srv.obs.completed.inc();
+            tenant.latency_us.record(started.elapsed().as_micros() as u64);
+            buffer_frame(conn, &Response::Assess(hit));
+            return None;
+        }
+        self.srv.obs.cache_misses.inc();
+        let cancel = Arc::new(AtomicBool::new(false));
+        let held = cadence.map(|_| cancel.clone());
+        Some((JobKind::Assess { req, spec, plan, key, cadence, cancel }, held))
     }
 
     /// Two-level admission: the connection's tenant budget answers
@@ -1488,7 +1445,6 @@ impl<'a> Reactor<'a> {
         conn: &mut Conn,
         kind: JobKind,
         cancel: Option<Arc<AtomicBool>>,
-        streaming: bool,
         traced: Option<SpanCtx>,
         latency_idx: Option<usize>,
         started: Instant,
@@ -1496,7 +1452,6 @@ impl<'a> Reactor<'a> {
         let tenant = self.conn_tenant(conn);
         if let Some(budget) = self.srv.config.tenant_budget {
             if tenant.inflight.get() >= budget {
-                self.srv.counters.busy_rejections.fetch_add(1, Ordering::Relaxed);
                 self.srv.obs.busy_rejections.inc();
                 tenant.busy_total.inc();
                 buffer_frame(
@@ -1522,7 +1477,6 @@ impl<'a> Reactor<'a> {
             })
             .is_ok();
         if !admitted {
-            self.srv.counters.busy_rejections.fetch_add(1, Ordering::Relaxed);
             self.srv.obs.busy_rejections.inc();
             tenant.busy_total.inc();
             buffer_frame(
@@ -1556,7 +1510,8 @@ impl<'a> Reactor<'a> {
         tenant.inflight.set(tenant.inflight.get() + 1);
         conn.inflight = Some(Inflight {
             reply: reply_rx,
-            streaming,
+            // Exactly the streaming jobs hand the reactor a cancel flag.
+            streaming: cancel.is_some(),
             cancel,
             traced,
             latency_idx,

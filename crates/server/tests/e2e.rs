@@ -1,6 +1,6 @@
 //! End-to-end tests over a real TCP connection: a served answer must be
 //! *bit-identical* to what the CLI assessment path computes locally for
-//! the same `(preset, plan, rounds, seed)` — plus cache, stats, compare,
+//! the same `(preset, plan, rounds, seed)` — plus cache, metrics, compare,
 //! search and graceful-shutdown behavior.
 
 use recloud_assess::{Assessor, SamplerKind};
@@ -80,7 +80,7 @@ fn served_assessment_is_bit_identical_to_local_cli_path() {
 }
 
 #[test]
-fn repeat_requests_hit_the_cache_and_stats_count_them() {
+fn repeat_requests_hit_the_cache_and_metrics_count_them() {
     let daemon = start(ServerConfig { workers: 2, ..ServerConfig::default() });
     let mut client = Client::connect(daemon.addr).unwrap();
 
@@ -103,11 +103,13 @@ fn repeat_requests_hit_the_cache_and_stats_count_them() {
     let reseeded = client.assess(AssessRequest { seed: 10, ..request }).unwrap();
     assert!(!reseeded.cached);
 
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.cache_hits, 1);
-    assert_eq!(stats.cache_misses, 2);
-    assert_eq!(stats.workers, 2);
-    assert!(stats.received >= 4);
+    let stats = client.metrics(0).unwrap().snapshot;
+    assert_eq!(stats.counter("server.cache_hits_total"), Some(1));
+    assert_eq!(stats.counter("server.cache_misses_total"), Some(2));
+    assert_eq!(stats.gauge("server.workers"), Some(2));
+    assert_eq!(stats.gauge("server.queue_capacity"), Some(64));
+    assert_eq!(stats.counter("server.requests_total"), Some(4));
+    assert_eq!(stats.counter("server.completed_total"), Some(3));
 
     let summary = stop(daemon, &mut client);
     assert_eq!(summary.cache_hits, 1);
@@ -201,17 +203,9 @@ fn compare_and_search_frames_round_trip_over_tcp() {
     assert!(c.ranking[0].score >= c.ranking[1].score);
     assert!(c.ranking[0].ciw95 > 0.0);
 
-    let searched = client
-        .call(&Request::SearchPlacement(SearchRequest {
-            preset: Preset::Tiny,
-            rounds: 500,
-            seed: 3,
-            k: 2,
-            n: 3,
-            budget_ms: 150,
-        }))
-        .unwrap();
-    let Response::Search(s) = searched else { panic!("expected SearchResult: {searched:?}") };
+    let search =
+        SearchRequest { preset: Preset::Tiny, rounds: 500, seed: 3, k: 2, n: 3, budget_ms: 150 };
+    let s = client.search_streaming(search, 1, 0, |_| {}).unwrap();
     assert_eq!(s.hosts.len(), 3);
     assert!(s.plans_assessed >= 1);
     assert!((0.0..=1.0).contains(&s.reliability));
@@ -293,6 +287,6 @@ fn shutdown_drains_in_flight_work_and_concurrent_clients_agree() {
     let mut client = Client::connect(daemon.addr).unwrap();
     client.set_timeout(Some(Duration::from_secs(30))).unwrap();
     let summary = stop(daemon, &mut client);
-    assert_eq!(summary.completed, summary.received - 1 /* stats-free run: shutdown frame */);
+    assert_eq!(summary.completed, summary.received - 1 /* the shutdown frame */);
     assert_eq!(summary.busy_rejections, 0);
 }

@@ -207,3 +207,48 @@ fn cancelled_streams_never_reach_the_store() {
     stop(daemon, &mut client);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A plain request is a stream that forwards no `Partial`: for one request
+/// the `AssessPlan` answer and the `AssessStream` final frame are the same
+/// bits, each lands in its daemon's cache and store, and the plain client
+/// — which refuses any frame but the answer — sees no `Partial` although
+/// the drive spans several chunks.
+#[test]
+fn plain_and_streamed_requests_are_one_job() {
+    let long = AssessRequest { rounds: 12_000, ..request(51) };
+    let mut answers = Vec::new();
+    for streamed in [false, true] {
+        let dir = store_dir(if streamed { "one-job-stream" } else { "one-job-plain" });
+        let daemon = start(ServerConfig {
+            workers: 1,
+            store_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        });
+        let mut client = Client::connect(daemon.addr).unwrap();
+        let mut partials = 0;
+        let answer = if streamed {
+            let on_partial = |_: &_| {
+                partials += 1;
+                ControlFlow::Continue(())
+            };
+            client.assess_streaming(long.clone(), 1, on_partial).unwrap().0
+        } else {
+            client.assess(long.clone()).unwrap()
+        };
+        assert_eq!(partials > 1, streamed, "{partials} partials");
+        assert!(!answer.cached);
+        assert!(client.assess(long.clone()).unwrap().cached, "the answer reached the cache");
+        let m = client.metrics(0).unwrap();
+        assert_eq!(m.snapshot.counter("store.appended_total"), Some(1), "and the store");
+        assert_eq!(m.snapshot.counter("server.completed_total"), Some(2));
+        stop(daemon, &mut client);
+        let _ = std::fs::remove_dir_all(&dir);
+        answers.push(answer);
+    }
+    assert_eq!(answers[0].score.to_bits(), answers[1].score.to_bits());
+    assert_eq!(answers[0].variance.to_bits(), answers[1].variance.to_bits());
+    assert_eq!(
+        (answers[0].rounds, answers[0].successes),
+        (answers[1].rounds, answers[1].successes)
+    );
+}

@@ -26,25 +26,38 @@ cargo test -q --workspace
 echo "== hermetic dependency guard =="
 cargo test -q --test hermetic
 
+echo "== retired names gate =="
+# Frames, setters and the codec that PR 15 took off the books stay off:
+# nothing under crates/, src/, tests/ or examples/ may name them again
+# (the protocol's own list of retired kinds is the one exception).
+RETIRED='StatsResponse|SearchPlacement|set_batched|Word64|JobFrame|RCW1'
+if grep -rnE "$RETIRED" crates/ src/ tests/ examples/ \
+    | grep -vE '^crates/server/src/(protocol\.rs|frame_table\.md):.*SearchPlacement'; then
+  echo "retired names gate: a retired name is back (see above)"; exit 1
+fi
+echo "retired names gate: none survive"
+
 echo "== benchmark package gate =="
 # benchmark/ is its own workspace, so nothing above compiles it: a change
 # to the surface it measures (benchmark/README.md, "The measured surface")
 # would otherwise first fail in the driver's gate. Build it, run its unit
-# tests, and run three workloads briefly — the in-process fresh-seed one
-# and held-table search, which between them take both sides of the
-# router's digest memo, and the streaming daemon, whose every request
+# tests, and run all five workloads briefly — the in-process fresh-seed
+# one and held-table search, which between them take both sides of the
+# router's digest memo; the two plain served ones, which live on the RCS1
+# codec and the reactor; and the streaming daemon, whose every request
 # carries a new model seed. Each last stdout line must report
 # "correct": true with "failed": 0: the workload's own post-checks hold,
 # which for the fresh-seed one includes the untouched full-width unkeyed
-# stage replay equalling Assessor::assess bit for bit, and for the
-# streamed one recomputing reseeded, streamed answers in-process. The
-# package is used as it is; the shared target directory only saves
-# compiling the crates twice.
+# stage replay equalling Assessor::assess bit for bit, and for the served
+# ones reconciling the daemon's counters with the client's tallies and
+# recomputing answers in-process. The package is used as it is; the
+# shared target directory only saves compiling the crates twice.
 (
   export CARGO_TARGET_DIR="$PWD/target"
   cargo build --release --offline --manifest-path benchmark/Cargo.toml
   cargo test -q --offline --manifest-path benchmark/Cargo.toml
-  for WORKLOAD in assess_large_fresh search_medium_crn stream_medium_long; do
+  for WORKLOAD in assess_large_fresh search_medium_crn serve_tiny_seeds serve_medium_plans \
+      stream_medium_long; do
     BENCH_OUT="$(benchmark/run.sh --workload "$WORKLOAD" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
     echo "$BENCH_OUT" | grep -Eq '"correct": ?true' && echo "$BENCH_OUT" | grep -Eq '"failed": ?0[,}]' \
       || { echo "benchmark gate: $WORKLOAD did not report correct with no failures"; echo "$BENCH_OUT"; exit 1; }
@@ -55,8 +68,9 @@ echo "benchmark gate: package builds, tests pass, replay agrees"
 echo "== server smoke test =="
 # Start the daemon on an ephemeral port, discover the port via
 # --port-file, run the loadgen smoke sequence (Ping, a Tiny AssessPlan
-# twice — the repeat must be a cache hit — Stats, Shutdown), then assert
-# the daemon exits cleanly on its own.
+# twice — the repeat must be a cache hit — a MetricsDump that counted the
+# hit and every request, Shutdown), then assert the daemon exits cleanly
+# on its own.
 PORT_FILE="$(mktemp)"
 rm -f "$PORT_FILE"
 target/release/recloud serve --port 0 --port-file "$PORT_FILE" &
