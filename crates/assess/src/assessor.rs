@@ -11,7 +11,9 @@
 //! one path: materialise whichever rows of the plan's cone the engine's
 //! [`FailureTable`] is missing — everything on a fresh seed, a few rows
 //! when a search neighbour touches a new host, nothing on a repeat — then
-//! route-and-check.
+//! route-and-check. Each part costs what the plan changed: only the hosts
+//! a slot has not seen complete are named and checked, and the router
+//! derives reach only for those ([`Router::external_reach_keyed`]).
 
 use crate::check::StructureChecker;
 use crate::driver::{AssessmentDriver, PartialEstimate};
@@ -19,7 +21,7 @@ use crate::table::{FailureTable, RowSource};
 use recloud_apps::{ApplicationSpec, DeploymentPlan};
 use recloud_faults::{FaultInjector, FaultModel};
 use recloud_obs::{Counter, Gauge, Histogram};
-use recloud_routing::{make_router, Router, TableKey};
+use recloud_routing::{make_router, MemoStats, Router, TableKey};
 use recloud_sampling::{
     BitMatrix, ExtendedDaggerSampler, MonteCarloSampler, ReliabilityEstimate, ResultAccumulator,
     Sampler, WideWord,
@@ -117,9 +119,9 @@ pub struct DrivenAssessment {
 /// Reusable assessment engine for one (topology, fault model) pair.
 ///
 /// Construction builds the router; the failure-state table grows one slot
-/// per chunk on first use and is reused from then on, so assessing N
-/// plans performs no further allocation beyond the per-plan
-/// [`StructureChecker`].
+/// per chunk on first use (up to its bound) and is reused from then on,
+/// as are the plan checker and the chunk driver, so assessing N plans of
+/// one shape performs no further allocation.
 pub struct Assessor {
     topology: Topology,
     model: FaultModel,
@@ -137,8 +139,19 @@ pub struct Assessor {
     table: FailureTable,
     /// The router's cone of no hosts: the rows it reads whatever the plan.
     base_cone: Vec<ComponentId>,
-    /// Scratch: the cone of the plan under assessment, `base_cone` first.
+    /// Scratch: the plan's hosts whose cone the chunk's slot does not know
+    /// to be complete; the cone last named (`base_cone` first) and the
+    /// hosts it was named for — the chunks of one assessment mostly miss
+    /// the same hosts.
+    missing: Vec<ComponentId>,
     cone: Vec<ComponentId>,
+    named: Vec<ComponentId>,
+    /// The checker and the driver of the last [`Assessor::drive`], kept for
+    /// the next one to run in.
+    checker: Option<StructureChecker>,
+    driver: Option<AssessmentDriver>,
+    /// Counts of the chunks run since they were last published.
+    tally: Tally,
     /// Optional fault injection applied to every sampled row before
     /// fault-tree collapsing — forced failures flow through the full
     /// correlated-failure path (what-if analyses, sensitivity reports).
@@ -149,6 +162,21 @@ pub struct Assessor {
     width: BatchWidth,
     /// Cached global-registry instrument handles.
     obs: AssessInstruments,
+}
+
+/// What chunks count as they run; published to the registry once per
+/// assessment, or per chunk run on its own ([`Assessor::publish`]).
+#[derive(Default)]
+struct Tally {
+    /// Table rows materialised.
+    rows: u64,
+    /// Cone rows named to the table (0 while every host's cone is known
+    /// complete).
+    named_rows: u64,
+    /// Slots re-keyed from another chunk's rows.
+    evictions: u64,
+    /// The router's counts when last published.
+    memo: MemoStats,
 }
 
 /// Cached handles into the process-wide [`recloud_obs::global()`]
@@ -169,12 +197,22 @@ struct AssessInstruments {
     arena_bytes: Arc<Gauge>,
     /// Table rows sampled (component rows + dependency-event rows).
     rows_materialised: Arc<Counter>,
-    /// Digests the router derived from table rows
+    /// Plan-independent digests the router derived from table rows
     /// ([`Router::memo_stats`]). Flat while a search runs on a held
     /// table; climbing with it means the table is being re-keyed.
     digests_built: Arc<Counter>,
-    /// Rows a request's cone named; against the component count this is
-    /// the sampled-width ratio.
+    /// Per-host reach rows the router derived. About one per slot per
+    /// step of a search on a held table; one per host per slot when
+    /// consecutive plans share nothing.
+    reach_rows_built: Arc<Counter>,
+    /// Slots the table holds, and slots re-keyed from another chunk's
+    /// rows because a request had more chunks than the table has slots.
+    table_slots: Arc<Gauge>,
+    slot_evictions: Arc<Counter>,
+    /// Rows a request (or a chunk run on its own) named to the table: on
+    /// a fresh seed its whole cone (against the component count, the
+    /// sampled-width ratio), on a held table the cone of its new hosts, 0
+    /// when it has none.
     cone_rows: Arc<Histogram>,
     /// Model swaps ([`Assessor::reseed`]) and what each took (µs): with
     /// the queue wait and the first chunk's `assess.total_us`, the parts
@@ -193,6 +231,9 @@ impl AssessInstruments {
             arena_bytes: registry.gauge("assess.arena_bytes"),
             rows_materialised: registry.counter("assess.rows_materialised_total"),
             digests_built: registry.counter("assess.digests_built_total"),
+            reach_rows_built: registry.counter("assess.reach_rows_built_total"),
+            table_slots: registry.gauge("assess.table_slots"),
+            slot_evictions: registry.counter("assess.slot_evictions_total"),
             cone_rows: registry.histogram("assess.cone_rows"),
             reseeds_total: registry.counter("assess.reseeds_total"),
             reseed_us: registry.histogram("assess.reseed_us"),
@@ -240,7 +281,12 @@ impl Assessor {
             router,
             s_max,
             table: FailureTable::new(chunk_rounds),
+            missing: Vec::new(),
             cone: Vec::new(),
+            named: Vec::new(),
+            checker: None,
+            driver: None,
+            tally: Tally::default(),
             injector: None,
             width: BatchWidth::Wide256,
             obs: AssessInstruments::from_global(),
@@ -263,12 +309,14 @@ impl Assessor {
     /// Replaces the router [`make_router`] picked — for leveled fabrics
     /// served by [`recloud_routing::UpDownRouter`], and for checking one
     /// router against another. The table is router-independent and its
-    /// rows stay; what does not carry over is the note that the *old*
-    /// router's cone of no hosts is in place, since the new one's may be
-    /// wider.
+    /// rows stay; what does not carry over are the notes that the *old*
+    /// router's cones are in place, since the new one's may be wider.
     pub fn set_router(&mut self, router: Box<dyn Router + Send>) {
+        self.publish(); // the old router's counts, while it can be asked
         self.base_cone = Self::base_cone_of(router.as_ref(), &self.topology);
-        self.table.recheck_base();
+        self.table.recheck_cones();
+        self.named.clear();
+        self.tally.memo = router.memo_stats();
         self.router = router;
     }
 
@@ -317,10 +365,11 @@ impl Assessor {
     }
 
     /// Bytes the failure-state table has allocated (one slot per chunk
-    /// index ever assessed) plus what the router keeps about it
-    /// ([`Router::memo_stats`]). Exported as the `assess.arena_bytes` gauge.
+    /// index ever assessed, up to the table's bound) plus what the router
+    /// keeps about it ([`Router::memo_stats`]). Exported as the
+    /// `assess.arena_bytes` gauge.
     pub fn arena_bytes(&self) -> usize {
-        self.table.allocated_bytes() + self.router.memo_stats().0
+        self.table.allocated_bytes() + self.router.memo_stats().bytes
     }
 
     /// Bytes of the table rows materialised for the current seed — what a
@@ -344,15 +393,7 @@ impl Assessor {
         acc: &mut ResultAccumulator,
     ) {
         match width {
-            BatchWidth::Wide256 => {
-                let wides = rounds.div_ceil(WideWord::LANES);
-                for ww in 0..wides {
-                    let n = (rounds - ww * WideWord::LANES).min(WideWord::LANES);
-                    router.begin_wide_keyed(table, ww, key);
-                    let mask = checker.wide_reliable(router, table, ww, n);
-                    acc.push_wide(mask, n as u32);
-                }
-            }
+            BatchWidth::Wide256 => checker.chunk_reliable(router, table, key, rounds, acc),
             BatchWidth::Scalar => {
                 for round in 0..rounds {
                     router.begin_round(table, round);
@@ -372,7 +413,15 @@ impl Assessor {
     /// `rounds` rounds cut into chunks of `chunk_rounds` (a model's
     /// [`Assessor::chunking_of`] width), the last one short.
     pub(crate) fn layout(chunk_rounds: usize, rounds: usize) -> Vec<(u32, usize)> {
-        let mut out = Vec::with_capacity(rounds.div_ceil(chunk_rounds));
+        let mut out = Vec::new();
+        Self::layout_into(chunk_rounds, rounds, &mut out);
+        out
+    }
+
+    /// [`Assessor::layout`] into a vector the caller already has.
+    pub(crate) fn layout_into(chunk_rounds: usize, rounds: usize, out: &mut Vec<(u32, usize)>) {
+        out.clear();
+        out.reserve(rounds.div_ceil(chunk_rounds));
         let mut remaining = rounds;
         let mut idx = 0u32;
         while remaining > 0 {
@@ -381,7 +430,6 @@ impl Assessor {
             remaining -= n;
             idx += 1;
         }
-        out
     }
 
     /// Derives the per-chunk sampler seed from the master seed; chunk
@@ -417,57 +465,70 @@ impl Assessor {
         rounds: usize,
         acc: &mut ResultAccumulator,
     ) -> Timings {
-        self.name_cone(checker);
-        self.chunk(0, checker, chunk_seed, rounds, acc)
+        let t = self.chunk(0, checker, chunk_seed, rounds, acc);
+        self.publish();
+        t
     }
 
-    /// Fills `self.cone` with the rows the router may read for this plan.
-    fn name_cone(&mut self, checker: &StructureChecker) {
-        self.cone.clear();
-        self.router.cone(self.topology.num_components(), &mut checker.hosts(), &mut self.cone);
-        assert!(self.cone.starts_with(&self.base_cone), "a cone starts with the cone of no hosts");
-    }
-
-    /// The one per-chunk path: materialise what `self.cone` is missing in
-    /// table slot `slot` — sampling each row for the chunk's own `rounds`,
-    /// not the table width — then route-and-check.
+    /// The one per-chunk path: key chunk `chunk`'s table slot, materialise
+    /// what the cones of the plan's not-yet-complete hosts are missing
+    /// there — sampling each row for the chunk's own `rounds`, not the
+    /// table width — then route-and-check. The clock is read once per
+    /// stage boundary: twice when no row was missing, four times otherwise.
     fn chunk(
         &mut self,
-        slot: usize,
+        chunk: usize,
         checker: &mut StructureChecker,
         chunk_seed: u64,
         rounds: usize,
         acc: &mut ResultAccumulator,
     ) -> Timings {
         let t0 = Instant::now();
-        let Assessor { table, cone, base_cone, model, injector, s_max, .. } = self;
+        let Assessor { table, missing, cone, named, base_cone, model, injector, s_max, .. } = self;
+        let (slot, evicted) = table.key(chunk, chunk_seed, rounds, model);
+        self.tally.evictions += evicted as u64;
+        missing.clear();
+        missing.extend(checker.hosts().filter(|&h| !table.cone_valid(slot, h)));
+        if !missing.is_empty() && named != missing {
+            cone.clear();
+            let components = self.topology.num_components();
+            self.router.cone(components, &mut missing.iter().copied(), cone);
+            assert!(cone.starts_with(base_cone), "a cone starts with the cone of no hosts");
+            named.clone_from(missing);
+            self.tally.named_rows += cone.len() as u64;
+        }
+        let rows = if missing.is_empty() { &[] } else { &cone[base_cone.len()..] };
         let m = self.kind.with_sampler(chunk_seed, move |sampler| {
             let src = RowSource { sampler, model, s_max: *s_max, injector: injector.as_ref() };
-            table.materialise(slot, chunk_seed, rounds, cone.split_at(base_cone.len()), &src)
+            table.materialise(slot, (base_cone, rows, missing), &src, t0)
         });
-        if m.rows > 0 {
-            self.obs.rows_materialised.add(m.rows as u64);
-        }
+        self.tally.rows += m.rows as u64;
 
-        // A chunk that found all its rows in place reads the clock twice.
-        let t_check = if m.rows > 0 { Instant::now() } else { t0 };
         let router = self.router.as_mut();
-        let (_, digests_before) = router.memo_stats();
         Self::route_and_check(router, self.width, checker, m.states, m.key, rounds, acc);
         let end = Instant::now();
-        let (_, digests) = router.memo_stats();
-        if digests > digests_before {
-            self.obs.digests_built.add(digests - digests_before);
-        }
         // Per-chunk observability is recorded by the AssessmentDriver when
         // this chunk's result is fed back — one recording site for the
         // serial and parallel paths alike.
-        Timings {
-            sampling: m.sampling,
-            collapse: m.collapse,
-            check: end - t_check,
-            total: end - t0,
-        }
+        Timings { sampling: m.sampling, collapse: m.collapse, check: end - m.done, total: end - t0 }
+    }
+
+    /// Publishes what the chunks since the last call counted — rows named
+    /// and materialised, evictions, the router's digests — into the
+    /// registry.
+    fn publish(&mut self) {
+        let add = |counter: &Counter, n: u64| {
+            if n > 0 {
+                counter.add(n);
+            }
+        };
+        let memo = self.router.memo_stats();
+        self.obs.cone_rows.record(std::mem::take(&mut self.tally.named_rows));
+        add(&self.obs.rows_materialised, std::mem::take(&mut self.tally.rows));
+        add(&self.obs.slot_evictions, std::mem::take(&mut self.tally.evictions));
+        add(&self.obs.digests_built, memo.digests_built - self.tally.memo.digests_built);
+        add(&self.obs.reach_rows_built, memo.reach_rows_built - self.tally.memo.reach_rows_built);
+        self.tally.memo = memo;
     }
 
     /// Assesses one deployment plan over `rounds` route-and-check rounds
@@ -511,10 +572,12 @@ impl Assessor {
         on_partial: &mut dyn FnMut(&PartialEstimate) -> ControlFlow<()>,
     ) -> DrivenAssessment {
         assert!(rounds > 0, "cannot assess over zero rounds");
-        let mut checker = StructureChecker::new(spec, plan);
-        let mut driver = AssessmentDriver::new(self.chunk_layout(rounds), seed, target_ciw);
+        let mut checker = self.checker.take().unwrap_or_else(|| StructureChecker::new(spec, plan));
+        checker.retarget(spec, plan);
+        let mut driver =
+            self.driver.take().unwrap_or_else(|| AssessmentDriver::new(Vec::new(), 0, None));
+        driver.restart(self.table.chunk_rounds(), rounds, seed, target_ciw);
         let t0 = Instant::now();
-        self.name_cone(&checker);
         while let Some(task) = driver.next_task() {
             let mut local = ResultAccumulator::new();
             let t =
@@ -526,19 +589,23 @@ impl Assessor {
             }
         }
         driver.set_total(t0.elapsed());
+        driver.flush();
         self.obs.total_us.record(driver.timings().total.as_micros() as u64);
         self.obs.assessments_total.inc();
-        self.obs.cone_rows.record(self.cone.len() as u64);
+        self.publish();
         self.obs.cache_bytes.set(self.cache_bytes() as i64);
         self.obs.arena_bytes.set(self.arena_bytes() as i64);
-        DrivenAssessment {
+        self.obs.table_slots.set(self.table.slots() as i64);
+        let driven = DrivenAssessment {
             assessment: Assessment {
                 estimate: driver.estimate(),
                 timings: driver.timings(),
                 sampler: self.kind.name(),
             },
             completed: driver.is_complete(),
-        }
+        };
+        (self.checker, self.driver) = (Some(checker), Some(driver));
+        driven
     }
 
     /// Measures pure full-width failure-state generation over `rounds`
@@ -849,32 +916,140 @@ mod tests {
         assert_eq!(a.arena_bytes(), allocated);
     }
 
-    /// The router's memo is part of the engine's footprint, and its digest
-    /// count tells a held table (flat) from a re-keyed one (climbing).
+    /// The router's memo is part of the engine's footprint, and its two
+    /// counts tell a held table from a re-keyed one: plan-independent
+    /// digests — per wide word one border row, built once, and one
+    /// `pod_ext` per pod — stand still while plans come and go on one
+    /// generation; host reach rows are built as hosts enter, one per slot.
+    /// Both count what is built, not what is answered.
     #[test]
     fn held_table_builds_no_digests_and_arena_bytes_include_the_memo() {
         let (t, mut a, spec) = setup(SamplerKind::ExtendedDagger);
         let before = recloud_obs::global().snapshot();
-        let rounds = 6_000; // 3 chunks of 10 wide words, the last one short
+        let rounds = 6_000usize; // 3 chunks of 10 wide words, the last one short
+        let (chunks, wides) = (3, rounds.div_ceil(WideWord::LANES) as u64);
         a.assess(&spec, &plan_on(&t, &spec, &[(0, 0, 0), (0, 1, 1)]), rounds, 5);
-        let (memo, built) = a.router.memo_stats();
-        let wides = rounds.div_ceil(WideWord::LANES) as u64;
-        assert_eq!(built, wides * 2, "per wide word: the border row and pod 0");
-        assert!(memo > 0);
-        assert_eq!(a.arena_bytes(), a.table.allocated_bytes() + memo);
-        // Same pod, other hosts: everything is served from the memo.
-        a.assess(&spec, &plan_on(&t, &spec, &[(0, 1, 0), (0, 0, 1)]), rounds, 5);
-        assert_eq!(a.router.memo_stats(), (memo, built));
-        // A new pod adds its digest (and derives the border row again to
-        // build it); a new seed re-keys and rebuilds everything.
+        let first = a.router.memo_stats();
+        assert_eq!(first.digests_built, wides * 2, "per wide word: the border row and pod 0");
+        assert_eq!(first.reach_rows_built, chunks * 2, "per slot: two hosts");
+        assert!(first.bytes > 0);
+        assert_eq!(a.arena_bytes(), a.table.allocated_bytes() + first.bytes);
+        // The same plan again: everything is served from the memo.
+        a.assess(&spec, &plan_on(&t, &spec, &[(0, 0, 0), (0, 1, 1)]), rounds, 5);
+        assert_eq!(a.router.memo_stats(), first);
+        // Same pod, one host moved: its row per slot, and no digest.
+        a.assess(&spec, &plan_on(&t, &spec, &[(0, 0, 0), (0, 0, 1)]), rounds, 5);
+        let moved = a.router.memo_stats();
+        assert_eq!(moved.digests_built, first.digests_built);
+        assert_eq!(moved.reach_rows_built, first.reach_rows_built + chunks);
+        // A new pod adds its digest per wide word (the border row is kept,
+        // not derived again) and its host's rows; a new seed re-keys and
+        // rebuilds everything the plan reads. Bytes stand still throughout.
         a.assess(&spec, &plan_on(&t, &spec, &[(0, 0, 0), (2, 0, 0)]), rounds, 5);
-        assert_eq!(a.router.memo_stats(), (memo, built + 2 * wides));
+        let new_pod = a.router.memo_stats();
+        assert_eq!(new_pod.digests_built, moved.digests_built + wides);
+        assert_eq!(new_pod.reach_rows_built, moved.reach_rows_built + chunks);
         a.assess(&spec, &plan_on(&t, &spec, &[(0, 0, 0), (2, 0, 0)]), rounds, 6);
-        assert_eq!(a.router.memo_stats(), (memo, built + 5 * wides));
+        let rekeyed = a.router.memo_stats();
+        assert_eq!(rekeyed.digests_built, new_pod.digests_built + 3 * wides);
+        assert_eq!(rekeyed.reach_rows_built, new_pod.reach_rows_built + chunks * 2);
+        assert_eq!(rekeyed.bytes, first.bytes, "the memo is sized by the plan, once");
         let after = recloud_obs::global().snapshot();
-        let counted = after.counter("assess.digests_built_total").unwrap_or(0)
-            - before.counter("assess.digests_built_total").unwrap_or(0);
-        assert!(counted >= built + 5 * wides, "counter saw {counted} digests");
+        let counted =
+            |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
+        let digests = counted("assess.digests_built_total");
+        assert!(digests >= rekeyed.digests_built, "counter saw {digests} digests");
+        let rows = counted("assess.reach_rows_built_total");
+        assert!(rows >= rekeyed.reach_rows_built, "counter saw {rows} reach rows");
+    }
+
+    /// What the router keeps is sized by the plans it is shown, not by the
+    /// hosts a search visits: a 2,000-step walk of one-host moves on the
+    /// Medium fabric touches ~1,500 of its 3,312 hosts, and the memo is
+    /// byte for byte as large as after 50 steps — and the table's
+    /// allocation with it. Every step still derives its new host's rows.
+    #[test]
+    fn memo_bytes_do_not_grow_with_hosts_visited() {
+        let t = recloud_topology::Scale::Medium.build();
+        let mut a = Assessor::new(&t, FaultModel::paper_default(&t, 11));
+        let spec = ApplicationSpec::k_of_n(4, 5);
+        let mut rng = Rng::new(8);
+        let mut plan = DeploymentPlan::random(&spec, t.hosts(), &mut rng);
+        let (rounds, chunks) = (4_000, 2);
+        let mut walk = |a: &mut Assessor, steps: usize| {
+            for _ in 0..steps {
+                plan = plan.neighbor(t.hosts(), &mut rng);
+                a.assess(&spec, &plan, rounds, 5);
+            }
+            (a.router.memo_stats(), a.arena_bytes())
+        };
+        let (early, arena) = walk(&mut a, 50);
+        assert!(early.bytes > 0);
+        let (late, arena_late) = walk(&mut a, 1_950);
+        assert_eq!(late.bytes, early.bytes, "digest bytes are a function of plan size only");
+        assert_eq!(arena_late, arena);
+        let built = late.reach_rows_built - early.reach_rows_built;
+        assert!(
+            (1_950 * chunks * 9 / 10..=1_950 * chunks).contains(&built),
+            "one reach row per slot per step, but for a host still in the set: {built}"
+        );
+        // Per slot: twice the hosts of the largest plan shown — 10 reach
+        // rows, whatever the fabric's size — and per wide word the built
+        // bits, a border row and a `pod_ext` per pod.
+        let m = t.fat_tree().unwrap();
+        let wides = a.chunk_layout(1 << 20)[0].1 / WideWord::LANES;
+        let digests = wides * (16 + 32 * (m.half + m.host_pods) as usize);
+        assert_eq!(late.bytes, chunks as usize * (10 * (wides * 32 + 16) + digests));
+    }
+
+    /// ROADMAP 2(c): the table holds a bounded number of slots. A request
+    /// of more than twice that many chunks wraps around them — chunk `i`
+    /// re-keys slot `i % cap` — and returns exactly what the chunks return
+    /// one by one through slot 0; the engine's footprint stops at `cap`
+    /// slots, and the evictions are counted. (Before the bound this one
+    /// request pinned 131 slots for the engine's life.)
+    #[test]
+    fn a_long_request_wraps_around_a_bounded_table() {
+        let t = FatTreeParams::new(4).build();
+        let model = || FaultModel::paper_default(&t, 11);
+        let spec = ApplicationSpec::k_of_n(2, 3);
+        let plan = DeploymentPlan::random(&spec, t.hosts(), &mut Rng::new(4));
+        let cap = crate::table::MAX_SLOTS;
+        assert!(cap >= 64, "a 100,000-round stream keeps a slot per chunk");
+
+        let mut one = Assessor::new(&t, model());
+        let chunk_rounds = one.chunk_layout(1 << 20)[0].1;
+        one.assess(&spec, &plan, chunk_rounds, 9);
+        let one_slot = one.arena_bytes(); // one slot and its memo
+
+        let before = recloud_obs::global().snapshot();
+        let rounds = (2 * cap + 2) * chunk_rounds + 77;
+        let mut long = Assessor::new(&t, model());
+        let layout = long.chunk_layout(rounds);
+        assert_eq!(layout.len(), 2 * cap + 3);
+        let got = long.assess(&spec, &plan, rounds, 9).estimate;
+
+        let mut by_chunk = Assessor::new(&t, model());
+        let mut checker = StructureChecker::new(&spec, &plan);
+        let mut acc = ResultAccumulator::new();
+        for &(chunk, n) in &layout {
+            by_chunk.run_chunk(&mut checker, Assessor::chunk_seed(9, chunk), n, &mut acc);
+        }
+        assert_eq!((got.rounds, got.successes), (acc.rounds(), acc.successes()));
+        assert_eq!(got.rounds, rounds as u64);
+
+        assert!(long.arena_bytes() <= cap * one_slot, "{} bytes", long.arena_bytes());
+        assert_eq!(long.table.slots(), cap);
+        let after = recloud_obs::global().snapshot();
+        let evictions = after.counter("assess.slot_evictions_total").unwrap_or(0)
+            - before.counter("assess.slot_evictions_total").unwrap_or(0);
+        assert!(evictions >= (layout.len() - cap) as u64, "counter saw {evictions} evictions");
+        assert!(after.gauge("assess.table_slots").is_some(), "slot gauge registered");
+        // The same request again finds its first chunks evicted by its
+        // last ones, rebuilds them, and answers the same.
+        let again = long.assess(&spec, &plan, rounds, 9).estimate;
+        assert_eq!((again.rounds, again.successes), (got.rounds, got.successes));
+        assert!(long.arena_bytes() <= cap * one_slot);
     }
 
     /// Same seed ⇒ same answer, whatever the engine did before and

@@ -19,8 +19,8 @@
 //! The checker owns per-plan scratch and never allocates per round.
 
 use recloud_apps::{ApplicationSpec, Connectivity, DeploymentPlan, Source};
-use recloud_routing::Router;
-use recloud_sampling::{BitMatrix, WideWord};
+use recloud_routing::{Router, TableKey};
+use recloud_sampling::{BitMatrix, ResultAccumulator, WideWord};
 use recloud_topology::ComponentId;
 
 /// Reusable per-plan round checker.
@@ -36,8 +36,12 @@ pub struct StructureChecker {
     /// Scratch for the bit-sliced K-of-N count: `ge[j]` is the round-lane
     /// mask of "at least j+1 instances reachable so far".
     ge: Vec<u64>,
-    /// 256-lane analogue of `ge` for the wide kernel.
+    /// 256-lane analogue of `ge` for the wide kernel: one counter of `k`
+    /// lanes per wide word in flight (one, or a whole chunk's).
     gew: Vec<WideWord>,
+    /// Scratch for the chunk-level check: the plan's reach rows, one row
+    /// of the chunk's wide words per host.
+    reach: Vec<WideWord>,
     /// Memoized all-alive-world verdict (what screened-out rounds resolve
     /// to). Valid for the lifetime of the checker: the plan is fixed and
     /// the baseline depends only on plan and topology.
@@ -47,37 +51,104 @@ pub struct StructureChecker {
 impl StructureChecker {
     /// Prepares a checker for one (spec, plan) pair.
     pub fn new(spec: &ApplicationSpec, plan: &DeploymentPlan) -> Self {
+        let mut checker = StructureChecker {
+            hosts: Vec::new(),
+            requirements: Vec::new(),
+            simple_k: None,
+            active: Vec::new(),
+            ge: Vec::new(),
+            gew: Vec::new(),
+            reach: Vec::new(),
+            baseline: None,
+        };
+        checker.retarget(spec, plan);
+        checker
+    }
+
+    /// Makes this the checker of another (spec, plan) pair, in the memory
+    /// it already has: a plan of the shape of the last one allocates
+    /// nothing.
+    pub(crate) fn retarget(&mut self, spec: &ApplicationSpec, plan: &DeploymentPlan) {
         assert_eq!(
             plan.num_components(),
             spec.num_components(),
             "plan and spec disagree on component count"
         );
-        let hosts: Vec<Vec<ComponentId>> =
-            (0..spec.num_components()).map(|c| plan.hosts_of(c).to_vec()).collect();
-        let requirements = spec.requirements().to_vec();
-        let simple_k = if spec.num_components() == 1
-            && requirements.iter().all(|r| r.from == Source::External)
-        {
-            Some(requirements.iter().map(|r| r.k).max().expect("non-empty requirements"))
-        } else {
-            None
-        };
-        let active = hosts.iter().map(|h| vec![false; h.len()]).collect();
-        StructureChecker {
-            hosts,
-            requirements,
-            simple_k,
-            active,
-            ge: Vec::new(),
-            gew: Vec::new(),
-            baseline: None,
+        let components = spec.num_components();
+        self.hosts.resize_with(components, Vec::new);
+        self.active.resize_with(components, Vec::new);
+        for (c, (hosts, active)) in self.hosts.iter_mut().zip(&mut self.active).enumerate() {
+            hosts.clear();
+            hosts.extend_from_slice(plan.hosts_of(c));
+            active.clear();
+            active.resize(hosts.len(), false);
         }
+        self.requirements.clear();
+        self.requirements.extend_from_slice(spec.requirements());
+        self.simple_k = (components == 1
+            && self.requirements.iter().all(|r| r.from == Source::External))
+        .then(|| self.requirements.iter().map(|r| r.k).max().expect("non-empty requirements"));
+        self.baseline = None;
     }
 
     /// Every instance host of the plan, in component order — the hosts
     /// this checker will ask a router about.
     pub fn hosts(&self) -> impl Iterator<Item = ComponentId> + '_ {
         self.hosts.iter().flatten().copied()
+    }
+
+    /// Checks the first `rounds` rounds of `states` — slot `key.slot` of a
+    /// failure-state table, holding `key.generation` — and feeds the
+    /// verdicts into `acc`, bit-identical to
+    /// [`StructureChecker::wide_reliable`] wide word by wide word.
+    ///
+    /// K-of-N on a wide-native router asks once per chunk: one
+    /// [`Router::external_reach_keyed`] call hands back every host's reach
+    /// over all its wide words (from what the router kept under `key`,
+    /// where it keeps anything), and the verdicts are a count over those
+    /// rows with no routing in it. Everything else goes wide word by wide word
+    /// through the unkeyed [`Router::begin_wide`] and `wide_reliable`.
+    pub fn chunk_reliable(
+        &mut self,
+        router: &mut dyn Router,
+        states: &BitMatrix,
+        key: TableKey,
+        rounds: usize,
+        acc: &mut ResultAccumulator,
+    ) {
+        let wides = rounds.div_ceil(WideWord::LANES);
+        let k = match self.simple_k {
+            Some(k) if k > 0 && wides > 0 && router.wide_native() => k as usize,
+            _ => {
+                for ww in 0..wides {
+                    let lanes = lanes_of(rounds, ww);
+                    router.begin_wide(states, ww);
+                    let mask = self.wide_reliable(router, states, ww, lanes);
+                    acc.push_wide(mask, lanes as u32);
+                }
+                return;
+            }
+        };
+        let hosts = &self.hosts[0];
+        self.reach.resize(hosts.len() * wides, WideWord::ZERO);
+        router.external_reach_keyed(states, key, hosts, wides, &mut self.reach);
+        // Count whichever settles a lane sooner: k reachable hosts, or the
+        // n − k + 1 unreachable ones that rule them out (4-of-5 is "fewer
+        // than two down"). A short counter lives in registers: same
+        // kernel, its length known to the compiler.
+        let reach = &self.reach;
+        let down = (hosts.len() + 1).saturating_sub(k);
+        let (need, of_down) = if (1..k).contains(&down) { (down, true) } else { (k, false) };
+        match need {
+            1 => count_chunk(&mut [WideWord::ZERO; 1], reach, of_down, wides, rounds, acc),
+            2 => count_chunk(&mut [WideWord::ZERO; 2], reach, of_down, wides, rounds, acc),
+            3 => count_chunk(&mut [WideWord::ZERO; 3], reach, of_down, wides, rounds, acc),
+            4 => count_chunk(&mut [WideWord::ZERO; 4], reach, of_down, wides, rounds, acc),
+            _ => {
+                self.gew.resize(need, WideWord::ZERO);
+                count_chunk(&mut self.gew, reach, of_down, wides, rounds, acc)
+            }
+        }
     }
 
     /// Checks the (up to) 256 rounds of wide word `wide` in one sweep; lane
@@ -134,14 +205,8 @@ impl StructureChecker {
         let k = k as usize;
         self.gew.clear();
         self.gew.resize(k, WideWord::ZERO);
-        for i in 0..self.hosts[0].len() {
-            let h = self.hosts[0][i];
-            let reach = router.external_reach_wide(states, h, wide);
-            for j in (1..k).rev() {
-                let below = self.gew[j - 1];
-                self.gew[j] |= below & reach;
-            }
-            self.gew[0] |= reach;
+        for &h in &self.hosts[0] {
+            count_reach(&mut self.gew, router.external_reach_wide(states, h, wide));
             // Early exit once every lane has k reachable instances; the
             // remaining hosts cannot change the verdict.
             if self.gew[k - 1].is_ones() {
@@ -348,6 +413,47 @@ impl StructureChecker {
         }
         true
     }
+}
+
+/// The K-of-N counting kernel: folds one host's reach word into the
+/// saturating unary counter `ge`, after which lane r of `ge[j]` is set iff
+/// at least j + 1 of the words folded so far had lane r set.
+#[inline(always)]
+fn count_reach(ge: &mut [WideWord], reach: WideWord) {
+    for j in (1..ge.len()).rev() {
+        let below = ge[j - 1];
+        ge[j] |= below & reach;
+    }
+    ge[0] |= reach;
+}
+
+/// The kernel over a chunk: `reach[i · wides + ww]` is host i's reach over
+/// wide word `ww`, `ge` a counter of as many lanes as hosts are needed.
+/// Wide word by wide word, `acc` gets the lanes in which that many hosts
+/// are reachable — or, counting `of_down`, the lanes in which fewer than
+/// that many are unreachable.
+#[inline(always)]
+fn count_chunk(
+    ge: &mut [WideWord],
+    reach: &[WideWord],
+    of_down: bool,
+    wides: usize,
+    rounds: usize,
+    acc: &mut ResultAccumulator,
+) {
+    for ww in 0..wides {
+        ge.fill(WideWord::ZERO);
+        for row in reach.chunks_exact(wides) {
+            count_reach(ge, if of_down { !row[ww] } else { row[ww] });
+        }
+        let enough = ge[ge.len() - 1];
+        acc.push_wide(if of_down { !enough } else { enough }, lanes_of(rounds, ww) as u32);
+    }
+}
+
+/// Rounds of a `rounds`-round chunk that fall into its wide word `ww`.
+fn lanes_of(rounds: usize, ww: usize) -> usize {
+    (rounds - ww * WideWord::LANES).min(WideWord::LANES)
 }
 
 #[cfg(test)]

@@ -68,9 +68,9 @@ pub struct ChunkTask {
 /// The driver records once per *fed chunk*, never per round, so the
 /// recording stays off the bit-sliced hot path — and it batches into
 /// plain local accumulators, flushed into the shared atomics once when
-/// the driver is dropped. The flushed histogram contents are
-/// bit-identical to per-chunk shared records; only their visibility is
-/// deferred to the end of the drive.
+/// the drive ends ([`AssessmentDriver::flush`], or the driver's drop). The
+/// flushed histogram contents are bit-identical to per-chunk shared
+/// records; only their visibility is deferred to the end of the drive.
 struct DriverInstruments {
     sampling_us: Arc<Histogram>,
     collapse_us: Arc<Histogram>,
@@ -98,14 +98,20 @@ impl DriverInstruments {
     }
 }
 
-impl Drop for DriverInstruments {
-    fn drop(&mut self) {
+impl DriverInstruments {
+    fn flush(&mut self) {
         self.sampling_batch.flush_into(&self.sampling_us);
         self.collapse_batch.flush_into(&self.collapse_us);
         self.check_batch.flush_into(&self.check_us);
         if self.rounds_batch != 0 {
             self.rounds_total.add(std::mem::take(&mut self.rounds_batch));
         }
+    }
+}
+
+impl Drop for DriverInstruments {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -148,6 +154,31 @@ impl AssessmentDriver {
             rounds_total,
             obs: DriverInstruments::from_global(),
         }
+    }
+
+    /// Starts the driver over for `rounds` rounds in chunks of
+    /// `chunk_rounds` ([`Assessor::chunk_layout`]'s cut), in the memory and
+    /// with the instrument handles it already has.
+    pub(crate) fn restart(
+        &mut self,
+        chunk_rounds: usize,
+        rounds: usize,
+        master_seed: u64,
+        target_ciw: Option<f64>,
+    ) {
+        Assessor::layout_into(chunk_rounds, rounds, &mut self.layout);
+        (self.master_seed, self.target_ciw) = (master_seed, target_ciw);
+        (self.next, self.fed) = (0, 0);
+        self.acc = ResultAccumulator::new();
+        self.timings = Timings::default();
+        self.rounds_total = rounds as u64;
+    }
+
+    /// Makes the chunks fed so far visible in the registry. A dropped
+    /// driver does this by itself; one kept for the next drive is flushed
+    /// by whoever keeps it.
+    pub(crate) fn flush(&mut self) {
+        self.obs.flush();
     }
 
     /// Next chunk of work, or `None` when every chunk has been handed out.

@@ -14,6 +14,10 @@
 //!
 //! # Invariants
 //!
+//! * The table holds at most [`MAX_SLOTS`] slots: chunk `i` lives in slot
+//!   `i % MAX_SLOTS`, so a request of more chunks than that re-keys the
+//!   slots it wraps onto (an *eviction*, counted) and the table's memory
+//!   is bounded whatever round count a peer asks for.
 //! * A slot is keyed by `(chunk seed, rounds)`. Row `r` is *valid* iff
 //!   `stamp[r] == epoch`; a valid row equals the row function of
 //!   `(seed, r)` at `rounds` rounds under the engine's current model and
@@ -28,8 +32,12 @@
 //!   anything derived from valid rows alone may be kept for as long as
 //!   the generation lasts. [`Materialised::key`] hands `(slot,
 //!   generation)` to the router
-//!   ([`recloud_routing::Router::begin_wide_keyed`]), which keeps its
-//!   plan-independent digests under it.
+//!   ([`recloud_routing::Router::external_reach_keyed`]), which keeps its
+//!   digests under it.
+//! * Rows are only ever added under one epoch too, so a cone found
+//!   complete stays complete: a slot remembers, per epoch, that the base
+//!   cone is in place and which hosts' cones are. A plan that shares hosts
+//!   with earlier ones names and checks only the rows of its new hosts.
 //! * A request for the same seed with `n ≤ rounds` reads the valid rows
 //!   as they are (rows are prefix-stable); any other request re-keys the
 //!   slot. New rows are always sampled at the slot's `rounds`, so all
@@ -48,6 +56,12 @@ use recloud_topology::ComponentId;
 use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+
+/// Most slots a table holds: enough that a 100,000-round stream (40
+/// chunks) still has a slot per chunk, few enough that a peer's 10⁶-round
+/// request (391 chunks; a slot allocates 1.3 MB on Medium, 9.8 MB on
+/// Large) cannot pin six times that for the engine's life.
+pub(crate) const MAX_SLOTS: usize = 64;
 
 /// Mints slot generations: process-wide, so no two table contents — of
 /// any slot, of any engine — ever share one, and a router can tell them
@@ -92,12 +106,17 @@ pub(crate) struct Materialised<'a> {
     /// Time spent sampling / collapsing; both zero when nothing was missing.
     pub sampling: Duration,
     pub collapse: Duration,
+    /// When collapsing ended — the caller's next stage starts here. The
+    /// instant the call was given when nothing was missing.
+    pub done: Instant,
     /// Rows materialised by this call (component rows + dependency rows).
     pub rows: usize,
 }
 
 /// One chunk's rows.
 struct Slot {
+    /// The chunk index the rows were keyed for.
+    chunk: usize,
     seed: u64,
     rounds: usize,
     /// Effective states, one row per topology component — what routers read.
@@ -115,12 +134,16 @@ struct Slot {
     valid_deps: usize,
     /// Every base-cone row is valid in the current epoch.
     base_valid: bool,
+    /// Bit per component: set for a host whose whole cone is valid in the
+    /// current epoch.
+    cone_valid: Vec<u64>,
 }
 
 impl Slot {
     fn new(model: &FaultModel, width: usize) -> Self {
         let (components, deps) = (model.num_topology_components(), model.dependency_events().len());
         let mut slot = Slot {
+            chunk: 0,
             seed: 0,
             rounds: 0,
             states: BitMatrix::new(components, width),
@@ -132,6 +155,7 @@ impl Slot {
             valid_states: 0,
             valid_deps: 0,
             base_valid: false,
+            cone_valid: vec![0; components.div_ceil(64)],
         };
         slot.invalidate();
         slot
@@ -145,12 +169,19 @@ impl Slot {
             self.epoch = 1;
         }
         (self.rounds, self.valid_states, self.valid_deps) = (0, 0, 0);
-        self.base_valid = false;
+        self.forget_cones();
         if cfg!(debug_assertions) {
             for c in 0..self.states.components() {
                 self.states.row_words_mut(c).fill(!0);
             }
         }
+    }
+
+    /// The next materialisation checks every row it is handed: nothing is
+    /// known to be complete any more. Valid rows stay valid.
+    fn forget_cones(&mut self) {
+        self.base_valid = false;
+        self.cone_valid.fill(0);
     }
 
     /// Makes dependency event `e`'s raw row valid.
@@ -168,6 +199,7 @@ impl Slot {
         self.states.bytes()
             + self.deps.bytes()
             + 4 * (self.state_stamp.len() + self.dep_stamp.len())
+            + 8 * self.cone_valid.len()
     }
 }
 
@@ -218,43 +250,66 @@ impl FailureTable {
         self.slots.iter_mut().for_each(Slot::invalidate);
     }
 
-    /// Makes every row the cone names valid in slot `index` for
-    /// `(seed, rounds)`. The cone comes in two parts: `base`, the router's
-    /// host-independent rows — the same list on every call, so a slot
-    /// checks it once per epoch — and `hosts`, what this plan adds.
+    /// Keys chunk `chunk`'s slot for `(seed, rounds)` — re-keying it, under
+    /// a new generation, when it holds anything else — and returns the
+    /// slot's index and whether rows of *another chunk* were dropped for it.
+    pub fn key(
+        &mut self,
+        chunk: usize,
+        seed: u64,
+        rounds: usize,
+        model: &FaultModel,
+    ) -> (usize, bool) {
+        assert!(rounds <= self.chunk_rounds, "chunk exceeds table width");
+        let index = chunk % MAX_SLOTS;
+        while self.slots.len() <= index {
+            self.slots.push(Slot::new(model, self.slot_rounds));
+        }
+        let slot = &mut self.slots[index];
+        let mut evicted = false;
+        if slot.seed != seed || slot.rounds < rounds {
+            if slot.valid_states + slot.valid_deps > 0 {
+                evicted = slot.chunk != chunk;
+                slot.invalidate();
+            }
+            (slot.chunk, slot.seed, slot.rounds) = (chunk, seed, rounds);
+            slot.generation = mint_generation();
+        }
+        (index, evicted)
+    }
+
+    /// True when `host` is known to have its whole cone valid in slot
+    /// `index` under its current key.
+    pub fn cone_valid(&self, index: usize, host: ComponentId) -> bool {
+        (self.slots[index].cone_valid[host.index() / 64] >> (host.index() % 64)) & 1 == 1
+    }
+
+    /// Makes every row the cone names valid in slot `index` (keyed by
+    /// [`FailureTable::key`]). The cone comes in two parts: `base`, the
+    /// router's host-independent rows — the same list on every call, so a
+    /// slot checks it once per epoch — and `rows`, what `hosts` add to it;
+    /// `hosts` are remembered as complete. `t0` is when the caller's chunk
+    /// began: sampling is timed from there, and the clock is read again
+    /// only when a row was missing.
     pub fn materialise(
         &mut self,
         index: usize,
-        seed: u64,
-        rounds: usize,
-        (base, hosts): (&[ComponentId], &[ComponentId]),
+        (base, rows, hosts): (&[ComponentId], &[ComponentId], &[ComponentId]),
         src: &RowSource,
+        t0: Instant,
     ) -> Materialised<'_> {
-        assert!(rounds <= self.chunk_rounds, "chunk exceeds table width");
-        while self.slots.len() <= index {
-            self.slots.push(Slot::new(src.model, self.slot_rounds));
-        }
         let slot = &mut self.slots[index];
-        if slot.seed != seed || slot.rounds < rounds {
-            if slot.valid_states + slot.valid_deps > 0 {
-                slot.invalidate();
-            }
-            (slot.seed, slot.rounds) = (seed, rounds);
-            slot.generation = mint_generation();
-        }
         let key = TableKey { slot: index, generation: slot.generation };
 
         // Sampling pass: own rows of the missing components, and the raw
         // rows of the dependency events their trees read.
-        let mut t_sample = None;
         let before = slot.valid_states + slot.valid_deps;
         self.pending.clear();
         let base = if slot.base_valid { &[] } else { base };
-        for &c in base.iter().chain(hosts) {
+        for &c in base.iter().chain(rows) {
             if slot.state_stamp[c.index()] == slot.epoch {
                 continue;
             }
-            t_sample.get_or_insert_with(Instant::now);
             slot.state_stamp[c.index()] = slot.epoch;
             slot.valid_states += 1;
             self.pending.push(c);
@@ -271,18 +326,21 @@ impl FailureTable {
             }
         }
         slot.base_valid = true;
-        let Some(t_sample) = t_sample else {
+        for h in hosts {
+            slot.cone_valid[h.index() / 64] |= 1 << (h.index() % 64);
+        }
+        if self.pending.is_empty() {
             return Materialised {
                 states: &slot.states,
                 key,
                 sampling: Duration::ZERO,
                 collapse: Duration::ZERO,
+                done: t0,
                 rows: 0,
             };
-        };
-        let sampling = t_sample.elapsed();
+        }
+        let sampled = Instant::now();
 
-        let t_collapse = Instant::now();
         let wides = slot.rounds.div_ceil(WideWord::LANES);
         let Slot { states, deps, .. } = slot;
         for &c in &self.pending {
@@ -290,16 +348,28 @@ impl FailureTable {
                 deps.wide_word(src.dep_row(e), ww)
             });
         }
-        let collapse = t_collapse.elapsed();
+        let done = Instant::now();
         let rows = slot.valid_states + slot.valid_deps - before;
-        Materialised { states: &slot.states, key, sampling, collapse, rows }
+        Materialised {
+            states: &slot.states,
+            key,
+            sampling: sampled - t0,
+            collapse: done - sampled,
+            done,
+            rows,
+        }
     }
 
-    /// The next call per slot checks the whole cone again: for a new
-    /// router, whose cone of no hosts may name rows the old one's did not.
-    /// Valid rows stay valid.
-    pub fn recheck_base(&mut self) {
-        self.slots.iter_mut().for_each(|s| s.base_valid = false);
+    /// The next call per slot checks every row it is handed again: for a
+    /// new router, whose cones may name rows the old one's did not. Valid
+    /// rows stay valid.
+    pub fn recheck_cones(&mut self) {
+        self.slots.iter_mut().for_each(Slot::forget_cones);
+    }
+
+    /// Slots allocated so far.
+    pub fn slots(&self) -> usize {
+        self.slots.len()
     }
 
     /// Bytes of valid rows, over all slots.

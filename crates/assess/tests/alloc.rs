@@ -3,10 +3,11 @@
 //! must be allocation-free, on fresh seeds too. The whole point of the
 //! persistent failure-state table and the stack-built samplers is that
 //! after the first assessment warms every buffer (one table slot per
-//! chunk, the cone scratch, the checker's bit-sliced counters, the
-//! router's per-slot digest memo), later ones only write into memory that
-//! already exists. A counting global allocator proves it, so the hot path
-//! cannot silently regress back to a matrix per chunk.
+//! chunk, the cone scratch, the engine's plan checker and chunk driver,
+//! the router's per-slot memo of digests and host reach rows), later ones
+//! only write into memory that already exists. A counting global allocator
+//! proves it, so the hot path cannot silently regress back to a matrix per
+//! chunk — or a checker per plan.
 
 use recloud_apps::{ApplicationSpec, DeploymentPlan};
 use recloud_assess::{Assessor, StructureChecker};
@@ -64,8 +65,8 @@ fn wide_chunk_loop_does_not_allocate() {
     let mut engine = Assessor::new(&t, model);
     let mut checker = StructureChecker::new(&spec, &plan);
     let mut acc = ResultAccumulator::new();
-    // Warm-up chunk: first use grows the checker's bit-sliced K-of-N
-    // counters and sizes the router's memo for slot 0.
+    // Warm-up chunk: first use grows the checker's reach-row scratch and
+    // sizes the router's memo for slot 0.
     engine.run_chunk(&mut checker, Assessor::chunk_seed(42, 0), 2_000, &mut acc);
 
     // Steady state: full and short-tail chunks alike must not allocate.
@@ -78,39 +79,49 @@ fn wide_chunk_loop_does_not_allocate() {
     assert!(acc.rounds() > 0, "the counted chunks really ran");
 }
 
-/// A whole assessment on a seed the engine has never seen allocates what
-/// the plan itself needs — the per-plan `StructureChecker` and the
-/// driver's chunk layout (one vector) — and nothing that scales with the
-/// table: no matrix per chunk, whatever the round count.
+/// A whole assessment allocates nothing once the engine has assessed a
+/// plan of the same shape: the checker and the driver are the engine's
+/// own, re-aimed at each plan, and nothing scales with the table — on a
+/// seed the engine has never seen, on a neighbour of the last plan on a
+/// held table (a search step), and on the same plan again. (Before the
+/// engine kept its checker and driver an assessment allocated the plan's
+/// checker, five blocks here, plus the driver's chunk layout: six.)
 #[test]
-fn fresh_seed_assessment_allocates_only_for_the_plan() {
+fn assessments_allocate_nothing_once_the_engine_is_warm() {
     let t = FatTreeParams::new(4).build();
     let spec = ApplicationSpec::k_of_n(2, 4);
-    let plan = DeploymentPlan::random(&spec, t.hosts(), &mut Rng::new(6));
+    let mut rng = Rng::new(6);
+    let plan = DeploymentPlan::random(&spec, t.hosts(), &mut rng);
     let mut engine = Assessor::new(&t, FaultModel::paper_default(&t, 11));
     let rounds = 9_000; // four chunks, the last one short
     engine.assess(&spec, &plan, rounds, 1); // warm-up: sizes the four slots
 
-    // What a plan costs: its checker, including the bit-sliced counters
-    // the checker grows on its first chunk.
-    let per_plan = allocations_during(|| {
-        let mut checker = StructureChecker::new(&spec, &plan);
-        let mut acc = ResultAccumulator::new();
-        engine.run_chunk(&mut checker, Assessor::chunk_seed(1, 0), 300, &mut acc);
-    });
     for seed in [2u64, 3, 4] {
         let allocs = allocations_during(|| {
             let a = engine.assess(&spec, &plan, rounds, seed);
             assert_eq!(a.estimate.rounds, rounds as u64);
         });
-        assert_eq!(allocs, per_plan + 1, "seed {seed}: {allocs} allocations");
+        assert_eq!(allocs, 0, "fresh seed {seed}: {allocs} allocations");
     }
+    // A search step: one host moved, the table held.
+    let mut neighbour = plan.clone();
+    for step in 0..20 {
+        neighbour = neighbour.neighbor(t.hosts(), &mut rng);
+        let allocs = allocations_during(|| {
+            engine.assess(&spec, &neighbour, rounds, 4);
+        });
+        assert_eq!(allocs, 0, "neighbour {step}: {allocs} allocations");
+    }
+    let allocs = allocations_during(|| {
+        engine.assess(&spec, &neighbour, rounds, 4);
+    });
+    assert_eq!(allocs, 0, "same plan again: {allocs} allocations");
     // Reseeding with a model of the same shape keeps the table's memory.
     engine.reseed(FaultModel::paper_default(&t, 11));
     let allocs = allocations_during(|| {
         engine.assess(&spec, &plan, rounds, 5);
     });
-    assert_eq!(allocs, per_plan + 1, "after reseed: {allocs} allocations");
+    assert_eq!(allocs, 0, "after reseed: {allocs} allocations");
 }
 
 /// A seed changes the model's numbers, not its structure. Taking a warmed
@@ -160,26 +171,21 @@ fn alternating_chunk_widths_settle_on_one_table() {
     engine.assess(&spec, &plan, rounds, 1);
     engine.reseed(FaultModel::paper_default(&t, 11));
     engine.assess(&spec, &plan, rounds, 1); // adds the narrow seed's extra slot
-    let per_plan = allocations_during(|| {
-        let mut checker = StructureChecker::new(&spec, &plan);
-        let mut acc = ResultAccumulator::new();
-        engine.run_chunk(&mut checker, Assessor::chunk_seed(1, 0), 300, &mut acc);
-    });
     let settled = engine.arena_bytes();
     for (round, model_seed) in [wide_seed, 11, wide_seed, 11].into_iter().enumerate() {
         engine.reseed(FaultModel::paper_default(&t, model_seed));
         let allocs = allocations_during(|| {
             engine.assess(&spec, &plan, rounds, 2 + round as u64);
         });
-        assert_eq!(allocs, per_plan + 1, "model seed {model_seed}: {allocs} allocations");
+        assert_eq!(allocs, 0, "model seed {model_seed}: {allocs} allocations");
         assert_eq!(engine.arena_bytes(), settled, "model seed {model_seed} rebuilt the table");
     }
 }
 
-/// The router keeps its plan-independent digests per table slot. The
-/// first search on an engine — neighbouring plans assessed on one seed —
-/// sizes that memo; every later search, on the same seed or another,
-/// writes into it and allocates nothing beyond what its plans cost.
+/// The router keeps its digests and a bounded set of host reach rows per
+/// table slot. The first search on an engine — neighbouring plans assessed
+/// on one seed — sizes that memo; every later search, on the same seed or
+/// another, writes into it and allocates nothing at all.
 #[test]
 fn later_searches_allocate_nothing_for_the_memo() {
     let t = FatTreeParams::new(6).build();
@@ -200,14 +206,9 @@ fn later_searches_allocate_nothing_for_the_memo() {
     };
     search(&mut engine, 1);
     let settled = engine.arena_bytes();
-    let per_plan = allocations_during(|| {
-        let mut checker = StructureChecker::new(&spec, &plans[0]);
-        let mut acc = ResultAccumulator::new();
-        engine.run_chunk(&mut checker, Assessor::chunk_seed(1, 0), 300, &mut acc);
-    });
     for seed in [1u64, 2, 3] {
         let allocs = search(&mut engine, seed);
-        assert_eq!(allocs, 40 * (per_plan + 1), "search on seed {seed}");
+        assert_eq!(allocs, 0, "search on seed {seed}");
         assert_eq!(engine.arena_bytes(), settled, "seed {seed} grew the memo");
     }
 }

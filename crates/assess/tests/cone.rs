@@ -14,12 +14,15 @@
 //! plausible stale bits.
 //!
 //! The second property is about what the router keeps between plans: the
-//! engine hands it `(slot, generation)` with every wide word, the
-//! fat-tree router serves its plan-independent digests from a memo under
-//! that key, and the reference is a *new* router on the unkeyed path for
-//! every plan. The sequences cross every edge that mints a generation, so
-//! a digest outliving its rows — or built from rows not yet in the cone —
-//! shows up as a different count.
+//! engine hands it `(slot, generation)` with every chunk, the fat-tree
+//! router serves its plan-independent digests and a bounded set of host
+//! reach rows from a memo under that key, and the reference is a *new*
+//! router on the unkeyed path for every plan. The sequences are walks of
+//! one-host moves longer than the set holds, with returns to plans whose
+//! hosts have left it and plans larger than it can ever be, and they cross
+//! every edge that mints a generation between two uses of the same host —
+//! so a digest or a row outliving its table rows, or built from rows not
+//! yet in the cone, shows up as a different count.
 
 use recloud_apps::{ApplicationSpec, DeploymentPlan};
 use recloud_assess::{Assessor, BatchWidth, SamplerKind, StructureChecker};
@@ -185,10 +188,14 @@ fn cone_materialised_equals_full_width() {
 #[test]
 fn kept_digests_equal_a_fresh_unkeyed_replay_across_generation_edges() {
     forall("memo engine == fresh full-width unkeyed replay per plan", |g| {
-        let t = FatTreeParams::new([4, 6][g.usize_in(0..2)]).build();
+        // k = 8 has the 112 hosts a plan larger than the router's cap of
+        // 64 reach rows needs; the smaller fabrics return to hosts sooner.
+        let oversized = g.usize_in(0..6) == 0;
+        let t = FatTreeParams::new(if oversized { 8 } else { [4, 6][g.usize_in(0..2)] }).build();
         let routers: [RouterFor; 2] = [make_router, |t| Box::new(UpDownRouter::for_fat_tree(t))];
         let kind = if g.any_bool() { SamplerKind::ExtendedDagger } else { SamplerKind::MonteCarlo };
         let spec = match g.usize_in(0..4) {
+            _ if oversized => ApplicationSpec::k_of_n(g.u32_in(60..65), g.u32_in(65..80)),
             0 => ApplicationSpec::layered(&[(1, 3), (1, 2)]),
             _ => ApplicationSpec::k_of_n(g.u32_in(1..3), g.u32_in(3..6)),
         };
@@ -198,8 +205,14 @@ fn kept_digests_equal_a_fresh_unkeyed_replay_across_generation_edges() {
         let mut engine = Assessor::with_sampler(&t, model.clone(), kind);
         let mut seed = g.any_u64();
         let mut plan = DeploymentPlan::random(&spec, t.hosts(), g.rng());
-        for step in 0..g.usize_in(3..9) {
-            let edge = g.usize_in(0..9);
+        let mut visited = vec![plan.clone()];
+        // A 5-host plan keeps 10 reach rows per slot: 25 one-host moves
+        // push every host of the first plan out, and a return finds it gone.
+        let steps = if oversized { g.usize_in(3..6) } else { g.usize_in(3..26) };
+        for step in 0..steps {
+            // One edge in three steps; the walk in between is what fills
+            // and turns over the router's host set under one generation.
+            let edge = if g.usize_in(0..3) == 0 { g.usize_in(0..6) } else { 6 };
             match edge {
                 0 => seed = g.any_u64(),
                 1 => {
@@ -269,11 +282,16 @@ fn kept_digests_equal_a_fresh_unkeyed_replay_across_generation_edges() {
                 want,
                 "{kind:?} step {step} edge {edge} rounds {rounds} plan {plan}"
             );
-            plan = if g.any_bool() {
-                plan.neighbor(t.hosts(), g.rng())
-            } else {
-                DeploymentPlan::random(&spec, t.hosts(), g.rng())
+            // Mostly one-host moves, so four hosts in five are used again
+            // right after whatever edge comes next; now and then back to a
+            // plan whose hosts the walk has since pushed out of the set, or
+            // away to an unrelated one.
+            plan = match g.usize_in(0..8) {
+                0 => DeploymentPlan::random(&spec, t.hosts(), g.rng()),
+                1 => visited[g.usize_in(0..visited.len())].clone(),
+                _ => plan.neighbor(t.hosts(), g.rng()),
             };
+            visited.push(plan.clone());
         }
         Ok(())
     });

@@ -1046,6 +1046,23 @@ pub fn stats(p: &Parsed) -> Result<String, CliError> {
         s.counter("server.busy_total").unwrap_or(0),
         s.counter("server.decode_errors_total").unwrap_or(0)
     );
+    if let Some(assessments) = s.counter("assess.assessments_total") {
+        // What an assessment cost the engines, in the counts DESIGN.md
+        // ("Table-keyed routing digests") reads a slow search from.
+        let count = |name: &str| s.counter(name).unwrap_or(0);
+        let _ = writeln!(
+            out,
+            "  engine: {assessments} assessments, {} reseeds; built {} table rows, {} digests, \
+             {} reach rows; newest table {} slots ({} evictions), arena {} bytes",
+            count("assess.reseeds_total"),
+            count("assess.rows_materialised_total"),
+            count("assess.digests_built_total"),
+            count("assess.reach_rows_built_total"),
+            s.gauge("assess.table_slots").unwrap_or(0),
+            count("assess.slot_evictions_total"),
+            s.gauge("assess.arena_bytes").unwrap_or(0)
+        );
+    }
     let extra: Vec<&str> = s
         .counters
         .iter()

@@ -22,19 +22,20 @@
 //! The 256-lane protocol goes one step further. Of the masks above,
 //! `border_ok` and the per-pod `pod_ext = OR_g agg(p, g) ∧ border_ok[g]`
 //! mention no host: they are digests of the table's rows, the same for
-//! every plan that lands in the pod. [`Router::begin_wide_keyed`] names
-//! the table those rows belong to, so the router keeps `pod_ext` per
-//! table slot in a [`Memo`], and a later plan on the same table reads it
-//! instead of the `k/2` agg rows, `k/2` border rows and up to `k²/4` core
-//! rows it summarises. `border_ok` is only an ingredient of `pod_ext`; it
-//! is kept for the one wide word a `pod_ext` was last built in — every pod
-//! a plan brings to a fresh wide word shares it — and derived again when
-//! a later plan brings a new pod to a held one.
+//! every plan that lands in the pod. And a host's whole answer,
+//! `reach = host ∧ edge ∧ pod_ext[pod]`, mentions no *other* host: it is
+//! the same for every plan the host is part of.
+//! [`Router::external_reach_keyed`] names the table those rows belong to,
+//! so the router keeps all three per table slot in a [`Memo`]: `border_ok`
+//! and `pod_ext` per wide word for as long as the generation lasts, and
+//! the reach rows of the hosts of the last few plans. A neighbour of the
+//! last plan finds all but one of its rows built; a K-of-N verdict over a
+//! held table is then a count over N kept rows with no routing in it.
 //!
 //! Verdict-equivalence with the valley-free reference BFS is enforced by
 //! tests in `lib.rs` and by property tests.
 
-use crate::{Router, TableKey};
+use crate::{MemoStats, Router, TableKey};
 use recloud_sampling::{BitMatrix, WideWord};
 use recloud_topology::{ComponentId, FatTreeMeta, Topology};
 
@@ -66,54 +67,152 @@ pub struct FatTreeRouter {
     pod_agg_any_w: Vec<u64>,
     pod_wstamp: Vec<u32>,
     wepoch: u32,
-    /// Wide-protocol context (the 256-lane kernel): the wide word, and
-    /// where its digests live — `memos[memo]`, row `memo_row`.
+    /// Wide-protocol context (the 256-lane kernel): the wide word
+    /// [`Router::begin_wide`] installed. Its digests live in `memos[0]`.
     wide: usize,
-    memo: usize,
-    memo_row: usize,
-    /// `memos[0]` serves the unkeyed [`Router::begin_wide`] (one row,
-    /// forgotten on every call); `memos[1 + slot]` holds table slot
-    /// `slot`'s digests. Sized on first use.
+    /// `memos[0]` serves the unkeyed [`Router::begin_wide`] (one wide word,
+    /// forgotten on every call); `memos[1 + slot]` holds what is kept of
+    /// table slot `slot`. Sized on first use.
     memos: Vec<Memo>,
-    /// Per core group g: border(g) alive AND some core of g alive, over
-    /// the wide word `border_of` names — (memo, row, generation), the last
-    /// one a `pod_ext` was built for.
-    border_ok_wide: Vec<WideWord>,
-    border_of: (usize, usize, u64),
-    /// What [`Router::memo_stats`] reports: bytes held by `memos`, and
-    /// digests built so far, over all memos.
-    memo_bytes: usize,
-    digests_built: u64,
+    /// What [`Router::memo_stats`] reports, over all memos.
+    stats: MemoStats,
 }
 
-/// Plan-independent digests of one state matrix, one row per wide word,
-/// each filled the first time it is read under the current generation; a
-/// new generation clears the `built` bits and so forgets everything.
+/// What is kept of one state matrix under one generation: per wide word
+/// the plan-independent digests, each built the first time it is read, and
+/// a small set of per-host reach rows. A new generation clears the `built`
+/// bits and empties the rows, and so forgets everything.
 #[derive(Default)]
 struct Memo {
-    /// What the set `built` bits were built under; 0 before the first.
+    /// What everything below was built under; 0 before the first.
     generation: u64,
     /// `[wide]`: bit p set iff `pod_ext` of pod p is built (k ≤ 128, so
-    /// p ≤ 126).
+    /// p ≤ 126); bit [`BORDER_BUILT`] set iff the word's `border_ok` is.
     built: Vec<u128>,
+    /// `[wide · half + g]`: border(g) alive AND some core of group g alive.
+    /// Every `pod_ext` of the wide word is built from it, whenever a plan
+    /// first brings its pod there.
+    border_ok: Vec<WideWord>,
     /// `[wide · pods + p]`: OR over g of `agg(p, g) & border_ok[g]` — the
     /// rounds in which pod p has some externally-viable uplink group.
     pod_ext: Vec<WideWord>,
+    /// The hosts whose reach is kept, and `[row · wides + wide]` their
+    /// reach: host ∧ edge ∧ `pod_ext[pod]`. At most [`MAX_REACH_ROWS`],
+    /// and no more than twice the hosts of the largest plan shown.
+    rows: Vec<ReachRow>,
+    reach: Vec<WideWord>,
+    /// [`Router::external_reach_keyed`] calls so far: a row `used` in this
+    /// one belongs to the plan being checked.
+    call: u64,
 }
 
+/// One kept reach row.
+#[derive(Clone, Copy)]
+struct ReachRow {
+    /// The host's component index; [`NO_HOST`] while the row is empty.
+    host: u32,
+    /// Wide words `0..built` of the row are built. A shorter follow-up
+    /// builds fewer than a later, longer one under the same generation
+    /// asks for; that one extends the row.
+    built: u32,
+    /// The last call that asked for the host.
+    used: u64,
+}
+
+const NO_HOST: u32 = u32::MAX;
+const EMPTY_ROW: ReachRow = ReachRow { host: NO_HOST, built: 0, used: 0 };
+
+/// Bit of [`Memo::built`] that says the wide word's `border_ok` is built.
+const BORDER_BUILT: u32 = 127;
+
+/// Most reach rows kept per slot, whatever the plan: a plan with more
+/// hosts than this is answered through the same rows, a few at a time.
+/// 64 rows of a 10⁴-round Medium slot (10 wide words) are 20 KB.
+const MAX_REACH_ROWS: usize = 64;
+
 impl Memo {
-    /// Starts over under `generation`, sized for `wides` rows. Allocates
-    /// only when the size changes.
-    fn restart(&mut self, generation: u64, wides: usize, pods: usize) {
+    /// Starts over under `generation`, for a matrix of `wides` wide words
+    /// per row. Allocates only when a size changes.
+    fn restart(&mut self, generation: u64, wides: usize, meta: &FatTreeMeta) {
         self.generation = generation;
         self.built.clear();
         self.built.resize(wides, 0);
-        self.pod_ext.resize(wides * pods, WideWord::ZERO);
+        self.border_ok.resize(wides * meta.half as usize, WideWord::ZERO);
+        self.pod_ext.resize(wides * meta.host_pods as usize, WideWord::ZERO);
+        self.rows.fill(EMPTY_ROW);
+        self.reach.resize(self.rows.len() * wides, WideWord::ZERO);
     }
 
     fn bytes(&self) -> usize {
-        std::mem::size_of::<WideWord>() * self.pod_ext.len()
+        let wide_words = self.border_ok.len() + self.pod_ext.len() + self.reach.len();
+        std::mem::size_of::<WideWord>() * wide_words
             + std::mem::size_of::<u128>() * self.built.len()
+            + std::mem::size_of::<ReachRow>() * self.rows.len()
+    }
+
+    /// Pod `pod`'s externally-viable-uplink mask over wide word `wide` of
+    /// `states`, kept as wide word `at` of the memo; built on first read
+    /// from the pod's agg rows and the word's `border_ok`, itself built on
+    /// first read from the border and core rows. Only rows of the cone of
+    /// a host in `pod` are read, and only when such a host is asked about.
+    /// Adds what it built to `digests`.
+    #[inline]
+    fn pod_ext(
+        &mut self,
+        meta: &FatTreeMeta,
+        states: &BitMatrix,
+        (wide, at): (usize, usize),
+        pod: u32,
+        digests: &mut u64,
+    ) -> WideWord {
+        let (half, pods) = (meta.half as usize, meta.host_pods as usize);
+        let built = &mut self.built[at];
+        let ext = &mut self.pod_ext[at * pods + pod as usize];
+        if (*built >> pod) & 1 == 1 {
+            return *ext;
+        }
+        let border_ok = &mut self.border_ok[at * half..][..half];
+        if (*built >> BORDER_BUILT) & 1 == 0 {
+            for (g, ok) in border_ok.iter_mut().enumerate() {
+                let mut any = WideWord::ZERO;
+                for j in 0..half {
+                    let core = meta.core(g as u32, j as u32);
+                    any |= FatTreeRouter::alive_wide(states, core, wide);
+                    if any.is_ones() {
+                        break; // every lane already covered
+                    }
+                }
+                *ok = any & FatTreeRouter::alive_wide(states, meta.border(g as u32), wide);
+            }
+            *built |= 1 << BORDER_BUILT;
+            *digests += 1;
+        }
+        *ext = WideWord::ZERO;
+        for (g, &ok) in border_ok.iter().enumerate() {
+            *ext |= FatTreeRouter::alive_wide(states, meta.agg(pod, g as u32), wide) & ok;
+        }
+        *built |= 1 << pod;
+        *digests += 1;
+        *ext
+    }
+
+    /// The row that holds `host`'s reach — the one it is already in, or
+    /// the least recently used one, emptied. With at least one row more
+    /// than the plan has hosts, that is never a row of the plan being
+    /// checked.
+    #[inline]
+    fn row_of(&mut self, host: u32) -> usize {
+        let mut oldest = 0;
+        for (i, row) in self.rows.iter().enumerate() {
+            if row.host == host {
+                return i;
+            }
+            if row.used < self.rows[oldest].used {
+                oldest = i;
+            }
+        }
+        self.rows[oldest] = ReachRow { host, ..EMPTY_ROW };
+        oldest
     }
 }
 
@@ -145,13 +244,8 @@ impl FatTreeRouter {
             pod_wstamp: vec![0; pods],
             wepoch: 0,
             wide: 0,
-            memo: 0,
-            memo_row: 0,
             memos: Vec::new(),
-            border_ok_wide: vec![WideWord::ZERO; half],
-            border_of: (0, 0, 0),
-            memo_bytes: 0,
-            digests_built: 0,
+            stats: MemoStats::default(),
         }
     }
 
@@ -199,60 +293,24 @@ impl FatTreeRouter {
         !states.wide_word(c.index(), wide)
     }
 
-    /// Points the wide protocol at row `row` of `memos[memo]`, which holds
-    /// `wides` rows under `generation` — or is made to.
-    fn install(&mut self, wide: usize, memo: usize, row: usize, wides: usize, generation: u64) {
+    /// Makes `memos[memo]` hold `generation` of a matrix of `wides` wide
+    /// words per row — forgetting what it held under any other — with room
+    /// for at least `rows` reach rows.
+    fn memo_under(&mut self, memo: usize, generation: u64, wides: usize, rows: usize) {
         if self.memos.len() <= memo {
             self.memos.resize_with(memo + 1, Memo::default);
         }
         let m = &mut self.memos[memo];
+        let before = m.bytes();
         if m.generation != generation {
-            let before = m.bytes();
-            m.restart(generation, wides, self.meta.host_pods as usize);
-            self.memo_bytes = self.memo_bytes + m.bytes() - before;
+            m.restart(generation, wides, &self.meta);
         }
-        debug_assert!(row < m.built.len(), "wide word beyond the memo");
-        (self.wide, self.memo, self.memo_row) = (wide, memo, row);
-    }
-
-    /// Pod `pod`'s externally-viable-uplink mask over the installed wide
-    /// word, from the memo; built on first read from the pod's agg rows
-    /// and the word's `border_ok` (derived from the border and core rows
-    /// unless the last build was for this very word). Only rows of the
-    /// cone of a host in `pod` are read, and only when such a host is
-    /// asked about.
-    #[inline]
-    fn pod_ext_wide(&mut self, states: &BitMatrix, pod: u32) -> WideWord {
-        let (half, pods) = (self.meta.half as usize, self.meta.host_pods as usize);
-        let m = &mut self.memos[self.memo];
-        let built = &mut m.built[self.memo_row];
-        let at = self.memo_row * pods + pod as usize;
-        if (*built >> pod) & 1 == 1 {
-            return m.pod_ext[at];
+        debug_assert_eq!(m.built.len(), wides, "a generation names one matrix");
+        if m.rows.len() < rows {
+            m.rows.resize(rows, EMPTY_ROW);
+            m.reach.resize(rows * wides, WideWord::ZERO);
         }
-        let border_of = (self.memo, self.memo_row, m.generation);
-        if self.border_of != border_of {
-            for (g, ok) in self.border_ok_wide.iter_mut().enumerate() {
-                let mut any = WideWord::ZERO;
-                for j in 0..half {
-                    any |= Self::alive_wide(states, self.meta.core(g as u32, j as u32), self.wide);
-                    if any.is_ones() {
-                        break; // every lane already covered
-                    }
-                }
-                *ok = any & Self::alive_wide(states, self.meta.border(g as u32), self.wide);
-            }
-            self.border_of = border_of;
-            self.digests_built += 1;
-        }
-        let mut ext = WideWord::ZERO;
-        for (g, &ok) in self.border_ok_wide.iter().enumerate() {
-            ext |= Self::alive_wide(states, self.meta.agg(pod, g as u32), self.wide) & ok;
-        }
-        m.pod_ext[at] = ext;
-        *built |= 1 << pod;
-        self.digests_built += 1;
-        ext
+        self.stats.bytes = self.stats.bytes + m.bytes() - before;
     }
 
     /// Per-pod agg mask, computed on first use in a round. Keeping this
@@ -439,22 +497,61 @@ impl Router for FatTreeRouter {
 
     /// Installs wide word `wide` of a matrix the router knows nothing
     /// about: `states` may have been overwritten since the last call, so
-    /// the digests live in a one-row memo that is forgotten here.
+    /// the digests live in a one-word memo that is forgotten here.
     fn begin_wide(&mut self, _states: &BitMatrix, wide: usize) {
         let forgotten = self.memos.first().map_or(0, |m| m.generation) + 1;
-        self.install(wide, 0, 0, 1, forgotten);
+        self.memo_under(0, forgotten, 1, 0);
+        self.wide = wide;
     }
 
-    /// Installs wide word `wide` of table slot `key.slot`. Rows never
-    /// change under one generation, so whatever digest an earlier plan
-    /// built under `key.generation` is served as it is.
-    fn begin_wide_keyed(&mut self, states: &BitMatrix, wide: usize, key: TableKey) {
-        let wides = states.wide_words_per_row();
-        self.install(wide, 1 + key.slot, wide, wides, key.generation.get());
+    /// Serves each host's reach from table slot `key.slot`'s memo. Rows
+    /// never change under one generation, so whatever an earlier plan
+    /// built under `key.generation` — a pod's digest, a host's whole row —
+    /// is served as it is; only a host the slot's last few plans did not
+    /// hold is derived, from its own row, its edge switch's and its pod's
+    /// digest.
+    fn external_reach_keyed(
+        &mut self,
+        states: &BitMatrix,
+        key: TableKey,
+        hosts: &[ComponentId],
+        wides: usize,
+        out: &mut [WideWord],
+    ) {
+        assert_eq!(out.len(), hosts.len() * wides, "one row of `wides` words per host");
+        let width = states.wide_words_per_row();
+        assert!(wides <= width, "more wide words than the matrix holds");
+        if wides == 0 {
+            return;
+        }
+        let rows = (2 * hosts.len()).min(MAX_REACH_ROWS);
+        self.memo_under(1 + key.slot, key.generation.get(), width, rows);
+        let FatTreeRouter { memos, stats, meta, .. } = self;
+        let m = &mut memos[1 + key.slot];
+        m.call += 1;
+        for (&host, out) in hosts.iter().zip(out.chunks_exact_mut(wides)) {
+            debug_assert!(meta.is_host(host), "external_reach_keyed takes host ids");
+            let row = m.row_of(host.0);
+            m.rows[row].used = m.call;
+            let built = m.rows[row].built as usize;
+            if built < wides {
+                let pos = meta.host_position(host);
+                let edge = meta.edge(pos.pod, pos.edge);
+                for ww in built..wides {
+                    let ext = m.pod_ext(meta, states, (ww, ww), pos.pod, &mut stats.digests_built);
+                    m.reach[row * width + ww] = Self::alive_wide(states, host, ww)
+                        & Self::alive_wide(states, edge, ww)
+                        & ext;
+                }
+                m.rows[row].built = wides as u32;
+                stats.reach_rows_built += 1;
+            }
+            out.copy_from_slice(&m.reach[row * width..][..wides]);
+        }
     }
 
-    fn memo_stats(&self) -> (usize, u64) {
-        (self.memo_bytes, self.digests_built)
+    fn memo_stats(&self) -> MemoStats {
+        self.stats
     }
 
     fn wide_native(&self) -> bool {
@@ -470,9 +567,12 @@ impl Router for FatTreeRouter {
         debug_assert!(self.meta.is_host(host), "external_reach_wide takes a host id");
         debug_assert_eq!(wide, self.wide, "begin_wide installs the wide context");
         let pos = self.meta.host_position(host);
+        let unkeyed = &mut self.memos[0];
+        let ext =
+            unkeyed.pod_ext(&self.meta, states, (wide, 0), pos.pod, &mut self.stats.digests_built);
         Self::alive_wide(states, host, wide)
             & Self::alive_wide(states, self.meta.edge(pos.pod, pos.edge), wide)
-            & self.pod_ext_wide(states, pos.pod)
+            & ext
     }
 }
 
@@ -701,53 +801,146 @@ mod tests {
         states
     }
 
-    /// Digests are kept per (slot, generation) and only there: a second
-    /// pass under the same key builds nothing, a new generation or another
-    /// slot derives its own, and the unkeyed call follows the matrix it is
-    /// handed even when that changed since the last call.
+    /// Every host's reach over every wide word of `s`: through the keyed
+    /// call `plan` hosts at a time, or wide word by wide word unkeyed.
+    fn ask(
+        r: &mut FatTreeRouter,
+        t: &Topology,
+        s: &BitMatrix,
+        key: Option<(TableKey, usize)>,
+    ) -> Vec<WideWord> {
+        let wides = s.wide_words_per_row();
+        let mut out = vec![WideWord::ZERO; t.hosts().len() * wides];
+        match key {
+            Some((key, plan)) => {
+                for (hosts, out) in t.hosts().chunks(plan).zip(out.chunks_mut(plan * wides)) {
+                    r.external_reach_keyed(s, key, hosts, wides, out);
+                }
+            }
+            None => {
+                for ww in 0..wides {
+                    r.begin_wide(s, ww);
+                    for (i, &h) in t.hosts().iter().enumerate() {
+                        out[i * wides + ww] = r.external_reach_wide(s, h, ww);
+                    }
+                }
+            }
+        }
+        for row in out.chunks_mut(wides) {
+            row.iter_mut().enumerate().for_each(|(ww, w)| *w &= s.wide_mask(ww));
+        }
+        out
+    }
+
+    /// What is kept is kept per (slot, generation) and only there. The
+    /// plan-independent digests — one border row per wide word, one
+    /// `pod_ext` per pod and wide word — are built once per generation
+    /// whatever the plans; host reach rows are built when a host enters
+    /// the slot's bounded set, so a repeat of the last plan builds nothing
+    /// and a walk over more hosts than the set holds builds them again; a
+    /// new generation or another slot derives its own; and the unkeyed
+    /// call follows the matrix it is handed even when that changed since
+    /// the last call. These assertions count what is *built*, never what
+    /// is answered.
     #[test]
     fn keyed_wide_keeps_digests_per_generation_and_unkeyed_never_remembers() {
         let (t, _, _) = setup(4);
         let (a, b) = (random_states(&t, 300, 42), random_states(&t, 300, 43));
-        let ask = |r: &mut FatTreeRouter, s: &BitMatrix, key: Option<TableKey>| {
-            let mut out = Vec::new();
-            for ww in 0..s.wide_words_per_row() {
-                match key {
-                    Some(key) => r.begin_wide_keyed(s, ww, key),
-                    None => r.begin_wide(s, ww),
-                }
-                let mask = s.wide_mask(ww);
-                out.extend(t.hosts().iter().map(|&h| r.external_reach_wide(s, h, ww) & mask));
-            }
-            out
-        };
-        let want_a = ask(&mut FatTreeRouter::new(&t), &a, None);
-        let want_b = ask(&mut FatTreeRouter::new(&t), &b, None);
+        let (hosts, wides) = (t.hosts().len() as u64, 2);
+        let want_a = ask(&mut FatTreeRouter::new(&t), &t, &a, None);
+        let want_b = ask(&mut FatTreeRouter::new(&t), &t, &b, None);
         assert_ne!(want_a, want_b);
 
         let mut r = FatTreeRouter::new(&t);
-        assert_eq!(r.memo_stats(), (0, 0), "nothing is kept before the first wide word");
-        assert_eq!(ask(&mut r, &a, None), want_a);
-        assert_eq!(ask(&mut r, &b, None), want_b, "unkeyed: same router, new contents");
+        assert_eq!(r.memo_stats(), MemoStats::default(), "nothing is kept before the first call");
+        assert_eq!(ask(&mut r, &t, &a, None), want_a);
+        assert_eq!(ask(&mut r, &t, &b, None), want_b, "unkeyed: same router, new contents");
+        assert_eq!(r.memo_stats().reach_rows_built, 0, "unkeyed calls keep no host rows");
 
         let generation = |g| std::num::NonZeroU64::new(g).expect("nonzero");
         let key = TableKey { slot: 2, generation: generation(7) };
-        let (_, before) = r.memo_stats();
-        assert_eq!(ask(&mut r, &a, Some(key)), want_a);
-        let (bytes, built) = r.memo_stats();
+        let before = r.memo_stats();
+        assert_eq!(ask(&mut r, &t, &a, Some((key, 4))), want_a);
+        let first = r.memo_stats();
         // k = 4: per wide word one border row and three host pods.
-        assert_eq!(built - before, 2 * (1 + 3));
-        assert_eq!(ask(&mut r, &a, Some(key)), want_a);
-        assert_eq!(r.memo_stats(), (bytes, built), "a held table builds nothing");
+        assert_eq!(first.digests_built - before.digests_built, wides * (1 + 3));
+        assert_eq!(first.reach_rows_built, hosts, "every host entered the set once");
+        // The same walk again: 4-host plans keep 8 rows, the fabric has 12
+        // hosts, so every host left the set before it came back — all rows
+        // are built again, and not one digest.
+        assert_eq!(ask(&mut r, &t, &a, Some((key, 4))), want_a);
+        let second = r.memo_stats();
+        assert_eq!(second.digests_built, first.digests_built, "a held table builds no digest");
+        assert_eq!(second.reach_rows_built, 2 * hosts);
+        assert_eq!(second.bytes, first.bytes, "the set is bounded by the plan, not the walk");
+        // The last plan again: served as it is.
+        let last = &t.hosts()[t.hosts().len() - 4..];
+        let mut out = vec![WideWord::ZERO; 4 * wides as usize];
+        r.external_reach_keyed(&a, key, last, wides as usize, &mut out);
+        assert_eq!(r.memo_stats(), second, "a repeat builds nothing");
+        // A row first built for one wide word is extended for two.
+        let fresh = TableKey { slot: 3, generation: generation(20) };
+        r.external_reach_keyed(&a, fresh, last, 1, &mut out[..4]);
+        r.external_reach_keyed(&a, fresh, last, 2, &mut out);
+        let got: Vec<_> = out.iter().enumerate().map(|(i, w)| *w & a.wide_mask(i % 2)).collect();
+        assert_eq!(got, want_a[want_a.len() - 8..], "extended rows");
+        assert_eq!(r.memo_stats().reach_rows_built, second.reach_rows_built + 8);
 
+        let built = r.memo_stats();
         let rekeyed = TableKey { generation: generation(8), ..key };
-        assert_eq!(ask(&mut r, &b, Some(rekeyed)), want_b, "new generation, new contents");
-        assert_eq!(r.memo_stats(), (bytes, 2 * built - before), "same memory, built anew");
+        assert_eq!(ask(&mut r, &t, &b, Some((rekeyed, 4))), want_b, "new generation, new contents");
+        let again = r.memo_stats();
+        assert_eq!(again.bytes, built.bytes, "same memory");
+        assert_eq!(again.digests_built - built.digests_built, wides * (1 + 3), "built anew");
         let other = TableKey { slot: 0, generation: generation(9) };
-        assert_eq!(ask(&mut r, &a, Some(other)), want_a);
-        let (_, built) = r.memo_stats();
-        assert_eq!(ask(&mut r, &b, Some(rekeyed)), want_b, "slot 2 still holds generation 8");
-        assert_eq!(r.memo_stats().1, built);
+        assert_eq!(ask(&mut r, &t, &a, Some((other, 4))), want_a);
+        let built = r.memo_stats().digests_built;
+        assert_eq!(ask(&mut r, &t, &b, Some((rekeyed, 4))), want_b, "slot 2 still holds 8");
+        assert_eq!(r.memo_stats().digests_built, built);
+        // A plan larger than the set can ever be is answered all the same.
+        let many: Vec<ComponentId> = t.hosts().iter().cycle().take(100).copied().collect();
+        let mut out = vec![WideWord::ZERO; 100 * wides as usize];
+        r.external_reach_keyed(&b, rekeyed, &many, wides as usize, &mut out);
+        for (i, row) in out.chunks(wides as usize).enumerate() {
+            let at = (i % t.hosts().len()) * wides as usize;
+            let got: Vec<_> = row.iter().enumerate().map(|(ww, w)| *w & b.wide_mask(ww)).collect();
+            assert_eq!(got, want_b[at..at + wides as usize], "host {i} of 100");
+        }
+        let capped = r.memo_stats().bytes;
+        r.external_reach_keyed(&b, rekeyed, &many, wides as usize, &mut out);
+        assert_eq!(r.memo_stats().bytes, capped, "the set has a cap");
+    }
+
+    /// The provided `external_reach_keyed` is `begin_wide` +
+    /// `external_reach_wide` per wide word, for routers that keep nothing.
+    #[test]
+    fn default_keyed_reach_is_the_unkeyed_wide_path() {
+        let (t, _, _) = setup(4);
+        let s = random_states(&t, 600, 7);
+        let wides = s.wide_words_per_row();
+        let key = TableKey { slot: 1, generation: std::num::NonZeroU64::new(3).expect("nonzero") };
+        let routers: [Box<dyn Router>; 2] = [
+            Box::new(crate::UpDownRouter::for_fat_tree(&t)),
+            Box::new(crate::GenericRouter::new(&t)),
+        ];
+        for mut r in routers {
+            let hosts: Vec<ComponentId> = t.hosts().iter().step_by(3).copied().collect();
+            let mut got = vec![WideWord::ZERO; hosts.len() * wides];
+            r.external_reach_keyed(&s, key, &hosts, wides, &mut got);
+            for ww in 0..wides {
+                r.begin_wide(&s, ww);
+                for (i, &h) in hosts.iter().enumerate() {
+                    let want = r.external_reach_wide(&s, h, ww) & s.wide_mask(ww);
+                    assert_eq!(
+                        got[i * wides + ww] & s.wide_mask(ww),
+                        want,
+                        "{} {h} {ww}",
+                        r.name()
+                    );
+                }
+            }
+            assert_eq!(r.memo_stats(), MemoStats::default(), "{} keeps nothing", r.name());
+        }
     }
 
     /// The native wide path must equal the four word queries it replaces.

@@ -58,16 +58,20 @@ use std::num::NonZeroU64;
 /// the scalar query on that round. Bits beyond the matrix's round count
 /// are unspecified — callers mask with [`BitMatrix::word_mask`].
 ///
-/// Wide protocol (the 256-lane kernel): call [`Router::begin_wide`] — or
-/// [`Router::begin_wide_keyed`] when `states` is a slot of a failure-state
-/// table — with a wide-word index `ww`, then issue
-/// [`Router::external_reach_wide`] queries for the same `(states, ww)`.
-/// Lane `r` of a result wide word is the verdict for round `256·ww + r`.
-/// The default implementation decomposes a wide word into its four
-/// 64-round subwords through the word API, so every router gets the wide
-/// API for free and the 64-bit path remains the degenerate width. There
-/// is no wide `connects`: structures with cross-component requirements
-/// are checked through the word protocol.
+/// Wide protocol (the 256-lane kernel): call [`Router::begin_wide`] with a
+/// wide-word index `ww`, then issue [`Router::external_reach_wide`] queries
+/// for the same `(states, ww)`. Lane `r` of a result wide word is the
+/// verdict for round `256·ww + r`. The default implementation decomposes a
+/// wide word into its four 64-round subwords through the word API, so
+/// every router gets the wide API for free and the 64-bit path remains the
+/// degenerate width. There is no wide `connects`: structures with
+/// cross-component requirements are checked through the word protocol.
+///
+/// Keyed protocol (a chunk at a time): when `states` is a slot of a
+/// failure-state table, [`Router::external_reach_keyed`] answers a whole
+/// plan's hosts over all of the chunk's wide words in one call, and names
+/// the table's contents so a router may keep what it derived from them.
+/// It needs no `begin_*` call.
 ///
 /// All protocols share router scratch: interleaving them is allowed only by
 /// re-issuing the relevant `begin_*` call first.
@@ -92,8 +96,8 @@ pub trait Router {
 
     /// The *cone* of a set of hosts: appends to `out` a superset of every
     /// row of a `components`-row state matrix that `begin_round`/`_word`/
-    /// `_wide`/`_wide_keyed` and the `external_reach*`/`connects*` queries
-    /// may read while all queried hosts are among `hosts`. Verdicts about
+    /// `_wide` and the `external_reach*`/`connects*` queries may read while
+    /// all queried hosts are among `hosts`. Verdicts about
     /// those hosts are a function of the cone's rows alone, so a caller
     /// may leave every other row unsampled. Repeats are allowed. (The
     /// `screen_*` masks may read any row: stale rows only make them more
@@ -212,24 +216,47 @@ pub trait Router {
     /// per 64-round subword.
     fn begin_wide(&mut self, _states: &BitMatrix, _wide: usize) {}
 
-    /// [`Router::begin_wide`] for a matrix with an identity: `states` is
-    /// slot `key.slot` of a failure-state table, and every row the router
-    /// may read for the hosts it is asked about (their [`Router::cone`])
-    /// holds the same bits whenever the same `key` is presented again. A
+    /// [`Router::external_reach_wide`] for a matrix with an identity, a
+    /// chunk at a time: `states` is slot `key.slot` of a failure-state
+    /// table, and for every `i` and every `ww < wides` the call sets
+    /// `out[i · wides + ww]` to `hosts[i]`'s reach over wide word `ww` —
+    /// what [`Router::begin_wide`] + [`Router::external_reach_wide`] answer
+    /// for `(states, hosts[i], ww)`, which is the default.
+    ///
+    /// Every row the router may read for the hosts it is asked about (their
+    /// [`Router::cone`]) holds the same bits whenever the same `key` is
+    /// presented again, up to the round count the table holds under it. A
     /// router may therefore keep, per slot, anything it derives from those
-    /// rows and serve it to later plans under the same generation; under
-    /// any other generation it must derive it anew. The default ignores
-    /// the key. The unkeyed call promises nothing about `states` and must
-    /// not remember.
-    fn begin_wide_keyed(&mut self, states: &BitMatrix, wide: usize, _key: TableKey) {
-        self.begin_wide(states, wide);
+    /// rows — a host's whole answer included — and serve it to later plans
+    /// under the same generation; under any other generation it must
+    /// derive it anew. What it keeps must be bounded by the plans it is
+    /// shown (`hosts.len()`), not by how many hosts it has been asked about
+    /// over time. The unkeyed calls promise nothing about `states` and
+    /// must not remember.
+    ///
+    /// Clobbers the wide context: re-issue [`Router::begin_wide`] before
+    /// the next [`Router::external_reach_wide`].
+    fn external_reach_keyed(
+        &mut self,
+        states: &BitMatrix,
+        _key: TableKey,
+        hosts: &[ComponentId],
+        wides: usize,
+        out: &mut [WideWord],
+    ) {
+        assert_eq!(out.len(), hosts.len() * wides, "one row of `wides` words per host");
+        for ww in 0..wides {
+            self.begin_wide(states, ww);
+            for (i, &host) in hosts.iter().enumerate() {
+                out[i * wides + ww] = self.external_reach_wide(states, host, ww);
+            }
+        }
     }
 
-    /// What the router keeps for [`Router::begin_wide_keyed`]: bytes held,
-    /// and digests derived from table rows so far (a count that only
-    /// grows; it stands still while plans are served from what is kept).
-    fn memo_stats(&self) -> (usize, u64) {
-        (0, 0)
+    /// What the router keeps for [`Router::external_reach_keyed`]. The
+    /// default keeps nothing.
+    fn memo_stats(&self) -> MemoStats {
+        MemoStats::default()
     }
 
     /// True when the wide queries are answered natively in 256-lane bit
@@ -270,11 +297,27 @@ pub trait Router {
     }
 }
 
+/// What a router keeps between [`Router::external_reach_keyed`] calls, and
+/// how much it has derived so far. The two counts only grow.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Bytes held.
+    pub bytes: usize,
+    /// Plan-independent digests derived from table rows. Stands still
+    /// while plans are served from one table generation.
+    pub digests_built: u64,
+    /// Per-host reach rows derived (or extended to more wide words). A
+    /// one-host move on a held table adds one per slot; a plan unrelated
+    /// to the last one, or larger than the router's bound, adds one per
+    /// host per slot.
+    pub reach_rows_built: u64,
+}
+
 /// Names the contents of one slot of a failure-state table for
-/// [`Router::begin_wide_keyed`].
+/// [`Router::external_reach_keyed`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TableKey {
-    /// The slot (chunk index) within its table.
+    /// The slot within its table (tables hold a bounded number of them).
     pub slot: usize,
     /// Minted anew whenever the slot's rows may no longer be what they
     /// were — on every re-key to another seed or round count, which is

@@ -598,7 +598,11 @@ mod tests {
     use recloud_topology::FatTreeParams;
 
     fn engine(seed: u64) -> Assessor {
-        let t = FatTreeParams::new(8).build();
+        engine_on(8, seed)
+    }
+
+    fn engine_on(k: u32, seed: u64) -> Assessor {
+        let t = FatTreeParams::new(k).build();
         let model = FaultModel::paper_default(&t, seed);
         Assessor::new(&t, model)
     }
@@ -725,19 +729,24 @@ mod tests {
     }
 
     /// A CRN search assesses every plan on one held table, where the
-    /// router serves its plan-independent digests from what earlier plans
-    /// built. The same search with every plan scored on an engine built
-    /// for that plan alone must make the same 300 decisions.
+    /// router serves its digests and the reach rows of the last few plans'
+    /// hosts from what earlier plans built. The same search with every
+    /// plan scored on an engine built for that plan alone must make the
+    /// same decisions — on k = 8, and on k = 6, whose 45 hosts a 400-step
+    /// walk leaves and comes back to many times over, long after the
+    /// router's host set has let them go.
     #[test]
     fn crn_search_on_a_held_table_equals_a_fresh_engine_per_plan() {
         struct FreshEnginePerPlan {
+            k: u32,
             spec: ApplicationSpec,
             rounds: usize,
             crn_seed: u64,
         }
         impl Objective for FreshEnginePerPlan {
             fn measure(&self, plan: &DeploymentPlan, held: f64) -> f64 {
-                let fresh = engine(3).assess(&self.spec, plan, self.rounds, self.crn_seed);
+                let fresh =
+                    engine_on(self.k, 3).assess(&self.spec, plan, self.rounds, self.crn_seed);
                 assert_eq!(fresh.estimate.score.to_bits(), held.to_bits(), "plan {plan}");
                 fresh.estimate.score
             }
@@ -746,17 +755,51 @@ mod tests {
             }
         }
         let spec = ApplicationSpec::k_of_n(4, 5);
-        // Two table slots, the second one short.
-        let cfg = SearchConfig { crn_seed: Some(99), ..SearchConfig::iterations(300, 3_000, 21) };
-        let mut held = engine(3);
-        let want = Searcher::new(&mut held).search(&spec, &ReliabilityObjective, &cfg, None);
-        let fresh = FreshEnginePerPlan { spec: spec.clone(), rounds: cfg.rounds, crn_seed: 99 };
-        let got = Searcher::new(&mut engine(3)).search(&spec, &fresh, &cfg, None);
-        assert_eq!(got.best_plan, want.best_plan);
-        assert_eq!(got.best_measure.to_bits(), want.best_measure.to_bits());
-        assert_eq!(got.stats, want.stats);
-        assert_eq!(want.stats.plans_assessed, 300);
-        assert!(want.trajectory.len() > 1, "the search moved");
+        for (k, steps) in [(8, 300), (6, 400)] {
+            // Two table slots, the second one short.
+            let cfg =
+                SearchConfig { crn_seed: Some(99), ..SearchConfig::iterations(steps, 3_000, 21) };
+            let mut held = engine_on(k, 3);
+            let want = Searcher::new(&mut held).search(&spec, &ReliabilityObjective, &cfg, None);
+            let fresh =
+                FreshEnginePerPlan { k, spec: spec.clone(), rounds: cfg.rounds, crn_seed: 99 };
+            let got = Searcher::new(&mut engine_on(k, 3)).search(&spec, &fresh, &cfg, None);
+            assert_eq!(got.best_plan, want.best_plan, "k = {k}");
+            assert_eq!(got.best_measure.to_bits(), want.best_measure.to_bits(), "k = {k}");
+            assert_eq!(got.stats, want.stats, "k = {k}");
+            assert_eq!(want.stats.plans_assessed, steps);
+            assert!(want.trajectory.len() > 1, "the search moved");
+        }
+    }
+
+    /// Answers unchanged: 30 searches on the Medium preset, each on its own
+    /// seed and shared table, hashed over everything a caller can see of
+    /// the outcome. The value was generated at the commit before the
+    /// router kept per-host reach rows (PR 15's tree); a search step that
+    /// got cheaper must still make the same decisions.
+    #[test]
+    fn medium_search_outcomes_are_pinned() {
+        fn fnv(h: &mut u64, v: u64) {
+            for b in v.to_le_bytes() {
+                *h = (*h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        let t = recloud_topology::Scale::Medium.build();
+        let mut assessor = Assessor::new(&t, FaultModel::paper_default(&t, 20_170));
+        let spec = ApplicationSpec::k_of_n(4, 5);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for i in 0..30 {
+            let seed = recloud_sampling::derive_seed(1, i);
+            let cfg = SearchConfig::iterations(600, 10_000, seed);
+            let out = Searcher::new(&mut assessor).search(&spec, &ReliabilityObjective, &cfg, None);
+            out.best_plan.all_hosts().for_each(|host| fnv(&mut h, host.index() as u64));
+            fnv(&mut h, out.best_reliability.to_bits());
+            let s = out.stats;
+            for v in [s.plans_assessed, s.symmetry_skips, s.worse_accepted, s.worse_rejected] {
+                fnv(&mut h, v as u64);
+            }
+        }
+        assert_eq!(h, 0x6bde_6f70_b772_a10e, "hash {h:#018x}");
     }
 
     #[test]

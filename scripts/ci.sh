@@ -29,8 +29,12 @@ cargo test -q --test hermetic
 echo "== retired names gate =="
 # Frames, setters and the codec that PR 15 took off the books stay off:
 # nothing under crates/, src/, tests/ or examples/ may name them again
-# (the protocol's own list of retired kinds is the one exception).
+# (the protocol's own list of retired kinds is the one exception). So do
+# the per-wide-word keyed router call and what hung off it, replaced by
+# the chunk-level `external_reach_keyed` (PR 16): the "last border word
+# built" special case, the whole-plan cone naming and the base-only flag.
 RETIRED='StatsResponse|SearchPlacement|set_batched|Word64|JobFrame|RCW1'
+RETIRED="$RETIRED|begin_wide_keyed|border_of|border_ok_wide|pod_ext_wide|memo_row|name_cone|recheck_base"
 if grep -rnE "$RETIRED" crates/ src/ tests/ examples/ \
     | grep -vE '^crates/server/src/(protocol\.rs|frame_table\.md):.*SearchPlacement'; then
   echo "retired names gate: a retired name is back (see above)"; exit 1
@@ -45,7 +49,8 @@ echo "== benchmark package gate =="
 # one and held-table search, which between them take both sides of the
 # router's digest memo; the two plain served ones, which live on the RCS1
 # codec and the reactor; and the streaming daemon, whose every request
-# carries a new model seed. Each last stdout line must report
+# carries a new model seed. Each run's op_p50_us and peak_rss_mb are
+# echoed for whoever reads the log. Each last stdout line must report
 # "correct": true with "failed": 0: the workload's own post-checks hold,
 # which for the fresh-seed one includes the untouched full-width unkeyed
 # stage replay equalling Assessor::assess bit for bit, and for the served
@@ -61,6 +66,10 @@ echo "== benchmark package gate =="
     BENCH_OUT="$(benchmark/run.sh --workload "$WORKLOAD" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
     echo "$BENCH_OUT" | grep -Eq '"correct": ?true' && echo "$BENCH_OUT" | grep -Eq '"failed": ?0[,}]' \
       || { echo "benchmark gate: $WORKLOAD did not report correct with no failures"; echo "$BENCH_OUT"; exit 1; }
+    # No threshold — the box drifts — but a 2x or a +2 MiB shows in the log.
+    echo "benchmark gate: $WORKLOAD $(echo "$BENCH_OUT" \
+      | grep -oE '"(op_p50_us|peak_rss_mb)": ?\{"value": ?[0-9.e+-]+' \
+      | sed -E 's/"([a-z0-9_]+)": ?\{"value": ?/\1=/' | tr '\n' ' ')"
   done
 )
 echo "benchmark gate: package builds, tests pass, replay agrees"
