@@ -195,6 +195,10 @@ struct AssessInstruments {
     cache_bytes: Arc<Gauge>,
     /// Bytes the newest engine's table and its router's memo have allocated.
     arena_bytes: Arc<Gauge>,
+    /// Bytes of the newest engine's fault model: its numbers plus the
+    /// structure it shares with its clones. With `arena_bytes`, what an
+    /// engine keeps.
+    model_bytes: Arc<Gauge>,
     /// Table rows sampled (component rows + dependency-event rows).
     rows_materialised: Arc<Counter>,
     /// Plan-independent digests the router derived from table rows
@@ -229,6 +233,7 @@ impl AssessInstruments {
             assessments_total: registry.counter("assess.assessments_total"),
             cache_bytes: registry.gauge("assess.cache_bytes"),
             arena_bytes: registry.gauge("assess.arena_bytes"),
+            model_bytes: registry.gauge("assess.model_bytes"),
             rows_materialised: registry.counter("assess.rows_materialised_total"),
             digests_built: registry.counter("assess.digests_built_total"),
             reach_rows_built: registry.counter("assess.reach_rows_built_total"),
@@ -238,6 +243,11 @@ impl AssessInstruments {
             reseeds_total: registry.counter("assess.reseeds_total"),
             reseed_us: registry.histogram("assess.reseed_us"),
         }
+    }
+
+    fn set_model_bytes(&self, model: &FaultModel) {
+        let numbers = std::mem::size_of_val(model.probs());
+        self.model_bytes.set((numbers + model.structure_bytes()) as i64);
     }
 }
 
@@ -273,6 +283,8 @@ impl Assessor {
     pub fn with_sampler(topology: &Topology, model: FaultModel, kind: SamplerKind) -> Self {
         let (s_max, chunk_rounds) = Self::chunking_of(&model);
         let router = make_router(topology);
+        let obs = AssessInstruments::from_global();
+        obs.set_model_bytes(&model);
         Assessor {
             topology: topology.clone(),
             model,
@@ -289,7 +301,7 @@ impl Assessor {
             tally: Tally::default(),
             injector: None,
             width: BatchWidth::Wide256,
-            obs: AssessInstruments::from_global(),
+            obs,
         }
     }
 
@@ -346,6 +358,7 @@ impl Assessor {
         let (s_max, chunk_rounds) = Self::chunking_of(&model);
         self.s_max = s_max;
         self.table.invalidate(&model, chunk_rounds);
+        self.obs.set_model_bytes(&model);
         self.model = model;
         self.obs.reseeds_total.inc();
         self.obs.reseed_us.record(t0.elapsed().as_micros() as u64);

@@ -51,7 +51,7 @@
 
 use recloud_faults::{FaultInjector, FaultModel};
 use recloud_routing::TableKey;
-use recloud_sampling::{BitMatrix, Sampler, WideWord};
+use recloud_sampling::{BitMatrix, Sampler};
 use recloud_topology::ComponentId;
 use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -341,12 +341,14 @@ impl FailureTable {
         }
         let sampled = Instant::now();
 
-        let wides = slot.rounds.div_ceil(WideWord::LANES);
-        let Slot { states, deps, .. } = slot;
+        let Slot { states, deps, rounds, .. } = slot;
         for &c in &self.pending {
-            src.model.or_dependencies_into(c.index(), states, wides, |e, ww| {
-                deps.wide_word(src.dep_row(e), ww)
-            });
+            src.model.or_dependencies_into(
+                c.index(),
+                states.row_words_mut(c.index()),
+                *rounds,
+                |e| deps.row_words(src.dep_row(e)),
+            );
         }
         let done = Instant::now();
         let rows = slot.valid_states + slot.valid_deps - before;

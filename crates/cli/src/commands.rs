@@ -1053,14 +1053,16 @@ pub fn stats(p: &Parsed) -> Result<String, CliError> {
         let _ = writeln!(
             out,
             "  engine: {assessments} assessments, {} reseeds; built {} table rows, {} digests, \
-             {} reach rows; newest table {} slots ({} evictions), arena {} bytes",
+             {} reach rows; newest table {} slots ({} evictions), arena {} bytes \
+             (table + router memo), model {} bytes",
             count("assess.reseeds_total"),
             count("assess.rows_materialised_total"),
             count("assess.digests_built_total"),
             count("assess.reach_rows_built_total"),
             s.gauge("assess.table_slots").unwrap_or(0),
             count("assess.slot_evictions_total"),
-            s.gauge("assess.arena_bytes").unwrap_or(0)
+            s.gauge("assess.arena_bytes").unwrap_or(0),
+            s.gauge("assess.model_bytes").unwrap_or(0)
         );
     }
     let extra: Vec<&str> = s

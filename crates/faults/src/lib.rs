@@ -18,8 +18,8 @@
 //!    referencing the same basic events — [`tree`].
 //! 3. **The assembled [`FaultModel`]** — probabilities + dependency trees +
 //!    auxiliary (non-topology) components such as shared OS images; it
-//!    collapses raw sampled states into *effective* per-node states
-//!    word-parallel, 64 rounds at a time — [`model`].
+//!    collapses raw sampled states into *effective* per-node states a
+//!    row at a time, keeping each distinct tree once — [`model`].
 //!
 //! A FIFL-style fault injector for tests and what-if analyses lives in
 //! [`injection`].

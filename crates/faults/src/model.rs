@@ -10,15 +10,26 @@
 //!   component fails *because of its dependencies* (§3.2.3). A component's
 //!   effective state in a round is `own sampled state OR tree(deps)`.
 //!
-//! Collapsing raw sampled states into effective states is wide-parallel
-//! (256 rounds per operation) and row-local: a component's effective row
-//! needs only its own raw row and the raw rows of its tree's basic events
-//! ([`FaultModel::or_dependencies_into`]). [`FaultModel::collapse_into`]
+//! Collapsing raw sampled states into effective states is row-local: a
+//! component's effective row needs only its own raw row and the raw rows
+//! of its tree's basic events ([`FaultModel::or_dependencies_into`]), and
+//! for the trees the `attach_*` calls build — an OR of leaves — it *is*
+//! those rows ORed together, a row at a time. [`FaultModel::collapse_into`]
 //! is that step for every row of a full-width matrix; the assessor runs
 //! it for the rows a plan can read, keeping the raw rows of the
 //! *dependency events* — events some tree references, indexed by
 //! [`FaultModel::dependency_slot`] — so consumers of one power supply
 //! share one sampled row.
+//!
+//! # One tree, stored once
+//!
+//! Thousands of components hang off a handful of failure domains, so the
+//! structure keeps each *distinct* tree once, in a pool, and per
+//! component a `u32` into it: the paper-default model of a 27K-host
+//! fat-tree is five trees and an index vector, not 30,000 allocations.
+//! What a tree's shape decides — whether it is a plain OR of leaves — is
+//! noted once, when the tree enters the pool. A tree leaves the pool with
+//! its last user.
 //!
 //! # Structure and numbers
 //!
@@ -38,6 +49,8 @@ use crate::probability::ProbabilityConfig;
 use crate::tree::FaultTree;
 use recloud_sampling::{BitMatrix, WideWord};
 use recloud_topology::{ComponentId, ComponentKind, SoftwareKind, Topology};
+use std::collections::HashMap;
+use std::mem::{size_of, size_of_val};
 use std::sync::Arc;
 
 /// An auxiliary sampled event that is not a topology component (shared OS
@@ -66,7 +79,9 @@ pub struct FaultModel {
 #[derive(Clone, Debug)]
 struct Structure {
     aux: Vec<AuxComponent>,
-    trees: Vec<Option<FaultTree>>,
+    /// Per topology component: its tree's slot in `pool`, or `NO_TREE`.
+    tree_of: Vec<u32>,
+    pool: TreePool,
     /// Events referenced by at least one tree, in first-attachment order.
     dep_events: Vec<ComponentId>,
     /// Per event: its position in `dep_events`, or `NO_SLOT`.
@@ -74,6 +89,97 @@ struct Structure {
 }
 
 const NO_SLOT: u32 = u32::MAX;
+const NO_TREE: u32 = u32::MAX;
+
+/// One distinct tree and what its shape decides, noted when it entered
+/// the pool.
+#[derive(Clone, Debug)]
+struct Pooled {
+    tree: Arc<FaultTree>,
+    /// The leaves, when the tree is a plain OR of them (`FaultTree::or_leaves`).
+    or_leaves: Option<Box<[ComponentId]>>,
+    /// Components whose tree this is.
+    users: u32,
+}
+
+/// The distinct trees of a structure, each stored once and counted by
+/// its users.
+#[derive(Clone, Debug, Default)]
+struct TreePool {
+    slots: Vec<Option<Pooled>>,
+    /// Tree → its slot. Never iterated, so its order is nobody's.
+    index: HashMap<Arc<FaultTree>, u32>,
+    /// Slots whose tree lost its last user.
+    free: Vec<u32>,
+}
+
+impl TreePool {
+    fn get(&self, slot: u32) -> &Pooled {
+        self.slots[slot as usize].as_ref().expect("a component's tree is in the pool")
+    }
+
+    /// Counts one more user of `tree` — pooling it if no equal tree is
+    /// there yet — and returns its slot.
+    fn acquire(&mut self, tree: FaultTree) -> u32 {
+        if let Some(&slot) = self.index.get(&tree) {
+            return self.share(slot);
+        }
+        let tree = Arc::new(tree);
+        let pooled = Some(Pooled {
+            or_leaves: tree.or_leaves().map(Vec::into_boxed_slice),
+            tree: Arc::clone(&tree),
+            users: 1,
+        });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = pooled;
+                slot
+            }
+            None => {
+                self.slots.push(pooled);
+                u32::try_from(self.slots.len() - 1).expect("fewer trees than components")
+            }
+        };
+        self.index.insert(tree, slot);
+        slot
+    }
+
+    /// Counts one more user of the tree in `slot`.
+    fn share(&mut self, slot: u32) -> u32 {
+        self.slots[slot as usize].as_mut().expect("a held tree is in the pool").users += 1;
+        slot
+    }
+
+    /// Counts one user of `slot`'s tree less; the last one takes the tree
+    /// out of the pool.
+    fn release(&mut self, slot: u32) {
+        let entry = &mut self.slots[slot as usize];
+        let pooled = entry.as_mut().expect("a component's tree is in the pool");
+        pooled.users -= 1;
+        if pooled.users == 0 {
+            self.index.remove(&pooled.tree);
+            *entry = None;
+            self.free.push(slot);
+        }
+    }
+
+    fn distinct(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    fn bytes(&self) -> usize {
+        let trees: usize = self
+            .slots
+            .iter()
+            .flatten()
+            .map(|p| p.tree.bytes() + p.or_leaves.as_deref().map_or(0, size_of_val))
+            .sum();
+        trees
+            + self.slots.capacity() * size_of::<Option<Pooled>>()
+            + self.index.capacity() * size_of::<(Arc<FaultTree>, u32)>()
+            + self.free.capacity() * size_of::<u32>()
+    }
+}
 
 impl Structure {
     /// Registers a tree's basic events as dependency events. Events of a
@@ -89,14 +195,42 @@ impl Structure {
         }
     }
 
-    fn or_attach(&mut self, id: ComponentId, tree: FaultTree) {
-        assert!(id.index() < self.trees.len(), "trees attach to topology components");
+    /// Hands component `id` the use of pool slot `new` the caller took,
+    /// and gives back the use of the slot it had.
+    fn replace(&mut self, id: ComponentId, new: u32) {
+        let old = std::mem::replace(&mut self.tree_of[id.index()], new);
+        if old != NO_TREE {
+            self.pool.release(old);
+        }
+    }
+
+    /// Pools `tree` and registers its events. The caller has one use of
+    /// the returned slot: to attach to any number of components
+    /// ([`Structure::or_attach_held`]) and then release, or to hand to
+    /// one ([`Structure::replace`]).
+    fn hold(&mut self, tree: FaultTree) -> u32 {
         self.index_dependencies(&tree);
-        let slot = &mut self.trees[id.index()];
-        *slot = Some(match slot.take() {
-            Some(existing) => FaultTree::or_merge(&existing, &tree),
-            None => tree,
-        });
+        self.pool.acquire(tree)
+    }
+
+    /// ORs the held tree into component `id`'s. A component without a
+    /// tree shares the held one as it is: no tree is built, none hashed.
+    fn or_attach_held(&mut self, id: ComponentId, held: u32) {
+        assert!(id.index() < self.tree_of.len(), "trees attach to topology components");
+        let new = match self.tree_of[id.index()] {
+            NO_TREE => self.pool.share(held),
+            existing => {
+                let (existing, held) = (&self.pool.get(existing).tree, &self.pool.get(held).tree);
+                self.pool.acquire(FaultTree::or_merge(existing, held))
+            }
+        };
+        self.replace(id, new);
+    }
+
+    fn or_attach(&mut self, id: ComponentId, tree: FaultTree) {
+        let held = self.hold(tree);
+        self.or_attach_held(id, held);
+        self.pool.release(held);
     }
 }
 
@@ -110,7 +244,8 @@ impl FaultModel {
             probs,
             structure: Arc::new(Structure {
                 aux: Vec::new(),
-                trees: vec![None; topology.num_components()],
+                tree_of: vec![NO_TREE; topology.num_components()],
+                pool: TreePool::default(),
                 dep_events: Vec::new(),
                 dep_slot: vec![NO_SLOT; topology.num_components()],
             }),
@@ -190,15 +325,35 @@ impl FaultModel {
 
     /// The dependency tree of a topology component, if any.
     pub fn tree_of(&self, id: ComponentId) -> Option<&FaultTree> {
-        self.structure.trees[id.index()].as_ref()
+        let slot = self.structure.tree_of[id.index()];
+        (slot != NO_TREE).then(|| &*self.structure.pool.get(slot).tree)
+    }
+
+    /// Number of distinct trees the components share between them.
+    pub fn distinct_trees(&self) -> usize {
+        self.structure.pool.distinct()
+    }
+
+    /// Bytes the structure holds — the per-component tree and dependency
+    /// indices, the pooled trees, the auxiliaries — shared by every clone
+    /// that has not changed it. With `8 × num_events()` for the numbers,
+    /// what a model costs to keep.
+    pub fn structure_bytes(&self) -> usize {
+        let s = &*self.structure;
+        size_of::<Structure>()
+            + size_of_val(&s.tree_of[..])
+            + size_of_val(&s.dep_events[..])
+            + size_of_val(&s.dep_slot[..])
+            + s.aux.iter().map(|a| size_of::<AuxComponent>() + a.label.len()).sum::<usize>()
+            + s.pool.bytes()
     }
 
     /// Replaces a component's dependency tree.
     pub fn set_tree(&mut self, id: ComponentId, tree: FaultTree) {
         assert!(id.index() < self.topo_components, "trees attach to topology components");
         let structure = Arc::make_mut(&mut self.structure);
-        structure.index_dependencies(&tree);
-        structure.trees[id.index()] = Some(tree);
+        let held = structure.hold(tree);
+        structure.replace(id, held);
     }
 
     /// The dependency events: every event some component's tree
@@ -226,10 +381,28 @@ impl FaultModel {
     /// powered component fails when its supply fails (§4.1).
     pub fn attach_power_dependencies(&mut self, topology: &Topology) {
         let structure = Arc::make_mut(&mut self.structure);
+        // A supply's leaf is pooled once, when its first consumer comes by
+        // — which is also when the supply becomes a dependency event, so
+        // the events keep the consumers' order — and held until the last
+        // consumer has it.
+        let mut leaves: Vec<u32> = Vec::new(); // by the supply's dependency slot
         for c in topology.components() {
-            if let Some(supply) = topology.power_of(c.id) {
-                structure.or_attach(c.id, FaultTree::single(supply));
-            }
+            let Some(supply) = topology.power_of(c.id) else { continue };
+            let known = leaves.get(structure.dep_slot[supply.index()] as usize);
+            let leaf = match known {
+                Some(&leaf) if leaf != NO_TREE => leaf,
+                _ => {
+                    let leaf = structure.hold(FaultTree::single(supply));
+                    let dep = structure.dep_slot[supply.index()] as usize;
+                    leaves.resize(leaves.len().max(dep + 1), NO_TREE);
+                    leaves[dep] = leaf;
+                    leaf
+                }
+            };
+            structure.or_attach_held(c.id, leaf);
+        }
+        for leaf in leaves.into_iter().filter(|&leaf| leaf != NO_TREE) {
+            structure.pool.release(leaf);
         }
     }
 
@@ -273,10 +446,7 @@ impl FaultModel {
         if raw.get(id.index(), round) {
             return true;
         }
-        match &self.structure.trees[id.index()] {
-            Some(t) => t.eval(&|c: ComponentId| raw.get(c.index(), round)),
-            None => false,
-        }
+        self.tree_of(id).is_some_and(|t| t.eval(&|c: ComponentId| raw.get(c.index(), round)))
     }
 
     /// The *blast radius* of one event: every topology component that
@@ -294,32 +464,69 @@ impl FaultModel {
             .collect()
     }
 
-    /// ORs component `c`'s dependency tree into its row of `out` over the
-    /// first `wides` wide words. The row must already hold `c`'s own
-    /// sampled states; `event_wide(e, ww)` reads wide word `ww` of basic
-    /// event `e`'s *raw* sampled states. A no-op for a component without
-    /// a tree.
-    pub fn or_dependencies_into(
+    /// ORs component `c`'s dependency tree into `row`, which must already
+    /// hold `c`'s own sampled states over `rounds` rounds; `leaf_row(e)`
+    /// is basic event `e`'s *raw* sampled row. A no-op for a component
+    /// without a tree.
+    ///
+    /// A plain OR of leaves — every tree the `attach_*` calls build — is
+    /// the leaves' rows ORed in, a row at a time; a tree with an AND or
+    /// K-of-N gate is evaluated 256 rounds at a time
+    /// ([`FaultTree::eval_wide`]). Neither masks the last word: raw rows
+    /// are clear from `rounds` on ([`recloud_sampling::Sampler::sample_row`]
+    /// and [`crate::FaultInjector`] both leave them so), and no gate
+    /// fails on inputs that all hold.
+    ///
+    /// # Panics
+    /// Panics if a row is shorter than `rounds` rounded up to whole wide
+    /// words (rows of a [`BitMatrix`] never are).
+    pub fn or_dependencies_into<'a>(
         &self,
         c: usize,
-        out: &mut BitMatrix,
-        wides: usize,
-        event_wide: impl Fn(ComponentId, usize) -> WideWord,
+        row: &mut [u64],
+        rounds: usize,
+        leaf_row: impl Fn(ComponentId) -> &'a [u64],
     ) {
-        if let Some(tree) = &self.structure.trees[c] {
-            for ww in 0..wides {
-                let dep = tree.eval_wide(&|e: ComponentId| event_wide(e, ww));
-                out.set_wide_word(c, ww, out.wide_word(c, ww) | dep);
+        let slot = self.structure.tree_of[c];
+        if slot == NO_TREE {
+            return;
+        }
+        let pooled = self.structure.pool.get(slot);
+        let wides = rounds.div_ceil(WideWord::LANES);
+        let row = &mut row[..wides * WideWord::WORDS];
+        let leaf_row = |e: ComponentId| {
+            let leaf = leaf_row(e);
+            debug_assert!(clear_from(leaf, rounds), "raw row of {e} has bits past round {rounds}");
+            &leaf[..wides * WideWord::WORDS]
+        };
+        match &pooled.or_leaves {
+            Some(leaves) => {
+                for &e in leaves.iter() {
+                    for (word, leaf) in row.iter_mut().zip(leaf_row(e)) {
+                        *word |= leaf;
+                    }
+                }
+            }
+            None => {
+                for (ww, out) in row.chunks_exact_mut(WideWord::WORDS).enumerate() {
+                    let dep = pooled.tree.eval_wide(&|e: ComponentId| {
+                        let wide = &leaf_row(e)[ww * WideWord::WORDS..][..WideWord::WORDS];
+                        WideWord(wide.try_into().expect("one wide word"))
+                    });
+                    for (word, dep) in out.iter_mut().zip(dep.words()) {
+                        *word |= dep;
+                    }
+                }
             }
         }
     }
 
     /// Collapses raw sampled event states into effective per-component
-    /// states, 256 rounds per operation: every row of `out` becomes the
-    /// component's own raw row ORed with its dependency tree
+    /// states: every row of `out` becomes the component's own raw row
+    /// ORed with its dependency tree
     /// ([`FaultModel::or_dependencies_into`]). `out` must have
     /// `num_topology_components()` rows and the same round count as `raw`
-    /// (which makes their wide layouts match).
+    /// (which makes their row layouts match).
     ///
     /// After this call, downstream route-and-check only ever looks at
     /// `out`: all correlated-failure reasoning has been folded in.
@@ -327,12 +534,21 @@ impl FaultModel {
         assert_eq!(raw.components(), self.num_events(), "raw matrix shape mismatch");
         assert_eq!(out.components(), self.topo_components, "out matrix shape mismatch");
         assert_eq!(raw.rounds(), out.rounds(), "round count mismatch");
-        let wides = raw.wide_words_per_row();
+        let rounds = raw.rounds();
         for c in 0..self.topo_components {
-            out.row_words_mut(c).copy_from_slice(raw.row_words(c));
-            self.or_dependencies_into(c, out, wides, |e, ww| raw.wide_word(e.index(), ww));
+            let row = out.row_words_mut(c);
+            row.copy_from_slice(raw.row_words(c));
+            self.or_dependencies_into(c, row, rounds, |e| raw.row_words(e.index()));
         }
     }
+}
+
+/// True when `row` has no bit set from round `rounds` on.
+fn clear_from(row: &[u64], rounds: usize) -> bool {
+    row.iter().enumerate().all(|(w, &word)| match rounds.saturating_sub(w * 64) {
+        64.. => true,
+        n => word >> n == 0,
+    })
 }
 
 #[cfg(test)]

@@ -13,17 +13,20 @@
 //! Gates: OR, AND and the generalization K-of-N ("fails when at least k of
 //! n children fail"; OR = 1-of-n, AND = n-of-n). Trees are DAG-shaped by
 //! construction (children must be created before their parent), evaluated
-//! either per-round or word-parallel (64 rounds per operation; the hot path
-//! of assessment).
+//! either per round ([`FaultTree::eval`], the reference) or 256 rounds at
+//! a time ([`FaultTree::eval_wide`]). A tree whose gates are all OR needs
+//! no evaluator at all: it is the OR of its leaves' rows, which is how
+//! the fault model collapses it ([`crate::FaultModel::or_dependencies_into`]).
 
-use recloud_sampling::{BitMatrix, WideWord};
+use recloud_sampling::WideWord;
 use recloud_topology::ComponentId;
+use std::mem::{size_of, size_of_val};
 
 /// Index of a node within one [`FaultTree`].
 pub type NodeId = u32;
 
 /// One fault-tree node.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 enum Node {
     /// Leaf: fails exactly when the referenced component's sampled state is
     /// failed in the round under evaluation.
@@ -37,7 +40,7 @@ enum Node {
 }
 
 /// An immutable fault tree. Build with [`FaultTreeBuilder`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct FaultTree {
     nodes: Vec<Node>,
     root: NodeId,
@@ -50,14 +53,19 @@ impl FaultTree {
         FaultTree { nodes: vec![Node::Basic(event)], root: 0 }
     }
 
-    /// Number of nodes (gates + leaves).
+    /// Number of nodes (gates + leaves); at least one, the root.
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.nodes.len()
     }
 
-    /// True if the tree is a single leaf.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+    /// Bytes the tree holds: its nodes and their child lists.
+    pub(crate) fn bytes(&self) -> usize {
+        let children = self.nodes.iter().map(|n| match n {
+            Node::Basic(_) => 0,
+            Node::Or(ch) | Node::And(ch) | Node::KofN(_, ch) => size_of_val(&ch[..]),
+        });
+        size_of::<FaultTree>() + size_of_val(&self.nodes[..]) + children.sum::<usize>()
     }
 
     /// The event of every leaf, in node order, repeats included — what
@@ -107,47 +115,10 @@ impl FaultTree {
         }
     }
 
-    /// Word-parallel evaluation: computes the failure bits of 64 rounds at
-    /// once. `word_of(c)` returns the 64-round word of component `c`'s raw
-    /// sampled states. This is the assessment hot path.
-    pub fn eval_word(&self, word_of: &dyn Fn(ComponentId) -> u64) -> u64 {
-        self.eval_node_word(self.root, word_of)
-    }
-
-    fn eval_node_word(&self, id: NodeId, word_of: &dyn Fn(ComponentId) -> u64) -> u64 {
-        match &self.nodes[id as usize] {
-            Node::Basic(c) => word_of(*c),
-            Node::Or(ch) => ch.iter().fold(0u64, |acc, &c| acc | self.eval_node_word(c, word_of)),
-            Node::And(ch) => {
-                ch.iter().fold(u64::MAX, |acc, &c| acc & self.eval_node_word(c, word_of))
-            }
-            Node::KofN(k, ch) => {
-                // Bitwise thresholding: count failures per bit lane.
-                let mut counts = [0u8; 64];
-                for &c in ch {
-                    let w = self.eval_node_word(c, word_of);
-                    if w == 0 {
-                        continue;
-                    }
-                    for (lane, count) in counts.iter_mut().enumerate() {
-                        *count += ((w >> lane) & 1) as u8;
-                    }
-                }
-                let mut out = 0u64;
-                for (lane, &count) in counts.iter().enumerate() {
-                    if u32::from(count) >= *k {
-                        out |= 1u64 << lane;
-                    }
-                }
-                out
-            }
-        }
-    }
-
     /// Wide-parallel evaluation: computes the failure lanes of 256 rounds
     /// at once. `wide_of(c)` returns the 256-round wide word of component
-    /// `c`'s raw sampled states — the 256-lane analogue of
-    /// [`FaultTree::eval_word`].
+    /// `c`'s raw sampled states. Every gate is monotone and fails on no
+    /// input failure, so all-zero inputs give an all-zero result.
     pub fn eval_wide(&self, wide_of: &dyn Fn(ComponentId) -> WideWord) -> WideWord {
         self.eval_node_wide(self.root, wide_of)
     }
@@ -184,9 +155,24 @@ impl FaultTree {
         }
     }
 
-    /// Convenience evaluation against a sampled state matrix for one round.
-    pub fn eval_matrix(&self, states: &BitMatrix, round: usize) -> bool {
-        self.eval(&|c: ComponentId| states.get(c.index(), round))
+    /// The tree's leaves when it is a *plain OR* of them — every gate
+    /// reachable from the root is an OR, however nested (repeated
+    /// [`FaultTree::or_merge`] of single leaves builds `Or(Or(a, b), c)`)
+    /// — deduplicated, in first-visit order; `None` when an AND or K-of-N
+    /// gate is reachable. Such a tree fails exactly when one of these
+    /// events does.
+    pub(crate) fn or_leaves(&self) -> Option<Vec<ComponentId>> {
+        let mut leaves = Vec::new();
+        let mut stack = vec![self.root];
+        while let Some(id) = stack.pop() {
+            match &self.nodes[id as usize] {
+                Node::Basic(c) if leaves.contains(c) => {}
+                Node::Basic(c) => leaves.push(*c),
+                Node::Or(ch) => stack.extend(ch.iter().rev()),
+                Node::And(_) | Node::KofN(..) => return None,
+            }
+        }
+        Some(leaves)
     }
 
     /// Combines two trees under an OR gate: the result fails when either
@@ -355,20 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn word_eval_matches_scalar_eval() {
-        let t = fig5();
-        // Assemble 64 random-ish failure words for the 6 basic events.
-        let words: Vec<u64> = (0..6)
-            .map(|i| 0x9E37_79B9_7F4A_7C15u64.rotate_left(i * 11) ^ (i as u64 * 0xABCD))
-            .collect();
-        let word = t.eval_word(&|x: ComponentId| words[x.index()]);
-        for lane in 0..64 {
-            let scalar = t.eval(&|x: ComponentId| (words[x.index()] >> lane) & 1 == 1);
-            assert_eq!((word >> lane) & 1 == 1, scalar, "lane {lane}");
-        }
-    }
-
-    #[test]
     fn k_of_n_gate() {
         let mut b = FaultTreeBuilder::new();
         let leaves: Vec<_> = (0..5).map(|i| b.basic(c(i))).collect();
@@ -379,42 +351,52 @@ mod tests {
         assert!(t.eval(&|_| true));
     }
 
-    #[test]
-    fn k_of_n_word_eval_matches_scalar() {
+    /// A 7-leaf 4-of-7 gate.
+    fn four_of_seven() -> FaultTree {
         let mut b = FaultTreeBuilder::new();
         let leaves: Vec<_> = (0..7).map(|i| b.basic(c(i))).collect();
         let root = b.k_of_n(4, leaves);
-        let t = b.build(root);
-        let words: Vec<u64> =
-            (0..7).map(|i| 0xDEAD_BEEF_CAFE_F00Du64.rotate_right(i * 7)).collect();
-        let word = t.eval_word(&|x: ComponentId| words[x.index()]);
-        for lane in 0..64 {
-            let scalar = t.eval(&|x: ComponentId| (words[x.index()] >> lane) & 1 == 1);
-            assert_eq!((word >> lane) & 1 == 1, scalar, "lane {lane}");
-        }
+        b.build(root)
     }
 
     #[test]
-    fn wide_eval_matches_word_eval() {
-        // fig5 (OR/AND mix) plus a K-of-N gate, both against 4 distinct
+    fn wide_eval_matches_scalar_eval() {
+        // fig5 (OR/AND mix) and a K-of-N gate, both against 4 distinct
         // subwords per event so every lane region differs.
-        let trees = vec![fig5(), {
-            let mut b = FaultTreeBuilder::new();
-            let leaves: Vec<_> = (0..7).map(|i| b.basic(c(i))).collect();
-            let root = b.k_of_n(4, leaves);
-            b.build(root)
-        }];
-        for t in trees {
+        for t in [fig5(), four_of_seven()] {
             let wide_of = |x: ComponentId| {
                 let base = 0x9E37_79B9_7F4A_7C15u64.rotate_left(x.0 * 13) ^ (x.0 as u64 * 0x5AA5);
                 WideWord([base, base.rotate_left(17), !base, base.wrapping_mul(3)])
             };
             let wide = t.eval_wide(&wide_of);
-            for i in 0..WideWord::WORDS {
-                let word = t.eval_word(&|x: ComponentId| wide_of(x).word(i));
-                assert_eq!(wide.word(i), word, "subword {i}");
+            for lane in 0..WideWord::LANES {
+                let scalar = t.eval(&|x: ComponentId| wide_of(x).bit(lane));
+                assert_eq!(wide.bit(lane), scalar, "lane {lane}");
             }
+            assert!(t.eval_wide(&|_| WideWord::ZERO).is_zero(), "no failure in, none out");
         }
+    }
+
+    #[test]
+    fn or_leaves_sees_through_nested_ors_only() {
+        let (a, b, d) = (FaultTree::single(c(7)), FaultTree::single(c(3)), FaultTree::single(c(7)));
+        assert_eq!(a.or_leaves(), Some(vec![c(7)]));
+        // Or(Or(7, 3), 7): nested, with a repeated leaf.
+        let nested = FaultTree::or_merge(&FaultTree::or_merge(&a, &b), &d);
+        assert_eq!(nested.or_leaves(), Some(vec![c(7), c(3)]));
+        assert_eq!(fig5().or_leaves(), None, "AND gates under the root");
+        assert_eq!(FaultTree::or_merge(&nested, &four_of_seven()).or_leaves(), None);
+        // 1-of-n is an OR in meaning but not in shape: it takes the general path.
+        let mut builder = FaultTreeBuilder::new();
+        let leaf = builder.basic(c(1));
+        let root = builder.k_of_n(1, vec![leaf]);
+        assert_eq!(builder.build(root).or_leaves(), None);
+        // A gate the root cannot reach does not count.
+        let mut builder = FaultTreeBuilder::new();
+        let (x, y) = (builder.basic(c(1)), builder.basic(c(2)));
+        builder.and(vec![x, y]);
+        let root = builder.or(vec![y, x]);
+        assert_eq!(builder.build(root).or_leaves(), Some(vec![c(2), c(1)]));
     }
 
     #[test]
@@ -434,15 +416,6 @@ mod tests {
         let root = b.or(vec![x, y, x2]);
         let t = b.build(root);
         assert_eq!(t.basic_events(), vec![c(7), c(3)]);
-    }
-
-    #[test]
-    fn eval_matrix_reads_rounds() {
-        let t = FaultTree::single(c(1));
-        let mut m = BitMatrix::new(3, 10);
-        m.set(1, 4);
-        assert!(t.eval_matrix(&m, 4));
-        assert!(!t.eval_matrix(&m, 5));
     }
 
     #[test]

@@ -40,8 +40,8 @@ pub struct GenericRouter {
 }
 
 impl GenericRouter {
-    /// Creates a router for a topology (clones the topology's structure;
-    /// routers are long-lived and reused across all rounds and plans).
+    /// Creates a router for a topology (keeps a reference to it; routers
+    /// are long-lived and reused across all rounds and plans).
     pub fn new(topology: &Topology) -> Self {
         let n = topology.num_components();
         GenericRouter {

@@ -4,6 +4,7 @@ use crate::component::{Component, ComponentKind};
 use crate::fattree::FatTreeMeta;
 use crate::graph::Csr;
 use crate::id::ComponentId;
+use std::sync::Arc;
 
 /// Which generator produced the topology. Routers use this to pick a fast
 /// analytic path (fat-tree) or fall back to generic BFS.
@@ -36,99 +37,106 @@ pub enum TopologyKind {
 /// A complete infrastructure description: the component arena, the network
 /// graph, per-role indices and the shared power-supply assignment that §4.1
 /// adds as the representative correlated-failure dependency.
+///
+/// Immutable once assembled, and held behind one `Arc`: every engine,
+/// router and simulator that keeps "its" topology keeps a reference to
+/// the same one, so `clone()` is a reference-count bump.
 #[derive(Clone, Debug)]
-pub struct Topology {
-    pub(crate) components: Vec<Component>,
-    pub(crate) graph: Csr,
-    pub(crate) external: ComponentId,
-    pub(crate) hosts: Vec<ComponentId>,
-    pub(crate) borders: Vec<ComponentId>,
-    pub(crate) power_supplies: Vec<ComponentId>,
+pub struct Topology(Arc<Parts>);
+
+#[derive(Debug)]
+struct Parts {
+    components: Vec<Component>,
+    graph: Csr,
+    external: ComponentId,
+    hosts: Vec<ComponentId>,
+    borders: Vec<ComponentId>,
+    power_supplies: Vec<ComponentId>,
     /// For every component: raw id of the power supply it draws from, or
     /// `u32::MAX` if it has none (hosts inherit the supply of their edge
     /// group; power supplies themselves have none).
-    pub(crate) power_of: Vec<u32>,
-    pub(crate) kind: TopologyKind,
+    power_of: Vec<u32>,
+    kind: TopologyKind,
 }
 
 impl Topology {
     /// Total number of components (all classes).
     #[inline]
     pub fn num_components(&self) -> usize {
-        self.components.len()
+        self.0.components.len()
     }
 
     /// All components in id order.
     #[inline]
     pub fn components(&self) -> &[Component] {
-        &self.components
+        &self.0.components
     }
 
     /// Looks up one component.
     #[inline]
     pub fn component(&self, id: ComponentId) -> &Component {
-        &self.components[id.index()]
+        &self.0.components[id.index()]
     }
 
     /// Kind of one component.
     #[inline]
     pub fn kind_of(&self, id: ComponentId) -> ComponentKind {
-        self.components[id.index()].kind
+        self.0.components[id.index()].kind
     }
 
     /// The network adjacency graph.
     #[inline]
     pub fn graph(&self) -> &Csr {
-        &self.graph
+        &self.0.graph
     }
 
     /// The single external-world node.
     #[inline]
     pub fn external(&self) -> ComponentId {
-        self.external
+        self.0.external
     }
 
     /// All hosts, in id order.
     #[inline]
     pub fn hosts(&self) -> &[ComponentId] {
-        &self.hosts
+        &self.0.hosts
     }
 
     /// Number of hosts.
     #[inline]
     pub fn num_hosts(&self) -> usize {
-        self.hosts.len()
+        self.0.hosts.len()
     }
 
     /// Border switches (the ones peering with the external world).
     #[inline]
     pub fn border_switches(&self) -> &[ComponentId] {
-        &self.borders
+        &self.0.borders
     }
 
     /// Power supplies, in id order.
     #[inline]
     pub fn power_supplies(&self) -> &[ComponentId] {
-        &self.power_supplies
+        &self.0.power_supplies
     }
 
     /// The power supply feeding `id`, if any.
     #[inline]
     pub fn power_of(&self, id: ComponentId) -> Option<ComponentId> {
-        let p = self.power_of[id.index()];
+        let p = self.0.power_of[id.index()];
         (p != u32::MAX).then_some(ComponentId(p))
     }
 
     /// Which generator made this topology.
     #[inline]
     pub fn topology_kind(&self) -> &TopologyKind {
-        &self.kind
+        &self.0.kind
     }
 
     /// Fat-tree metadata if this is a fat-tree.
     #[inline]
     pub fn fat_tree(&self) -> Option<&FatTreeMeta> {
-        match &self.kind {
+        match &self.0.kind {
             TopologyKind::FatTree(m) => Some(m),
             _ => None,
         }
@@ -136,12 +144,12 @@ impl Topology {
 
     /// Counts components of a given kind.
     pub fn count_kind(&self, kind: ComponentKind) -> usize {
-        self.components.iter().filter(|c| c.kind == kind).count()
+        self.0.components.iter().filter(|c| c.kind == kind).count()
     }
 
     /// Counts all switches (any tier).
     pub fn num_switches(&self) -> usize {
-        self.components.iter().filter(|c| c.kind.is_switch()).count()
+        self.0.components.iter().filter(|c| c.kind.is_switch()).count()
     }
 
     /// The rack a host belongs to, defined as its edge switch. Used by the
@@ -152,7 +160,8 @@ impl Topology {
     /// host (hosts are single-homed in all our generators).
     pub fn rack_of(&self, host: ComponentId) -> ComponentId {
         debug_assert_eq!(self.kind_of(host), ComponentKind::Host);
-        self.graph
+        self.0
+            .graph
             .neighbors(host)
             .iter()
             .map(|e| e.to)
@@ -164,7 +173,7 @@ impl Topology {
     /// otherwise falls back to the rack id, which gives heuristics something
     /// sensible to diversify on.
     pub fn pod_of(&self, host: ComponentId) -> u32 {
-        match &self.kind {
+        match &self.0.kind {
             TopologyKind::FatTree(m) => m.host_position(host).pod,
             _ => self.rack_of(host).0,
         }
@@ -196,7 +205,16 @@ impl Topology {
         for &b in &borders {
             assert!(components[b.index()].kind.is_switch(), "border must be a switch");
         }
-        Topology { components, graph, external, hosts, borders, power_supplies, power_of, kind }
+        Topology(Arc::new(Parts {
+            components,
+            graph,
+            external,
+            hosts,
+            borders,
+            power_supplies,
+            power_of,
+            kind,
+        }))
     }
 }
 
@@ -215,6 +233,14 @@ mod tests {
         // last host belongs to the last host pod (k-1 pods => pod index k-2).
         let last = *t.hosts().last().unwrap();
         assert_eq!(t.pod_of(last), 2);
+    }
+
+    #[test]
+    fn clones_share_one_topology() {
+        let t = FatTreeParams::new(4).build();
+        let u = t.clone();
+        assert!(std::ptr::eq(t.components(), u.components()), "a clone copies nothing");
+        assert!(std::ptr::eq(t.graph(), u.graph()));
     }
 
     #[test]

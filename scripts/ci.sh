@@ -33,8 +33,11 @@ echo "== retired names gate =="
 # the per-wide-word keyed router call and what hung off it, replaced by
 # the chunk-level `external_reach_keyed` (PR 16): the "last border word
 # built" special case, the whole-plan cone naming and the base-only flag.
+# And the fault-tree evaluators nothing called (PR 21): the 64-lane one
+# went with Word64, the matrix convenience never had a caller.
 RETIRED='StatsResponse|SearchPlacement|set_batched|Word64|JobFrame|RCW1'
 RETIRED="$RETIRED|begin_wide_keyed|border_of|border_ok_wide|pod_ext_wide|memo_row|name_cone|recheck_base"
+RETIRED="$RETIRED|eval_word|eval_node_word|eval_matrix"
 if grep -rnE "$RETIRED" crates/ src/ tests/ examples/ \
     | grep -vE '^crates/server/src/(protocol\.rs|frame_table\.md):.*SearchPlacement'; then
   echo "retired names gate: a retired name is back (see above)"; exit 1

@@ -1,0 +1,87 @@
+#!/usr/bin/env bash
+# Alternating parent/change pairs of the repo's benchmark:
+#
+#   scripts/pairs.sh <parent-ref> <workload|all> [pairs=10] [seconds=15]
+#
+# Checks <parent-ref> out under target/pairs/parent (a `git archive`
+# export: nothing is registered in .git and nothing needs pruning), then
+# for each workload runs `benchmark/run.sh --workload W --seed i --seconds S
+# --trace 0` i = 1..pairs times per side — the parent's run.sh in its own
+# checkout and target directory, this tree's in this one — swapping which
+# side goes first from pair to pair, both on the same seed. Prints, per
+# end-to-end metric of BENCHMARK.json, each side's median and quartiles,
+# the ratio of the medians and the pairs the change won (ties count for
+# neither). Every run's result line is kept in target/pairs/<workload>.jsonl.
+# benchmark/ is used as it is; nothing is written under it.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+[ $# -ge 2 ] || { sed -n '2,4p' "$0"; exit 2; }
+PARENT_REF="$1"
+WORKLOADS="$2"
+PAIRS="${3:-10}"
+SECONDS_PER_RUN="${4:-15}"
+[ "$WORKLOADS" = all ] && WORKLOADS="$(python3 -c '
+import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')"
+
+OUT="$PWD/target/pairs"
+PARENT="$OUT/parent"
+PARENT_COMMIT="$(git rev-parse --verify "$PARENT_REF^{commit}")"
+if [ "$(cat "$PARENT/.pairs-commit" 2>/dev/null)" != "$PARENT_COMMIT" ]; then
+  # Keep the parent's build directory across refs: cargo rebuilds what moved.
+  find "$PARENT" -mindepth 1 -maxdepth 1 ! -name target -exec rm -rf {} + 2>/dev/null || true
+  mkdir -p "$PARENT"
+  git archive "$PARENT_COMMIT" | tar -x -C "$PARENT"
+  echo "$PARENT_COMMIT" > "$PARENT/.pairs-commit"
+fi
+
+# One run of one side; prints the result line.
+run_side() { # <checkout> <workload> <seed>
+  (cd "$1" && unset CARGO_TARGET_DIR \
+    && benchmark/run.sh --workload "$2" --seed "$3" --seconds "$SECONDS_PER_RUN" --trace 0 | tail -n 1)
+}
+
+for WORKLOAD in $WORKLOADS; do
+  LOG="$OUT/$WORKLOAD.jsonl"
+  : > "$LOG"
+  for PAIR in $(seq 1 "$PAIRS"); do
+    if [ $((PAIR % 2)) -eq 1 ]; then ORDER="parent change"; else ORDER="change parent"; fi
+    for SIDE in $ORDER; do
+      if [ "$SIDE" = parent ]; then CHECKOUT="$PARENT"; else CHECKOUT="$PWD"; fi
+      RESULT="$(run_side "$CHECKOUT" "$WORKLOAD" "$PAIR")"
+      echo "{\"side\": \"$SIDE\", \"pair\": $PAIR, \"result\": $RESULT}" >> "$LOG"
+      echo "pair $PAIR $SIDE $WORKLOAD: $(echo "$RESULT" | cut -c1-120)..." >&2
+    done
+  done
+  python3 - "$WORKLOAD" "$LOG" "$PARENT_COMMIT" <<'EOF'
+import json, statistics, sys
+workload, log, parent = sys.argv[1:4]
+runs = [json.loads(line) for line in open(log)]
+bad = [r for r in runs if not r["result"]["correct"] or r["result"]["failed"]]
+print(f"== {workload}: {len(runs) // 2} pairs against {parent[:7]}, "
+      f"{len(bad)} runs incorrect or with failed ops ==")
+def quartiles(values):
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return q1, q2, q3
+for metric in json.load(open("BENCHMARK.json"))["end_to_end"]:
+    name, lower = metric["name"], metric["better"] == "lower"
+    by_pair = {}
+    for r in runs:
+        value = r["result"]["metrics"].get(name, {}).get("value")
+        if value is not None:
+            by_pair.setdefault(r["pair"], {})[r["side"]] = value
+    pairs = [p for p in by_pair.values() if len(p) == 2]
+    if not pairs:
+        continue
+    old, new = [p["parent"] for p in pairs], [p["change"] for p in pairs]
+    won = sum((p["change"] < p["parent"]) == lower and p["change"] != p["parent"] for p in pairs)
+    lost = sum((p["change"] > p["parent"]) == lower and p["change"] != p["parent"] for p in pairs)
+    (o1, o2, o3), (n1, n2, n3) = quartiles(old), quartiles(new)
+    ratio = (o2 / n2 if lower else n2 / o2) if o2 and n2 else float("nan")
+    print(f"{name:>22} [{metric['unit']}]  parent {o2:.6g} ({o1:.6g}..{o3:.6g})  "
+          f"change {n2:.6g} ({n1:.6g}..{n3:.6g})  {ratio:.3f}x better  "
+          f"won {won}/{len(pairs)} lost {lost}  bound {metric['bound']}")
+    print(f"{'':>22}   parent runs {' '.join(f'{v:.6g}' for v in old)}")
+    print(f"{'':>22}   change runs {' '.join(f'{v:.6g}' for v in new)}")
+EOF
+done
