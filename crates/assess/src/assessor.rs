@@ -856,7 +856,7 @@ mod tests {
         }
     }
 
-    /// Batched and scalar must also agree under a generic (non-word-native)
+    /// Batched and scalar must also agree under a generic (non-wide-native)
     /// router, where the screened round-major fallback carries the load.
     #[test]
     fn batched_equals_scalar_on_generic_router() {

@@ -33,11 +33,8 @@ pub struct StructureChecker {
     simple_k: Option<u32>,
     /// Scratch: active flags per component instance.
     active: Vec<Vec<bool>>,
-    /// Scratch for the bit-sliced K-of-N count: `ge[j]` is the round-lane
+    /// Scratch for the bit-sliced K-of-N count: `gew[j]` is the round-lane
     /// mask of "at least j+1 instances reachable so far".
-    ge: Vec<u64>,
-    /// 256-lane analogue of `ge` for the wide kernel: one counter of `k`
-    /// lanes per wide word in flight (one, or a whole chunk's).
     gew: Vec<WideWord>,
     /// Scratch for the chunk-level check: the plan's reach rows, one row
     /// of the chunk's wide words per host.
@@ -56,7 +53,6 @@ impl StructureChecker {
             requirements: Vec::new(),
             simple_k: None,
             active: Vec::new(),
-            ge: Vec::new(),
             gew: Vec::new(),
             reach: Vec::new(),
             baseline: None,
@@ -106,7 +102,8 @@ impl StructureChecker {
     /// [`Router::external_reach_keyed`] call hands back every host's reach
     /// over all its wide words (from what the router kept under `key`,
     /// where it keeps anything), and the verdicts are a count over those
-    /// rows with no routing in it. Everything else goes wide word by wide word
+    /// rows with no routing in it. Everything else — BFS routers, structures
+    /// with cross-component requirements — goes wide word by wide word
     /// through the unkeyed [`Router::begin_wide`] and `wide_reliable`.
     pub fn chunk_reliable(
         &mut self,
@@ -157,11 +154,15 @@ impl StructureChecker {
     /// `n` lanes are meaningful. The router must already have had
     /// [`Router::begin_wide`] called for (`states`, `wide`).
     ///
-    /// Strategy mirrors [`StructureChecker::word_reliable`] one width up:
-    /// K-of-N on a wide-native router folds 256-lane reach words through
-    /// the bit-sliced counter; everything else decomposes into the four
-    /// 64-round subwords and runs the word path (which itself screens and
-    /// falls back round-major as needed).
+    /// Strategy: K-of-N on a wide-native router (the fat-tree analytic
+    /// one) folds 256-lane reach words through a bit-sliced counter — no
+    /// per-round work at all. Everything else runs round-major behind a
+    /// screen: the OR of every row's wide word proves in which rounds
+    /// nothing failed, those resolve to the memoized all-alive verdict
+    /// without routing, and only the dirty rounds pay for scalar routing
+    /// (or the complex fixpoint). Verdicts are a pure function of a round's
+    /// states, so a stale or poisoned row can only make the screen more
+    /// conservative.
     pub fn wide_reliable(
         &mut self,
         router: &mut dyn Router,
@@ -175,23 +176,30 @@ impl StructureChecker {
                 return self.k_of_n_wide(router, states, wide, k);
             }
         }
+        let valid = WideWord::lane_mask(n);
+        let dirty = states.any_failed_wide(wide) & valid;
         let mut out = WideWord::ZERO;
-        let mut left = n;
-        for i in 0..WideWord::WORDS {
-            if left == 0 {
-                break;
+        if dirty != valid && self.baseline_reliable(router, states) {
+            out = valid & !dirty;
+        }
+        for (i, &word) in dirty.words().iter().enumerate() {
+            let (mut left, mut ok) = (word, out.word(i));
+            while left != 0 {
+                let bit = left.trailing_zeros() as usize;
+                left &= left - 1;
+                let round = wide * WideWord::LANES + i * 64 + bit;
+                router.begin_round(states, round);
+                if self.round_reliable(router, states, round) {
+                    ok |= 1 << bit;
+                }
             }
-            let w = wide * WideWord::WORDS + i;
-            let take = left.min(64);
-            router.begin_word(states, w);
-            out.set_word(i, self.word_reliable(router, states, w, take));
-            left -= take;
+            out.set_word(i, ok);
         }
         out
     }
 
-    /// Bit-sliced K-of-N over a wide-native router — the 256-lane mirror
-    /// of [`StructureChecker::k_of_n_word`].
+    /// Bit-sliced K-of-N over a wide-native router: fold each host's
+    /// 256-round reach word into a saturating unary counter of `k` lanes.
     fn k_of_n_wide(
         &mut self,
         router: &mut dyn Router,
@@ -216,84 +224,9 @@ impl StructureChecker {
         self.gew[k - 1]
     }
 
-    /// Checks the (up to) 64 rounds of word `word` in one sweep; bit r of
-    /// the result is the verdict of round `64·word + r`, bit-identical to
-    /// [`StructureChecker::round_reliable`] on that round. Only the low
-    /// `n` bits are meaningful. The router must already have had
-    /// [`Router::begin_word`] called for (`states`, `word`).
-    ///
-    /// Strategy: K-of-N on a word-native router (the fat-tree analytic
-    /// one) ANDs/ORs host reach-words through a bit-sliced counter —
-    /// no per-round work at all. Everything else runs round-major behind
-    /// the router's screen mask: rounds in which nothing failed resolve to
-    /// the memoized all-alive verdict without routing, and only the dirty
-    /// rounds pay for scalar routing (or the complex fixpoint).
-    pub fn word_reliable(
-        &mut self,
-        router: &mut dyn Router,
-        states: &BitMatrix,
-        word: usize,
-        n: usize,
-    ) -> u64 {
-        debug_assert!(n >= 1 && n <= 64, "a verdict word holds 1..=64 rounds");
-        if router.word_native() {
-            if let Some(k) = self.simple_k {
-                return self.k_of_n_word(router, states, word, k);
-            }
-        }
-        let valid = if n == 64 { !0 } else { (1u64 << n) - 1 };
-        let screen = router.screen_word(states, word) & valid;
-        let mut out = 0u64;
-        if screen != valid && self.baseline_reliable(router, states) {
-            out = valid & !screen;
-        }
-        let mut dirty = screen;
-        while dirty != 0 {
-            let r = dirty.trailing_zeros() as usize;
-            dirty &= dirty - 1;
-            let round = word * 64 + r;
-            router.begin_round(states, round);
-            if self.round_reliable(router, states, round) {
-                out |= 1 << r;
-            }
-        }
-        out
-    }
-
-    /// Bit-sliced K-of-N over a word-native router: fold each host's
-    /// 64-round reach word into a saturating unary counter of `k` lanes.
-    fn k_of_n_word(
-        &mut self,
-        router: &mut dyn Router,
-        states: &BitMatrix,
-        word: usize,
-        k: u32,
-    ) -> u64 {
-        if k == 0 {
-            return !0; // vacuous requirement, reliable in every round
-        }
-        let k = k as usize;
-        self.ge.clear();
-        self.ge.resize(k, 0);
-        for i in 0..self.hosts[0].len() {
-            let h = self.hosts[0][i];
-            let reach = router.external_reach_word(states, h, word);
-            for j in (1..k).rev() {
-                self.ge[j] |= self.ge[j - 1] & reach;
-            }
-            self.ge[0] |= reach;
-            // Early exit once every lane has k reachable instances; the
-            // remaining hosts cannot change the verdict.
-            if self.ge[k - 1] == !0 {
-                break;
-            }
-        }
-        self.ge[k - 1]
-    }
-
     /// The all-alive-world verdict, computed once per checker through the
     /// router's scalar path on a synthetic 1-round matrix. Clobbers the
-    /// router's per-round context (word callers re-begin dirty rounds).
+    /// router's per-round context (the caller re-begins dirty rounds).
     fn baseline_reliable(&mut self, router: &mut dyn Router, states: &BitMatrix) -> bool {
         if let Some(v) = self.baseline {
             return v;
@@ -602,6 +535,58 @@ mod tests {
         assert!(checker.round_reliable(&mut router, &states, 0));
         router.begin_round(&states, 1);
         assert!(!checker.round_reliable(&mut router, &states, 1));
+    }
+
+    /// The screen stops sweeping once every lane is dirty. On a matrix
+    /// whose first two rows saturate it between them — one switch of a
+    /// redundant pair down in even rounds, the other in odd ones — every
+    /// lane must get the verdict of the unscreened scalar loop: K-of-N,
+    /// layered and microservice structures, native and BFS router.
+    #[test]
+    fn saturated_screen_gives_the_scalar_verdicts() {
+        use recloud_routing::make_router;
+        use recloud_sampling::Rng;
+        use recloud_topology::{FatTreeParams, LeafSpineParams};
+        let rounds = 300;
+        let specs = [
+            ApplicationSpec::k_of_n(2, 3),
+            ApplicationSpec::layered(&[(1, 2), (1, 2)]),
+            ApplicationSpec::microservice(2, 1, 1, 2),
+        ];
+        let fabrics =
+            [FatTreeParams::new(4).build(), LeafSpineParams::new(3, 4, 3).border_spines(2).build()];
+        for t in fabrics {
+            let mut rng = Rng::new(17);
+            let mut states = BitMatrix::new(t.num_components(), rounds);
+            for c in 2..t.num_components() {
+                if t.component(ComponentId::from_index(c)).kind != ComponentKind::External {
+                    (0..rounds).filter(|_| rng.next_below(8) == 0).for_each(|r| states.set(c, r));
+                }
+            }
+            (0..rounds).for_each(|r| states.set(r % 2, r));
+            let mut router = make_router(&t);
+            let mut verdicts = [0usize; 2];
+            for spec in &specs {
+                let plan = DeploymentPlan::random(spec, t.hosts(), &mut rng);
+                let mut wide = StructureChecker::new(spec, &plan);
+                let mut scalar = StructureChecker::new(spec, &plan);
+                for ww in 0..states.wide_words_per_row() {
+                    let lanes = lanes_of(rounds, ww);
+                    let full = WideWord::lane_mask(lanes);
+                    assert_eq!(states.any_failed_wide(ww) & full, full, "saturated");
+                    router.begin_wide(&states, ww);
+                    let got = wide.wide_reliable(router.as_mut(), &states, ww, lanes);
+                    for lane in 0..lanes {
+                        let round = ww * WideWord::LANES + lane;
+                        router.begin_round(&states, round);
+                        let want = scalar.round_reliable(router.as_mut(), &states, round);
+                        assert_eq!(got.bit(lane), want, "{} round {round}", router.name());
+                        verdicts[want as usize] += 1;
+                    }
+                }
+            }
+            assert!(verdicts[0] > 0 && verdicts[1] > 0, "{}: {verdicts:?}", router.name());
+        }
     }
 
     #[test]

@@ -51,22 +51,6 @@ pub struct FatTreeRouter {
     agg_mask: Vec<u64>,
     agg_stamp: Vec<u32>,
     epoch: u32,
-    /// Word-protocol context (the bit-sliced kernel). Indexed by round
-    /// within the current word: bit r of each mask is round 64·word + r.
-    word: usize,
-    /// Per core group g: some core of g alive (round-lane mask).
-    core_any_w: Vec<u64>,
-    /// Per core group g: border(g) alive AND some core of g alive.
-    border_ok_w: Vec<u64>,
-    /// Per (pod, group): agg(p, g) alive. Lazily filled per pod.
-    agg_w: Vec<u64>,
-    /// Per pod: OR over g of `agg_w[p][g] & border_ok_w[g]` — the rounds in
-    /// which the pod has *some* externally-viable uplink group.
-    pod_ext_w: Vec<u64>,
-    /// Per pod: OR over g of `agg_w[p][g]` — some agg of the pod alive.
-    pod_agg_any_w: Vec<u64>,
-    pod_wstamp: Vec<u32>,
-    wepoch: u32,
     /// Wide-protocol context (the 256-lane kernel): the wide word
     /// [`Router::begin_wide`] installed. Its digests live in `memos[0]`.
     wide: usize,
@@ -226,7 +210,6 @@ impl FatTreeRouter {
         let meta = *topology.fat_tree().expect("FatTreeRouter requires a fat-tree topology");
         assert!(meta.half <= 64, "fat-tree k > 128 exceeds mask width");
         let pods = meta.host_pods as usize;
-        let half = meta.half as usize;
         FatTreeRouter {
             meta,
             round: 0,
@@ -235,14 +218,6 @@ impl FatTreeRouter {
             agg_mask: vec![0; pods],
             agg_stamp: vec![0; pods],
             epoch: 0,
-            word: 0,
-            core_any_w: vec![0; half],
-            border_ok_w: vec![0; half],
-            agg_w: vec![0; pods * half],
-            pod_ext_w: vec![0; pods],
-            pod_agg_any_w: vec![0; pods],
-            pod_wstamp: vec![0; pods],
-            wepoch: 0,
             wide: 0,
             memos: Vec::new(),
             stats: MemoStats::default(),
@@ -254,40 +229,10 @@ impl FatTreeRouter {
         !states.get(c.index(), round)
     }
 
-    /// Round-lane "alive" mask of one component over the 64 rounds of
-    /// `word`: bit r set iff the component is alive in round 64·word + r.
-    /// Bits beyond the matrix's round count are set (stored tail bits are
-    /// zero = alive); callers mask final verdicts.
-    #[inline]
-    fn alive_word(states: &BitMatrix, c: ComponentId, word: usize) -> u64 {
-        !states.word(c.index(), word)
-    }
-
-    /// Fills the per-pod word-lane masks on first use within a word. Same
-    /// laziness argument as [`FatTreeRouter::agg_mask_of`]: a plan touches
-    /// a handful of pods, so most words read k/2 agg rows for ≤ N pods.
-    #[inline]
-    fn pod_words_of(&mut self, states: &BitMatrix, pod: u32) {
-        let p = pod as usize;
-        if self.pod_wstamp[p] == self.wepoch {
-            return;
-        }
-        let half = self.meta.half as usize;
-        let mut ext = 0u64;
-        let mut any = 0u64;
-        for g in 0..half {
-            let agg = Self::alive_word(states, self.meta.agg(pod, g as u32), self.word);
-            self.agg_w[p * half + g] = agg;
-            ext |= agg & self.border_ok_w[g];
-            any |= agg;
-        }
-        self.pod_ext_w[p] = ext;
-        self.pod_agg_any_w[p] = any;
-        self.pod_wstamp[p] = self.wepoch;
-    }
-
     /// 256-lane "alive" mask of one component over the rounds of wide word
-    /// `wide`; same tail-lane contract as [`FatTreeRouter::alive_word`].
+    /// `wide`: lane r set iff the component is alive in round 256·wide + r.
+    /// Lanes beyond the matrix's round count are set (stored tail bits are
+    /// zero = alive); callers mask final verdicts.
     #[inline]
     fn alive_wide(states: &BitMatrix, c: ComponentId, wide: usize) -> WideWord {
         !states.wide_word(c.index(), wide)
@@ -423,76 +368,6 @@ impl Router for FatTreeRouter {
                 out.extend((0..m.half).map(|g| m.agg(pos.pod, g)));
             }
         }
-    }
-
-    /// Digests the switch tiers once per 64 rounds instead of once per
-    /// round — the word-parallel analogue of [`Router::begin_round`], and
-    /// the reason batched assessment re-reads ~64× fewer switch bits.
-    fn begin_word(&mut self, states: &BitMatrix, word: usize) {
-        self.word = word;
-        self.wepoch = self.wepoch.wrapping_add(1).max(1);
-        let half = self.meta.half;
-        for g in 0..half {
-            let mut any = 0u64;
-            for j in 0..half {
-                any |= Self::alive_word(states, self.meta.core(g, j), word);
-                if any == !0 {
-                    break; // every lane already covered
-                }
-            }
-            self.core_any_w[g as usize] = any;
-            self.border_ok_w[g as usize] =
-                any & Self::alive_word(states, self.meta.border(g), word);
-        }
-    }
-
-    fn word_native(&self) -> bool {
-        true
-    }
-
-    fn external_reach_word(&mut self, states: &BitMatrix, host: ComponentId, word: usize) -> u64 {
-        debug_assert!(self.meta.is_host(host), "external_reach_word takes a host id");
-        debug_assert_eq!(word, self.word, "begin_word installs the word context");
-        let pos = self.meta.host_position(host);
-        self.pod_words_of(states, pos.pod);
-        Self::alive_word(states, host, word)
-            & Self::alive_word(states, self.meta.edge(pos.pod, pos.edge), word)
-            & self.pod_ext_w[pos.pod as usize]
-    }
-
-    fn connects_word(
-        &mut self,
-        states: &BitMatrix,
-        a: ComponentId,
-        b: ComponentId,
-        word: usize,
-    ) -> u64 {
-        debug_assert!(self.meta.is_host(a) && self.meta.is_host(b), "connects_word takes host ids");
-        debug_assert_eq!(word, self.word, "begin_word installs the word context");
-        let both = Self::alive_word(states, a, word) & Self::alive_word(states, b, word);
-        if a == b {
-            return both;
-        }
-        let pa = self.meta.host_position(a);
-        let pb = self.meta.host_position(b);
-        let ea = Self::alive_word(states, self.meta.edge(pa.pod, pa.edge), word);
-        if pa.pod == pb.pod && pa.edge == pb.edge {
-            return both & ea;
-        }
-        let eb = Self::alive_word(states, self.meta.edge(pb.pod, pb.edge), word);
-        if pa.pod == pb.pod {
-            self.pod_words_of(states, pa.pod);
-            return both & ea & eb & self.pod_agg_any_w[pa.pod as usize];
-        }
-        self.pod_words_of(states, pa.pod);
-        self.pod_words_of(states, pb.pod);
-        let half = self.meta.half as usize;
-        let (ia, ib) = (pa.pod as usize * half, pb.pod as usize * half);
-        let mut cross = 0u64;
-        for g in 0..half {
-            cross |= self.agg_w[ia + g] & self.agg_w[ib + g] & self.core_any_w[g];
-        }
-        both & ea & eb & cross
     }
 
     /// Installs wide word `wide` of a matrix the router knows nothing
@@ -699,94 +574,6 @@ mod tests {
         }
     }
 
-    /// Word lanes are independent: failures staged in different rounds of
-    /// one word must each only affect their own bit.
-    #[test]
-    fn word_lanes_are_independent() {
-        let (t, m, _) = setup(4);
-        let mut states = BitMatrix::new(t.num_components(), 70);
-        // Round 0: kill host's edge. Round 1: kill all of pod 0's aggs.
-        // Round 5: kill group 0 cores + group 1 border. Round 64: kill the
-        // host itself (exercises the second word).
-        states.set(m.edge(0, 0).index(), 0);
-        for g in 0..m.half {
-            states.set(m.agg(0, g).index(), 1);
-        }
-        for j in 0..m.half {
-            states.set(m.core(0, j).index(), 5);
-        }
-        states.set(m.border(1).index(), 5);
-        let h = m.host(0, 0, 0);
-        states.set(h.index(), 64);
-
-        let mut r = FatTreeRouter::new(&t);
-        r.begin_word(&states, 0);
-        let reach = r.external_reach_word(&states, h, 0) & states.word_mask(0);
-        assert_eq!(reach & 0b100011, 0, "rounds 0, 1, 5 must fail");
-        assert_eq!(reach | 0b100011, !0, "all other rounds must succeed");
-        r.begin_word(&states, 1);
-        let reach1 = r.external_reach_word(&states, h, 1) & states.word_mask(1);
-        assert_eq!(reach1, states.word_mask(1) & !1, "round 64 must fail");
-
-        // Cross-pod connectivity: round 5's dead core group 0 still leaves
-        // group 1 cores for east-west, so only rounds 0 and 1 cut it.
-        r.begin_word(&states, 0);
-        let conn = r.connects_word(&states, h, m.host(1, 0, 0), 0) & states.word_mask(0);
-        assert_eq!(conn & 0b11, 0);
-        assert_eq!(conn | 0b11, !0);
-    }
-
-    /// Wide lanes are independent across the full 256-lane span and across
-    /// wide-word boundaries — the 256-lane mirror of
-    /// `word_lanes_are_independent`.
-    #[test]
-    fn wide_lanes_are_independent() {
-        let (t, m, _) = setup(4);
-        let mut states = BitMatrix::new(t.num_components(), 300);
-        // Failures staged one per lane region: round 0 (word 0), round 65
-        // (word 1), round 130 (word 2), round 200 (word 3), round 256
-        // (second wide word).
-        states.set(m.edge(0, 0).index(), 0);
-        for g in 0..m.half {
-            states.set(m.agg(0, g).index(), 65);
-        }
-        for j in 0..m.half {
-            states.set(m.core(0, j).index(), 130);
-        }
-        states.set(m.border(1).index(), 130);
-        let h = m.host(0, 0, 0);
-        states.set(h.index(), 200);
-        states.set(h.index(), 256);
-
-        let mut r = FatTreeRouter::new(&t);
-        r.begin_wide(&states, 0);
-        let reach = r.external_reach_wide(&states, h, 0) & states.wide_mask(0);
-        let mut expect = WideWord::ONES;
-        for lane in [0usize, 65, 130, 200] {
-            expect.set_word(lane / 64, expect.word(lane / 64) & !(1u64 << (lane % 64)));
-        }
-        assert_eq!(reach, expect & states.wide_mask(0));
-        r.begin_wide(&states, 1);
-        let reach1 = r.external_reach_wide(&states, h, 1) & states.wide_mask(1);
-        let mut expect1 = states.wide_mask(1);
-        expect1.set_word(0, expect1.word(0) & !1); // round 256 = lane 0
-        assert_eq!(reach1, expect1);
-
-        // Cross-pod connectivity: round 130's dead core group 0 still
-        // leaves group 1 cores for east-west, so only rounds 0, 65, 200 cut
-        // it in the first wide word.
-        let mut conn = WideWord::ZERO;
-        for w in 0..WideWord::WORDS {
-            r.begin_word(&states, w);
-            conn.set_word(w, r.connects_word(&states, h, m.host(1, 0, 0), w));
-        }
-        let mut cexpect = WideWord::ONES;
-        for lane in [0usize, 65, 200] {
-            cexpect.set_word(lane / 64, cexpect.word(lane / 64) & !(1u64 << (lane % 64)));
-        }
-        assert_eq!(conn, cexpect & states.wide_mask(0));
-    }
-
     /// A matrix in which every bit fails with probability 1/12.
     fn random_states(t: &Topology, rounds: usize, seed: u64) -> BitMatrix {
         let mut states = BitMatrix::new(t.num_components(), rounds);
@@ -940,29 +727,6 @@ mod tests {
                 }
             }
             assert_eq!(r.memo_stats(), MemoStats::default(), "{} keeps nothing", r.name());
-        }
-    }
-
-    /// The native wide path must equal the four word queries it replaces.
-    #[test]
-    fn wide_equals_stacked_words() {
-        let (t, m, _) = setup(4);
-        let states = random_states(&t, 257, 42);
-        let mut r = FatTreeRouter::new(&t);
-        let hosts = [m.host(0, 0, 0), m.host(0, 0, 1), m.host(1, 1, 0), m.host(2, 0, 1)];
-        for ww in 0..states.wide_words_per_row() {
-            r.begin_wide(&states, ww);
-            let mask = states.wide_mask(ww);
-            let reach: Vec<WideWord> =
-                hosts.iter().map(|&h| r.external_reach_wide(&states, h, ww) & mask).collect();
-            for i in 0..WideWord::WORDS {
-                let w = ww * WideWord::WORDS + i;
-                r.begin_word(&states, w);
-                for (j, &h) in hosts.iter().enumerate() {
-                    let rw = r.external_reach_word(&states, h, w) & states.word_mask(w);
-                    assert_eq!(reach[j].word(i), rw, "reach ww={ww} sub={i} host={h}");
-                }
-            }
         }
     }
 

@@ -31,12 +31,6 @@ pub struct GenericRouter {
     /// Memoized per-source visited sets for host-to-host queries.
     flood_cache: Vec<(ComponentId, Vec<u32>)>,
     queue: Vec<u32>,
-    /// Topology-static all-alive-world reachability from the external node
-    /// (the verdict of every screened-out round), computed on first use.
-    baseline_ext: Option<Vec<bool>>,
-    /// All-alive-world visited sets per flood source, for
-    /// [`Router::baseline_connects`].
-    baseline_conn: Vec<(ComponentId, Vec<bool>)>,
 }
 
 impl GenericRouter {
@@ -53,19 +47,7 @@ impl GenericRouter {
             ext_alive: false,
             flood_cache: Vec::new(),
             queue: Vec::with_capacity(n),
-            baseline_ext: None,
-            baseline_conn: Vec::new(),
         }
-    }
-
-    /// Flood-fills the topology ignoring failure states (the all-alive
-    /// world of screened-out rounds) and returns the visited set.
-    fn alive_flood(&mut self, start: ComponentId, skip: Option<ComponentId>) -> Vec<bool> {
-        let n = self.topology.num_components();
-        let alive = BitMatrix::new(n, 1);
-        let mut stamps = vec![0u32; n];
-        Self::flood(&self.topology, &alive, 0, &mut self.queue, &mut stamps, 1, start, skip);
-        stamps.into_iter().map(|s| s == 1).collect()
     }
 
     /// Flood-fills the alive subgraph from `start` into `visited`,
@@ -180,33 +162,6 @@ impl Router for GenericRouter {
 
     fn name(&self) -> &'static str {
         "generic-bfs"
-    }
-
-    fn baseline_external(&mut self, _states: &BitMatrix, host: ComponentId) -> bool {
-        if self.baseline_ext.is_none() {
-            let ext = self.topology.external();
-            self.baseline_ext = Some(self.alive_flood(ext, None));
-        }
-        self.baseline_ext.as_ref().expect("filled above")[host.index()]
-    }
-
-    fn baseline_connects(&mut self, _states: &BitMatrix, a: ComponentId, b: ComponentId) -> bool {
-        if a == b {
-            return true;
-        }
-        if let Some((_, seen)) = self.baseline_conn.iter().find(|(s, _)| *s == a) {
-            return seen[b.index()];
-        }
-        // East-west floods never hairpin through the external peer.
-        let seen = self.alive_flood(a, Some(self.topology.external()));
-        let hit = seen[b.index()];
-        // The memo is bounded by the distinct sources a plan queries; cap
-        // it defensively so adversarial query streams cannot balloon it.
-        if self.baseline_conn.len() >= 128 {
-            self.baseline_conn.clear();
-        }
-        self.baseline_conn.push((a, seen));
-        hit
     }
 }
 

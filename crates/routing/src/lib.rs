@@ -25,16 +25,22 @@
 //!   honors per-cable link components.
 //!
 //! Swapping routers is the paper's "to work with another architecture,
-//! only change this step's routing protocol" (§3.2.1). Per-round *context
-//! setup* is an explicit step ([`Router::begin_round`]) because §4.2.3
-//! attributes most of the per-plan cost to it.
+//! only change this step's routing protocol" (§3.2.1). The trait has two
+//! widths and no more. The *scalar* protocol — [`Router::begin_round`],
+//! then [`Router::external_reaches`] / [`Router::connects`] about that
+//! round — is the reference, and all a new router must write; per-round
+//! *context setup* is its own step because §4.2.3 attributes most of the
+//! per-plan cost to it. The *wide* protocol — [`Router::begin_wide`] +
+//! [`Router::external_reach_wide`], 256 rounds per answer — is the kernel:
+//! provided as a loop over the scalar one, overridden by the analytic
+//! router with closed-form masks. [`Router::external_reach_keyed`] is the
+//! wide protocol a chunk at a time over a table whose contents have a
+//! name, which is what lets a router keep what it derived.
 
-pub mod explain;
 pub mod fattree;
 pub mod generic;
 pub mod updown;
 
-pub use explain::{explain_unreachable, Unreachable};
 pub use fattree::FatTreeRouter;
 pub use generic::GenericRouter;
 pub use updown::UpDownRouter;
@@ -43,35 +49,32 @@ use recloud_sampling::{BitMatrix, WideWord};
 use recloud_topology::{ComponentId, Topology, TopologyKind};
 use std::num::NonZeroU64;
 
-/// Reachability oracle for one sampling round — or, through the word and
-/// wide APIs, for 64 or 256 rounds at a time.
+/// Reachability oracle in two widths: one sampling round at a time (the
+/// reference), or 256 rounds at a time (the kernel).
 ///
 /// Scalar protocol: call [`Router::begin_round`] with the collapsed state
 /// matrix and a round index, then issue queries *against the same matrix
 /// and round*. The matrix is passed by reference on every call so routers
 /// can read states lazily without copying a 30K-component column per round.
-///
-/// Word protocol (the bit-sliced kernel): call [`Router::begin_word`] with
-/// a word index `w`, then issue [`Router::external_reach_word`] /
-/// [`Router::connects_word`] queries for the same `(states, w)`. Bit `r`
-/// of a result word is the verdict for round `64·w + r`, bit-identical to
-/// the scalar query on that round. Bits beyond the matrix's round count
-/// are unspecified — callers mask with [`BitMatrix::word_mask`].
+/// This is all a new router has to write; it is also the only protocol
+/// with a `connects`, so structures with cross-component requirements are
+/// always checked a round at a time.
 ///
 /// Wide protocol (the 256-lane kernel): call [`Router::begin_wide`] with a
 /// wide-word index `ww`, then issue [`Router::external_reach_wide`] queries
 /// for the same `(states, ww)`. Lane `r` of a result wide word is the
-/// verdict for round `256·ww + r`. The default implementation decomposes a
-/// wide word into its four 64-round subwords through the word API, so
-/// every router gets the wide API for free and the 64-bit path remains the
-/// degenerate width. There is no wide `connects`: structures with
-/// cross-component requirements are checked through the word protocol.
+/// verdict for round `256·ww + r`, bit-identical to the scalar query on
+/// that round. Lanes beyond the matrix's round count are unspecified —
+/// callers mask with [`BitMatrix::wide_mask`]. The provided implementation
+/// loops the scalar protocol over the lanes; a router that answers in
+/// 256-lane bit algebra overrides it and says so in
+/// [`Router::wide_native`].
 ///
-/// Keyed protocol (a chunk at a time): when `states` is a slot of a
-/// failure-state table, [`Router::external_reach_keyed`] answers a whole
-/// plan's hosts over all of the chunk's wide words in one call, and names
-/// the table's contents so a router may keep what it derived from them.
-/// It needs no `begin_*` call.
+/// Keyed protocol (the wide one, a chunk at a time): when `states` is a
+/// slot of a failure-state table, [`Router::external_reach_keyed`] answers
+/// a whole plan's hosts over all of the chunk's wide words in one call, and
+/// names the table's contents so a router may keep what it derived from
+/// them. It needs no `begin_*` call.
 ///
 /// All protocols share router scratch: interleaving them is allowed only by
 /// re-issuing the relevant `begin_*` call first.
@@ -95,13 +98,11 @@ pub trait Router {
     fn name(&self) -> &'static str;
 
     /// The *cone* of a set of hosts: appends to `out` a superset of every
-    /// row of a `components`-row state matrix that `begin_round`/`_word`/
-    /// `_wide` and the `external_reach*`/`connects*` queries may read while
-    /// all queried hosts are among `hosts`. Verdicts about
-    /// those hosts are a function of the cone's rows alone, so a caller
-    /// may leave every other row unsampled. Repeats are allowed. (The
-    /// `screen_*` masks may read any row: stale rows only make them more
-    /// conservative.)
+    /// row of a `components`-row state matrix that `begin_round`/`_wide`
+    /// and the `external_reach*`/`connects` queries may read while all
+    /// queried hosts are among `hosts`. Verdicts about those hosts are a
+    /// function of the cone's rows alone, so a caller may leave every other
+    /// row unsampled. Repeats are allowed.
     ///
     /// The rows named for no hosts at all — what the router reads whatever
     /// is asked — come first in every cone, so a caller can check that
@@ -117,103 +118,10 @@ pub trait Router {
         out.extend((0..components).map(ComponentId::from_index));
     }
 
-    /// Installs the context for the 64 rounds of word `word` (the batched
-    /// analogue of [`Router::begin_round`]). The default is a no-op:
-    /// fallback word implementations re-derive any scalar context they
-    /// need per round.
-    fn begin_word(&mut self, _states: &BitMatrix, _word: usize) {}
-
-    /// True when the word queries are answered natively in O(1) bit
-    /// algebra rather than by a per-round fallback loop. Batched callers
-    /// use this to decide between host-major word queries (native) and
-    /// round-major screening (fallback).
-    fn word_native(&self) -> bool {
-        false
-    }
-
-    /// Screen mask for word `word`: bit r **clear** proves that round
-    /// `64·w + r`'s verdicts equal the all-alive baseline, so the round
-    /// can skip routing entirely. The default — OR of every component row,
-    /// i.e. "anything failed at all" — is correct for every router because
-    /// verdicts are a pure function of the round's states.
-    fn screen_word(&mut self, states: &BitMatrix, word: usize) -> u64 {
-        states.any_failed_word(word)
-    }
-
-    /// All-alive-world verdict of [`Router::external_reaches`] — what a
-    /// screened-out (clean) round resolves to. The default derives it from
-    /// a 1-round all-alive matrix through the scalar path; routers
-    /// override to serve it from a topology-static cache. Clobbers scalar
-    /// per-round context.
-    fn baseline_external(&mut self, states: &BitMatrix, host: ComponentId) -> bool {
-        let alive = BitMatrix::new(states.components(), 1);
-        self.begin_round(&alive, 0);
-        self.external_reaches(&alive, host)
-    }
-
-    /// All-alive-world verdict of [`Router::connects`]; same contract as
-    /// [`Router::baseline_external`].
-    fn baseline_connects(&mut self, states: &BitMatrix, a: ComponentId, b: ComponentId) -> bool {
-        let alive = BitMatrix::new(states.components(), 1);
-        self.begin_round(&alive, 0);
-        self.connects(&alive, a, b)
-    }
-
-    /// 64-round batched [`Router::external_reaches`]: bit r of the result
-    /// is the verdict for round `64·word + r`. The default falls back to
-    /// the scalar query on the set bits of the screen mask — clean rounds
-    /// shortcut to the all-alive verdict without any routing. Clobbers
-    /// scalar per-round context.
-    fn external_reach_word(&mut self, states: &BitMatrix, host: ComponentId, word: usize) -> u64 {
-        let valid = states.word_mask(word);
-        let screen = self.screen_word(states, word) & valid;
-        let mut out = 0u64;
-        if screen != valid && self.baseline_external(states, host) {
-            out = valid & !screen;
-        }
-        let mut dirty = screen;
-        while dirty != 0 {
-            let r = dirty.trailing_zeros() as usize;
-            dirty &= dirty - 1;
-            self.begin_round(states, word * 64 + r);
-            if self.external_reaches(states, host) {
-                out |= 1 << r;
-            }
-        }
-        out
-    }
-
-    /// 64-round batched [`Router::connects`]; same contract and default
-    /// strategy as [`Router::external_reach_word`].
-    fn connects_word(
-        &mut self,
-        states: &BitMatrix,
-        a: ComponentId,
-        b: ComponentId,
-        word: usize,
-    ) -> u64 {
-        let valid = states.word_mask(word);
-        let screen = self.screen_word(states, word) & valid;
-        let mut out = 0u64;
-        if screen != valid && self.baseline_connects(states, a, b) {
-            out = valid & !screen;
-        }
-        let mut dirty = screen;
-        while dirty != 0 {
-            let r = dirty.trailing_zeros() as usize;
-            dirty &= dirty - 1;
-            self.begin_round(states, word * 64 + r);
-            if self.connects(states, a, b) {
-                out |= 1 << r;
-            }
-        }
-        out
-    }
-
     /// Installs the context for the 256 rounds of wide word `wide` (the
-    /// 256-lane analogue of [`Router::begin_word`]). The default is a
-    /// no-op: the fallback wide queries re-issue [`Router::begin_word`]
-    /// per 64-round subword.
+    /// batched analogue of [`Router::begin_round`]). The default is a
+    /// no-op: the provided [`Router::external_reach_wide`] re-issues
+    /// [`Router::begin_round`] per lane.
     fn begin_wide(&mut self, _states: &BitMatrix, _wide: usize) {}
 
     /// [`Router::external_reach_wide`] for a matrix with an identity, a
@@ -260,24 +168,19 @@ pub trait Router {
     }
 
     /// True when the wide queries are answered natively in 256-lane bit
-    /// algebra rather than by the word-decomposition default.
+    /// algebra rather than by the lane loop below. Batched callers use
+    /// this to decide between host-major wide queries (native) and
+    /// round-major screening (the reference).
     fn wide_native(&self) -> bool {
         false
     }
 
-    /// Screen mask for wide word `wide` — the 256-lane analogue of
-    /// [`Router::screen_word`]: a clear lane proves the round equals the
-    /// all-alive baseline.
-    fn screen_wide(&mut self, states: &BitMatrix, wide: usize) -> WideWord {
-        states.any_failed_wide(wide)
-    }
-
     /// 256-round batched [`Router::external_reaches`]: lane r of the
-    /// result is the verdict for round `256·wide + r`. The default
-    /// assembles the four 64-round subwords through the word API
-    /// (re-issuing [`Router::begin_word`] per subword); alignment-padding
-    /// subwords contribute zero lanes. Lanes beyond the round count are
-    /// unspecified — callers mask with [`BitMatrix::wide_mask`].
+    /// result is the verdict for round `256·wide + r`. The default is the
+    /// reference: [`Router::begin_round`] + [`Router::external_reaches`]
+    /// on every lane the matrix has, so it clobbers the scalar context.
+    /// Lanes beyond the round count are unspecified — callers mask with
+    /// [`BitMatrix::wide_mask`].
     fn external_reach_wide(
         &mut self,
         states: &BitMatrix,
@@ -285,13 +188,11 @@ pub trait Router {
         wide: usize,
     ) -> WideWord {
         let mut out = WideWord::ZERO;
-        for i in 0..WideWord::WORDS {
-            let w = wide * WideWord::WORDS + i;
-            if states.rounds_in_word(w) == 0 {
-                break;
+        for lane in 0..states.rounds_in_wide(wide) {
+            self.begin_round(states, wide * WideWord::LANES + lane);
+            if self.external_reaches(states, host) {
+                out.set_word(lane / 64, out.word(lane / 64) | 1 << (lane % 64));
             }
-            self.begin_word(states, w);
-            out.set_word(i, self.external_reach_word(states, host, w));
         }
         out
     }
@@ -404,91 +305,69 @@ mod agreement_tests {
         }
     }
 
-    /// Every router's word API must agree bit-for-bit with its own scalar
-    /// verdicts — native bit algebra (analytic) and screened fallback
-    /// (reference BFS routers) alike — including on a ragged tail word.
-    #[test]
-    fn word_api_agrees_with_scalar_for_every_router() {
-        let t = FatTreeParams::new(4).build();
-        let rounds = 150; // 2 full words + a 22-round tail
-        let states = random_states(&t, rounds, 0.08, 3);
-        let hosts = t.hosts();
-        let probes: Vec<_> = hosts.iter().step_by(5).copied().collect();
-        let routers: Vec<Box<dyn Router>> = vec![
-            Box::new(FatTreeRouter::new(&t)),
-            Box::new(UpDownRouter::for_fat_tree(&t)),
-            Box::new(GenericRouter::new(&t)),
-        ];
-        for mut r in routers {
-            let name = r.name();
-            for w in 0..rounds.div_ceil(64) {
-                let valid = states.word_mask(w);
-                r.begin_word(&states, w);
-                let reach: Vec<u64> =
-                    probes.iter().map(|&h| r.external_reach_word(&states, h, w)).collect();
-                r.begin_word(&states, w);
-                let conn: Vec<u64> =
-                    probes.iter().map(|&h| r.connects_word(&states, probes[0], h, w)).collect();
-                for bit in 0..states.rounds_in_word(w) {
-                    let round = w * 64 + bit;
-                    r.begin_round(&states, round);
-                    for (i, &h) in probes.iter().enumerate() {
-                        assert_eq!(
-                            (reach[i] >> bit) & 1 == 1,
-                            r.external_reaches(&states, h),
-                            "{name}: external round {round} host {h}"
-                        );
-                        assert_eq!(
-                            (conn[i] >> bit) & 1 == 1,
-                            r.connects(&states, probes[0], h),
-                            "{name}: connects round {round} host {h}"
-                        );
-                    }
-                }
-                // Valid-bit masking must be harmless (callers mask anyway).
-                for m in &reach {
-                    let _ = m & valid;
-                }
-            }
-        }
+    fn every_router(t: &Topology) -> Vec<Box<dyn Router>> {
+        vec![
+            Box::new(FatTreeRouter::new(t)),
+            Box::new(UpDownRouter::for_fat_tree(t)),
+            Box::new(GenericRouter::new(t)),
+        ]
     }
 
-    /// Every router's wide API must agree lane-for-lane with its own word
-    /// verdicts — native 256-lane algebra (analytic) and the
-    /// word-decomposition default (reference BFS routers) alike — across a
-    /// full wide word plus a ragged tail. (`connects` has no wide form;
-    /// `word_api_agrees_with_scalar_for_every_router` covers its words.)
+    /// Every router's wide API must agree lane for lane with its own
+    /// scalar verdicts — native 256-lane algebra (analytic) and the
+    /// provided lane loop (reference BFS routers) alike — at every round
+    /// count around the 64- and 256-lane boundaries. The second matrix
+    /// stages one failure per lane region on an otherwise healthy fabric:
+    /// each must cut exactly its own lane, on either side of a wide-word
+    /// boundary.
     #[test]
-    fn wide_api_agrees_with_word_for_every_router() {
+    fn wide_api_agrees_with_scalar_for_every_router() {
         let t = FatTreeParams::new(4).build();
-        let rounds = 300; // 1 full wide word + a 44-round tail
-        let states = random_states(&t, rounds, 0.08, 21);
-        let hosts = t.hosts();
-        let probes: Vec<_> = hosts.iter().step_by(5).copied().collect();
-        let routers: Vec<Box<dyn Router>> = vec![
-            Box::new(FatTreeRouter::new(&t)),
-            Box::new(UpDownRouter::for_fat_tree(&t)),
-            Box::new(GenericRouter::new(&t)),
-        ];
-        for mut r in routers {
-            let name = r.name();
-            for ww in 0..states.wide_words_per_row() {
-                let mask = states.wide_mask(ww);
-                r.begin_wide(&states, ww);
-                let screen = r.screen_wide(&states, ww);
-                let reach: Vec<WideWord> =
-                    probes.iter().map(|&h| r.external_reach_wide(&states, h, ww) & mask).collect();
-                for i in 0..WideWord::WORDS {
-                    let w = ww * WideWord::WORDS + i;
-                    let wmask = states.word_mask(w);
-                    assert_eq!(screen.word(i), states.any_failed_word(w), "{name}: screen");
-                    r.begin_word(&states, w);
-                    for (j, &h) in probes.iter().enumerate() {
-                        assert_eq!(
-                            reach[j].word(i),
-                            r.external_reach_word(&states, h, w) & wmask,
-                            "{name}: external ww={ww} sub={i} host {h}"
-                        );
+        let m = *t.fat_tree().unwrap();
+        let probes: Vec<_> = t.hosts().iter().step_by(5).copied().collect();
+        let h = probes[0];
+        assert_eq!(h, m.host(0, 0, 0));
+        for rounds in [1usize, 63, 64, 65, 255, 256, 257, 300] {
+            let mut staged = BitMatrix::new(t.num_components(), rounds);
+            // The host's edge, all of its pod's aggs, core group 0 with
+            // group 1's border, and the host itself (twice).
+            let cuts: [(usize, Vec<ComponentId>); 5] = [
+                (0, vec![m.edge(0, 0)]),
+                (65, (0..m.half).map(|g| m.agg(0, g)).collect()),
+                (130, (0..m.half).map(|j| m.core(0, j)).chain([m.border(1)]).collect()),
+                (200, vec![h]),
+                (256, vec![h]),
+            ];
+            let mut cut_lanes = Vec::new();
+            for (round, components) in &cuts {
+                if *round < rounds {
+                    components.iter().for_each(|c| staged.set(c.index(), *round));
+                    cut_lanes.push(*round);
+                }
+            }
+            let random = random_states(&t, rounds, 0.08, 3);
+            for (is_staged, states) in [(false, random), (true, staged)] {
+                for mut r in every_router(&t) {
+                    let name = r.name();
+                    for ww in 0..states.wide_words_per_row() {
+                        r.begin_wide(&states, ww);
+                        let reach: Vec<WideWord> =
+                            probes.iter().map(|&p| r.external_reach_wide(&states, p, ww)).collect();
+                        for lane in 0..states.rounds_in_wide(ww) {
+                            let round = ww * WideWord::LANES + lane;
+                            r.begin_round(&states, round);
+                            for (i, &p) in probes.iter().enumerate() {
+                                assert_eq!(
+                                    reach[i].bit(lane),
+                                    r.external_reaches(&states, p),
+                                    "{name}: {rounds} rounds, round {round}, host {p}"
+                                );
+                            }
+                            if is_staged {
+                                let cut = cut_lanes.contains(&round);
+                                assert_eq!(reach[0].bit(lane), !cut, "{name}: staged {round}");
+                            }
+                        }
                     }
                 }
             }
@@ -496,22 +375,19 @@ mod agreement_tests {
     }
 
     /// The cone contract: with every row outside the declared cone forced
-    /// failed, every protocol still returns the verdicts of the true
-    /// matrix for queries about the cone's hosts.
+    /// failed, every protocol — scalar, unkeyed wide and keyed — still
+    /// returns the verdicts of the true matrix for queries about the cone's
+    /// hosts.
     #[test]
     fn verdicts_depend_on_cone_rows_only() {
         let t = FatTreeParams::new(6).build();
         let rounds = 300;
         let states = random_states(&t, rounds, 0.15, 41);
+        let wides = states.wide_words_per_row();
         let m = t.fat_tree().unwrap();
         // Pairs under one edge switch, in one pod, and across pods.
         let hosts = [m.host(0, 0, 0), m.host(0, 0, 1), m.host(0, 1, 0), m.host(3, 2, 1)];
-        let routers: Vec<Box<dyn Router>> = vec![
-            Box::new(FatTreeRouter::new(&t)),
-            Box::new(UpDownRouter::for_fat_tree(&t)),
-            Box::new(GenericRouter::new(&t)),
-        ];
-        for mut r in routers {
+        for mut r in every_router(&t) {
             let name = r.name();
             let mut cone = Vec::new();
             r.cone(t.num_components(), &mut hosts.iter().copied(), &mut cone);
@@ -525,7 +401,7 @@ mod agreement_tests {
             if name == "fat-tree-analytic" {
                 assert!(cone.len() < t.num_components() / 2, "analytic cone is narrow");
             }
-            for ww in 0..states.wide_words_per_row() {
+            for ww in 0..wides {
                 let mask = states.wide_mask(ww);
                 let mut ask = |m: &BitMatrix| -> Vec<WideWord> {
                     r.begin_wide(m, ww);
@@ -533,22 +409,15 @@ mod agreement_tests {
                 };
                 assert_eq!(ask(&states), ask(&poisoned), "{name}: wide word {ww}");
             }
-            for w in 0..rounds.div_ceil(64) {
-                let mask = states.word_mask(w);
-                let mut ask = |m: &BitMatrix| -> Vec<u64> {
-                    r.begin_word(m, w);
-                    let mut out: Vec<u64> =
-                        hosts.iter().map(|&h| r.external_reach_word(m, h, w) & mask).collect();
-                    r.begin_word(m, w);
-                    for &a in &hosts {
-                        for &b in &hosts {
-                            out.push(r.connects_word(m, a, b, w) & mask);
-                        }
-                    }
-                    out
-                };
-                assert_eq!(ask(&states), ask(&poisoned), "{name}: word {w}");
-            }
+            // Two matrices, two generations: the second call must read the
+            // poisoned rows rather than serve what it kept of the first.
+            let mut ask_keyed = |m: &BitMatrix, generation: u64| -> Vec<WideWord> {
+                let key = TableKey { slot: 0, generation: NonZeroU64::new(generation).unwrap() };
+                let mut out = vec![WideWord::ZERO; hosts.len() * wides];
+                r.external_reach_keyed(m, key, &hosts, wides, &mut out);
+                out.iter().enumerate().map(|(i, w)| *w & m.wide_mask(i % wides)).collect()
+            };
+            assert_eq!(ask_keyed(&states, 1), ask_keyed(&poisoned, 2), "{name}: keyed");
             for round in (0..rounds).step_by(7) {
                 let mut ask = |m: &BitMatrix| -> Vec<bool> {
                     r.begin_round(m, round);
@@ -572,35 +441,6 @@ mod agreement_tests {
         assert!(FatTreeRouter::new(&t).wide_native());
         assert!(!UpDownRouter::for_fat_tree(&t).wide_native());
         assert!(!GenericRouter::new(&t).wide_native());
-    }
-
-    /// The screen mask may only clear a bit when the round is genuinely
-    /// all-alive; set bits are allowed to be conservative.
-    #[test]
-    fn screen_word_is_sound() {
-        let t = FatTreeParams::new(4).build();
-        let rounds = 100;
-        let states = random_states(&t, rounds, 0.02, 9);
-        let mut r = GenericRouter::new(&t);
-        for w in 0..rounds.div_ceil(64) {
-            let screen = r.screen_word(&states, w);
-            for bit in 0..states.rounds_in_word(w) {
-                if (screen >> bit) & 1 == 0 {
-                    let round = w * 64 + bit;
-                    for c in 0..states.components() {
-                        assert!(!states.get(c, round), "clean round {round} has a failure");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn only_analytic_router_is_word_native() {
-        let t = FatTreeParams::new(4).build();
-        assert!(FatTreeRouter::new(&t).word_native());
-        assert!(!UpDownRouter::for_fat_tree(&t).word_native());
-        assert!(!GenericRouter::new(&t).word_native());
     }
 
     #[test]

@@ -35,12 +35,6 @@ pub struct UpDownRouter {
     ext_visited: Vec<u32>,
     ext_done: bool,
     queue: Vec<(u32, u8)>,
-    /// Topology-static all-alive-world reachability from the external node
-    /// (the verdict of every screened-out round), computed on first use.
-    baseline_ext: Option<Vec<bool>>,
-    /// All-alive-world valley-free visited sets per flood source, for
-    /// [`Router::baseline_connects`].
-    baseline_conn: Vec<(ComponentId, Vec<bool>)>,
 }
 
 impl UpDownRouter {
@@ -60,26 +54,6 @@ impl UpDownRouter {
             ext_visited: vec![0; n],
             ext_done: false,
             queue: Vec::new(),
-            baseline_ext: None,
-            baseline_conn: Vec::new(),
-        }
-    }
-
-    /// Valley-free flood over the topology ignoring failure states (the
-    /// all-alive world of screened-out rounds). Returns the union of both
-    /// phases' visited sets. Clobbers scalar per-round context.
-    fn alive_flood(&mut self, start: ComponentId, use_ext: bool) -> Vec<bool> {
-        let n = self.topology.num_components();
-        let alive = BitMatrix::new(n, 1);
-        self.round = 0;
-        self.epoch = self.epoch.wrapping_add(1).max(1);
-        self.ext_done = false;
-        self.flood(&alive, start, use_ext);
-        let e = self.epoch;
-        if use_ext {
-            self.ext_visited.iter().map(|&s| s == e).collect()
-        } else {
-            (0..n).map(|i| self.visited[0][i] == e || self.visited[1][i] == e).collect()
         }
     }
 
@@ -228,30 +202,6 @@ impl Router for UpDownRouter {
 
     fn name(&self) -> &'static str {
         "updown-bfs"
-    }
-
-    fn baseline_external(&mut self, _states: &BitMatrix, host: ComponentId) -> bool {
-        if self.baseline_ext.is_none() {
-            let ext = self.topology.external();
-            self.baseline_ext = Some(self.alive_flood(ext, true));
-        }
-        self.baseline_ext.as_ref().expect("filled above")[host.index()]
-    }
-
-    fn baseline_connects(&mut self, _states: &BitMatrix, a: ComponentId, b: ComponentId) -> bool {
-        if a == b {
-            return true;
-        }
-        if let Some((_, seen)) = self.baseline_conn.iter().find(|(s, _)| *s == a) {
-            return seen[b.index()];
-        }
-        let seen = self.alive_flood(a, false);
-        let hit = seen[b.index()];
-        if self.baseline_conn.len() >= 128 {
-            self.baseline_conn.clear();
-        }
-        self.baseline_conn.push((a, seen));
-        hit
     }
 }
 

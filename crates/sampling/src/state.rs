@@ -137,13 +137,6 @@ impl BitMatrix {
         self.words_per_row
     }
 
-    /// Reads the `w`-th 64-round word of component `c`'s row.
-    #[inline]
-    pub fn word(&self, c: usize, w: usize) -> u64 {
-        debug_assert!(c < self.components && w < self.words_per_row);
-        self.bits[c * self.words_per_row + w]
-    }
-
     /// Writes the `w`-th 64-round word of component `c`'s row. Bits beyond
     /// the round count are masked off so population counts stay exact —
     /// this includes alignment-padding words, where every bit is masked,
@@ -221,37 +214,29 @@ impl BitMatrix {
         WideWord::lane_mask(self.rounds_in_wide(ww))
     }
 
-    /// OR of every component's wide word `ww` — the 256-lane analogue of
-    /// [`BitMatrix::any_failed_word`]: a zero lane proves the round's
-    /// verdict equals the all-alive baseline.
+    /// OR of every component's wide word `ww`: lane r is set iff round
+    /// `256·ww + r` exists and *some* component failed in it. This is the
+    /// batched route-and-check screen — a clear lane proves the round's
+    /// verdict equals the all-alive baseline, so the round can skip routing
+    /// entirely. The sweep stops once no round of the word is clean:
+    /// there is nothing left to clear.
     pub fn any_failed_wide(&self, ww: usize) -> WideWord {
         debug_assert!(ww < self.wide_words_per_row());
-        let mut acc = [0u64; 4];
+        let full = self.wide_mask(ww);
+        let mut clean = full.0;
         let mut i = ww * WideWord::WORDS;
         for _ in 0..self.components {
-            acc[0] |= self.bits[i];
-            acc[1] |= self.bits[i + 1];
-            acc[2] |= self.bits[i + 2];
-            acc[3] |= self.bits[i + 3];
+            clean[0] &= !self.bits[i];
+            clean[1] &= !self.bits[i + 1];
+            clean[2] &= !self.bits[i + 2];
+            clean[3] &= !self.bits[i + 3];
+            // (An array compare here spills `clean` to the stack every row.)
+            if clean[0] | clean[1] | clean[2] | clean[3] == 0 {
+                break;
+            }
             i += self.words_per_row;
         }
-        WideWord(acc)
-    }
-
-    /// OR of every component's word `w`: bit r is set iff *any* component
-    /// failed in round `64·w + r`. This is the batched route-and-check
-    /// screen mask — a zero bit proves the round's verdict equals the
-    /// all-alive baseline, so the round can skip routing entirely.
-    pub fn any_failed_word(&self, w: usize) -> u64 {
-        debug_assert!(w < self.words_per_row);
-        let mut acc = 0u64;
-        let mut i = w;
-        // Strided walk down the column of round-words.
-        for _ in 0..self.components {
-            acc |= self.bits[i];
-            i += self.words_per_row;
-        }
-        acc
+        full & !WideWord(clean)
     }
 
     /// Total failed (component, round) cells — handy for sanity checks.
@@ -352,9 +337,7 @@ mod tests {
         for w in 0..m.words_per_row() {
             m.set_word(0, w, u64::MAX);
         }
-        assert_eq!(m.word(0, 1), 1);
-        assert_eq!(m.word(0, 2), 0);
-        assert_eq!(m.word(0, 3), 0);
+        assert_eq!(m.row_words(0), [u64::MAX, 1, 0, 0]);
         assert_eq!(m.total_failures(), 65);
         assert_eq!(m.row(0).count_ones(), 65);
     }
@@ -392,13 +375,10 @@ mod tests {
                     let wide = m.wide_word(c, ww);
                     for i in 0..WideWord::WORDS {
                         let w = ww * WideWord::WORDS + i;
-                        assert_eq!(wide.word(i), m.word(c, w), "c={c} ww={ww} i={i}");
+                        assert_eq!(wide.word(i), m.row_words(c)[w], "c={c} ww={ww} i={i}");
                     }
                 }
-                let any = m.any_failed_wide(ww);
-                for i in 0..WideWord::WORDS {
-                    assert_eq!(any.word(i), m.any_failed_word(ww * WideWord::WORDS + i));
-                }
+                assert_eq!(m.any_failed_wide(ww), m.wide_word(0, ww) | m.wide_word(1, ww));
             }
             // count_ones over rows ignores padding lanes.
             let expect0 = (0..rounds).step_by(13).count();
@@ -422,19 +402,37 @@ mod tests {
     }
 
     #[test]
-    fn any_failed_word_is_column_or() {
-        let mut m = BitMatrix::new(3, 100);
-        assert_eq!(m.any_failed_word(0), 0);
-        assert_eq!(m.any_failed_word(1), 0);
+    fn any_failed_wide_is_column_or() {
+        let mut m = BitMatrix::new(3, 300);
+        assert_eq!(m.any_failed_wide(0), WideWord::ZERO);
+        assert_eq!(m.any_failed_wide(1), WideWord::ZERO);
         m.set(0, 3);
         m.set(1, 3);
-        m.set(2, 70);
-        assert_eq!(m.any_failed_word(0), 1 << 3);
-        assert_eq!(m.any_failed_word(1), 1 << (70 - 64));
-        for r in 0..100 {
+        m.set(1, 70);
+        m.set(2, 270);
+        for r in 0..300 {
             let expect = (0..3).any(|c| m.get(c, r));
-            let got = (m.any_failed_word(r / 64) >> (r % 64)) & 1 == 1;
-            assert_eq!(got, expect, "round {r}");
+            assert_eq!(m.any_failed_wide(r / 256).bit(r % 256), expect, "round {r}");
+        }
+    }
+
+    /// Once every round of the wide word is dirty the sweep may stop: rows
+    /// below a saturating prefix change nothing a caller can see. Neither
+    /// does a row with bits beyond the round count (a poisoned table row).
+    #[test]
+    fn any_failed_wide_saturates() {
+        for rounds in [1usize, 255, 256, 257, 300] {
+            let mut m = BitMatrix::new(4, rounds);
+            for ww in 0..m.wide_words_per_row() {
+                m.set_wide_word(0, ww, WideWord::lane_mask(100));
+                m.set_wide_word(1, ww, !WideWord::lane_mask(100));
+                assert_eq!(m.any_failed_wide(ww), m.wide_mask(ww), "rounds={rounds}");
+            }
+            let mut poisoned = BitMatrix::new(4, rounds);
+            poisoned.row_words_mut(2).fill(!0);
+            for ww in 0..poisoned.wide_words_per_row() {
+                assert_eq!(poisoned.any_failed_wide(ww), poisoned.wide_mask(ww), "rounds={rounds}");
+            }
         }
     }
 }

@@ -1,18 +1,18 @@
 //! The 256-lane wide word of the bit-sliced kernel.
 //!
-//! PR 2's route-and-check kernel processes 64 sampling rounds per
-//! operation — one `u64` lane word. At Large scale [27072 hosts] the
-//! per-round context (switch-tier digests, fault-tree collapse scratch)
-//! no longer fits hot in cache, so the lane width and the memory layout
-//! must grow together: [`WideWord`] packs **256 rounds** into one value
-//! (4×`u64`, 32-byte aligned so a row of wide words is one cache-line
-//! pair), and [`crate::BitMatrix`] rows are padded to wide-word
-//! alignment so every row can be read wide without bounds fix-ups.
+//! The route-and-check kernel evaluates many sampling rounds per
+//! operation: bit r of every intermediate value is one round's value, and
+//! all combining operations are lanewise, so rounds never interact. At
+//! Large scale [27072 hosts] the per-round context (switch-tier digests,
+//! fault-tree collapse scratch) does not fit hot in cache, so the lane
+//! width and the memory layout grow together: [`WideWord`] packs **256
+//! rounds** into one value (4×`u64`, 32-byte aligned so a row of wide
+//! words is one cache-line pair), and [`crate::BitMatrix`] rows are padded
+//! to wide-word alignment so every row can be read wide without bounds
+//! fix-ups.
 //!
-//! The type deliberately exposes the same algebra the kernel uses on
-//! `u64` — AND/OR/NOT, population count, lane masks — so the 64-bit path
-//! remains the degenerate width (`WideWord` of one word) and equivalence
-//! tests can pin the two bit-for-bit.
+//! The type exposes the algebra the kernel needs — AND/OR/NOT, population
+//! count, lane masks — and nothing else; it is the one batched width.
 
 use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, Not};
 
@@ -80,9 +80,8 @@ impl WideWord {
         self.0 == [!0; 4]
     }
 
-    /// Mask of the low `n` lanes (`n ≤ 256`): lane r set iff `r < n`.
-    /// This is the wide analogue of the `(1 << n) - 1` tail masks of the
-    /// 64-bit path.
+    /// Mask of the low `n` lanes (`n ≤ 256`): lane r set iff `r < n` —
+    /// the tail mask of a chunk's last wide word.
     #[inline]
     pub fn lane_mask(n: usize) -> Self {
         debug_assert!(n <= Self::LANES, "a wide word holds at most 256 lanes");

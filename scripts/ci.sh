@@ -34,10 +34,16 @@ echo "== retired names gate =="
 # the chunk-level `external_reach_keyed` (PR 16): the "last border word
 # built" special case, the whole-plan cone naming and the base-only flag.
 # And the fault-tree evaluators nothing called (PR 21): the 64-lane one
-# went with Word64, the matrix convenience never had a caller.
+# went with Word64, the matrix convenience never had a caller. And the
+# 64-round width of the router and the checker (PR 22) — `Router` is the
+# scalar reference plus the 256-lane kernel — with the failure explainer
+# that never had a caller.
 RETIRED='StatsResponse|SearchPlacement|set_batched|Word64|JobFrame|RCW1'
 RETIRED="$RETIRED|begin_wide_keyed|border_of|border_ok_wide|pod_ext_wide|memo_row|name_cone|recheck_base"
 RETIRED="$RETIRED|eval_word|eval_node_word|eval_matrix"
+RETIRED="$RETIRED|begin_word|word_native|screen_word|screen_wide|baseline_external|baseline_connects"
+RETIRED="$RETIRED|external_reach_word|connects_word|word_reliable|k_of_n_word|any_failed_word"
+RETIRED="$RETIRED|explain_unreachable|diagnose_consistently"
 if grep -rnE "$RETIRED" crates/ src/ tests/ examples/ \
     | grep -vE '^crates/server/src/(protocol\.rs|frame_table\.md):.*SearchPlacement'; then
   echo "retired names gate: a retired name is back (see above)"; exit 1
@@ -76,6 +82,18 @@ echo "== benchmark package gate =="
   done
 )
 echo "benchmark gate: package builds, tests pass, replay agrees"
+
+echo "== complex-structure smoke gate =="
+# Layered and microservice specs on preset fat-trees (Tiny, Small) end in
+# the checker's screened round-major fallback, which nothing else below
+# drives through a release binary. Exit status and a table with no empty
+# cell are enough; no timing threshold (~0.1 s).
+FIG11_OUT="$(target/release/repro fig11 --quick)"
+echo "$FIG11_OUT"
+echo "$FIG11_OUT" | awk '/\[[0-9]+\]/ { rows++; if ($NF !~ /^[0-9.]+$/ && $0 !~ /n\/a \(exceeds hosts\)$/) bad++ }
+  END { exit !(rows >= 14 && bad == 0) }' \
+  || { echo "complex-structure gate: fig11 table is short or has an empty cell"; exit 1; }
+echo "complex-structure gate: every structure assessed"
 
 echo "== server smoke test =="
 # Start the daemon on an ephemeral port, discover the port via

@@ -170,12 +170,15 @@ fn routers_agree_on_random_failures() {
     });
 }
 
-/// The word-granular router API agrees bit-for-bit with the scalar API on
-/// every router, over arbitrary failure patterns and word-boundary round
-/// counts (tails shorter and longer than one word).
+/// The wide router API agrees lane for lane with the scalar API on every
+/// router, over arbitrary failure patterns and word-boundary round counts
+/// (tails shorter and longer than one 64-round word). `connects` has no
+/// wide form: its scalar verdicts are checked router against router — the
+/// analytic one equals the valley-free reference, and physical
+/// reachability upper-bounds both.
 #[test]
-fn word_router_api_equals_scalar_api() {
-    forall("word router API equals scalar", |g| {
+fn wide_router_api_equals_scalar_api() {
+    forall("wide router API equals scalar", |g| {
         let rounds = g.usize_in(1..140);
         let density = g.f64_in(0.0..0.35);
         let seed = g.any_u64();
@@ -203,8 +206,9 @@ fn word_router_api_equals_scalar_api() {
             Box::new(UpDownRouter::for_fat_tree(&t)),
             Box::new(GenericRouter::new(&t)),
         ];
+        let mut conn = Vec::new();
         for mut router in routers {
-            // Scalar truth first (the word API may clobber scalar context).
+            // Scalar truth first (the wide API may clobber scalar context).
             let mut want_ext = vec![false; rounds];
             let mut want_conn = vec![false; rounds];
             for r in 0..rounds {
@@ -212,27 +216,22 @@ fn word_router_api_equals_scalar_api() {
                 want_ext[r] = router.external_reaches(&states, ha);
                 want_conn[r] = router.connects(&states, ha, hb);
             }
-            for w in 0..rounds.div_ceil(64) {
-                router.begin_word(&states, w);
-                let ext = router.external_reach_word(&states, ha, w);
-                let conn = router.connects_word(&states, ha, hb, w);
-                for r in (w * 64)..((w * 64) + 64).min(rounds) {
-                    let bit = 1u64 << (r - w * 64);
+            conn.push(want_conn);
+            for ww in 0..states.wide_words_per_row() {
+                router.begin_wide(&states, ww);
+                let ext = router.external_reach_wide(&states, ha, ww);
+                for r in (ww * 256)..((ww * 256) + 256).min(rounds) {
                     prop_assert_eq!(
-                        ext & bit != 0,
+                        ext.bit(r - ww * 256),
                         want_ext[r],
                         "{}: external round {r}",
-                        router.name()
-                    );
-                    prop_assert_eq!(
-                        conn & bit != 0,
-                        want_conn[r],
-                        "{}: connects round {r}",
                         router.name()
                     );
                 }
             }
         }
+        prop_assert_eq!(&conn[0], &conn[1], "analytic connects equals valley-free");
+        prop_assert!(conn[1].iter().zip(&conn[2]).all(|(vf, phys)| !vf || *phys));
         Ok(())
     });
 }
