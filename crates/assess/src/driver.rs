@@ -205,28 +205,26 @@ impl AssessmentDriver {
         self.acc.push_batch(rounds, successes);
         self.timings.merge(timings);
         self.fed += 1;
-        if recloud_obs::enabled() {
-            if timings.sampling > Duration::ZERO {
-                self.obs.sampling_batch.record(timings.sampling.as_micros() as u64);
-            }
-            if timings.collapse > Duration::ZERO {
-                self.obs.collapse_batch.record(timings.collapse.as_micros() as u64);
-            }
-            self.obs.check_batch.record(timings.check.as_micros() as u64);
-            self.obs.rounds_batch += rounds;
-            if let Some(ctx) = recloud_obs::current_span() {
-                let end_us = recloud_obs::trace::now_us();
-                let dur_us = timings.total.as_micros() as u64;
-                recloud_obs::tracer().record(
-                    ctx.trace_id,
-                    ctx.span,
-                    "assess.chunk",
-                    end_us.saturating_sub(dur_us),
-                    end_us,
-                    rounds,
-                    chunk as u64,
-                );
-            }
+        if timings.sampling > Duration::ZERO {
+            self.obs.sampling_batch.record(timings.sampling.as_micros() as u64);
+        }
+        if timings.collapse > Duration::ZERO {
+            self.obs.collapse_batch.record(timings.collapse.as_micros() as u64);
+        }
+        self.obs.check_batch.record(timings.check.as_micros() as u64);
+        self.obs.rounds_batch += rounds;
+        if let Some(ctx) = recloud_obs::current_span() {
+            let end_us = recloud_obs::trace::now_us();
+            let dur_us = timings.total.as_micros() as u64;
+            recloud_obs::tracer().record(
+                ctx.trace_id,
+                ctx.span,
+                "assess.chunk",
+                end_us.saturating_sub(dur_us),
+                end_us,
+                rounds,
+                chunk as u64,
+            );
         }
         let estimate = self.acc.estimate();
         let ciw = estimate.ciw95();

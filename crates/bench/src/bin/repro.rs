@@ -8,52 +8,31 @@
 //!
 //! Subcommands: `table2`, `fig7` … `fig12`, `ablation-delta`,
 //! `ablation-schedule`, `ablation-symmetry`, `ablation-fault-trees`,
-//! `bench-assess`, `bench-serve`, `bench-search`, `all`. Flags:
-//! `--quick` (small scales/rounds), `--xl` (bench-assess: add the
-//! k = 64 XL stress scale), `--paper-times` (restore the 3–300 s
-//! Figure 9 budgets), `--seed <n>`, `--json <path>` (the bench
-//! subcommands: also write a machine-readable snapshot).
+//! `all` (every one of those, in that order), and `serve-frontier` (not a
+//! paper figure: the connection-count frontier and tenant isolation).
+//! Flags: `--quick` (small scales/rounds), `--paper-times` (restore the
+//! 3–300 s Figure 9 budgets), `--seed <n>`. Timings live in `benchmark/`.
 
 use recloud_bench::figures::{self, ReproOptions};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: repro <table2|fig7|fig8|fig9|fig10|fig11|fig12|\
 ablation-delta|ablation-schedule|ablation-symmetry|ablation-fault-trees|\
-bench-assess|bench-serve|bench-search|loadgen|all> [--quick] [--xl] [--paper-times] \
-[--seed <n>] [--json <path>] [--addr <host:port>] [--smoke]";
+serve-frontier|all> [--quick] [--paper-times] [--seed <n>]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut command: Option<String> = None;
     let mut opts = ReproOptions::default();
-    let mut json: Option<String> = None;
-    let mut addr = String::from("127.0.0.1:7070");
-    let mut smoke = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => opts.quick = true,
-            "--xl" => opts.xl = true,
             "--paper-times" => opts.paper_times = true,
-            "--smoke" => smoke = true,
-            "--addr" => match it.next() {
-                Some(a) => addr = a.clone(),
-                None => {
-                    eprintln!("--addr needs host:port\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--seed" => match it.next().and_then(|s| s.parse().ok()) {
                 Some(s) => opts.seed = s,
                 None => {
                     eprintln!("--seed needs an integer\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--json" => match it.next() {
-                Some(p) => json = Some(p.clone()),
-                None => {
-                    eprintln!("--json needs a path\n{USAGE}");
                     return ExitCode::FAILURE;
                 }
             },
@@ -82,37 +61,7 @@ fn main() -> ExitCode {
         "ablation-schedule" => figures::ablation_schedule(&opts),
         "ablation-symmetry" => figures::ablation_symmetry(&opts),
         "ablation-fault-trees" => figures::ablation_fault_trees(&opts),
-        "bench-assess" => figures::bench_assess(&opts, json.as_deref()),
-        "bench-serve" => figures::bench_serve(&opts, json.as_deref()),
-        "bench-search" => figures::bench_search(&opts, json.as_deref()),
-        "loadgen" => {
-            if smoke {
-                match recloud_server::smoke(&addr) {
-                    Ok(()) => println!("smoke OK against {addr}"),
-                    Err(e) => {
-                        eprintln!("smoke failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            } else {
-                let config = recloud_server::LoadgenConfig {
-                    addr: addr.clone(),
-                    seed: opts.seed,
-                    ..recloud_server::LoadgenConfig::default()
-                };
-                match recloud_server::run_load(&config) {
-                    Ok(r) => println!(
-                        "{} ok ({} cached), {} busy, {} errors — {:.0} req/s, \
-                         p50 {} us / p95 {} us",
-                        r.ok, r.cached, r.busy, r.errors, r.throughput_rps, r.p50_us, r.p95_us
-                    ),
-                    Err(e) => {
-                        eprintln!("loadgen failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-        }
+        "serve-frontier" => figures::serve_frontier(&opts),
         "all" => {
             figures::table2();
             figures::fig7(&opts);
@@ -125,7 +74,6 @@ fn main() -> ExitCode {
             figures::ablation_schedule(&opts);
             figures::ablation_symmetry(&opts);
             figures::ablation_fault_trees(&opts);
-            figures::bench_assess(&opts, json.as_deref());
         }
         other => {
             eprintln!("unknown command '{other}'\n{USAGE}");

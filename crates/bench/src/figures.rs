@@ -1,10 +1,11 @@
 //! One function per table/figure of the paper's evaluation (§4), plus the
 //! ablations called out in DESIGN.md. Each prints a text table whose rows
-//! mirror the corresponding plot's series.
+//! mirror the corresponding plot's series. [`serve_frontier`] is the one
+//! function that is not a paper figure.
 
 use crate::{fmt_ms, paper_env, redundancy_specs, time_ms, TextTable, REDUNDANCY};
 use recloud_apps::{ApplicationSpec, DeploymentPlan, WorkloadMap};
-use recloud_assess::{Assessor, BatchWidth, ParallelAssessor, SamplerKind};
+use recloud_assess::{Assessor, ParallelAssessor, SamplerKind};
 use recloud_faults::{FaultModel, ProbabilityConfig};
 use recloud_sampling::Rng;
 use recloud_search::{
@@ -22,16 +23,13 @@ pub struct ReproOptions {
     /// Use the paper's original 3–300 s search budgets in Figure 9
     /// (default: a geometrically equivalent 0.5–16 s sweep).
     pub paper_times: bool,
-    /// Also bench the XL [64512] stress scale (k = 64, beyond Table 2) in
-    /// `bench-assess`.
-    pub xl: bool,
     /// Master seed.
     pub seed: u64,
 }
 
 impl Default for ReproOptions {
     fn default() -> Self {
-        ReproOptions { quick: false, paper_times: false, xl: false, seed: 1 }
+        ReproOptions { quick: false, paper_times: false, seed: 1 }
     }
 }
 
@@ -421,1083 +419,100 @@ pub fn ablation_fault_trees(opts: &ReproOptions) {
     println!("      spot reCloud exists to remove.");
 }
 
-/// One measured group of the route-and-check benchmark.
-#[derive(Debug)]
-pub struct AssessBenchGroup {
-    /// Scale label ("Tiny", "Small", …).
-    pub scale: String,
-    /// "scalar" or "batched".
-    pub mode: String,
-    /// Median wall time of one assessment whose rows are all in the table.
-    pub median: Duration,
-    /// Median absolute deviation of the samples.
-    pub mad: Duration,
-    /// Rounds routed-and-checked per second at the median.
-    pub rounds_per_sec: f64,
-    /// Bytes the engine's failure-state table has allocated — the
-    /// per-engine footprint at this scale.
-    pub arena_bytes: usize,
-}
-
-/// Benchmark of the route-and-check stage: scalar vs the 256-lane
-/// wide-word kernel, on cached failure-state tables (so sampling and
-/// collapse are paid once up front and the timed region is routing plus
-/// checking only). Covers every Table 2 scale up to Large [27072], plus
-/// the XL [64512] stress scale when `opts.xl` is set. Prints a table
-/// and, when `json` is given, writes the results as a machine-readable
-/// snapshot (see `BENCH_assess.json`).
-pub fn bench_assess(opts: &ReproOptions, json: Option<&str>) {
-    head("Bench: route-and-check, scalar vs 256-lane wide-word kernel");
-    let rounds = 10_000usize;
-    let samples: usize =
-        std::env::var("RECLOUD_BENCH_SAMPLES").ok().and_then(|s| s.parse().ok()).unwrap_or(9);
-    let spec_label = "4-of-5";
-    let spec = ApplicationSpec::k_of_n(4, 5);
-    let mut scales = if opts.quick { vec![Scale::Tiny, Scale::Small] } else { Scale::ALL.to_vec() };
-    if opts.xl {
-        scales.push(Scale::Xl);
-    }
-    println!("spec: {spec_label}, rounds: {rounds}, samples per group: {samples}");
-    let mut groups: Vec<AssessBenchGroup> = Vec::new();
-    let mut speedups: Vec<(String, f64)> = Vec::new();
-    let mut t =
-        TextTable::new(vec!["scale", "mode", "median", "mad", "rounds/s", "speedup", "arena"]);
-    for scale in scales {
-        let (topo, model) = paper_env(scale, opts.seed);
-        let mut rng = Rng::new(opts.seed);
-        let plan = DeploymentPlan::random(&spec, topo.hosts(), &mut rng);
-        let mut medians = [Duration::ZERO; 2];
-        let modes = [("scalar", BatchWidth::Scalar), ("batched", BatchWidth::Wide256)];
-        for (mi, (mode, width)) in modes.iter().enumerate() {
-            let mut assessor = Assessor::new(&topo, model.clone());
-            assessor.set_width(*width);
-            // Warm-up materialises the plan's rows; timed runs are pure
-            // route-and-check over the table.
-            assessor.assess(&spec, &plan, rounds, opts.seed);
-            let mut times: Vec<Duration> = (0..samples)
-                .map(|_| {
-                    let t0 = std::time::Instant::now();
-                    let a = assessor.assess(&spec, &plan, rounds, opts.seed);
-                    assert_eq!(a.estimate.rounds, rounds as u64);
-                    t0.elapsed()
-                })
-                .collect();
-            let (median, mad) = crate::harness::median_mad(&mut times);
-            medians[mi] = median;
-            groups.push(AssessBenchGroup {
-                scale: scale.label(),
-                mode: mode.to_string(),
-                median,
-                mad,
-                rounds_per_sec: rounds as f64 / median.as_secs_f64().max(1e-12),
-                arena_bytes: assessor.arena_bytes(),
-            });
-        }
-        let speedup = medians[0].as_secs_f64() / medians[1].as_secs_f64().max(1e-12);
-        speedups.push((scale.label(), speedup));
-        for g in &groups[groups.len() - 2..] {
-            t.row(vec![
-                g.scale.clone(),
-                g.mode.clone(),
-                fmt_ms(g.median.as_secs_f64() * 1e3),
-                fmt_ms(g.mad.as_secs_f64() * 1e3),
-                format!("{:.0}", g.rounds_per_sec),
-                if g.mode == "batched" { format!("{speedup:.1}x") } else { "1.0x".to_string() },
-                format!("{:.1} MB", g.arena_bytes as f64 / 1e6),
-            ]);
-        }
-    }
-    t.print();
-
-    // Instrumentation overhead: the slowest benched scale re-timed with
-    // instruments enabled vs disabled through the process-wide kill
-    // switch. The assess layer records per *chunk*, never per round, so
-    // the delta must stay within the ±2% acceptance band (noise can make
-    // the raw difference slightly negative; that clamps to 0).
-    let obs_overhead_pct = {
-        let scale = if opts.quick { Scale::Small } else { Scale::Medium };
-        let (topo, model) = paper_env(scale, opts.seed);
-        let mut rng = Rng::new(opts.seed);
-        let plan = DeploymentPlan::random(&spec, topo.hosts(), &mut rng);
-        let mut assessor = Assessor::new(&topo, model);
-        assessor.assess(&spec, &plan, rounds, opts.seed); // warm the table
-
-        // A single batched assessment is ~tens of microseconds, so one
-        // timed call would drown the delta in scheduler jitter. Each
-        // sample times a batch of calls, phases alternate so slow drift
-        // (thermal, background load) hits both equally, and the minimum
-        // is kept — interference only ever adds time, so the min is the
-        // cleanest estimate of the true cost of each phase.
-        const CALLS_PER_SAMPLE: u32 = 32;
-        let mut time_batch = |enabled: bool| {
-            recloud_obs::set_enabled(enabled);
-            let t0 = std::time::Instant::now();
-            for _ in 0..CALLS_PER_SAMPLE {
-                assessor.assess(&spec, &plan, rounds, opts.seed);
-            }
-            t0.elapsed() / CALLS_PER_SAMPLE
-        };
-        let (mut on, mut off) = (Duration::MAX, Duration::MAX);
-        for _ in 0..samples.max(15) {
-            on = on.min(time_batch(true));
-            off = off.min(time_batch(false));
-        }
-        recloud_obs::set_enabled(true);
-        let pct = 100.0 * (on.as_secs_f64() - off.as_secs_f64()) / off.as_secs_f64().max(1e-12);
-        println!(
-            "instrumentation overhead ({}, batched): enabled {} vs disabled {} -> {:.2}%",
-            scale.label(),
-            fmt_ms(on.as_secs_f64() * 1e3),
-            fmt_ms(off.as_secs_f64() * 1e3),
-            pct
-        );
-        pct.max(0.0)
-    };
-
-    if let Some(path) = json {
-        let instruments = recloud_obs::global().snapshot();
-        let body = assess_bench_json(
-            rounds,
-            spec_label,
-            samples,
-            &groups,
-            &speedups,
-            obs_overhead_pct,
-            &instruments,
-        );
-        std::fs::write(path, body).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("wrote {path}");
-    }
-}
-
-/// Hand-rolled JSON encoding of the route-and-check benchmark results
-/// (the workspace has no serde; the shape is pinned by a test).
-fn assess_bench_json(
-    rounds: usize,
-    spec: &str,
-    samples: usize,
-    groups: &[AssessBenchGroup],
-    speedups: &[(String, f64)],
-    obs_overhead_pct: f64,
-    instruments: &recloud_obs::MetricsSnapshot,
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"benchmark\": \"assess-route-and-check\",\n");
-    s.push_str(&format!("  \"rounds\": {rounds},\n"));
-    s.push_str(&format!("  \"spec\": \"{spec}\",\n"));
-    s.push_str(&format!("  \"samples\": {samples},\n"));
-    s.push_str("  \"groups\": [\n");
-    for (i, g) in groups.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"scale\": \"{}\", \"mode\": \"{}\", \"median_ns\": {}, \"mad_ns\": {}, \
-             \"rounds_per_sec\": {:.1}, \"arena_bytes\": {}}}{}\n",
-            g.scale,
-            g.mode,
-            g.median.as_nanos(),
-            g.mad.as_nanos(),
-            g.rounds_per_sec,
-            g.arena_bytes,
-            if i + 1 < groups.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"speedups\": [\n");
-    for (i, (scale, x)) in speedups.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"scale\": \"{scale}\", \"batched_over_scalar\": {x:.2}}}{}\n",
-            if i + 1 < speedups.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!("  \"obs_overhead_pct\": {obs_overhead_pct:.2},\n"));
-    s.push_str(&format!("  \"instruments\": {}\n", instruments.to_json()));
-    s.push_str("}\n");
-    s
-}
-
-/// One measured phase of the serving benchmark.
-pub struct ServeBenchPhase {
-    /// "uncached" (fresh seed per request) or "cached" (identical requests).
-    pub phase: &'static str,
-    /// What the load generator measured.
-    pub report: recloud_server::LoadReport,
-}
-
-/// One streaming-overhead measurement: the same uncached request mix run
-/// over plain `AssessPlan` and over `AssessStream` at cadence 1 (a
-/// `Partial` frame per chunk — the worst case for framing overhead).
-pub struct StreamOverheadRow {
-    /// Route-and-check rounds per request.
-    pub rounds: u32,
-    /// The plain (non-streamed) run.
-    pub plain: recloud_server::LoadReport,
-    /// The streamed run.
-    pub streamed: recloud_server::LoadReport,
-}
-
-impl StreamOverheadRow {
-    /// Throughput lost to streaming, percent of the plain rate.
-    pub fn overhead_pct(&self) -> f64 {
-        if self.plain.throughput_rps <= 0.0 {
-            return 0.0;
-        }
-        100.0 * (1.0 - self.streamed.throughput_rps / self.plain.throughput_rps)
-    }
-}
-
-/// One connection-count frontier measurement: a fleet of idle
-/// connections is attached to the reactor, then the cached request mix
-/// re-runs and records its tail latency. Flat p99 across fleet sizes is
-/// the readiness-polling payoff — idle sockets cost the event loop a
-/// table entry, not a thread.
-pub struct ConnectionFrontierRow {
-    /// Idle connections attached while the probe mix ran.
-    pub connections: usize,
-    /// The cached probe mix under that fleet.
-    pub report: recloud_server::LoadReport,
-}
-
-/// The tenant-isolation measurement: a "hog" tenant saturating a budget
-/// of one inflight request while a "victim" tenant replays its cached
-/// mix. The hog absorbs `Busy` rejections; the victim's p99 should stay
-/// near its solo baseline.
-pub struct TenantIsolationRow {
-    /// Per-tenant admission budget the daemon ran with.
-    pub budget: usize,
-    /// The victim mix with the daemon to itself.
-    pub solo: recloud_server::LoadReport,
-    /// The same victim mix while the hog saturated its budget.
-    pub victim: recloud_server::LoadReport,
-    /// The hog's own report (mostly `Busy`).
-    pub hog: recloud_server::LoadReport,
-}
-
-/// One warm-start measurement: a store-backed daemon is populated with
-/// distinct-seed entries, dropped, and restarted on the same log.
-pub struct WarmStartRow {
-    /// Distinct assessments written to the store before the restart.
-    pub entries: usize,
-    /// Wall-clock spent in `Server::bind` replaying the log.
-    pub replay_ms: f64,
-    /// `store.replayed_total` after the restart.
-    pub replayed: u64,
-    /// Fraction of the identical post-restart request mix served as hits.
-    pub hit_rate: f64,
-}
-
-/// Bench: the placement-as-a-service daemon under client load — an
-/// in-process server on an ephemeral port, hit first with a cache-miss
-/// mix (every request a fresh master seed → every request runs the
-/// assessor) and then with a cache-hit mix (identical requests → after
-/// one miss the LRU cache answers everything). Prints a table and, with
-/// `json`, writes `BENCH_serve.json`.
-pub fn bench_serve(opts: &ReproOptions, json: Option<&str>) {
-    use recloud_server::{Client, LoadgenConfig, Server, ServerConfig};
-    head("Bench: placement-as-a-service daemon, uncached vs cached");
-    let rounds = 1_000u32;
-    let config =
-        ServerConfig { workers: ServerConfig::default().workers.min(4), ..ServerConfig::default() };
-    let server = Server::bind(("127.0.0.1", 0), config.clone()).expect("bind ephemeral port");
+/// Binds an in-process daemon on an ephemeral port, runs `drive` against
+/// its address while the daemon serves, then sends `Shutdown` and joins.
+fn with_daemon<T>(config: recloud_server::ServerConfig, drive: impl FnOnce(&str) -> T) -> T {
+    use recloud_server::{Client, Server};
+    let server = Server::bind(("127.0.0.1", 0), config).expect("bind ephemeral port");
     let addr = server.local_addr().to_string();
-    println!(
-        "server: {addr}, {} workers, queue {}, cache {}",
-        config.workers, config.queue_capacity, config.cache_capacity
-    );
-    let mut phases: Vec<ServeBenchPhase> = Vec::new();
-    let mut overhead: Vec<StreamOverheadRow> = Vec::new();
-    let mut frontier: Vec<ConnectionFrontierRow> = Vec::new();
-    let mut instruments = recloud_obs::MetricsSnapshot::default();
     std::thread::scope(|scope| {
         scope.spawn(|| server.run());
-        let base = LoadgenConfig {
-            addr: addr.clone(),
-            connections: 4,
-            preset: recloud_server::Preset::Tiny,
-            rounds,
-            seed: opts.seed,
-            ..LoadgenConfig::default()
-        };
-        let uncached = LoadgenConfig {
-            requests: if opts.quick { 200 } else { 600 },
-            distinct_seeds: true,
-            ..base.clone()
-        };
-        phases.push(ServeBenchPhase {
-            phase: "uncached",
-            report: recloud_server::run_load(&uncached).expect("uncached phase"),
-        });
-        let cached = LoadgenConfig {
-            requests: if opts.quick { 2_000 } else { 10_000 },
-            distinct_seeds: false,
-            ..base.clone()
-        };
-        phases.push(ServeBenchPhase {
-            phase: "cached",
-            report: recloud_server::run_load(&cached).expect("cached phase"),
-        });
-        // Streaming overhead: the same uncached mix plain vs streamed at
-        // cadence 1. Distinct base seeds per run keep both sides out of
-        // the result cache, so the comparison is pure framing cost.
-        for case_rounds in [10_000u32, 100_000] {
-            let requests = if opts.quick { 8 } else { 24 };
-            let plain_cfg = LoadgenConfig {
-                requests,
-                rounds: case_rounds,
-                distinct_seeds: true,
-                seed: opts.seed ^ (case_rounds as u64),
-                ..base.clone()
-            };
-            let stream_cfg = LoadgenConfig {
-                stream: true,
-                cadence: 1,
-                seed: plain_cfg.seed ^ 0x5151_5151,
-                ..plain_cfg.clone()
-            };
-            overhead.push(StreamOverheadRow {
-                rounds: case_rounds,
-                plain: recloud_server::run_load(&plain_cfg).expect("plain overhead phase"),
-                streamed: recloud_server::run_load(&stream_cfg).expect("streamed overhead phase"),
-            });
-        }
-        // Connection-count frontier: attach a fleet of idle clients,
-        // then re-run the cached mix. The reactor polls the idle
-        // sockets from its readiness table, so the probe's p99 should
-        // barely move between 1 and 1000 attached connections.
-        for fleet_size in [1usize, 64, 256, 1_000] {
-            let mut fleet = Vec::with_capacity(fleet_size);
-            for i in 0..fleet_size {
-                let mut c = Client::connect(&addr).expect("frontier fleet connect");
-                c.set_timeout(Some(Duration::from_secs(60))).expect("frontier fleet timeout");
-                assert_eq!(c.ping(i as u64).expect("frontier fleet ping"), i as u64);
-                fleet.push(c);
-            }
-            let probe = LoadgenConfig {
-                requests: if opts.quick { 500 } else { 2_000 },
-                distinct_seeds: false,
-                ..base.clone()
-            };
-            frontier.push(ConnectionFrontierRow {
-                connections: fleet_size,
-                report: recloud_server::run_load(&probe).expect("frontier probe"),
-            });
-            drop(fleet);
-        }
-        let mut client = Client::connect(&addr).expect("metrics connection");
-        instruments = client.metrics(0).expect("metrics frame").snapshot;
-        client.shutdown().expect("shutdown frame");
-    });
-    // Warm start: populate a store-backed daemon with a distinct-seed
-    // mix, drop it, time how long the restart spends replaying the log,
-    // then replay the identical mix — every request should come back as
-    // a hit without an assessor run.
-    let store_dir = std::env::temp_dir().join(format!("recloud-bench-warm-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&store_dir);
-    let entries = if opts.quick { 100 } else { 400 };
-    let store_config = ServerConfig { store_dir: Some(store_dir.clone()), ..config.clone() };
-    let fill = LoadgenConfig {
-        addr: String::new(), // patched per daemon below
-        requests: entries,
-        connections: 4,
-        preset: recloud_server::Preset::Tiny,
-        rounds,
-        seed: opts.seed ^ 0x57a7_57a7,
-        distinct_seeds: true,
+        let out = drive(&addr);
+        Client::connect(&addr).expect("shutdown connection").shutdown().expect("shutdown frame");
+        out
+    })
+}
+
+/// Not a paper figure: the two serving measurements `benchmark/` cannot
+/// own (its workloads hold 1–2 connections and one tenant). First the
+/// connection-count frontier — a fleet of idle connections is attached to
+/// the reactor and the cached request mix re-runs; flat p99 across fleet
+/// sizes is the readiness-polling payoff, an idle socket costs the event
+/// loop a table entry, not a thread. Then tenant isolation — a daemon
+/// pinned to one inflight request per tenant, a victim replaying its
+/// cached mix solo and again beside a hog flooding distinct-seed long
+/// assessments; the hog eats `Busy`, the victim's p99 should barely move.
+/// No store is opened and no file written.
+pub fn serve_frontier(opts: &ReproOptions) {
+    use recloud_server::{run_load, Client, LoadgenConfig, ServerConfig};
+    head("Serving: connection-count frontier and tenant isolation");
+    let config =
+        ServerConfig { workers: ServerConfig::default().workers.min(4), ..ServerConfig::default() };
+    println!(
+        "{} workers, queue {}, cache {}",
+        config.workers, config.queue_capacity, config.cache_capacity
+    );
+    let mix = LoadgenConfig {
+        requests: if opts.quick { 500 } else { 2_000 },
+        seed: opts.seed,
         ..LoadgenConfig::default()
     };
-    let populate = Server::bind(("127.0.0.1", 0), store_config.clone()).expect("bind store server");
-    let addr = populate.local_addr().to_string();
-    std::thread::scope(|scope| {
-        scope.spawn(|| populate.run());
-        recloud_server::run_load(&LoadgenConfig { addr: addr.clone(), ..fill.clone() })
-            .expect("populate phase");
-        let mut client = Client::connect(&addr).expect("populate connection");
-        client.shutdown().expect("populate shutdown");
-    });
-    let replay_start = std::time::Instant::now();
-    let warmed = Server::bind(("127.0.0.1", 0), store_config).expect("bind warmed server");
-    let replay_ms = replay_start.elapsed().as_secs_f64() * 1e3;
-    let addr = warmed.local_addr().to_string();
-    let mut warm_start: Vec<WarmStartRow> = Vec::new();
-    std::thread::scope(|scope| {
-        scope.spawn(|| warmed.run());
-        let report =
-            recloud_server::run_load(&LoadgenConfig { addr: addr.clone(), ..fill.clone() })
-                .expect("warm phase");
-        let mut client = Client::connect(&addr).expect("warm connection");
-        let snap = client.metrics(0).expect("warm metrics").snapshot;
-        client.shutdown().expect("warm shutdown");
-        warm_start.push(WarmStartRow {
-            entries,
-            replay_ms,
-            replayed: snap.counter("store.replayed_total").unwrap_or(0),
-            hit_rate: report.cached as f64 / report.ok.max(1) as f64,
-        });
-    });
-    let _ = std::fs::remove_dir_all(&store_dir);
-    // Tenant isolation: a daemon pinned to one inflight request per
-    // tenant. The victim records a solo baseline, then replays the same
-    // mix while a hog tenant floods distinct-seed long assessments —
-    // the hog eats `Busy`, the victim's tail should barely move.
-    let budget = 1usize;
-    let tenant_config = ServerConfig { tenant_budget: Some(budget), ..config.clone() };
-    let tenant_server = Server::bind(("127.0.0.1", 0), tenant_config).expect("bind tenant server");
-    let addr = tenant_server.local_addr().to_string();
-    let mut isolation: Option<TenantIsolationRow> = None;
-    std::thread::scope(|scope| {
-        scope.spawn(|| tenant_server.run());
-        let victim = LoadgenConfig {
-            addr: addr.clone(),
-            requests: if opts.quick { 500 } else { 2_000 },
-            connections: 2,
-            preset: recloud_server::Preset::Tiny,
-            rounds,
-            seed: opts.seed ^ 0x7e4a_7e4a,
-            tenant: Some("victim".into()),
-            ..LoadgenConfig::default()
-        };
-        let solo = recloud_server::run_load(&victim).expect("victim solo phase");
-        let hog = LoadgenConfig {
-            requests: if opts.quick { 64 } else { 128 },
-            connections: 4,
-            rounds: if opts.quick { 50_000 } else { 100_000 },
-            distinct_seeds: true,
-            seed: opts.seed ^ 0x9099_9099,
-            tenant: Some("hog".into()),
-            ..victim.clone()
-        };
-        let hog_handle = scope.spawn(move || recloud_server::run_load(&hog).expect("hog phase"));
-        std::thread::sleep(Duration::from_millis(50));
-        let contended = recloud_server::run_load(&victim).expect("victim contended phase");
-        let hog_report = hog_handle.join().expect("hog thread");
-        let mut client = Client::connect(&addr).expect("tenant shutdown connection");
-        client.shutdown().expect("tenant shutdown");
-        isolation = Some(TenantIsolationRow { budget, solo, victim: contended, hog: hog_report });
-    });
-    let isolation = isolation.expect("tenant isolation row");
-    let mut t = TextTable::new(vec!["phase", "ok", "cached", "busy", "req/s", "p50", "p95"]);
-    for p in &phases {
-        let r = &p.report;
-        t.row(vec![
-            p.phase.to_string(),
-            r.ok.to_string(),
-            r.cached.to_string(),
-            r.busy.to_string(),
-            format!("{:.0}", r.throughput_rps),
-            format!("{} us", r.p50_us),
-            format!("{} us", r.p95_us),
-        ]);
-    }
-    t.print();
-    let mut t =
-        TextTable::new(vec!["rounds", "plain req/s", "stream req/s", "partials/req", "overhead"]);
-    for row in &overhead {
-        t.row(vec![
-            row.rounds.to_string(),
-            format!("{:.0}", row.plain.throughput_rps),
-            format!("{:.0}", row.streamed.throughput_rps),
-            format!("{:.0}", row.streamed.partials as f64 / row.streamed.ok.max(1) as f64),
-            format!("{:.1}%", row.overhead_pct()),
-        ]);
-    }
-    t.print();
     let mut t = TextTable::new(vec!["idle conns", "ok", "req/s", "p50", "p95", "p99"]);
-    for row in &frontier {
-        let r = &row.report;
-        t.row(vec![
-            row.connections.to_string(),
-            r.ok.to_string(),
-            format!("{:.0}", r.throughput_rps),
-            format!("{} us", r.p50_us),
-            format!("{} us", r.p95_us),
-            format!("{} us", r.p99_us),
-        ]);
-    }
+    with_daemon(config.clone(), |addr| {
+        for fleet_size in [1usize, 64, 256, 1_000] {
+            let fleet: Vec<Client> = (0..fleet_size as u64)
+                .map(|i| {
+                    let mut c = Client::connect(addr).expect("frontier fleet connect");
+                    c.set_timeout(Some(Duration::from_secs(60))).expect("frontier fleet timeout");
+                    assert_eq!(c.ping(i).expect("frontier fleet ping"), i);
+                    c
+                })
+                .collect();
+            let r = run_load(&LoadgenConfig { addr: addr.into(), ..mix.clone() })
+                .expect("frontier probe");
+            drop(fleet);
+            t.row(vec![
+                fleet_size.to_string(),
+                r.ok.to_string(),
+                format!("{:.0}", r.throughput_rps),
+                format!("{} us", r.p50_us),
+                format!("{} us", r.p95_us),
+                format!("{} us", r.p99_us),
+            ]);
+        }
+    });
     t.print();
-    println!(
-        "tenant isolation (budget {}): victim p99 {} us solo -> {} us contended; \
-         hog {} served / {} busy",
-        isolation.budget,
-        isolation.solo.p99_us,
-        isolation.victim.p99_us,
-        isolation.hog.ok,
-        isolation.hog.busy
-    );
-    let hits = instruments.counter("server.cache_hits_total").unwrap_or(0);
-    let misses = instruments.counter("server.cache_misses_total").unwrap_or(0);
-    println!(
-        "server cache: {hits} hits / {misses} misses (hit rate {:.1}%)",
-        100.0 * hits as f64 / (hits + misses).max(1) as f64
-    );
-    for w in &warm_start {
-        println!(
-            "warm start: {} entries replayed in {:.1} ms ({} ops), post-restart hit rate {:.1}%",
-            w.entries,
-            w.replay_ms,
-            w.replayed,
-            100.0 * w.hit_rate
-        );
-    }
-    if let Some(path) = json {
-        let body = serve_bench_json(
-            rounds,
-            config.workers,
-            &phases,
-            &overhead,
-            &frontier,
-            &isolation,
-            &warm_start,
-            &instruments,
-        );
-        std::fs::write(path, body).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("wrote {path}");
-    }
-}
 
-/// Hand-rolled JSON encoding of the serving benchmark (shape pinned by a
-/// test, like `assess_bench_json`).
-#[allow(clippy::too_many_arguments)]
-fn serve_bench_json(
-    rounds: u32,
-    workers: usize,
-    phases: &[ServeBenchPhase],
-    overhead: &[StreamOverheadRow],
-    frontier: &[ConnectionFrontierRow],
-    isolation: &TenantIsolationRow,
-    warm_start: &[WarmStartRow],
-    instruments: &recloud_obs::MetricsSnapshot,
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"benchmark\": \"serve\",\n");
-    s.push_str("  \"preset\": \"Tiny\",\n");
-    s.push_str(&format!("  \"rounds\": {rounds},\n"));
-    s.push_str(&format!("  \"workers\": {workers},\n"));
-    s.push_str("  \"phases\": [\n");
-    for (i, p) in phases.iter().enumerate() {
-        let r = &p.report;
-        s.push_str(&format!(
-            "    {{\"phase\": \"{}\", \"ok\": {}, \"cached\": {}, \"busy\": {}, \
-             \"errors\": {}, \"throughput_rps\": {:.1}, \"p50_us\": {}, \"p95_us\": {}, \
-             \"p99_us\": {}}}{}\n",
-            p.phase,
-            r.ok,
-            r.cached,
-            r.busy,
-            r.errors,
-            r.throughput_rps,
-            r.p50_us,
-            r.p95_us,
-            r.p99_us,
-            if i + 1 < phases.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"stream_overhead\": [\n");
-    for (i, row) in overhead.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"rounds\": {}, \"plain_rps\": {:.1}, \"stream_rps\": {:.1}, \
-             \"partials_per_request\": {:.1}, \"overhead_pct\": {:.2}}}{}\n",
-            row.rounds,
-            row.plain.throughput_rps,
-            row.streamed.throughput_rps,
-            row.streamed.partials as f64 / row.streamed.ok.max(1) as f64,
-            row.overhead_pct(),
-            if i + 1 < overhead.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"connection_frontier\": [\n");
-    for (i, row) in frontier.iter().enumerate() {
-        let r = &row.report;
-        s.push_str(&format!(
-            "    {{\"connections\": {}, \"ok\": {}, \"throughput_rps\": {:.1}, \
-             \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}}}{}\n",
-            row.connections,
-            r.ok,
-            r.throughput_rps,
-            r.p50_us,
-            r.p95_us,
-            r.p99_us,
-            if i + 1 < frontier.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"tenant_isolation\": {{\"budget\": {}, \"solo_p99_us\": {}, \
-         \"contended_p99_us\": {}, \"victim_busy\": {}, \"hog_ok\": {}, \"hog_busy\": {}}},\n",
-        isolation.budget,
-        isolation.solo.p99_us,
-        isolation.victim.p99_us,
-        isolation.victim.busy,
-        isolation.hog.ok,
-        isolation.hog.busy
-    ));
-    s.push_str("  \"warm_start\": [\n");
-    for (i, w) in warm_start.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"entries\": {}, \"replay_ms\": {:.2}, \"replayed_ops\": {}, \
-             \"hit_rate\": {:.4}}}{}\n",
-            w.entries,
-            w.replay_ms,
-            w.replayed,
-            w.hit_rate,
-            if i + 1 < warm_start.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    // Cache totals come from the daemon's instrument counters.
-    let hits = instruments.counter("server.cache_hits_total").unwrap_or(0);
-    let misses = instruments.counter("server.cache_misses_total").unwrap_or(0);
-    s.push_str(&format!(
-        "  \"cache\": {{\"hits\": {hits}, \"misses\": {misses}, \"hit_rate\": {:.4}}},\n",
-        hits as f64 / (hits + misses).max(1) as f64
-    ));
-    s.push_str(&format!("  \"instruments\": {}\n", instruments.to_json()));
-    s.push_str("}\n");
-    s
-}
-
-/// One chain-count group of the parallel-search benchmark.
-pub struct SearchBenchGroup {
-    /// Population size.
-    pub chains: usize,
-    /// Plans assessed across the whole population.
-    pub plans: u64,
-    /// Plans assessed per wall-clock second.
-    pub plans_per_sec: f64,
-    /// Best reliability the population reached.
-    pub best_reliability: f64,
-    /// Wall-clock of the whole search.
-    pub elapsed: Duration,
-}
-
-/// Exchange-overhead measurement: the same deterministic iteration
-/// budget run with best-plan exchange on (the default cadence) and off
-/// (`exchange_every = 0`, independent restarts). The difference is the
-/// pure cost of the coordinator rendezvous.
-pub struct ExchangeOverhead {
-    /// Population size of both runs.
-    pub chains: usize,
-    /// Per-chain iteration budget of both runs.
-    pub iters: usize,
-    /// Wall-clock with the default exchange cadence.
-    pub with_exchange: Duration,
-    /// Wall-clock with exchange disabled.
-    pub without_exchange: Duration,
-}
-
-impl ExchangeOverhead {
-    /// Rendezvous cost, percent of the exchange-free wall-clock. Noise
-    /// can push the raw value slightly negative; that clamps to 0.
-    pub fn overhead_pct(&self) -> f64 {
-        let base = self.without_exchange.as_secs_f64().max(1e-12);
-        (100.0 * (self.with_exchange.as_secs_f64() - base) / base).max(0.0)
-    }
-}
-
-/// Bench: the population-based parallel annealer — plans assessed per
-/// second at 1/2/4 chains under the same wall-clock budget, plus the
-/// best-plan-exchange overhead at a fixed iteration budget. Prints a
-/// table and, with `json`, writes `BENCH_search.json`. The 1→4 chain
-/// scaling target (≥ 3×) needs ≥ 4 hardware threads; the recorded
-/// available parallelism makes the snapshot interpretable either way
-/// (same posture as Fig 12, see DESIGN.md).
-pub fn bench_search(opts: &ReproOptions, json: Option<&str>) {
-    use recloud_search::{ParallelSearchConfig, ParallelSearcher};
-    head("Bench: population-based parallel annealing, plans/s by chain count");
-    let rounds = if opts.quick { 1_000 } else { 2_000 };
-    let budget_ms: u64 = if opts.quick { 250 } else { 1_000 };
-    let spec_label = "2-of-3";
-    let spec = ApplicationSpec::k_of_n(2, 3);
-    let parallelism = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let (topo, model) = paper_env(Scale::Tiny, opts.seed);
-    println!(
-        "preset: Tiny, spec: {spec_label}, rounds: {rounds}, budget: {budget_ms} ms, \
-         available parallelism: {parallelism}"
-    );
-
-    let mut groups: Vec<SearchBenchGroup> = Vec::new();
-    for chains in [1usize, 2, 4] {
-        let searcher = ParallelSearcher::new(&topo, model.clone());
-        let base = SearchConfig {
-            budget: SearchBudget::WallClock(Duration::from_millis(budget_ms)),
-            rounds,
-            ..SearchConfig::paper_default(opts.seed)
-        };
-        let config = ParallelSearchConfig::new(chains, base);
-        let outcome = searcher.search(&spec, &ReliabilityObjective, &config, None, None);
-        groups.push(SearchBenchGroup {
-            chains,
-            plans: outcome.combined.plans_assessed as u64,
-            plans_per_sec: outcome.combined.plans_assessed as f64
-                / outcome.elapsed.as_secs_f64().max(1e-9),
-            best_reliability: outcome.best.best_reliability,
-            elapsed: outcome.elapsed,
+    let budget = 1usize;
+    let (solo, contended, hog) =
+        with_daemon(ServerConfig { tenant_budget: Some(budget), ..config }, |addr| {
+            let victim = LoadgenConfig {
+                addr: addr.into(),
+                connections: 2,
+                seed: opts.seed ^ 0x7e4a_7e4a,
+                tenant: Some("victim".into()),
+                ..mix.clone()
+            };
+            let hog = LoadgenConfig {
+                requests: if opts.quick { 64 } else { 128 },
+                connections: 4,
+                rounds: if opts.quick { 50_000 } else { 100_000 },
+                distinct_seeds: true,
+                seed: opts.seed ^ 0x9099_9099,
+                tenant: Some("hog".into()),
+                ..victim.clone()
+            };
+            let solo = run_load(&victim).expect("victim solo phase");
+            std::thread::scope(|scope| {
+                let hog = scope.spawn(move || run_load(&hog).expect("hog phase"));
+                std::thread::sleep(Duration::from_millis(50));
+                let contended = run_load(&victim).expect("victim contended phase");
+                (solo, contended, hog.join().expect("hog thread"))
+            })
         });
-    }
-    let mut t = TextTable::new(vec!["chains", "plans", "plans/s", "best R", "elapsed", "vs 1"]);
-    for g in &groups {
-        t.row(vec![
-            g.chains.to_string(),
-            g.plans.to_string(),
-            format!("{:.0}", g.plans_per_sec),
-            format!("{:.5}", g.best_reliability),
-            fmt_ms(g.elapsed.as_secs_f64() * 1e3),
-            format!("{:.2}x", g.plans as f64 / groups[0].plans.max(1) as f64),
-        ]);
-    }
-    t.print();
-    let scaling = groups.last().unwrap().plans as f64 / groups[0].plans.max(1) as f64;
     println!(
-        "4-chain over 1-chain plans: {scaling:.2}x (the >= 3x target needs >= 4 hardware \
-         threads; this machine has {parallelism})"
+        "tenant isolation (budget {budget}): victim p99 {} us solo -> {} us contended; \
+         hog {} served / {} busy",
+        solo.p99_us, contended.p99_us, hog.ok, hog.busy
     );
-
-    // Exchange overhead: identical deterministic budgets, rendezvous on
-    // vs off; the minimum of a few runs filters scheduler interference.
-    let iters = if opts.quick { 150 } else { 400 };
-    let exchange_samples = if opts.quick { 2 } else { 3 };
-    let time_exchange = |exchange_every: usize| {
-        let searcher = ParallelSearcher::new(&topo, model.clone());
-        let base = SearchConfig {
-            budget: SearchBudget::Iterations(iters),
-            rounds,
-            ..SearchConfig::paper_default(opts.seed)
-        };
-        let mut config = ParallelSearchConfig::new(4, base);
-        config.exchange_every = exchange_every;
-        (0..exchange_samples)
-            .map(|_| searcher.search(&spec, &ReliabilityObjective, &config, None, None).elapsed)
-            .min()
-            .unwrap()
-    };
-    let exchange = ExchangeOverhead {
-        chains: 4,
-        iters,
-        with_exchange: time_exchange(ParallelSearchConfig::DEFAULT_EXCHANGE_EVERY),
-        without_exchange: time_exchange(0),
-    };
-    println!(
-        "exchange overhead (4 chains, {iters} iters each): with {} vs without {} -> {:.1}%",
-        fmt_ms(exchange.with_exchange.as_secs_f64() * 1e3),
-        fmt_ms(exchange.without_exchange.as_secs_f64() * 1e3),
-        exchange.overhead_pct()
-    );
-
-    if let Some(path) = json {
-        let instruments = recloud_obs::global().snapshot();
-        let body = search_bench_json(
-            rounds,
-            spec_label,
-            budget_ms,
-            parallelism,
-            &groups,
-            scaling,
-            &exchange,
-            &instruments,
-        );
-        std::fs::write(path, body).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("wrote {path}");
-    }
-}
-
-/// Hand-rolled JSON encoding of the parallel-search benchmark (shape
-/// pinned by a test, like `assess_bench_json`).
-#[allow(clippy::too_many_arguments)]
-fn search_bench_json(
-    rounds: usize,
-    spec: &str,
-    budget_ms: u64,
-    parallelism: usize,
-    groups: &[SearchBenchGroup],
-    scaling: f64,
-    exchange: &ExchangeOverhead,
-    instruments: &recloud_obs::MetricsSnapshot,
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"benchmark\": \"search-parallel-annealing\",\n");
-    s.push_str("  \"preset\": \"Tiny\",\n");
-    s.push_str(&format!("  \"spec\": \"{spec}\",\n"));
-    s.push_str(&format!("  \"rounds\": {rounds},\n"));
-    s.push_str(&format!("  \"budget_ms\": {budget_ms},\n"));
-    s.push_str(&format!("  \"available_parallelism\": {parallelism},\n"));
-    s.push_str("  \"groups\": [\n");
-    for (i, g) in groups.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"chains\": {}, \"plans\": {}, \"plans_per_sec\": {:.1}, \
-             \"best_reliability\": {:.6}, \"elapsed_ms\": {:.1}}}{}\n",
-            g.chains,
-            g.plans,
-            g.plans_per_sec,
-            g.best_reliability,
-            g.elapsed.as_secs_f64() * 1e3,
-            if i + 1 < groups.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!("  \"scaling_4_over_1\": {scaling:.2},\n"));
-    s.push_str(&format!(
-        "  \"exchange\": {{\"chains\": {}, \"iters\": {}, \"with_exchange_ms\": {:.1}, \
-         \"without_exchange_ms\": {:.1}, \"overhead_pct\": {:.2}}},\n",
-        exchange.chains,
-        exchange.iters,
-        exchange.with_exchange.as_secs_f64() * 1e3,
-        exchange.without_exchange.as_secs_f64() * 1e3,
-        exchange.overhead_pct()
-    ));
-    s.push_str(&format!("  \"instruments\": {}\n", instruments.to_json()));
-    s.push_str("}\n");
-    s
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn assess_bench_json_shape_is_stable() {
-        let groups = vec![
-            AssessBenchGroup {
-                scale: "Tiny".into(),
-                mode: "scalar".into(),
-                median: Duration::from_nanos(1_500),
-                mad: Duration::from_nanos(20),
-                rounds_per_sec: 100.0,
-                arena_bytes: 123_456,
-            },
-            AssessBenchGroup {
-                scale: "Tiny".into(),
-                mode: "batched".into(),
-                median: Duration::from_nanos(500),
-                mad: Duration::from_nanos(10),
-                rounds_per_sec: 300.0,
-                arena_bytes: 123_456,
-            },
-        ];
-        let speedups = vec![("Tiny".to_string(), 3.0)];
-        let r = recloud_obs::Registry::new();
-        r.counter("assess.rounds_total").add(20_000);
-        r.histogram("assess.total_us").record(1_250);
-        let body = assess_bench_json(10_000, "4-of-5", 9, &groups, &speedups, 0.37, &r.snapshot());
-        assert!(body.starts_with("{\n"));
-        assert!(body.ends_with("}\n"));
-        assert!(body.contains("\"benchmark\": \"assess-route-and-check\""));
-        assert!(body.contains("\"median_ns\": 1500"));
-        assert!(body.contains("\"arena_bytes\": 123456"));
-        assert!(body.contains("\"batched_over_scalar\": 3.00"));
-        assert!(body.contains("\"obs_overhead_pct\": 0.37"));
-        assert!(body.contains("\"instruments\": {\"counters\":{"));
-        assert!(body.contains("\"assess.rounds_total\":20000"));
-        assert!(body.contains("\"assess.total_us\":{\"count\":1"));
-        // Balanced braces/brackets — the cheap no-serde well-formedness check.
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(
-                body.matches(open).count(),
-                body.matches(close).count(),
-                "unbalanced {open}{close}"
-            );
-        }
-        // Exactly one JSON object per group plus the two speedup/top objects.
-        assert_eq!(body.matches("\"mode\"").count(), 2);
-    }
-
-    #[test]
-    fn search_bench_json_shape_is_stable() {
-        let groups = vec![
-            SearchBenchGroup {
-                chains: 1,
-                plans: 420,
-                plans_per_sec: 420.0,
-                best_reliability: 0.999_25,
-                elapsed: Duration::from_millis(1_000),
-            },
-            SearchBenchGroup {
-                chains: 4,
-                plans: 1_400,
-                plans_per_sec: 1_400.0,
-                best_reliability: 0.999_31,
-                elapsed: Duration::from_millis(1_000),
-            },
-        ];
-        let exchange = ExchangeOverhead {
-            chains: 4,
-            iters: 400,
-            with_exchange: Duration::from_millis(210),
-            without_exchange: Duration::from_millis(200),
-        };
-        let r = recloud_obs::Registry::new();
-        r.counter("search.plans_assessed_total").add(1_820);
-        let body =
-            search_bench_json(2_000, "2-of-3", 1_000, 4, &groups, 3.33, &exchange, &r.snapshot());
-        assert!(body.starts_with("{\n"));
-        assert!(body.ends_with("}\n"));
-        assert!(body.contains("\"benchmark\": \"search-parallel-annealing\""));
-        assert!(body.contains("\"available_parallelism\": 4"));
-        assert!(body.contains("\"chains\": 1, \"plans\": 420"));
-        assert!(body.contains("\"scaling_4_over_1\": 3.33"));
-        assert!(body.contains("\"with_exchange_ms\": 210.0"));
-        assert!(body.contains("\"overhead_pct\": 5.00"));
-        assert!(body.contains("\"search.plans_assessed_total\":1820"));
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(
-                body.matches(open).count(),
-                body.matches(close).count(),
-                "unbalanced {open}{close}"
-            );
-        }
-        assert_eq!(body.matches("\"chains\":").count(), 3, "two groups + the exchange block");
-    }
-
-    #[test]
-    fn exchange_overhead_clamps_noise_to_zero() {
-        let e = ExchangeOverhead {
-            chains: 4,
-            iters: 100,
-            with_exchange: Duration::from_millis(95),
-            without_exchange: Duration::from_millis(100),
-        };
-        assert_eq!(e.overhead_pct(), 0.0);
-    }
-
-    #[test]
-    fn serve_bench_json_shape_is_stable() {
-        let phases = vec![
-            ServeBenchPhase {
-                phase: "uncached",
-                report: recloud_server::LoadReport {
-                    sent: 600,
-                    ok: 600,
-                    cached: 0,
-                    busy: 0,
-                    errors: 0,
-                    partials: 0,
-                    elapsed: Duration::from_secs(1),
-                    throughput_rps: 600.0,
-                    p50_us: 1_500,
-                    p95_us: 4_000,
-                    p99_us: 6_000,
-                },
-            },
-            ServeBenchPhase {
-                phase: "cached",
-                report: recloud_server::LoadReport {
-                    sent: 10_000,
-                    ok: 10_000,
-                    cached: 9_999,
-                    busy: 0,
-                    errors: 0,
-                    partials: 0,
-                    elapsed: Duration::from_secs(1),
-                    throughput_rps: 10_000.0,
-                    p50_us: 80,
-                    p95_us: 200,
-                    p99_us: 300,
-                },
-            },
-        ];
-        let overhead = vec![StreamOverheadRow {
-            rounds: 10_000,
-            plain: recloud_server::LoadReport {
-                sent: 24,
-                ok: 24,
-                throughput_rps: 200.0,
-                ..Default::default()
-            },
-            streamed: recloud_server::LoadReport {
-                sent: 24,
-                ok: 24,
-                partials: 96,
-                throughput_rps: 190.0,
-                ..Default::default()
-            },
-        }];
-        let frontier = vec![
-            ConnectionFrontierRow {
-                connections: 1,
-                report: recloud_server::LoadReport {
-                    ok: 2_000,
-                    throughput_rps: 9_000.0,
-                    p50_us: 90,
-                    p95_us: 210,
-                    p99_us: 320,
-                    ..Default::default()
-                },
-            },
-            ConnectionFrontierRow {
-                connections: 1_000,
-                report: recloud_server::LoadReport {
-                    ok: 2_000,
-                    throughput_rps: 8_500.0,
-                    p50_us: 95,
-                    p95_us: 230,
-                    p99_us: 410,
-                    ..Default::default()
-                },
-            },
-        ];
-        let isolation = TenantIsolationRow {
-            budget: 1,
-            solo: recloud_server::LoadReport { ok: 2_000, p99_us: 300, ..Default::default() },
-            victim: recloud_server::LoadReport { ok: 2_000, p99_us: 450, ..Default::default() },
-            hog: recloud_server::LoadReport {
-                ok: 30,
-                busy: 98,
-                p99_us: 120_000,
-                ..Default::default()
-            },
-        };
-        let warm_start =
-            vec![WarmStartRow { entries: 400, replay_ms: 12.5, replayed: 400, hit_rate: 1.0 }];
-        let r = recloud_obs::Registry::new();
-        r.counter("server.requests_total").add(10_601);
-        r.counter("server.cache_hits_total").add(9_999);
-        r.counter("server.cache_misses_total").add(601);
-        r.histogram("server.latency_us.assess").record(80);
-        let body = serve_bench_json(
-            1_000,
-            4,
-            &phases,
-            &overhead,
-            &frontier,
-            &isolation,
-            &warm_start,
-            &r.snapshot(),
-        );
-        assert!(body.starts_with("{\n"));
-        assert!(body.ends_with("}\n"));
-        assert!(body.contains("\"benchmark\": \"serve\""));
-        assert!(body.contains("\"phase\": \"uncached\""));
-        assert!(body.contains("\"phase\": \"cached\""));
-        assert!(body.contains("\"throughput_rps\": 10000.0"));
-        assert!(body.contains(
-            "{\"rounds\": 10000, \"plain_rps\": 200.0, \"stream_rps\": 190.0, \
-             \"partials_per_request\": 4.0, \"overhead_pct\": 5.00}"
-        ));
-        assert!(body.contains(
-            "{\"entries\": 400, \"replay_ms\": 12.50, \"replayed_ops\": 400, \"hit_rate\": 1.0000}"
-        ));
-        assert!(body.contains(
-            "{\"connections\": 1000, \"ok\": 2000, \"throughput_rps\": 8500.0, \
-             \"p50_us\": 95, \"p95_us\": 230, \"p99_us\": 410}"
-        ));
-        assert!(body.contains(
-            "\"tenant_isolation\": {\"budget\": 1, \"solo_p99_us\": 300, \
-             \"contended_p99_us\": 450, \"victim_busy\": 0, \"hog_ok\": 30, \"hog_busy\": 98}"
-        ));
-        assert!(body.contains("\"hits\": 9999"));
-        assert!(body.contains("\"misses\": 601"));
-        assert!(body.contains("\"instruments\": {\"counters\":{"));
-        assert!(body.contains("\"server.requests_total\":10601"));
-        assert!(body.contains("\"server.latency_us.assess\":{\"count\":1"));
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(
-                body.matches(open).count(),
-                body.matches(close).count(),
-                "unbalanced {open}{close}"
-            );
-        }
-        assert_eq!(body.matches("\"phase\"").count(), 2);
-    }
 }

@@ -1,13 +1,11 @@
-//! Shared harness for the reproduction benchmarks.
+//! Regenerates every table and figure of the paper's evaluation (§4).
 //!
-//! Everything the `repro` binary and the micro-benchmarks have in common:
-//! the paper's evaluation environment (§4.1), the four K-of-N redundancy
-//! settings, simple aligned-table printing, timing helpers, and the
-//! from-scratch criterion-style bench harness ([`harness`]) that keeps the
-//! workspace free of external dependencies.
+//! [`figures`] holds one function per table/figure; this module holds
+//! what they share: the paper's evaluation environment (§4.1), the four
+//! K-of-N redundancy settings, aligned-table printing and a wall-clock
+//! helper. Performance is measured in `benchmark/`, not here.
 
 pub mod figures;
-pub mod harness;
 
 use recloud_apps::ApplicationSpec;
 use recloud_faults::FaultModel;

@@ -24,10 +24,6 @@
 //! the serving daemon owns a private registry per server instance so
 //! tests can assert exact counter deltas. Snapshots of both merge into
 //! one [`MetricsSnapshot`] for the RCS1 `MetricsDump` frame.
-//!
-//! A process-wide kill switch ([`set_enabled`]) turns every record path
-//! into a single relaxed atomic load + branch; the bench harness uses it
-//! to measure instrumentation overhead against the uninstrumented path.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -48,25 +44,7 @@ pub use trace::{
     current_span, intern_kind, tracer, with_current_span, SpanCtx, SpanRecord, Tracer,
 };
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// Process-wide instrument kill switch (default: enabled).
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Returns whether instruments currently record anything.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Enable or disable every instrument in the process.
-///
-/// With instruments disabled each record path reduces to one relaxed
-/// atomic load and a branch; `repro bench-assess` measures the
-/// enabled-vs-disabled delta and reports it as `obs_overhead_pct`.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A small dense per-thread ordinal (0, 1, 2, ...) used to tag journal
 /// events and pick counter shards. Unlike `std::thread::ThreadId`, it is
@@ -119,11 +97,6 @@ mod tests {
         let other = std::thread::spawn(thread_ordinal).join().unwrap();
         assert_ne!(mine, other);
     }
-
-    // NOTE: the kill-switch (`set_enabled`) is exercised in
-    // tests/overhead.rs, which serializes every test touching the
-    // process-wide flag; toggling it here would race with the other
-    // unit tests in this binary.
 
     #[test]
     fn json_string_escaping_covers_control_characters() {

@@ -41,12 +41,9 @@ impl Counter {
         Self::default()
     }
 
-    /// Adds `n` to the counter. No-op while instruments are disabled.
+    /// Adds `n` to the counter.
     #[inline]
     pub fn add(&self, n: u64) {
-        if !crate::enabled() {
-            return;
-        }
         let shard = (thread_ordinal() as usize) & (SHARDS - 1);
         self.shards[shard].0.fetch_add(n, Ordering::Relaxed);
     }
@@ -75,22 +72,15 @@ impl Gauge {
         Self::default()
     }
 
-    /// Sets the gauge to an absolute value. No-op while instruments
-    /// are disabled, like every other record path.
+    /// Sets the gauge to an absolute value.
     #[inline]
     pub fn set(&self, v: i64) {
-        if !crate::enabled() {
-            return;
-        }
         self.value.store(v, Ordering::Relaxed);
     }
 
     /// Adds a (possibly negative) delta.
     #[inline]
     pub fn add(&self, delta: i64) {
-        if !crate::enabled() {
-            return;
-        }
         self.value.fetch_add(delta, Ordering::Relaxed);
     }
 
@@ -151,12 +141,9 @@ impl Histogram {
         Self::default()
     }
 
-    /// Records one value. No-op while instruments are disabled.
+    /// Records one value.
     #[inline]
     pub fn record(&self, v: u64) {
-        if !crate::enabled() {
-            return;
-        }
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
@@ -203,8 +190,7 @@ impl LocalHistogram {
         Self::default()
     }
 
-    /// Records one value (plain arithmetic, no atomics, no gating —
-    /// callers batch only while instruments are enabled).
+    /// Records one value (plain arithmetic, no atomics).
     #[inline]
     pub fn record(&mut self, v: u64) {
         self.buckets[bucket_of(v)] += 1;
@@ -219,8 +205,6 @@ impl LocalHistogram {
     }
 
     /// Adds the whole batch to `target` and resets the accumulator.
-    /// Unconditional (no kill-switch check): the data was gathered
-    /// while instruments were enabled, the flush is just transport.
     pub fn flush_into(&mut self, target: &Histogram) {
         if self.count == 0 {
             return;

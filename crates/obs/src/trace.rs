@@ -126,8 +126,7 @@ struct TracerInner {
 
 /// Fixed-capacity span storage shared by every layer in the process.
 ///
-/// All methods are cheap no-ops while instruments are disabled
-/// ([`crate::set_enabled`]) or when the trace id is 0 / unknown, so
+/// All methods are cheap no-ops when the trace id is 0 / unknown, so
 /// untraced requests pay only a branch.
 pub struct Tracer {
     inner: Mutex<TracerInner>,
@@ -160,7 +159,7 @@ impl Tracer {
     /// for a live trace keeps the existing slot and its id counter, so
     /// in-process client+server pairs share one id sequence.
     pub fn begin(&self, trace_id: u64, id_base: u32) {
-        if trace_id == 0 || !crate::enabled() {
+        if trace_id == 0 {
             return;
         }
         let mut inner = self.inner.lock().unwrap();
@@ -195,7 +194,7 @@ impl Tracer {
 
     /// Closes an open span, optionally setting its `(v0, v1)` tags.
     pub fn end_with(&self, trace_id: u64, span: u32, tags: Option<(u64, u64)>) {
-        if trace_id == 0 || span == 0 || !crate::enabled() {
+        if trace_id == 0 || span == 0 {
             return;
         }
         let end_us = now_us();
@@ -238,7 +237,7 @@ impl Tracer {
         v0: u64,
         v1: u64,
     ) -> u32 {
-        if trace_id == 0 || !crate::enabled() {
+        if trace_id == 0 {
             return 0;
         }
         let mut inner = self.inner.lock().unwrap();
@@ -258,7 +257,7 @@ impl Tracer {
     /// Merges externally recorded spans (a client's TraceUpload) into
     /// the trace, keeping their ids as sent. Ignores unknown traces.
     pub fn absorb(&self, trace_id: u64, spans: &[SpanRecord]) {
-        if trace_id == 0 || !crate::enabled() {
+        if trace_id == 0 {
             return;
         }
         let mut inner = self.inner.lock().unwrap();
@@ -277,7 +276,7 @@ impl Tracer {
     /// Marks the trace complete; it becomes the "latest finished" trace
     /// that [`Tracer::latest_finished`] reports.
     pub fn finish(&self, trace_id: u64) {
-        if trace_id == 0 || !crate::enabled() {
+        if trace_id == 0 {
             return;
         }
         let mut inner = self.inner.lock().unwrap();

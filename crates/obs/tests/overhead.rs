@@ -2,14 +2,11 @@
 //! record, journal record) must be lock-free and allocation-free so
 //! instrumentation cannot silently regress the bit-sliced kernel
 //! speedup. A counting global allocator proves the "no `Box`/`Vec` in
-//! the record path" claim; the kill-switch semantics are exercised
-//! here too because they mutate process-global state (every test in
-//! this binary that touches it serializes on one mutex).
+//! the record path" claim.
 
-use recloud_obs::{Counter, Gauge, Histogram, Journal, Registry};
+use recloud_obs::{Counter, Histogram, Journal, Registry};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Mutex;
 
 struct CountingAlloc;
 
@@ -40,9 +37,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Serializes the tests that flip the process-wide enable flag.
-static SERIAL: Mutex<()> = Mutex::new(());
-
 fn allocations_during(f: impl FnOnce()) -> u64 {
     let before = TL_ALLOCATIONS.with(Cell::get);
     f();
@@ -51,7 +45,6 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn record_paths_do_not_allocate() {
-    let _guard = SERIAL.lock().unwrap();
     // Setup (registration, interning) may allocate — that is the
     // point of handle caching. Done before counting starts.
     let registry = Registry::new();
@@ -77,7 +70,6 @@ fn record_paths_do_not_allocate() {
 
 #[test]
 fn record_paths_are_lock_free_under_contention() {
-    let _guard = SERIAL.lock().unwrap();
     // Lock-freedom is asserted structurally (the instruments hold only
     // atomics — no Mutex/RwLock on the record path) and behaviorally:
     // heavy multi-thread hammering loses no increments and the journal
@@ -103,51 +95,4 @@ fn record_paths_are_lock_free_under_contention() {
     assert_eq!(counter.value(), THREADS * PER_THREAD);
     assert_eq!(histogram.snapshot().count, THREADS * PER_THREAD);
     assert_eq!(journal.recorded(), THREADS * PER_THREAD);
-}
-
-#[test]
-fn kill_switch_disables_and_reenables_every_instrument() {
-    let _guard = SERIAL.lock().unwrap();
-    let registry = Registry::new();
-    let counter = registry.counter("switch.counter");
-    let histogram = registry.histogram("switch.hist");
-    let kind = registry.journal().kind_id("switch.event");
-
-    recloud_obs::set_enabled(false);
-    counter.inc();
-    histogram.record(9);
-    registry.journal().record(kind, 1, 2, 3.0, 4.0);
-    recloud_obs::set_enabled(true);
-
-    assert_eq!(counter.value(), 0, "disabled counter records nothing");
-    assert_eq!(histogram.snapshot().count, 0);
-    assert_eq!(registry.journal().recorded(), 0);
-
-    counter.inc();
-    histogram.record(9);
-    registry.journal().record(kind, 1, 2, 3.0, 4.0);
-    assert_eq!(counter.value(), 1);
-    assert_eq!(histogram.snapshot().count, 1);
-    assert_eq!(registry.journal().tail(4).len(), 1);
-}
-
-#[test]
-fn disabled_record_path_is_cheap() {
-    let _guard = SERIAL.lock().unwrap();
-    // Not a timing assertion (CI machines vary) — just proves the
-    // disabled path also performs zero allocations, so the kill
-    // switch really is one load+branch.
-    let counter = Counter::new();
-    let histogram = Histogram::new();
-    recloud_obs::set_enabled(false);
-    let allocated = allocations_during(|| {
-        for i in 0..10_000u64 {
-            counter.add(1);
-            histogram.record(i);
-        }
-    });
-    recloud_obs::set_enabled(true);
-    assert_eq!(allocated, 0);
-    assert_eq!(counter.value(), 0);
-    assert_eq!(Gauge::new().value(), 0);
 }

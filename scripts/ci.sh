@@ -37,13 +37,18 @@ echo "== retired names gate =="
 # went with Word64, the matrix convenience never had a caller. And the
 # 64-round width of the router and the checker (PR 22) — `Router` is the
 # scalar reference plus the 256-lane kernel — with the failure explainer
-# that never had a caller.
+# that never had a caller. And the second way to measure (PR 23): the
+# `repro bench-*` subcommands, their checked-in JSONs and sampling knobs,
+# and the instrument kill switch that existed to be measured — timings are
+# taken in benchmark/, which this grep does not reach.
 RETIRED='StatsResponse|SearchPlacement|set_batched|Word64|JobFrame|RCW1'
 RETIRED="$RETIRED|begin_wide_keyed|border_of|border_ok_wide|pod_ext_wide|memo_row|name_cone|recheck_base"
 RETIRED="$RETIRED|eval_word|eval_node_word|eval_matrix"
 RETIRED="$RETIRED|begin_word|word_native|screen_word|screen_wide|baseline_external|baseline_connects"
 RETIRED="$RETIRED|external_reach_word|connects_word|word_reliable|k_of_n_word|any_failed_word"
 RETIRED="$RETIRED|explain_unreachable|diagnose_consistently"
+RETIRED="$RETIRED|bench_assess|bench_serve|bench_search|BENCH_assess|BENCH_serve|BENCH_search"
+RETIRED="$RETIRED|RECLOUD_BENCH_SAMPLES|RECLOUD_BENCH_WARMUP|set_enabled"
 if grep -rnE "$RETIRED" crates/ src/ tests/ examples/ \
     | grep -vE '^crates/server/src/(protocol\.rs|frame_table\.md):.*SearchPlacement'; then
   echo "retired names gate: a retired name is back (see above)"; exit 1
@@ -94,6 +99,26 @@ echo "$FIG11_OUT" | awk '/\[[0-9]+\]/ { rows++; if ($NF !~ /^[0-9.]+$/ && $0 !~ 
   END { exit !(rows >= 14 && bad == 0) }' \
   || { echo "complex-structure gate: fig11 table is short or has an empty cell"; exit 1; }
 echo "complex-structure gate: every structure assessed"
+
+echo "== serve-frontier smoke gate =="
+# The two serving measurements benchmark/ cannot own, through the release
+# binary: four fleet sizes (1, 64, 256, 1000 idle loopback connections)
+# each answering all 500 probe requests, and a hog tenant that was
+# actually refused at budget 1. No timing threshold (~0.3 s). A retired
+# subcommand must fail with the usage line, not run something else.
+FRONTIER_OUT="$(target/release/repro serve-frontier --quick)"
+echo "$FRONTIER_OUT"
+echo "$FRONTIER_OUT" | awk '$NF == "us" && $1 ~ /^[0-9]+$/ { rows++; if ($2 != 500) bad++ }
+  END { exit !(rows == 4 && bad == 0) }' \
+  || { echo "serve-frontier gate: not four frontier rows of 500 ok"; exit 1; }
+echo "$FRONTIER_OUT" | grep -Eq '^tenant isolation .*hog [0-9]+ served / [1-9][0-9]* busy$' \
+  || { echo "serve-frontier gate: the hog was never refused"; exit 1; }
+if RETIRED_OUT="$(target/release/repro bench-assess 2>&1)"; then
+  echo "serve-frontier gate: repro bench-assess still exits 0"; exit 1
+fi
+echo "$RETIRED_OUT" | grep -q '^usage: repro ' \
+  || { echo "serve-frontier gate: retired subcommand printed no usage line"; exit 1; }
+echo "serve-frontier gate: frontier answered, hog refused, bench-* retired"
 
 echo "== server smoke test =="
 # Start the daemon on an ephemeral port, discover the port via
@@ -207,7 +232,7 @@ grep -q '"traceEvents"' "$CHROME_JSON" \
 rm -f "$CHROME_JSON"
 echo "trace gate: $SPANS-span causal tree retrieved and exported"
 
-target/release/repro loadgen --smoke --addr "$ADDR"
+target/release/recloud loadgen --smoke --addr "$ADDR"   # ends with Shutdown
 wait "$SERVER_PID"
 trap - EXIT
 rm -f "$PORT_FILE"

@@ -95,7 +95,7 @@ fn every_dependency_is_a_path_dependency() {
         violations.is_empty(),
         "non-path dependencies would break the offline build:\n  {}\nVendor the \
          functionality into the workspace instead (see crates/sampling/src/{{sync,wire,proptest}}.rs \
-         and crates/bench/src/harness.rs for how the previous four were replaced).",
+         for how crossbeam, bytes and proptest were replaced).",
         violations.join("\n  ")
     );
 }
