@@ -43,6 +43,11 @@ impl DaggerCycle {
     /// Draws one dagger cycle: returns the round index (within `0..s`) in
     /// which the component fails, or `None` if it stays alive for the whole
     /// cycle (the draw hit the remainder section).
+    ///
+    /// This is the Fig 3 reference. The extended sampler's row writer
+    /// ([`crate::ExtendedDaggerSampler`]) does the same arithmetic inline,
+    /// folded into its truncation test, and is checked against this
+    /// function bit for bit; nothing on the assessment path calls it.
     #[inline]
     pub fn draw(&self, rng: &mut Rng) -> Option<u32> {
         let r = rng.next_f64();

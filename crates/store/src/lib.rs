@@ -57,10 +57,10 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use recloud::wire::{ByteReader, ByteWriter, Bytes};
+use recloud::wire::ByteWriter;
 
 /// Magic value opening every segment file (`"RCSL"` read as LE bytes).
 pub const SEGMENT_MAGIC: u32 = 0x5243_534C;
@@ -214,14 +214,16 @@ impl Store {
         let mut recovery = Recovery::default();
         let mut corrupt_at = None;
         for (index, (_, path)) in segments.iter().enumerate() {
-            let mut buf = Vec::new();
-            File::open(path)?.read_to_end(&mut buf)?;
-            let scan = scan_segment(&buf);
-            recovery.ops.extend(scan.ops);
-            if scan.valid_len < buf.len() {
-                recovery.truncated_bytes = (buf.len() - scan.valid_len) as u64;
+            let file = File::open(path)?;
+            let file_len = file.metadata()?.len();
+            let valid_len = scan_segment(file, |op| {
+                recovery.ops.push(op);
+                Ok(())
+            })?;
+            if valid_len < file_len {
+                recovery.truncated_bytes = file_len - valid_len;
                 let file = OpenOptions::new().write(true).open(path)?;
-                file.set_len(scan.valid_len as u64)?;
+                file.set_len(valid_len)?;
                 corrupt_at = Some(index);
                 break;
             }
@@ -237,7 +239,7 @@ impl Store {
             Some((id, path)) => (*id, path.clone()),
             None => {
                 let path = dir.join(segment_file_name(0));
-                write_fresh_segment(&path, &[])?;
+                write_empty_segment(&path)?;
                 (0, path)
             }
         };
@@ -340,23 +342,45 @@ impl Store {
     /// old segments. Crash-safe at every step: the compacted segment is
     /// *later* in the log, so last-write-wins replay of any surviving
     /// file combination reproduces the same state.
+    ///
+    /// The log is streamed twice — once to learn which write of each key
+    /// is its last, once to copy exactly those records, in log order —
+    /// so the pass holds an index of the live keys and two I/O buffers,
+    /// never the log it is shrinking. It runs on a serving thread: what
+    /// it allocates is the daemon's peak memory.
     pub fn compact(&mut self) -> io::Result<CompactStats> {
         let bytes_before = self.bytes();
-        let mut old = Vec::new();
-        let mut ops = Vec::new();
-        for (id, path) in list_segments(&self.dir)? {
-            let mut buf = Vec::new();
-            File::open(&path)?.read_to_end(&mut buf)?;
-            ops.extend(scan_segment(&buf).ops);
-            old.push((id, path));
+        let old = list_segments(&self.dir)?;
+        let mut final_write: HashMap<u128, u64> = HashMap::with_capacity(self.live.len() + 1);
+        let mut seq = 0;
+        for (_, path) in &old {
+            scan_segment(File::open(path)?, |op| {
+                match op {
+                    Op::Put(e) => final_write.insert(e.key, seq),
+                    Op::Evict(key) => final_write.remove(&key),
+                };
+                seq += 1;
+                Ok(())
+            })?;
         }
-        let live = fold_live(&ops);
 
         let next_id = self.active_id + 1;
         let final_path = self.dir.join(segment_file_name(next_id));
         let tmp_path = self.dir.join(format!("{}.tmp", segment_file_name(next_id)));
-        let records: Vec<Op> = live.iter().copied().map(Op::Put).collect();
-        write_fresh_segment(&tmp_path, &records)?;
+        let mut tmp = BufWriter::new(File::create(&tmp_path)?);
+        tmp.write_all(&segment_header())?;
+        let mut seq = 0;
+        for (_, path) in &old {
+            scan_segment(File::open(path)?, |op| {
+                // Never an `Evict`: only a `Put` leaves its position behind.
+                if final_write.get(&op.key()) == Some(&seq) {
+                    tmp.write_all(&encode_record(&op))?;
+                }
+                seq += 1;
+                Ok(())
+            })?;
+        }
+        tmp.into_inner().map_err(io::IntoInnerError::into_error)?.sync_all()?;
         fs::rename(&tmp_path, &final_path)?;
         // Make the rename itself durable before deleting the only other
         // copies of the data.
@@ -371,10 +395,11 @@ impl Store {
         self.active_len = self.active.seek(SeekFrom::End(0))?;
         self.active_id = next_id;
         self.sealed_bytes = 0;
-        self.live = live.iter().map(|e| e.key).collect();
+        self.live.clear();
+        self.live.extend(final_write.keys());
         self.compactions += 1;
         Ok(CompactStats {
-            live_entries: live.len() as u64,
+            live_entries: final_write.len() as u64,
             bytes_before,
             bytes_after: self.bytes(),
             segments_removed,
@@ -400,7 +425,7 @@ impl Store {
         self.sealed_bytes += self.active_len;
         self.active_id += 1;
         let path = self.dir.join(segment_file_name(self.active_id));
-        write_fresh_segment(&path, &[])?;
+        write_empty_segment(&path)?;
         self.active = OpenOptions::new().read(true).write(true).open(&path)?;
         self.active.seek(SeekFrom::End(0))?;
         self.active_len = HEADER_LEN as u64;
@@ -442,14 +467,9 @@ fn segment_header() -> [u8; HEADER_LEN] {
     header
 }
 
-fn write_fresh_segment(path: &Path, ops: &[Op]) -> io::Result<()> {
-    let mut w = ByteWriter::with_capacity(HEADER_LEN + ops.len() * PUT_RECORD_LEN as usize);
-    w.put_slice(&segment_header());
-    for op in ops {
-        w.put_slice(&encode_record(op));
-    }
+fn write_empty_segment(path: &Path) -> io::Result<()> {
     let mut file = File::create(path)?;
-    file.write_all(&w.into_vec())?;
+    file.write_all(&segment_header())?;
     file.sync_all()
 }
 
@@ -489,66 +509,70 @@ fn encode_record(op: &Op) -> Vec<u8> {
     w.into_vec()
 }
 
-fn decode_body(body: Bytes) -> Option<Op> {
-    let len = body.len();
-    let mut r = ByteReader::new(body);
-    let op = match r.get_u8()? {
-        OP_PUT if len == PUT_BODY_LEN => {
-            let key = u128::from(r.get_u64_le()?) | (u128::from(r.get_u64_le()?) << 64);
-            Op::Put(Entry {
-                key,
-                score: r.get_f64_le()?,
-                variance: r.get_f64_le()?,
-                rounds: r.get_u64_le()?,
-                successes: r.get_u64_le()?,
-            })
-        }
-        OP_EVICT if len == EVICT_BODY_LEN => {
-            let key = u128::from(r.get_u64_le()?) | (u128::from(r.get_u64_le()?) << 64);
-            Op::Evict(key)
-        }
-        _ => return None,
-    };
-    r.is_exhausted().then_some(op)
-}
-
-struct SegmentScan {
-    ops: Vec<Op>,
-    /// Bytes of valid prefix; `< buf.len()` means corruption was hit.
-    valid_len: usize,
-}
-
-/// Decodes records until the first torn / corrupt one. Never fails:
-/// corruption just ends the valid prefix.
-fn scan_segment(buf: &[u8]) -> SegmentScan {
-    let bytes = Bytes::copy_from_slice(buf);
-    let header = segment_header();
-    if buf.len() < HEADER_LEN || buf[..HEADER_LEN] != header {
-        return SegmentScan { ops: Vec::new(), valid_len: 0 };
+fn decode_body(body: &[u8]) -> Option<Op> {
+    // Little-endian 8-byte field `i` after the op byte; the lengths
+    // matched below are what keep every index in range.
+    let field = |i: usize| u64::from_le_bytes(body[1 + 8 * i..9 + 8 * i].try_into().unwrap());
+    let key = || u128::from(field(0)) | (u128::from(field(1)) << 64);
+    match (*body.first()?, body.len()) {
+        (OP_PUT, PUT_BODY_LEN) => Some(Op::Put(Entry {
+            key: key(),
+            score: f64::from_bits(field(2)),
+            variance: f64::from_bits(field(3)),
+            rounds: field(4),
+            successes: field(5),
+        })),
+        (OP_EVICT, EVICT_BODY_LEN) => Some(Op::Evict(key())),
+        _ => None,
     }
-    let mut ops = Vec::new();
-    let mut pos = HEADER_LEN;
+}
+
+/// `read_exact`, with the end of the file — clean or mid-record —
+/// reported as `false` rather than as an error.
+fn read_or_eof(reader: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
+    match reader.read_exact(buf) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(false),
+        Err(e) => Err(e),
+    }
+}
+
+/// Streams a segment's records to `visit` in log order until the first
+/// torn / corrupt one and returns the bytes of valid prefix (less than the
+/// file's length means corruption was hit). Corrupt data never fails the
+/// scan, it just ends the valid prefix; an I/O error or `visit`'s does.
+fn scan_segment(file: File, mut visit: impl FnMut(Op) -> io::Result<()>) -> io::Result<u64> {
+    let mut reader = BufReader::new(file);
+    let mut header = [0u8; HEADER_LEN];
+    if !read_or_eof(&mut reader, &mut header)? || header != segment_header() {
+        return Ok(0);
+    }
+    let mut valid_len = HEADER_LEN as u64;
+    let mut record = Vec::new();
     loop {
-        let Some(frame) = buf.get(pos..pos + 4) else {
-            break;
-        };
-        let len = u32::from_le_bytes(frame.try_into().unwrap()) as usize;
-        if len < 9 || len as u32 > MAX_RECORD_LEN || pos + 4 + len > buf.len() {
+        let mut frame = [0u8; 4];
+        if !read_or_eof(&mut reader, &mut frame)? {
             break;
         }
-        let body = bytes.slice(pos + 4..pos + 4 + len - 8);
-        let checksum =
-            u64::from_le_bytes(buf[pos + 4 + len - 8..pos + 4 + len].try_into().unwrap());
-        if fnv1a_64(body.as_slice()) != checksum {
+        let len = u32::from_le_bytes(frame);
+        if !(9..=MAX_RECORD_LEN).contains(&len) {
+            break;
+        }
+        record.resize(len as usize, 0);
+        if !read_or_eof(&mut reader, &mut record)? {
+            break;
+        }
+        let (body, checksum) = record.split_at(len as usize - 8);
+        if fnv1a_64(body) != u64::from_le_bytes(checksum.try_into().unwrap()) {
             break;
         }
         let Some(op) = decode_body(body) else {
             break;
         };
-        ops.push(op);
-        pos += 4 + len;
+        visit(op)?;
+        valid_len += 4 + u64::from(len);
     }
-    SegmentScan { ops, valid_len: pos }
+    Ok(valid_len)
 }
 
 fn fold_live(ops: &[Op]) -> Vec<Entry> {

@@ -23,6 +23,11 @@ RUSTFLAGS="-D warnings" cargo build --release --workspace --all-targets
 echo "== test suite (all workspace crates) =="
 cargo test -q --workspace
 
+echo "== sampling suite, release codegen =="
+# The suite above runs unoptimised; the row writer the ledger measures is
+# the optimised one. Its oracle and prefix tests run again as compiled.
+cargo test --release -q -p recloud-sampling
+
 echo "== hermetic dependency guard =="
 cargo test -q --test hermetic
 
@@ -63,8 +68,10 @@ echo "== benchmark package gate =="
 # one and held-table search, which between them take both sides of the
 # router's digest memo; the two plain served ones, which live on the RCS1
 # codec and the reactor; and the streaming daemon, whose every request
-# carries a new model seed. Each run's op_p50_us and peak_rss_mb are
-# echoed for whoever reads the log. Each last stdout line must report
+# carries a new model seed. Each run's ops_per_s, op_p50_us and
+# peak_rss_mb are echoed for whoever reads the log (the harness keeps
+# ~95 B per op resident, so assess_large_fresh trips its own 10 %
+# peak_rss_mb bound near 2,580 ops/s). Each last stdout line must report
 # "correct": true with "failed": 0: the workload's own post-checks hold,
 # which for the fresh-seed one includes the untouched full-width unkeyed
 # stage replay equalling Assessor::assess bit for bit, and for the served
@@ -82,7 +89,7 @@ echo "== benchmark package gate =="
       || { echo "benchmark gate: $WORKLOAD did not report correct with no failures"; echo "$BENCH_OUT"; exit 1; }
     # No threshold — the box drifts — but a 2x or a +2 MiB shows in the log.
     echo "benchmark gate: $WORKLOAD $(echo "$BENCH_OUT" \
-      | grep -oE '"(op_p50_us|peak_rss_mb)": ?\{"value": ?[0-9.e+-]+' \
+      | grep -oE '"(ops_per_s|op_p50_us|peak_rss_mb)": ?\{"value": ?[0-9.e+-]+' \
       | sed -E 's/"([a-z0-9_]+)": ?\{"value": ?/\1=/' | tr '\n' ' ')"
   done
 )
