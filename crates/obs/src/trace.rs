@@ -308,7 +308,7 @@ pub fn tracer() -> &'static Tracer {
 }
 
 /// Stage names the reproduction's own layers record, interned for free.
-const KNOWN_KINDS: [&str; 10] = [
+const KNOWN_KINDS: [&str; 11] = [
     "client.request",
     "client.connect",
     "client.partial",
@@ -316,6 +316,7 @@ const KNOWN_KINDS: [&str; 10] = [
     "queue.wait",
     "cache.lookup",
     "worker.exec",
+    "engine.reseed",
     "assess.chunk",
     "store.append",
     "partial.emit",

@@ -48,13 +48,26 @@ impl ExtendedDaggerSampler {
     /// # Panics
     /// Panics if any probability exceeds 1 (see [`DaggerCycle::new`]).
     pub fn macro_cycle(probs: &[f64]) -> usize {
-        let (mut smallest, mut largest) = (f64::INFINITY, 0.0f64);
-        for &p in probs {
-            if p > 0.0 {
-                smallest = smallest.min(p);
-                largest = largest.max(p);
+        // Four independent running extremes: one pair would chain every
+        // `min`/`max` on the one before it. An entry that is not positive
+        // (or NaN) leaves `smallest` alone through the infinity and
+        // `largest` through `max` against a start of 0.
+        let (mut smallest, mut largest) = ([f64::INFINITY; 4], [0.0f64; 4]);
+        let mut update = |lane: usize, p: f64| {
+            smallest[lane] = smallest[lane].min(if p > 0.0 { p } else { f64::INFINITY });
+            largest[lane] = largest[lane].max(p);
+        };
+        let mut fours = probs.chunks_exact(4);
+        for four in &mut fours {
+            for (lane, &p) in four.iter().enumerate() {
+                update(lane, p);
             }
         }
+        for &p in fours.remainder() {
+            update(0, p);
+        }
+        let smallest = smallest.into_iter().fold(f64::INFINITY, f64::min);
+        let largest = largest.into_iter().fold(0.0, f64::max);
         if largest == 0.0 {
             return 1;
         }
@@ -259,6 +272,22 @@ mod tests {
         for probs in [&[1.0][..], &[0.0, 1.0, 0.0], &[0.0; 5], &[0.0, 0.0001, 0.9999]] {
             assert_eq!(ExtendedDaggerSampler::macro_cycle(probs), per_event(probs), "{probs:?}");
         }
+        // Lengths 0–9 take every remainder of the four-lane pass: the
+        // smallest entry, and a non-positive one, in every position.
+        for len in 0..10 {
+            for at in 0..len {
+                let mut probs = vec![0.01; len];
+                probs[at] = 0.002;
+                assert_eq!(ExtendedDaggerSampler::macro_cycle(&probs), 500, "{probs:?}");
+                probs[at] = 0.0;
+                assert_eq!(ExtendedDaggerSampler::macro_cycle(&probs), per_event(&probs));
+            }
+        }
+        forall("macro_cycle == max of per-event cycles, lengths 0-9", |g| {
+            let probs = g.vec_in(0..10, draw);
+            prop_assert_eq!(ExtendedDaggerSampler::macro_cycle(&probs), per_event(&probs));
+            Ok(())
+        });
     }
 
     #[test]

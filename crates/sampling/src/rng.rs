@@ -87,10 +87,9 @@ impl Rng {
         // Draw u1 in (0, 1] to keep ln() finite.
         let u1 = 1.0 - self.next_f64();
         let u2 = self.next_f64();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * u2;
-        self.spare_normal = Some(r * theta.sin());
-        r * theta.cos()
+        let (z_cos, z_sin) = box_muller(u1, u2);
+        self.spare_normal = Some(z_sin);
+        z_cos
     }
 
     /// Normal deviate with the given mean and standard deviation.
@@ -146,6 +145,18 @@ pub fn derive_seed(master: u64, stream: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The Box–Muller pair of two uniforms through libm, `(r·cos θ, r·sin θ)`
+/// with `r = √(−2 ln u1)` and `θ = 2π·u2`, for `u1 ∈ (0, 1]`:
+/// [`Rng::next_normal`] returns the first and keeps the second as its
+/// spare. The one definition of those deviates — any faster kernel must
+/// reproduce what this returns.
+#[inline]
+pub fn box_muller(u1: f64, u2: f64) -> (f64, f64) {
+    let r = (-2.0 * u1.ln()).sqrt();
+    let theta = 2.0 * std::f64::consts::PI * u2;
+    (r * theta.cos(), r * theta.sin())
 }
 
 /// Draws a failure probability from N(mean, std), clamped to (0, 1) and
@@ -220,6 +231,17 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.01, "mean {mean}");
         assert!((var - 1.0).abs() < 0.02, "var {var}");
+    }
+
+    #[test]
+    fn normals_are_box_muller_pairs_of_consecutive_uniforms() {
+        let (mut normals, mut uniforms) = (Rng::new(6), Rng::new(6));
+        for _ in 0..10_000 {
+            let u1 = 1.0 - uniforms.next_f64();
+            let (z_cos, z_sin) = box_muller(u1, uniforms.next_f64());
+            assert_eq!(normals.next_normal().to_bits(), z_cos.to_bits());
+            assert_eq!(normals.next_normal().to_bits(), z_sin.to_bits());
+        }
     }
 
     #[test]

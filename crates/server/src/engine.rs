@@ -29,6 +29,7 @@ use crate::protocol::{
 use recloud_apps::{ApplicationSpec, DeploymentPlan};
 use recloud_assess::{compare_plans, Assessor, PartialEstimate, SamplerKind};
 use recloud_faults::{FaultModel, ProbabilityConfig};
+use recloud_obs::trace;
 use recloud_search::{
     ParallelSearchConfig, ParallelSearcher, ReliabilityObjective, SearchBudget, SearchConfig,
 };
@@ -100,13 +101,27 @@ struct Slot {
 
 impl Slot {
     /// The engine, holding the paper-default model of `seed`. Call once
-    /// the request is known to run: a new seed invalidates the table.
+    /// the request is known to run: a new seed invalidates the table. A
+    /// traced request records the swap — clone, redraw, reseed — as an
+    /// `engine.reseed` span (`v0` = events redrawn).
     fn engine(&mut self, seed: u64) -> &mut Assessor {
         if self.seed != seed {
+            let span_start = recloud_obs::current_span().map(|_| trace::now_us());
             let mut model = self.assessor.model().clone();
             model.redraw(&self.topology, &ProbabilityConfig::PaperDefault, seed);
             self.assessor.reseed(model);
             self.seed = seed;
+            if let (Some(ctx), Some(start_us)) = (recloud_obs::current_span(), span_start) {
+                trace::tracer().record(
+                    ctx.trace_id,
+                    ctx.span,
+                    "engine.reseed",
+                    start_us,
+                    trace::now_us(),
+                    self.topology.num_components() as u64,
+                    0,
+                );
+            }
         }
         &mut self.assessor
     }

@@ -218,6 +218,52 @@ fn trace_dump_zero_resolves_to_latest_finished() {
     stop(daemon, &mut client);
 }
 
+/// The first estimate's daemon-side time splits into named spans: a
+/// traced request whose model seed differs from the one the worker's
+/// engine holds records the model swap as `engine.reseed` under
+/// `worker.exec`, over before any chunk starts; a request on the seed the
+/// engine already holds records none.
+#[test]
+fn a_new_model_seed_is_traced_as_engine_reseed_before_the_first_chunk() {
+    let daemon = start(ServerConfig { workers: 1, ..ServerConfig::default() });
+    // Untraced: builds the worker's Tiny engine on seed 11.
+    let mut warm = Client::connect(daemon.addr).expect("connect");
+    warm.assess(tiny_request(1_000, 11)).expect("warm-up assess");
+
+    let reseeded = trace::now_us() | 1;
+    let (mut client, _) = traced_stream(daemon.addr, reseeded, tiny_request(6_000, 12));
+    let dump = client.trace_dump(reseeded).expect("trace dump");
+    let reseeds: Vec<&TraceSpan> =
+        dump.spans.iter().filter(|s| s.kind == "engine.reseed").collect();
+    assert_eq!(reseeds.len(), 1, "one model swap: {:?}", dump.spans);
+    let exec = dump.spans.iter().find(|s| s.kind == "worker.exec").expect("worker.exec span");
+    assert_eq!(reseeds[0].parent, exec.id, "the swap runs inside the worker's execution");
+    assert!(reseeds[0].v0 > 0, "the span counts the events redrawn");
+    let chunks: Vec<&TraceSpan> = dump.spans.iter().filter(|s| s.kind == "assess.chunk").collect();
+    assert!(!chunks.is_empty());
+    for chunk in chunks {
+        assert!(
+            reseeds[0].end_us <= chunk.start_us,
+            "reseed ends at {} after a chunk starts at {}",
+            reseeds[0].end_us,
+            chunk.start_us
+        );
+    }
+
+    // Seed 12 again, other rounds: a cache miss on the engine's own seed.
+    let held = reseeded + 2;
+    traced_stream(daemon.addr, held, tiny_request(5_000, 12));
+    let dump = client.trace_dump(held).expect("trace dump");
+    assert!(dump.spans.iter().any(|s| s.kind == "assess.chunk"), "the request ran");
+    assert!(
+        dump.spans.iter().all(|s| s.kind != "engine.reseed"),
+        "no swap on the held seed: {:?}",
+        dump.spans
+    );
+
+    stop(daemon, &mut client);
+}
+
 /// Satellite: with aggressive store thresholds, repeated distinct
 /// assessments push the spill log past `compact_min_bytes` with zero
 /// live entries in the old generation... compaction triggers inside

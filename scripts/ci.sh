@@ -28,6 +28,12 @@ echo "== sampling suite, release codegen =="
 # the optimised one. Its oracle and prefix tests run again as compiled.
 cargo test --release -q -p recloud-sampling
 
+echo "== faults suite, release codegen =="
+# Likewise the float kernel behind every model seed: its bit-for-bit
+# oracle against libm's draws, its error bound and its rounding-tie
+# fallback run again as the ledger runs them.
+cargo test --release -q -p recloud-faults
+
 echo "== hermetic dependency guard =="
 cargo test -q --test hermetic
 
