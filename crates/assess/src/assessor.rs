@@ -1115,6 +1115,68 @@ mod tests {
         }
     }
 
+    /// A drive toward a CIW target (what `--stream --target-ciw` runs):
+    /// it ends at the first chunk whose estimate is that tight, or at the
+    /// round ceiling.
+    fn to_target(
+        a: &mut Assessor,
+        spec: &ApplicationSpec,
+        plan: &DeploymentPlan,
+        target: f64,
+        ceiling: usize,
+        seed: u64,
+    ) -> DrivenAssessment {
+        a.drive(spec, plan, ceiling, seed, Some(target), &mut |_| ControlFlow::Continue(()))
+    }
+
+    fn one_of_two() -> (Assessor, ApplicationSpec, DeploymentPlan) {
+        let t = FatTreeParams::new(4).build();
+        let spec = ApplicationSpec::k_of_n(1, 2);
+        let plan = DeploymentPlan::random(&spec, t.hosts(), &mut Rng::new(5));
+        (Assessor::new(&t, FaultModel::paper_default(&t, 3)), spec, plan)
+    }
+
+    #[test]
+    fn a_loose_ciw_target_stops_early() {
+        let (mut a, spec, plan) = one_of_two();
+        let r = to_target(&mut a, &spec, &plan, 0.05, 1_000_000, 7);
+        assert!(!r.completed, "the target is met before the ceiling");
+        assert!(r.assessment.estimate.ciw95() <= 0.05);
+        assert!(r.assessment.estimate.rounds < 100_000, "far fewer rounds than the ceiling");
+    }
+
+    #[test]
+    fn a_strict_ciw_target_runs_to_the_ceiling() {
+        let (mut a, spec, plan) = one_of_two();
+        let r = to_target(&mut a, &spec, &plan, 1e-9, 5_000, 7);
+        assert!(r.completed);
+        assert_eq!(r.assessment.estimate.rounds, 5_000);
+    }
+
+    #[test]
+    fn a_perfect_plan_meets_a_ciw_target_after_one_chunk() {
+        // Nothing can fail => score 1.0, CIW 0 after the first chunk.
+        let t = FatTreeParams::new(4).build();
+        let mut a = Assessor::new(&t, FaultModel::new(&t, &ProbabilityConfig::Uniform(0.0), 0));
+        let spec = ApplicationSpec::k_of_n(2, 2);
+        let plan = DeploymentPlan::new(&spec, vec![t.hosts()[..2].to_vec()]);
+        let r = to_target(&mut a, &spec, &plan, 1e-6, 1_000_000, 0);
+        assert!(!r.completed);
+        assert_eq!(r.assessment.estimate.score, 1.0);
+        assert!(r.assessment.estimate.rounds <= 3_000, "one chunk suffices");
+    }
+
+    #[test]
+    fn a_ciw_stopped_prefix_equals_a_fixed_assessment() {
+        let (mut a, spec, plan) = one_of_two();
+        let stopped = to_target(&mut a, &spec, &plan, 0.05, 1_000_000, 9);
+        assert!(!stopped.completed);
+        let rounds = stopped.assessment.estimate.rounds as usize;
+        let fixed = a.assess(&spec, &plan, rounds, 9);
+        assert_eq!(stopped.assessment.estimate.successes, fixed.estimate.successes);
+        assert_eq!(stopped.assessment.estimate.rounds, fixed.estimate.rounds);
+    }
+
     /// A router swapped in on a seed the table already holds must get its
     /// own cone of no hosts materialised: the up/down reference reads
     /// every row, the analytic router it replaces left most unsampled.

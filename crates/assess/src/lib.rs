@@ -16,7 +16,8 @@
 //! 4. accumulate into a reliability score with conservative variance and
 //!    the 95% confidence-interval width (Eqs 1–3).
 //!
-//! [`assessor::Assessor`] is the single-threaded engine;
+//! [`assessor::Assessor`] is the single-threaded engine, and
+//! [`engine::Engine`] the seed-keyed one every front door builds;
 //! [`parallel::ParallelAssessor`] is the MapReduce-style master/worker
 //! engine of §3.2.1/§4.2.4, with typed tasks and results crossing in-repo
 //! channels. [`ground_truth`] computes *exact* reliabilities for
@@ -27,21 +28,21 @@ pub mod assessor;
 pub mod check;
 pub mod compare;
 pub mod driver;
+pub mod engine;
 pub mod fingerprint;
 pub mod ground_truth;
 pub mod indaas;
 pub mod parallel;
 pub mod sensitivity;
-pub mod sequential;
 mod table;
 
 pub use assessor::{Assessment, Assessor, BatchWidth, DrivenAssessment, SamplerKind, Timings};
 pub use check::StructureChecker;
 pub use compare::{compare_plans, Comparison, RankedPlan};
 pub use driver::{AssessmentDriver, ChunkTask, PartialEstimate};
+pub use engine::Engine;
 pub use fingerprint::{assessment_key, fnv1a_128};
 pub use ground_truth::exact_reliability;
 pub use indaas::{rank_by_risk, risk_profile, RiskProfile};
 pub use parallel::ParallelAssessor;
 pub use sensitivity::{dependency_sensitivity, SensitivityReport, SensitivityRow};
-pub use sequential::{SequentialAssessment, StopReason};

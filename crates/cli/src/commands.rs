@@ -2,9 +2,13 @@
 
 use crate::args::{CliError, Parsed};
 use recloud::assess::compare_plans;
+use recloud::assess::engine::{build_plan, check_fits, check_hosts, check_shape, spec_for};
+use recloud::assess::Engine;
 use recloud::prelude::*;
 use recloud::search::common_practice::power_diversity;
 use recloud::topology::{BCubeParams, Vl2Params};
+use recloud_server::protocol::Preset;
+use recloud_server::Client;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -34,21 +38,42 @@ fn build_topology(p: &Parsed) -> Result<Topology, CliError> {
             }),
         };
     }
-    let scale = match p.str_or("scale", "tiny").as_str() {
-        "tiny" => Scale::Tiny,
-        "small" => Scale::Small,
-        "medium" => Scale::Medium,
-        "large" => Scale::Large,
-        "xl" => Scale::Xl,
-        other => {
-            return Err(CliError::BadValue {
-                flag: "scale".into(),
-                value: other.into(),
-                expected: "tiny|small|medium|large|xl",
-            })
-        }
-    };
-    Ok(scale.build())
+    Ok(preset(p)?.scale().build())
+}
+
+/// The preset `--scale` names. A daemon serves presets only, so a
+/// `--topology` generator is refused (in-process commands read it first).
+fn preset(p: &Parsed) -> Result<Preset, CliError> {
+    if p.get("topology").is_some() {
+        return Err(CliError::Invalid(
+            "--addr serves preset scales only; --topology is an in-process flag".into(),
+        ));
+    }
+    let scale = p.str_or("scale", "tiny");
+    Preset::from_name(&scale).ok_or(CliError::BadValue {
+        flag: "scale".into(),
+        value: scale,
+        expected: "tiny|small|medium|large|xl",
+    })
+}
+
+/// A client of the daemon at `addr` that waits at most `timeout` for a
+/// reply.
+fn connect(addr: &str, timeout: Duration) -> Result<Client, CliError> {
+    let mut client = Client::connect(addr)
+        .map_err(|e| CliError::Invalid(format!("cannot connect to {addr}: {e}")))?;
+    client
+        .set_timeout(Some(timeout))
+        .map_err(|e| CliError::Invalid(format!("set timeout: {e}")))?;
+    Ok(client)
+}
+
+/// The engine every in-process command runs on: the topology the flags
+/// describe under the paper-default fault model of `--seed`.
+fn paper_engine(p: &Parsed, kind: SamplerKind) -> Result<(Topology, Engine, u64), CliError> {
+    let (topology, seed) = (build_topology(p)?, p.u64_or("seed", 1)?);
+    let engine = Engine::new(&topology, seed, kind);
+    Ok((topology, engine, seed))
 }
 
 fn topology_name(t: &Topology) -> &'static str {
@@ -60,63 +85,48 @@ fn topology_name(t: &Topology) -> &'static str {
     }
 }
 
-fn build_spec(p: &Parsed) -> Result<(String, ApplicationSpec), CliError> {
-    let k = p.u32_or("k", 4)?;
-    let n = p.u32_or("n", 5)?;
-    if k == 0 || k > n {
-        return Err(CliError::Invalid(format!("need 1 <= k <= n (got k={k}, n={n})")));
-    }
-    if let Some(layers) = p.get("layers") {
-        let l: usize = layers.parse().map_err(|_| CliError::BadValue {
-            flag: "layers".into(),
-            value: layers.into(),
-            expected: "integer",
-        })?;
-        if l == 0 {
-            return Err(CliError::Invalid("--layers must be at least 1".into()));
-        }
-        return Ok((
-            format!("{l}-layer app, {k}-of-{n} per layer"),
-            ApplicationSpec::layered(&vec![(k, n); l]),
-        ));
-    }
-    Ok((format!("{k}-of-{n} redundancy"), ApplicationSpec::k_of_n(k, n)))
+/// The app and round count the flags describe, with the app's label.
+fn build_spec(p: &Parsed) -> Result<(String, ApplicationSpec, usize), CliError> {
+    let (k, n, rounds) = (p.u32_or("k", 4)?, p.u32_or("n", 5)?, p.usize_or("rounds", 10_000)?);
+    check_shape(k, n, rounds).map_err(CliError::Invalid)?;
+    let layers = p.usize_opt("layers")?;
+    let label = match layers {
+        Some(0) => return Err(CliError::Invalid("--layers must be at least 1".into())),
+        Some(l) => format!("{l}-layer app, {k}-of-{n} per layer"),
+        None => format!("{k}-of-{n} redundancy"),
+    };
+    Ok((label, spec_for(k, n, layers.unwrap_or(1)), rounds))
 }
 
+/// The plan `--hosts` names, or one drawn at random under `seed`.
 fn plan_from_flags(
     p: &Parsed,
     topology: &Topology,
     spec: &ApplicationSpec,
     seed: u64,
 ) -> Result<DeploymentPlan, CliError> {
-    if let Some(ids) = p.usize_list("hosts")? {
-        if ids.len() != spec.total_instances() {
-            return Err(CliError::Invalid(format!(
-                "--hosts needs exactly {} ids (got {})",
-                spec.total_instances(),
-                ids.len()
-            )));
-        }
-        let mut it = ids.into_iter();
-        let mut assignments = Vec::new();
-        for comp in spec.components() {
-            let mut hosts = Vec::new();
-            for _ in 0..comp.instances {
-                let raw = it.next().expect("length checked above");
-                let id = ComponentId::from_index(raw);
-                if raw >= topology.num_components()
-                    || topology.component(id).kind != ComponentKind::Host
-                {
-                    return Err(CliError::Invalid(format!("id {raw} is not a host")));
-                }
-                hosts.push(id);
-            }
-            assignments.push(hosts);
-        }
-        return Ok(DeploymentPlan::new(spec, assignments));
+    let Some(ids) = p.usize_list("hosts")? else {
+        check_fits(topology, spec).map_err(CliError::Invalid)?;
+        return Ok(DeploymentPlan::random(spec, topology.hosts(), &mut Rng::new(seed)));
+    };
+    if ids.len() != spec.total_instances() {
+        return Err(CliError::Invalid(format!(
+            "--hosts needs exactly {} ids (got {})",
+            spec.total_instances(),
+            ids.len()
+        )));
     }
-    let mut rng = Rng::new(seed);
-    Ok(DeploymentPlan::random(spec, topology.hosts(), &mut rng))
+    let ids = ids
+        .into_iter()
+        .map(u32::try_from)
+        .collect::<Result<Vec<u32>, _>>()
+        .map_err(|_| CliError::Invalid("--hosts ids must fit in 32 bits".into()))?;
+    // spec_for gives every layer the same instance count.
+    let assignments: Vec<Vec<u32>> =
+        ids.chunks(spec.components()[0].instances as usize).map(<[u32]>::to_vec).collect();
+    let plan = build_plan(spec, &assignments).map_err(CliError::Invalid)?;
+    check_hosts(topology, &assignments).map_err(CliError::Invalid)?;
+    Ok(plan)
 }
 
 fn describe_plan(topology: &Topology, plan: &DeploymentPlan, out: &mut String) {
@@ -159,15 +169,12 @@ pub fn assess(p: &Parsed) -> Result<String, CliError> {
     if p.get("addr").is_some() {
         return assess_remote(p);
     }
-    let t = build_topology(p)?;
-    let seed = p.u64_or("seed", 1)?;
-    let rounds = p.usize_or("rounds", 10_000)?;
-    let (label, spec) = build_spec(p)?;
-    let plan = plan_from_flags(p, &t, &spec, seed)?;
-    let model = FaultModel::paper_default(&t, seed);
+    let (label, spec, rounds) = build_spec(p)?;
     let kind =
         if p.has("monte-carlo") { SamplerKind::MonteCarlo } else { SamplerKind::ExtendedDagger };
-    let mut assessor = Assessor::with_sampler(&t, model, kind);
+    let (t, mut engine, seed) = paper_engine(p, kind)?;
+    let plan = plan_from_flags(p, &t, &spec, seed)?;
+    let assessor = engine.at(seed);
     let mut out = String::new();
     let _ = writeln!(out, "app: {label}");
     describe_plan(&t, &plan, &mut out);
@@ -231,8 +238,18 @@ pub fn assess(p: &Parsed) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `recloud search`.
+/// `recloud search [--workers N] [--stream] [--iters I]` — the
+/// population-based parallel annealer, in process; one chain (the
+/// default) is the paper's sequential search. `--iters` gives every chain
+/// a deterministic iteration budget (the answer becomes a pure function of
+/// seed/workers/iters); without it every chain runs the wall-clock
+/// `--budget-ms`. `--stream` renders each chain's best-plan improvements
+/// as trajectory lines.
 pub fn search(p: &Parsed) -> Result<String, CliError> {
+    use recloud::search::{
+        ChainEvent, HolisticObjective, Objective, ParallelSearchConfig, ParallelSearcher,
+        ReliabilityObjective, SearchBudget, SearchConfig,
+    };
     if p.get("addr").is_some() {
         return search_remote(p);
     }
@@ -240,68 +257,8 @@ pub fn search(p: &Parsed) -> Result<String, CliError> {
     if workers == 0 {
         return Err(CliError::Invalid("--workers must be at least 1".into()));
     }
-    if workers > 1 || p.has("stream") {
-        return search_parallel(p, workers);
-    }
-    let t = build_topology(p)?;
-    let seed = p.u64_or("seed", 1)?;
-    let rounds = p.usize_or("rounds", 10_000)?;
-    let budget = Duration::from_millis(p.u64_or("budget-ms", 2_000)?);
-    let (label, spec) = build_spec(p)?;
-    let mut svc = ReCloud::paper_default(&t, seed);
-    if p.has("multi-objective") {
-        svc = svc.with_workload(WorkloadMap::paper_default(&t, seed));
-    }
-    if p.has("distinct-racks") {
-        svc = svc.with_rules(PlacementRules::distinct_racks());
-    }
-    let req = Requirements::paper_default().budget(budget).rounds(rounds);
-    let outcome =
-        svc.deploy_best_effort(&spec, &req).map_err(|e| CliError::Invalid(e.to_string()))?;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "app: {label}{}",
-        if p.has("multi-objective") { " (holistic objective)" } else { "" }
-    );
-    for (i, &h) in outcome.plan.hosts_of(0).iter().enumerate() {
-        let _ = writeln!(out, "  instance {i}: {h} (pod {})", t.pod_of(h));
-    }
-    if outcome.plan.num_components() > 1 {
-        describe_plan(&t, &outcome.plan, &mut out);
-    }
-    let _ = writeln!(
-        out,
-        "reliability {:.5} (± {:.1e}); {:.1} h/yr expected downtime",
-        outcome.reliability, outcome.ciw95, outcome.annual_downtime_hours
-    );
-    let _ = writeln!(
-        out,
-        "{} plans explored in {:?}; power diversity {}/{}",
-        outcome.plans_assessed,
-        outcome.search_time,
-        power_diversity(&t, &outcome.plan),
-        t.power_supplies().len()
-    );
-    Ok(out)
-}
-
-/// `recloud search --workers N [--stream] [--iters I]` — the
-/// population-based parallel annealer, in process. `--iters` gives every
-/// chain a deterministic iteration budget (the answer becomes a pure
-/// function of seed/workers/iters); without it every chain runs the
-/// wall-clock `--budget-ms`. `--stream` renders each chain's best-plan
-/// improvements as trajectory lines.
-fn search_parallel(p: &Parsed, workers: usize) -> Result<String, CliError> {
-    use recloud::search::{
-        ChainEvent, HolisticObjective, Objective, ParallelSearchConfig, ParallelSearcher,
-        ReliabilityObjective, SearchBudget, SearchConfig,
-    };
-    let t = build_topology(p)?;
-    let seed = p.u64_or("seed", 1)?;
-    let rounds = p.usize_or("rounds", 10_000)?;
     let iters = p.usize_or("iters", 0)?;
-    let (label, spec) = build_spec(p)?;
+    let (label, spec, rounds) = build_spec(p)?;
     let budget = if iters > 0 {
         SearchBudget::Iterations(iters)
     } else {
@@ -312,6 +269,8 @@ fn search_parallel(p: &Parsed, workers: usize) -> Result<String, CliError> {
     } else {
         PlacementRules::none()
     };
+    let (t, mut engine, seed) = paper_engine(p, SamplerKind::ExtendedDagger)?;
+    check_fits(&t, &spec).map_err(CliError::Invalid)?;
     let base = SearchConfig { budget, rounds, rules, ..SearchConfig::paper_default(seed) };
     let mut config = ParallelSearchConfig::new(workers, base);
     config.exchange_every = p.usize_or("exchange-every", config.exchange_every)?;
@@ -320,8 +279,7 @@ fn search_parallel(p: &Parsed, workers: usize) -> Result<String, CliError> {
         Some(w) => Box::new(HolisticObjective::new(0.5, 0.5, w.clone())),
         None => Box::new(ReliabilityObjective),
     };
-    let model = FaultModel::paper_default(&t, seed);
-    let searcher = ParallelSearcher::new(&t, model);
+    let searcher = ParallelSearcher::new(&t, engine.at(seed).model().clone());
 
     let events: std::sync::Mutex<Vec<ChainEvent>> = std::sync::Mutex::new(Vec::new());
     let sink = |e: ChainEvent| events.lock().unwrap().push(e);
@@ -348,8 +306,12 @@ fn search_parallel(p: &Parsed, workers: usize) -> Result<String, CliError> {
         }
     }
     let best = &outcome.best;
-    for (i, &h) in best.best_plan.hosts_of(0).iter().enumerate() {
-        let _ = writeln!(out, "  instance {i}: {h} (pod {})", t.pod_of(h));
+    if best.best_plan.num_components() > 1 {
+        describe_plan(&t, &best.best_plan, &mut out);
+    } else {
+        for (i, &h) in best.best_plan.hosts_of(0).iter().enumerate() {
+            let _ = writeln!(out, "  instance {i}: {h} (pod {})", t.pod_of(h));
+        }
     }
     let _ = writeln!(
         out,
@@ -372,20 +334,9 @@ fn search_parallel(p: &Parsed, workers: usize) -> Result<String, CliError> {
 /// on a live daemon over RCS1 `SearchStream`, rendering `SearchEvent`
 /// frames as they arrive.
 fn search_remote(p: &Parsed) -> Result<String, CliError> {
-    use recloud_server::protocol::{Preset, SearchRequest};
-    use recloud_server::Client;
+    use recloud_server::protocol::SearchRequest;
     let addr = p.str_or("addr", "127.0.0.1:7070");
-    if p.get("topology").is_some() {
-        return Err(CliError::Invalid(
-            "--addr serves preset scales only; --topology is a local-search flag".into(),
-        ));
-    }
-    let scale = p.str_or("scale", "tiny");
-    let preset = Preset::from_name(&scale).ok_or_else(|| CliError::BadValue {
-        flag: "scale".into(),
-        value: scale.clone(),
-        expected: "tiny|small|medium|large|xl",
-    })?;
+    let (preset, scale) = (preset(p)?, p.str_or("scale", "tiny"));
     let workers = p.u32_or("workers", 2)?;
     let iters = p.u32_or("iters", 0)?;
     let request = SearchRequest {
@@ -396,11 +347,7 @@ fn search_remote(p: &Parsed) -> Result<String, CliError> {
         n: p.u32_or("n", 5)?,
         budget_ms: p.u32_or("budget-ms", 2_000)?,
     };
-    let mut client = Client::connect(&addr)
-        .map_err(|e| CliError::Invalid(format!("cannot connect to {addr}: {e}")))?;
-    client
-        .set_timeout(Some(Duration::from_secs(300)))
-        .map_err(|e| CliError::Invalid(format!("set timeout: {e}")))?;
+    let mut client = connect(&addr, Duration::from_secs(300))?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -440,33 +387,22 @@ fn search_remote(p: &Parsed) -> Result<String, CliError> {
 /// tree, fetchable with `recloud trace`.
 fn assess_remote(p: &Parsed) -> Result<String, CliError> {
     use recloud_obs::trace::{self, CLIENT_ID_BASE};
-    use recloud_server::loadgen::first_hosts;
-    use recloud_server::protocol::{AssessRequest, Preset, TraceSpan};
-    use recloud_server::Client;
+    use recloud_server::protocol::{AssessRequest, TraceSpan};
     let addr = p.str_or("addr", "127.0.0.1:7070");
-    if p.get("topology").is_some() {
-        return Err(CliError::Invalid(
-            "--addr serves preset scales only; --topology is a local-assess flag".into(),
-        ));
-    }
-    let scale = p.str_or("scale", "tiny");
-    let preset = Preset::from_name(&scale).ok_or_else(|| CliError::BadValue {
-        flag: "scale".into(),
-        value: scale.clone(),
-        expected: "tiny|small|medium|large|xl",
-    })?;
-    let k = p.u32_or("k", 4)?;
-    let n = p.u32_or("n", 5)?;
-    if k == 0 || k > n {
-        return Err(CliError::Invalid(format!("need 1 <= k <= n (got k={k}, n={n})")));
-    }
+    let (preset, scale) = (preset(p)?, p.str_or("scale", "tiny"));
+    let (k, n, rounds) = (p.u32_or("k", 4)?, p.u32_or("n", 5)?, p.u32_or("rounds", 10_000)?);
+    check_shape(k, n, rounds as usize).map_err(CliError::Invalid)?;
+    // The plan is the preset's first n hosts.
+    let topology = preset.scale().build();
+    check_fits(&topology, &spec_for(k, n, 1)).map_err(CliError::Invalid)?;
+    let hosts = topology.hosts()[..n as usize].iter().map(|h| h.index() as u32).collect();
     let request = AssessRequest {
         preset,
-        rounds: p.u32_or("rounds", 10_000)?,
+        rounds,
         seed: p.u64_or("seed", 1)?,
         k,
         n,
-        assignments: vec![first_hosts(preset, n as usize)],
+        assignments: vec![hosts],
     };
 
     // Client-originated spans join the server's via the shared trace id;
@@ -478,12 +414,8 @@ fn assess_remote(p: &Parsed) -> Result<String, CliError> {
     let root = tracer.start(trace_id, 0, "client.request");
 
     let connect_start = trace::now_us();
-    let mut client = Client::connect(&addr)
-        .map_err(|e| CliError::Invalid(format!("cannot connect to {addr}: {e}")))?;
+    let mut client = connect(&addr, Duration::from_secs(300))?;
     tracer.record(trace_id, root, "client.connect", connect_start, trace::now_us(), 0, 0);
-    client
-        .set_timeout(Some(Duration::from_secs(300)))
-        .map_err(|e| CliError::Invalid(format!("set timeout: {e}")))?;
     client.set_trace(trace_id, root).map_err(|e| CliError::Invalid(format!("arm trace: {e}")))?;
 
     let mut out = String::new();
@@ -554,14 +486,9 @@ fn assess_remote(p: &Parsed) -> Result<String, CliError> {
 /// `--chrome` additionally writes Chrome trace-event JSON (load in
 /// `chrome://tracing` or ui.perfetto.dev).
 pub fn trace(p: &Parsed) -> Result<String, CliError> {
-    use recloud_server::Client;
     let addr = p.str_or("addr", "127.0.0.1:7070");
     let id = p.u64_or("id", 0)?;
-    let mut client = Client::connect(&addr)
-        .map_err(|e| CliError::Invalid(format!("cannot connect to {addr}: {e}")))?;
-    client
-        .set_timeout(Some(Duration::from_secs(30)))
-        .map_err(|e| CliError::Invalid(format!("set timeout: {e}")))?;
+    let mut client = connect(&addr, Duration::from_secs(30))?;
     let t = client.trace_dump(id).map_err(|e| CliError::Invalid(format!("trace dump: {e}")))?;
     if t.trace_id == 0 {
         return Err(CliError::Invalid(if id == 0 {
@@ -694,20 +621,17 @@ fn json_quote(s: &str) -> String {
 
 /// `recloud compare`.
 pub fn compare(p: &Parsed) -> Result<String, CliError> {
-    let t = build_topology(p)?;
-    let seed = p.u64_or("seed", 1)?;
-    let rounds = p.usize_or("rounds", 10_000)?;
     let n_candidates = p.usize_or("candidates", 4)?;
     if n_candidates == 0 {
         return Err(CliError::Invalid("--candidates must be at least 1".into()));
     }
-    let (label, spec) = build_spec(p)?;
-    let model = FaultModel::paper_default(&t, seed);
+    let (label, spec, rounds) = build_spec(p)?;
+    let (t, mut engine, seed) = paper_engine(p, SamplerKind::ExtendedDagger)?;
+    check_fits(&t, &spec).map_err(CliError::Invalid)?;
     let mut rng = Rng::new(seed);
     let plans: Vec<DeploymentPlan> =
         (0..n_candidates).map(|_| DeploymentPlan::random(&spec, t.hosts(), &mut rng)).collect();
-    let mut assessor = Assessor::new(&t, model);
-    let cmp = compare_plans(&mut assessor, &spec, &plans, rounds, seed);
+    let cmp = compare_plans(engine.at(seed), &spec, &plans, rounds, seed);
     let mut out = String::new();
     let _ = writeln!(out, "app: {label}; ranking {n_candidates} candidate plans:");
     let _ = writeln!(out, "  rank  plan  reliability      ciw95  tied-with-best");
@@ -732,11 +656,10 @@ pub fn compare(p: &Parsed) -> Result<String, CliError> {
 
 /// `recloud whatif`.
 pub fn whatif(p: &Parsed) -> Result<String, CliError> {
-    let t = build_topology(p)?;
-    let seed = p.u64_or("seed", 1)?;
-    let (label, spec) = build_spec(p)?;
+    let (label, spec, _) = build_spec(p)?;
+    let (t, mut engine, seed) = paper_engine(p, SamplerKind::ExtendedDagger)?;
     let plan = plan_from_flags(p, &t, &spec, seed)?;
-    let model = FaultModel::paper_default(&t, seed);
+    let model = engine.at(seed).model();
 
     // Parse --fail kind:ordinal[,...].
     let fail_spec = p
@@ -805,15 +728,11 @@ pub fn whatif(p: &Parsed) -> Result<String, CliError> {
 
 /// `recloud sensitivity`: conditional reliability per power supply.
 pub fn sensitivity(p: &Parsed) -> Result<String, CliError> {
-    let t = build_topology(p)?;
-    let seed = p.u64_or("seed", 1)?;
-    let rounds = p.usize_or("rounds", 10_000)?;
-    let (label, spec) = build_spec(p)?;
+    let (label, spec, rounds) = build_spec(p)?;
+    let (t, mut engine, seed) = paper_engine(p, SamplerKind::ExtendedDagger)?;
     let plan = plan_from_flags(p, &t, &spec, seed)?;
-    let model = FaultModel::paper_default(&t, seed);
-    let mut assessor = Assessor::new(&t, model);
     let report = recloud::assess::dependency_sensitivity(
-        &mut assessor,
+        engine.at(seed),
         &spec,
         &plan,
         t.power_supplies(),
@@ -843,9 +762,8 @@ pub fn sensitivity(p: &Parsed) -> Result<String, CliError> {
 
 /// `recloud blast`: blast radius of every shared dependency.
 pub fn blast(p: &Parsed) -> Result<String, CliError> {
-    let t = build_topology(p)?;
-    let seed = p.u64_or("seed", 1)?;
-    let model = FaultModel::paper_default(&t, seed);
+    let (t, mut engine, seed) = paper_engine(p, SamplerKind::ExtendedDagger)?;
+    let model = engine.at(seed).model();
     let mut out = String::new();
     let _ = writeln!(out, "blast radius per power supply (components failing together):");
     for &supply in t.power_supplies() {
@@ -874,22 +792,20 @@ pub fn dot(p: &Parsed) -> Result<String, CliError> {
 
 /// `recloud availability`: continuous-time renewal simulation of a plan.
 pub fn availability(p: &Parsed) -> Result<String, CliError> {
-    let t = build_topology(p)?;
-    let seed = p.u64_or("seed", 1)?;
-    let (label, spec) = build_spec(p)?;
-    let plan = plan_from_flags(p, &t, &spec, seed)?;
-    let model = FaultModel::paper_default(&t, seed);
     let years = p.usize_or("years", 50)?;
     if years == 0 {
         return Err(CliError::Invalid("--years must be at least 1".into()));
     }
     let mttr: f64 = p.f64_opt("mttr-hours")?.unwrap_or(8.0);
+    let (label, spec, _) = build_spec(p)?;
+    let (t, mut engine, seed) = paper_engine(p, SamplerKind::ExtendedDagger)?;
+    let plan = plan_from_flags(p, &t, &spec, seed)?;
 
     // Static assessment for comparison.
-    let mut assessor = Assessor::new(&t, model.clone());
+    let assessor = engine.at(seed);
     let stat = assessor.assess(&spec, &plan, 50_000, seed);
 
-    let sim = recloud_availsim::AvailabilitySimulator::new(&t, model, mttr);
+    let sim = recloud_availsim::AvailabilitySimulator::new(&t, assessor.model().clone(), mttr);
     let report = sim.simulate(
         &spec,
         &plan,
@@ -986,13 +902,8 @@ pub fn serve(p: &Parsed) -> Result<String, CliError> {
 /// `recloud stats` — fetch a running daemon's instrument snapshot via a
 /// `MetricsDump` frame and render it (or dump raw JSON with `--json`).
 pub fn stats(p: &Parsed) -> Result<String, CliError> {
-    use recloud_server::Client;
     let addr = p.str_or("addr", "127.0.0.1:7070");
-    let mut client = Client::connect(&addr)
-        .map_err(|e| CliError::Invalid(format!("cannot connect to {addr}: {e}")))?;
-    client
-        .set_timeout(Some(Duration::from_secs(30)))
-        .map_err(|e| CliError::Invalid(format!("set timeout: {e}")))?;
+    let mut client = connect(&addr, Duration::from_secs(30))?;
     let m = client.metrics(0).map_err(|e| CliError::Invalid(format!("metrics dump: {e}")))?;
     if p.has("json") {
         return Ok(format!("{}\n", m.snapshot.to_json()));
@@ -1080,14 +991,9 @@ pub fn stats(p: &Parsed) -> Result<String, CliError> {
 /// `recloud journal` — fetch the newest `--tail N` journal events from a
 /// running daemon and print them as JSON lines.
 pub fn journal(p: &Parsed) -> Result<String, CliError> {
-    use recloud_server::Client;
     let addr = p.str_or("addr", "127.0.0.1:7070");
     let tail = p.u32_or("tail", 64)?;
-    let mut client = Client::connect(&addr)
-        .map_err(|e| CliError::Invalid(format!("cannot connect to {addr}: {e}")))?;
-    client
-        .set_timeout(Some(Duration::from_secs(30)))
-        .map_err(|e| CliError::Invalid(format!("set timeout: {e}")))?;
+    let mut client = connect(&addr, Duration::from_secs(30))?;
     let m = client.metrics(tail).map_err(|e| CliError::Invalid(format!("metrics dump: {e}")))?;
     let mut out = String::new();
     for event in &m.events {
@@ -1103,7 +1009,6 @@ pub fn journal(p: &Parsed) -> Result<String, CliError> {
 /// `recloud loadgen` — throw assessment load (or the CI smoke sequence)
 /// at a running daemon.
 pub fn loadgen(p: &Parsed) -> Result<String, CliError> {
-    use recloud_server::protocol::Preset;
     use recloud_server::{run_load, LoadgenConfig};
     let addr = p.str_or("addr", "127.0.0.1:7070");
     if p.has("smoke") {
@@ -1126,17 +1031,11 @@ pub fn loadgen(p: &Parsed) -> Result<String, CliError> {
         recloud_server::smoke(&addr).map_err(CliError::Invalid)?;
         return Ok(format!("smoke OK against {addr}\n"));
     }
-    let scale = p.str_or("scale", "tiny");
-    let preset = Preset::from_name(&scale).ok_or_else(|| CliError::BadValue {
-        flag: "scale".into(),
-        value: scale.clone(),
-        expected: "tiny|small|medium|large|xl",
-    })?;
     let config = LoadgenConfig {
         addr,
         requests: p.usize_or("requests", 1_000)?,
         connections: p.usize_or("connections", 4)?,
-        preset,
+        preset: preset(p)?,
         rounds: p.u32_or("rounds", 1_000)?,
         seed: p.u64_or("seed", 42)?,
         distinct_seeds: p.has("distinct-seeds"),

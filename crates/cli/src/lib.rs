@@ -93,7 +93,10 @@ ASSESS OPTIONS:
 
 SEARCH OPTIONS:
     --budget-ms <int>                   search budget (default: 2000)
-    --workers <int>                     parallel annealing chains (default: 1)
+    --workers <int>                     parallel annealing chains (default: 1,
+                                        the paper's sequential search); an
+                                        in-process search always reports its
+                                        chains and which one won
     --iters <int>                       deterministic per-chain iteration budget;
                                         overrides --budget-ms and makes the
                                         answer a pure function of the flags
@@ -333,6 +336,32 @@ mod tests {
     fn layered_app_flag() {
         let out = run_str("assess --scale tiny --k 1 --n 2 --layers 3 --rounds 300").unwrap();
         assert!(out.contains("3-layer"), "{out}");
+    }
+
+    /// Input the engine refuses is an error on every in-process command
+    /// that takes it, never a panic: a host named twice, more instances
+    /// than Tiny's 112 hosts, zero rounds.
+    #[test]
+    fn engine_refusals_are_errors_not_panics() {
+        let cases = [
+            ("assess --k 1 --n 2 --hosts 72,72", "twice"),
+            ("whatif --k 1 --n 2 --hosts 72,72 --fail power:0", "twice"),
+            ("sensitivity --k 1 --n 2 --hosts 72,72 --rounds 500", "twice"),
+            ("availability --k 1 --n 2 --hosts 72,72 --years 1", "twice"),
+            ("assess --n 200", "exceed"),
+            ("compare --n 200", "exceed"),
+            ("whatif --n 200 --fail power:0", "exceed"),
+            ("sensitivity --n 200", "exceed"),
+            ("search --n 200 --workers 2 --iters 5", "exceed"),
+            ("assess --rounds 0", "rounds"),
+            ("compare --rounds 0", "rounds"),
+            ("search --rounds 0 --iters 5", "rounds"),
+        ];
+        for (cmd, says) in cases {
+            let err = run_str(&format!("{cmd} --scale tiny")).unwrap_err();
+            assert!(matches!(err, CliError::Invalid(_)), "{cmd}: {err:?}");
+            assert!(err.to_string().contains(says), "{cmd}: {err}");
+        }
     }
 
     #[test]

@@ -1,43 +1,31 @@
 //! Worker-side assessment engines.
 //!
-//! Each worker thread owns one [`EnginePool`]: a map from topology preset
-//! to a live `(Topology, Assessor)` pair. Building a topology and its
-//! fault model is far more expensive than a Tiny assessment, so engines
-//! persist across requests. A seed changes the model's numbers, not its
-//! structure: when a request arrives with a different master seed, the
-//! engine's model is cloned (the trees are shared, only the probability
-//! vector is copied), redrawn in place for the new seed
-//! ([`FaultModel::redraw`], field for field the model
-//! `FaultModel::paper_default` would build) and handed to
-//! [`Assessor::reseed`], which invalidates the failure-state table —
-//! `recloud-assess` proves that bit-exact against a freshly constructed
-//! engine. That equivalence is the serving contract: an `AssessPlan`
-//! answer must match what the CLI's `recloud assess` path computes for
-//! the same `(preset, plan, rounds, seed)` down to the last bit of the
-//! score. A request is validated against the topology *before* any of
-//! this, so one that will be refused never costs the engine the table it
-//! was serving from.
-//!
-//! All request semantics live here rather than in the connection or
-//! worker plumbing: spec/plan construction, topology-aware host
-//! validation, and the dispatch to assess / compare / search.
+//! Each worker thread owns one [`EnginePool`]: one [`Engine`] per
+//! topology preset, kept across requests. The engine — construction, reseed by redraw, and the request
+//! semantics (spec and plan construction, host and size checks) — lives
+//! in `recloud-assess`, where the `recloud` CLI builds the same one. An
+//! `AssessPlan` answer therefore matches what `recloud assess` computes
+//! for the same `(preset, plan, rounds, seed)` down to the last bit of the
+//! score. What is left here is the adaptation of protocol types: a
+//! request is validated against the preset's topology *before* its seed
+//! is asked of the engine, then dispatched to assess / compare / search.
 
 use crate::protocol::{
     AssessRequest, AssessResponse, CompareEntry, CompareRequest, CompareResponse, Preset,
     SearchEventResponse, SearchRequest, SearchResponse,
 };
 use recloud_apps::{ApplicationSpec, DeploymentPlan};
-use recloud_assess::{compare_plans, Assessor, PartialEstimate, SamplerKind};
-use recloud_faults::{FaultModel, ProbabilityConfig};
-use recloud_obs::trace;
+use recloud_assess::engine::{check_fits, check_hosts};
+use recloud_assess::{compare_plans, Engine, PartialEstimate, SamplerKind};
 use recloud_search::{
     ParallelSearchConfig, ParallelSearcher, ReliabilityObjective, SearchBudget, SearchConfig,
 };
-use recloud_topology::{ComponentId, ComponentKind, Topology};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
+
+pub use recloud_assess::engine::{build_plan, shape_for, spec_for};
 
 /// The per-chain [`SearchConfig`] a SearchStream request describes: paper
 /// defaults under the request's seed and rounds, with a deterministic
@@ -54,91 +42,10 @@ pub fn stream_search_config(req: &SearchRequest, iters: u32) -> SearchConfig {
     SearchConfig { budget, rounds: req.rounds as usize, ..SearchConfig::paper_default(req.seed) }
 }
 
-/// Builds the application spec a request describes: one layer is a plain
-/// K-of-N app, several layers share `(k, n)` per layer.
-pub fn spec_for(k: u32, n: u32, layers: usize) -> ApplicationSpec {
-    if layers <= 1 {
-        ApplicationSpec::k_of_n(k, n)
-    } else {
-        ApplicationSpec::layered(&vec![(k, n); layers])
-    }
-}
-
-/// The `(k, n)` shape of that spec, as the cache key wants it.
-pub fn shape_for(k: u32, n: u32, layers: usize) -> Vec<(u32, u32)> {
-    vec![(k, n); layers.max(1)]
-}
-
-/// Converts raw wire host ids into a [`DeploymentPlan`], rejecting
-/// duplicate hosts (which `DeploymentPlan::new` would panic on — a panic
-/// a network peer must never be able to trigger). Host ids are *not*
-/// checked against a topology here; that needs the worker's engine and
-/// happens in the [`EnginePool`] call that runs the request.
-pub fn build_plan(
-    spec: &ApplicationSpec,
-    assignments: &[Vec<u32>],
-) -> Result<DeploymentPlan, String> {
-    let mut seen = HashSet::new();
-    for &h in assignments.iter().flatten() {
-        if !seen.insert(h) {
-            return Err(format!("host {h} is assigned twice in one plan"));
-        }
-    }
-    Ok(DeploymentPlan::new(
-        spec,
-        assignments
-            .iter()
-            .map(|layer| layer.iter().map(|&h| ComponentId::from_index(h as usize)).collect())
-            .collect(),
-    ))
-}
-
-struct Slot {
-    seed: u64,
-    topology: Topology,
-    assessor: Assessor,
-}
-
-impl Slot {
-    /// The engine, holding the paper-default model of `seed`. Call once
-    /// the request is known to run: a new seed invalidates the table. A
-    /// traced request records the swap — clone, redraw, reseed — as an
-    /// `engine.reseed` span (`v0` = events redrawn).
-    fn engine(&mut self, seed: u64) -> &mut Assessor {
-        if self.seed != seed {
-            let span_start = recloud_obs::current_span().map(|_| trace::now_us());
-            let mut model = self.assessor.model().clone();
-            model.redraw(&self.topology, &ProbabilityConfig::PaperDefault, seed);
-            self.assessor.reseed(model);
-            self.seed = seed;
-            if let (Some(ctx), Some(start_us)) = (recloud_obs::current_span(), span_start) {
-                trace::tracer().record(
-                    ctx.trace_id,
-                    ctx.span,
-                    "engine.reseed",
-                    start_us,
-                    trace::now_us(),
-                    self.topology.num_components() as u64,
-                    0,
-                );
-            }
-        }
-        &mut self.assessor
-    }
-
-    fn check_fits(&self, spec: &ApplicationSpec, n: u32) -> Result<(), String> {
-        let hosts = self.topology.hosts().len();
-        if spec.total_instances() > hosts {
-            return Err(format!("n={n} exceeds the preset's {hosts} hosts"));
-        }
-        Ok(())
-    }
-}
-
 /// Per-worker cache of live assessment engines, one per topology preset.
 #[derive(Default)]
 pub struct EnginePool {
-    slots: HashMap<u8, Slot>,
+    engines: HashMap<u8, Engine>,
 }
 
 impl EnginePool {
@@ -147,36 +54,17 @@ impl EnginePool {
         EnginePool::default()
     }
 
-    /// The preset's slot, whatever seed its engine holds; `seed` is what
-    /// a slot that does not exist yet is built with. The topology does
-    /// not depend on the seed, so requests are validated against the slot
-    /// first and only then ask it for [`Slot::engine`].
-    fn slot(&mut self, preset: Preset, seed: u64) -> &mut Slot {
-        self.slots.entry(preset.tag()).or_insert_with(|| {
-            let topology = preset.scale().build();
-            let model = FaultModel::paper_default(&topology, seed);
-            let assessor = Assessor::with_sampler(&topology, model, SamplerKind::ExtendedDagger);
-            Slot { seed, topology, assessor }
+    /// The preset's engine, whatever seed it holds; `seed` is what an
+    /// engine that does not exist yet is built with. The topology does
+    /// not depend on the seed, so requests are validated against
+    /// [`Engine::topology`] first and only then ask for [`Engine::at`].
+    fn engine(&mut self, preset: Preset, seed: u64) -> &mut Engine {
+        self.engines.entry(preset.tag()).or_insert_with(|| {
+            Engine::new(&preset.scale().build(), seed, SamplerKind::ExtendedDagger)
         })
     }
 
-    fn check_hosts(topology: &Topology, assignments: &[Vec<u32>]) -> Result<(), String> {
-        for &h in assignments.iter().flatten() {
-            if h as usize >= topology.num_components() {
-                return Err(format!(
-                    "id {h} is out of range (topology has {} components)",
-                    topology.num_components()
-                ));
-            }
-            let kind = topology.component(ComponentId::from_index(h as usize)).kind;
-            if !matches!(kind, ComponentKind::Host) {
-                return Err(format!("id {h} is a {kind:?}, not a host"));
-            }
-        }
-        Ok(())
-    }
-
-    /// Runs one assessment exactly as the CLI path would: paper-default
+    /// Runs one assessment on the engine the CLI builds: paper-default
     /// fault model for `(preset topology, seed)`, extended dagger
     /// sampling, `rounds` route-and-check rounds. Thin consumer of
     /// [`EnginePool::assess_streaming`], the way `Assessor::assess` is of
@@ -208,17 +96,12 @@ impl EnginePool {
         cancel: &AtomicBool,
         on_partial: &mut dyn FnMut(&PartialEstimate),
     ) -> Result<(AssessResponse, bool), String> {
-        let slot = self.slot(req.preset, req.seed);
-        Self::check_hosts(&slot.topology, &req.assignments)?;
+        let engine = self.engine(req.preset, req.seed);
+        check_hosts(engine.topology(), &req.assignments)?;
         let cadence = cadence.max(1) as usize;
         let mut fed = 0usize;
-        let driven = slot.engine(req.seed).drive(
-            spec,
-            plan,
-            req.rounds as usize,
-            req.seed,
-            None,
-            &mut |p| {
+        let driven =
+            engine.at(req.seed).drive(spec, plan, req.rounds as usize, req.seed, None, &mut |p| {
                 fed += 1;
                 if fed % cadence == 0 {
                     on_partial(p);
@@ -228,8 +111,7 @@ impl EnginePool {
                 } else {
                     ControlFlow::Continue(())
                 }
-            },
-        );
+            });
         let e = driven.assessment.estimate;
         Ok((
             AssessResponse {
@@ -251,9 +133,9 @@ impl EnginePool {
         spec: &ApplicationSpec,
         plans: &[DeploymentPlan],
     ) -> Result<CompareResponse, String> {
-        let slot = self.slot(req.preset, req.seed);
-        Self::check_hosts(&slot.topology, &req.plans)?;
-        let cmp = compare_plans(slot.engine(req.seed), spec, plans, req.rounds as usize, req.seed);
+        let engine = self.engine(req.preset, req.seed);
+        check_hosts(engine.topology(), &req.plans)?;
+        let cmp = compare_plans(engine.at(req.seed), spec, plans, req.rounds as usize, req.seed);
         Ok(CompareResponse {
             ranking: cmp
                 .ranking
@@ -281,12 +163,12 @@ impl EnginePool {
         iters: u32,
         on_event: &(dyn Fn(SearchEventResponse) + Sync),
     ) -> Result<SearchResponse, String> {
-        let slot = self.slot(req.preset, req.seed);
-        let spec = ApplicationSpec::k_of_n(req.k, req.n);
-        slot.check_fits(&spec, req.n)?;
-        let model = slot.engine(req.seed).model().clone();
+        let engine = self.engine(req.preset, req.seed);
+        let spec = spec_for(req.k, req.n, 1);
+        check_fits(engine.topology(), &spec)?;
+        let model = engine.at(req.seed).model().clone();
         let searcher =
-            ParallelSearcher::with_sampler(&slot.topology, model, SamplerKind::ExtendedDagger);
+            ParallelSearcher::with_sampler(engine.topology(), model, SamplerKind::ExtendedDagger);
         let config =
             ParallelSearchConfig::new(workers.max(1) as usize, stream_search_config(req, iters));
         let sink = |e: recloud_search::ChainEvent| {
@@ -310,13 +192,16 @@ impl EnginePool {
 
     /// Engines currently materialized (for tests/introspection).
     pub fn engines(&self) -> usize {
-        self.slots.len()
+        self.engines.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use recloud_assess::Assessor;
+    use recloud_faults::FaultModel;
+    use recloud_topology::Topology;
 
     fn tiny_request(seed: u64, hosts: Vec<u32>) -> AssessRequest {
         AssessRequest {
@@ -334,7 +219,9 @@ mod tests {
     }
 
     /// The serving contract: a pooled engine answers bit-identically to
-    /// the CLI path (fresh model + fresh assessor), across seed changes —
+    /// a fresh model + fresh assessor, built here without [`Engine`] so
+    /// that redraw ≡ rebuild is checked against an independent oracle,
+    /// across seed changes —
     /// a long run of distinct seeds, each model redrawn from the one
     /// before, and back to the first.
     #[test]
@@ -358,38 +245,6 @@ mod tests {
             assert!(!served.cached);
         }
         assert_eq!(pool.engines(), 1, "one preset touched, one engine kept");
-    }
-
-    #[test]
-    fn invalid_hosts_are_errors_not_panics() {
-        let topology = Preset::Tiny.scale().build();
-        let mut pool = EnginePool::new();
-
-        let switch = (0..topology.num_components() as u32)
-            .find(|&i| {
-                !matches!(
-                    topology.component(ComponentId::from_index(i as usize)).kind,
-                    ComponentKind::Host
-                )
-            })
-            .unwrap();
-        let hosts = first_hosts(&topology, 2);
-
-        let out_of_range = tiny_request(1, vec![hosts[0], hosts[1], 9_999_999]);
-        let spec = spec_for(2, 3, 1);
-        let plan = build_plan(&spec, &out_of_range.assignments).unwrap();
-        assert!(pool.assess(&out_of_range, &spec, &plan).unwrap_err().contains("out of range"));
-
-        let on_switch = tiny_request(1, vec![hosts[0], hosts[1], switch]);
-        let plan = build_plan(&spec, &on_switch.assignments).unwrap();
-        assert!(pool.assess(&on_switch, &spec, &plan).unwrap_err().contains("not a host"));
-    }
-
-    #[test]
-    fn duplicate_hosts_are_rejected_before_plan_construction() {
-        let spec = spec_for(2, 3, 1);
-        let err = build_plan(&spec, &[vec![72, 73, 72]]).unwrap_err();
-        assert!(err.contains("twice"), "{err}");
     }
 
     #[test]
@@ -482,7 +337,7 @@ mod tests {
         assert!(!events.is_empty());
         assert!(events.iter().all(|e| e.chain < 3));
         let topology = Preset::Tiny.scale().build();
-        EnginePool::check_hosts(&topology, &[a.hosts.clone()]).unwrap();
+        check_hosts(&topology, &[a.hosts.clone()]).unwrap();
     }
 
     /// `iters = 0`: one chain on the request's wall-clock budget.
@@ -502,6 +357,6 @@ mod tests {
         assert!(resp.plans_assessed >= 1);
         assert!((0.0..=1.0).contains(&resp.reliability));
         let topology = Preset::Tiny.scale().build();
-        EnginePool::check_hosts(&topology, &[resp.hosts.clone()]).unwrap();
+        check_hosts(&topology, &[resp.hosts.clone()]).unwrap();
     }
 }

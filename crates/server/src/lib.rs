@@ -16,9 +16,9 @@
 //! * [`cache`] — an LRU result cache keyed by the 128-bit
 //!   [`recloud_assess::assessment_key`] fingerprint of everything that
 //!   determines an assessment;
-//! * [`engine`] — per-worker engine pools that keep `(topology,
-//!   Assessor)` pairs warm across requests and reseed in place,
-//!   bit-identical to a cold CLI run;
+//! * [`engine`] — per-worker pools of [`recloud_assess::Engine`]s, one
+//!   per preset, kept warm across requests and reseeded in place — the
+//!   engine the CLI builds, so answers are bit-identical to it;
 //! * [`reactor`] — the readiness-polling substrate: hand-declared
 //!   `epoll` FFI on Linux, a portable non-blocking scan fallback, and
 //!   the armed loopback waker workers use to nudge the event loop;

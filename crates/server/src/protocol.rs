@@ -921,14 +921,13 @@ pub fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
 /// do not need the topology. Host-id validity is checked worker-side where
 /// the topology lives.
 pub fn validate_shape(req: &Request) -> Result<(), String> {
+    // The engine's own bounds, then the wire's caps.
     let check_spec = |k: u32, n: u32, rounds: u32| -> Result<(), String> {
-        if k == 0 || k > n {
-            return Err(format!("need 1 <= k <= n (got k={k}, n={n})"));
-        }
+        recloud_assess::engine::check_shape(k, n, rounds as usize)?;
         if n > MAX_INSTANCES {
             return Err(format!("n={n} exceeds the {MAX_INSTANCES}-instance limit"));
         }
-        if rounds == 0 || rounds > MAX_ROUNDS {
+        if rounds > MAX_ROUNDS {
             return Err(format!("rounds must be in 1..={MAX_ROUNDS} (got {rounds})"));
         }
         Ok(())

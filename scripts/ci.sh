@@ -51,7 +51,9 @@ echo "== retired names gate =="
 # that never had a caller. And the second way to measure (PR 23): the
 # `repro bench-*` subcommands, their checked-in JSONs and sampling knobs,
 # and the instrument kill switch that existed to be measured — timings are
-# taken in benchmark/, which this grep does not reach.
+# taken in benchmark/, which this grep does not reach. And the sequential
+# stopping wrapper: `Assessor::drive` with a CIW target is the one way to
+# stop at a width.
 RETIRED='StatsResponse|SearchPlacement|set_batched|Word64|JobFrame|RCW1'
 RETIRED="$RETIRED|begin_wide_keyed|border_of|border_ok_wide|pod_ext_wide|memo_row|name_cone|recheck_base"
 RETIRED="$RETIRED|eval_word|eval_node_word|eval_matrix"
@@ -60,6 +62,7 @@ RETIRED="$RETIRED|external_reach_word|connects_word|word_reliable|k_of_n_word|an
 RETIRED="$RETIRED|explain_unreachable|diagnose_consistently"
 RETIRED="$RETIRED|bench_assess|bench_serve|bench_search|BENCH_assess|BENCH_serve|BENCH_search"
 RETIRED="$RETIRED|RECLOUD_BENCH_SAMPLES|RECLOUD_BENCH_WARMUP|set_enabled"
+RETIRED="$RETIRED|assess_until|SequentialAssessment"
 if grep -rnE "$RETIRED" crates/ src/ tests/ examples/ \
     | grep -vE '^crates/server/src/(protocol\.rs|frame_table\.md):.*SearchPlacement'; then
   echo "retired names gate: a retired name is back (see above)"; exit 1
@@ -100,6 +103,20 @@ echo "== benchmark package gate =="
   done
 )
 echo "benchmark gate: package builds, tests pass, replay agrees"
+
+echo "== CLI bad-input gate =="
+# Input the in-process commands once panicked on (exit 101) must be a clean
+# error — exit status 1, stderr starting `error:` — through the release
+# binary: a duplicate host, more instances than Tiny's 112 hosts, zero rounds.
+for ARGS in "assess --hosts 72,72 --k 1 --n 2" "search --n 200 --workers 2 --iters 5" \
+    "compare --rounds 0"; do
+  STATUS=0
+  # shellcheck disable=SC2086 # ARGS is split into words on purpose.
+  ERR="$(target/release/recloud $ARGS 2>&1 >/dev/null)" || STATUS=$?
+  [ "$STATUS" -eq 1 ] && [ "${ERR#error:}" != "$ERR" ] \
+    || { echo "CLI bad-input gate: 'recloud $ARGS' exited $STATUS: $ERR"; exit 1; }
+done
+echo "CLI bad-input gate: bad input is an error, not a panic"
 
 echo "== complex-structure smoke gate =="
 # Layered and microservice specs on preset fat-trees (Tiny, Small) end in

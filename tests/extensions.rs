@@ -2,12 +2,26 @@
 //! plan comparison, migration-aware re-deployment, Fig 5 templates, and
 //! the extra data-center architectures.
 
-use recloud::assess::{compare_plans, StopReason};
+use recloud::assess::{compare_plans, DrivenAssessment};
 use recloud::prelude::*;
 use recloud::topology::{BCubeParams, Topology, Vl2Params};
+use std::ops::ControlFlow;
 
 fn paper_model(t: &Topology, seed: u64) -> FaultModel {
     FaultModel::paper_default(t, seed)
+}
+
+/// Sequential stopping: chunks of rounds until the 95% CI width is at
+/// most `target`, or `ceiling` rounds.
+fn assess_to_target(
+    assessor: &mut Assessor,
+    spec: &ApplicationSpec,
+    plan: &DeploymentPlan,
+    target: f64,
+    ceiling: usize,
+    seed: u64,
+) -> DrivenAssessment {
+    assessor.drive(spec, plan, ceiling, seed, Some(target), &mut |_| ControlFlow::Continue(()))
 }
 
 #[test]
@@ -19,9 +33,9 @@ fn sequential_assessment_spends_rounds_where_needed() {
     let plan = DeploymentPlan::random(&spec, t.hosts(), &mut rng);
     let mut assessor = Assessor::new(&t, model);
 
-    let loose = assessor.assess_until(&spec, &plan, 0.02, 200_000, 5);
-    let tight = assessor.assess_until(&spec, &plan, 0.004, 200_000, 5);
-    assert_eq!(loose.stop, StopReason::TargetReached);
+    let loose = assess_to_target(&mut assessor, &spec, &plan, 0.02, 200_000, 5);
+    let tight = assess_to_target(&mut assessor, &spec, &plan, 0.004, 200_000, 5);
+    assert!(!loose.completed, "the loose target is met before the ceiling");
     assert!(
         tight.assessment.estimate.rounds > loose.assessment.estimate.rounds,
         "tighter target must consume more rounds: {} vs {}",
@@ -203,5 +217,8 @@ fn searcher_assess(t: &Topology, out: SearchOutcome) -> f64 {
     model.attach_shared_software(t, 2, 0.004, 0.001);
     let mut assessor = Assessor::new(t, model);
     let spec = ApplicationSpec::layered(&[(2, 3), (1, 2)]);
-    assessor.assess_until(&spec, &out.best_plan, 0.02, 100_000, 99).assessment.estimate.score
+    assess_to_target(&mut assessor, &spec, &out.best_plan, 0.02, 100_000, 99)
+        .assessment
+        .estimate
+        .score
 }
