@@ -193,7 +193,7 @@ struct AssessInstruments {
     assessments_total: Arc<Counter>,
     /// Bytes of materialised table rows of the newest engine.
     cache_bytes: Arc<Gauge>,
-    /// Bytes the newest engine's table and its router's memo have allocated.
+    /// Bytes the newest engine's table and its router's memo have written.
     arena_bytes: Arc<Gauge>,
     /// Bytes of the newest engine's fault model: its numbers plus the
     /// structure it shares with its clones. With `arena_bytes`, what an
@@ -377,12 +377,14 @@ impl Assessor {
         self.width
     }
 
-    /// Bytes the failure-state table has allocated (one slot per chunk
-    /// index ever assessed, up to the table's bound) plus what the router
-    /// keeps about it ([`Router::memo_stats`]). Exported as the
-    /// `assess.arena_bytes` gauge.
+    /// Bytes the failure-state table has written — per slot (one per chunk
+    /// index ever assessed, up to the table's bound) its rows up to the
+    /// most it has held, its poison rows and its indexes — plus what the
+    /// router keeps about it ([`Router::memo_stats`]). What the engine
+    /// keeps resident for its table; storage a slot reserved and never
+    /// wrote is not counted. Exported as the `assess.arena_bytes` gauge.
     pub fn arena_bytes(&self) -> usize {
-        self.table.allocated_bytes() + self.router.memo_stats().bytes
+        self.table.written_bytes() + self.router.memo_stats().bytes
     }
 
     /// Bytes of the table rows materialised for the current seed — what a
@@ -920,13 +922,15 @@ mod tests {
         a.assess(&spec, &plan_on(&t, &spec, &[(0, 0, 0), (1, 1, 0)]), rounds, 5);
         cone.extend([m.host(1, 1, 0), m.edge(1, 1), m.agg(1, 0), m.agg(1, 1)]);
         assert_eq!(a.cache_bytes(), 3 * rows_of(&t, &cone) * 40 * 8);
-        // Allocation is the full table: 36 component rows + 5 supply rows
-        // per slot (plus stamps), whatever was materialised.
-        let allocated = a.arena_bytes();
-        assert!(allocated >= 3 * (36 + 5) * 40 * 8, "{allocated}");
-        a.set_injector(None); // invalidates the table, keeps the allocation
+        // What the table has written is the rows it holds (plus a poison
+        // row and an index per matrix), not the 36 component rows + 5
+        // supply rows per slot it has room for.
+        let written = a.arena_bytes();
+        let full = 3 * (36 + 5) * 40 * 8 + a.router.memo_stats().bytes;
+        assert!(written < full, "{written} of {full}");
+        a.set_injector(None); // invalidates the table; what it wrote stays
         assert_eq!(a.cache_bytes(), 0);
-        assert_eq!(a.arena_bytes(), allocated);
+        assert_eq!(a.arena_bytes(), written);
     }
 
     /// The router's memo is part of the engine's footprint, and its two
@@ -946,7 +950,7 @@ mod tests {
         assert_eq!(first.digests_built, wides * 2, "per wide word: the border row and pod 0");
         assert_eq!(first.reach_rows_built, chunks * 2, "per slot: two hosts");
         assert!(first.bytes > 0);
-        assert_eq!(a.arena_bytes(), a.table.allocated_bytes() + first.bytes);
+        assert_eq!(a.arena_bytes(), a.table.written_bytes() + first.bytes);
         // The same plan again: everything is served from the memo.
         a.assess(&spec, &plan_on(&t, &spec, &[(0, 0, 0), (0, 1, 1)]), rounds, 5);
         assert_eq!(a.router.memo_stats(), first);
@@ -979,8 +983,9 @@ mod tests {
     /// What the router keeps is sized by the plans it is shown, not by the
     /// hosts a search visits: a 2,000-step walk of one-host moves on the
     /// Medium fabric touches ~1,500 of its 3,312 hosts, and the memo is
-    /// byte for byte as large as after 50 steps — and the table's
-    /// allocation with it. Every step still derives its new host's rows.
+    /// byte for byte as large as after 50 steps; of the engine's arena only
+    /// the table grew, by the rows of the hosts visited. Every step still
+    /// derives its new host's rows.
     #[test]
     fn memo_bytes_do_not_grow_with_hosts_visited() {
         let t = recloud_topology::Scale::Medium.build();
@@ -994,13 +999,13 @@ mod tests {
                 plan = plan.neighbor(t.hosts(), &mut rng);
                 a.assess(&spec, &plan, rounds, 5);
             }
-            (a.router.memo_stats(), a.arena_bytes())
+            (a.router.memo_stats(), a.arena_bytes(), a.table.written_bytes())
         };
-        let (early, arena) = walk(&mut a, 50);
+        let (early, arena, table) = walk(&mut a, 50);
         assert!(early.bytes > 0);
-        let (late, arena_late) = walk(&mut a, 1_950);
+        let (late, arena_late, table_late) = walk(&mut a, 1_950);
         assert_eq!(late.bytes, early.bytes, "digest bytes are a function of plan size only");
-        assert_eq!(arena_late, arena);
+        assert_eq!(arena_late - arena, table_late - table, "only the table grew");
         let built = late.reach_rows_built - early.reach_rows_built;
         assert!(
             (1_950 * chunks * 9 / 10..=1_950 * chunks).contains(&built),
@@ -1013,6 +1018,65 @@ mod tests {
         let wides = a.chunk_layout(1 << 20)[0].1 / WideWord::LANES;
         let digests = wides * (16 + 32 * (m.half + m.host_pods) as usize);
         assert_eq!(late.bytes, chunks as usize * (10 * (wides * 32 + 16) + digests));
+    }
+
+    /// The table's memory contract, in rows rather than resident bytes so
+    /// that it holds whatever the allocator does: a slot writes the rows
+    /// it holds, packed front to back, and one poison row per matrix —
+    /// here on a fresh Medium engine streaming a 100,000-round request
+    /// (a slot per chunk, a few hundred of 4K rows each), and again after
+    /// a new seed re-keys every slot onto the same positions.
+    #[test]
+    fn a_medium_stream_writes_only_its_valid_rows() {
+        let t = recloud_topology::Scale::Medium.build();
+        let mut a = Assessor::new(&t, FaultModel::paper_default(&t, 11));
+        let spec = ApplicationSpec::k_of_n(2, 3);
+        let plan = DeploymentPlan::random(&spec, t.hosts(), &mut Rng::new(3));
+        let rounds = 100_000;
+        for seed in [1, 2] {
+            a.assess(&spec, &plan, rounds, seed);
+            assert_eq!(a.table.slots(), a.chunk_layout(rounds).len());
+            let mut valid = 0;
+            for (states, deps) in a.table.matrices() {
+                assert_eq!(states.rows_written(), states.rows_held() + 1, "seed {seed}");
+                assert_eq!(deps.rows_written(), deps.rows_held() + 1, "seed {seed}");
+                assert!(states.rows_held() < states.components() / 10, "seed {seed}");
+                valid += (states.rows_held() + deps.rows_held()) * states.words_per_row() * 8;
+            }
+            assert_eq!(a.cache_bytes(), valid);
+        }
+    }
+
+    /// A Large 10⁴-round plan writes its cone and nothing else: every slot
+    /// holds exactly the rows the router's cone names, and every other
+    /// component reads as failed in every round — in release builds too,
+    /// where a router reading outside its cone would otherwise see stale
+    /// bits rather than a verdict-changing poison row.
+    #[test]
+    fn a_large_plan_writes_only_its_cone() {
+        let t = recloud_topology::Scale::Large.build();
+        let mut a = Assessor::new(&t, FaultModel::paper_default(&t, 11));
+        let spec = ApplicationSpec::k_of_n(4, 5);
+        let plan = DeploymentPlan::random(&spec, t.hosts(), &mut Rng::new(5));
+        a.assess(&spec, &plan, 10_000, 1);
+        let mut cone = Vec::new();
+        a.router.cone(t.num_components(), &mut plan.all_hosts(), &mut cone);
+        let mut in_cone = vec![false; t.num_components()];
+        cone.iter().for_each(|c| in_cone[c.index()] = true);
+        let cone_rows = in_cone.iter().filter(|&&named| named).count();
+        assert!(cone_rows < t.num_components() / 20, "{cone_rows} rows");
+        assert_eq!(a.table.slots(), a.chunk_layout(10_000).len());
+        for (states, deps) in a.table.matrices() {
+            assert_eq!(states.rows_held(), cone_rows);
+            assert_eq!(states.rows_written(), cone_rows + 1, "the cone and the poison row");
+            assert_eq!(deps.rows_written(), deps.rows_held() + 1);
+            for (c, &named) in in_cone.iter().enumerate() {
+                assert_eq!(states.holds(c), named, "component {c}");
+                if !named {
+                    assert_eq!(states.row(c).count_ones(), states.rounds(), "component {c}");
+                }
+            }
+        }
     }
 
     /// ROADMAP 2(c): the table holds a bounded number of slots. A request

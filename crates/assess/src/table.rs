@@ -12,18 +12,31 @@
 //! new hosts; a router without a narrow cone names every row and gets the
 //! full-width table.
 //!
+//! A slot holds its cone, not the data centre: its matrices are
+//! [packed](BitMatrix::packed), so a row is placed at the slot's next free
+//! position the first time it is materialised and read through the
+//! matrix's component → position index. The rows a chunk needs sit
+//! together at the front of the slot's store, and the pages a slot never
+//! writes never become resident.
+//!
 //! # Invariants
 //!
 //! * The table holds at most [`MAX_SLOTS`] slots: chunk `i` lives in slot
 //!   `i % MAX_SLOTS`, so a request of more chunks than that re-keys the
 //!   slots it wraps onto (an *eviction*, counted) and the table's memory
 //!   is bounded whatever round count a peer asks for.
-//! * A slot is keyed by `(chunk seed, rounds)`. Row `r` is *valid* iff
-//!   `stamp[r] == epoch`; a valid row equals the row function of
+//! * A slot is keyed by `(chunk seed, rounds)`. Row `r` is *valid* iff the
+//!   slot's matrix holds it; a valid row equals the row function of
 //!   `(seed, r)` at `rounds` rounds under the engine's current model and
 //!   injector, with the dependency tree folded in for component rows.
-//! * Invalidation is `epoch += 1` — O(1), no row is cleared. Epochs start
-//!   at 1 and stamps at 0; should the epoch wrap, stamps are zeroed.
+//! * Invalidation is O(1): it zeroes the slot's `rounds`, so the next
+//!   request re-keys the slot, and a re-key [releases](BitMatrix::release)
+//!   the rows — only the index entries they used are reset, no row is
+//!   cleared, and the next key's rows are placed over them front to back.
+//! * A row the slot does not hold reads as the matrix's poison row,
+//!   all-failed, in every build: a router that reads outside its declared
+//!   cone changes verdicts and fails the equivalence tests instead of
+//!   passing on stale-but-plausible bits.
 //! * A slot carries a *generation*, minted from a process-wide counter
 //!   on every re-key, whether or not a row was valid. Invalidation zeroes
 //!   `rounds`, so the first request after it re-keys: no row is ever read
@@ -34,8 +47,8 @@
 //!   generation)` to the router
 //!   ([`recloud_routing::Router::external_reach_keyed`]), which keeps its
 //!   digests under it.
-//! * Rows are only ever added under one epoch too, so a cone found
-//!   complete stays complete: a slot remembers, per epoch, that the base
+//! * Rows are only ever added under one key too, so a cone found
+//!   complete stays complete: a slot remembers, per key, that the base
 //!   cone is in place and which hosts' cones are. A plan that shares hosts
 //!   with earlier ones names and checks only the rows of its new hosts.
 //! * A request for the same seed with `n ≤ rounds` reads the valid rows
@@ -45,9 +58,6 @@
 //! * Rows depend on the model and the injector, so whoever changes either
 //!   calls [`FailureTable::invalidate`]. Invalid slots keep their memory:
 //!   all slots of a table are one width, the widest chunk asked of it.
-//! * In debug builds invalid rows are poisoned (all-failed): a router
-//!   that reads outside its declared cone changes verdicts and fails the
-//!   equivalence tests instead of passing on stale-but-plausible bits.
 
 use recloud_faults::{FaultInjector, FaultModel};
 use recloud_routing::TableKey;
@@ -59,8 +69,11 @@ use std::time::{Duration, Instant};
 
 /// Most slots a table holds: enough that a 100,000-round stream (40
 /// chunks) still has a slot per chunk, few enough that a peer's 10⁶-round
-/// request (391 chunks; a slot allocates 1.3 MB on Medium, 9.8 MB on
-/// Large) cannot pin six times that for the engine's life.
+/// request (391 chunks) cannot pin six times that for the engine's life.
+/// A slot reserves room for every row but writes only the rows it holds,
+/// so what the bound caps is the rows a request can keep resident — a few
+/// hundred per Medium slot for a plan's cone, all of them for a router
+/// without a narrow one.
 pub(crate) const MAX_SLOTS: usize = 64;
 
 /// Mints slot generations: process-wide, so no two table contents — of
@@ -119,62 +132,64 @@ struct Slot {
     chunk: usize,
     seed: u64,
     rounds: usize,
-    /// Effective states, one row per topology component — what routers read.
+    /// Effective states, one row per topology component — what routers
+    /// read. Packed: a row is valid iff the matrix holds it.
     states: BitMatrix,
     /// Raw sampled states of the model's dependency events, one row per
     /// [`FaultModel::dependency_events`] entry, shared by all consumers.
+    /// Packed like `states`.
     deps: BitMatrix,
-    state_stamp: Vec<u32>,
-    dep_stamp: Vec<u32>,
-    epoch: u32,
     /// Names the rows valid under the current key; see the module docs.
     generation: NonZeroU64,
-    /// Valid rows of `states` / of `deps` in the current epoch.
-    valid_states: usize,
-    valid_deps: usize,
-    /// Every base-cone row is valid in the current epoch.
+    /// Every base-cone row is valid under the current key.
     base_valid: bool,
-    /// Bit per component: set for a host whose whole cone is valid in the
-    /// current epoch.
+    /// Bit per component: set for a host whose whole cone is valid under
+    /// the current key.
     cone_valid: Vec<u64>,
 }
 
 impl Slot {
     fn new(model: &FaultModel, width: usize) -> Self {
         let (components, deps) = (model.num_topology_components(), model.dependency_events().len());
-        let mut slot = Slot {
+        Slot {
             chunk: 0,
             seed: 0,
             rounds: 0,
-            states: BitMatrix::new(components, width),
-            deps: BitMatrix::new(deps, width),
-            state_stamp: vec![0; components],
-            dep_stamp: vec![0; deps],
-            epoch: 0,
+            states: BitMatrix::packed(components, width),
+            deps: BitMatrix::packed(deps, width),
             generation: mint_generation(),
-            valid_states: 0,
-            valid_deps: 0,
             base_valid: false,
             cone_valid: vec![0; components.div_ceil(64)],
-        };
-        slot.invalidate();
-        slot
+        }
     }
 
+    /// Rows placed under the last key, component and dependency rows
+    /// alike.
+    fn rows(&self) -> usize {
+        self.states.rows_held() + self.deps.rows_held()
+    }
+
+    /// Rows valid under the current key: none once invalidated.
+    fn valid_rows(&self) -> usize {
+        if self.rounds == 0 {
+            0
+        } else {
+            self.rows()
+        }
+    }
+
+    /// O(1): zeroing `rounds` makes the next [`FailureTable::key`] re-key
+    /// the slot, and that releases the rows.
     fn invalidate(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.state_stamp.fill(0);
-            self.dep_stamp.fill(0);
-            self.epoch = 1;
-        }
-        (self.rounds, self.valid_states, self.valid_deps) = (0, 0, 0);
+        self.rounds = 0;
+    }
+
+    /// Takes the rows of the last key away, touching only the index
+    /// entries they used.
+    fn release(&mut self) {
+        self.states.release();
+        self.deps.release();
         self.forget_cones();
-        if cfg!(debug_assertions) {
-            for c in 0..self.states.components() {
-                self.states.row_words_mut(c).fill(!0);
-            }
-        }
     }
 
     /// The next materialisation checks every row it is handed: nothing is
@@ -187,19 +202,14 @@ impl Slot {
     /// Makes dependency event `e`'s raw row valid.
     fn ensure_dep(&mut self, src: &RowSource, e: ComponentId) -> usize {
         let slot = src.dep_row(e);
-        if self.dep_stamp[slot] != self.epoch {
-            src.sample(e, self.rounds, self.deps.row_words_mut(slot));
-            self.dep_stamp[slot] = self.epoch;
-            self.valid_deps += 1;
+        if !self.deps.holds(slot) {
+            src.sample(e, self.rounds, self.deps.place(slot));
         }
         slot
     }
 
-    fn bytes(&self) -> usize {
-        self.states.bytes()
-            + self.deps.bytes()
-            + 4 * (self.state_stamp.len() + self.dep_stamp.len())
-            + 8 * self.cone_valid.len()
+    fn written_bytes(&self) -> usize {
+        self.states.written_bytes() + self.deps.written_bytes() + 8 * self.cone_valid.len()
     }
 }
 
@@ -268,9 +278,9 @@ impl FailureTable {
         let slot = &mut self.slots[index];
         let mut evicted = false;
         if slot.seed != seed || slot.rounds < rounds {
-            if slot.valid_states + slot.valid_deps > 0 {
-                evicted = slot.chunk != chunk;
-                slot.invalidate();
+            if slot.rows() > 0 {
+                evicted = slot.valid_rows() > 0 && slot.chunk != chunk;
+                slot.release();
             }
             (slot.chunk, slot.seed, slot.rounds) = (chunk, seed, rounds);
             slot.generation = mint_generation();
@@ -287,7 +297,7 @@ impl FailureTable {
     /// Makes every row the cone names valid in slot `index` (keyed by
     /// [`FailureTable::key`]). The cone comes in two parts: `base`, the
     /// router's host-independent rows — the same list on every call, so a
-    /// slot checks it once per epoch — and `rows`, what `hosts` add to it;
+    /// slot checks it once per key — and `rows`, what `hosts` add to it;
     /// `hosts` are remembered as complete. `t0` is when the caller's chunk
     /// began: sampling is timed from there, and the clock is read again
     /// only when a row was missing.
@@ -303,23 +313,21 @@ impl FailureTable {
 
         // Sampling pass: own rows of the missing components, and the raw
         // rows of the dependency events their trees read.
-        let before = slot.valid_states + slot.valid_deps;
+        let before = slot.rows();
         self.pending.clear();
         let base = if slot.base_valid { &[] } else { base };
         for &c in base.iter().chain(rows) {
-            if slot.state_stamp[c.index()] == slot.epoch {
+            if slot.states.holds(c.index()) {
                 continue;
             }
-            slot.state_stamp[c.index()] = slot.epoch;
-            slot.valid_states += 1;
             self.pending.push(c);
             if src.model.dependency_slot(c).is_some() {
                 // A component other trees read: its raw row lives in
                 // `deps`, its effective row starts as a copy.
                 let dep = slot.ensure_dep(src, c);
-                slot.states.row_words_mut(c.index()).copy_from_slice(slot.deps.row_words(dep));
+                slot.states.place(c.index()).copy_from_slice(slot.deps.row_words(dep));
             } else {
-                src.sample(c, slot.rounds, slot.states.row_words_mut(c.index()));
+                src.sample(c, slot.rounds, slot.states.place(c.index()));
             }
             for e in src.model.tree_of(c).into_iter().flat_map(|tree| tree.leaf_events()) {
                 slot.ensure_dep(src, e);
@@ -351,7 +359,7 @@ impl FailureTable {
             );
         }
         let done = Instant::now();
-        let rows = slot.valid_states + slot.valid_deps - before;
+        let rows = slot.rows() - before;
         Materialised {
             states: &slot.states,
             key,
@@ -374,14 +382,22 @@ impl FailureTable {
         self.slots.len()
     }
 
+    /// Each slot's component and dependency-event matrices.
+    #[cfg(test)]
+    pub fn matrices(&self) -> impl Iterator<Item = (&BitMatrix, &BitMatrix)> {
+        self.slots.iter().map(|s| (&s.states, &s.deps))
+    }
+
     /// Bytes of valid rows, over all slots.
     pub fn valid_bytes(&self) -> usize {
         let row_bytes = |s: &Slot| s.states.words_per_row() * 8;
-        self.slots.iter().map(|s| (s.valid_states + s.valid_deps) * row_bytes(s)).sum()
+        self.slots.iter().map(|s| s.valid_rows() * row_bytes(s)).sum()
     }
 
-    /// Bytes allocated, over all slots.
-    pub fn allocated_bytes(&self) -> usize {
-        self.slots.iter().map(Slot::bytes).sum()
+    /// Bytes written, over all slots: each slot's rows up to the most it
+    /// has held, its poison rows, indexes and cone bits. What a slot has
+    /// reserved beyond that it has never touched.
+    pub fn written_bytes(&self) -> usize {
+        self.slots.iter().map(Slot::written_bytes).sum()
     }
 }

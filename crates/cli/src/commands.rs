@@ -965,7 +965,7 @@ pub fn stats(p: &Parsed) -> Result<String, CliError> {
             out,
             "  engine: {assessments} assessments, {} reseeds; built {} table rows, {} digests, \
              {} reach rows; newest table {} slots ({} evictions), arena {} bytes \
-             (table + router memo), model {} bytes",
+             resident (table rows written + router memo), model {} bytes",
             count("assess.reseeds_total"),
             count("assess.rows_materialised_total"),
             count("assess.digests_built_total"),

@@ -55,10 +55,9 @@ impl ProbabilityConfig {
     /// [`ProbabilityConfig::assign`] and [`crate::FaultModel::redraw`].
     /// The draws come from one sequential stream in component order, so a
     /// refilled vector equals a freshly assigned one bit for bit — and
-    /// equals, bit for bit, one
-    /// [`normal_probability`](recloud_sampling::normal_probability) call
-    /// per fallible component, which is what [`draw_block`] computes
-    /// faster.
+    /// equals, bit for bit, one `recloud_sampling::testing::
+    /// normal_probability` call per fallible component, which is what
+    /// [`draw_block`] computes faster.
     pub(crate) fn fill(&self, topology: &Topology, seed: u64, probs: &mut [f64]) {
         assert_eq!(probs.len(), topology.num_components(), "one probability per component");
         let (switch, other) = match self {
@@ -295,7 +294,7 @@ mod tests {
     use super::*;
     use recloud_sampling::prop_assert_eq;
     use recloud_sampling::proptest::{forall, Gen};
-    use recloud_sampling::rng::normal_probability;
+    use recloud_sampling::testing::normal_probability;
     use recloud_topology::{FatTreeParams, Scale, TopologyBuilder};
 
     /// The assignment as one `normal_probability` call per fallible

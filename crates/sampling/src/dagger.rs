@@ -15,8 +15,6 @@
 //! ~100× reduction in random-number generations, which is where Figure 7's
 //! speedup comes from.
 
-use crate::rng::Rng;
-
 /// Per-component dagger-cycle parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DaggerCycle {
@@ -44,12 +42,12 @@ impl DaggerCycle {
     /// which the component fails, or `None` if it stays alive for the whole
     /// cycle (the draw hit the remainder section).
     ///
-    /// This is the Fig 3 reference. The extended sampler's row writer
-    /// ([`crate::ExtendedDaggerSampler`]) does the same arithmetic inline,
-    /// folded into its truncation test, and is checked against this
-    /// function bit for bit; nothing on the assessment path calls it.
-    #[inline]
-    pub fn draw(&self, rng: &mut Rng) -> Option<u32> {
+    /// This is the Fig 3 reference, compiled for tests only. The extended
+    /// sampler's row writer ([`crate::ExtendedDaggerSampler`]) does the
+    /// same arithmetic inline, folded into its truncation test, and is
+    /// checked against this function bit for bit.
+    #[cfg(test)]
+    pub fn draw(&self, rng: &mut crate::rng::Rng) -> Option<u32> {
         let r = rng.next_f64();
         let idx = (r / self.p) as u32;
         (idx < self.s).then_some(idx)
@@ -59,6 +57,7 @@ impl DaggerCycle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Rng;
 
     #[test]
     fn cycle_lengths_match_paper_examples() {

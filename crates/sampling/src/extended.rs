@@ -23,8 +23,8 @@
 //! with mixed probabilities whether a draw survives the truncation is not
 //! predictable: a component with `s < s_max` ends every macro-cycle in a
 //! cycle of `s_max mod s` rounds. The bits are those of the branching loop
-//! written from [`DaggerCycle::draw`], which this module's tests keep as
-//! the oracle.
+//! written from `DaggerCycle::draw`, which this module's tests keep as the
+//! oracle.
 
 use crate::dagger::DaggerCycle;
 use crate::rng::{derive_seed, Rng};
@@ -116,7 +116,7 @@ impl Sampler for ExtendedDaggerSampler {
             let mut sub_start = 0;
             while sub_start < block_len {
                 let sub_len = s.min(block_len - sub_start);
-                // The draw of Fig 3 ([`DaggerCycle::draw`]), placed with no
+                // The draw of Fig 3 (`DaggerCycle::draw`), placed with no
                 // branch on it: a cycle cut to `s_max mod s` rounds hits
                 // with probability `(s_max mod s) / s`, a coin the branch
                 // predictor loses (module docs).
@@ -221,7 +221,7 @@ mod tests {
         forall("sample_row == the branching loop", |g| {
             // Half the cases from the band the served models live in.
             let p = if g.any_bool() {
-                crate::normal_probability(g.rng(), 0.009, 0.0015)
+                crate::testing::normal_probability(g.rng(), 0.009, 0.0015)
             } else {
                 g.f64_in(0.0001..1.0)
             };
@@ -258,8 +258,8 @@ mod tests {
         let draw = |g: &mut Gen| match g.usize_in(0..8) {
             0 => 0.0,
             1 => 1.0,
-            2 => crate::normal_probability(g.rng(), 0.008, 0.001),
-            3 => crate::normal_probability(g.rng(), 0.01, 0.001),
+            2 => crate::testing::normal_probability(g.rng(), 0.008, 0.001),
+            3 => crate::testing::normal_probability(g.rng(), 0.01, 0.001),
             // Neighbours of a cycle boundary: 1/p just above or below n.
             4 => (1.0 / g.usize_in(1..5_000) as f64) * (1.0 + (g.f64_in(-2.0..2.0) * 1e-15)),
             _ => g.f64_in(0.0..1.0),

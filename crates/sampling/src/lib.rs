@@ -45,6 +45,8 @@ pub mod proptest;
 pub mod rng;
 pub mod state;
 pub mod sync;
+#[doc(hidden)]
+pub mod testing;
 pub mod wide;
 pub mod wire;
 
@@ -52,7 +54,7 @@ pub use dagger::DaggerCycle;
 pub use estimator::{ReliabilityEstimate, ResultAccumulator};
 pub use extended::ExtendedDaggerSampler;
 pub use montecarlo::MonteCarloSampler;
-pub use rng::{derive_seed, normal_probability, Rng};
+pub use rng::{derive_seed, Rng};
 pub use state::{BitMatrix, BitRow};
 pub use wide::WideWord;
 

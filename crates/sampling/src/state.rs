@@ -8,11 +8,22 @@
 //! are kept zero by all writers (`set_word`/`set_wide_word` mask, bit
 //! writers bounds-check against `rounds`).
 //!
-//! At the paper's largest setting (≈30K components × 10⁴ rounds) this is
-//! ~37 MB; assessment code typically works in *blocks* of rounds (one
-//! extended-dagger macro-cycle at a time), which keeps the working set in
-//! cache. Both layouts are served by the same structure since rows are
-//! independent.
+//! Every row is read through an index, component → position. A matrix made
+//! with [`BitMatrix::new`] holds every component's row at its own position
+//! (the identity index): Monte-Carlo, ground truth and every other
+//! full-width caller. One made with [`BitMatrix::packed`] holds none: a
+//! component gets the next free position when its row is first
+//! [placed](BitMatrix::place), so rows are packed in the order they are
+//! materialised, and a matrix holding a few hundred of 30K rows writes a
+//! few hundred rows' worth of memory. A component without a row reads as
+//! failed in every round: its index names the poison row at the front of
+//! the store, which is never handed out.
+//!
+//! At the paper's largest setting (≈30K components × 10⁴ rounds) a full
+//! matrix is ~37 MB; assessment code typically works in *blocks* of rounds
+//! (one extended-dagger macro-cycle at a time), which keeps the working
+//! set in cache. Both layouts are served by the same structure since rows
+//! are independent.
 
 use crate::wide::WideWord;
 
@@ -62,14 +73,147 @@ pub struct BitMatrix {
     rounds: usize,
     words_per_row: usize,
     bits: Vec<u64>,
+    /// Position of each component's row in `bits`. In a packed matrix, 0 —
+    /// the poison row — for a component without one.
+    index: Vec<u32>,
+    /// Packed: the component at each held position, in placement order.
+    /// Empty for a full-width matrix.
+    order: Vec<u32>,
+    /// First position that holds a row: 1 in a packed matrix (position 0
+    /// is the poison row), 0 in a full-width one.
+    first: usize,
+    /// The most rows ever held at once: positions past them were never
+    /// written.
+    high_water: usize,
 }
 
 impl BitMatrix {
-    /// An all-alive matrix of the given shape. Rows are padded to wide-word
-    /// alignment so each row holds a whole number of [`WideWord`]s.
+    /// An all-alive matrix of the given shape, every component's row at its
+    /// own position. Rows are padded to wide-word alignment so each row
+    /// holds a whole number of [`WideWord`]s.
     pub fn new(components: usize, rounds: usize) -> Self {
-        let words_per_row = rounds.div_ceil(64).next_multiple_of(WideWord::WORDS);
-        BitMatrix { components, rounds, words_per_row, bits: vec![0; components * words_per_row] }
+        let words_per_row = Self::row_width(rounds);
+        BitMatrix {
+            components,
+            rounds,
+            words_per_row,
+            bits: vec![0; components * words_per_row],
+            index: (0..Self::position(components)).collect(),
+            order: Vec::new(),
+            first: 0,
+            high_water: components,
+        }
+    }
+
+    /// A matrix with room for every component's row and none placed: each
+    /// component reads as failed in every round until [`BitMatrix::place`]
+    /// gives it a row. The store and the index are reserved once, zeroed
+    /// by the allocator, and written only where rows are placed — the store
+    /// front to back, right after the poison row.
+    pub fn packed(components: usize, rounds: usize) -> Self {
+        let words_per_row = Self::row_width(rounds);
+        assert!(u32::try_from(components).is_ok(), "row positions fit in 32 bits");
+        let mut m = BitMatrix {
+            components,
+            rounds,
+            words_per_row,
+            bits: vec![0; (components + 1) * words_per_row],
+            index: vec![0; components],
+            order: Vec::with_capacity(components),
+            first: 1,
+            high_water: 0,
+        };
+        for w in 0..words_per_row {
+            m.bits[w] = m.word_mask(w);
+        }
+        m
+    }
+
+    fn row_width(rounds: usize) -> usize {
+        rounds.div_ceil(64).next_multiple_of(WideWord::WORDS)
+    }
+
+    fn position(p: usize) -> u32 {
+        u32::try_from(p).expect("row positions fit in 32 bits")
+    }
+
+    /// Word offset of component `c`'s row.
+    #[inline]
+    fn start(&self, c: usize) -> usize {
+        self.index[c] as usize * self.words_per_row
+    }
+
+    /// Word offset of component `c`'s row, to write it: a component without
+    /// a row has nothing to write to.
+    #[inline]
+    fn start_mut(&self, c: usize) -> usize {
+        assert!(self.holds(c), "component {c} has no row to write");
+        self.start(c)
+    }
+
+    /// Word range of the rows held.
+    fn held_words(&self) -> std::ops::Range<usize> {
+        self.first * self.words_per_row..(self.first + self.rows_held()) * self.words_per_row
+    }
+
+    /// True if component `c` has a row — always, in a full-width matrix.
+    #[inline]
+    pub fn holds(&self, c: usize) -> bool {
+        self.index[c] as usize >= self.first
+    }
+
+    /// Gives component `c`, which has no row, the next free position and
+    /// returns that row for the caller to fill. The row holds whatever was
+    /// last written there: the caller overwrites every word.
+    ///
+    /// # Panics
+    /// Panics on a full-width matrix, or when `c` already has a row.
+    pub fn place(&mut self, c: usize) -> &mut [u64] {
+        assert!(self.first == 1 && !self.holds(c), "component {c} cannot be placed");
+        let position = self.first + self.order.len();
+        self.order.push(Self::position(c));
+        self.index[c] = Self::position(position);
+        self.high_water = self.high_water.max(self.order.len());
+        let start = position * self.words_per_row;
+        &mut self.bits[start..start + self.words_per_row]
+    }
+
+    /// Takes every placed row away: each component reads as failed again.
+    /// Only the index entries those rows used are touched, and the store
+    /// is kept for the rows placed next.
+    ///
+    /// # Panics
+    /// Panics on a full-width matrix.
+    pub fn release(&mut self) {
+        assert!(self.first == 1, "a full-width matrix keeps its rows");
+        for &c in &self.order {
+            self.index[c as usize] = 0;
+        }
+        self.order.clear();
+    }
+
+    /// Rows held: every component's in a full-width matrix; in a packed
+    /// one, the rows placed since the last [`BitMatrix::release`].
+    #[inline]
+    pub fn rows_held(&self) -> usize {
+        if self.first == 0 {
+            self.components
+        } else {
+            self.order.len()
+        }
+    }
+
+    /// Rows this matrix has written: the most it has held at once, plus a
+    /// packed matrix's poison row. The rest of the store is untouched.
+    pub fn rows_written(&self) -> usize {
+        self.first + self.high_water
+    }
+
+    /// Bytes this matrix has written: [`BitMatrix::rows_written`], its
+    /// index and, packed, the placement order of the rows it has held.
+    pub fn written_bytes(&self) -> usize {
+        let order = self.first * self.high_water;
+        self.rows_written() * self.words_per_row * 8 + 4 * (self.index.len() + order)
     }
 
     /// Number of component rows.
@@ -84,30 +228,34 @@ impl BitMatrix {
         self.rounds
     }
 
-    /// Clears every bit (all components alive in all rounds).
+    /// Clears every bit of every row held (those components alive in all
+    /// rounds).
     pub fn clear(&mut self) {
-        self.bits.fill(0);
+        let held = self.held_words();
+        self.bits[held].fill(0);
     }
 
     /// Marks component `c` failed in `round`.
     #[inline]
     pub fn set(&mut self, c: usize, round: usize) {
         debug_assert!(c < self.components && round < self.rounds);
-        self.bits[c * self.words_per_row + round / 64] |= 1u64 << (round % 64);
+        let i = self.start_mut(c) + round / 64;
+        self.bits[i] |= 1u64 << (round % 64);
     }
 
     /// Clears component `c`'s failure in `round` (marks it alive).
     #[inline]
     pub fn unset(&mut self, c: usize, round: usize) {
         debug_assert!(c < self.components && round < self.rounds);
-        self.bits[c * self.words_per_row + round / 64] &= !(1u64 << (round % 64));
+        let i = self.start_mut(c) + round / 64;
+        self.bits[i] &= !(1u64 << (round % 64));
     }
 
     /// True if component `c` failed in `round`.
     #[inline]
     pub fn get(&self, c: usize, round: usize) -> bool {
         debug_assert!(c < self.components && round < self.rounds);
-        (self.bits[c * self.words_per_row + round / 64] >> (round % 64)) & 1 == 1
+        (self.bits[self.start(c) + round / 64] >> (round % 64)) & 1 == 1
     }
 
     /// Borrowed view of component `c`'s row.
@@ -119,15 +267,18 @@ impl BitMatrix {
     /// Component `c`'s row as raw words, alignment padding included.
     #[inline]
     pub fn row_words(&self, c: usize) -> &[u64] {
-        let start = c * self.words_per_row;
+        let start = self.start(c);
         &self.bits[start..start + self.words_per_row]
     }
 
     /// Mutable [`BitMatrix::row_words`], for writers that fill one row at
     /// a time. Writers keep bits beyond the round count zero.
+    ///
+    /// # Panics
+    /// Panics if `c` has no row ([`BitMatrix::place`] gives it one).
     #[inline]
     pub fn row_words_mut(&mut self, c: usize) -> &mut [u64] {
-        let start = c * self.words_per_row;
+        let start = self.start_mut(c);
         &mut self.bits[start..start + self.words_per_row]
     }
 
@@ -144,7 +295,8 @@ impl BitMatrix {
     #[inline]
     pub fn set_word(&mut self, c: usize, w: usize, value: u64) {
         debug_assert!(c < self.components && w < self.words_per_row);
-        self.bits[c * self.words_per_row + w] = value & self.word_mask(w);
+        let i = self.start_mut(c) + w;
+        self.bits[i] = value & self.word_mask(w);
     }
 
     /// Number of valid rounds covered by word `w` (64 for every word but
@@ -178,7 +330,7 @@ impl BitMatrix {
     #[inline]
     pub fn wide_word(&self, c: usize, ww: usize) -> WideWord {
         debug_assert!(c < self.components && ww < self.wide_words_per_row());
-        let start = c * self.words_per_row + ww * WideWord::WORDS;
+        let start = self.start(c) + ww * WideWord::WORDS;
         WideWord([
             self.bits[start],
             self.bits[start + 1],
@@ -192,7 +344,7 @@ impl BitMatrix {
     #[inline]
     pub fn set_wide_word(&mut self, c: usize, ww: usize, value: WideWord) {
         debug_assert!(c < self.components && ww < self.wide_words_per_row());
-        let start = c * self.words_per_row + ww * WideWord::WORDS;
+        let start = self.start_mut(c) + ww * WideWord::WORDS;
         let masked = value & self.wide_mask(ww);
         self.bits[start] = masked.word(0);
         self.bits[start + 1] = masked.word(1);
@@ -214,18 +366,18 @@ impl BitMatrix {
         WideWord::lane_mask(self.rounds_in_wide(ww))
     }
 
-    /// OR of every component's wide word `ww`: lane r is set iff round
-    /// `256·ww + r` exists and *some* component failed in it. This is the
-    /// batched route-and-check screen — a clear lane proves the round's
-    /// verdict equals the all-alive baseline, so the round can skip routing
-    /// entirely. The sweep stops once no round of the word is clean:
-    /// there is nothing left to clear.
+    /// OR of every held row's wide word `ww`: lane r is set iff round
+    /// `256·ww + r` exists and *some* component with a row failed in it.
+    /// This is the batched route-and-check screen — a clear lane proves the
+    /// round's verdict equals the all-alive baseline for a reader of held
+    /// rows only, so the round can skip routing entirely. The sweep stops
+    /// once no round of the word is clean: there is nothing left to clear.
     pub fn any_failed_wide(&self, ww: usize) -> WideWord {
         debug_assert!(ww < self.wide_words_per_row());
         let full = self.wide_mask(ww);
         let mut clean = full.0;
-        let mut i = ww * WideWord::WORDS;
-        for _ in 0..self.components {
+        let mut i = self.first * self.words_per_row + ww * WideWord::WORDS;
+        for _ in 0..self.rows_held() {
             clean[0] &= !self.bits[i];
             clean[1] &= !self.bits[i + 1];
             clean[2] &= !self.bits[i + 2];
@@ -239,12 +391,14 @@ impl BitMatrix {
         full & !WideWord(clean)
     }
 
-    /// Total failed (component, round) cells — handy for sanity checks.
+    /// Total failed (component, round) cells of the rows held — handy for
+    /// sanity checks.
     pub fn total_failures(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
+        self.bits[self.held_words()].iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Memory footprint of the bit store in bytes.
+    /// Bytes reserved for the bit store; a packed matrix writes only
+    /// [`BitMatrix::written_bytes`] of it.
     pub fn bytes(&self) -> usize {
         self.bits.len() * 8
     }
@@ -416,9 +570,58 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_packed_matrix_reads_all_failed_until_placed() {
+        let mut m = BitMatrix::packed(5, 300);
+        assert_eq!((m.rows_held(), m.rows_written()), (0, 1), "the poison row only");
+        for c in 0..5 {
+            assert!(!m.holds(c));
+            assert_eq!(m.row(c).count_ones(), 300, "component {c} reads all-failed");
+            assert_eq!(m.row_words(c)[5..], [0, 0, 0], "past the rounds, the poison is clear");
+        }
+        assert_eq!(m.any_failed_wide(0), WideWord::ZERO, "no row held, nothing to screen");
+        assert_eq!(m.total_failures(), 0);
+
+        m.place(3).fill(0);
+        m.set(3, 7);
+        m.place(1).copy_from_slice(&[1, 0, 0, 0, 0, 0, 0, 0]);
+        assert!(m.holds(3) && m.holds(1) && !m.holds(0));
+        assert_eq!((m.row(3).count_ones(), m.row(1).count_ones()), (1, 1));
+        assert!(m.get(3, 7) && m.get(1, 0) && m.get(0, 150));
+        assert_eq!(m.any_failed_wide(0), WideWord([1 | 1 << 7, 0, 0, 0]), "rounds 0 and 7");
+        assert_eq!(m.total_failures(), 2);
+        assert_eq!((m.rows_held(), m.rows_written()), (2, 3));
+        assert_eq!(m.written_bytes(), 3 * 8 * 8 + 4 * (5 + 2));
+
+        // Released rows read all-failed again; what was written stays
+        // counted, and the next rows reuse the same positions.
+        m.release();
+        assert_eq!(m.rows_held(), 0);
+        assert!((0..5).all(|c| !m.holds(c) && m.row(c).count_ones() == 300));
+        m.place(4).fill(0);
+        assert_eq!((m.rows_held(), m.rows_written()), (1, 3));
+        assert_eq!(m.row(4).count_ones(), 0);
+        assert_eq!(m.row(3).count_ones(), 300);
+    }
+
+    #[test]
+    fn a_full_width_matrix_holds_every_row() {
+        let m = BitMatrix::new(3, 100);
+        assert!((0..3).all(|c| m.holds(c)));
+        assert_eq!((m.rows_held(), m.rows_written()), (3, 3));
+        assert_eq!(m.written_bytes(), m.bytes() + 4 * 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "has no row")]
+    fn a_row_never_placed_cannot_be_written() {
+        BitMatrix::packed(3, 64).set(1, 0);
+    }
+
     /// Once every round of the wide word is dirty the sweep may stop: rows
     /// below a saturating prefix change nothing a caller can see. Neither
-    /// does a row with bits beyond the round count (a poisoned table row).
+    /// does a row with bits beyond the round count (a row poisoned with
+    /// `!0`, as the routers' cone-contract test poisons its matrices).
     #[test]
     fn any_failed_wide_saturates() {
         for rounds in [1usize, 255, 256, 257, 300] {

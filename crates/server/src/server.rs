@@ -898,6 +898,9 @@ struct Reactor<'a> {
     tenants: HashMap<String, Rc<TenantState>>,
     next_token: u64,
     ready: Vec<u64>,
+    /// Scratch for [`Reactor::sweep_replies`]: the tokens with a job in
+    /// flight, reused like `ready` so a sweep does not allocate.
+    waiting: Vec<u64>,
     /// Since when the store's compaction thresholds have held
     /// continuously (timed auto-compaction).
     compact_held_since: Option<Instant>,
@@ -916,6 +919,7 @@ impl<'a> Reactor<'a> {
             tenants: HashMap::new(),
             next_token: TOKEN_FIRST_CONN,
             ready: Vec::new(),
+            waiting: Vec::new(),
             compact_held_since: None,
             shutdown_seen: None,
         }
@@ -999,15 +1003,17 @@ impl<'a> Reactor<'a> {
 
     /// Drains worker replies on every connection with an in-flight job.
     fn sweep_replies(&mut self) -> bool {
-        let waiting: Vec<u64> =
-            self.conns.iter().filter(|(_, c)| c.inflight.is_some()).map(|(&t, _)| t).collect();
+        let mut waiting = std::mem::take(&mut self.waiting);
+        waiting.clear();
+        waiting.extend(self.conns.iter().filter(|(_, c)| c.inflight.is_some()).map(|(&t, _)| t));
         let mut work = false;
-        for token in waiting {
+        for &token in &waiting {
             let Some(mut conn) = self.conns.remove(&token) else { continue };
             work |= self.drain_reply(&mut conn);
             work |= flush_outbound(&mut conn);
             self.settle(conn);
         }
+        self.waiting = waiting;
         work
     }
 
@@ -1022,14 +1028,7 @@ impl<'a> Reactor<'a> {
             self.close_conn(conn);
             return;
         }
-        // Read interest drops while a non-streaming job is in flight:
-        // the blocking server did not read the socket there either (a
-        // pipelined frame waits in the kernel buffer), and with a
-        // level-triggered poller a readable-but-ignored socket would
-        // spin the loop.
-        let want_read = conn.peer_open
-            && !conn.closing
-            && conn.inflight.as_ref().map_or(true, |inflight| inflight.streaming);
+        let want_read = self.wants_read(&conn);
         let want_write = conn.writable && !conn.flushed();
         if (want_read, want_write) != (conn.want_read, conn.want_write) {
             self.poller.set_interest(raw_fd(&conn.stream), conn.token, want_read, want_write);
@@ -1051,6 +1050,11 @@ impl<'a> Reactor<'a> {
         self.poller.deregister(raw_fd(&conn.stream), conn.token);
     }
 
+    /// Whether the state machine reads `conn`'s socket now. Not while a
+    /// non-streaming job is in flight: the blocking server did not read
+    /// the socket there either (a pipelined frame waits in the kernel
+    /// buffer), and with a level-triggered poller a readable-but-ignored
+    /// socket would spin the loop.
     fn wants_read(&self, conn: &Conn) -> bool {
         conn.peer_open
             && !conn.closing

@@ -34,6 +34,12 @@ echo "== faults suite, release codegen =="
 # fallback run again as the ledger runs them.
 cargo test --release -q -p recloud-faults
 
+echo "== assess suite, release codegen =="
+# And the table: a row a slot never materialised reads as the poison row
+# (all-failed) in every build, so the cone guard, the allocation guard and
+# the memory contract tests mean the same as compiled for the ledger.
+cargo test --release -q -p recloud-assess
+
 echo "== hermetic dependency guard =="
 cargo test -q --test hermetic
 
