@@ -14,9 +14,6 @@
 //! * [`plan`] — deployment plans (which host runs which instance), their
 //!   validation, random generation and the neighbor move used by the
 //!   simulated-annealing search (§3.3.1 Step 3);
-//! * [`requirements`] — the four developer-facing parameters N, K,
-//!   `R_desired`, `T_max` (§2.2), including the acceptable-annual-downtime
-//!   formulation;
 //! * [`workload`] — per-host workload (the §4.2.2 utility input,
 //!   N(0.2, 0.05)) with near-real-time update support;
 //! * [`rules`] — placement heuristics ("no two instances in the same
@@ -24,13 +21,11 @@
 //!   by the common-practice baseline.
 
 pub mod plan;
-pub mod requirements;
 pub mod rules;
 pub mod spec;
 pub mod workload;
 
 pub use plan::DeploymentPlan;
-pub use requirements::Requirements;
 pub use rules::PlacementRules;
 pub use spec::{ApplicationSpec, CompIdx, Connectivity, Source};
 pub use workload::WorkloadMap;

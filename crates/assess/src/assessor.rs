@@ -465,11 +465,6 @@ impl Assessor {
         &self.topology
     }
 
-    /// Name of the configured sampler.
-    pub fn sampler_name(&self) -> &'static str {
-        self.kind.name()
-    }
-
     /// Runs one chunk of rounds, feeding verdicts into `acc`. Exposed for
     /// the parallel engine's workers, which see chunks of many seeds in
     /// any order: the chunk is keyed by its seed alone, in table slot 0.
@@ -635,18 +630,6 @@ impl Assessor {
         }
         t0.elapsed()
     }
-}
-
-/// Convenience: dagger-assess a plan once without keeping an engine.
-pub fn assess_once(
-    topology: &Topology,
-    model: FaultModel,
-    spec: &ApplicationSpec,
-    plan: &DeploymentPlan,
-    rounds: usize,
-    seed: u64,
-) -> Assessment {
-    Assessor::new(topology, model).assess(spec, plan, rounds, seed)
 }
 
 #[cfg(test)]
@@ -1351,7 +1334,7 @@ mod tests {
         let plan = DeploymentPlan::random(&spec, t.hosts(), &mut Rng::new(31));
         let host = plan.hosts_of(0)[0];
         let answer = |model: &FaultModel| {
-            let e = assess_once(&t, model.clone(), &spec, &plan, 6_000, 7).estimate;
+            let e = Assessor::new(&t, model.clone()).assess(&spec, &plan, 6_000, 7).estimate;
             (e.score.to_bits(), e.variance.to_bits(), e.successes)
         };
         let want = answer(&FaultModel::paper_default(&t, 11));

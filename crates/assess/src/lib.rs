@@ -31,7 +31,6 @@ pub mod driver;
 pub mod engine;
 pub mod fingerprint;
 pub mod ground_truth;
-pub mod indaas;
 pub mod parallel;
 pub mod sensitivity;
 mod table;
@@ -43,6 +42,5 @@ pub use driver::{AssessmentDriver, ChunkTask, PartialEstimate};
 pub use engine::Engine;
 pub use fingerprint::{assessment_key, fnv1a_128};
 pub use ground_truth::exact_reliability;
-pub use indaas::{rank_by_risk, risk_profile, RiskProfile};
 pub use parallel::ParallelAssessor;
 pub use sensitivity::{dependency_sensitivity, SensitivityReport, SensitivityRow};

@@ -13,32 +13,50 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 fn build_topology(p: &Parsed) -> Result<Topology, CliError> {
-    if let Some(kind) = p.get("topology") {
-        return match kind {
-            "fattree" => Ok(FatTreeParams::new(p.u32_or("ports", 8)?).build()),
-            "leafspine" => Ok(LeafSpineParams::new(
+    let Some(kind) = p.get("topology") else {
+        return Ok(preset(p)?.scale().build());
+    };
+    // Each generator's preconditions are checked before it builds, so a
+    // bad dimension is an error rather than a panic.
+    let built = match kind {
+        "fattree" => {
+            let g = FatTreeParams::new(p.u32_or("ports", 8)?);
+            g.check().map(|()| g.build())
+        }
+        "leafspine" => {
+            let g = LeafSpineParams::new(
                 p.u32_or("spines", 4)?,
                 p.u32_or("leaves", 8)?,
                 p.u32_or("hosts-per-leaf", 8)?,
-            )
-            .build()),
-            "jellyfish" => Ok(JellyfishParams::new(
+            );
+            g.check().map(|()| g.build())
+        }
+        "jellyfish" => {
+            let g = JellyfishParams::new(
                 p.u32_or("switches", 40)?,
                 p.u32_or("ports", 6)?,
                 p.u32_or("hosts-per-switch", 4)?,
             )
-            .seed(p.u64_or("seed", 1)?)
-            .build()),
-            "bcube" => Ok(BCubeParams::new(p.u32_or("ports", 4)?, p.u32_or("levels", 1)?).build()),
-            "vl2" => Ok(Vl2Params::new(p.u32_or("da", 8)?, p.u32_or("di", 4)?).build()),
-            other => Err(CliError::BadValue {
+            .seed(p.u64_or("seed", 1)?);
+            g.check().map(|()| g.build())
+        }
+        "bcube" => {
+            let g = BCubeParams::new(p.u32_or("ports", 4)?, p.u32_or("levels", 1)?);
+            g.check().map(|()| g.build())
+        }
+        "vl2" => {
+            let g = Vl2Params::new(p.u32_or("da", 8)?, p.u32_or("di", 4)?);
+            g.check().map(|()| g.build())
+        }
+        other => {
+            return Err(CliError::BadValue {
                 flag: "topology".into(),
                 value: other.into(),
                 expected: "fattree|leafspine|jellyfish|bcube|vl2",
-            }),
-        };
-    }
-    Ok(preset(p)?.scale().build())
+            })
+        }
+    };
+    built.map_err(CliError::Invalid)
 }
 
 /// The preset `--scale` names. A daemon serves presets only, so a

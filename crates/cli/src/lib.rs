@@ -340,7 +340,8 @@ mod tests {
 
     /// Input the engine refuses is an error on every in-process command
     /// that takes it, never a panic: a host named twice, more instances
-    /// than Tiny's 112 hosts, zero rounds.
+    /// than Tiny's 112 hosts, zero rounds, a generator dimension its
+    /// `check` refuses.
     #[test]
     fn engine_refusals_are_errors_not_panics() {
         let cases = [
@@ -356,6 +357,15 @@ mod tests {
             ("assess --rounds 0", "rounds"),
             ("compare --rounds 0", "rounds"),
             ("search --rounds 0 --iters 5", "rounds"),
+            ("assess --topology fattree --ports 3", "k >= 4"),
+            ("assess --topology fattree --ports 0", "k >= 4"),
+            ("assess --topology leafspine --spines 0", "at least one spine"),
+            ("assess --topology leafspine --hosts-per-leaf 0", "host per leaf"),
+            ("assess --topology bcube --ports 1", "n >= 2"),
+            ("assess --topology bcube --levels 0", "border_switches"),
+            ("assess --topology vl2 --da 3", "d_a must be even"),
+            ("assess --topology vl2 --di 1", "d_i must be >= 2"),
+            ("assess --topology jellyfish --ports 0", "network port"),
         ];
         for (cmd, says) in cases {
             let err = run_str(&format!("{cmd} --scale tiny")).unwrap_err();

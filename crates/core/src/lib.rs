@@ -10,9 +10,15 @@
 //!
 //! ## Quick start
 //!
+//! The §2.2 service, through the engine every front door (the `recloud`
+//! CLI and the daemon) uses: an [`assess::Engine`] holds a topology's
+//! fault model under a seed, [`assess::engine::check_fits`] refuses an app
+//! the data center cannot host, and [`search::ParallelSearcher`] anneals
+//! for a plan.
+//!
 //! ```
+//! use recloud::assess::engine::check_fits;
 //! use recloud::prelude::*;
-//! use std::time::Duration;
 //!
 //! // A small data center: fat-tree with a dedicated border pod and the
 //! // paper's five shared power supplies.
@@ -20,19 +26,21 @@
 //!
 //! // The paper's fault model: switches ~ N(0.008, 0.001), everything
 //! // else ~ N(0.01, 0.001), plus power-supply dependency fault trees.
-//! let recloud = ReCloud::paper_default(&topology, 42);
+//! let seed = 42;
+//! let mut engine = Engine::new(&topology, seed, SamplerKind::ExtendedDagger);
 //!
-//! // Deploy 5 instances, require 4 alive, give the search a tiny budget.
+//! // Deploy 5 instances, require 4 alive, give the search 40 plans of
+//! // 1,000 rounds each.
 //! let spec = ApplicationSpec::k_of_n(4, 5);
-//! let requirements = Requirements::paper_default()
-//!     .budget(Duration::from_millis(300))
-//!     .rounds(1_000);
-//! let outcome = recloud.deploy(&spec, &requirements).unwrap();
+//! check_fits(engine.topology(), &spec).unwrap();
+//! let config = ParallelSearchConfig::new(1, SearchConfig::iterations(40, 1_000, seed));
+//! let searcher = ParallelSearcher::new(&topology, engine.at(seed).model().clone());
+//! let outcome = searcher.search(&spec, &ReliabilityObjective, &config, None, None).best;
 //! println!(
 //!     "deployed with reliability {:.4} (± {:.4})",
-//!     outcome.reliability, outcome.ciw95
+//!     outcome.best_reliability, outcome.best_ciw95
 //! );
-//! assert!(outcome.reliability > 0.9);
+//! assert!(outcome.best_reliability > 0.9);
 //! ```
 //!
 //! ## Crate map
@@ -47,15 +55,9 @@
 //! | Assessment pipeline, parallel engine, ground truth | `recloud-assess` |
 //! | Annealing search, symmetry, multi-objective, baselines | `recloud-search` |
 //!
-//! This crate re-exports the public API and adds the [`ReCloud`] façade
-//! that wires a provider-side deployment service together.
+//! This crate re-exports the sub-crates and a [`prelude`].
 
-pub mod error;
 pub mod prelude;
-pub mod service;
-
-pub use error::{DeployError, DeployResult};
-pub use service::{DeployOutcome, ReCloud};
 
 // Re-export the sub-crates wholesale for power users.
 pub use recloud_apps as apps;

@@ -11,8 +11,7 @@
 //!    (switches ~ N(0.008, 0.001), everything else ~ N(0.01, 0.001),
 //!    rounded to 4 decimals) — [`probability`]. A bathtub-curve lifetime
 //!    model covers the paper's note that probabilities vary over a
-//!    component's life — [`bathtub`]; CVSS-derived estimates cover software
-//!    components whose probability cannot be measured — [`cvss`].
+//!    component's life — [`bathtub`].
 //! 2. **Fault trees over shared dependencies** (§3.2.3, Fig 5): OR/AND/
 //!    K-of-N gates over basic events; multiple hosts' trees connect by
 //!    referencing the same basic events — [`tree`].
@@ -25,19 +24,15 @@
 //! [`injection`].
 
 pub mod bathtub;
-pub mod cvss;
 pub mod injection;
 pub mod model;
 pub mod probability;
-pub mod templates;
 pub mod trace;
 pub mod tree;
 
 pub use bathtub::BathtubCurve;
-pub use cvss::cvss_to_annual_probability;
 pub use injection::FaultInjector;
 pub use model::FaultModel;
 pub use probability::ProbabilityConfig;
-pub use templates::{Fig5Events, Fig5Probabilities, Fig5Template};
 pub use trace::DowntimeLog;
 pub use tree::{FaultTree, FaultTreeBuilder};

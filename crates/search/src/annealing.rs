@@ -56,9 +56,6 @@ pub struct SearchConfig {
     /// skips) to tolerate per iteration before accepting a candidate
     /// unchecked-by-symmetry anyway.
     pub max_neighbor_retries: usize,
-    /// Start from this plan instead of a random one (Step 1). Used by
-    /// incremental re-deployment, which anneals around the incumbent.
-    pub initial_plan: Option<DeploymentPlan>,
     /// Assess every plan against the *same* sampled failure-state table
     /// (common random numbers). The table of §3.2.1 does not depend on
     /// the plan, so reusing it across candidates is both cheaper and —
@@ -88,7 +85,6 @@ impl SearchConfig {
             use_symmetry: true,
             seed,
             max_neighbor_retries: 64,
-            initial_plan: None,
             common_random_numbers: true,
             crn_seed: None,
         }
@@ -245,7 +241,6 @@ impl SearchInstruments {
 pub struct Searcher<'a> {
     assessor: &'a mut Assessor,
     symmetry: SymmetryChecker,
-    pool: Vec<ComponentId>,
     obs: SearchInstruments,
 }
 
@@ -253,18 +248,7 @@ impl<'a> Searcher<'a> {
     /// Builds a searcher over the assessor's topology and fault model.
     pub fn new(assessor: &'a mut Assessor) -> Self {
         let symmetry = SymmetryChecker::new(assessor.topology(), assessor.model());
-        let pool = assessor.topology().hosts().to_vec();
-        Searcher { assessor, symmetry, pool, obs: SearchInstruments::from_global() }
-    }
-
-    /// Restricts the candidate host pool (e.g. to a tenant's partition).
-    ///
-    /// # Panics
-    /// Panics if the pool is empty.
-    pub fn with_pool(mut self, pool: Vec<ComponentId>) -> Self {
-        assert!(!pool.is_empty(), "host pool cannot be empty");
-        self.pool = pool;
-        self
+        Searcher { assessor, symmetry, obs: SearchInstruments::from_global() }
     }
 
     /// Runs the §3.3.1 search for `spec` under `objective`.
@@ -294,28 +278,19 @@ impl<'a> Searcher<'a> {
         let mut stats = SearchStats::default();
         let mut clock = BudgetClock::start(config.budget, config.schedule);
 
-        // Step 1: initial plan (respecting rules, best-effort). An
-        // explicit initial plan (incremental re-deployment) wins.
+        // Step 1: initial plan (respecting rules, best-effort).
         let topology = self.assessor.topology().clone();
-        let mut current = match &config.initial_plan {
-            Some(p) => {
-                assert!(
-                    config.rules.check(p, &topology, workload),
-                    "the provided initial plan violates the placement rules"
-                );
-                p.clone()
+        let hosts = topology.hosts();
+        let mut current = loop {
+            let p = DeploymentPlan::random(spec, hosts, &mut rng);
+            if config.rules.check(&p, &topology, workload) {
+                break p;
             }
-            None => loop {
-                let p = DeploymentPlan::random(spec, &self.pool, &mut rng);
-                if config.rules.check(&p, &topology, workload) {
-                    break p;
-                }
-                stats.rule_rejections += 1;
-                self.obs.rule_rejections.inc();
-                if stats.rule_rejections > 10_000 {
-                    panic!("placement rules rejected 10k random plans; pool too constrained");
-                }
-            },
+            stats.rule_rejections += 1;
+            self.obs.rule_rejections.inc();
+            if stats.rule_rejections > 10_000 {
+                panic!("placement rules rejected 10k random plans; rules too tight");
+            }
         };
 
         // Sampling seed policy: one shared table (CRN) or fresh draws.
@@ -356,25 +331,19 @@ impl<'a> Searcher<'a> {
         );
         driver.on_best(&trajectory[0], clock.temperature());
 
-        // A saturated pool (every distinct host already carries an
+        // A saturated data center (every host already carries an
         // instance) leaves no legal neighbor move: `neighbor` would
         // panic hunting for an unused host. The only reachable plan is
         // the initial one, so skip Steps 3-6 and return it as the
         // outcome instead of crashing mid-search.
-        let distinct_hosts = {
-            let mut hosts = self.pool.clone();
-            hosts.sort_unstable();
-            hosts.dedup();
-            hosts.len()
-        };
-        let saturated = spec.total_instances() >= distinct_hosts;
+        let saturated = spec.total_instances() >= hosts.len();
 
         // Steps 3-6.
         while !saturated && !clock.exhausted() && best_measure < config.desired {
             // Step 3: neighbor generation with rule/symmetry filtering.
             let mut candidate = None;
             for _ in 0..config.max_neighbor_retries {
-                let n = current.neighbor(&self.pool, &mut rng);
+                let n = current.neighbor(hosts, &mut rng);
                 if !config.rules.check(&n, &topology, workload) {
                     stats.rule_rejections += 1;
                     self.obs.rule_rejections.inc();
@@ -519,62 +488,6 @@ impl<'a> Searcher<'a> {
     }
 }
 
-impl<'a> Searcher<'a> {
-    /// Multi-restart annealing: runs `restarts` independent searches
-    /// (different seeds, shares of the budget) and returns the best
-    /// outcome by measure. Restarts are the classic cure for annealing
-    /// runs that freeze in a poor basin — at 30-second budgets the paper's
-    /// single run explores a few hundred plans, and two or three restarts
-    /// often dominate one longer run.
-    ///
-    /// Wall-clock budgets are divided evenly among restarts; iteration
-    /// budgets are divided by the restart count (rounding up).
-    ///
-    /// # Panics
-    /// Panics if `restarts` is zero.
-    pub fn search_with_restarts(
-        &mut self,
-        spec: &ApplicationSpec,
-        objective: &dyn Objective,
-        config: &SearchConfig,
-        workload: Option<&WorkloadMap>,
-        restarts: usize,
-    ) -> SearchOutcome {
-        assert!(restarts >= 1, "need at least one restart");
-        let per_restart_budget = match config.budget {
-            SearchBudget::WallClock(t) => SearchBudget::WallClock(t / restarts as u32),
-            SearchBudget::Iterations(n) => SearchBudget::Iterations(n.div_ceil(restarts)),
-        };
-        let mut best: Option<SearchOutcome> = None;
-        for r in 0..restarts {
-            let mut cfg = config.clone();
-            cfg.budget = per_restart_budget;
-            cfg.seed = restart_seed(config.seed, r);
-            let out = self.search(spec, objective, &cfg, workload);
-            let better = match &best {
-                None => true,
-                Some(b) => out.best_measure > b.best_measure,
-            };
-            if better {
-                best = Some(out);
-            }
-        }
-        best.expect("restarts >= 1")
-    }
-}
-
-/// Seed of restart `r`: restart 0 keeps the caller's seed (so one
-/// restart is exactly a plain search); later restarts draw
-/// SplitMix64-derived streams — full-width avalanche, no overflow for
-/// any `r` (the old `0x9E37_79B9 * r` multiply panicked in debug builds
-/// for large `r` and its 32-bit constant spread seeds poorly).
-fn restart_seed(master: u64, r: usize) -> u64 {
-    match r {
-        0 => master,
-        r => recloud_sampling::derive_seed(master, r as u64),
-    }
-}
-
 /// Finds the single (old, new) host pair by which two plans differ, if
 /// they differ in exactly one instance slot.
 fn moved_pair(a: &DeploymentPlan, b: &DeploymentPlan) -> Option<(ComponentId, ComponentId)> {
@@ -693,24 +606,26 @@ mod tests {
         );
     }
 
-    /// Regression: a fully-saturated pool (as many distinct hosts as
+    /// Regression: a fully-saturated data center (as many hosts as
     /// instances) used to panic inside `DeploymentPlan::neighbor`
     /// ("no unused host available"). Now the search detects it up front
-    /// and returns the only possible plan as the outcome.
+    /// and returns the only possible plan as the outcome: 12 instances on
+    /// the 12 hosts of a k = 4 fat-tree.
     #[test]
     fn saturated_pool_returns_initial_plan_instead_of_panicking() {
-        let mut assessor = engine(9);
-        let pool = assessor.topology().hosts()[..3].to_vec();
-        let spec = ApplicationSpec::k_of_n(2, 3);
+        let mut assessor = engine_on(4, 9);
+        let hosts = assessor.topology().hosts().to_vec();
+        assert_eq!(hosts.len(), 12);
+        let spec = ApplicationSpec::k_of_n(2, 12);
         let cfg = SearchConfig::iterations(25, 500, 17);
-        let mut s = Searcher::new(&mut assessor).with_pool(pool.clone());
+        let mut s = Searcher::new(&mut assessor);
         let out = s.search(&spec, &ReliabilityObjective, &cfg, None);
         assert_eq!(out.stats.plans_assessed, 1, "only the initial plan is reachable");
         let mut used: Vec<_> = out.best_plan.all_hosts().collect();
         used.sort_unstable();
-        let mut expect = pool;
+        let mut expect = hosts;
         expect.sort_unstable();
-        assert_eq!(used, expect, "the plan must use every pooled host exactly once");
+        assert_eq!(used, expect, "the plan must use every host exactly once");
         assert!(out.best_reliability > 0.0);
         assert_eq!(out.trajectory.len(), 1);
     }
@@ -889,68 +804,5 @@ mod tests {
         assert!(p.all_hosts().any(|h| h == old));
         assert!(q.all_hosts().any(|h| h == new));
         assert!(moved_pair(&p, &p).is_none());
-    }
-}
-
-#[cfg(test)]
-mod restart_tests {
-    use super::*;
-    use crate::objective::ReliabilityObjective;
-    use recloud_faults::FaultModel;
-    use recloud_topology::FatTreeParams;
-
-    #[test]
-    fn restarts_return_the_best_of_the_batch() {
-        let t = FatTreeParams::new(8).build();
-        let model = FaultModel::paper_default(&t, 2);
-        let spec = ApplicationSpec::k_of_n(4, 5);
-        let mut assessor = Assessor::new(&t, model);
-        let mut searcher = Searcher::new(&mut assessor);
-        let config = SearchConfig::iterations(30, 800, 5);
-        let multi = searcher.search_with_restarts(&spec, &ReliabilityObjective, &config, None, 3);
-        // Each restart ran ~10 iterations; the returned outcome is the max.
-        assert!(multi.stats.plans_assessed <= 10);
-        assert!(multi.best_measure > 0.0);
-
-        // Single restart must equal a plain search with the same budget.
-        let mut assessor2 = Assessor::new(&t, FaultModel::paper_default(&t, 2));
-        let mut searcher2 = Searcher::new(&mut assessor2);
-        let single = searcher2.search_with_restarts(&spec, &ReliabilityObjective, &config, None, 1);
-        let mut assessor3 = Assessor::new(&t, FaultModel::paper_default(&t, 2));
-        let mut searcher3 = Searcher::new(&mut assessor3);
-        let plain = searcher3.search(&spec, &ReliabilityObjective, &config, None);
-        assert_eq!(single.best_plan, plain.best_plan);
-    }
-
-    /// Regression: restart seeds come from the shared SplitMix64 stream
-    /// derivation. The old `0x9E37_79B9 * r` offset overflow-panicked in
-    /// debug builds once `r` crossed `u64::MAX / 0x9E37_79B9` and its
-    /// 32-bit constant clustered seeds; the derived streams must be
-    /// well-defined and pairwise distinct even at extreme indices.
-    #[test]
-    fn restart_seeds_are_distinct_and_never_overflow() {
-        let master = 0xDEAD_BEEF_CAFE_F00D_u64;
-        let mut seeds: Vec<u64> = (0..1_000).map(|r| restart_seed(master, r)).collect();
-        // Indices far past the old overflow threshold (~7.4e9).
-        for r in [u64::MAX / 0x9E37_79B9 + 1, u64::MAX - 1, u64::MAX] {
-            seeds.push(restart_seed(master, r as usize));
-        }
-        assert_eq!(restart_seed(master, 0), master, "one restart stays a plain search");
-        let n = seeds.len();
-        seeds.sort_unstable();
-        seeds.dedup();
-        assert_eq!(seeds.len(), n, "restart seeds must be pairwise distinct");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one restart")]
-    fn zero_restarts_rejected() {
-        let t = FatTreeParams::new(4).build();
-        let model = FaultModel::paper_default(&t, 2);
-        let spec = ApplicationSpec::k_of_n(1, 2);
-        let mut assessor = Assessor::new(&t, model);
-        let mut searcher = Searcher::new(&mut assessor);
-        let config = SearchConfig::iterations(5, 100, 1);
-        searcher.search_with_restarts(&spec, &ReliabilityObjective, &config, None, 0);
     }
 }

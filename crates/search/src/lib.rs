@@ -24,7 +24,6 @@
 
 pub mod annealing;
 pub mod common_practice;
-pub mod migration;
 pub mod objective;
 pub mod parallel;
 pub mod schedule;
@@ -35,7 +34,6 @@ pub use annealing::{
     TrajectoryPoint,
 };
 pub use common_practice::{common_practice, enhanced_common_practice};
-pub use migration::{migration_cost, MigrationBudget, MigrationObjective};
 pub use objective::{HolisticObjective, LatencyObjective, Objective, ReliabilityObjective};
 pub use parallel::{ChainEvent, ParallelOutcome, ParallelSearchConfig, ParallelSearcher};
 pub use schedule::{DeltaRule, SearchBudget, TemperatureSchedule};

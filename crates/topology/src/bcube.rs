@@ -63,17 +63,27 @@ impl BCubeParams {
         (self.n as usize).pow(self.k)
     }
 
+    /// The generator's preconditions: `n >= 2` and `border_switches` in
+    /// `1..=n^k`.
+    pub fn check(&self) -> Result<(), String> {
+        if self.n < 2 {
+            return Err("BCube needs n >= 2 ports".into());
+        }
+        let (b, per_level) = (self.border_switches, self.switches_per_level());
+        if b == 0 || b as usize > per_level {
+            return Err(format!("border_switches must be in 1..=n^k = {per_level} (got {b})"));
+        }
+        Ok(())
+    }
+
     /// Builds the topology.
     ///
     /// # Panics
-    /// Panics on `n < 2` or an invalid border count.
+    /// Panics on `n < 2` or an invalid border count (see
+    /// [`BCubeParams::check`]).
     pub fn build(self) -> Topology {
-        assert!(self.n >= 2, "BCube needs n >= 2 ports");
+        self.check().unwrap_or_else(|e| panic!("{e}"));
         let per_level = self.switches_per_level();
-        assert!(
-            self.border_switches >= 1 && (self.border_switches as usize) <= per_level,
-            "border_switches must be in 1..=n^k"
-        );
         let n = self.n as usize;
         let levels = (self.k + 1) as usize;
         let n_servers = self.num_servers();

@@ -61,11 +61,24 @@ impl FatTreeParams {
         self
     }
 
+    /// The generator's preconditions: `k` even and at least 4.
+    pub fn check(&self) -> Result<(), String> {
+        let k = self.k;
+        if k < 4 {
+            return Err(format!("fat-tree needs k >= 4 (got {k})"));
+        }
+        if !k.is_multiple_of(2) {
+            return Err(format!("fat-tree needs even k (got {k})"));
+        }
+        Ok(())
+    }
+
     /// Builds the topology.
     ///
     /// # Panics
-    /// Panics if `k` is odd or `< 4`.
+    /// Panics if `k` is odd or `< 4` (see [`FatTreeParams::check`]).
     pub fn build(self) -> Topology {
+        self.check().unwrap_or_else(|e| panic!("{e}"));
         build_fat_tree(self)
     }
 }
@@ -181,8 +194,6 @@ impl FatTreeMeta {
 
 fn build_fat_tree(params: FatTreeParams) -> Topology {
     let k = params.k;
-    assert!(k >= 4, "fat-tree needs k >= 4 (got {k})");
-    assert!(k.is_multiple_of(2), "fat-tree needs even k (got {k})");
     let half = k / 2;
     let host_pods = k - 1;
 

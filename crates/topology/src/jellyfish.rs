@@ -62,18 +62,29 @@ impl JellyfishParams {
         self
     }
 
+    /// The generator's preconditions: at least 2 switches, at least one
+    /// network port per switch, and `border_switches` in `1..=switches`.
+    pub fn check(&self) -> Result<(), String> {
+        if self.switches < 2 {
+            return Err("Jellyfish needs at least 2 switches".into());
+        }
+        if self.network_ports == 0 {
+            return Err("need at least 1 network port per switch".into());
+        }
+        if self.border_switches == 0 || self.border_switches > self.switches {
+            return Err("border_switches must be in 1..=switches".into());
+        }
+        Ok(())
+    }
+
     /// Builds the topology.
     ///
     /// # Panics
     /// Panics on degenerate dimensions (fewer than 2 switches, zero ports,
-    /// or more border switches than switches).
+    /// or more border switches than switches; see
+    /// [`JellyfishParams::check`]).
     pub fn build(self) -> Topology {
-        assert!(self.switches >= 2, "Jellyfish needs at least 2 switches");
-        assert!(self.network_ports >= 1, "need at least 1 network port per switch");
-        assert!(
-            self.border_switches >= 1 && self.border_switches <= self.switches,
-            "border_switches must be in 1..=switches"
-        );
+        self.check().unwrap_or_else(|e| panic!("{e}"));
         let n_sw = self.switches as usize;
         let n_hosts = (self.switches * self.hosts_per_switch) as usize;
         let n_power = self.power_supplies as usize;

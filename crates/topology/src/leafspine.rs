@@ -55,17 +55,26 @@ impl LeafSpineParams {
         self
     }
 
+    /// The generator's preconditions: at least one spine, leaf and host
+    /// per leaf, and `border_spines` in `1..=spines`.
+    pub fn check(&self) -> Result<(), String> {
+        if self.spines == 0 || self.leaves == 0 || self.hosts_per_leaf == 0 {
+            return Err("leaf-spine needs at least one spine, leaf and host per leaf".into());
+        }
+        if self.border_spines == 0 || self.border_spines > self.spines {
+            return Err("border_spines must be in 1..=spines".into());
+        }
+        Ok(())
+    }
+
     /// Builds the topology.
     ///
     /// # Panics
     /// Panics on zero spines/leaves/hosts-per-leaf or if
-    /// `border_spines` is zero or exceeds `spines`.
+    /// `border_spines` is zero or exceeds `spines` (see
+    /// [`LeafSpineParams::check`]).
     pub fn build(self) -> Topology {
-        assert!(self.spines >= 1 && self.leaves >= 1 && self.hosts_per_leaf >= 1);
-        assert!(
-            self.border_spines >= 1 && self.border_spines <= self.spines,
-            "border_spines must be in 1..=spines"
-        );
+        self.check().unwrap_or_else(|e| panic!("{e}"));
         let n_spine = self.spines as usize;
         let n_leaf = self.leaves as usize;
         let n_hosts = (self.leaves * self.hosts_per_leaf) as usize;

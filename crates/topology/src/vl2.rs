@@ -61,20 +61,33 @@ impl Vl2Params {
         self.num_tors() * self.servers_per_tor as usize
     }
 
+    /// The generator's preconditions: `d_a` even and at least 4,
+    /// `d_i >= 2`, at least one server per ToR, and `border_switches` in
+    /// `1..=d_a/2`.
+    pub fn check(&self) -> Result<(), String> {
+        if self.d_a < 4 || !self.d_a.is_multiple_of(2) {
+            return Err("d_a must be even and >= 4".into());
+        }
+        if self.d_i < 2 {
+            return Err("d_i must be >= 2".into());
+        }
+        if self.servers_per_tor == 0 {
+            return Err("need at least one server per ToR".into());
+        }
+        if self.border_switches == 0 || self.border_switches > self.d_a / 2 {
+            return Err("border_switches must be in 1..=d_a/2".into());
+        }
+        Ok(())
+    }
+
     /// Builds the topology.
     ///
     /// # Panics
     /// Panics on odd/small `d_a`, `d_i < 2`, zero servers per ToR, or an
-    /// invalid border count.
+    /// invalid border count (see [`Vl2Params::check`]).
     pub fn build(self) -> Topology {
-        assert!(self.d_a >= 4 && self.d_a.is_multiple_of(2), "d_a must be even and >= 4");
-        assert!(self.d_i >= 2, "d_i must be >= 2");
-        assert!(self.servers_per_tor >= 1, "need at least one server per ToR");
+        self.check().unwrap_or_else(|e| panic!("{e}"));
         let n_int = (self.d_a / 2) as usize;
-        assert!(
-            self.border_switches >= 1 && (self.border_switches as usize) <= n_int,
-            "border_switches must be in 1..=d_a/2"
-        );
         let n_agg = self.d_i as usize;
         let n_tor = self.num_tors();
         let n_servers = self.num_servers();

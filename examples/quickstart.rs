@@ -9,8 +9,8 @@
 //! a deployment plan for 5 instances with at least 4 required alive, and
 //! prints the plan with its quantitative reliability assessment.
 
+use recloud::assess::engine::check_fits;
 use recloud::prelude::*;
-use std::time::Duration;
 
 fn main() {
     // A k=8 fat-tree: 112 hosts, 76 switches, 5 power supplies assigned
@@ -24,19 +24,22 @@ fn main() {
     );
 
     // Paper fault model: switches ~ N(0.008, 0.001), everything else
-    // ~ N(0.01, 0.001), plus power-supply dependency fault trees.
-    let recloud = ReCloud::paper_default(&topology, 42);
+    // ~ N(0.01, 0.001), plus power-supply dependency fault trees. The
+    // engine is the one the `recloud` CLI and the daemon build.
+    let seed = 42;
+    let mut engine = Engine::new(&topology, seed, SamplerKind::ExtendedDagger);
 
-    // Developer requirements (§2.2): N = 5, K = 4, a 2-second search
-    // budget, 10^4 route-and-check rounds per candidate plan.
+    // Developer requirements (§2.2): N = 5, K = 4, a search over 20,000
+    // candidate plans, 10^4 route-and-check rounds per plan.
     let spec = ApplicationSpec::k_of_n(4, 5);
-    let requirements = Requirements::paper_default().budget(Duration::from_secs(2)).rounds(10_000);
-
-    let outcome =
-        recloud.deploy(&spec, &requirements).expect("the Tiny data center can host 5 instances");
+    check_fits(engine.topology(), &spec).expect("the Tiny data center can host 5 instances");
+    let config = ParallelSearchConfig::new(1, SearchConfig::iterations(20_000, 10_000, seed));
+    let searcher = ParallelSearcher::new(&topology, engine.at(seed).model().clone());
+    let search = searcher.search(&spec, &ReliabilityObjective, &config, None, None);
+    let outcome = &search.best;
 
     println!("\nchosen deployment plan:");
-    for (i, host) in outcome.plan.hosts_of(0).iter().enumerate() {
+    for (i, host) in outcome.best_plan.hosts_of(0).iter().enumerate() {
         let pos = topology.fat_tree().unwrap().host_position(*host);
         println!(
             "  instance {i}: {host} (pod {}, rack {}, power {})",
@@ -45,9 +48,14 @@ fn main() {
             topology.power_of(*host).unwrap()
         );
     }
-    println!("\nreliability: {:.4} (95% CI width {:.1e})", outcome.reliability, outcome.ciw95);
+    println!(
+        "\nreliability: {:.4} (95% CI width {:.1e})",
+        outcome.best_reliability, outcome.best_ciw95
+    );
     println!(
         "expected annual downtime: {:.1} hours ({} plans explored in {:?})",
-        outcome.annual_downtime_hours, outcome.plans_assessed, outcome.search_time
+        (1.0 - outcome.best_reliability) * 365.25 * 24.0,
+        outcome.stats.plans_assessed,
+        search.elapsed
     );
 }

@@ -20,6 +20,17 @@ echo "== release build, warnings denied =="
 # left in target/release from an earlier build.
 RUSTFLAGS="-D warnings" cargo build --release --workspace --all-targets
 
+echo "== examples =="
+# --all-targets above compiles every example; this runs each once as
+# built, so an example that panics fails here rather than only compiling
+# (~1.5 s for all six).
+for EXAMPLE in examples/*.rs; do
+  NAME="$(basename "$EXAMPLE" .rs)"
+  target/release/examples/"$NAME" > /dev/null \
+    || { echo "examples gate: $NAME exited non-zero"; exit 1; }
+done
+echo "examples gate: every example ran to completion"
+
 echo "== test suite (all workspace crates) =="
 cargo test -q --workspace
 
@@ -59,7 +70,11 @@ echo "== retired names gate =="
 # and the instrument kill switch that existed to be measured — timings are
 # taken in benchmark/, which this grep does not reach. And the sequential
 # stopping wrapper: `Assessor::drive` with a CIW target is the one way to
-# stop at a width.
+# stop at a width. And the second copy of the §2.2 workflow — the `ReCloud`
+# façade, its error and outcome types and `Requirements` — with the
+# modules only a test called (migration, the Fig 5 template, the INDaaS
+# risk counter, CVSS) and the searcher/assessor surface nobody called:
+# every front door goes Engine → check_fits → ParallelSearcher.
 RETIRED='StatsResponse|SearchPlacement|set_batched|Word64|JobFrame|RCW1'
 RETIRED="$RETIRED|begin_wide_keyed|border_of|border_ok_wide|pod_ext_wide|memo_row|name_cone|recheck_base"
 RETIRED="$RETIRED|eval_word|eval_node_word|eval_matrix"
@@ -69,6 +84,10 @@ RETIRED="$RETIRED|explain_unreachable|diagnose_consistently"
 RETIRED="$RETIRED|bench_assess|bench_serve|bench_search|BENCH_assess|BENCH_serve|BENCH_search"
 RETIRED="$RETIRED|RECLOUD_BENCH_SAMPLES|RECLOUD_BENCH_WARMUP|set_enabled"
 RETIRED="$RETIRED|assess_until|SequentialAssessment"
+RETIRED="$RETIRED|ReCloud|DeployOutcome|DeployError|DeployResult|Requirements"
+RETIRED="$RETIRED|MigrationObjective|MigrationBudget|migration_cost|Fig5Template"
+RETIRED="$RETIRED|risk_profile|rank_by_risk|cvss_to_annual_probability"
+RETIRED="$RETIRED|search_with_restarts|with_pool|assess_once|sampler_name"
 if grep -rnE "$RETIRED" crates/ src/ tests/ examples/ \
     | grep -vE '^crates/server/src/(protocol\.rs|frame_table\.md):.*SearchPlacement'; then
   echo "retired names gate: a retired name is back (see above)"; exit 1
@@ -113,9 +132,10 @@ echo "benchmark gate: package builds, tests pass, replay agrees"
 echo "== CLI bad-input gate =="
 # Input the in-process commands once panicked on (exit 101) must be a clean
 # error — exit status 1, stderr starting `error:` — through the release
-# binary: a duplicate host, more instances than Tiny's 112 hosts, zero rounds.
+# binary: a duplicate host, more instances than Tiny's 112 hosts, zero
+# rounds, a topology generator dimension its `check` refuses.
 for ARGS in "assess --hosts 72,72 --k 1 --n 2" "search --n 200 --workers 2 --iters 5" \
-    "compare --rounds 0"; do
+    "compare --rounds 0" "assess --topology fattree --ports 3"; do
   STATUS=0
   # shellcheck disable=SC2086 # ARGS is split into words on purpose.
   ERR="$(target/release/recloud $ARGS 2>&1 >/dev/null)" || STATUS=$?

@@ -1,19 +1,34 @@
-//! End-to-end integration: the full §2.2 workflow across crates.
+//! End-to-end integration: the full §2.2 workflow across crates, through
+//! the path the CLI and the daemon take — the engine, the capacity check,
+//! then the annealing search.
 
+use recloud::assess::engine::check_fits;
 use recloud::prelude::*;
 use recloud::search::common_practice::power_diversity;
-use std::time::Duration;
 
-fn quick_req(rounds: usize) -> Requirements {
-    Requirements::paper_default().budget(Duration::from_millis(400)).rounds(rounds)
+/// Searches for a plan the way every front door does: the paper-default
+/// engine of `seed`, a capacity check, then one annealing chain.
+fn deploy(
+    topology: &Topology,
+    spec: &ApplicationSpec,
+    objective: &(dyn Objective + Sync),
+    config: SearchConfig,
+    workload: Option<&WorkloadMap>,
+) -> SearchOutcome {
+    let seed = config.seed;
+    let mut engine = Engine::new(topology, seed, SamplerKind::ExtendedDagger);
+    check_fits(engine.topology(), spec).unwrap();
+    let searcher = ParallelSearcher::new(topology, engine.at(seed).model().clone());
+    let config = ParallelSearchConfig::new(1, config);
+    searcher.search(spec, objective, &config, workload, None).best
 }
 
 #[test]
 fn deploy_beats_the_average_random_plan() {
     let topology = FatTreeParams::new(8).build();
-    let svc = ReCloud::paper_default(&topology, 3);
     let spec = ApplicationSpec::k_of_n(4, 5);
-    let out = svc.deploy(&spec, &quick_req(4_000)).unwrap();
+    let config = SearchConfig::iterations(200, 4_000, 3);
+    let out = deploy(&topology, &spec, &ReliabilityObjective, config, None);
 
     // Average reliability of random plans (fresh assessor, independent
     // seeds).
@@ -28,9 +43,9 @@ fn deploy_beats_the_average_random_plan() {
     }
     let avg_random = sum / n as f64;
     assert!(
-        out.reliability >= avg_random,
+        out.best_reliability >= avg_random,
         "searched plan ({}) must beat the average random plan ({avg_random})",
-        out.reliability
+        out.best_reliability
     );
 }
 
@@ -48,15 +63,9 @@ fn recloud_beats_enhanced_common_practice_on_unreliability() {
 
     let cp_plan = enhanced_common_practice(&topology, &workload, &spec);
 
-    let mut assessor = Assessor::new(&topology, model.clone());
-    let mut searcher = Searcher::new(&mut assessor);
-    let config = SearchConfig {
-        budget: SearchBudget::Iterations(80),
-        rounds: 5_000,
-        ..SearchConfig::paper_default(seed)
-    };
+    let config = SearchConfig::iterations(80, 5_000, seed);
     let obj = HolisticObjective::equal_weights(workload.clone());
-    let out = searcher.search(&spec, &obj, &config, Some(&workload));
+    let out = deploy(&topology, &spec, &obj, config, Some(&workload));
 
     // Independent validation pass.
     let mut validator = Assessor::new(&topology, model);
@@ -72,26 +81,29 @@ fn recloud_beats_enhanced_common_practice_on_unreliability() {
 #[test]
 fn multi_component_deploy_end_to_end() {
     let topology = FatTreeParams::new(8).build();
-    let svc = ReCloud::paper_default(&topology, 7);
     let mut b = ApplicationSpec::builder();
     let fe = b.component("fe", 3);
     let db = b.component("db", 2);
     b.require_external(fe, 2);
     b.require(db, Source::Component(fe), 1);
     let spec = b.build();
-    let out = svc.deploy(&spec, &quick_req(3_000)).unwrap();
-    assert_eq!(out.plan.hosts_of(0).len(), 3);
-    assert_eq!(out.plan.hosts_of(1).len(), 2);
-    assert!(out.reliability > 0.9);
+    let config = SearchConfig::iterations(80, 3_000, 7);
+    let out = deploy(&topology, &spec, &ReliabilityObjective, config, None);
+    assert_eq!(out.best_plan.hosts_of(0).len(), 3);
+    assert_eq!(out.best_plan.hosts_of(1).len(), 2);
+    assert!(out.best_reliability > 0.9);
 }
 
 #[test]
 fn rules_flow_through_the_service() {
     let topology = FatTreeParams::new(8).build();
-    let svc = ReCloud::paper_default(&topology, 11).with_rules(PlacementRules::distinct_racks());
     let spec = ApplicationSpec::k_of_n(2, 4);
-    let out = svc.deploy(&spec, &quick_req(1_000)).unwrap();
-    let mut racks: Vec<_> = out.plan.all_hosts().map(|h| topology.rack_of(h)).collect();
+    let config = SearchConfig {
+        rules: PlacementRules::distinct_racks(),
+        ..SearchConfig::iterations(200, 1_000, 11)
+    };
+    let out = deploy(&topology, &spec, &ReliabilityObjective, config, None);
+    let mut racks: Vec<_> = out.best_plan.all_hosts().map(|h| topology.rack_of(h)).collect();
     racks.sort();
     racks.dedup();
     assert_eq!(racks.len(), 4, "distinct-racks rule must hold in the final plan");
@@ -100,10 +112,10 @@ fn rules_flow_through_the_service() {
 #[test]
 fn leaf_spine_deploys_with_generic_router() {
     let topology = LeafSpineParams::new(4, 12, 8).build();
-    let svc = ReCloud::paper_default(&topology, 2);
     let spec = ApplicationSpec::k_of_n(2, 3);
-    let out = svc.deploy(&spec, &quick_req(1_500)).unwrap();
-    assert!(out.reliability > 0.8, "reliability {}", out.reliability);
+    let config = SearchConfig::iterations(40, 1_500, 2);
+    let out = deploy(&topology, &spec, &ReliabilityObjective, config, None);
+    assert!(out.best_reliability > 0.8, "reliability {}", out.best_reliability);
 }
 
 #[test]
@@ -111,10 +123,9 @@ fn monte_carlo_service_matches_dagger_statistically() {
     let topology = FatTreeParams::new(8).build();
     let spec = ApplicationSpec::k_of_n(2, 3);
     let plan = DeploymentPlan::new(&spec, vec![topology.hosts()[..3].to_vec()]);
-    let dagger = ReCloud::paper_default(&topology, 5).assess(&spec, &plan, 50_000);
-    let mc = ReCloud::paper_default(&topology, 5)
-        .with_sampler(SamplerKind::MonteCarlo)
-        .assess(&spec, &plan, 50_000);
+    let assess = |kind| Engine::new(&topology, 5, kind).at(5).assess(&spec, &plan, 50_000, 5);
+    let dagger = assess(SamplerKind::ExtendedDagger);
+    let mc = assess(SamplerKind::MonteCarlo);
     let gap = (dagger.estimate.score - mc.estimate.score).abs();
     let bound = (dagger.estimate.ciw95() + mc.estimate.ciw95()).max(0.004);
     assert!(gap <= bound, "gap {gap} exceeds {bound}");

@@ -1,7 +1,8 @@
 //! Integration tests for the extension features: sequential stopping,
-//! plan comparison, migration-aware re-deployment, Fig 5 templates, and
-//! the extra data-center architectures.
+//! plan comparison, the latency objective, and the extra data-center
+//! architectures.
 
+use recloud::assess::engine::check_fits;
 use recloud::assess::{compare_plans, DrivenAssessment};
 use recloud::prelude::*;
 use recloud::topology::{BCubeParams, Topology, Vl2Params};
@@ -76,56 +77,6 @@ fn comparator_prefers_power_diverse_plans() {
 }
 
 #[test]
-fn migration_penalty_reduces_churn_during_readaptation() {
-    let t = FatTreeParams::new(8).build();
-    let model = paper_model(&t, 7);
-    let spec = ApplicationSpec::k_of_n(4, 5);
-    let mut rng = Rng::new(11);
-    let incumbent = DeploymentPlan::random(&spec, t.hosts(), &mut rng);
-
-    let run = |penalty: f64| {
-        let mut assessor = Assessor::new(&t, model.clone());
-        let mut searcher = Searcher::new(&mut assessor);
-        let base = ReliabilityObjective;
-        let obj = MigrationObjective::new(&base, incumbent.clone(), penalty);
-        let mut config = SearchConfig::iterations(40, 1_500, 21);
-        config.initial_plan = Some(incumbent.clone());
-        let out = searcher.search(&spec, &obj, &config, None);
-        migration_cost(&incumbent, &out.best_plan)
-    };
-    let churn_free = run(0.0);
-    let churn_heavy = run(2.0);
-    assert!(
-        churn_heavy <= churn_free,
-        "penalty must not increase churn: {churn_heavy} vs {churn_free}"
-    );
-    assert!(churn_heavy <= 2, "heavy penalty should keep churn tiny");
-}
-
-#[test]
-fn fig5_template_flows_through_full_assessment() {
-    let t = FatTreeParams::new(8).build();
-    let mut model = FaultModel::new(&t, &ProbabilityConfig::PaperDefault, 5);
-    let _events = Fig5Template::default().apply(&t, &mut model);
-    let plain = FaultModel::paper_default(&t, 5);
-
-    let spec = ApplicationSpec::k_of_n(4, 5);
-    let mut rng = Rng::new(3);
-    let plan = DeploymentPlan::random(&spec, t.hosts(), &mut rng);
-    let r_template = Assessor::new(&t, model).assess(&spec, &plan, 40_000, 1);
-    let r_plain = Assessor::new(&t, plain).assess(&spec, &plan, 40_000, 1);
-    // Redundant power removes the single-supply blast radius; even though
-    // the template *adds* cooling/software failure modes, the dominant
-    // single-supply correlated failures disappear, so reliability rises.
-    assert!(
-        r_template.estimate.score > r_plain.estimate.score,
-        "redundant supplies must pay off: {} vs {}",
-        r_template.estimate.score,
-        r_plain.estimate.score
-    );
-}
-
-#[test]
 fn bcube_hosts_relay_traffic() {
     // In BCube, servers forward packets: killing a *host* can disconnect
     // nothing else (level-0 neighbors have level-1 paths), but killing
@@ -142,14 +93,16 @@ fn bcube_hosts_relay_traffic() {
 #[test]
 fn vl2_deploys_end_to_end() {
     let t = Vl2Params::new(8, 4).servers_per_tor(10).build();
-    let svc = ReCloud::paper_default(&t, 2);
     let spec = ApplicationSpec::k_of_n(2, 3);
-    let req =
-        Requirements::paper_default().budget(std::time::Duration::from_millis(300)).rounds(2_000);
-    let out = svc.deploy(&spec, &req).unwrap();
-    assert!(out.reliability > 0.8, "{}", out.reliability);
+    let seed = 2;
+    let mut engine = Engine::new(&t, seed, SamplerKind::ExtendedDagger);
+    check_fits(engine.topology(), &spec).unwrap();
+    let searcher = ParallelSearcher::new(&t, engine.at(seed).model().clone());
+    let config = ParallelSearchConfig::new(1, SearchConfig::iterations(30, 2_000, seed));
+    let out = searcher.search(&spec, &ReliabilityObjective, &config, None, None).best;
+    assert!(out.best_reliability > 0.8, "{}", out.best_reliability);
     // ToR-diverse plans should emerge naturally.
-    let mut racks: Vec<_> = out.plan.all_hosts().map(|h| t.rack_of(h)).collect();
+    let mut racks: Vec<_> = out.best_plan.all_hosts().map(|h| t.rack_of(h)).collect();
     racks.sort();
     racks.dedup();
     assert!(racks.len() >= 2);
@@ -157,30 +110,27 @@ fn vl2_deploys_end_to_end() {
 
 #[test]
 fn latency_objective_pulls_instances_together() {
-    // Start from a maximally spread plan (three pods, distance 6) and
-    // anneal under a proximity-dominated objective: the mean pairwise
-    // distance must drop. Using a pure proximity weight makes the measure
+    // Anneal from the search's own random start under a
+    // proximity-dominated objective: the mean pairwise distance must
+    // drop. Using a pure proximity weight makes the measure
     // deterministic, so the improvement is not a sampling artifact.
     let t = FatTreeParams::new(8).build();
     let model = paper_model(&t, 4);
     let spec = ApplicationSpec::k_of_n(1, 3);
-    let meta = t.fat_tree().unwrap();
-    let spread_plan = DeploymentPlan::new(
-        &spec,
-        vec![vec![meta.host(0, 0, 0), meta.host(2, 1, 0), meta.host(4, 2, 0)]],
-    );
-    let start_distance = {
-        let hosts: Vec<_> = spread_plan.all_hosts().collect();
-        recloud::topology::mean_pairwise_distance(&t, &hosts)
-    };
-    assert_eq!(start_distance, 6.0);
+    let obj = LatencyObjective::new(0.0, 1.0, &t); // proximity only
+    let config = SearchConfig::iterations(200, 200, 31);
+
+    // Step 1 draws the start from the search seed; its measure is the
+    // first point of the trajectory.
+    let start = DeploymentPlan::random(&spec, t.hosts(), &mut Rng::new(config.seed));
+    let start_hosts: Vec<_> = start.all_hosts().collect();
+    let start_distance = recloud::topology::mean_pairwise_distance(&t, &start_hosts);
+    assert_eq!(start_distance, 6.0, "three instances in three pods");
 
     let mut assessor = Assessor::new(&t, model);
     let mut searcher = Searcher::new(&mut assessor);
-    let obj = LatencyObjective::new(0.0, 1.0, &t); // proximity only
-    let mut config = SearchConfig::iterations(200, 200, 31);
-    config.initial_plan = Some(spread_plan);
     let out = searcher.search(&spec, &obj, &config, None);
+    assert_eq!(out.trajectory[0].measure, obj.measure(&start, 0.0), "the search starts there");
     let hosts: Vec<_> = out.best_plan.all_hosts().collect();
     let packed = recloud::topology::mean_pairwise_distance(&t, &hosts);
     assert!(packed < start_distance, "proximity objective must reduce mean distance: {packed}");
@@ -189,12 +139,11 @@ fn latency_objective_pulls_instances_together() {
 
 #[test]
 fn whole_pipeline_with_every_extension_stacked() {
-    // Fig5 template + shared software + latency-aware multi-objective +
-    // placement rules + sequential assessment: everything composes.
+    // Power + shared software dependencies + latency-aware
+    // multi-objective + placement rules + sequential assessment:
+    // everything composes.
     let t = FatTreeParams::new(8).build();
-    let mut model = FaultModel::new(&t, &ProbabilityConfig::PaperDefault, 6);
-    Fig5Template::default().apply(&t, &mut model);
-    model.attach_shared_software(&t, 2, 0.004, 0.001);
+    let model = stacked_model(&t);
 
     let spec = ApplicationSpec::layered(&[(2, 3), (1, 2)]);
     let mut assessor = Assessor::new(&t, model);
@@ -211,11 +160,14 @@ fn whole_pipeline_with_every_extension_stacked() {
     assert!(seq > 0.8);
 }
 
-fn searcher_assess(t: &Topology, out: SearchOutcome) -> f64 {
-    let mut model = FaultModel::new(t, &ProbabilityConfig::PaperDefault, 6);
-    Fig5Template::default().apply(t, &mut model);
+fn stacked_model(t: &Topology) -> FaultModel {
+    let mut model = FaultModel::paper_default(t, 6);
     model.attach_shared_software(t, 2, 0.004, 0.001);
-    let mut assessor = Assessor::new(t, model);
+    model
+}
+
+fn searcher_assess(t: &Topology, out: SearchOutcome) -> f64 {
+    let mut assessor = Assessor::new(t, stacked_model(t));
     let spec = ApplicationSpec::layered(&[(2, 3), (1, 2)]);
     assess_to_target(&mut assessor, &spec, &out.best_plan, 0.02, 100_000, 99)
         .assessment
