@@ -334,7 +334,9 @@ pub fn search(p: &Parsed) -> Result<String, CliError> {
     let _ = writeln!(
         out,
         "reliability {:.5} (± {:.1e}); chain {} won",
-        best.best_reliability, best.best_ciw95, outcome.winner
+        best.best_reliability,
+        best.best_ciw95 / 2.0,
+        outcome.winner
     );
     let _ = writeln!(
         out,
@@ -390,7 +392,9 @@ fn search_remote(p: &Parsed) -> Result<String, CliError> {
     let _ = writeln!(
         out,
         "reliability {:.5} (± {:.1e}); {} plans explored, {improvements} streamed improvements",
-        resp.reliability, resp.ciw95, resp.plans_assessed
+        resp.reliability,
+        resp.ciw95 / 2.0,
+        resp.plans_assessed
     );
     Ok(out)
 }
@@ -835,7 +839,7 @@ pub fn availability(p: &Parsed) -> Result<String, CliError> {
         out,
         "static reliability score:  {:.5} (sampled, ± {:.1e})",
         stat.estimate.score,
-        stat.estimate.ciw95()
+        stat.estimate.ciw95() / 2.0
     );
     let _ = writeln!(out, "dynamic availability:      {:.5}", report.availability());
     let _ = writeln!(
@@ -992,6 +996,20 @@ pub fn stats(p: &Parsed) -> Result<String, CliError> {
             count("assess.slot_evictions_total"),
             s.gauge("assess.arena_bytes").unwrap_or(0),
             s.gauge("assess.model_bytes").unwrap_or(0)
+        );
+    }
+    if let Some(h) = s.histogram("search.holdout_us") {
+        // What the held-out re-ranking costs a search, and how often it
+        // answers with another plan than the in-sample best.
+        let _ = writeln!(
+            out,
+            "  search: {} held-out re-rankings, p50={} p99={} max={} us; {} answered with \
+             a plan other than the in-sample best",
+            h.count,
+            h.p50(),
+            h.p99(),
+            h.max,
+            s.counter("search.holdout_switched_total").unwrap_or(0)
         );
     }
     let extra: Vec<&str> = s

@@ -38,7 +38,8 @@
 //! let outcome = searcher.search(&spec, &ReliabilityObjective, &config, None, None).best;
 //! println!(
 //!     "deployed with reliability {:.4} (± {:.4})",
-//!     outcome.best_reliability, outcome.best_ciw95
+//!     outcome.best_reliability,
+//!     outcome.best_ciw95 / 2.0
 //! );
 //! assert!(outcome.best_reliability > 0.9);
 //! ```

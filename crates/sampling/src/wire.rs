@@ -1,10 +1,11 @@
 //! From-scratch byte-buffer substrate, replacing the former `bytes` crate
 //! dependency.
 //!
-//! The parallel engine moves every job, task and result as raw
-//! little-endian frames (§4.2.4 attributes parallel cost to "data
-//! serialization/transmission/deserialization"), so the codec needs three
-//! small primitives, all std-only:
+//! The daemon's RCS1 frames, the result store's log records and the
+//! assessment fingerprint are raw little-endian bytes, so their codecs
+//! need three small primitives, all std-only (the parallel assessment
+//! engine is not among the users: its tasks and results cross threads as
+//! typed values):
 //!
 //! * [`Bytes`] — an immutable, cheaply cloneable byte view backed by an
 //!   `Arc<[u8]>`. [`Bytes::slice`] is O(1): it bumps the refcount and

@@ -11,6 +11,9 @@
 //!   wall-clock-normalized temperature t = (T_max − T_elapsed)/T_max
 //!   (Eq 6). The classic absolute-Δ and geometric-cooling settings are
 //!   retained behind [`schedule`] switches for the ablation benches.
+//! * [`holdout`] — how a search answers: its chains' best plans re-ranked
+//!   on a held-out validation table, the winner scored once more on a
+//!   report table.
 //! * [`transform`] — the network-transformations equivalence check of
 //!   Step 3: a *sound* sufficient test that a neighbor move landed on a
 //!   symmetric host (same failure-probability class, aligned power and
@@ -24,15 +27,13 @@
 
 pub mod annealing;
 pub mod common_practice;
+pub mod holdout;
 pub mod objective;
 pub mod parallel;
 pub mod schedule;
 pub mod transform;
 
-pub use annealing::{
-    BestReport, NoDriver, SearchConfig, SearchDriver, SearchOutcome, SearchStats, Searcher,
-    TrajectoryPoint,
-};
+pub use annealing::{SearchConfig, SearchOutcome, SearchStats, Searcher, TrajectoryPoint};
 pub use common_practice::{common_practice, enhanced_common_practice};
 pub use objective::{HolisticObjective, LatencyObjective, Objective, ReliabilityObjective};
 pub use parallel::{ChainEvent, ParallelOutcome, ParallelSearchConfig, ParallelSearcher};

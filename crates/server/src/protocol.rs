@@ -631,8 +631,8 @@ frames! {
         0x09 AssessCancel,
         /// Search for a plan with the population-based parallel annealer,
         /// streaming [`Response::SearchEvent`] best-plan improvements as they
-        /// happen; finishes with a [`Response::Search`] carrying the winning
-        /// chain's outcome.
+        /// happen; finishes with a [`Response::Search`] carrying the
+        /// search's held-out answer.
         0x0A SearchStream {
             /// The underlying search.
             req: SearchRequest,
@@ -704,9 +704,10 @@ wire_struct! {
     /// The search answer.
     #[derive(Clone, Debug, PartialEq)]
     pub struct SearchResponse {
-        /// Assessed reliability of the chosen plan.
+        /// Reliability of the chosen plan on the search's report table,
+        /// which no choice was made on.
         pub reliability: f64,
-        /// 95% confidence-interval width.
+        /// Full 95% confidence-interval width of `reliability`.
         pub ciw95: f64,
         /// Plans assessed during the search.
         pub plans_assessed: u64,
@@ -760,9 +761,9 @@ wire_struct! {
         pub iteration: u64,
         /// Microseconds since that chain's search started.
         pub elapsed_us: u64,
-        /// The new best objective measure M (Eq 7).
+        /// The new best objective measure M (Eq 7), in-sample.
         pub measure: f64,
-        /// The new best plan's reliability R (Eq 1).
+        /// The new best plan's reliability R (Eq 1), in-sample.
         pub reliability: f64,
         /// The temperature t (Eq 6) at the improvement.
         pub temperature: f64,

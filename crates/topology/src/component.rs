@@ -42,7 +42,9 @@ pub enum ComponentKind {
     Link,
 }
 
-/// Sub-classification of software components, used by dependency catalogs.
+/// Sub-classification of software components: the shared OS images and
+/// library that `FaultModel::attach_shared_software` (recloud-faults)
+/// attaches to hosts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SoftwareKind {
     /// An operating system image.

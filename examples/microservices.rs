@@ -40,7 +40,7 @@ fn main() {
     println!(
         "\nrandom plan:  reliability {:.5} (± {:.1e}), assessed in {:?}",
         random.estimate.score,
-        random.estimate.ciw95(),
+        random.estimate.ciw95() / 2.0,
         random.timings.total
     );
 

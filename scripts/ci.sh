@@ -51,6 +51,12 @@ echo "== assess suite, release codegen =="
 # the memory contract tests mean the same as compiled for the ledger.
 cargo test --release -q -p recloud-assess
 
+echo "== search answers on held-out tables, release codegen =="
+# Ignored in the debug suite: the reported interval of 24 Medium searches
+# (1-of-2, 2-of-3, 4-of-5; 8 seeds each) against a 600,000-round fresh
+# re-assessment of the answer (a few seconds in release).
+cargo test --release -q -p recloud-search --test holdout -- --ignored
+
 echo "== hermetic dependency guard =="
 cargo test -q --test hermetic
 
