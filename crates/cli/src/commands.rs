@@ -881,7 +881,6 @@ pub fn serve(p: &Parsed) -> Result<String, CliError> {
         workers: p.usize_or("workers", defaults.workers)?,
         queue_capacity: p.usize_or("queue", defaults.queue_capacity)?,
         cache_capacity: p.usize_or("cache", defaults.cache_capacity)?,
-        read_timeout: defaults.read_timeout,
         store_dir: p.get("store").map(std::path::PathBuf::from),
         peer: p.get("peer").map(str::to_string),
         store_config: defaults.store_config,

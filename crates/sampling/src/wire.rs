@@ -38,9 +38,10 @@ impl Bytes {
         Bytes::from(Vec::new())
     }
 
-    /// Copies a slice into a fresh view.
+    /// Copies a slice into a fresh view (one copy, straight into the
+    /// shared storage).
     pub fn copy_from_slice(src: &[u8]) -> Self {
-        Bytes::from(src.to_vec())
+        Bytes { data: Arc::from(src), start: 0, end: src.len() }
     }
 
     /// Length of the view in bytes.

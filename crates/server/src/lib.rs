@@ -22,10 +22,11 @@
 //! * [`reactor`] — the readiness-polling substrate: hand-declared
 //!   `epoll` FFI on Linux, a portable non-blocking scan fallback, and
 //!   the armed loopback waker workers use to nudge the event loop;
-//! * [`server`] — the daemon: one reactor thread driving per-connection
-//!   state machines plus a scoped worker pool around a bounded MPMC job
-//!   queue, with per-tenant admission budgets, explicit `Busy`
-//!   backpressure and drain-then-exit shutdown;
+//! * [`server`] — the daemon: one reactor thread plus a scoped worker
+//!   pool around a bounded MPMC job queue, with drain-then-exit shutdown.
+//!   The reactor is a thin driver over plain types — a sans-I/O machine
+//!   per connection, one dispatch over the request kinds, and admission
+//!   (per-tenant budgets, then the queue bound, `Busy` past either);
 //! * [`client`] + [`loadgen`] — a blocking client, a latency/throughput
 //!   load generator and the CI smoke sequence.
 //!
@@ -33,8 +34,12 @@
 //! scoped `std::thread`, channels come from `recloud::sync`, and no
 //! external crate is involved anywhere.
 
+mod admission;
 pub mod cache;
 pub mod client;
+mod conn;
+mod dispatch;
+mod driver;
 pub mod engine;
 pub mod loadgen;
 pub mod protocol;

@@ -886,12 +886,31 @@ frames! {
     }
 }
 
-/// Writes one transport frame (length prefix + payload) and flushes.
+/// The incremental splitter: the payload of the first complete transport
+/// frame at the front of `buf` (the frame is `4 + payload.len()` bytes),
+/// `Ok(None)` while it is still arriving, or the refusal of a length
+/// prefix above [`MAX_FRAME_LEN`] — before anything is allocated.
+pub fn split_frame(buf: &[u8]) -> Result<Option<&[u8]>, String> {
+    let Some(prefix) = buf.first_chunk::<4>() else { return Ok(None) };
+    let len = u32::from_le_bytes(*prefix) as usize;
+    if len > MAX_FRAME_LEN {
+        return Err(format!("frame length {len} exceeds {MAX_FRAME_LEN}"));
+    }
+    Ok(buf.get(4..4 + len))
+}
+
+/// Appends one transport frame (length prefix + payload) to `out`.
+pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    debug_assert!(payload.len() <= MAX_FRAME_LEN, "oversized frame");
+    out.reserve(4 + payload.len());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// Writes one transport frame and flushes.
 pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    debug_assert!(payload.len() <= MAX_FRAME_LEN);
-    let mut buf = Vec::with_capacity(4 + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(payload);
+    let mut buf = Vec::new();
+    put_frame(&mut buf, payload);
     stream.write_all(&buf)?;
     stream.flush()
 }
@@ -906,14 +925,8 @@ pub fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e),
     }
-    let len = u32::from_le_bytes(prefix) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds {MAX_FRAME_LEN}"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
+    split_frame(&prefix).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+    let mut payload = vec![0u8; u32::from_le_bytes(prefix) as usize];
     stream.read_exact(&mut payload)?;
     Ok(Some(payload))
 }

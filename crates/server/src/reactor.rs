@@ -68,12 +68,6 @@ impl Poller {
         }
     }
 
-    /// True when spurious readiness is expected and the reactor must
-    /// try-read every returned token (the scan backend).
-    pub fn is_scan(&self) -> bool {
-        matches!(self, Poller::Scan(_))
-    }
-
     /// Registers a socket for read-readiness under `token`.
     pub fn register(&mut self, fd: RawFd, token: u64) {
         match self {
@@ -354,7 +348,7 @@ mod tests {
     #[test]
     fn scan_poller_reports_all_registered_tokens() {
         let mut p = Poller::new(PollerKind::Scan);
-        assert!(p.is_scan());
+        assert!(matches!(p, Poller::Scan(_)));
         p.register(3, 10);
         p.register(4, 11);
         let mut out = Vec::new();
@@ -369,7 +363,7 @@ mod tests {
     #[test]
     fn epoll_sees_readable_socket() {
         let mut p = Poller::new(PollerKind::Auto);
-        assert!(!p.is_scan(), "auto must pick epoll on linux");
+        assert!(matches!(p, Poller::Epoll(_)), "auto must pick epoll on linux");
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (rx, _) = listener.accept().unwrap();

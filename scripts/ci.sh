@@ -80,7 +80,11 @@ echo "== retired names gate =="
 # façade, its error and outcome types and `Requirements` — with the
 # modules only a test called (migration, the Fig 5 template, the INDaaS
 # risk counter, CVSS) and the searcher/assessor surface nobody called:
-# every front door goes Engine → check_fits → ParallelSearcher.
+# every front door goes Engine → check_fits → ParallelSearcher. And the
+# monolithic reactor the connection machine, dispatch and admission
+# replaced: its second frame splitter, its five-level request path, its
+# four connection flags and the config field that was only the idle tick
+# (`read_timeout:` — std's `set_read_timeout` is a live call and stays).
 RETIRED='StatsResponse|SearchPlacement|set_batched|Word64|JobFrame|RCW1'
 RETIRED="$RETIRED|begin_wide_keyed|border_of|border_ok_wide|pod_ext_wide|memo_row|name_cone|recheck_base"
 RETIRED="$RETIRED|eval_word|eval_node_word|eval_matrix"
@@ -94,6 +98,9 @@ RETIRED="$RETIRED|ReCloud|DeployOutcome|DeployError|DeployResult|Requirements"
 RETIRED="$RETIRED|MigrationObjective|MigrationBudget|migration_cost|Fig5Template"
 RETIRED="$RETIRED|risk_profile|rank_by_risk|cvss_to_annual_probability"
 RETIRED="$RETIRED|search_with_restarts|with_pool|assess_once|sampler_name"
+RETIRED="$RETIRED|take_frame|TakenFrame|buffer_frame|flush_outbound|handle_request|handle_work"
+RETIRED="$RETIRED|assess_job|prepare_assess|process_inbound|finish_inflight|drain_reply"
+RETIRED="$RETIRED|mark_unwritable|peer_open|TenantState|conn_tenant|is_scan|read_timeout:"
 if grep -rnE "$RETIRED" crates/ src/ tests/ examples/ \
     | grep -vE '^crates/server/src/(protocol\.rs|frame_table\.md):.*SearchPlacement'; then
   echo "retired names gate: a retired name is back (see above)"; exit 1
