@@ -864,38 +864,21 @@ pub fn availability(p: &Parsed) -> Result<String, CliError> {
 /// optionally mirrored into `--port-file`) so scripts can discover an
 /// ephemeral port before the call blocks.
 pub fn serve(p: &Parsed) -> Result<String, CliError> {
-    use recloud_server::{PollerKind, Server, ServerConfig};
+    use recloud_server::{Server, ServerConfig};
     let defaults = ServerConfig::default();
-    let poller = match p.str_or("poller", "auto").as_str() {
-        "auto" => PollerKind::Auto,
-        "scan" => PollerKind::Scan,
-        value => {
-            return Err(CliError::BadValue {
-                flag: "poller".into(),
-                value: value.into(),
-                expected: "auto|scan",
-            });
-        }
-    };
     let config = ServerConfig {
         workers: p.usize_or("workers", defaults.workers)?,
         queue_capacity: p.usize_or("queue", defaults.queue_capacity)?,
         cache_capacity: p.usize_or("cache", defaults.cache_capacity)?,
         store_dir: p.get("store").map(std::path::PathBuf::from),
-        peer: p.get("peer").map(str::to_string),
-        store_config: defaults.store_config,
         tenant_budget: p.usize_opt("tenant-budget")?,
-        compact_after: p.u64_opt("compact-after-ms")?.map(Duration::from_millis),
-        poller,
+        ..defaults
     };
     if config.workers == 0 {
         return Err(CliError::Invalid("--workers must be at least 1".into()));
     }
-    let port = p.u32_or("port", 7070)?;
-    if port > u16::MAX as u32 {
-        return Err(CliError::Invalid(format!("--port {port} does not fit a TCP port")));
-    }
-    let server = Server::bind(("127.0.0.1", port as u16), config)
+    let port = p.u16_or("port", 7070)?;
+    let server = Server::bind(("127.0.0.1", port), config)
         .map_err(|e| CliError::Invalid(format!("bind failed: {e}")))?;
     let addr = server.local_addr();
     println!("recloud-server listening on {addr}");
@@ -964,11 +947,9 @@ pub fn stats(p: &Parsed) -> Result<String, CliError> {
     if s.counter("store.appended_total").is_some() {
         let _ = writeln!(
             out,
-            "  store: {} appended, {} replayed, {} synced from peer, {} sync pulls served, {} bytes on disk",
+            "  store: {} appended, {} replayed, {} bytes on disk",
             s.counter("store.appended_total").unwrap_or(0),
             s.counter("store.replayed_total").unwrap_or(0),
-            s.counter("store.synced_total").unwrap_or(0),
-            s.counter("store.sync_served_total").unwrap_or(0),
             s.gauge("store.bytes").unwrap_or(0)
         );
     }

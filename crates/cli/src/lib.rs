@@ -39,7 +39,7 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
         "stats" => commands::stats(&parsed),
         "journal" => commands::journal(&parsed),
         "trace" => commands::trace(&parsed),
-        "help" | "--help" | "-h" => Ok(usage().to_string()),
+        "help" => Ok(usage().to_string()),
         other => Err(CliError::UnknownCommand(other.to_string())),
     }
 }
@@ -69,14 +69,27 @@ COMMANDS:
     trace        fetch a request's causal span tree from a running daemon
     help         show this text
 
-COMMON OPTIONS:
+TOPOLOGY OPTIONS (topo, assess, search, compare, whatif, sensitivity,
+                  blast, dot, availability):
     --scale <tiny|small|medium|large|xl> paper preset (default: tiny)
     --topology <fattree|leafspine|jellyfish|bcube|vl2>
-                                        generator when not using --scale
+                                        generator when not using --scale,
+                                        with these dimensions:
+    --ports <int>                       switch ports: fattree (default: 8),
+                                        jellyfish (6), bcube (4)
+    --spines <int> --leaves <int>       leafspine (default: 4 spines, 8 leaves)
+    --hosts-per-leaf <int>              leafspine (default: 8)
+    --switches <int> --hosts-per-switch <int>
+                                        jellyfish (default: 40 switches, 4)
+    --levels <int>                      bcube (default: 1)
+    --da <int> --di <int>               vl2 switch degrees (default: 8, 4)
+    --seed <int>                        master seed (default: 1)
+
+APPLICATION OPTIONS (assess, search, compare, whatif, sensitivity,
+                     availability):
     --k <int> --n <int>                 K-of-N redundancy (default: 4-of-5)
     --layers <int>                      use a layered app of this depth instead
     --rounds <int>                      route-and-check rounds (default: 10000)
-    --seed <int>                        master seed (default: 1)
 
 ASSESS OPTIONS:
     --stream                            drive chunk-by-chunk, printing running
@@ -117,47 +130,59 @@ WHATIF OPTIONS:
                                         power:0,edge:3,host:17
     --hosts <id,...>                    explicit plan host ids (else random)
 
+SENSITIVITY OPTIONS:
+    --hosts <id,...>                    explicit plan host ids (else random)
+
+DOT OPTIONS:
+    --switches-only                     leave the hosts out
+
+AVAILABILITY OPTIONS:
+    --years <int>                       simulated horizon (default: 50)
+    --mttr-hours <float>                mean time to repair (default: 8)
+    --hosts <id,...>                    explicit plan host ids (else random)
+
 SERVE OPTIONS:
     --port <int>                        listen port, 0 = ephemeral (default: 7070)
     --port-file <path>                  write the bound port for scripts
     --workers <int> --queue <int>       worker pool size / admission bound
     --cache <int>                       result-cache entries (0 disables)
     --store <dir>                       append-only result store: replayed on
-                                        boot to warm the cache, appended on
-                                        every finished assessment
-    --peer <host:port>                  pull cache entries from a running
-                                        daemon on boot (RCS1 CacheSync)
+                                        boot to warm the cache (and compacted
+                                        then if replay left it past its
+                                        thresholds), appended on every
+                                        finished assessment
     --tenant-budget <int>               per-tenant in-flight cap: an
                                         over-budget tenant gets Busy while
                                         other tenants are unaffected
-    --compact-after-ms <int>            compact the store once its size/
-                                        live-ratio thresholds hold this long
-    --poller <auto|scan>                readiness backend (auto = epoll on
-                                        Linux, scan = portable fallback)
+
+DAEMON OPTIONS (loadgen, stats, journal, trace):
+    --addr <host:port>                  daemon address (default: 127.0.0.1:7070)
 
 LOADGEN OPTIONS:
-    --addr <host:port>                  daemon address (default: 127.0.0.1:7070)
     --smoke                             run the CI smoke sequence and exit
                                         (with --stream: the streaming smoke,
                                         which leaves the daemon running)
     --stream                            AssessStream instead of AssessPlan;
                                         --cadence <int> chunks per Partial
     --requests <int> --connections <int>
+                                        with --smoke --stream, --connections
+                                        runs the fleet gate instead: that many
+                                        concurrent connections held open
+    --scale <preset> --rounds <int> --seed <int>
+                                        the request (default: tiny, 1000
+                                        rounds, seed 42)
     --distinct-seeds                    fresh seed per request (cache-miss mix)
     --tenant <id>                       introduce connections as this tenant
                                         (Hello frame; admission budgets and
                                         per-tenant metrics apply)
-                                        with --smoke --stream, --connections
-                                        runs the fleet gate instead: that many
-                                        concurrent connections held open
 
-STATS / JOURNAL OPTIONS:
-    --addr <host:port>                  daemon address (default: 127.0.0.1:7070)
-    --json                              stats: print the raw snapshot JSON
-    --tail <int>                        journal: newest N events (default: 64)
+STATS OPTIONS:
+    --json                              print the raw snapshot JSON
+
+JOURNAL OPTIONS:
+    --tail <int>                        newest N events (default: 64)
 
 TRACE OPTIONS:
-    --addr <host:port>                  daemon address (default: 127.0.0.1:7070)
     --id <int>                          trace id (default: 0 = most recently
                                         finished trace)
     --chrome <path>                     also write Chrome trace-event JSON
@@ -178,6 +203,39 @@ mod tests {
         let out = run_str("help").unwrap();
         assert!(out.contains("USAGE"));
         assert!(out.contains("whatif"));
+    }
+
+    /// Every `recloud` command line the CI script and the README run
+    /// parses: the flag table refuses none of them. Shell words (`"$X"`)
+    /// stand in as plain values; a line ends at a pipe, redirect or `)`,
+    /// and one whose command is a shell word (the bad-input loop) is
+    /// skipped.
+    #[test]
+    fn documented_invocations_parse() {
+        let sources = [
+            (include_str!("../../../scripts/ci.sh"), "target/release/recloud "),
+            (include_str!("../../../README.md"), "-p recloud-cli -- "),
+        ];
+        let mut checked = 0;
+        for (text, marker) in sources {
+            let joined = text.replace("\\\n", " ");
+            for line in joined.lines().filter(|l| !l.trim_start().starts_with('#')) {
+                let Some((_, rest)) = line.split_once(marker) else { continue };
+                let argv: Vec<String> = rest
+                    .split_whitespace()
+                    .take_while(|w| !w.starts_with(['|', '&', ')', '#']) && !w.contains('>'))
+                    .map(|w| if w.contains(['$', '"']) { "$".into() } else { w.into() })
+                    .collect();
+                if argv.first().is_some_and(|command| command == "$") {
+                    continue;
+                }
+                if let Err(e) = args::Parsed::parse(&argv) {
+                    panic!("`recloud {}`: {e}", argv.join(" "));
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked >= 20, "only {checked} invocations found");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! always-full caches the normal case). Ticks strictly increase, so each
 //! tick maps to at most one key and the `BTreeMap` never collides.
 
-use crate::protocol::{AssessResponse, CacheEntry};
+use crate::protocol::AssessResponse;
 use std::collections::{BTreeMap, HashMap};
 
 struct Entry {
@@ -100,32 +100,6 @@ impl ResultCache {
             }
             None => false,
         }
-    }
-
-    /// True when the fingerprint is resident. Does not refresh recency —
-    /// peer cache-sync uses this to dedup without disturbing LRU order.
-    pub fn contains(&self, key: u128) -> bool {
-        self.map.contains_key(&key)
-    }
-
-    /// Up to `max` resident entries, most recently used first — the
-    /// payload of a `CacheSegment` response. Does not refresh recency.
-    pub fn recent(&self, max: usize) -> Vec<CacheEntry> {
-        self.order
-            .iter()
-            .rev()
-            .take(max)
-            .map(|(_, &key)| {
-                let value = &self.map[&key].value;
-                CacheEntry {
-                    key,
-                    score: value.score,
-                    variance: value.variance,
-                    rounds: value.rounds,
-                    successes: value.successes,
-                }
-            })
-            .collect()
     }
 
     /// Entries currently resident.
@@ -233,32 +207,15 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_contains_skip_recency() {
+    fn remove_reports_presence_and_frees_a_slot() {
         let mut c = ResultCache::new(2);
         c.insert(1, resp(0.1));
         c.insert(2, resp(0.2));
-        assert!(c.contains(1));
-        // contains() must not have refreshed key 1: inserting a third
-        // key still evicts 1 as the LRU entry.
-        assert_eq!(c.insert(3, resp(0.3)), Some(1));
         assert!(c.remove(2));
         assert!(!c.remove(2), "double remove reports absence");
-        assert!(!c.contains(2));
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn recent_lists_most_recently_used_first() {
-        let mut c = ResultCache::new(4);
-        c.insert(1, resp(0.1));
-        c.insert(2, resp(0.2));
-        c.insert(3, resp(0.3));
-        c.get(1);
-        let keys: Vec<u128> = c.recent(2).iter().map(|e| e.key).collect();
-        assert_eq!(keys, vec![1, 3]);
-        let all: Vec<u128> = c.recent(10).iter().map(|e| e.key).collect();
-        assert_eq!(all, vec![1, 3, 2]);
-        assert_eq!(c.recent(10)[0].score, 0.1);
+        assert_eq!(c.insert(3, resp(0.3)), None, "the removed entry's slot is free");
+        assert_eq!(c.insert(4, resp(0.4)), Some(1));
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! into a caller-supplied callback.
 
 use crate::protocol::{
-    read_frame, write_frame, AssessRequest, AssessResponse, CacheEntry, MetricsResponse,
-    PartialResponse, Request, Response, SearchEventResponse, SearchRequest, SearchResponse,
-    TraceResponse, TraceSpan,
+    read_frame, write_frame, AssessRequest, AssessResponse, MetricsResponse, PartialResponse,
+    Request, Response, SearchEventResponse, SearchRequest, SearchResponse, TraceResponse,
+    TraceSpan,
 };
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -172,18 +172,6 @@ impl Client {
     /// callback breaks — this is only for exercising the stale path.
     pub fn cancel(&mut self) -> io::Result<()> {
         write_frame(&mut self.stream, &Request::AssessCancel.encode())
-    }
-
-    /// Pulls up to `max_entries` of the server's most-recently-used
-    /// cache entries (newest first) — the `--peer` warm-start exchange.
-    pub fn cache_sync(&mut self, max_entries: u32) -> io::Result<Vec<CacheEntry>> {
-        match self.call(&Request::CacheSync { max_entries })? {
-            Response::CacheSegment(c) => Ok(c.entries),
-            Response::Error { code, message } => {
-                Err(bad_data(format!("server error {code:?}: {message}")))
-            }
-            other => Err(bad_data(format!("expected CacheSegment, got {other:?}"))),
-        }
     }
 
     /// Arms tracing for this connection's next request: the server will

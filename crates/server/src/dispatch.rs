@@ -6,8 +6,8 @@ use crate::admission::{Admission, Tenant};
 use crate::conn::{Inflight, Served, Service};
 use crate::engine::{build_plan, shape_for, spec_for};
 use crate::protocol::{
-    validate_shape, AssessRequest, CacheSegmentResponse, ErrorCode, Request, Response,
-    TraceResponse, TraceSpan, DEFAULT_TENANT,
+    validate_shape, AssessRequest, ErrorCode, Request, Response, TraceResponse, TraceSpan,
+    DEFAULT_TENANT,
 };
 use crate::server::{Job, JobKind, Server, ServerInstruments};
 use recloud::sync::{self, Sender};
@@ -225,13 +225,6 @@ impl Service for Dispatch<'_> {
             // client decided to stop) makes it inherently best-effort, so
             // it is a silent no-op.
             Ok(Request::AssessCancel) => Err(Served::Silent),
-            // Served reactor-side straight out of the cache — a peer
-            // warming up must not cost this daemon any worker time.
-            Ok(Request::CacheSync { max_entries }) => {
-                let entries = srv.cache.lock().unwrap().recent(max_entries as usize);
-                srv.obs.sync_served.inc();
-                reply(Response::CacheSegment(CacheSegmentResponse { entries }))
-            }
             Ok(Request::AssessPlan(req)) => {
                 let tenant = self.work_of(session);
                 self.assess(req, None, &tenant, traced, now).map(|job| (job, tenant))

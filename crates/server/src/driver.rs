@@ -1,8 +1,8 @@
 //! The reactor thread: a thin epoll (or scan) driver that moves bytes
 //! between sockets and connection machines ([`crate::conn`]) and keeps
 //! the poller's interest in step with what each machine wants. It holds
-//! the sockets, the poller, the clock and the store's timer; what a
-//! request means is decided elsewhere.
+//! the sockets, the poller and the clock; what a request means is
+//! decided elsewhere.
 
 use crate::conn::Conn;
 use crate::dispatch::Dispatch;
@@ -21,8 +21,8 @@ const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
 const TOKEN_FIRST_CONN: u64 = 2;
 /// The longest the reactor sleeps with nothing to do: worker replies and
-/// shutdown arrive through the waker, so this only bounds how late the
-/// timer (timed compaction) runs and how long a lost wakeup could last.
+/// shutdown arrive through the waker, so this only bounds how long a lost
+/// wakeup could last.
 const IDLE_TICK: Duration = Duration::from_millis(50);
 /// How long shutdown keeps flushing already-buffered final frames to
 /// slow readers before dropping them.
@@ -47,8 +47,6 @@ pub(crate) struct Driver<'a> {
     /// Scratch token lists, reused so a loop iteration does not allocate.
     ready: Vec<u64>,
     tokens: Vec<u64>,
-    /// Since when the store's compaction thresholds have held.
-    compact_held_since: Option<Instant>,
     /// When the shutdown drain began (bounds the flush grace).
     shutdown_seen: Option<Instant>,
 }
@@ -63,7 +61,6 @@ impl<'a> Driver<'a> {
             next_token: TOKEN_FIRST_CONN,
             ready: Vec::new(),
             tokens: Vec::new(),
-            compact_held_since: None,
             shutdown_seen: None,
         }
     }
@@ -96,7 +93,6 @@ impl<'a> Driver<'a> {
             if self.srv.shutdown.load(Ordering::Acquire) && self.drain_shutdown() {
                 return;
             }
-            self.compaction_tick();
         }
     }
 
@@ -201,35 +197,6 @@ impl<'a> Driver<'a> {
         let grace_expired = now - *self.shutdown_seen.get_or_insert(now) > SHUTDOWN_FLUSH_GRACE;
         self.sweep(Some(grace_expired));
         self.conns.is_empty()
-    }
-
-    /// Timed auto-compaction: the store's size/live-ratio thresholds
-    /// must hold continuously for `compact_after` before the reactor
-    /// compacts — one deliberate pass, not a compaction storm. This is
-    /// what finally compacts stores that crossed the threshold through
-    /// replay or eviction patterns no further append revisits.
-    fn compaction_tick(&mut self) {
-        let (Some(hold), Some(store)) = (self.srv.config.compact_after, self.srv.store.as_ref())
-        else {
-            return;
-        };
-        let mut store = store.lock().unwrap();
-        if !store.should_compact() {
-            self.compact_held_since = None;
-            return;
-        }
-        let since = *self.compact_held_since.get_or_insert_with(Instant::now);
-        if since.elapsed() < hold {
-            return;
-        }
-        self.compact_held_since = None;
-        match store.compact() {
-            Ok(_) => {
-                self.srv.obs.store_compactions.add(1);
-                self.srv.obs.store_bytes.set(store.bytes() as i64);
-            }
-            Err(e) => eprintln!("warning: timed store compaction failed: {e}"),
-        }
     }
 }
 

@@ -28,12 +28,11 @@
 //! returns.
 
 use crate::cache::ResultCache;
-use crate::client::Client;
 use crate::driver::Driver;
 use crate::engine::EnginePool;
 use crate::protocol::{
     AssessRequest, AssessResponse, CompareRequest, ErrorCode, MetricsResponse, PartialResponse,
-    Request, Response, SearchEventResponse, SearchRequest, MAX_SYNC_ENTRIES,
+    Request, Response, SearchEventResponse, SearchRequest,
 };
 use crate::reactor::{PollerKind, Waker};
 use recloud::sync::{self, Receiver, Sender};
@@ -45,7 +44,6 @@ use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Tunables of one server instance.
 #[derive(Clone, Debug)]
@@ -59,13 +57,9 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// Durable result store directory. `Some` makes every uncached
     /// assessment append to the spill log and replays the log into the
-    /// cache on bind, before any connection is accepted.
+    /// cache on bind, before any connection is accepted — the daemon's
+    /// one warm start.
     pub store_dir: Option<PathBuf>,
-    /// Peer daemon address to warm-start from: on bind, a `CacheSync`
-    /// request pulls the peer's hottest cache entries and adopts the
-    /// missing ones (best effort — an unreachable peer is a warning,
-    /// not a bind failure).
-    pub peer: Option<String>,
     /// Durable-store tuning (segment rotation, auto-compaction
     /// thresholds); only consulted when `store_dir` is set.
     pub store_config: StoreConfig,
@@ -74,11 +68,6 @@ pub struct ServerConfig {
     /// unaffected. `None` disables per-tenant admission (the global
     /// queue bound still applies).
     pub tenant_budget: Option<usize>,
-    /// Periodic auto-compaction: when the store's size/live-ratio
-    /// compaction thresholds hold continuously for this long, the
-    /// reactor's timer tick compacts — catching stores that crossed
-    /// the threshold via replay or eviction patterns no append revisits.
-    pub compact_after: Option<Duration>,
     /// Readiness backend; `Auto` uses epoll on Linux. Tests force
     /// `Scan` to cover the portable fallback.
     pub poller: PollerKind,
@@ -92,10 +81,8 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             cache_capacity: 4_096,
             store_dir: None,
-            peer: None,
             store_config: StoreConfig::default(),
             tenant_budget: None,
-            compact_after: None,
             poller: PollerKind::Auto,
         }
     }
@@ -128,8 +115,8 @@ pub struct ServeSummary {
 /// excluded — its "latency" is the drain, not a serving cost — and so is
 /// `AssessCancel`, which has no reply frame. A `stream` sample is the
 /// whole exchange, first partial to final frame.
-const LATENCY_KINDS: [&str; 7] =
-    ["ping", "assess", "compare", "metrics", "stream", "search_stream", "sync"];
+const LATENCY_KINDS: [&str; 6] =
+    ["ping", "assess", "compare", "metrics", "stream", "search_stream"];
 
 /// Per-server observability handles, backed by a private
 /// [`Registry`] so concurrent servers (and tests) see isolated,
@@ -154,11 +141,8 @@ pub(crate) struct ServerInstruments {
     pub(crate) store_appended: Arc<Counter>,
     /// Operations replayed from the store into the cache at bind.
     pub(crate) store_replayed: Arc<Counter>,
-    /// Entries adopted from a `--peer` CacheSync pull at bind.
-    pub(crate) store_synced: Arc<Counter>,
-    /// CacheSync requests this daemon answered for peers.
-    pub(crate) sync_served: Arc<Counter>,
-    /// Compaction passes the store ran (size-triggered and manual).
+    /// Compaction passes the store ran (after replay at bind, and when
+    /// an append crosses the thresholds).
     pub(crate) store_compactions: Arc<Counter>,
     /// On-disk bytes across the store's segments.
     pub(crate) store_bytes: Arc<Gauge>,
@@ -201,8 +185,6 @@ impl ServerInstruments {
             stream_cancelled: registry.counter("server.stream_cancelled_total"),
             store_appended: registry.counter("store.appended_total"),
             store_replayed: registry.counter("store.replayed_total"),
-            store_synced: registry.counter("store.synced_total"),
-            sync_served: registry.counter("store.sync_served_total"),
             store_compactions: registry.counter("store.compactions_total"),
             store_bytes: registry.gauge("store.bytes"),
             cache_bytes: registry.gauge("server.cache_bytes"),
@@ -224,7 +206,6 @@ impl ServerInstruments {
             Request::MetricsDump { .. } => Some(3),
             Request::AssessStream { .. } => Some(4),
             Request::SearchStream { .. } => Some(5),
-            Request::CacheSync { .. } => Some(6),
             // Connection-side bookkeeping and setup, not served work.
             Request::Shutdown
             | Request::AssessCancel
@@ -301,19 +282,18 @@ impl Server {
     /// With [`ServerConfig::store_dir`] set, the spill log is opened
     /// (recovering its longest valid prefix) and replayed into the LRU
     /// cache *before* the bind returns — a restarted daemon accepts its
-    /// first connection already warm. With [`ServerConfig::peer`] set,
-    /// a `CacheSync` pull against the peer then adopts whatever hot
-    /// entries this daemon is still missing; an unreachable peer only
-    /// logs a warning.
+    /// first connection already warm. A log that replay leaves past its
+    /// compaction thresholds is compacted once, here: no append would
+    /// revisit them. A failed compaction only logs a warning.
     pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> std::io::Result<Server> {
         assert!(config.workers >= 1, "need at least one worker");
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let obs = ServerInstruments::new(&config);
         let mut cache = ResultCache::new(config.cache_capacity);
-        let mut store = match &config.store_dir {
+        let store = match &config.store_dir {
             Some(dir) => {
-                let (store, recovery) = Store::open(dir, config.store_config)?;
+                let (mut store, recovery) = Store::open(dir, config.store_config)?;
                 for op in &recovery.ops {
                     match op {
                         StoreOp::Put(e) => _ = cache.insert(e.key, entry_response(e)),
@@ -321,20 +301,17 @@ impl Server {
                     }
                     obs.store_replayed.inc();
                 }
+                if store.should_compact() {
+                    match store.compact() {
+                        Ok(_) => obs.store_compactions.inc(),
+                        Err(e) => eprintln!("warning: store compaction after replay failed: {e}"),
+                    }
+                }
                 obs.store_bytes.set(store.bytes() as i64);
                 Some(store)
             }
             None => None,
         };
-        if let Some(peer) = &config.peer {
-            match pull_from_peer(peer, &mut cache, store.as_mut()) {
-                Ok(adopted) => obs.store_synced.add(adopted),
-                Err(e) => eprintln!("warning: cache sync with peer {peer} failed: {e}"),
-            }
-            if let Some(store) = &store {
-                obs.store_bytes.set(store.bytes() as i64);
-            }
-        }
         obs.cache_bytes.set(cache.bytes() as i64);
         Ok(Server {
             listener,
@@ -588,47 +565,11 @@ fn response_entry(key: u128, resp: &AssessResponse) -> StoreEntry {
     }
 }
 
-/// Pulls the peer's hottest cache entries over one CacheSync exchange
-/// and adopts every fingerprint this cache is missing, oldest first so
-/// the peer's recency order is reproduced locally. Adopted entries are
-/// also appended to the durable store (when there is one) — after a
-/// sync, a restart no longer needs the peer. Returns how many entries
-/// were adopted.
-fn pull_from_peer(
-    peer: &str,
-    cache: &mut ResultCache,
-    mut store: Option<&mut Store>,
-) -> std::io::Result<u64> {
-    let mut client = Client::connect(peer)?;
-    let entries = client.cache_sync(MAX_SYNC_ENTRIES)?;
-    let mut adopted = 0;
-    for e in entries.iter().rev() {
-        if cache.contains(e.key) {
-            continue;
-        }
-        let entry = StoreEntry {
-            key: e.key,
-            score: e.score,
-            variance: e.variance,
-            rounds: e.rounds,
-            successes: e.successes,
-        };
-        let evicted = cache.insert(e.key, entry_response(&entry));
-        if let Some(store) = store.as_deref_mut() {
-            store.append(&StoreOp::Put(entry))?;
-            if let Some(victim) = evicted {
-                store.append(&StoreOp::Evict(victim))?;
-            }
-        }
-        adopted += 1;
-    }
-    Ok(adopted)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reactor::Poller;
+    use std::time::Duration;
 
     /// `begin_shutdown` rings the reactor's waker whether or not the
     /// reactor armed it: the byte is what ends a parked poller wait.

@@ -2,8 +2,9 @@
 //! layer must hold thousands of idle connections on O(workers) threads,
 //! survive slow-loris writers on the incremental decode path, run
 //! unchanged on the portable `Scan` poller, home connections to tenants
-//! via `Hello`, enforce per-tenant admission budgets, and fire timed
-//! store compactions that no append would ever revisit.
+//! via `Hello`, enforce per-tenant admission budgets, and compact at bind
+//! a store that replay left past its thresholds, which no append would
+//! ever revisit.
 
 use recloud_server::protocol::{read_frame, write_frame, AssessRequest, Preset, Request, Response};
 use recloud_server::{Client, PollerKind, Server, ServerConfig};
@@ -13,7 +14,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 struct Daemon {
     addr: SocketAddr,
@@ -290,12 +291,12 @@ fn tenant_budget_isolates_a_saturating_tenant() {
     daemon.handle.join().expect("server thread exits cleanly");
 }
 
-/// Timed auto-compaction: a store whose size/live-ratio thresholds are
-/// crossed *by replay* — no append ever revisits them — must still get
-/// compacted by the reactor's timer tick.
+/// Bind-time compaction: a store whose size/live-ratio thresholds are
+/// crossed *by replay* — no append ever revisits them — is compacted
+/// before the bind returns, so the first MetricsDump already counts it.
 #[test]
-fn timed_compaction_fires_on_a_replay_crossed_threshold() {
-    let dir = store_dir("timer-compact");
+fn bind_compacts_a_replay_crossed_threshold() {
+    let dir = store_dir("bind-compact");
 
     // Populate with compaction disabled (an unreachable size floor), so
     // the log carries everything into the restart untouched.
@@ -312,9 +313,8 @@ fn timed_compaction_fires_on_a_replay_crossed_threshold() {
     }
     stop(populate, &mut client);
 
-    // Restart with thresholds that the replayed log already satisfies
-    // and a short hold interval. No request appends anything, so only
-    // the timer can drive `store.compactions_total` off zero.
+    // Restart with thresholds that the replayed log already satisfies.
+    // No request appends anything, so only the bind can have compacted.
     let warmed = start(ServerConfig {
         workers: 2,
         store_dir: Some(dir.clone()),
@@ -323,32 +323,21 @@ fn timed_compaction_fires_on_a_replay_crossed_threshold() {
             compact_live_ratio: 2.0,
             ..StoreConfig::default()
         },
-        compact_after: Some(Duration::from_millis(120)),
         ..ServerConfig::default()
     });
     let mut client = Client::connect(warmed.addr).unwrap();
     client.set_timeout(Some(Duration::from_secs(60))).unwrap();
-
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let compactions = loop {
-        let snap = client.metrics(0).unwrap().snapshot;
-        let fired = snap.counter("store.compactions_total").unwrap_or(0);
-        if fired > 0 {
-            assert!(
-                snap.counter("store.replayed_total").unwrap_or(0) >= 4,
-                "the threshold was supposed to be crossed by replay"
-            );
-            assert_eq!(
-                snap.counter("store.appended_total").unwrap_or(0),
-                0,
-                "no append may have triggered this compaction"
-            );
-            break fired;
-        }
-        assert!(Instant::now() < deadline, "timer compaction never fired within 10s");
-        std::thread::sleep(Duration::from_millis(50));
-    };
-    assert!(compactions >= 1);
+    let snap = client.metrics(0).unwrap().snapshot;
+    assert!(
+        snap.counter("store.replayed_total").unwrap_or(0) >= 4,
+        "the threshold was supposed to be crossed by replay"
+    );
+    assert_eq!(
+        snap.counter("store.appended_total").unwrap_or(0),
+        0,
+        "no append may have triggered this compaction"
+    );
+    assert!(snap.counter("store.compactions_total").unwrap_or(0) >= 1, "bind did not compact");
 
     stop(warmed, &mut client);
     let _ = std::fs::remove_dir_all(&dir);

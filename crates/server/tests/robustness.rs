@@ -165,7 +165,8 @@ fn empty_and_undersized_frames_are_malformed_not_fatal() {
 fn retired_kinds_are_answered_as_unknown_kinds() {
     let (addr, handle) = start(ServerConfig { workers: 1, ..ServerConfig::default() });
 
-    for kind in [0x03u8, 0x05, 0x85] {
+    let retired = [0x03u8, 0x05, 0x0B, 0x85, 0x8C];
+    for kind in retired {
         let mut stream = TcpStream::connect(addr).unwrap();
         let mut payload = Request::Shutdown.encode().to_vec();
         payload[4] = kind;
@@ -184,7 +185,7 @@ fn retired_kinds_are_answered_as_unknown_kinds() {
     assert_still_serving(addr);
     let mut client = Client::connect(addr).unwrap();
     client.shutdown().unwrap();
-    assert_eq!(handle.join().unwrap().protocol_errors, 3);
+    assert_eq!(handle.join().unwrap().protocol_errors, retired.len() as u64);
 }
 
 /// Starts a long stream on a raw socket and returns once its first

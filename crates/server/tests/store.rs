@@ -1,8 +1,7 @@
 //! End-to-end tests for the durable result store: a daemon restarted with
 //! `--store` must answer previously-assessed plans from the replayed cache
-//! without touching the worker pool, survive a torn tail on its active
-//! segment, and a fresh daemon started with `--peer` must converge on a
-//! running daemon's cache via the RCS1 `CacheSync` exchange.
+//! without touching the worker pool and survive a torn tail on its active
+//! segment.
 
 use recloud_server::protocol::{AssessRequest, Preset};
 use recloud_server::{Client, Server, ServerConfig};
@@ -110,73 +109,6 @@ fn warm_start_answers_from_the_replayed_log_without_the_worker_pool() {
     );
     stop(daemon, &mut client);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A fresh daemon started with `--peer` pulls the running daemon's cache
-/// through CacheSync and then answers the same plans as hits, writing the
-/// adopted entries into its own store.
-#[test]
-fn peer_sync_converges_a_fresh_daemon_on_a_running_one() {
-    let a = start(ServerConfig { workers: 2, ..ServerConfig::default() });
-    let mut client_a = Client::connect(a.addr).unwrap();
-    let first = client_a.assess(request(21)).unwrap();
-    client_a.assess(request(22)).unwrap();
-
-    // The raw exchange: newest entry first, keys distinct.
-    let entries = client_a.cache_sync(64).unwrap();
-    assert_eq!(entries.len(), 2);
-    assert_ne!(entries[0].key, entries[1].key);
-
-    let dir = store_dir("peer");
-    let b = start(ServerConfig {
-        workers: 2,
-        store_dir: Some(dir.clone()),
-        peer: Some(a.addr.to_string()),
-        ..ServerConfig::default()
-    });
-    let mut client_b = Client::connect(b.addr).unwrap();
-    let synced = client_b.assess(request(21)).unwrap();
-    assert!(synced.cached, "peer-synced entry must be a hit");
-    assert_eq!(synced.score.to_bits(), first.score.to_bits(), "sync is bit-faithful");
-    assert!(client_b.assess(request(22)).unwrap().cached);
-
-    let mb = client_b.metrics(0).unwrap();
-    assert_eq!(mb.snapshot.counter("store.synced_total"), Some(2));
-    assert_eq!(mb.snapshot.counter("server.cache_misses_total"), Some(0));
-    assert!(
-        mb.snapshot.gauge("store.bytes").unwrap_or(0) > 5, // more than a bare segment header
-        "adopted entries land in B's own store"
-    );
-    let ma = client_a.metrics(0).unwrap();
-    assert!(ma.snapshot.counter("store.sync_served_total").unwrap_or(0) >= 2);
-
-    stop(b, &mut client_b);
-    stop(a, &mut client_a);
-
-    // B's store now carries the synced entries: a restart no longer needs
-    // the peer (which is gone by now) to stay warm.
-    let c =
-        start(ServerConfig { workers: 2, store_dir: Some(dir.clone()), ..ServerConfig::default() });
-    let mut client_c = Client::connect(c.addr).unwrap();
-    assert!(client_c.assess(request(21)).unwrap().cached);
-    stop(c, &mut client_c);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// An unreachable peer is a warning, not a failure — the daemon still
-/// comes up cold and serves.
-#[test]
-fn unreachable_peer_degrades_to_a_cold_start() {
-    let daemon = start(ServerConfig {
-        workers: 1,
-        peer: Some("127.0.0.1:1".into()), // nothing listens here
-        ..ServerConfig::default()
-    });
-    let mut client = Client::connect(daemon.addr).unwrap();
-    assert!(!client.assess(request(31)).unwrap().cached);
-    let m = client.metrics(0).unwrap();
-    assert_eq!(m.snapshot.counter("store.synced_total"), Some(0));
-    stop(daemon, &mut client);
 }
 
 /// PR 5 invariant, extended to the spill log: a cancelled stream's partial

@@ -85,6 +85,10 @@ echo "== retired names gate =="
 # replaced: its second frame splitter, its five-level request path, its
 # four connection flags and the config field that was only the idle tick
 # (`read_timeout:` — std's `set_read_timeout` is a live call and stays).
+# And the second warm start: the one-shot peer cache pull at bind (its two
+# frames, client call, counters and `serve --peer`) — the store replay is
+# the one warm start — with the timed compaction that bind-time compaction
+# replaced and the `serve` flag no caller passed.
 RETIRED='StatsResponse|SearchPlacement|set_batched|Word64|JobFrame|RCW1'
 RETIRED="$RETIRED|begin_wide_keyed|border_of|border_ok_wide|pod_ext_wide|memo_row|name_cone|recheck_base"
 RETIRED="$RETIRED|eval_word|eval_node_word|eval_matrix"
@@ -101,8 +105,11 @@ RETIRED="$RETIRED|search_with_restarts|with_pool|assess_once|sampler_name"
 RETIRED="$RETIRED|take_frame|TakenFrame|buffer_frame|flush_outbound|handle_request|handle_work"
 RETIRED="$RETIRED|assess_job|prepare_assess|process_inbound|finish_inflight|drain_reply"
 RETIRED="$RETIRED|mark_unwritable|peer_open|TenantState|conn_tenant|is_scan|read_timeout:"
+RETIRED="$RETIRED|CacheSync|CacheSegment|cache_sync|pull_from_peer|MAX_SYNC_ENTRIES|synced_total"
+RETIRED="$RETIRED|sync_served_total|compaction_tick|compact_held_since|compact_after|compact-after-ms"
+RETIRED="$RETIRED|--poller"
 if grep -rnE "$RETIRED" crates/ src/ tests/ examples/ \
-    | grep -vE '^crates/server/src/(protocol\.rs|frame_table\.md):.*SearchPlacement'; then
+    | grep -vE '^crates/server/src/(protocol/tests\.rs|frame_table\.md):.*(SearchPlacement|CacheSync|CacheSegment)'; then
   echo "retired names gate: a retired name is back (see above)"; exit 1
 fi
 echo "retired names gate: none survive"
@@ -146,9 +153,13 @@ echo "== CLI bad-input gate =="
 # Input the in-process commands once panicked on (exit 101) must be a clean
 # error — exit status 1, stderr starting `error:` — through the release
 # binary: a duplicate host, more instances than Tiny's 112 hosts, zero
-# rounds, a topology generator dimension its `check` refuses.
+# rounds, a topology generator dimension its `check` refuses. So must an
+# integer that does not fit its flag (it once wrapped: k = 2^32 + 2 ran as
+# 2-of-3) and a flag the command does not read (it was ignored: `serve`
+# would have started with a cold cache).
 for ARGS in "assess --hosts 72,72 --k 1 --n 2" "search --n 200 --workers 2 --iters 5" \
-    "compare --rounds 0" "assess --topology fattree --ports 3"; do
+    "compare --rounds 0" "assess --topology fattree --ports 3" "assess --k 4294967298 --n 3" \
+    "serve --peer 127.0.0.1:1"; do
   STATUS=0
   # shellcheck disable=SC2086 # ARGS is split into words on purpose.
   ERR="$(target/release/recloud $ARGS 2>&1 >/dev/null)" || STATUS=$?
