@@ -25,6 +25,8 @@ pub enum CliError {
     },
     /// A flag that needs a value did not get one.
     MissingValue(String),
+    /// A flag given more than once.
+    Repeated(String),
     /// A value failed to parse.
     BadValue {
         /// The flag whose value was bad.
@@ -47,6 +49,7 @@ impl fmt::Display for CliError {
                 write!(f, "unknown flag --{flag} for {command}")
             }
             CliError::MissingValue(flag) => write!(f, "flag --{flag} needs a value"),
+            CliError::Repeated(flag) => write!(f, "flag --{flag} given twice"),
             CliError::BadValue { flag, value, expected } => {
                 write!(f, "--{flag}: '{value}' is not a valid {expected}")
             }
@@ -178,6 +181,9 @@ impl Parsed {
             if !groups.iter().any(|group| group.contains(&name)) {
                 let (flag, command) = (name.to_string(), command.to_string());
                 return Err(CliError::UnknownFlag { flag, command });
+            }
+            if flags.contains_key(name) || bools.iter().any(|b| b == name) {
+                return Err(CliError::Repeated(name.to_string()));
             }
             if BOOL_FLAGS.contains(&name) {
                 bools.push(name.to_string());
@@ -364,6 +370,16 @@ mod tests {
         assert_eq!(err.to_string(), "unknown flag --json for help");
         assert_eq!(parse("-h").unwrap().command, "help");
         assert_eq!(parse("frob --x 1").unwrap_err(), CliError::UnknownCommand("frob".into()));
+    }
+
+    #[test]
+    fn a_flag_given_twice_is_refused() {
+        let err = parse("topo --scale tiny --scale small").unwrap_err();
+        assert_eq!(err, CliError::Repeated("scale".into()));
+        assert_eq!(err.to_string(), "flag --scale given twice");
+        let err = parse("assess --monte-carlo --k 1 --monte-carlo").unwrap_err();
+        assert_eq!(err.to_string(), "flag --monte-carlo given twice");
+        assert!(parse("assess --k 1 --n 2 --monte-carlo").is_ok(), "distinct flags parse");
     }
 
     /// `usage()` as section name → the flags it names; a section runs

@@ -1,12 +1,11 @@
 //! One connection as a plain state machine: bytes in, requests out to a
-//! [`Service`], frames back as bytes. It owns no socket and reads no
-//! clock: the driver hands it what the socket produced, writes
-//! [`Conn::pending`], reports what the socket took, and passes `now` in.
-//! A test (or a simulator) can drive it byte by byte.
+//! [`Service`], frames back as bytes. It owns no socket or channel and
+//! reads no clock: the driver hands it socket bytes and worker frames as
+//! events, writes [`Conn::pending`], reports what the socket took, and
+//! passes `now` in. A test (or a simulator) can drive it byte by byte.
 
 use crate::dispatch::{Books, Session};
 use crate::protocol::{put_frame, split_frame, ErrorCode, Request, Response};
-use recloud::sync::{Receiver, TryRecvError};
 use recloud::wire::Bytes;
 use recloud_obs::{trace, SpanCtx};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -40,8 +39,6 @@ pub(crate) enum Served {
 
 /// A job admitted on a connection, not yet answered with its final frame.
 pub(crate) struct Inflight {
-    /// The worker's frames for this job, final frame last.
-    pub reply: Receiver<Response>,
     /// Shared with the worker's drive, which stops feeding once set.
     /// `None` for jobs that cannot stop early: plain requests, and
     /// searches (a population stopped early would answer differently).
@@ -97,6 +94,12 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
+    /// The machine of the connection the driver names `token`: each job
+    /// it admits carries the token, and the job's frames come back under it.
+    pub fn new(token: u64) -> Conn {
+        Conn { session: Session::new(token), ..Conn::default() }
+    }
+
     /// Whether the driver should read the socket: idle, or for a cancel
     /// mid-stream. Never while a plain job is in flight — its client's
     /// pipelined frames wait in the kernel buffer, and a level-triggered
@@ -112,11 +115,6 @@ impl Conn {
             State::Closing => self.pending().is_empty(),
             _ => false,
         }
-    }
-
-    /// Whether a job is in flight, whose replies need sweeping.
-    pub fn has_job(&self) -> bool {
-        self.job().is_some()
     }
 
     pub fn tally(&self) -> (u64, u64) {
@@ -190,33 +188,21 @@ impl Conn {
         }
     }
 
-    /// Forwards what the worker sent for the job in flight (recording
-    /// `partial.emit` when traced) up to its final frame. Returns whether
-    /// anything arrived.
-    pub fn pump(&mut self, now: Instant, svc: &mut impl Service) -> bool {
-        let mut work = false;
-        while let Some(job) = self.job() {
-            let reply = match job.reply.try_recv() {
-                Ok(reply) => Some(reply),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => None,
-            };
-            work = true;
-            let traced = job.books.traced;
-            match reply {
-                Some(mid @ (Response::Partial(_) | Response::SearchEvent(_))) => {
-                    let start = traced.map(|_| trace::now_us());
-                    self.send(&mid);
-                    if let (Some(SpanCtx { trace_id, span }), Some(t0)) = (traced, start) {
-                        let sent = !matches!(self.state, State::Zombie(_)) as u64;
-                        let t1 = trace::now_us();
-                        trace::tracer().record(trace_id, span, "partial.emit", t0, t1, sent, 0);
-                    }
-                }
-                last => self.finish(last, now, svc),
-            }
+    /// A frame the worker sent for the job in flight: a `Partial` or
+    /// `SearchEvent` is forwarded (recording `partial.emit` when traced),
+    /// anything else is the job's final frame.
+    pub fn deliver(&mut self, response: Response, now: Instant, svc: &mut impl Service) {
+        if !matches!(response, Response::Partial(_) | Response::SearchEvent(_)) {
+            return self.finish(response, now, svc);
         }
-        work
+        let job = self.job().expect("a worker frame with no job in flight");
+        let traced = job.books.traced.map(|ctx| (ctx, trace::now_us()));
+        self.send(&response);
+        if let Some((SpanCtx { trace_id, span }, t0)) = traced {
+            let sent = !matches!(self.state, State::Zombie(_)) as u64;
+            let t1 = trace::now_us();
+            trace::tracer().record(trace_id, span, "partial.emit", t0, t1, sent, 0);
+        }
     }
 
     fn job(&self) -> Option<&Inflight> {
@@ -226,20 +212,17 @@ impl Conn {
         }
     }
 
-    /// The job's final frame, or `None` when the worker dropped the job:
-    /// answer if the client can still hear it, close the books, and go
-    /// back to decoding what the client pipelined meanwhile.
-    fn finish(&mut self, last: Option<Response>, now: Instant, svc: &mut impl Service) {
+    /// The job's final frame: answer if the client can still hear it,
+    /// close the books, and go back to decoding what the client pipelined
+    /// meanwhile.
+    fn finish(&mut self, last: Response, now: Instant, svc: &mut impl Service) {
         let (job, next) = match std::mem::replace(&mut self.state, State::Idle) {
             State::Zombie(job) => (job, State::Closed),
             State::Waiting(job) | State::Streaming(job) => (job, State::Idle),
             _ => unreachable!("finish without a job in flight"),
         };
         self.state = next;
-        self.send(&last.unwrap_or(Response::Error {
-            code: ErrorCode::Internal,
-            message: "worker dropped the job".into(),
-        }));
+        self.send(&last);
         svc.finish(job.books, now);
         self.process(now, svc);
     }

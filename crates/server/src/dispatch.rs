@@ -10,7 +10,7 @@ use crate::protocol::{
     DEFAULT_TENANT,
 };
 use crate::server::{Job, JobKind, Server, ServerInstruments};
-use recloud::sync::{self, Sender};
+use recloud::sync::Sender;
 use recloud_assess::assessment_key;
 use recloud_obs::{trace, SpanCtx, SpanRecord};
 use std::rc::Rc;
@@ -21,11 +21,19 @@ use std::time::Instant;
 /// What a connection carries from one request to the next.
 #[derive(Default)]
 pub(crate) struct Session {
+    /// The driver's token for the connection; every job carries it.
+    token: u64,
     /// Armed by a TraceContext frame; consumed by the next request.
     trace: Option<(u64, u32)>,
     /// Set by `Hello` (a later Hello re-homes the connection); `None`
     /// until first work, then pinned to [`DEFAULT_TENANT`].
     tenant: Option<Rc<Tenant>>,
+}
+
+impl Session {
+    pub fn new(token: u64) -> Session {
+        Session { token, ..Session::default() }
+    }
 }
 
 /// The books of one admitted job, closed when its final frame arrives.
@@ -125,6 +133,7 @@ impl<'a> Dispatch<'a> {
         &mut self,
         kind: JobKind,
         tenant: Rc<Tenant>,
+        conn: u64,
         traced: Option<SpanCtx>,
         latency: Option<usize>,
         now: Instant,
@@ -134,22 +143,20 @@ impl<'a> Dispatch<'a> {
             JobKind::Assess { cadence, cancel, .. } => {
                 (cadence.is_some(), cadence.map(|_| cancel.clone()))
             }
-            JobKind::Compare { .. } => (false, None),
             JobKind::StreamSearch { .. } => (true, None),
         };
-        let (reply_tx, reply) = sync::channel::<Response>();
         // The queue.wait span opens here and closes when a worker dequeues
         // the job — admission wait becomes visible in the tree.
         let queue_span = traced
             .map(|ctx| trace::tracer().start(ctx.trace_id, ctx.span, "queue.wait"))
             .unwrap_or(0);
-        if self.jobs.send(Job { kind, reply: reply_tx, trace: traced, queue_span }).is_err() {
+        if self.jobs.send(Job { kind, conn, trace: traced, queue_span }).is_err() {
             self.admission.unadmit(&tenant);
             let message = "worker pool is gone".into();
             return Err(Response::Error { code: ErrorCode::Internal, message });
         }
         let books = Books { traced, latency, started: now, tenant };
-        let job = Inflight { reply, cancel, books };
+        let job = Inflight { cancel, books };
         Ok(if streaming { Served::Stream(job) } else { Served::Wait(job) })
     }
 }
@@ -236,23 +243,14 @@ impl Service for Dispatch<'_> {
             Ok(Request::SearchStream { req, workers, iters }) => {
                 Ok((JobKind::StreamSearch { req, workers, iters }, self.work_of(session)))
             }
-            Ok(Request::ComparePlans(req)) => {
-                let tenant = self.work_of(session);
-                let spec = spec_for(req.k, req.n, 1);
-                let plans: Result<Vec<_>, String> = (req.plans.iter())
-                    .map(|hosts| build_plan(&spec, std::slice::from_ref(hosts)))
-                    .collect();
-                match plans {
-                    Ok(plans) => Ok((JobKind::Compare { req, spec, plans }, tenant)),
-                    Err(message) => reply(Response::Error { code: ErrorCode::Invalid, message }),
-                }
-            }
         };
         let served = match answer {
-            Ok((kind, tenant)) => match self.enqueue(kind, tenant, traced, latency, now) {
-                Ok(job) => return job,
-                Err(refusal) => Served::Reply(refusal),
-            },
+            Ok((kind, tenant)) => {
+                match self.enqueue(kind, tenant, session.token, traced, latency, now) {
+                    Ok(job) => return job,
+                    Err(refusal) => Served::Reply(refusal),
+                }
+            }
             Err(served) => served,
         };
         // Answered now: the exchange is over.

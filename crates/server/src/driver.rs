@@ -1,14 +1,13 @@
-//! The reactor thread: a thin epoll (or scan) driver that moves bytes
-//! between sockets and connection machines ([`crate::conn`]) and keeps
-//! the poller's interest in step with what each machine wants. It holds
-//! the sockets, the poller and the clock; what a request means is
-//! decided elsewhere.
+//! The reactor thread: a thin epoll (or scan) driver that moves bytes and
+//! worker frames to connection machines ([`crate::conn`]), bytes back to
+//! sockets, and keeps the poller's interest in step with what each machine
+//! wants. What a request means is decided elsewhere.
 
 use crate::conn::Conn;
 use crate::dispatch::Dispatch;
 use crate::reactor::{raw_fd, Poller};
-use crate::server::{Job, Server};
-use recloud::sync::Sender;
+use crate::server::{Completion, Job, Server};
+use recloud::sync::{Receiver, Sender};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -20,7 +19,7 @@ use std::time::{Duration, Instant};
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
 const TOKEN_FIRST_CONN: u64 = 2;
-/// The longest the reactor sleeps with nothing to do: worker replies and
+/// The longest the reactor sleeps with nothing to do: worker frames and
 /// shutdown arrive through the waker, so this only bounds how long a lost
 /// wakeup could last.
 const IDLE_TICK: Duration = Duration::from_millis(50);
@@ -37,10 +36,12 @@ struct Slot {
 }
 
 /// The event loop that owns every connection. The only cross-thread
-/// traffic is the job queue in, reply channels out, and wake bytes.
+/// traffic is the job queue out, the completion queue in, and wake bytes.
 pub(crate) struct Driver<'a> {
     srv: &'a Server,
     dispatch: Dispatch<'a>,
+    /// Every worker's frames, under their connection's token.
+    done: Receiver<Completion>,
     poller: Poller,
     conns: HashMap<u64, Slot>,
     next_token: u64,
@@ -52,10 +53,11 @@ pub(crate) struct Driver<'a> {
 }
 
 impl<'a> Driver<'a> {
-    pub fn new(srv: &'a Server, jobs: Sender<Job>) -> Driver<'a> {
+    pub fn new(srv: &'a Server, jobs: Sender<Job>, done: Receiver<Completion>) -> Driver<'a> {
         Driver {
             srv,
             dispatch: Dispatch::new(srv, jobs, Instant::now),
+            done,
             poller: Poller::new(srv.config.poller),
             conns: HashMap::new(),
             next_token: TOKEN_FIRST_CONN,
@@ -71,15 +73,16 @@ impl<'a> Driver<'a> {
         self.poller.register(self.srv.waker.fd(), TOKEN_WAKER);
         let mut did_work = true;
         loop {
-            // Arm before sweeping: a worker reply that lands between
-            // this sweep and the wait leaves a wake byte the wait will
-            // see — never a lost wakeup.
+            // Arm before draining: a frame a worker queues between this
+            // drain and the wait leaves a wake byte the wait will see —
+            // never a lost wakeup.
             self.srv.waker.arm();
-            did_work |= self.sweep(None);
+            did_work |= self.complete();
             self.poller.set_idle(!did_work);
-            let timeout = if did_work { Duration::ZERO } else { IDLE_TICK };
+            // Level-triggered: a socket that is already ready ends the
+            // wait at once, so the tick only bounds an idle sleep.
             let mut ready = std::mem::take(&mut self.ready);
-            self.poller.wait(&mut ready, timeout);
+            self.poller.wait(&mut ready, IDLE_TICK);
             did_work = false;
             for &token in &ready {
                 match token {
@@ -89,7 +92,7 @@ impl<'a> Driver<'a> {
                 }
             }
             self.ready = ready;
-            did_work |= self.sweep(None);
+            did_work |= self.complete();
             if self.srv.shutdown.load(Ordering::Acquire) && self.drain_shutdown() {
                 return;
             }
@@ -116,7 +119,7 @@ impl<'a> Driver<'a> {
                     self.next_token += 1;
                     self.poller.register(raw_fd(&stream), token);
                     self.srv.obs.connections_open.add(1);
-                    let slot = Slot { stream, conn: Conn::default(), interest: (true, false) };
+                    let slot = Slot { stream, conn: Conn::new(token), interest: (true, false) };
                     self.conns.insert(token, slot);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -128,47 +131,44 @@ impl<'a> Driver<'a> {
     }
 
     /// One connection's socket reported ready (or the scan backend is
-    /// probing it): flush, read, forward worker replies, settle.
+    /// probing it): flush, read, settle.
     fn conn_ready(&mut self, token: u64) -> bool {
         let Some(slot) = self.conns.get_mut(&token) else { return false };
-        let now = Instant::now();
-        let mut work = flush(slot);
-        work |= read(slot, now, &mut self.dispatch);
-        work |= slot.conn.pump(now, &mut self.dispatch);
-        work |= flush(slot);
-        self.settle(token);
-        work
+        let work = flush(slot) | read(slot, Instant::now(), &mut self.dispatch);
+        work | self.settle(token)
     }
 
-    /// Forwards worker replies on every connection with a job in flight
-    /// — or, once the shutdown flag is up, takes every connection one
-    /// step through its shutdown first (`Some(grace_expired)`).
-    fn sweep(&mut self, shutdown: Option<bool>) -> bool {
+    /// Hands every frame the workers queued to its connection, then
+    /// settles each connection that got one, once: a burst of partials is
+    /// one write. Returns whether any frame arrived.
+    fn complete(&mut self) -> bool {
         let mut tokens = std::mem::take(&mut self.tokens);
         tokens.clear();
-        let conns = self.conns.iter();
-        tokens.extend(conns.filter(|(_, s)| shutdown.is_some() || s.conn.has_job()).map(|c| *c.0));
-        let mut work = false;
         let now = Instant::now();
+        while let Ok((token, response)) = self.done.try_recv() {
+            // A connection is never removed with a job in flight, so
+            // every frame finds the connection its job came from.
+            let slot = self.conns.get_mut(&token).expect("a job's connection outlives it");
+            slot.conn.deliver(response, now, &mut self.dispatch);
+            tokens.push(token);
+        }
+        tokens.sort_unstable();
+        tokens.dedup();
         for &token in &tokens {
-            let Some(slot) = self.conns.get_mut(&token) else { continue };
-            if let Some(grace_expired) = shutdown {
-                slot.conn.shutdown(grace_expired);
-            }
-            work |= slot.conn.pump(now, &mut self.dispatch);
-            work |= flush(slot);
             self.settle(token);
         }
+        let work = !tokens.is_empty();
         self.tokens = tokens;
         work
     }
 
-    /// Closes a finished connection, or brings the poller's interest in
-    /// line with what its machine waits for. Interest is a wakeup hint,
-    /// not a correctness gate — the scan backend reports every token and
-    /// relies on the machine's own checks.
-    fn settle(&mut self, token: u64) {
-        let Some(slot) = self.conns.get_mut(&token) else { return };
+    /// Flushes, then closes a finished connection or brings the poller's
+    /// interest in line with what its machine waits for (a wakeup hint,
+    /// not a correctness gate: the scan backend reports every token).
+    /// Returns whether the socket took any bytes.
+    fn settle(&mut self, token: u64) -> bool {
+        let Some(slot) = self.conns.get_mut(&token) else { return false };
+        let work = flush(slot);
         if slot.conn.done() {
             let slot = self.conns.remove(&token).expect("present");
             let (frames, errors) = slot.conn.tally();
@@ -176,26 +176,29 @@ impl<'a> Driver<'a> {
             obs.registry.journal().record(obs.conn_close, frames, errors, 0.0, 0.0);
             obs.connections_open.add(-1);
             self.poller.deregister(raw_fd(&slot.stream), token);
-            return;
+            return work;
         }
         let interest = (slot.conn.wants_read(), !slot.conn.pending().is_empty());
         if interest != slot.interest {
             self.poller.set_interest(raw_fd(&slot.stream), token, interest.0, interest.1);
             slot.interest = interest;
         }
+        work
     }
 
-    /// Runs every loop iteration once the shutdown flag is up: refuse
-    /// late connectors, stop serving, cancel streaming drives, retire
-    /// idle connections, and keep flushing until every admitted job has
-    /// answered with its final frame — slow readers get
-    /// [`SHUTDOWN_FLUSH_GRACE`], then their unflushed buffers are dropped.
-    /// Returns true once no connections remain.
+    /// Runs every loop iteration once the shutdown flag is up — the one
+    /// visit to every connection: refuse late connectors, stop serving,
+    /// cancel drives, retire idle connections, and keep flushing until
+    /// every admitted job has answered with its final frame; slow readers
+    /// get [`SHUTDOWN_FLUSH_GRACE`]. True once no connections remain.
     fn drain_shutdown(&mut self) -> bool {
         self.accept_ready();
         let now = Instant::now();
         let grace_expired = now - *self.shutdown_seen.get_or_insert(now) > SHUTDOWN_FLUSH_GRACE;
-        self.sweep(Some(grace_expired));
+        for token in self.conns.keys().copied().collect::<Vec<_>>() {
+            self.conns.get_mut(&token).expect("present").conn.shutdown(grace_expired);
+            self.settle(token);
+        }
         self.conns.is_empty()
     }
 }

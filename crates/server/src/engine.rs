@@ -8,15 +8,14 @@
 //! for the same `(preset, plan, rounds, seed)` down to the last bit of the
 //! score. What is left here is the adaptation of protocol types: a
 //! request is validated against the preset's topology *before* its seed
-//! is asked of the engine, then dispatched to assess / compare / search.
+//! is asked of the engine, then dispatched to assess or search.
 
 use crate::protocol::{
-    AssessRequest, AssessResponse, CompareEntry, CompareRequest, CompareResponse, Preset,
-    SearchEventResponse, SearchRequest, SearchResponse,
+    AssessRequest, AssessResponse, Preset, SearchEventResponse, SearchRequest, SearchResponse,
 };
 use recloud_apps::{ApplicationSpec, DeploymentPlan};
 use recloud_assess::engine::{check_fits, check_hosts};
-use recloud_assess::{compare_plans, Engine, PartialEstimate, SamplerKind};
+use recloud_assess::{Engine, PartialEstimate, SamplerKind};
 use recloud_search::{
     ParallelSearchConfig, ParallelSearcher, ReliabilityObjective, SearchBudget, SearchConfig,
 };
@@ -125,31 +124,6 @@ impl EnginePool {
         ))
     }
 
-    /// Ranks candidate plans with tie detection (§3.3's comparison
-    /// primitive) on the shared engine.
-    pub fn compare(
-        &mut self,
-        req: &CompareRequest,
-        spec: &ApplicationSpec,
-        plans: &[DeploymentPlan],
-    ) -> Result<CompareResponse, String> {
-        let engine = self.engine(req.preset, req.seed);
-        check_hosts(engine.topology(), &req.plans)?;
-        let cmp = compare_plans(engine.at(req.seed), spec, plans, req.rounds as usize, req.seed);
-        Ok(CompareResponse {
-            ranking: cmp
-                .ranking
-                .iter()
-                .map(|r| CompareEntry {
-                    input_index: r.input_index as u32,
-                    score: r.assessment.estimate.score,
-                    ciw95: r.assessment.estimate.ciw95(),
-                    tied_with_best: r.tied_with_best,
-                })
-                .collect(),
-        })
-    }
-
     /// Runs the population-based parallel annealing search (`workers`
     /// chains over one shared CRN table), forwarding every chain's
     /// best-plan improvements to `on_event` as they happen. The final
@@ -245,30 +219,6 @@ mod tests {
             assert!(!served.cached);
         }
         assert_eq!(pool.engines(), 1, "one preset touched, one engine kept");
-    }
-
-    #[test]
-    fn compare_ranks_all_candidates() {
-        let topology = Preset::Tiny.scale().build();
-        let h = first_hosts(&topology, 4);
-        let req = CompareRequest {
-            preset: Preset::Tiny,
-            rounds: 2_000,
-            seed: 5,
-            k: 1,
-            n: 2,
-            plans: vec![vec![h[0], h[1]], vec![h[2], h[3]]],
-        };
-        let spec = spec_for(req.k, req.n, 1);
-        let plans: Vec<_> =
-            req.plans.iter().map(|p| build_plan(&spec, std::slice::from_ref(p)).unwrap()).collect();
-        let mut pool = EnginePool::new();
-        let resp = pool.compare(&req, &spec, &plans).unwrap();
-        assert_eq!(resp.ranking.len(), 2);
-        let mut indices: Vec<_> = resp.ranking.iter().map(|e| e.input_index).collect();
-        indices.sort_unstable();
-        assert_eq!(indices, vec![0, 1]);
-        assert!(resp.ranking[0].score >= resp.ranking[1].score, "ranked by descending score");
     }
 
     /// The streaming contract: a run-to-completion stream answers

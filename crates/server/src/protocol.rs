@@ -34,7 +34,8 @@
 //! kind and are never reused. A SearchStream with `workers = 1, iters = 0`
 //! is the search 0x03 ran; MetricsDump carries every number 0x85 did.
 //! 0x0B and 0x8C pulled a peer daemon's cache at bind; the store replay
-//! is the daemon's one warm start.
+//! is the daemon's one warm start. 0x04 and 0x84 ranked candidate plans
+//! for a client that never came; `recloud compare` ranks them in process.
 //!
 //! Most exchanges are one request, one response; each variant's doc says
 //! what its frame means, DESIGN.md ("Wire protocol (RCS1)") why. The rest:
@@ -68,8 +69,6 @@ pub const MAX_ROUNDS: u32 = 1_000_000;
 pub const MAX_LAYERS: u32 = 16;
 /// Upper bound on instances per layer.
 pub const MAX_INSTANCES: u32 = 1_024;
-/// Upper bound on candidate plans per ComparePlans request.
-pub const MAX_PLANS: u32 = 64;
 /// Upper bound on parallel annealing chains per SearchStream request.
 pub const MAX_SEARCH_CHAINS: u32 = 64;
 /// Upper bound on per-chain iterations per SearchStream request.
@@ -550,23 +549,6 @@ wire_struct! {
         pub budget_ms: u32,
     }
 
-    /// A ComparePlans request: rank candidate K-of-N plans with error bounds.
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub struct CompareRequest {
-        /// Topology preset the plans refer to.
-        pub preset: Preset,
-        /// Route-and-check rounds per candidate.
-        pub rounds: u32,
-        /// Master seed (per-candidate seeds derive from it).
-        pub seed: u64,
-        /// Requirement K.
-        pub k: u32,
-        /// Instance count N.
-        pub n: u32,
-        /// Candidate plans, each `n` raw host ids.
-        pub plans: Vec<Vec<u32>>,
-    }
-
     /// One span on the wire (inside [`Request::TraceUpload`] and
     /// [`Response::Trace`]): the tracer's record with the stage name carried
     /// as a length-prefixed string.
@@ -600,8 +582,6 @@ frames! {
         },
         /// Assess one plan.
         0x02 AssessPlan(req: AssessRequest),
-        /// Rank candidate plans.
-        0x04 ComparePlans(req: CompareRequest),
         /// Drain in-flight jobs and exit.
         0x06 Shutdown,
         /// Read the full instrument snapshot (counters, gauges, latency
@@ -702,26 +682,6 @@ wire_struct! {
         pub hosts: Vec<u32>,
     }
 
-    /// One ranked candidate in a [`CompareResponse`].
-    #[derive(Clone, Copy, Debug, PartialEq)]
-    pub struct CompareEntry {
-        /// Position of the plan in the request's list.
-        pub input_index: u32,
-        /// Reliability score.
-        pub score: f64,
-        /// 95% confidence-interval width.
-        pub ciw95: f64,
-        /// Statistically indistinguishable from the winner.
-        pub tied_with_best: bool,
-    }
-
-    /// The comparison answer, best plan first.
-    #[derive(Clone, Debug, PartialEq)]
-    pub struct CompareResponse {
-        /// Candidates sorted by descending reliability.
-        pub ranking: Vec<CompareEntry>,
-    }
-
     /// A running estimate mid-stream: the (R, CIW) pair of Eqs 1 and 3 over
     /// the rounds fed so far. `rounds_done` is monotonically nondecreasing
     /// across the partials of one stream.
@@ -805,8 +765,6 @@ frames! {
         0x82 Assess(resp: AssessResponse),
         /// Search result.
         0x83 Search(resp: SearchResponse),
-        /// Comparison result.
-        0x84 Compare(resp: CompareResponse),
         /// Admission control rejected the request; retry later.
         0x86 Busy {
             /// Jobs queued at rejection time.
@@ -906,19 +864,17 @@ pub fn validate_shape(req: &Request) -> Result<(), String> {
         }
         Ok(())
     };
-    // `1..=max` host lists (layers, candidate plans), each of `n` hosts.
-    let check_lists = |lists: &[Vec<u32>], n: u32, max: u32, many: &str, one: &str| {
-        if lists.is_empty() || lists.len() > max as usize {
-            return Err(format!("need 1..={max} {many} (got {})", lists.len()));
-        }
-        match lists.iter().enumerate().find(|(_, list)| list.len() != n as usize) {
-            Some((i, list)) => Err(format!("{one} {i} assigns {} hosts but n={n}", list.len())),
-            None => Ok(()),
-        }
-    };
+    // `1..=MAX_LAYERS` layers, each of `n` hosts.
     let check_assess = |a: &AssessRequest| -> Result<(), String> {
         check_spec(a.k, a.n, a.rounds)?;
-        check_lists(&a.assignments, a.n, MAX_LAYERS, "layers", "layer")
+        let (layers, n) = (&a.assignments, a.n);
+        if layers.is_empty() || layers.len() > MAX_LAYERS as usize {
+            return Err(format!("need 1..={MAX_LAYERS} layers (got {})", layers.len()));
+        }
+        match layers.iter().enumerate().find(|(_, layer)| layer.len() != n as usize) {
+            Some((i, layer)) => Err(format!("layer {i} assigns {} hosts but n={n}", layer.len())),
+            None => Ok(()),
+        }
     };
     match req {
         Request::Ping { .. }
@@ -977,10 +933,6 @@ pub fn validate_shape(req: &Request) -> Result<(), String> {
                 return Err("need a budget: iters > 0 or budget_ms > 0".to_string());
             }
             Ok(())
-        }
-        Request::ComparePlans(c) => {
-            check_spec(c.k, c.n, c.rounds)?;
-            check_lists(&c.plans, c.n, MAX_PLANS, "candidate plans", "plan")
         }
     }
 }

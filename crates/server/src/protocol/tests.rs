@@ -7,10 +7,12 @@ use super::*;
 
 /// Kinds that once had a frame. They decode as `BadKind` and their
 /// bytes are never given to another frame.
-const RETIRED_KINDS: [(u8, &str); 5] = [
+const RETIRED_KINDS: [(u8, &str); 7] = [
     (0x03, "SearchPlacement"),
+    (0x04, "ComparePlans"),
     (0x05, "Stats"),
     (0x0B, "CacheSync"),
+    (0x84, "Compare"),
     (0x85, "StatsResult"),
     (0x8C, "CacheSegment"),
 ];
@@ -33,14 +35,6 @@ fn sample_requests() -> Vec<Request> {
             k: 1,
             n: 2,
             assignments: vec![vec![72, 73], vec![80, 81]],
-        }),
-        Request::ComparePlans(CompareRequest {
-            preset: Preset::Medium,
-            rounds: 1_000,
-            seed: 9,
-            k: 1,
-            n: 2,
-            plans: vec![vec![72, 73], vec![74, 75], vec![76, 77]],
         }),
         Request::Shutdown,
         Request::MetricsDump { journal_tail: 0 },
@@ -140,12 +134,6 @@ fn sample_responses() -> Vec<Response> {
             ciw95: 2e-4,
             plans_assessed: 12_345,
             hosts: vec![72, 99, 104],
-        }),
-        Response::Compare(CompareResponse {
-            ranking: vec![
-                CompareEntry { input_index: 1, score: 0.99, ciw95: 1e-3, tied_with_best: true },
-                CompareEntry { input_index: 0, score: 0.95, ciw95: 2e-3, tied_with_best: false },
-            ],
         }),
         Response::Busy { queued: 64, capacity: 64 },
         Response::Error { code: ErrorCode::Invalid, message: "id 9999 is not a host".into() },
@@ -363,8 +351,6 @@ fn a_count_the_remaining_bytes_cannot_hold_is_truncated() {
         assert_eq!(Request::decode(frame(0x0E, 8, count, 84)), Err(ProtoError::Truncated));
         // Search: two hosts fit in 8 bytes.
         assert_eq!(Response::decode(frame(0x83, 24, count, 8)), Err(ProtoError::Truncated));
-        // Compare: two 21-byte entries fit in 42 bytes.
-        assert_eq!(Response::decode(frame(0x84, 0, count, 42)), Err(ProtoError::Truncated));
         // Metrics: two minimal counters (10 bytes each) fit in 20 bytes.
         assert_eq!(Response::decode(frame(0x89, 0, count, 20)), Err(ProtoError::Truncated));
     }
@@ -439,15 +425,11 @@ fn shape_validation_catches_bad_requests() {
         a.assignments = vec![vec![72]];
     }
     assert!(validate_shape(&bad_layer).unwrap_err().contains("hosts but n="));
-    let empty_compare = Request::ComparePlans(CompareRequest {
-        preset: Preset::Tiny,
-        rounds: 10,
-        seed: 0,
-        k: 1,
-        n: 1,
-        plans: vec![],
-    });
-    assert!(validate_shape(&empty_compare).unwrap_err().contains("candidate plans"));
+    let mut no_layers = ok.clone();
+    if let Request::AssessPlan(a) = &mut no_layers {
+        a.assignments = vec![];
+    }
+    assert!(validate_shape(&no_layers).unwrap_err().contains("layers"));
     // Streaming: the AssessPlan rules carry over and cadence 0 is out.
     let Request::AssessPlan(a) = ok else { unreachable!() };
     let stream = Request::AssessStream { req: a.clone(), cadence: 1 };

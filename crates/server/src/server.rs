@@ -12,27 +12,28 @@
 //!        │ admission (tenant budget, then queue depth < capacity)
 //!        ▼
 //!   bounded MPMC job queue (recloud::sync::channel + atomic depth)
-//!        │                          ▲ reply channel + reactor waker
-//!        ▼                          │
+//!        │                          ▲ completion queue of (token, frame)
+//!        ▼                          │ + reactor waker
 //!   worker pool (scoped): EnginePool per worker ─────┘
 //! ```
 //!
-//! Workers never touch sockets: they send responses down the job's reply
-//! channel and ring the armed [`Waker`], so a partial frame forwards
-//! after one wake byte, not a poll interval. Shutdown is graceful by
-//! construction: [`Server::begin_shutdown`] (a `Shutdown` frame, or an
-//! embedder) flips a flag and rings the same waker; the reactor stops
-//! accepting, cancels streaming drives, drains every admitted job to its
-//! final frame, flushes, and only then drops the job sender so the worker
-//! pool exits — the scope joins every thread before [`Server::run`]
-//! returns.
+//! Workers never touch sockets: they queue each frame under the job's
+//! connection token on the one completion queue and ring the armed
+//! [`Waker`]; the reactor hands it to that connection as an event, so a
+//! partial frame forwards after one wake byte, not a poll interval.
+//! Shutdown is graceful by construction: [`Server::begin_shutdown`] (a
+//! `Shutdown` frame, or an embedder) flips a flag and rings the same
+//! waker; the reactor stops accepting, cancels streaming drives, drains
+//! every admitted job to its final frame, flushes, and only then drops
+//! the job sender so the worker pool exits — the scope joins every thread
+//! before [`Server::run`] returns.
 
 use crate::cache::ResultCache;
 use crate::driver::Driver;
 use crate::engine::EnginePool;
 use crate::protocol::{
-    AssessRequest, AssessResponse, CompareRequest, ErrorCode, MetricsResponse, PartialResponse,
-    Request, Response, SearchEventResponse, SearchRequest,
+    AssessRequest, AssessResponse, ErrorCode, MetricsResponse, PartialResponse, Request, Response,
+    SearchEventResponse, SearchRequest,
 };
 use crate::reactor::{PollerKind, Waker};
 use recloud::sync::{self, Receiver, Sender};
@@ -115,8 +116,7 @@ pub struct ServeSummary {
 /// excluded — its "latency" is the drain, not a serving cost — and so is
 /// `AssessCancel`, which has no reply frame. A `stream` sample is the
 /// whole exchange, first partial to final frame.
-const LATENCY_KINDS: [&str; 6] =
-    ["ping", "assess", "compare", "metrics", "stream", "search_stream"];
+const LATENCY_KINDS: [&str; 5] = ["ping", "assess", "metrics", "stream", "search_stream"];
 
 /// Per-server observability handles, backed by a private
 /// [`Registry`] so concurrent servers (and tests) see isolated,
@@ -202,10 +202,9 @@ impl ServerInstruments {
         match request {
             Request::Ping { .. } => Some(0),
             Request::AssessPlan(_) => Some(1),
-            Request::ComparePlans(_) => Some(2),
-            Request::MetricsDump { .. } => Some(3),
-            Request::AssessStream { .. } => Some(4),
-            Request::SearchStream { .. } => Some(5),
+            Request::MetricsDump { .. } => Some(2),
+            Request::AssessStream { .. } => Some(3),
+            Request::SearchStream { .. } => Some(4),
             // Connection-side bookkeeping and setup, not served work.
             Request::Shutdown
             | Request::AssessCancel
@@ -230,30 +229,60 @@ pub(crate) enum JobKind {
         /// The engine checks it between chunks and stops once it is set.
         cancel: Arc<AtomicBool>,
     },
-    Compare {
-        req: CompareRequest,
-        spec: ApplicationSpec,
-        plans: Vec<DeploymentPlan>,
-    },
     /// A streamed parallel search. No cancel flag: stopping an annealing
     /// population early would change its answer, so the drive always runs
     /// its full budget (the reactor merely stops forwarding events when
     /// the client goes away).
-    StreamSearch {
-        req: SearchRequest,
-        workers: u32,
-        iters: u32,
-    },
+    StreamSearch { req: SearchRequest, workers: u32, iters: u32 },
 }
 
 pub(crate) struct Job {
     pub(crate) kind: JobKind,
-    pub(crate) reply: Sender<Response>,
+    /// The token of the connection the job's frames go back to.
+    pub(crate) conn: u64,
     /// Trace context of a traced request — `span` is the server-side
     /// request span the worker's spans hang under.
     pub(crate) trace: Option<SpanCtx>,
     /// Open `queue.wait` span the worker closes on dequeue (0 = none).
     pub(crate) queue_span: u32,
+}
+
+/// A worker's frame for the connection the driver names with the token.
+pub(crate) type Completion = (u64, Response);
+
+/// A dequeued job's one way back: each frame goes onto the completion
+/// queue under the job's connection token and rings the reactor's waker.
+/// Dropped before its final frame (`run_job` panicked), it answers
+/// `Error{Internal}` itself, so the connection is never left waiting.
+struct Reply<'a> {
+    conn: u64,
+    done: &'a Sender<Completion>,
+    waker: &'a Waker,
+    finished: bool,
+}
+
+impl Reply<'_> {
+    /// A frame before the final one (`Partial`, `SearchEvent`).
+    fn send(&self, response: Response) {
+        let _ = self.done.send((self.conn, response));
+        // Forward now instead of at the reactor's next poll tick.
+        self.waker.wake();
+    }
+
+    /// The job's final frame; nothing follows it.
+    fn finish(mut self, response: Response) {
+        self.finished = true;
+        self.send(response);
+    }
+}
+
+impl Drop for Reply<'_> {
+    fn drop(&mut self) {
+        if !self.finished {
+            let message = "worker dropped the job".into();
+            self.send(Response::Error { code: ErrorCode::Internal, message });
+        }
+    }
 }
 
 /// One bound daemon; [`Server::run`] serves until a `Shutdown` frame.
@@ -270,8 +299,8 @@ pub struct Server {
     /// drops it.
     pub(crate) depth: AtomicUsize,
     pub(crate) shutdown: AtomicBool,
-    /// The reactor's one wake path: workers ring it when a reply is
-    /// ready, [`Server::begin_shutdown`] when the flag goes up.
+    /// The reactor's one wake path: workers ring it when a frame is
+    /// queued, [`Server::begin_shutdown`] when the flag goes up.
     pub(crate) waker: Waker,
 }
 
@@ -337,13 +366,14 @@ impl Server {
     /// many connections attach.
     pub fn run(&self) -> ServeSummary {
         let (job_tx, job_rx) = sync::channel::<Job>();
+        let (done_tx, done_rx) = sync::channel::<Completion>();
         std::thread::scope(|scope| {
             for _ in 0..self.config.workers {
-                let rx = job_rx.clone();
-                scope.spawn(move || self.worker_loop(rx));
+                let (jobs, done) = (job_rx.clone(), done_tx.clone());
+                scope.spawn(move || self.worker_loop(jobs, done));
             }
-            drop(job_rx);
-            Driver::new(self, job_tx).run();
+            drop((job_rx, done_tx));
+            Driver::new(self, job_tx, done_rx).run();
             // Driver drop released the last job sender → workers drain
             // the queue and exit; the scope joins them.
         });
@@ -395,10 +425,11 @@ impl Server {
         MetricsResponse { snapshot, events }
     }
 
-    fn worker_loop(&self, rx: Receiver<Job>) {
+    fn worker_loop(&self, jobs: Receiver<Job>, done: Sender<Completion>) {
         let mut pool = EnginePool::new();
-        while let Ok(job) = rx.recv() {
+        while let Ok(job) = jobs.recv() {
             self.dequeued();
+            let reply = Reply { conn: job.conn, done: &done, waker: &self.waker, finished: false };
             // A traced job: close its queue.wait span and run the work
             // under a worker.exec span, so the driver's per-chunk spans
             // (read off the thread-local context) attach underneath.
@@ -410,8 +441,10 @@ impl Server {
                 }
             });
             let response = match exec {
-                Some(ctx) => trace::with_current_span(ctx, || self.run_job(&job, &mut pool)),
-                None => self.run_job(&job, &mut pool),
+                Some(ctx) => {
+                    trace::with_current_span(ctx, || self.run_job(&job.kind, &reply, &mut pool))
+                }
+                None => self.run_job(&job.kind, &reply, &mut pool),
             };
             if let Some(ctx) = exec {
                 trace::tracer().end(ctx.trace_id, ctx.span);
@@ -419,28 +452,24 @@ impl Server {
             if !matches!(response, Response::Error { .. }) {
                 self.obs.completed.inc();
             }
-            let _ = job.reply.send(response);
-            // Nudge the reactor so the final frame forwards immediately
-            // instead of waiting out the poll tick.
-            self.waker.wake();
+            reply.finish(response);
         }
     }
 
-    /// Executes one dequeued job on this worker's engine pool.
-    fn run_job(&self, job: &Job, pool: &mut EnginePool) -> Response {
-        match &job.kind {
+    /// Executes one dequeued job on this worker's engine pool; streamed
+    /// frames go out through `reply`, the final one is returned.
+    fn run_job(&self, kind: &JobKind, reply: &Reply, pool: &mut EnginePool) -> Response {
+        match kind {
             JobKind::Assess { req, spec, plan, key, cadence, cancel } => {
-                let reply = &job.reply;
                 // A plain request is a stream that forwards nothing.
                 let mut forward = |p: &PartialEstimate| {
                     if cadence.is_some() {
-                        let _ = reply.send(Response::Partial(PartialResponse {
+                        reply.send(Response::Partial(PartialResponse {
                             rounds_done: p.rounds_done,
                             rounds_total: p.rounds_total,
                             score: p.r,
                             ciw: p.ciw,
                         }));
-                        self.waker.wake();
                     }
                 };
                 let every = cadence.unwrap_or(1);
@@ -471,16 +500,8 @@ impl Server {
                     Err(message) => Response::Error { code: ErrorCode::Invalid, message },
                 }
             }
-            JobKind::Compare { req, spec, plans } => match pool.compare(req, spec, plans) {
-                Ok(resp) => Response::Compare(resp),
-                Err(message) => Response::Error { code: ErrorCode::Invalid, message },
-            },
             JobKind::StreamSearch { req, workers, iters } => {
-                let reply = &job.reply;
-                let sink = |e: SearchEventResponse| {
-                    let _ = reply.send(Response::SearchEvent(e));
-                    self.waker.wake();
-                };
+                let sink = |e: SearchEventResponse| reply.send(Response::SearchEvent(e));
                 match pool.search_streaming(req, *workers, *iters, &sink) {
                     Ok(resp) => Response::Search(resp),
                     Err(message) => Response::Error { code: ErrorCode::Invalid, message },
@@ -570,6 +591,40 @@ mod tests {
     use super::*;
     use crate::reactor::Poller;
     use std::time::Duration;
+
+    /// A reply handle dropped before its final frame — unwound out of a
+    /// panicking job, or dropped plainly — queues exactly one
+    /// `Error{Internal}` for its token, after whatever it sent; one that
+    /// sent its final frame queues nothing more.
+    #[test]
+    fn a_dropped_reply_answers_internal_once_and_a_finished_one_nothing_more() {
+        let waker = Waker::new().unwrap();
+        let (done, completions) = sync::channel();
+        let partial = PartialResponse { rounds_done: 1, rounds_total: 2, score: 0.5, ciw: 0.1 };
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let reply = Reply { conn: 7, done: &done, waker: &waker, finished: false };
+            reply.send(Response::Partial(partial));
+            panic!("the job's drive failed");
+        }));
+        assert!(panicked.is_err());
+        drop(Reply { conn: 8, done: &done, waker: &waker, finished: false });
+        let reply = Reply { conn: 9, done: &done, waker: &waker, finished: false };
+        reply.finish(Response::Pong { token: 3 });
+        let queued: Vec<Completion> = std::iter::from_fn(|| completions.try_recv().ok()).collect();
+        let internal = |token| {
+            let message = "worker dropped the job".to_string();
+            (token, Response::Error { code: ErrorCode::Internal, message })
+        };
+        assert_eq!(
+            queued,
+            [
+                (7, Response::Partial(partial)),
+                internal(7),
+                internal(8),
+                (9, Response::Pong { token: 3 })
+            ]
+        );
+    }
 
     /// `begin_shutdown` rings the reactor's waker whether or not the
     /// reactor armed it: the byte is what ends a parked poller wait.

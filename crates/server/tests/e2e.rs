@@ -1,13 +1,11 @@
 //! End-to-end tests over a real TCP connection: a served answer must be
 //! *bit-identical* to what the CLI assessment path computes locally for
-//! the same `(preset, plan, rounds, seed)` — plus cache, metrics, compare,
-//! search and graceful-shutdown behavior.
+//! the same `(preset, plan, rounds, seed)` — plus cache, metrics, search
+//! and graceful-shutdown behavior.
 
 use recloud_assess::{Assessor, SamplerKind};
 use recloud_faults::FaultModel;
-use recloud_server::protocol::{
-    AssessRequest, CompareRequest, Preset, Request, Response, SearchRequest,
-};
+use recloud_server::protocol::{AssessRequest, Preset, SearchRequest};
 use recloud_server::{Client, Server, ServerConfig};
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
@@ -183,25 +181,9 @@ fn metrics_dump_reports_exactly_the_served_traffic() {
 }
 
 #[test]
-fn compare_and_search_frames_round_trip_over_tcp() {
+fn search_frames_round_trip_over_tcp() {
     let daemon = start(ServerConfig { workers: 2, ..ServerConfig::default() });
     let mut client = Client::connect(daemon.addr).unwrap();
-
-    let h = tiny_hosts(4);
-    let compared = client
-        .call(&Request::ComparePlans(CompareRequest {
-            preset: Preset::Tiny,
-            rounds: 1_000,
-            seed: 3,
-            k: 1,
-            n: 2,
-            plans: vec![vec![h[0], h[1]], vec![h[2], h[3]]],
-        }))
-        .unwrap();
-    let Response::Compare(c) = compared else { panic!("expected CompareResult: {compared:?}") };
-    assert_eq!(c.ranking.len(), 2);
-    assert!(c.ranking[0].score >= c.ranking[1].score);
-    assert!(c.ranking[0].ciw95 > 0.0);
 
     let search =
         SearchRequest { preset: Preset::Tiny, rounds: 500, seed: 3, k: 2, n: 3, budget_ms: 150 };

@@ -2,17 +2,22 @@
 //! layer must hold thousands of idle connections on O(workers) threads,
 //! survive slow-loris writers on the incremental decode path, run
 //! unchanged on the portable `Scan` poller, home connections to tenants
-//! via `Hello`, enforce per-tenant admission budgets, and compact at bind
-//! a store that replay left past its thresholds, which no append would
-//! ever revisit.
+//! via `Hello`, enforce per-tenant admission budgets, compact at bind a
+//! store that replay left past its thresholds, which no append would ever
+//! revisit, route every worker frame back to its own connection, and
+//! sleep while nothing happens.
 
-use recloud_server::protocol::{read_frame, write_frame, AssessRequest, Preset, Request, Response};
-use recloud_server::{Client, PollerKind, Server, ServerConfig};
+use recloud_server::engine::{build_plan, spec_for};
+use recloud_server::protocol::{
+    read_frame, write_frame, AssessRequest, AssessResponse, Preset, Request, Response,
+};
+use recloud_server::{Client, EnginePool, PollerKind, Server, ServerConfig};
 use recloud_store::StoreConfig;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::ops::ControlFlow;
 use std::path::PathBuf;
+use std::sync::Barrier;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -341,4 +346,93 @@ fn bind_compacts_a_replay_crossed_threshold() {
 
     stop(warmed, &mut client);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Workers send every frame back on one queue keyed by connection token,
+/// so a frame could reach the wrong connection: 16 connections stream at
+/// once, each with its own `(seed, rounds)`, and each must see only its
+/// own partials — `rounds_total` its own request's, `rounds_done` never
+/// falling — and a final frame equal to the engine's answer for its
+/// request. Under epoll and under the scan poller.
+#[test]
+fn concurrent_streams_each_get_only_their_own_frames() {
+    const STREAMS: u32 = 16;
+    let requests: Vec<AssessRequest> =
+        (0..STREAMS).map(|i| tiny_request(900 + i as u64, 6_000 + 1_000 * i)).collect();
+    let mut pool = EnginePool::new();
+    let expected: Vec<AssessResponse> = (requests.iter())
+        .map(|req| {
+            let spec = spec_for(req.k, req.n, req.assignments.len());
+            let plan = build_plan(&spec, &req.assignments).unwrap();
+            pool.assess(req, &spec, &plan).unwrap()
+        })
+        .collect();
+    for poller in [PollerKind::Auto, PollerKind::Scan] {
+        let daemon = start(ServerConfig { workers: 4, poller, ..ServerConfig::default() });
+        let (addr, start_line) = (daemon.addr, Barrier::new(STREAMS as usize));
+        let answers: Vec<AssessResponse> = std::thread::scope(|scope| {
+            let streams: Vec<_> = (requests.iter())
+                .map(|req| {
+                    let start_line = &start_line;
+                    scope.spawn(move || {
+                        let mut client = Client::connect(addr).unwrap();
+                        client.set_timeout(Some(Duration::from_secs(60))).unwrap();
+                        start_line.wait();
+                        let mut done = 0;
+                        let (answer, stopped) = client
+                            .assess_streaming(req.clone(), 1, |p| {
+                                assert_eq!(p.rounds_total, req.rounds as u64, "a foreign partial");
+                                assert!(p.rounds_done >= done, "rounds_done fell below {done}");
+                                done = p.rounds_done;
+                                ControlFlow::Continue(())
+                            })
+                            .unwrap();
+                        assert!(!stopped && done > 0, "{poller:?}: {done} rounds streamed");
+                        answer
+                    })
+                })
+                .collect();
+            streams.into_iter().map(|s| s.join().unwrap()).collect()
+        });
+        assert_eq!(answers, expected, "{poller:?}");
+        stop(daemon, &mut Client::connect(addr).unwrap());
+    }
+}
+
+/// The reactor sleeps while nothing happens: with 64 idle connections
+/// attached, the thread that runs it uses fewer than 5 clock ticks of CPU
+/// in a second. Only that thread is read — other tests share the process.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_idle_reactor_does_not_spin() {
+    let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+    let server = Server::bind(("127.0.0.1", 0), config).expect("bind ephemeral port");
+    let addr = server.local_addr();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        tx.send(std::fs::read_link("/proc/thread-self").expect("procfs")).unwrap();
+        server.run()
+    });
+    let task = rx.recv().unwrap();
+    let tid = task.file_name().expect("<pid>/task/<tid>").to_owned();
+    let stat = PathBuf::from("/proc/self/task").join(tid).join("stat");
+    // utime and stime are fields 14 and 15; the command name (field 2)
+    // is parenthesised and may hold spaces.
+    let ticks = || {
+        let stat = std::fs::read_to_string(&stat).expect("the reactor thread's stat");
+        let fields = stat[stat.rfind(')').unwrap() + 2..].split(' ');
+        fields.skip(11).take(2).map(|f| f.parse::<u64>().unwrap()).sum::<u64>()
+    };
+    let mut fleet: Vec<Client> = (0..64)
+        .map(|i| {
+            let mut c = Client::connect(addr).expect("fleet connect");
+            assert_eq!(c.ping(i).unwrap(), i);
+            c
+        })
+        .collect();
+    let before = ticks();
+    std::thread::sleep(Duration::from_secs(1));
+    let spent = ticks() - before;
+    assert!(spent < 5, "an idle reactor used {spent} clock ticks in one second");
+    stop(Daemon { addr, handle }, &mut fleet[0]);
 }

@@ -165,7 +165,7 @@ fn empty_and_undersized_frames_are_malformed_not_fatal() {
 fn retired_kinds_are_answered_as_unknown_kinds() {
     let (addr, handle) = start(ServerConfig { workers: 1, ..ServerConfig::default() });
 
-    let retired = [0x03u8, 0x05, 0x0B, 0x85, 0x8C];
+    let retired = [0x03u8, 0x04, 0x05, 0x0B, 0x84, 0x85, 0x8C];
     for kind in retired {
         let mut stream = TcpStream::connect(addr).unwrap();
         let mut payload = Request::Shutdown.encode().to_vec();

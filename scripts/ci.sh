@@ -88,7 +88,10 @@ echo "== retired names gate =="
 # And the second warm start: the one-shot peer cache pull at bind (its two
 # frames, client call, counters and `serve --peer`) — the store replay is
 # the one warm start — with the timed compaction that bind-time compaction
-# replaced and the `serve` flag no caller passed.
+# replaced and the `serve` flag no caller passed. And the frame that
+# ranked candidate plans for a client that never came (`recloud compare`
+# ranks them in process), with the per-connection job check the reactor
+# swept for replies before worker frames came back on one queue.
 RETIRED='StatsResponse|SearchPlacement|set_batched|Word64|JobFrame|RCW1'
 RETIRED="$RETIRED|begin_wide_keyed|border_of|border_ok_wide|pod_ext_wide|memo_row|name_cone|recheck_base"
 RETIRED="$RETIRED|eval_word|eval_node_word|eval_matrix"
@@ -108,8 +111,9 @@ RETIRED="$RETIRED|mark_unwritable|peer_open|TenantState|conn_tenant|is_scan|read
 RETIRED="$RETIRED|CacheSync|CacheSegment|cache_sync|pull_from_peer|MAX_SYNC_ENTRIES|synced_total"
 RETIRED="$RETIRED|sync_served_total|compaction_tick|compact_held_since|compact_after|compact-after-ms"
 RETIRED="$RETIRED|--poller"
+RETIRED="$RETIRED|ComparePlans|CompareRequest|CompareResponse|CompareEntry|MAX_PLANS|has_job"
 if grep -rnE "$RETIRED" crates/ src/ tests/ examples/ \
-    | grep -vE '^crates/server/src/(protocol/tests\.rs|frame_table\.md):.*(SearchPlacement|CacheSync|CacheSegment)'; then
+    | grep -vE '^crates/server/src/(protocol/tests\.rs|frame_table\.md):.*(SearchPlacement|CacheSync|CacheSegment|ComparePlans)'; then
   echo "retired names gate: a retired name is back (see above)"; exit 1
 fi
 echo "retired names gate: none survive"
@@ -155,11 +159,12 @@ echo "== CLI bad-input gate =="
 # binary: a duplicate host, more instances than Tiny's 112 hosts, zero
 # rounds, a topology generator dimension its `check` refuses. So must an
 # integer that does not fit its flag (it once wrapped: k = 2^32 + 2 ran as
-# 2-of-3) and a flag the command does not read (it was ignored: `serve`
-# would have started with a cold cache).
+# 2-of-3), a flag the command does not read (it was ignored: `serve`
+# would have started with a cold cache) and a flag given twice (the last
+# value won without a word: `topo` described Small).
 for ARGS in "assess --hosts 72,72 --k 1 --n 2" "search --n 200 --workers 2 --iters 5" \
     "compare --rounds 0" "assess --topology fattree --ports 3" "assess --k 4294967298 --n 3" \
-    "serve --peer 127.0.0.1:1"; do
+    "serve --peer 127.0.0.1:1" "topo --scale tiny --scale small"; do
   STATUS=0
   # shellcheck disable=SC2086 # ARGS is split into words on purpose.
   ERR="$(target/release/recloud $ARGS 2>&1 >/dev/null)" || STATUS=$?
