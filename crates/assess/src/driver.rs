@@ -271,11 +271,6 @@ impl AssessmentDriver {
         self.layout.len()
     }
 
-    /// Chunks fed back so far.
-    pub fn chunks_fed(&self) -> usize {
-        self.fed
-    }
-
     /// True once every chunk in the layout has been fed back.
     pub fn is_complete(&self) -> bool {
         self.fed == self.layout.len()

@@ -68,12 +68,3 @@ pub use recloud_routing as routing;
 pub use recloud_sampling as sampling;
 pub use recloud_search as search;
 pub use recloud_topology as topology;
-
-// The hermetic-build substrates (implemented in `recloud-sampling`, the
-// std-only foundation crate, so that `recloud-assess` can use them too)
-// surface here under their natural names: `recloud::sync`, `recloud::wire`
-// and `recloud::proptest`, plus the property-assertion macros.
-pub use recloud_sampling::proptest;
-pub use recloud_sampling::sync;
-pub use recloud_sampling::wire;
-pub use recloud_sampling::{prop_assert, prop_assert_eq, prop_assume};

@@ -167,13 +167,6 @@ impl Journal {
         slot.seq.store(2 * i + 2, Ordering::Release);
     }
 
-    /// Convenience: intern + record in one call. Takes the interning
-    /// lock — fine for cold call sites, not for hot loops.
-    pub fn record_named(&self, name: &'static str, v0: u64, v1: u64, f0: f64, f1: f64) {
-        let kind = self.kind_id(name);
-        self.record(kind, v0, v1, f0, f1);
-    }
-
     /// Returns up to the newest `n` published events, oldest first.
     /// Slots being concurrently overwritten are skipped, never torn.
     pub fn tail(&self, n: usize) -> Vec<Event> {
@@ -207,17 +200,6 @@ impl Journal {
                 .map(|k| (*k).to_string())
                 .unwrap_or_else(|| format!("kind#{kind}"));
             out.push(Event { seq: i, ts_micros: ts, thread, kind, v0, v1, f0, f1 });
-        }
-        out
-    }
-
-    /// Renders the newest `n` events as JSON lines (one per event,
-    /// `\n`-separated, trailing newline when non-empty).
-    pub fn export_json_lines(&self, n: usize) -> String {
-        let mut out = String::new();
-        for event in self.tail(n) {
-            out.push_str(&event.to_json_line());
-            out.push('\n');
         }
         out
     }
@@ -267,7 +249,7 @@ mod tests {
         let b = j.kind_id("b");
         assert_ne!(a, b);
         assert_eq!(a, j.kind_id("a"));
-        j.record_named("b", 7, 0, 0.0, 0.0);
+        j.record(b, 7, 0, 0.0, 0.0);
         assert_eq!(j.tail(1)[0].kind, "b");
     }
 
@@ -303,10 +285,10 @@ mod tests {
     #[test]
     fn json_lines_export_is_one_object_per_line() {
         let j = Journal::with_capacity(8);
-        j.record_named("x", 1, 2, 0.5, f64::NAN);
-        let text = j.export_json_lines(8);
-        let lines: Vec<&str> = text.lines().collect();
+        j.record(j.kind_id("x"), 1, 2, 0.5, f64::NAN);
+        let lines: Vec<String> = j.tail(8).iter().map(Event::to_json_line).collect();
         assert_eq!(lines.len(), 1);
+        assert!(!lines[0].contains('\n'));
         assert!(lines[0].starts_with('{') && lines[0].ends_with('}'));
         assert!(lines[0].contains("\"kind\":\"x\""));
         assert!(lines[0].contains("\"f1\":null"), "NaN renders as null: {}", lines[0]);

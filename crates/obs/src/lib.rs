@@ -8,12 +8,10 @@
 //!   latency histograms with p50/p90/p99/max readout. Every record path
 //!   is lock-free and allocation-free so the instruments can stay on in
 //!   the bit-sliced assessment hot path.
-//! * **Spans** ([`SpanGuard`]) — RAII timers over `Instant` for named
-//!   stages; on drop they record elapsed microseconds into a histogram
-//!   and (optionally) append a thread-tagged event to a journal.
 //! * **Journal** ([`Journal`]) — a fixed-capacity lock-free ring buffer
-//!   of structured events (seqlock-validated slots, no `unsafe`), with
-//!   JSON-lines export for post-mortem debugging of the daemon.
+//!   of structured events (seqlock-validated slots, no `unsafe`), each
+//!   rendered as one JSON line ([`Event::to_json_line`]) for post-mortem
+//!   debugging of the daemon.
 //! * **Traces** ([`trace::Tracer`]) — per-request causal span trees
 //!   over fixed-capacity preallocated storage, propagated across
 //!   layers via a thread-local [`trace::SpanCtx`] and across the wire
@@ -31,7 +29,6 @@
 mod journal;
 mod metrics;
 mod registry;
-mod span;
 pub mod trace;
 
 pub use journal::{Event, Journal, KindId};
@@ -39,7 +36,6 @@ pub use metrics::{
     bucket_of, bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot, LocalHistogram,
 };
 pub use registry::{global, MetricsSnapshot, Registry};
-pub use span::SpanGuard;
 pub use trace::{
     current_span, intern_kind, tracer, with_current_span, SpanCtx, SpanRecord, Tracer,
 };

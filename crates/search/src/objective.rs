@@ -73,11 +73,6 @@ impl HolisticObjective {
     pub fn workload(&self) -> &WorkloadMap {
         &self.workload
     }
-
-    /// Mutable access to the workload map.
-    pub fn workload_mut(&mut self) -> &mut WorkloadMap {
-        &mut self.workload
-    }
 }
 
 impl Objective for HolisticObjective {

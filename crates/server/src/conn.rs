@@ -6,8 +6,8 @@
 
 use crate::dispatch::{Books, Session};
 use crate::protocol::{put_frame, split_frame, ErrorCode, Request, Response};
-use recloud::wire::Bytes;
 use recloud_obs::{trace, SpanCtx};
+use recloud_sampling::wire::Bytes;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;

@@ -10,9 +10,9 @@ use crate::protocol::{
     DEFAULT_TENANT,
 };
 use crate::server::{Job, JobKind, Server, ServerInstruments};
-use recloud::sync::Sender;
 use recloud_assess::assessment_key;
 use recloud_obs::{trace, SpanCtx, SpanRecord};
+use recloud_sampling::sync::Sender;
 use std::rc::Rc;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;

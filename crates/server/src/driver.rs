@@ -7,7 +7,7 @@ use crate::conn::Conn;
 use crate::dispatch::Dispatch;
 use crate::reactor::{raw_fd, Poller};
 use crate::server::{Completion, Job, Server};
-use recloud::sync::{Receiver, Sender};
+use recloud_sampling::sync::{Receiver, Sender};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;

@@ -11,7 +11,7 @@
 //!
 //! * [`protocol`] — the RCS1 length-prefixed binary frame codec: every
 //!   frame a field list in one kind table, from which encode, decode and
-//!   the documented frame table derive, over the `recloud::wire` byte
+//!   the documented frame table derive, over the `recloud_sampling::wire` byte
 //!   buffers;
 //! * [`cache`] — an LRU result cache keyed by the 128-bit
 //!   [`recloud_assess::assessment_key`] fingerprint of everything that
@@ -21,7 +21,7 @@
 //!   engine the CLI builds, so answers are bit-identical to it;
 //! * [`reactor`] — the readiness-polling substrate: hand-declared
 //!   `epoll` FFI on Linux, a portable non-blocking scan fallback, and
-//!   the armed loopback waker workers use to nudge the event loop;
+//!   the armed socket-pair waker workers use to nudge the event loop;
 //! * [`server`] — the daemon: one reactor thread plus a scoped worker
 //!   pool around a bounded MPMC job queue, with drain-then-exit shutdown.
 //!   The reactor is a thin driver over plain types — a sans-I/O machine
@@ -31,7 +31,7 @@
 //!   load generator and the CI smoke sequence.
 //!
 //! Everything is `std`-only, like the rest of the workspace: threads are
-//! scoped `std::thread`, channels come from `recloud::sync`, and no
+//! scoped `std::thread`, channels come from `recloud_sampling::sync`, and no
 //! external crate is involved anywhere.
 
 mod admission;

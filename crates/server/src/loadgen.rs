@@ -17,9 +17,9 @@
 //! assess latency histogram), and a clean Shutdown.
 
 use crate::client::Client;
-use crate::protocol::{AssessRequest, Preset};
-use recloud::sync;
+use crate::protocol::{AssessRequest, Preset, MAX_ROUNDS};
 use recloud_sampling::derive_seed;
+use recloud_sampling::sync;
 use std::io;
 use std::time::{Duration, Instant};
 
@@ -369,14 +369,16 @@ pub fn smoke_stream(addr: &str) -> Result<(), String> {
     }
 
     // Early stop: ask for far more rounds than a 0.02-wide interval
-    // needs and break as soon as the running CIW reaches it.
+    // needs and break as soon as the running CIW reaches it. The drive
+    // must outlast the cancel's round trip by orders of magnitude, or
+    // the cancel can land after the last chunk and nothing is saved.
     let big = AssessRequest {
-        preset: Preset::Tiny,
-        rounds: 200_000,
+        preset: Preset::Medium,
+        rounds: MAX_ROUNDS,
         seed: 29,
         k: 2,
         n: 3,
-        assignments: vec![first_hosts(Preset::Tiny, 3)],
+        assignments: vec![first_hosts(Preset::Medium, 3)],
     };
     let requested = big.rounds as u64;
     let (cut, stopped) = client

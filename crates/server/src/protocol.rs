@@ -48,8 +48,8 @@
 //! TraceContext, TraceUpload and a stale AssessCancel get no response at
 //! all. Mid-stream, any frame but AssessCancel is a protocol error.
 
-use recloud::wire::{ByteReader, ByteWriter, Bytes};
 use recloud_obs::{Event, HistogramSnapshot, MetricsSnapshot};
+use recloud_sampling::wire::{ByteReader, ByteWriter, Bytes};
 use recloud_topology::Scale;
 use std::fmt;
 use std::io::{Read, Write};

@@ -16,12 +16,12 @@
 //!
 //! Both backends speak the same [`Poller`] API keyed by opaque `u64`
 //! tokens, so the reactor proper is backend-agnostic. Worker threads
-//! wake a sleeping reactor through [`Waker`]: a loopback TCP pair whose
+//! wake a sleeping reactor through [`Waker`]: a Unix socket pair whose
 //! read end is registered like any connection, with an `armed` flag so
 //! an idle reactor costs one wake byte, not one per reply.
 
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -272,27 +272,24 @@ impl Scan {
 }
 
 // ---------------------------------------------------------------------
-// Waker: a loopback TCP pair.
+// Waker: a Unix socket pair.
 // ---------------------------------------------------------------------
 
 /// Wakes a sleeping reactor from worker threads. Implemented as a
-/// loopback TCP pair — the read end registers with the poller like any
+/// Unix socket pair — the read end registers with the poller like any
 /// connection; [`Waker::wake`] writes one byte, and only when the
 /// reactor has armed it (so a streaming worker emitting thousands of
 /// partials costs one byte per reactor sleep, not one per frame).
 pub struct Waker {
-    tx: TcpStream,
-    rx: TcpStream,
+    tx: UnixStream,
+    rx: UnixStream,
     armed: AtomicBool,
 }
 
 impl Waker {
-    /// Builds the pair over an ephemeral loopback listener.
+    /// Builds the pair: no address, so no other process can reach it.
     pub fn new() -> std::io::Result<Waker> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let tx = TcpStream::connect(listener.local_addr()?)?;
-        let (rx, _) = listener.accept()?;
-        tx.set_nodelay(true)?;
+        let (tx, rx) = UnixStream::pair()?;
         rx.set_nonblocking(true)?;
         Ok(Waker { tx, rx, armed: AtomicBool::new(false) })
     }
@@ -362,6 +359,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn epoll_sees_readable_socket() {
+        use std::net::{TcpListener, TcpStream};
         let mut p = Poller::new(PollerKind::Auto);
         assert!(matches!(p, Poller::Epoll(_)), "auto must pick epoll on linux");
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();

@@ -11,7 +11,7 @@
 //!                 └─────────────────────────────────────────────────────┘
 //!        │ admission (tenant budget, then queue depth < capacity)
 //!        ▼
-//!   bounded MPMC job queue (recloud::sync::channel + atomic depth)
+//!   bounded MPMC job queue (recloud_sampling::sync::channel + atomic depth)
 //!        │                          ▲ completion queue of (token, frame)
 //!        ▼                          │ + reactor waker
 //!   worker pool (scoped): EnginePool per worker ─────┘
@@ -36,10 +36,10 @@ use crate::protocol::{
     SearchEventResponse, SearchRequest,
 };
 use crate::reactor::{PollerKind, Waker};
-use recloud::sync::{self, Receiver, Sender};
 use recloud_apps::{ApplicationSpec, DeploymentPlan};
 use recloud_assess::PartialEstimate;
 use recloud_obs::{trace, Counter, Gauge, Histogram, KindId, Registry, SpanCtx};
+use recloud_sampling::sync::{self, Receiver, Sender};
 use recloud_store::{Entry as StoreEntry, Op as StoreOp, Store, StoreConfig};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
@@ -61,8 +61,8 @@ pub struct ServerConfig {
     /// cache on bind, before any connection is accepted — the daemon's
     /// one warm start.
     pub store_dir: Option<PathBuf>,
-    /// Durable-store tuning (segment rotation, auto-compaction
-    /// thresholds); only consulted when `store_dir` is set.
+    /// Durable-store tuning (auto-compaction thresholds); only
+    /// consulted when `store_dir` is set.
     pub store_config: StoreConfig,
     /// Per-tenant in-flight budget: a tenant with this many admitted,
     /// unfinished jobs gets `Busy` while every other tenant is
@@ -144,7 +144,7 @@ pub(crate) struct ServerInstruments {
     /// Compaction passes the store ran (after replay at bind, and when
     /// an append crosses the thresholds).
     pub(crate) store_compactions: Arc<Counter>,
-    /// On-disk bytes across the store's segments.
+    /// On-disk bytes of the store's log.
     pub(crate) store_bytes: Arc<Gauge>,
     /// Accounting bytes resident in the result cache.
     pub(crate) cache_bytes: Arc<Gauge>,

@@ -6,10 +6,10 @@
 //! over random workloads — the tracer never stores a dangling parent or
 //! a child interval that escapes its parent.
 
-use recloud::prop_assert;
-use recloud::proptest::forall;
 use recloud_obs::trace::{self, CLIENT_ID_BASE};
 use recloud_obs::{SpanRecord, Tracer};
+use recloud_sampling::prop_assert;
+use recloud_sampling::proptest::forall;
 use recloud_server::protocol::{AssessRequest, Preset, TraceSpan};
 use recloud_server::{Client, Server, ServerConfig};
 use recloud_store::StoreConfig;

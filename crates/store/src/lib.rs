@@ -3,13 +3,13 @@
 //!
 //! # On-disk format
 //!
-//! A store is a directory of segment files named `seg-%016x.log`,
-//! ordered by segment id. Each segment starts with a 5-byte header and
-//! is followed by length-prefixed records, all encoded with the
-//! project's own wire codec ([`recloud::wire`], little-endian):
+//! A store is one log file, [`LOG_FILE`], in its directory. The log
+//! starts with a 5-byte header and is followed by length-prefixed
+//! records, all encoded with the project's own wire codec
+//! ([`recloud_sampling::wire`], little-endian):
 //!
 //! ```text
-//! segment  := magic:u32 (0x5243_534C) version:u8 (1) record*
+//! log      := magic:u32 (0x5243_534C) version:u8 (1) record*
 //! record   := len:u32 body checksum:u64      (len = |body| + 8)
 //! body     := op:u8 key_lo:u64 key_hi:u64 payload?
 //! payload  := score:f64 variance:f64 rounds:u64 successes:u64   (op = 1, Put)
@@ -21,35 +21,30 @@
 //!
 //! # Crash safety
 //!
-//! The log is recovered, never validated: [`Store::open`] scans the
-//! segments in id order and replays every record up to — exactly — the
-//! longest valid prefix. The first torn, truncated, or
-//! checksum-corrupt record ends the log: that segment is truncated to
-//! the bytes before it and every later segment is deleted. Recovery
-//! never fails on corrupt data and never panics; a store that lost its
-//! tail simply remembers fewer entries.
+//! The log is recovered, never validated: [`Store::open`] scans it and
+//! replays every record up to — exactly — the longest valid prefix. The
+//! first torn, truncated, or checksum-corrupt record ends the log: the
+//! file is truncated to the bytes before it. Recovery never fails on
+//! corrupt data and never panics; a store that lost its tail simply
+//! remembers fewer entries.
 //!
 //! Replay semantics are last-write-wins: a later `Put` for the same
-//! key supersedes an earlier one, an `Evict` drops the key. That makes
-//! [compaction](Store::compact) trivially crash-safe — the compacted
-//! segment gets the *next* segment id, so if a crash lands between the
-//! rename and the old-segment deletes, replaying old-then-compacted
-//! reproduces the same final state.
+//! key supersedes an earlier one, an `Evict` drops the key.
 //!
-//! # Rotation and compaction
+//! # Compaction
 //!
-//! Appends go to the highest-id (active) segment; when a record would
-//! push it past [`StoreConfig::segment_max_bytes`] a fresh segment is
-//! started. [`Store::compact`] folds the whole log to its live set
-//! (dropping superseded `Put`s and everything evicted), writes the
-//! survivors to a single new segment via a `.tmp` + rename, and
-//! deletes the old files.
+//! [`Store::compact`] folds the log to its live set (dropping
+//! superseded `Put`s and everything evicted), writes the survivors to
+//! `<log>.tmp`, syncs it, renames it over the log and syncs the
+//! directory. A crash before the rename leaves the old log and a stale
+//! `.tmp`, which [`Store::open`] deletes; a crash after it leaves either
+//! file under the log's name, and both replay to the same live set.
 //!
-//! Compaction is also *size-triggered*: the store tracks its live key
-//! set (`Put` inserts, `Evict` removes — exact, since records have
-//! fixed sizes) and [`Store::append`] runs a compaction automatically
-//! once the log holds at least [`StoreConfig::compact_min_bytes`] and
-//! the live fraction drops below [`StoreConfig::compact_live_ratio`].
+//! Compaction is *size-triggered*: the store tracks its live key set
+//! (`Put` inserts, `Evict` removes — exact, since records have fixed
+//! sizes) and [`Store::append`] runs a compaction automatically once
+//! the log holds at least [`StoreConfig::compact_min_bytes`] and the
+//! live fraction drops below [`StoreConfig::compact_live_ratio`].
 //! [`Store::compactions`] counts the passes for the server's
 //! `store.compactions_total` counter.
 
@@ -57,16 +52,18 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
-use recloud::wire::ByteWriter;
+use recloud_sampling::wire::ByteWriter;
 
-/// Magic value opening every segment file (`"RCSL"` read as LE bytes).
-pub const SEGMENT_MAGIC: u32 = 0x5243_534C;
-/// Current segment format version.
-pub const SEGMENT_VERSION: u8 = 1;
-/// Bytes of segment header: magic + version.
+/// Name of the log file inside a store directory.
+pub const LOG_FILE: &str = "store.log";
+/// Magic value opening the log (`"RCSL"` read as LE bytes).
+pub const LOG_MAGIC: u32 = 0x5243_534C;
+/// Current log format version.
+pub const LOG_VERSION: u8 = 1;
+/// Bytes of log header: magic + version.
 pub const HEADER_LEN: usize = 5;
 /// Upper bound accepted for a record's framed `len` field; anything
 /// larger is treated as corruption (the real records are ≤ 61 bytes).
@@ -120,9 +117,6 @@ impl Op {
 /// Store tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreConfig {
-    /// Rotate to a fresh segment once the active one would exceed this
-    /// many bytes (header included).
-    pub segment_max_bytes: u64,
     /// Auto-compaction floor: [`Store::append`] never compacts while
     /// the log is smaller than this (0 disables the size check, making
     /// the ratio alone decide; `u64::MAX` disables auto-compaction).
@@ -135,11 +129,7 @@ pub struct StoreConfig {
 
 impl Default for StoreConfig {
     fn default() -> Self {
-        StoreConfig {
-            segment_max_bytes: 4 << 20,
-            compact_min_bytes: 64 << 10,
-            compact_live_ratio: 0.5,
-        }
+        StoreConfig { compact_min_bytes: 64 << 10, compact_live_ratio: 0.5 }
     }
 }
 
@@ -148,11 +138,9 @@ impl Default for StoreConfig {
 pub struct Recovery {
     /// Every valid record, in log order; fold with last-write-wins.
     pub ops: Vec<Op>,
-    /// Bytes cut from the first corrupt segment (torn tail, bad
-    /// checksum, bad header …).
+    /// Bytes cut from the log's tail (torn tail, bad checksum, bad
+    /// header …).
     pub truncated_bytes: u64,
-    /// Segments after the corruption point that were deleted outright.
-    pub segments_dropped: u64,
 }
 
 impl Recovery {
@@ -163,28 +151,14 @@ impl Recovery {
     }
 }
 
-/// Result of a [`Store::compact`] pass.
-#[derive(Debug, Clone, Copy)]
-pub struct CompactStats {
-    /// Entries that survived the fold.
-    pub live_entries: u64,
-    /// On-disk bytes before compaction.
-    pub bytes_before: u64,
-    /// On-disk bytes after compaction.
-    pub bytes_after: u64,
-    /// Old segment files deleted.
-    pub segments_removed: u64,
-}
-
-/// An open append-only result store rooted at one directory.
+/// An open append-only result store: one log file in one directory.
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
     config: StoreConfig,
-    active: File,
-    active_id: u64,
-    active_len: u64,
-    sealed_bytes: u64,
+    /// The log, opened for appending.
+    log: File,
+    len: u64,
     /// Keys currently live (puts minus evicts) — exact, maintained on
     /// every append and rebuilt by recovery/compaction.
     live: HashSet<u128>,
@@ -193,120 +167,58 @@ pub struct Store {
 
 impl Store {
     /// Opens (creating if needed) the store at `dir`, recovering the
-    /// longest valid prefix of the log. Corrupt tails are truncated on
-    /// disk, segments past the corruption point deleted, and leftover
-    /// `.tmp` files from an interrupted compaction removed.
+    /// longest valid prefix of the log. A corrupt tail is truncated on
+    /// disk and leftover `.tmp` files from an interrupted compaction
+    /// removed.
     pub fn open(dir: &Path, config: StoreConfig) -> io::Result<(Store, Recovery)> {
         fs::create_dir_all(dir)?;
-        let mut segments = Vec::new();
         for dirent in fs::read_dir(dir)? {
             let dirent = dirent?;
-            let name = dirent.file_name();
-            let name = name.to_string_lossy();
-            if name.ends_with(".tmp") {
+            if dirent.file_name().to_string_lossy().ends_with(".tmp") {
                 fs::remove_file(dirent.path())?;
-            } else if let Some(id) = parse_segment_id(&name) {
-                segments.push((id, dirent.path()));
             }
         }
-        segments.sort_by_key(|(id, _)| *id);
 
+        let log =
+            OpenOptions::new().read(true).append(true).create(true).open(dir.join(LOG_FILE))?;
+        let file_len = log.metadata()?.len();
         let mut recovery = Recovery::default();
-        let mut corrupt_at = None;
-        for (index, (_, path)) in segments.iter().enumerate() {
-            let file = File::open(path)?;
-            let file_len = file.metadata()?.len();
-            let valid_len = scan_segment(file, |op| {
-                recovery.ops.push(op);
-                Ok(())
-            })?;
-            if valid_len < file_len {
-                recovery.truncated_bytes = file_len - valid_len;
-                let file = OpenOptions::new().write(true).open(path)?;
-                file.set_len(valid_len)?;
-                corrupt_at = Some(index);
-                break;
-            }
+        let mut len = scan_log(&log, |op| {
+            recovery.ops.push(op);
+            Ok(())
+        })?;
+        recovery.truncated_bytes = file_len - len;
+        if len < file_len {
+            log.set_len(len)?;
         }
-        if let Some(index) = corrupt_at {
-            for (_, path) in segments.drain(index + 1..) {
-                fs::remove_file(path)?;
-                recovery.segments_dropped += 1;
-            }
-        }
-
-        let (active_id, active_path) = match segments.last() {
-            Some((id, path)) => (*id, path.clone()),
-            None => {
-                let path = dir.join(segment_file_name(0));
-                write_empty_segment(&path)?;
-                (0, path)
-            }
-        };
-        let mut active = OpenOptions::new().read(true).write(true).open(&active_path)?;
-        let mut active_len = active.seek(SeekFrom::End(0))?;
-        if active_len < HEADER_LEN as u64 {
-            // Header was part of the corrupt prefix; start the segment
-            // over so future appends land in a well-formed file.
-            active.set_len(0)?;
-            active.seek(SeekFrom::Start(0))?;
-            active.write_all(&segment_header())?;
-            active_len = HEADER_LEN as u64;
-        }
-        let mut sealed_bytes = 0;
-        for (_, path) in &segments[..segments.len().saturating_sub(1)] {
-            sealed_bytes += fs::metadata(path)?.len();
+        if len == 0 {
+            // A new log, or its header was part of the corrupt prefix:
+            // start it over so appends land in a well-formed file.
+            (&log).write_all(&log_header())?;
+            log.sync_all()?;
+            len = HEADER_LEN as u64;
         }
         let mut live = HashSet::new();
         for op in &recovery.ops {
-            match op {
-                Op::Put(e) => {
-                    live.insert(e.key);
-                }
-                Op::Evict(key) => {
-                    live.remove(key);
-                }
-            }
+            apply(&mut live, op);
         }
-        let store = Store {
-            dir: dir.to_path_buf(),
-            config,
-            active,
-            active_id,
-            active_len,
-            sealed_bytes,
-            live,
-            compactions: 0,
-        };
+        let store = Store { dir: dir.to_path_buf(), config, log, len, live, compactions: 0 };
         Ok((store, recovery))
     }
 
-    /// Appends one operation, rotating segments as needed and running a
-    /// size-triggered compaction when the live fraction of the log
-    /// drops below [`StoreConfig::compact_live_ratio`]. Returns the
-    /// framed bytes written.
+    /// Appends one operation, running a size-triggered compaction when
+    /// the live fraction of the log drops below
+    /// [`StoreConfig::compact_live_ratio`]. Returns the framed bytes
+    /// written.
     pub fn append(&mut self, op: &Op) -> io::Result<u64> {
         let record = encode_record(op);
-        let len = record.len() as u64;
-        if self.active_len > HEADER_LEN as u64
-            && self.active_len + len > self.config.segment_max_bytes
-        {
-            self.rotate()?;
-        }
-        self.active.write_all(&record)?;
-        self.active_len += len;
-        match op {
-            Op::Put(e) => {
-                self.live.insert(e.key);
-            }
-            Op::Evict(key) => {
-                self.live.remove(key);
-            }
-        }
+        self.log.write_all(&record)?;
+        self.len += record.len() as u64;
+        apply(&mut self.live, op);
         if self.should_compact() {
             self.compact()?;
         }
-        Ok(len)
+        Ok(record.len() as u64)
     }
 
     /// Keys currently live in the log (puts minus evicts).
@@ -328,151 +240,89 @@ impl Store {
     /// Whether the size/live-ratio auto-compaction thresholds currently
     /// hold: the log is at least `compact_min_bytes` and live data is
     /// under `compact_live_ratio` of it. Appends consult this
-    /// internally; the serving layer polls it from a timer so a store
-    /// that crossed the threshold via replay or eviction patterns no
-    /// append revisits still gets compacted.
+    /// internally; the server consults it once after replaying the log
+    /// at bind, the one state no append revisits.
     pub fn should_compact(&self) -> bool {
         let total = self.bytes();
         total >= self.config.compact_min_bytes
             && (self.live_bytes() as f64) < self.config.compact_live_ratio * total as f64
     }
 
-    /// Folds the log to its live set and rewrites it as one fresh
-    /// segment (id `active + 1`, via `.tmp` + rename), then deletes the
-    /// old segments. Crash-safe at every step: the compacted segment is
-    /// *later* in the log, so last-write-wins replay of any surviving
-    /// file combination reproduces the same state.
+    /// Folds the log to its live set and rewrites it: the survivors go
+    /// to `<log>.tmp`, which is synced, renamed over the log, and made
+    /// durable by syncing the directory. Until that rename the old log
+    /// is untouched; after it, the old and the new file replay to the
+    /// same live set.
     ///
     /// The log is streamed twice — once to learn which write of each key
     /// is its last, once to copy exactly those records, in log order —
     /// so the pass holds an index of the live keys and two I/O buffers,
     /// never the log it is shrinking. It runs on a serving thread: what
     /// it allocates is the daemon's peak memory.
-    pub fn compact(&mut self) -> io::Result<CompactStats> {
-        let bytes_before = self.bytes();
-        let old = list_segments(&self.dir)?;
+    pub fn compact(&mut self) -> io::Result<()> {
+        let path = self.dir.join(LOG_FILE);
         let mut final_write: HashMap<u128, u64> = HashMap::with_capacity(self.live.len() + 1);
         let mut seq = 0;
-        for (_, path) in &old {
-            scan_segment(File::open(path)?, |op| {
-                match op {
-                    Op::Put(e) => final_write.insert(e.key, seq),
-                    Op::Evict(key) => final_write.remove(&key),
-                };
-                seq += 1;
-                Ok(())
-            })?;
-        }
+        scan_log(&File::open(&path)?, |op| {
+            match op {
+                Op::Put(e) => final_write.insert(e.key, seq),
+                Op::Evict(key) => final_write.remove(&key),
+            };
+            seq += 1;
+            Ok(())
+        })?;
 
-        let next_id = self.active_id + 1;
-        let final_path = self.dir.join(segment_file_name(next_id));
-        let tmp_path = self.dir.join(format!("{}.tmp", segment_file_name(next_id)));
+        let tmp_path = path.with_extension("log.tmp");
         let mut tmp = BufWriter::new(File::create(&tmp_path)?);
-        tmp.write_all(&segment_header())?;
+        tmp.write_all(&log_header())?;
         let mut seq = 0;
-        for (_, path) in &old {
-            scan_segment(File::open(path)?, |op| {
-                // Never an `Evict`: only a `Put` leaves its position behind.
-                if final_write.get(&op.key()) == Some(&seq) {
-                    tmp.write_all(&encode_record(&op))?;
-                }
-                seq += 1;
-                Ok(())
-            })?;
-        }
+        scan_log(&File::open(&path)?, |op| {
+            // Never an `Evict`: only a `Put` leaves its position behind.
+            if final_write.get(&op.key()) == Some(&seq) {
+                tmp.write_all(&encode_record(&op))?;
+            }
+            seq += 1;
+            Ok(())
+        })?;
         tmp.into_inner().map_err(io::IntoInnerError::into_error)?.sync_all()?;
-        fs::rename(&tmp_path, &final_path)?;
-        // Make the rename itself durable before deleting the only other
-        // copies of the data.
+        fs::rename(&tmp_path, &path)?;
         File::open(&self.dir)?.sync_all()?;
-        let mut segments_removed = 0;
-        for (_, path) in &old {
-            fs::remove_file(path)?;
-            segments_removed += 1;
-        }
 
-        self.active = OpenOptions::new().read(true).write(true).open(&final_path)?;
-        self.active_len = self.active.seek(SeekFrom::End(0))?;
-        self.active_id = next_id;
-        self.sealed_bytes = 0;
+        self.log = OpenOptions::new().append(true).open(&path)?;
+        self.len = self.log.metadata()?.len();
         self.live.clear();
         self.live.extend(final_write.keys());
         self.compactions += 1;
-        Ok(CompactStats {
-            live_entries: final_write.len() as u64,
-            bytes_before,
-            bytes_after: self.bytes(),
-            segments_removed,
-        })
-    }
-
-    /// Total on-disk bytes across every segment.
-    pub fn bytes(&self) -> u64 {
-        self.sealed_bytes + self.active_len
-    }
-
-    /// The directory this store lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Paths of every segment file, in log (id) order.
-    pub fn segment_paths(&self) -> io::Result<Vec<PathBuf>> {
-        Ok(list_segments(&self.dir)?.into_iter().map(|(_, p)| p).collect())
-    }
-
-    fn rotate(&mut self) -> io::Result<()> {
-        self.sealed_bytes += self.active_len;
-        self.active_id += 1;
-        let path = self.dir.join(segment_file_name(self.active_id));
-        write_empty_segment(&path)?;
-        self.active = OpenOptions::new().read(true).write(true).open(&path)?;
-        self.active.seek(SeekFrom::End(0))?;
-        self.active_len = HEADER_LEN as u64;
         Ok(())
     }
-}
 
-fn segment_file_name(id: u64) -> String {
-    format!("seg-{id:016x}.log")
-}
-
-fn parse_segment_id(name: &str) -> Option<u64> {
-    let hex = name.strip_prefix("seg-")?.strip_suffix(".log")?;
-    if hex.len() != 16 {
-        return None;
+    /// On-disk bytes of the log.
+    pub fn bytes(&self) -> u64 {
+        self.len
     }
-    u64::from_str_radix(hex, 16).ok()
 }
 
-fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    let mut segments = Vec::new();
-    for dirent in fs::read_dir(dir)? {
-        let dirent = dirent?;
-        if let Some(id) = parse_segment_id(&dirent.file_name().to_string_lossy()) {
-            segments.push((id, dirent.path()));
+/// Applies one operation to a live key set.
+fn apply(live: &mut HashSet<u128>, op: &Op) {
+    match op {
+        Op::Put(e) => {
+            live.insert(e.key);
+        }
+        Op::Evict(key) => {
+            live.remove(key);
         }
     }
-    segments.sort_by_key(|(id, _)| *id);
-    Ok(segments)
 }
 
-fn segment_header() -> [u8; HEADER_LEN] {
+fn log_header() -> [u8; HEADER_LEN] {
     let mut w = ByteWriter::with_capacity(HEADER_LEN);
-    w.put_u32_le(SEGMENT_MAGIC);
-    w.put_u8(SEGMENT_VERSION);
+    w.put_u32_le(LOG_MAGIC);
+    w.put_u8(LOG_VERSION);
     let v = w.into_vec();
     let mut header = [0u8; HEADER_LEN];
     header.copy_from_slice(&v);
     header
 }
-
-fn write_empty_segment(path: &Path) -> io::Result<()> {
-    let mut file = File::create(path)?;
-    file.write_all(&segment_header())?;
-    file.sync_all()
-}
-
 /// FNV-1a over 64 bits — the per-record checksum.
 fn fnv1a_64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -537,14 +387,14 @@ fn read_or_eof(reader: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
     }
 }
 
-/// Streams a segment's records to `visit` in log order until the first
+/// Streams the log's records to `visit` in log order until the first
 /// torn / corrupt one and returns the bytes of valid prefix (less than the
 /// file's length means corruption was hit). Corrupt data never fails the
 /// scan, it just ends the valid prefix; an I/O error or `visit`'s does.
-fn scan_segment(file: File, mut visit: impl FnMut(Op) -> io::Result<()>) -> io::Result<u64> {
+fn scan_log(file: &File, mut visit: impl FnMut(Op) -> io::Result<()>) -> io::Result<u64> {
     let mut reader = BufReader::new(file);
     let mut header = [0u8; HEADER_LEN];
-    if !read_or_eof(&mut reader, &mut header)? || header != segment_header() {
+    if !read_or_eof(&mut reader, &mut header)? || header != log_header() {
         return Ok(0);
     }
     let mut valid_len = HEADER_LEN as u64;
@@ -602,6 +452,11 @@ mod tests {
         dir
     }
 
+    /// Files in a store directory: the log, and nothing else.
+    fn files_in(dir: &Path) -> usize {
+        fs::read_dir(dir).unwrap().count()
+    }
+
     fn entry(key: u128, rounds: u64) -> Entry {
         Entry {
             key,
@@ -643,36 +498,16 @@ mod tests {
     }
 
     #[test]
-    fn rotation_spreads_the_log_over_segments() {
-        let dir = tempdir("rotate");
-        let config = StoreConfig {
-            segment_max_bytes: HEADER_LEN as u64 + 2 * PUT_RECORD_LEN,
-            ..StoreConfig::default()
-        };
-        let ops: Vec<Op> = (0..7).map(|i| Op::Put(entry(i, i as u64 * 10))).collect();
-        {
-            let (mut store, _) = Store::open(&dir, config).unwrap();
-            for op in &ops {
-                store.append(op).unwrap();
-            }
-            assert_eq!(store.segment_paths().unwrap().len(), 4);
-        }
-        let (_, recovery) = Store::open(&dir, config).unwrap();
-        assert_eq!(recovery.ops, ops);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn torn_tail_recovers_the_prefix() {
         let dir = tempdir("torn");
         let ops = vec![Op::Put(entry(1, 10)), Op::Put(entry(2, 20)), Op::Put(entry(3, 30))];
-        let path = {
+        {
             let (mut store, _) = Store::open(&dir, StoreConfig::default()).unwrap();
             for op in &ops {
                 store.append(op).unwrap();
             }
-            store.segment_paths().unwrap()[0].clone()
-        };
+        }
+        let path = dir.join(LOG_FILE);
         // Cut the file mid-way through the third record.
         let full = fs::metadata(&path).unwrap().len();
         OpenOptions::new().write(true).open(&path).unwrap().set_len(full - 20).unwrap();
@@ -691,13 +526,13 @@ mod tests {
     fn checksum_flip_drops_the_record_and_the_tail() {
         let dir = tempdir("flip");
         let ops = vec![Op::Put(entry(1, 10)), Op::Put(entry(2, 20)), Op::Put(entry(3, 30))];
-        let path = {
+        {
             let (mut store, _) = Store::open(&dir, StoreConfig::default()).unwrap();
             for op in &ops {
                 store.append(op).unwrap();
             }
-            store.segment_paths().unwrap()[0].clone()
-        };
+        }
+        let path = dir.join(LOG_FILE);
         // Flip one bit inside the second record's body.
         let mut buf = fs::read(&path).unwrap();
         let offset = HEADER_LEN + PUT_RECORD_LEN as usize + 10;
@@ -710,40 +545,9 @@ mod tests {
     }
 
     #[test]
-    fn corruption_in_a_middle_segment_drops_later_segments() {
-        let dir = tempdir("midseg");
-        let config = StoreConfig {
-            segment_max_bytes: HEADER_LEN as u64 + 2 * PUT_RECORD_LEN,
-            ..StoreConfig::default()
-        };
-        let ops: Vec<Op> = (0..6).map(|i| Op::Put(entry(i, i as u64))).collect();
-        let paths = {
-            let (mut store, _) = Store::open(&dir, config).unwrap();
-            for op in &ops {
-                store.append(op).unwrap();
-            }
-            store.segment_paths().unwrap()
-        };
-        assert_eq!(paths.len(), 3);
-        let mut buf = fs::read(&paths[1]).unwrap();
-        let len = buf.len();
-        buf[len - 1] ^= 0x01;
-        fs::write(&paths[1], &buf).unwrap();
-        let (store, recovery) = Store::open(&dir, config).unwrap();
-        // Segment 0 fully, segment 1's first record, segment 2 deleted.
-        assert_eq!(recovery.ops, ops[..3]);
-        assert_eq!(recovery.segments_dropped, 1);
-        assert_eq!(store.segment_paths().unwrap().len(), 2);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn compaction_drops_superseded_and_evicted_keys() {
         let dir = tempdir("compact");
-        let config = StoreConfig {
-            segment_max_bytes: HEADER_LEN as u64 + 3 * PUT_RECORD_LEN,
-            ..StoreConfig::default()
-        };
+        let config = StoreConfig::default();
         let (mut store, _) = Store::open(&dir, config).unwrap();
         for i in 0..4u128 {
             store.append(&Op::Put(entry(i, 1))).unwrap();
@@ -752,10 +556,12 @@ mod tests {
             store.append(&Op::Put(entry(i, 2))).unwrap();
         }
         store.append(&Op::Evict(0)).unwrap();
-        let stats = store.compact().unwrap();
-        assert_eq!(stats.live_entries, 3);
-        assert!(stats.bytes_after < stats.bytes_before);
-        assert_eq!(store.segment_paths().unwrap().len(), 1);
+        let bytes_before = store.bytes();
+        store.compact().unwrap();
+        assert_eq!(store.live_entries(), 3);
+        assert!(store.bytes() < bytes_before);
+        assert_eq!(store.bytes(), store.live_bytes());
+        assert_eq!(files_in(&dir), 1);
         // Compacted state must replay identically.
         store.append(&Op::Put(entry(9, 9))).unwrap();
         drop(store);
@@ -771,7 +577,6 @@ mod tests {
     fn append_triggers_compaction_when_the_live_fraction_drops() {
         let dir = tempdir("autocompact");
         let config = StoreConfig {
-            segment_max_bytes: 4 << 20,
             compact_min_bytes: HEADER_LEN as u64 + 8 * PUT_RECORD_LEN,
             compact_live_ratio: 0.5,
         };
@@ -783,17 +588,20 @@ mod tests {
         }
         assert!(store.compactions() >= 1, "auto-compaction never fired");
         assert_eq!(store.live_entries(), 1);
-        assert_eq!(store.segment_paths().unwrap().len(), 1);
+        assert_eq!(files_in(&dir), 1);
         assert!(
             store.bytes() < config.compact_min_bytes,
             "compacted log holds one live record, got {} bytes",
             store.bytes()
         );
-        // The compacted state replays the surviving entry.
+        // A manual pass on top, then a reopen: still one file, and the
+        // compacted state replays the surviving entry.
+        store.compact().unwrap();
         drop(store);
         let (store, recovery) = Store::open(&dir, config).unwrap();
         assert_eq!(recovery.live_entries(), vec![entry(1, 15)]);
         assert_eq!(store.live_entries(), 1, "recovery reseeds the live set");
+        assert_eq!(files_in(&dir), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -815,8 +623,8 @@ mod tests {
         let dir = tempdir("tmp");
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join("seg-0000000000000007.log.tmp"), b"half a compaction").unwrap();
-        let (store, _) = Store::open(&dir, StoreConfig::default()).unwrap();
-        assert_eq!(store.segment_paths().unwrap().len(), 1);
+        let (_store, _) = Store::open(&dir, StoreConfig::default()).unwrap();
+        assert_eq!(files_in(&dir), 1);
         assert!(!dir.join("seg-0000000000000007.log.tmp").exists());
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -828,7 +636,7 @@ mod tests {
             let (mut store, _) = Store::open(&dir, StoreConfig::default()).unwrap();
             store.append(&Op::Put(entry(1, 1))).unwrap();
         }
-        let path = list_segments(&dir).unwrap()[0].1.clone();
+        let path = dir.join(LOG_FILE);
         let mut buf = fs::read(&path).unwrap();
         buf[0] ^= 0xff;
         fs::write(&path, &buf).unwrap();

@@ -180,16 +180,6 @@ impl FatTreeMeta {
         let half = self.half;
         (0..half).map(move |s| self.host(p, e, s))
     }
-
-    /// Number of network nodes that can fail and affect routing:
-    /// everything from hosts up through border switches.
-    pub fn num_network_nodes(&self) -> usize {
-        (self.half * self.half            // core
-            + 2 * self.host_pods * self.half // agg + edge
-            + self.half) as usize         // border
-            + self.num_hosts()
-            + 1 // external
-    }
 }
 
 fn build_fat_tree(params: FatTreeParams) -> Topology {

@@ -91,7 +91,10 @@ echo "== retired names gate =="
 # replaced and the `serve` flag no caller passed. And the frame that
 # ranked candidate plans for a client that never came (`recloud compare`
 # ranks them in process), with the per-connection job check the reactor
-# swept for replies before worker frames came back on one queue.
+# swept for replies before worker frames came back on one queue. And the
+# store's segment rotation — the store is one log file — with what only
+# several segments needed, and public API nothing called: the RAII span
+# timer, the journal's by-name record and bulk export, and three getters.
 RETIRED='StatsResponse|SearchPlacement|set_batched|Word64|JobFrame|RCW1'
 RETIRED="$RETIRED|begin_wide_keyed|border_of|border_ok_wide|pod_ext_wide|memo_row|name_cone|recheck_base"
 RETIRED="$RETIRED|eval_word|eval_node_word|eval_matrix"
@@ -112,6 +115,9 @@ RETIRED="$RETIRED|CacheSync|CacheSegment|cache_sync|pull_from_peer|MAX_SYNC_ENTR
 RETIRED="$RETIRED|sync_served_total|compaction_tick|compact_held_since|compact_after|compact-after-ms"
 RETIRED="$RETIRED|--poller"
 RETIRED="$RETIRED|ComparePlans|CompareRequest|CompareResponse|CompareEntry|MAX_PLANS|has_job"
+RETIRED="$RETIRED|segment_max_bytes|segment_paths|segments_dropped|segments_removed|CompactStats"
+RETIRED="$RETIRED|parse_segment_id|list_segments|segment_file_name|sealed_bytes"
+RETIRED="$RETIRED|SpanGuard|record_named|export_json_lines|chunks_fed|workload_mut|num_network_nodes"
 if grep -rnE "$RETIRED" crates/ src/ tests/ examples/ \
     | grep -vE '^crates/server/src/(protocol/tests\.rs|frame_table\.md):.*(SearchPlacement|CacheSync|CacheSegment|ComparePlans)'; then
   echo "retired names gate: a retired name is back (see above)"; exit 1

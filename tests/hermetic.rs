@@ -125,7 +125,9 @@ fn server_crate_is_present_and_path_only() {
 fn store_crate_is_present_and_path_only() {
     // The durable result store is the crate most tempted by serialization
     // and checksum deps (serde, crc32fast, bincode); pin that it exists
-    // and leans only on the in-repo `recloud::wire` codec.
+    // and leans only on the in-repo `recloud_sampling::wire` codec — the
+    // foundation crate is its one dependency, not the `recloud` façade
+    // and the whole pipeline behind it.
     let manifests = workspace_manifests();
     let store = manifests
         .iter()
@@ -133,7 +135,8 @@ fn store_crate_is_present_and_path_only() {
         .expect("crates/store/Cargo.toml must exist");
     let text = std::fs::read_to_string(store).unwrap();
     let entries = dependency_entries(&text);
-    assert!(!entries.is_empty(), "store manifest declares no dependencies?");
+    let names: Vec<&str> = entries.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ["recloud-sampling"], "recloud-store depends on more than the foundation");
     for (name, value) in entries {
         assert!(
             is_hermetic_dependency(&value),

@@ -1,16 +1,17 @@
 //! Property-based tests over core data structures and cross-crate
-//! invariants, running on the in-repo harness ([`recloud::proptest`]) —
-//! no external `proptest` crate, so the suite builds fully offline.
+//! invariants, running on the in-repo harness
+//! ([`recloud_sampling::proptest`]) — no external `proptest` crate, so the
+//! suite builds fully offline.
 //!
 //! Each `forall` checks its property over many random cases; on failure
 //! the runner prints a `RECLOUD_PROPTEST_REPLAY=<seed>` line that re-runs
 //! exactly the failing case.
 
 use recloud::prelude::*;
-use recloud::proptest::forall;
 use recloud::routing::{FatTreeRouter, GenericRouter, Router, UpDownRouter};
 use recloud::sampling::BitMatrix;
-use recloud::{prop_assert, prop_assert_eq, prop_assume};
+use recloud_sampling::proptest::forall;
+use recloud_sampling::{prop_assert, prop_assert_eq, prop_assume};
 
 /// BitMatrix set/get/count algebra over arbitrary shapes.
 #[test]
