@@ -5,13 +5,13 @@
 //! master node then gathers the results from each worker node to compute
 //! the overall reliability score."
 //!
-//! This engine reproduces that structure in-process: the master queues one
-//! [`ChunkTask`] per chunk, workers — threads sharing the plan by
-//! reference — build their own assessment context (sampler, state
-//! matrices, router — the §4.2.4 "context setup"), run the chunks, and
-//! answer with `(chunk, rounds, successes, timings)` results that the
-//! master reduces. Tasks and results cross in-repo MPMC channels
-//! ([`recloud_sampling::sync`]) as typed values: the paper's
+//! This engine reproduces that structure in-process: the master lays out
+//! one [`ChunkTask`] per chunk, workers — scoped threads sharing the plan
+//! by reference — build their own assessment context (sampler, state
+//! matrices, router — the §4.2.4 "context setup"), claim chunks through
+//! one atomic index, run them, and answer with `(chunk, rounds,
+//! successes, timings)` results on an `mpsc` channel that the master
+//! reduces. Results cross as typed values: the paper's
 //! "serialization/transmission/deserialization" cost belongs to a
 //! network this engine does not have, and modelling it with a byte codec
 //! measured 131 ns per chunk against chunks of 0.1–10 ms (EXPERIMENTS.md,
@@ -27,9 +27,11 @@ use crate::check::StructureChecker;
 use crate::driver::{AssessmentDriver, ChunkTask};
 use recloud_apps::{ApplicationSpec, DeploymentPlan};
 use recloud_faults::FaultModel;
-use recloud_sampling::sync::{channel, scoped_workers};
 use recloud_sampling::ResultAccumulator;
 use recloud_topology::Topology;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
+use std::thread;
 use std::time::Instant;
 
 /// Master/worker assessment engine.
@@ -98,28 +100,31 @@ impl ParallelAssessor {
         // its task hand-out becomes the fan-out.
         let layout = Assessor::layout(self.chunk_rounds, rounds);
         let mut driver = AssessmentDriver::new(layout, seed, None);
+        let tasks: Vec<ChunkTask> = std::iter::from_fn(|| driver.next_task()).collect();
+        let (tasks, next) = (&tasks, &AtomicUsize::new(0));
 
-        let (task_tx, task_rx) = channel::<ChunkTask>();
-        let (result_tx, result_rx) = channel::<(u32, u64, u64, Timings)>();
-        while let Some(task) = driver.next_task() {
-            task_tx.send(task).expect("task channel open");
-        }
-        drop(task_tx); // workers drain until empty
-        scoped_workers(self.workers, |_worker_id| {
-            // One engine per worker: its router is built once here and
-            // its table slot on the first chunk, both reused for every
-            // chunk the worker drains, so steady-state workers allocate
-            // nothing. The model clone copies the probabilities only; the
-            // trees are the master's, shared.
-            let mut engine = Assessor::with_sampler(&self.topology, self.model.clone(), self.kind);
-            engine.set_width(self.width);
-            let mut checker = StructureChecker::new(spec, plan);
-            while let Ok(task) = task_rx.recv() {
-                let mut local = ResultAccumulator::new();
-                let t = engine.run_chunk(&mut checker, task.seed, task.rounds, &mut local);
-                result_tx
-                    .send((task.chunk, local.rounds(), local.successes(), t))
-                    .expect("result channel open");
+        let (result_tx, result_rx) = mpsc::channel::<(u32, u64, u64, Timings)>();
+        thread::scope(|scope| {
+            for _ in 0..self.workers {
+                let result_tx = result_tx.clone();
+                scope.spawn(move || {
+                    // One engine per worker: its router is built once here
+                    // and its table slot on the first chunk, both reused for
+                    // every chunk the worker claims, so steady-state workers
+                    // allocate nothing. The model clone copies the
+                    // probabilities only; the trees are the master's, shared.
+                    let mut engine =
+                        Assessor::with_sampler(&self.topology, self.model.clone(), self.kind);
+                    engine.set_width(self.width);
+                    let mut checker = StructureChecker::new(spec, plan);
+                    while let Some(task) = tasks.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let mut local = ResultAccumulator::new();
+                        let t = engine.run_chunk(&mut checker, task.seed, task.rounds, &mut local);
+                        result_tx
+                            .send((task.chunk, local.rounds(), local.successes(), t))
+                            .expect("result channel open");
+                    }
+                });
             }
         });
         drop(result_tx);

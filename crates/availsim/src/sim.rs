@@ -36,14 +36,6 @@ pub struct SimParams {
     pub seed: u64,
 }
 
-impl SimParams {
-    /// One century of simulated operation — enough for stable statistics
-    /// at ~1% component unavailability.
-    pub fn default_horizon(seed: u64) -> Self {
-        SimParams { horizon_hours: 100.0 * 8766.0, seed }
-    }
-}
-
 /// Heap key: next transition time (finite, total-ordered).
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct Time(f64);

@@ -133,14 +133,6 @@ impl ReliabilityEstimate {
     }
 }
 
-/// Converts an acceptable annual downtime (hours) into the desired
-/// reliability score `R_desired` (§2.2 offers this as the developer-facing
-/// alternative to specifying R directly).
-pub fn downtime_to_reliability(hours_per_year: f64) -> f64 {
-    assert!(hours_per_year >= 0.0, "downtime cannot be negative");
-    (1.0 - hours_per_year / (365.25 * 24.0)).max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,9 +236,6 @@ mod tests {
         assert!((est.annual_downtime_hours() - 33.3).abs() < 0.1);
         let est = ReliabilityEstimate { score: 0.9997, variance: 0.0, rounds: 1, successes: 1 };
         assert!((est.annual_downtime_hours() - 2.63).abs() < 0.05);
-        // And the inverse direction.
-        let r = downtime_to_reliability(33.3);
-        assert!((r - 0.9962).abs() < 1e-4);
     }
 
     #[test]

@@ -30,8 +30,6 @@
 //! also hosts the hermetic-build substrates that replaced the former
 //! external crates:
 //!
-//! * [`sync`] — MPMC unbounded channel + scoped worker pool (was
-//!   `crossbeam::channel`);
 //! * [`wire`] — `Bytes`/`ByteWriter`/`ByteReader` byte buffers (was
 //!   `bytes`);
 //! * [`proptest`] — a seeded `forall` property-test runner (was the
@@ -44,7 +42,6 @@ pub mod montecarlo;
 pub mod proptest;
 pub mod rng;
 pub mod state;
-pub mod sync;
 #[doc(hidden)]
 pub mod testing;
 pub mod wide;

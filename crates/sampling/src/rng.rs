@@ -41,14 +41,6 @@ impl Rng {
         Rng { s, spare_normal: None }
     }
 
-    /// Derives an independent child generator; used to give each parallel
-    /// worker its own stream without correlation.
-    pub fn fork(&mut self, label: u64) -> Rng {
-        // Mix a label into a fresh seed drawn from this stream so that
-        // fork(0) and fork(1) differ even when called at the same state.
-        Rng::new(self.next_u64() ^ label.wrapping_mul(0xA24B_AED4_963E_E407))
-    }
-
     /// Next uniform 64-bit value.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -95,14 +87,6 @@ impl Rng {
     /// Normal deviate with the given mean and standard deviation.
     pub fn next_normal_with(&mut self, mean: f64, std_dev: f64) -> f64 {
         mean + std_dev * self.next_normal()
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.next_below(i + 1);
-            xs.swap(i, j);
-        }
     }
 
     /// Samples `n` distinct indices from `0..pool` (partial Fisher–Yates on
@@ -250,26 +234,6 @@ mod tests {
         let mut s = rng.sample_distinct(10, 10);
         s.sort_unstable();
         assert_eq!(s, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn forked_streams_are_uncorrelated() {
-        let mut root = Rng::new(100);
-        let mut a = root.fork(0);
-        let mut b = root.fork(1);
-        let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert_eq!(same, 0);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = Rng::new(2);
-        let mut xs: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(xs, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Population-based parallel annealing.
 //!
-//! N annealing chains run concurrently over the
-//! [`recloud_sampling::sync`] worker substrate. Each chain is a full
+//! N annealing chains run concurrently, one scoped thread each beside a
+//! coordinator thread, talking over `mpsc` channels. Each chain is a full
 //! §3.3.1 search with its own assessment engine (the symmetry check of
 //! Step 3 prunes per-candidate cost inside every chain independently)
 //! and a SplitMix64-derived seed stream; every chain assesses against
@@ -38,9 +38,9 @@ use recloud_apps::{ApplicationSpec, WorkloadMap};
 use recloud_assess::{Assessor, SamplerKind};
 use recloud_faults::FaultModel;
 use recloud_sampling::derive_seed;
-use recloud_sampling::sync::{channel, scoped_workers, Receiver, Sender};
 use recloud_topology::Topology;
-use std::sync::Mutex;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::thread;
 use std::time::{Duration, Instant};
 
 /// Knobs of the parallel population search.
@@ -228,62 +228,63 @@ impl<'a> ParallelSearcher<'a> {
         // must be comparable at exchange boundaries.
         let crn_seed = config.base.table_seed();
 
-        let (to_coord_tx, to_coord_rx) = channel::<ToCoord>();
-        let replies: Vec<(Sender<BestReport>, Receiver<BestReport>)> =
-            (0..chains).map(|_| channel()).collect();
-        let runs: Vec<Mutex<Option<ChainResult>>> = (0..chains).map(|_| Mutex::new(None)).collect();
-
-        // Worker 0 coordinates; workers 1..=chains anneal.
-        scoped_workers(chains + 1, |worker| {
-            if worker == 0 {
-                coordinate(chains, &to_coord_rx, &replies);
-            } else {
-                let chain = worker - 1;
-                let done = DoneGuard { chain, tx: to_coord_tx.clone() };
-                let mut cfg = config.base.clone();
-                cfg.seed = chain_seed(config.base.seed, chain);
-                cfg.crn_seed = Some(crn_seed);
-                let mut driver = ChainDriver {
-                    chain,
-                    exchange_every: config.exchange_every,
-                    to_coord: to_coord_tx.clone(),
-                    from_coord: replies[chain].1.clone(),
-                    on_event,
-                };
-                let mut assessor =
-                    Assessor::with_sampler(self.topology, self.model.clone(), self.kind);
-                let mut run = Searcher::new(&mut assessor).run_chain(
-                    spec,
-                    objective,
-                    &cfg,
-                    workload,
-                    &mut driver,
-                );
-                // Leave the rendezvous first: a sibling still at a
-                // boundary must not wait for this chain's validation.
-                drop(done);
-                let validated = holdout::validate(
-                    &mut assessor,
-                    spec,
-                    objective,
-                    cfg.rounds,
-                    crn_seed,
-                    std::mem::take(&mut run.candidates),
-                );
-                let engine = (chain == 0).then_some(assessor);
-                *runs[chain].lock().expect("a chain panicked while storing its run") =
-                    Some(ChainResult { run, validated, engine });
-            }
+        let results: Vec<ChainResult> = thread::scope(|scope| {
+            let (to_coord, from_chains) = mpsc::channel::<ToCoord>();
+            let mut replies = Vec::with_capacity(chains);
+            let handles: Vec<_> = (0..chains)
+                .map(|chain| {
+                    let (reply, from_coord) = mpsc::channel();
+                    replies.push(reply);
+                    let to_coord = to_coord.clone();
+                    scope.spawn(move || {
+                        let done = DoneGuard { chain, tx: to_coord.clone() };
+                        let mut cfg = config.base.clone();
+                        cfg.seed = chain_seed(config.base.seed, chain);
+                        cfg.crn_seed = Some(crn_seed);
+                        let mut driver = ChainDriver {
+                            chain,
+                            exchange_every: config.exchange_every,
+                            to_coord,
+                            from_coord,
+                            on_event,
+                        };
+                        let mut assessor =
+                            Assessor::with_sampler(self.topology, self.model.clone(), self.kind);
+                        let mut run = Searcher::new(&mut assessor).run_chain(
+                            spec,
+                            objective,
+                            &cfg,
+                            workload,
+                            &mut driver,
+                        );
+                        // Leave the rendezvous first: a sibling still at a
+                        // boundary must not wait for this chain's validation.
+                        drop(done);
+                        let validated = holdout::validate(
+                            &mut assessor,
+                            spec,
+                            objective,
+                            cfg.rounds,
+                            crn_seed,
+                            std::mem::take(&mut run.candidates),
+                        );
+                        let engine = (chain == 0).then_some(assessor);
+                        ChainResult { run, validated, engine }
+                    })
+                })
+                .collect();
+            drop(to_coord);
+            scope.spawn(move || coordinate(chains, &from_chains, &replies));
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                .collect()
         });
 
         let mut per = Vec::with_capacity(chains);
         let mut lists = Vec::with_capacity(chains);
         let mut assessor = None;
-        for slot in runs {
-            let ChainResult { run, validated, engine } = slot
-                .into_inner()
-                .expect("a chain panicked while storing its run")
-                .expect("every chain stores its run");
+        for ChainResult { run, validated, engine } in results {
             per.push(run);
             lists.push(validated);
             assessor = assessor.or(engine);
@@ -326,11 +327,7 @@ fn chain_seed(master: u64, chain: usize) -> u64 {
 /// answers every reporter. Replies depend only on the reported plans —
 /// never on arrival order — which is what makes the exchange
 /// deterministic.
-fn coordinate(
-    chains: usize,
-    rx: &Receiver<ToCoord>,
-    replies: &[(Sender<BestReport>, Receiver<BestReport>)],
-) {
+fn coordinate(chains: usize, rx: &Receiver<ToCoord>, replies: &[Sender<BestReport>]) {
     let mut active = vec![true; chains];
     let mut pending: Vec<Option<BestReport>> = (0..chains).map(|_| None).collect();
     let mut global: Option<BestReport> = None;
@@ -358,7 +355,7 @@ fn coordinate(
         for (chain, slot) in pending.iter_mut().enumerate() {
             if slot.take().is_some() {
                 let best = global.clone().expect("at least this chain reported");
-                let _ = replies[chain].0.send(best);
+                let _ = replies[chain].send(best);
             }
         }
     }

@@ -12,9 +12,9 @@ use crate::protocol::{
 use crate::server::{Job, JobKind, Server, ServerInstruments};
 use recloud_assess::assessment_key;
 use recloud_obs::{trace, SpanCtx, SpanRecord};
-use recloud_sampling::sync::Sender;
 use std::rc::Rc;
 use std::sync::atomic::AtomicBool;
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Instant;
 

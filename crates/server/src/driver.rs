@@ -7,11 +7,11 @@ use crate::conn::Conn;
 use crate::dispatch::Dispatch;
 use crate::reactor::{raw_fd, Poller};
 use crate::server::{Completion, Job, Server};
-use recloud_sampling::sync::{Receiver, Sender};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{Receiver, Sender};
 use std::time::{Duration, Instant};
 
 /// Poller tokens: the listening socket, the waker's read end, and the

@@ -31,8 +31,8 @@
 //!   load generator and the CI smoke sequence.
 //!
 //! Everything is `std`-only, like the rest of the workspace: threads are
-//! scoped `std::thread`, channels come from `recloud_sampling::sync`, and no
-//! external crate is involved anywhere.
+//! scoped `std::thread`, channels are `std::sync::mpsc`, and no external
+//! crate is involved anywhere.
 
 mod admission;
 pub mod cache;

@@ -19,8 +19,8 @@
 use crate::client::Client;
 use crate::protocol::{AssessRequest, Preset, MAX_ROUNDS};
 use recloud_sampling::derive_seed;
-use recloud_sampling::sync;
 use std::io;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// What to throw at the server.
@@ -118,7 +118,7 @@ pub fn first_hosts(preset: Preset, n: usize) -> Vec<u32> {
 pub fn run_load(config: &LoadgenConfig) -> io::Result<LoadReport> {
     let hosts = first_hosts(config.preset, 3);
     let per_conn = config.requests.div_ceil(config.connections.max(1));
-    let (result_tx, result_rx) = sync::channel::<(u64, u64, u64, u64, u64, Vec<u64>)>();
+    let (result_tx, result_rx) = mpsc::channel::<(u64, u64, u64, u64, u64, Vec<u64>)>();
     let started = Instant::now();
     std::thread::scope(|scope| -> io::Result<()> {
         for conn in 0..config.connections.max(1) {

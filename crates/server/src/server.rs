@@ -11,7 +11,7 @@
 //!                 └─────────────────────────────────────────────────────┘
 //!        │ admission (tenant budget, then queue depth < capacity)
 //!        ▼
-//!   bounded MPMC job queue (recloud_sampling::sync::channel + atomic depth)
+//!   bounded job queue (one shared mpsc receiver + atomic depth)
 //!        │                          ▲ completion queue of (token, frame)
 //!        ▼                          │ + reactor waker
 //!   worker pool (scoped): EnginePool per worker ─────┘
@@ -39,11 +39,11 @@ use crate::reactor::{PollerKind, Waker};
 use recloud_apps::{ApplicationSpec, DeploymentPlan};
 use recloud_assess::PartialEstimate;
 use recloud_obs::{trace, Counter, Gauge, Histogram, KindId, Registry, SpanCtx};
-use recloud_sampling::sync::{self, Receiver, Sender};
 use recloud_store::{Entry as StoreEntry, Op as StoreOp, Store, StoreConfig};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
 /// Tunables of one server instance.
@@ -365,17 +365,20 @@ impl Server {
     /// this returns. Thread count is `workers + 1`, independent of how
     /// many connections attach.
     pub fn run(&self) -> ServeSummary {
-        let (job_tx, job_rx) = sync::channel::<Job>();
-        let (done_tx, done_rx) = sync::channel::<Completion>();
+        let (job_tx, job_rx) = mpsc::channel::<Job>();
+        let (done_tx, done_rx) = mpsc::channel::<Completion>();
+        // The workers share one receiver; it drops with the last of them,
+        // so a send to a pool that is gone fails instead of queueing.
+        let job_rx = Arc::new(Mutex::new(job_rx));
         std::thread::scope(|scope| {
             for _ in 0..self.config.workers {
-                let (jobs, done) = (job_rx.clone(), done_tx.clone());
-                scope.spawn(move || self.worker_loop(jobs, done));
+                let (jobs, done) = (Arc::clone(&job_rx), done_tx.clone());
+                scope.spawn(move || self.worker_loop(&jobs, done));
             }
             drop((job_rx, done_tx));
             Driver::new(self, job_tx, done_rx).run();
-            // Driver drop released the last job sender → workers drain
-            // the queue and exit; the scope joins them.
+            // Driver drop released the job sender → workers drain the
+            // queue and exit; the scope joins them.
         });
         self.summary()
     }
@@ -425,9 +428,12 @@ impl Server {
         MetricsResponse { snapshot, events }
     }
 
-    fn worker_loop(&self, jobs: Receiver<Job>, done: Sender<Completion>) {
+    fn worker_loop(&self, jobs: &Mutex<Receiver<Job>>, done: Sender<Completion>) {
         let mut pool = EnginePool::new();
-        while let Ok(job) = jobs.recv() {
+        loop {
+            // A statement of its own, so the guard drops before the job
+            // runs: held across it, the workers would run one at a time.
+            let Ok(job) = jobs.lock().unwrap().recv() else { break };
             self.dequeued();
             let reply = Reply { conn: job.conn, done: &done, waker: &self.waker, finished: false };
             // A traced job: close its queue.wait span and run the work
@@ -599,7 +605,7 @@ mod tests {
     #[test]
     fn a_dropped_reply_answers_internal_once_and_a_finished_one_nothing_more() {
         let waker = Waker::new().unwrap();
-        let (done, completions) = sync::channel();
+        let (done, completions) = mpsc::channel();
         let partial = PartialResponse { rounds_done: 1, rounds_total: 2, score: 0.5, ciw: 0.1 };
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let reply = Reply { conn: 7, done: &done, waker: &waker, finished: false };

@@ -1,9 +1,9 @@
 //! End-to-end tests for the durable result store: a daemon restarted with
 //! `--store` must answer previously-assessed plans from the replayed cache
-//! without touching the worker pool and survive a torn tail on its active
-//! segment.
+//! without touching the worker pool and survive a torn tail on its log.
 
-use recloud_server::protocol::{AssessRequest, Preset};
+use recloud_server::loadgen::first_hosts;
+use recloud_server::protocol::{AssessRequest, Preset, MAX_ROUNDS};
 use recloud_server::{Client, Server, ServerConfig};
 use std::net::SocketAddr;
 use std::ops::ControlFlow;
@@ -122,10 +122,17 @@ fn cancelled_streams_never_reach_the_store() {
 
     let daemon = start(config.clone());
     let mut client = Client::connect(daemon.addr).unwrap();
-    let long = AssessRequest { rounds: 200_000, ..request(41) };
+    // The drive must outlast the cancel's round trip by orders of
+    // magnitude, or the cancel can land after the last chunk.
+    let long = AssessRequest {
+        preset: Preset::Medium,
+        rounds: MAX_ROUNDS,
+        assignments: vec![first_hosts(Preset::Medium, 3)],
+        ..request(41)
+    };
     let (partial, stopped) = client.assess_streaming(long, 1, |_| ControlFlow::Break(())).unwrap();
     assert!(stopped, "callback break must cancel the stream");
-    assert!(partial.rounds < 200_000, "cancelled stream ends early");
+    assert!(partial.rounds < u64::from(MAX_ROUNDS), "cancelled stream ends early");
     let m = client.metrics(0).unwrap();
     assert_eq!(m.snapshot.counter("store.appended_total"), Some(0));
     stop(daemon, &mut client);

@@ -6,11 +6,13 @@
 //! stream never populates the result cache under the full-rounds key.
 
 use recloud_server::engine::{build_plan, stream_search_config};
-use recloud_server::protocol::{AssessRequest, Preset, Response, SearchRequest};
+use recloud_server::loadgen::first_hosts;
+use recloud_server::protocol::{AssessRequest, Preset, Response, SearchRequest, MAX_ROUNDS};
 use recloud_server::{Client, Server, ServerConfig};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::ops::ControlFlow;
+use std::sync::mpsc;
 use std::thread::JoinHandle;
 
 struct Daemon {
@@ -31,9 +33,16 @@ fn stop(daemon: Daemon, client: &mut Client) -> recloud_server::ServeSummary {
 }
 
 fn tiny_request(rounds: u32, seed: u64) -> AssessRequest {
-    let t = Preset::Tiny.scale().build();
-    let hosts = t.hosts()[..3].iter().map(|h| h.index() as u32).collect();
+    let hosts = first_hosts(Preset::Tiny, 3);
     AssessRequest { preset: Preset::Tiny, rounds, seed, k: 2, n: 3, assignments: vec![hosts] }
+}
+
+/// A stream whose drive outlasts a cancel's round trip by orders of
+/// magnitude: a cancel sent on its first partial always lands mid-drive.
+fn long_request(seed: u64) -> AssessRequest {
+    let hosts = first_hosts(Preset::Medium, 3);
+    let rounds = MAX_ROUNDS;
+    AssessRequest { preset: Preset::Medium, rounds, seed, k: 2, n: 3, assignments: vec![hosts] }
 }
 
 /// Acceptance criterion: a run-to-completion stream emits monotonically
@@ -93,7 +102,8 @@ fn early_stop_cancels_work_and_never_poisons_the_cache() {
     let daemon = start(ServerConfig { workers: 1, ..ServerConfig::default() });
     let mut client = Client::connect(daemon.addr).unwrap();
 
-    let request = tiny_request(200_000, 77);
+    let request = long_request(77);
+    let requested = u64::from(request.rounds);
     let mut partials = 0u64;
     let (cut, stopped) = client
         .assess_streaming(request.clone(), 1, |p| {
@@ -108,7 +118,7 @@ fn early_stop_cancels_work_and_never_poisons_the_cache() {
     assert!(stopped, "the loose 0.05 CIW target is reached almost immediately");
     assert!(partials >= 1);
     assert!(cut.rounds > 0, "at least one chunk ran");
-    assert!(cut.rounds < 200_000, "cancel saved work: only {} rounds ran", cut.rounds);
+    assert!(cut.rounds < requested, "cancel saved work: only {} rounds ran", cut.rounds);
     assert!(!cut.cached);
 
     // The worker journals the cancel before it sends the final frame,
@@ -121,13 +131,13 @@ fn early_stop_cancels_work_and_never_poisons_the_cache() {
         .find(|e| e.kind == "stream.cancel")
         .expect("journal records the cancel");
     assert_eq!(event.v0, cut.rounds, "journal v0 is the rounds done");
-    assert_eq!(event.v1, 200_000 - cut.rounds, "journal v1 is the rounds saved");
+    assert_eq!(event.v1, requested - cut.rounds, "journal v1 is the rounds saved");
 
     // The poison check: the same full-rounds request must be a cache
     // MISS (the partial result was not stored) and run to completion.
     let full = client.assess(request).unwrap();
     assert!(!full.cached, "early-stopped stream must not populate the cache");
-    assert_eq!(full.rounds, 200_000);
+    assert_eq!(full.rounds, requested);
     assert!(full.successes >= cut.successes);
 
     stop(daemon, &mut client);
@@ -261,4 +271,40 @@ fn stale_cancel_is_a_silent_noop() {
     assert_eq!(client.ping(99).unwrap(), 99);
 
     stop(daemon, &mut client);
+}
+
+/// Two workers drive two jobs at once: while connection A's long stream
+/// is still driving, connection B's stream delivers its first partial,
+/// before A's final frame. A pool that ran its jobs one at a time would
+/// finish A before it started B.
+#[test]
+fn two_workers_drive_two_streams_at_once() {
+    let daemon = start(ServerConfig { workers: 2, ..ServerConfig::default() });
+    let mut a = Client::connect(daemon.addr).unwrap();
+    let mut b = Client::connect(daemon.addr).unwrap();
+    let requested = u64::from(MAX_ROUNDS);
+    let (a_driving, a_first_partial) = mpsc::channel();
+    let (b_delivered, b_first_partial) = mpsc::channel();
+    let ((cut_a, stopped_a), (_, stopped_b)) = std::thread::scope(|scope| {
+        let stream_a = scope.spawn(move || {
+            a.assess_streaming(long_request(61), 1, |_| {
+                // Hold A's cancel until B has delivered a partial.
+                a_driving.send(()).unwrap();
+                b_first_partial.recv().unwrap();
+                ControlFlow::Break(())
+            })
+            .unwrap()
+        });
+        a_first_partial.recv().unwrap();
+        let b_answer = b
+            .assess_streaming(long_request(62), 1, |_| {
+                b_delivered.send(()).unwrap();
+                ControlFlow::Break(())
+            })
+            .unwrap();
+        (stream_a.join().unwrap(), b_answer)
+    });
+    assert!(stopped_a && stopped_b, "both streams were cancelled");
+    assert!(cut_a.rounds < requested, "A was still driving when B's first partial arrived");
+    stop(daemon, &mut b);
 }

@@ -94,8 +94,8 @@ fn every_dependency_is_a_path_dependency() {
     assert!(
         violations.is_empty(),
         "non-path dependencies would break the offline build:\n  {}\nVendor the \
-         functionality into the workspace instead (see crates/sampling/src/{{sync,wire,proptest}}.rs \
-         for how crossbeam, bytes and proptest were replaced).",
+         functionality into the workspace instead (see crates/sampling/src/{{wire,proptest}}.rs \
+         for how bytes and proptest were replaced).",
         violations.join("\n  ")
     );
 }
