@@ -75,25 +75,25 @@ impl DeploymentPlan {
     /// # Panics
     /// Panics if the pool has no unused host.
     pub fn neighbor(&self, pool: &[ComponentId], rng: &mut Rng) -> Self {
-        let total: usize = self.assignments.iter().map(|a| a.len()).sum();
-        let mut target = rng.next_below(total);
-        let used: HashSet<ComponentId> = self.all_hosts().collect();
-        assert!(used.len() < pool.len(), "no unused host available for a neighbor move");
+        let mut next = self.clone();
+        self.neighbor_into(pool, rng, &mut next);
+        next
+    }
+
+    /// [`DeploymentPlan::neighbor`] written over `next` in the memory it
+    /// has: a search step allocates nothing (the few hosts are scanned).
+    pub fn neighbor_into(&self, pool: &[ComponentId], rng: &mut Rng, next: &mut Self) {
+        let total = self.total_instances();
+        let target = rng.next_below(total);
+        assert!(total < pool.len(), "no unused host available for a neighbor move");
         let replacement = loop {
             let cand = pool[rng.next_below(pool.len())];
-            if !used.contains(&cand) {
+            if self.all_hosts().all(|h| h != cand) {
                 break cand;
             }
         };
-        let mut next = self.clone();
-        for comp in &mut next.assignments {
-            if target < comp.len() {
-                comp[target] = replacement;
-                return next;
-            }
-            target -= comp.len();
-        }
-        unreachable!("target index within total instance count");
+        next.assignments.clone_from(&self.assignments);
+        *next.assignments.iter_mut().flatten().nth(target).expect("target < total") = replacement;
     }
 
     /// Hosts of one component's instances.

@@ -7,8 +7,9 @@
 //! observe the estimate *while it converges*. [`AssessmentDriver`] owns
 //! everything those statistics need — the chunk layout, the per-chunk
 //! seed derivation ([`Assessor::chunk_seed`]), the estimator state, and
-//! the per-chunk observability recording — and yields a
-//! [`PartialEstimate`] after every chunk it is fed.
+//! the rounds counter — and yields a [`PartialEstimate`] after every chunk
+//! it is fed. The chunk's stage timings and trace span are the executing
+//! engine's to record ([`Assessor`]).
 //!
 //! Three consumers drive it:
 //!
@@ -26,11 +27,10 @@
 //! driver then reports `is_complete() == false` and its estimate covers
 //! exactly the rounds fed so far.
 
-use crate::assessor::{Assessor, Timings};
-use recloud_obs::{Counter, Histogram, LocalHistogram};
+use crate::assessor::Assessor;
+use recloud_obs::Counter;
 use recloud_sampling::{ReliabilityEstimate, ResultAccumulator};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A snapshot of the running estimate, yielded after every fed chunk.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -64,45 +64,21 @@ pub struct ChunkTask {
     pub rounds: usize,
 }
 
-/// Per-chunk observability handles (process-global `assess.*` names).
-/// The driver records once per *fed chunk*, never per round, so the
-/// recording stays off the bit-sliced hot path — and it batches into
-/// plain local accumulators, flushed into the shared atomics once when
-/// the drive ends ([`AssessmentDriver::flush`], or the driver's drop). The
-/// flushed histogram contents are bit-identical to per-chunk shared
-/// records; only their visibility is deferred to the end of the drive.
+/// The `assess.rounds_total` counter and the rounds fed since it was
+/// last added to: published once when the drive ends
+/// ([`AssessmentDriver::flush`], or the driver's drop).
 struct DriverInstruments {
-    sampling_us: Arc<Histogram>,
-    collapse_us: Arc<Histogram>,
-    check_us: Arc<Histogram>,
     rounds_total: Arc<Counter>,
-    sampling_batch: LocalHistogram,
-    collapse_batch: LocalHistogram,
-    check_batch: LocalHistogram,
     rounds_batch: u64,
 }
 
 impl DriverInstruments {
     fn from_global() -> Self {
-        let registry = recloud_obs::global();
-        DriverInstruments {
-            sampling_us: registry.histogram("assess.sampling_us"),
-            collapse_us: registry.histogram("assess.collapse_us"),
-            check_us: registry.histogram("assess.check_us"),
-            rounds_total: registry.counter("assess.rounds_total"),
-            sampling_batch: LocalHistogram::new(),
-            collapse_batch: LocalHistogram::new(),
-            check_batch: LocalHistogram::new(),
-            rounds_batch: 0,
-        }
+        let rounds_total = recloud_obs::global().counter("assess.rounds_total");
+        DriverInstruments { rounds_total, rounds_batch: 0 }
     }
-}
 
-impl DriverInstruments {
     fn flush(&mut self) {
-        self.sampling_batch.flush_into(&self.sampling_us);
-        self.collapse_batch.flush_into(&self.collapse_us);
-        self.check_batch.flush_into(&self.check_us);
         if self.rounds_batch != 0 {
             self.rounds_total.add(std::mem::take(&mut self.rounds_batch));
         }
@@ -116,7 +92,7 @@ impl Drop for DriverInstruments {
 }
 
 /// Resumable assessment state machine: hand out [`ChunkTask`]s, feed
-/// back per-chunk `(rounds, successes, timings)` results, read a
+/// back per-chunk `(rounds, successes)` results, read a
 /// [`PartialEstimate`] after every feed.
 ///
 /// Task hand-out and result feeding are decoupled on purpose: a serial
@@ -131,7 +107,6 @@ pub struct AssessmentDriver {
     /// Chunks fed back so far.
     fed: usize,
     acc: ResultAccumulator,
-    timings: Timings,
     rounds_total: u64,
     obs: DriverInstruments,
 }
@@ -150,7 +125,6 @@ impl AssessmentDriver {
             next: 0,
             fed: 0,
             acc: ResultAccumulator::new(),
-            timings: Timings::default(),
             rounds_total,
             obs: DriverInstruments::from_global(),
         }
@@ -170,7 +144,6 @@ impl AssessmentDriver {
         (self.master_seed, self.target_ciw) = (master_seed, target_ciw);
         (self.next, self.fed) = (0, 0);
         self.acc = ResultAccumulator::new();
-        self.timings = Timings::default();
         self.rounds_total = rounds as u64;
     }
 
@@ -191,41 +164,10 @@ impl AssessmentDriver {
     /// Feeds one chunk's result back and returns the updated running
     /// estimate. Chunks may arrive in any order; the estimate is a pure
     /// function of the accumulated totals.
-    ///
-    /// Stage histograms record only the stages that actually ran: a chunk
-    /// that found all its rows in the table feeds zero sampling/collapse
-    /// durations and stays out of those histograms.
-    pub fn feed(
-        &mut self,
-        chunk: u32,
-        rounds: u64,
-        successes: u64,
-        timings: &Timings,
-    ) -> PartialEstimate {
+    pub fn feed(&mut self, chunk: u32, rounds: u64, successes: u64) -> PartialEstimate {
         self.acc.push_batch(rounds, successes);
-        self.timings.merge(timings);
         self.fed += 1;
-        if timings.sampling > Duration::ZERO {
-            self.obs.sampling_batch.record(timings.sampling.as_micros() as u64);
-        }
-        if timings.collapse > Duration::ZERO {
-            self.obs.collapse_batch.record(timings.collapse.as_micros() as u64);
-        }
-        self.obs.check_batch.record(timings.check.as_micros() as u64);
         self.obs.rounds_batch += rounds;
-        if let Some(ctx) = recloud_obs::current_span() {
-            let end_us = recloud_obs::trace::now_us();
-            let dur_us = timings.total.as_micros() as u64;
-            recloud_obs::tracer().record(
-                ctx.trace_id,
-                ctx.span,
-                "assess.chunk",
-                end_us.saturating_sub(dur_us),
-                end_us,
-                rounds,
-                chunk as u64,
-            );
-        }
         let estimate = self.acc.estimate();
         let ciw = estimate.ciw95();
         PartialEstimate {
@@ -242,18 +184,6 @@ impl AssessmentDriver {
     /// The running estimate over every chunk fed so far.
     pub fn estimate(&self) -> ReliabilityEstimate {
         self.acc.estimate()
-    }
-
-    /// Merged per-stage timings of every chunk fed so far. `total` is
-    /// whatever [`set_total`](Self::set_total) last stored.
-    pub fn timings(&self) -> Timings {
-        self.timings
-    }
-
-    /// Stores the end-to-end wall clock (chunk `total` sums are CPU time
-    /// across executors; consumers overwrite with their own wall clock).
-    pub fn set_total(&mut self, total: Duration) {
-        self.timings.total = total;
     }
 
     /// Rounds accumulated so far.
@@ -303,14 +233,13 @@ mod tests {
     #[test]
     fn partials_are_monotone_and_match_the_accumulated_totals() {
         let mut d = AssessmentDriver::new(layout(&[100, 100, 50]), 1, None);
-        let t = Timings::default();
-        let p1 = d.feed(0, 100, 90, &t);
+        let p1 = d.feed(0, 100, 90);
         assert_eq!((p1.rounds_done, p1.rounds_total), (100, 250));
         assert!(!p1.stop_hint, "no target armed");
-        let p2 = d.feed(2, 50, 50, &t); // out of order on purpose
+        let p2 = d.feed(2, 50, 50); // out of order on purpose
         assert_eq!(p2.rounds_done, 150);
         assert!(p2.rounds_done > p1.rounds_done);
-        let p3 = d.feed(1, 100, 100, &t);
+        let p3 = d.feed(1, 100, 100);
         assert_eq!(p3.rounds_done, 250);
         assert!(d.is_complete());
         // The running estimate is the plain totals ratio (Eq 1).
@@ -323,15 +252,15 @@ mod tests {
     fn stop_hint_fires_exactly_when_the_target_is_reached() {
         // An all-successes stream has CIW 0 from the first chunk.
         let mut d = AssessmentDriver::new(layout(&[10, 10]), 1, Some(1e-9));
-        let p = d.feed(0, 10, 10, &Timings::default());
+        let p = d.feed(0, 10, 10);
         assert!(p.stop_hint);
         assert!(!d.is_complete(), "stopping early leaves the layout unfinished");
 
         // A mixed stream only reaches a loose target once n is large.
         let mut d = AssessmentDriver::new(layout(&[10, 100_000]), 1, Some(0.01));
-        let p = d.feed(0, 10, 9, &Timings::default());
+        let p = d.feed(0, 10, 9);
         assert!(!p.stop_hint, "10 rounds cannot satisfy a 1e-2 CIW");
-        let p = d.feed(1, 100_000, 90_000, &Timings::default());
+        let p = d.feed(1, 100_000, 90_000);
         assert!(p.stop_hint, "ciw {} <= 0.01", p.ciw);
     }
 
@@ -341,29 +270,12 @@ mod tests {
         let mut fwd = AssessmentDriver::new(layout(&[1000; 8]), 3, None);
         let mut rev = AssessmentDriver::new(layout(&[1000; 8]), 3, None);
         for &(c, r, s) in &chunks {
-            fwd.feed(c, r, s, &Timings::default());
+            fwd.feed(c, r, s);
         }
         for &(c, r, s) in chunks.iter().rev() {
-            rev.feed(c, r, s, &Timings::default());
+            rev.feed(c, r, s);
         }
         assert_eq!(fwd.estimate().score.to_bits(), rev.estimate().score.to_bits());
         assert_eq!(fwd.estimate().variance.to_bits(), rev.estimate().variance.to_bits());
-    }
-
-    #[test]
-    fn timings_merge_and_total_is_caller_owned() {
-        let mut d = AssessmentDriver::new(layout(&[10, 10]), 0, None);
-        let chunk_t = Timings {
-            sampling: Duration::from_micros(5),
-            collapse: Duration::from_micros(3),
-            check: Duration::from_micros(2),
-            total: Duration::from_micros(11),
-        };
-        d.feed(0, 10, 10, &chunk_t);
-        d.feed(1, 10, 10, &chunk_t);
-        assert_eq!(d.timings().sampling, Duration::from_micros(10));
-        assert_eq!(d.timings().check, Duration::from_micros(4));
-        d.set_total(Duration::from_secs(1));
-        assert_eq!(d.timings().total, Duration::from_secs(1));
     }
 }

@@ -10,8 +10,7 @@
 //! by reference — build their own assessment context (sampler, state
 //! matrices, router — the §4.2.4 "context setup"), claim chunks through
 //! one atomic index, run them, and answer with `(chunk, rounds,
-//! successes, timings)` results on an `mpsc` channel that the master
-//! reduces. Results cross as typed values: the paper's
+//! successes)` results on an `mpsc` channel that the master reduces. Results cross as typed values: the paper's
 //! "serialization/transmission/deserialization" cost belongs to a
 //! network this engine does not have, and modelling it with a byte codec
 //! measured 131 ns per chunk against chunks of 0.1–10 ms (EXPERIMENTS.md,
@@ -103,7 +102,7 @@ impl ParallelAssessor {
         let tasks: Vec<ChunkTask> = std::iter::from_fn(|| driver.next_task()).collect();
         let (tasks, next) = (&tasks, &AtomicUsize::new(0));
 
-        let (result_tx, result_rx) = mpsc::channel::<(u32, u64, u64, Timings)>();
+        let (result_tx, result_rx) = mpsc::channel::<(u32, u64, u64)>();
         thread::scope(|scope| {
             for _ in 0..self.workers {
                 let result_tx = result_tx.clone();
@@ -119,9 +118,9 @@ impl ParallelAssessor {
                     let mut checker = StructureChecker::new(spec, plan);
                     while let Some(task) = tasks.get(next.fetch_add(1, Ordering::Relaxed)) {
                         let mut local = ResultAccumulator::new();
-                        let t = engine.run_chunk(&mut checker, task.seed, task.rounds, &mut local);
+                        engine.run_chunk(&mut checker, task.seed, task.rounds, &mut local);
                         result_tx
-                            .send((task.chunk, local.rounds(), local.successes(), t))
+                            .send((task.chunk, local.rounds(), local.successes()))
                             .expect("result channel open");
                     }
                 });
@@ -132,16 +131,14 @@ impl ParallelAssessor {
         // queued; chunk arrival order is irrelevant because the driver's
         // estimate is a pure function of the accumulated totals.
         while !driver.is_complete() {
-            let (chunk, rounds, successes, timings) =
+            let (chunk, rounds, successes) =
                 result_rx.recv().expect("every chunk produces a result");
-            driver.feed(chunk, rounds, successes, &timings);
+            driver.feed(chunk, rounds, successes);
         }
-        // Stage timings are summed CPU time across workers; `total` is the
-        // master's wall clock (what Fig 12 plots).
-        driver.set_total(t0.elapsed());
+        // The master's wall clock (what Fig 12 plots).
         Assessment {
             estimate: driver.estimate(),
-            timings: driver.timings(),
+            timings: Timings { total: t0.elapsed() },
             sampler: self.kind.name(),
         }
     }

@@ -59,13 +59,14 @@
 //!   calls [`FailureTable::invalidate`]. Invalid slots keep their memory:
 //!   all slots of a table are one width, the widest chunk asked of it.
 
+use crate::assessor::StageClock;
 use recloud_faults::{FaultInjector, FaultModel};
 use recloud_routing::TableKey;
 use recloud_sampling::{BitMatrix, Sampler};
 use recloud_topology::ComponentId;
 use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Most slots a table holds: enough that a 100,000-round stream (40
 /// chunks) still has a slot per chunk, few enough that a peer's 10⁶-round
@@ -116,12 +117,10 @@ pub(crate) struct Materialised<'a> {
     pub states: &'a BitMatrix,
     /// The slot and the generation of its rows.
     pub key: TableKey,
-    /// Time spent sampling / collapsing; both zero when nothing was missing.
+    /// Time spent sampling / collapsing: the chunk clock's laps, zero when
+    /// the chunk is not timed and when nothing was missing.
     pub sampling: Duration,
     pub collapse: Duration,
-    /// When collapsing ended — the caller's next stage starts here. The
-    /// instant the call was given when nothing was missing.
-    pub done: Instant,
     /// Rows materialised by this call (component rows + dependency rows).
     pub rows: usize,
 }
@@ -298,15 +297,15 @@ impl FailureTable {
     /// [`FailureTable::key`]). The cone comes in two parts: `base`, the
     /// router's host-independent rows — the same list on every call, so a
     /// slot checks it once per key — and `rows`, what `hosts` add to it;
-    /// `hosts` are remembered as complete. `t0` is when the caller's chunk
-    /// began: sampling is timed from there, and the clock is read again
-    /// only when a row was missing.
+    /// `hosts` are remembered as complete. `clock` is the caller's chunk
+    /// clock: it laps after sampling and after collapsing, and only when a
+    /// row was missing.
     pub fn materialise(
         &mut self,
         index: usize,
         (base, rows, hosts): (&[ComponentId], &[ComponentId], &[ComponentId]),
         src: &RowSource,
-        t0: Instant,
+        clock: &mut StageClock,
     ) -> Materialised<'_> {
         let slot = &mut self.slots[index];
         let key = TableKey { slot: index, generation: slot.generation };
@@ -338,16 +337,10 @@ impl FailureTable {
             slot.cone_valid[h.index() / 64] |= 1 << (h.index() % 64);
         }
         if self.pending.is_empty() {
-            return Materialised {
-                states: &slot.states,
-                key,
-                sampling: Duration::ZERO,
-                collapse: Duration::ZERO,
-                done: t0,
-                rows: 0,
-            };
+            let (sampling, collapse) = (Duration::ZERO, Duration::ZERO);
+            return Materialised { states: &slot.states, key, sampling, collapse, rows: 0 };
         }
-        let sampled = Instant::now();
+        let sampling = clock.lap();
 
         let Slot { states, deps, rounds, .. } = slot;
         for &c in &self.pending {
@@ -358,16 +351,8 @@ impl FailureTable {
                 |e| deps.row_words(src.dep_row(e)),
             );
         }
-        let done = Instant::now();
-        let rows = slot.rows() - before;
-        Materialised {
-            states: &slot.states,
-            key,
-            sampling: sampled - t0,
-            collapse: done - sampled,
-            done,
-            rows,
-        }
+        let (collapse, rows) = (clock.lap(), slot.rows() - before);
+        Materialised { states: &slot.states, key, sampling, collapse, rows }
     }
 
     /// The next call per slot checks every row it is handed again: for a

@@ -9,16 +9,19 @@
 //! Subcommands: `table2`, `fig7` … `fig12`, `ablation-delta`,
 //! `ablation-schedule`, `ablation-symmetry`, `ablation-fault-trees`,
 //! `all` (every one of those, in that order), and `serve-frontier` (not a
-//! paper figure: the connection-count frontier and tenant isolation).
+//! paper figure: the connection-count frontier and tenant isolation), and
+//! `answers` (one digest per benchmark workload shape over its first 64
+//! ops' answers; `scripts/ci.sh` compares it with `crates/bench/answers.txt`).
 //! Flags: `--quick` (small scales/rounds), `--paper-times` (restore the
 //! 3–300 s Figure 9 budgets), `--seed <n>`. Timings live in `benchmark/`.
 
+use recloud_bench::answers;
 use recloud_bench::figures::{self, ReproOptions};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: repro <table2|fig7|fig8|fig9|fig10|fig11|fig12|\
 ablation-delta|ablation-schedule|ablation-symmetry|ablation-fault-trees|\
-serve-frontier|all> [--quick] [--paper-times] [--seed <n>]";
+serve-frontier|answers|all> [--quick] [--paper-times] [--seed <n>]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -62,6 +65,7 @@ fn main() -> ExitCode {
         "ablation-symmetry" => figures::ablation_symmetry(&opts),
         "ablation-fault-trees" => figures::ablation_fault_trees(&opts),
         "serve-frontier" => figures::serve_frontier(&opts),
+        "answers" => answers::answers(opts.seed),
         "all" => {
             figures::table2();
             figures::fig7(&opts);

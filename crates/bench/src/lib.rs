@@ -5,6 +5,7 @@
 //! K-of-N redundancy settings, aligned-table printing and a wall-clock
 //! helper. Performance is measured in `benchmark/`, not here.
 
+pub mod answers;
 pub mod figures;
 
 use recloud_apps::ApplicationSpec;

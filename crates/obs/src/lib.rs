@@ -32,9 +32,7 @@ mod registry;
 pub mod trace;
 
 pub use journal::{Event, Journal, KindId};
-pub use metrics::{
-    bucket_of, bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot, LocalHistogram,
-};
+pub use metrics::{bucket_of, bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{global, MetricsSnapshot, Registry};
 pub use trace::{
     current_span, intern_kind, tracer, with_current_span, SpanCtx, SpanRecord, Tracer,

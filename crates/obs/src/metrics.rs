@@ -161,66 +161,6 @@ impl Histogram {
     }
 }
 
-/// A plain single-threaded histogram accumulator for batching hot-path
-/// records.
-///
-/// Shared [`Histogram`]s cost four atomic RMWs per `record`; a tight
-/// loop (the assessment driver's per-chunk path) records into one of
-/// these instead — plain integer arithmetic, no atomics — and flushes
-/// the whole batch into the shared histogram once, off the hot path.
-/// The flushed result is bit-identical to having recorded each value
-/// directly.
-#[derive(Clone, Debug)]
-pub struct LocalHistogram {
-    buckets: [u64; BUCKETS],
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Default for LocalHistogram {
-    fn default() -> Self {
-        Self { buckets: [0; BUCKETS], count: 0, sum: 0, max: 0 }
-    }
-}
-
-impl LocalHistogram {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one value (plain arithmetic, no atomics).
-    #[inline]
-    pub fn record(&mut self, v: u64) {
-        self.buckets[bucket_of(v)] += 1;
-        self.count += 1;
-        self.sum = self.sum.wrapping_add(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of values accumulated since the last flush.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Adds the whole batch to `target` and resets the accumulator.
-    pub fn flush_into(&mut self, target: &Histogram) {
-        if self.count == 0 {
-            return;
-        }
-        for (b, &c) in self.buckets.iter().enumerate() {
-            if c != 0 {
-                target.buckets[b].fetch_add(c, Ordering::Relaxed);
-            }
-        }
-        target.count.fetch_add(self.count, Ordering::Relaxed);
-        target.sum.fetch_add(self.sum, Ordering::Relaxed);
-        target.max.fetch_max(self.max, Ordering::Relaxed);
-        *self = Self::default();
-    }
-}
-
 /// An owned, immutable view of a [`Histogram`] with quantile readout.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
@@ -407,23 +347,6 @@ mod tests {
         assert_eq!(s.max, 300);
         assert_eq!(s.buckets[bucket_of(3)], 1);
         assert_eq!(s.buckets[bucket_of(300)], 1);
-    }
-
-    #[test]
-    fn local_histogram_flush_matches_direct_records() {
-        let direct = Histogram::new();
-        let batched = Histogram::new();
-        let mut local = LocalHistogram::new();
-        for v in [0u64, 1, 7, 300, 4096, u64::MAX] {
-            direct.record(v);
-            local.record(v);
-        }
-        assert_eq!(local.count(), 6);
-        local.flush_into(&batched);
-        assert_eq!(local.count(), 0, "flush resets the accumulator");
-        assert_eq!(batched.snapshot(), direct.snapshot());
-        local.flush_into(&batched);
-        assert_eq!(batched.snapshot(), direct.snapshot(), "empty flush is a no-op");
     }
 
     #[test]

@@ -212,8 +212,8 @@ impl Tracer {
         }
     }
 
-    /// Records an already-completed span in one call (the driver's
-    /// chunk loop measures first, records after). Returns the span id.
+    /// Records an already-completed span in one call (an engine's timed
+    /// chunk measures first, records after). Returns the span id.
     pub fn record(
         &self,
         trace_id: u64,

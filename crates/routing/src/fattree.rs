@@ -137,8 +137,8 @@ impl Memo {
     /// Pod `pod`'s externally-viable-uplink mask over wide word `wide` of
     /// `states`, kept as wide word `at` of the memo; built on first read
     /// from the pod's agg rows and the word's `border_ok`, itself built on
-    /// first read from the border and core rows. Only rows of the cone of
-    /// a host in `pod` are read, and only when such a host is asked about.
+    /// first read from the border and core rows. It reads only the base cone
+    /// and a `pod` host's cone, and only when such a host is asked about.
     /// Adds what it built to `digests`.
     #[inline]
     fn pod_ext(
@@ -346,9 +346,9 @@ impl Router for FatTreeRouter {
     }
 
     /// Valley-free routing reads the top of the fabric (every core and
-    /// border switch) and, per host, the host itself, its edge switch and
-    /// its pod's aggregation switches — the closed forms in the module
-    /// docs mention nothing else.
+    /// border switch: the base cone) and, per host, the host itself, its
+    /// edge switch and its pod's aggregation switches — the closed forms in
+    /// the module docs mention nothing else.
     fn cone(
         &self,
         _components: usize,
@@ -356,8 +356,6 @@ impl Router for FatTreeRouter {
         out: &mut Vec<ComponentId>,
     ) {
         let m = &self.meta;
-        out.extend((0..m.half * m.half).map(|i| ComponentId(m.core_base + i)));
-        out.extend((0..m.half).map(|g| m.border(g)));
         let mut pods_seen = 0u128; // k ≤ 128, so at most 127 host pods
         for h in hosts {
             let pos = m.host_position(h);
@@ -367,6 +365,11 @@ impl Router for FatTreeRouter {
                 pods_seen |= 1 << pos.pod;
                 out.extend((0..m.half).map(|g| m.agg(pos.pod, g)));
             }
+        }
+        if pods_seen == 0 {
+            // No hosts: the base cone.
+            out.extend((0..m.half * m.half).map(|i| ComponentId(m.core_base + i)));
+            out.extend((0..m.half).map(|g| m.border(g)));
         }
     }
 

@@ -97,25 +97,22 @@ pub trait Router {
     /// Human-readable router name for reports.
     fn name(&self) -> &'static str;
 
-    /// The *cone* of a set of hosts: appends to `out` a superset of every
-    /// row of a `components`-row state matrix that `begin_round`/`_wide`
-    /// and the `external_reach*`/`connects` queries may read while all
-    /// queried hosts are among `hosts`. Verdicts about those hosts are a
-    /// function of the cone's rows alone, so a caller may leave every other
-    /// row unsampled. Repeats are allowed.
-    ///
-    /// The rows named for no hosts at all — what the router reads whatever
-    /// is asked — come first in every cone, so a caller can check that
-    /// prefix once and only each plan's remainder afterwards.
-    ///
-    /// The default names every row, which is correct for any router.
+    /// The *cone* of a set of hosts, appended to `out` (repeats allowed):
+    /// with no hosts, the *base cone*, the rows of a `components`-row state
+    /// matrix the router reads whatever is asked; with hosts, only what they
+    /// add to it. While all queried hosts are among `hosts`, no `begin_*`,
+    /// `external_reach*` or `connects` call reads outside the two, so a
+    /// caller may leave every other row unsampled. The default names every
+    /// row as the base cone, correct for any router, and nothing for hosts.
     fn cone(
         &self,
         components: usize,
-        _hosts: &mut dyn Iterator<Item = ComponentId>,
+        hosts: &mut dyn Iterator<Item = ComponentId>,
         out: &mut Vec<ComponentId>,
     ) {
-        out.extend((0..components).map(ComponentId::from_index));
+        if hosts.next().is_none() {
+            out.extend((0..components).map(ComponentId::from_index));
+        }
     }
 
     /// Installs the context for the 256 rounds of wide word `wide` (the
@@ -131,9 +128,9 @@ pub trait Router {
     /// what [`Router::begin_wide`] + [`Router::external_reach_wide`] answer
     /// for `(states, hosts[i], ww)`, which is the default.
     ///
-    /// Every row the router may read for the hosts it is asked about (their
-    /// [`Router::cone`]) holds the same bits whenever the same `key` is
-    /// presented again, up to the round count the table holds under it. A
+    /// Every row the router may read for the hosts it is asked about (the
+    /// base [`Router::cone`] and theirs) holds the same bits whenever the
+    /// same `key` is presented again, up to the round count it holds. A
     /// router may therefore keep, per slot, anything it derives from those
     /// rows — a host's whole answer included — and serve it to later plans
     /// under the same generation; under any other generation it must
@@ -390,6 +387,7 @@ mod agreement_tests {
         for mut r in every_router(&t) {
             let name = r.name();
             let mut cone = Vec::new();
+            r.cone(t.num_components(), &mut std::iter::empty(), &mut cone);
             r.cone(t.num_components(), &mut hosts.iter().copied(), &mut cone);
             let mut poisoned = BitMatrix::new(t.num_components(), rounds);
             for c in 0..t.num_components() {

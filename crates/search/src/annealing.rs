@@ -41,7 +41,8 @@ pub struct SearchConfig {
     /// Route-and-check rounds per assessment (paper default 10⁴).
     pub rounds: usize,
     /// Stop early once the best plan's *measure* reaches this value
-    /// (`R_desired`; 1.0 = spend the whole budget, as in §4.1).
+    /// (`R_desired`); 1.0 or more spends the whole budget, as in §4.1 (a
+    /// table on which no round failed measures 1.0 without proving it).
     pub desired: f64,
     /// Placement constraints; violating neighbors are discarded instantly
     /// (§3.3.3 "quickly discard any generated deployment plans that do not
@@ -232,9 +233,21 @@ pub(crate) struct NoDriver;
 
 impl SearchDriver for NoDriver {}
 
+/// What a chain adds its [`SearchStats`], improvements and 1 to as it ends.
+const COUNTERS: [&str; 7] = [
+    "search.plans_assessed_total",
+    "search.symmetry_skips_total",
+    "search.rule_rejections_total",
+    "search.worse_accepted_total",
+    "search.worse_rejected_total",
+    "search.improvements_total",
+    "search.searches_total",
+];
+
 /// Cached handles into the process-wide [`recloud_obs::global()`]
-/// registry plus pre-interned journal kinds. Registered once per
-/// searcher so the per-iteration record calls stay lock-free.
+/// registry plus pre-interned journal kinds, registered once per
+/// searcher. The counters are added once per chain, from its
+/// [`SearchStats`] and trajectory; journal events are per decision.
 ///
 /// Journal kinds and payloads (acceptance-rate and temperature
 /// trajectory, per the observability contract):
@@ -244,13 +257,7 @@ impl SearchDriver for NoDriver {}
 ///   flip on a worse neighbor: `v0` = plans assessed, `f0` =
 ///   acceptance probability `exp(−Δ/t)`, `f1` = temperature.
 struct SearchInstruments {
-    plans_assessed: Arc<Counter>,
-    symmetry_skips: Arc<Counter>,
-    rule_rejections: Arc<Counter>,
-    worse_accepted: Arc<Counter>,
-    worse_rejected: Arc<Counter>,
-    improvements: Arc<Counter>,
-    searches: Arc<Counter>,
+    counters: [Arc<Counter>; 7],
     best_kind: KindId,
     accept_kind: KindId,
     reject_kind: KindId,
@@ -261,17 +268,36 @@ impl SearchInstruments {
         let registry = recloud_obs::global();
         let journal = registry.journal();
         SearchInstruments {
-            plans_assessed: registry.counter("search.plans_assessed_total"),
-            symmetry_skips: registry.counter("search.symmetry_skips_total"),
-            rule_rejections: registry.counter("search.rule_rejections_total"),
-            worse_accepted: registry.counter("search.worse_accepted_total"),
-            worse_rejected: registry.counter("search.worse_rejected_total"),
-            improvements: registry.counter("search.improvements_total"),
-            searches: registry.counter("search.searches_total"),
+            counters: COUNTERS.map(|name| registry.counter(name)),
             best_kind: journal.kind_id("anneal.best"),
             accept_kind: journal.kind_id("anneal.accept_worse"),
             reject_kind: journal.kind_id("anneal.reject_worse"),
         }
+    }
+
+    /// A new best plan, found after `iteration` assessments with `measure`
+    /// and `reliability`: onto the trajectory, into the journal and to the
+    /// driver.
+    fn best(
+        &self,
+        trajectory: &mut Vec<TrajectoryPoint>,
+        clock: &BudgetClock,
+        (iteration, measure, reliability): (usize, f64, f64),
+        driver: &mut dyn SearchDriver,
+    ) {
+        let point = TrajectoryPoint { iteration, elapsed: clock.elapsed(), measure, reliability };
+        trajectory.push(point);
+        let journal = recloud_obs::global().journal();
+        journal.record(self.best_kind, iteration as u64, 0, measure, clock.temperature());
+        driver.on_best(&point, clock.temperature());
+    }
+
+    /// Adds one finished chain's counts to [`COUNTERS`].
+    fn publish(&self, s: &SearchStats, improvements: usize) {
+        let (plans, skips, rejections) = (s.plans_assessed, s.symmetry_skips, s.rule_rejections);
+        let counts =
+            [plans, skips, rejections, s.worse_accepted, s.worse_rejected, improvements, 1];
+        self.counters.iter().zip(counts).for_each(|(counter, n)| counter.add(n as u64));
     }
 }
 
@@ -281,13 +307,15 @@ pub struct Searcher<'a> {
     assessor: &'a mut Assessor,
     symmetry: SymmetryChecker,
     obs: SearchInstruments,
+    /// Scratch: the hosts a symmetry check keeps in place.
+    others: Vec<ComponentId>,
 }
 
 impl<'a> Searcher<'a> {
     /// Builds a searcher over the assessor's topology and fault model.
     pub fn new(assessor: &'a mut Assessor) -> Self {
         let symmetry = SymmetryChecker::new(assessor.topology(), assessor.model());
-        Searcher { assessor, symmetry, obs: SearchInstruments::from_global() }
+        Searcher { assessor, symmetry, obs: SearchInstruments::from_global(), others: Vec::new() }
     }
 
     /// Runs the §3.3.1 search for `spec` under `objective`, then answers
@@ -334,7 +362,6 @@ impl<'a> Searcher<'a> {
                 break p;
             }
             stats.rule_rejections += 1;
-            self.obs.rule_rejections.inc();
             if stats.rule_rejections > 10_000 {
                 panic!("placement rules rejected 10k random plans; rules too tight");
             }
@@ -354,7 +381,6 @@ impl<'a> Searcher<'a> {
         let seed0 = next_seed(&mut rng);
         let a = self.assessor.assess(spec, &current, config.rounds, seed0);
         stats.plans_assessed += 1;
-        self.obs.plans_assessed.inc();
         clock.tick();
         let mut cur_rel = a.estimate.score;
         let mut cur_measure = objective.measure(&current, cur_rel);
@@ -362,21 +388,8 @@ impl<'a> Searcher<'a> {
         let mut best_rel = cur_rel;
         let mut best_measure = cur_measure;
         let mut candidates = Candidates::new(&current, cur_measure);
-        let mut trajectory = vec![TrajectoryPoint {
-            iteration: 1,
-            elapsed: clock.elapsed(),
-            measure: best_measure,
-            reliability: best_rel,
-        }];
-        self.obs.improvements.inc();
-        recloud_obs::global().journal().record(
-            self.obs.best_kind,
-            1,
-            0,
-            best_measure,
-            clock.temperature(),
-        );
-        driver.on_best(&trajectory[0], clock.temperature());
+        let mut trajectory = Vec::new();
+        self.obs.best(&mut trajectory, &clock, (1, best_measure, best_rel), driver);
 
         // A saturated data center (every host already carries an
         // instance) leaves no legal neighbor move: `neighbor` would
@@ -384,39 +397,37 @@ impl<'a> Searcher<'a> {
         // the initial one, so skip Steps 3-6 and return it as the
         // outcome instead of crashing mid-search.
         let saturated = spec.total_instances() >= hosts.len();
+        let reached = |measure: f64| config.desired < 1.0 && measure >= config.desired;
+        // Each step's neighbor is written over this; an accepted one swaps.
+        let mut neighbor = current.clone();
 
         // Steps 3-6.
-        while !saturated && !clock.exhausted() && best_measure < config.desired {
+        while !saturated && !clock.exhausted() && !reached(best_measure) {
             // Step 3: neighbor generation with rule/symmetry filtering.
-            let mut candidate = None;
-            for _ in 0..config.max_neighbor_retries {
-                let n = current.neighbor(hosts, &mut rng);
-                if !config.rules.check(&n, &topology, workload) {
+            let found = (0..config.max_neighbor_retries).any(|_| {
+                current.neighbor_into(hosts, &mut rng, &mut neighbor);
+                if !config.rules.check(&neighbor, &topology, workload) {
                     stats.rule_rejections += 1;
-                    self.obs.rule_rejections.inc();
-                    continue;
+                    return false;
                 }
                 if config.use_symmetry {
                     // Identify the single moved instance.
-                    if let Some((old, new)) = moved_pair(&current, &n) {
-                        let others: Vec<ComponentId> =
-                            current.all_hosts().filter(|&h| h != old).collect();
-                        if self.symmetry.equivalent_move(&others, old, new) {
+                    if let Some((old, new)) = moved_pair(&current, &neighbor) {
+                        self.others.clear();
+                        self.others.extend(current.all_hosts().filter(|&h| h != old));
+                        if self.symmetry.equivalent_move(&self.others, old, new) {
                             stats.symmetry_skips += 1;
-                            self.obs.symmetry_skips.inc();
-                            continue;
+                            return false;
                         }
                     }
                 }
-                candidate = Some(n);
-                break;
-            }
-            if let Some(neighbor) = candidate {
+                true
+            });
+            if found {
                 // Step 4: assess the neighbor.
                 let seed = next_seed(&mut rng);
                 let a = self.assessor.assess(spec, &neighbor, config.rounds, seed);
                 stats.plans_assessed += 1;
-                self.obs.plans_assessed.inc();
                 clock.tick();
                 let n_rel = a.estimate.score;
                 let n_measure = objective.measure(&neighbor, n_rel);
@@ -433,39 +444,23 @@ impl<'a> Searcher<'a> {
                     let journal = recloud_obs::global().journal();
                     if coin {
                         stats.worse_accepted += 1;
-                        self.obs.worse_accepted.inc();
                         journal.record(self.obs.accept_kind, stats.plans_assessed as u64, 0, p, t);
                     } else {
                         stats.worse_rejected += 1;
-                        self.obs.worse_rejected.inc();
                         journal.record(self.obs.reject_kind, stats.plans_assessed as u64, 0, p, t);
                     }
                     coin
                 };
                 if accept {
-                    current = neighbor;
+                    std::mem::swap(&mut current, &mut neighbor);
                     cur_rel = n_rel;
                     cur_measure = n_measure;
                     if cur_measure > best_measure {
                         best_measure = cur_measure;
                         best_rel = cur_rel;
                         best_plan = current.clone();
-                        let point = TrajectoryPoint {
-                            iteration: stats.plans_assessed,
-                            elapsed: clock.elapsed(),
-                            measure: best_measure,
-                            reliability: best_rel,
-                        };
-                        trajectory.push(point);
-                        self.obs.improvements.inc();
-                        recloud_obs::global().journal().record(
-                            self.obs.best_kind,
-                            stats.plans_assessed as u64,
-                            0,
-                            best_measure,
-                            clock.temperature(),
-                        );
-                        driver.on_best(&point, clock.temperature());
+                        let best = (stats.plans_assessed, best_measure, best_rel);
+                        self.obs.best(&mut trajectory, &clock, best, driver);
                     }
                 }
             } else {
@@ -499,27 +494,13 @@ impl<'a> Searcher<'a> {
                         // ever read after Step 5 refreshes it from a
                         // fresh assessment.
                         cur_measure = adopt.measure;
-                        let point = TrajectoryPoint {
-                            iteration: stats.plans_assessed,
-                            elapsed: clock.elapsed(),
-                            measure: best_measure,
-                            reliability: best_rel,
-                        };
-                        trajectory.push(point);
-                        self.obs.improvements.inc();
-                        recloud_obs::global().journal().record(
-                            self.obs.best_kind,
-                            stats.plans_assessed as u64,
-                            0,
-                            best_measure,
-                            clock.temperature(),
-                        );
-                        driver.on_best(&point, clock.temperature());
+                        let best = (stats.plans_assessed, best_measure, best_rel);
+                        self.obs.best(&mut trajectory, &clock, best, driver);
                     }
                 }
             }
         }
-        self.obs.searches.inc();
+        self.obs.publish(&stats, trajectory.len());
         Chain { candidates: candidates.into_vec(), stats, trajectory, elapsed: clock.elapsed() }
     }
 }
@@ -793,6 +774,24 @@ mod tests {
             }
         }
         assert_eq!(h, 0xc476_3ba3_8bab_eae7, "hash {h:#018x}");
+    }
+
+    /// A table on which no round failed measures exactly 1.0. With
+    /// `desired` at 1.0 — spend the whole budget — the loop used to stop
+    /// at the first such plan, long before the budget was spent.
+    #[test]
+    fn a_perfect_in_sample_measure_does_not_end_the_chain() {
+        let t = recloud_topology::Scale::Medium.build();
+        for seed in 1..=3 {
+            let mut assessor = Assessor::new(&t, FaultModel::paper_default(&t, seed));
+            for k in [1, 2] {
+                let spec = ApplicationSpec::k_of_n(k, 5);
+                let cfg = SearchConfig::iterations(2_000, 10_000, seed);
+                let out =
+                    Searcher::new(&mut assessor).search(&spec, &ReliabilityObjective, &cfg, None);
+                assert_eq!(out.stats.plans_assessed, 2_000, "{k}-of-5, seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -194,6 +194,18 @@ echo "$FIG11_OUT" | awk '/\[[0-9]+\]/ { rows++; if ($NF !~ /^[0-9.]+$/ && $0 !~ 
   || { echo "complex-structure gate: fig11 table is short or has an empty cell"; exit 1; }
 echo "complex-structure gate: every structure assessed"
 
+echo "== answers gate =="
+# Bit-identical answers as one line per benchmark workload shape: an
+# FNV-1a-64 digest over everything a caller sees of the first 64 ops'
+# answers, run in-process with the workloads' own inputs (~1 s). A change
+# that moves an answer on purpose re-pins crates/bench/answers.txt and
+# says why.
+ANSWERS_OUT="$(target/release/repro answers)"
+echo "$ANSWERS_OUT"
+diff <(echo "$ANSWERS_OUT") crates/bench/answers.txt \
+  || { echo "answers gate: an answer moved (see the diff above)"; exit 1; }
+echo "answers gate: every workload shape answers as pinned"
+
 echo "== serve-frontier smoke gate =="
 # The two serving measurements benchmark/ cannot own, through the release
 # binary: four fleet sizes (1, 64, 256, 1000 idle loopback connections)

@@ -10,8 +10,16 @@
 # checkout and target directory, this tree's in this one — swapping which
 # side goes first from pair to pair, both on the same seed. Prints, per
 # end-to-end metric of BENCHMARK.json, each side's median and quartiles,
-# the ratio of the medians and the pairs the change won (ties count for
-# neither). Every run's result line is kept in target/pairs/<workload>.jsonl.
+# the ratio of the medians, the pairs the change won (ties count for
+# neither) and a verdict from one-sided sign tests over the pairs' ratios
+# (change over parent, oriented so that above 1 is worse) at p <= 0.05:
+#   worse past bound  ratio above 1 + bound in significantly many pairs
+#   better            ratio below 1 in significantly many pairs
+#   within bound      ratio below 1 + bound in significantly many pairs
+#   unresolved        none of these (10 pairs need 9 on one side)
+# The header says A/A when <parent-ref> is HEAD on a clean tree: both sides
+# run the same code, so any verdict but "within bound" or "unresolved" is
+# noise. Every run's result line is kept in target/pairs/<workload>.jsonl.
 # benchmark/ is used as it is; nothing is written under it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -27,6 +35,10 @@ import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))
 OUT="$PWD/target/pairs"
 PARENT="$OUT/parent"
 PARENT_COMMIT="$(git rev-parse --verify "$PARENT_REF^{commit}")"
+MODE="change"
+if [ "$PARENT_COMMIT" = "$(git rev-parse HEAD)" ] && [ -z "$(git status --porcelain)" ]; then
+  MODE="A/A"
+fi
 if [ "$(cat "$PARENT/.pairs-commit" 2>/dev/null)" != "$PARENT_COMMIT" ]; then
   # Keep the parent's build directory across refs: cargo rebuilds what moved.
   find "$PARENT" -mindepth 1 -maxdepth 1 ! -name target -exec rm -rf {} + 2>/dev/null || true
@@ -53,13 +65,25 @@ for WORKLOAD in $WORKLOADS; do
       echo "pair $PAIR $SIDE $WORKLOAD: $(echo "$RESULT" | cut -c1-120)..." >&2
     done
   done
-  python3 - "$WORKLOAD" "$LOG" "$PARENT_COMMIT" <<'EOF'
-import json, statistics, sys
-workload, log, parent = sys.argv[1:4]
+  python3 - "$WORKLOAD" "$LOG" "$PARENT_COMMIT" "$MODE" <<'EOF'
+import json, math, statistics, sys
+workload, log, parent, mode = sys.argv[1:5]
 runs = [json.loads(line) for line in open(log)]
 bad = [r for r in runs if not r["result"]["correct"] or r["result"]["failed"]]
-print(f"== {workload}: {len(runs) // 2} pairs against {parent[:7]}, "
+print(f"== {workload} ({mode}): {len(runs) // 2} pairs against {parent[:7]}, "
       f"{len(bad)} runs incorrect or with failed ops ==")
+def significant(hits, n):
+    # One-sided sign test: P(at least `hits` of `n` fair coin flips) <= 0.05.
+    return n > 0 and sum(math.comb(n, j) for j in range(hits, n + 1)) / 2 ** n <= 0.05
+def verdict(ratios, bound):
+    n = len(ratios)
+    if significant(sum(r > 1 + bound for r in ratios), n):
+        return "worse past bound"
+    if significant(sum(r < 1 for r in ratios), n):
+        return "better"
+    if significant(sum(r < 1 + bound for r in ratios), n):
+        return "within bound"
+    return "unresolved"
 def quartiles(values):
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return q1, q2, q3
@@ -78,9 +102,12 @@ for metric in json.load(open("BENCHMARK.json"))["end_to_end"]:
     lost = sum((p["change"] > p["parent"]) == lower and p["change"] != p["parent"] for p in pairs)
     (o1, o2, o3), (n1, n2, n3) = quartiles(old), quartiles(new)
     ratio = (o2 / n2 if lower else n2 / o2) if o2 and n2 else float("nan")
+    worse = [(p["change"] / p["parent"] if lower else p["parent"] / p["change"])
+             for p in pairs if p["parent"] > 0 and p["change"] > 0]
     print(f"{name:>22} [{metric['unit']}]  parent {o2:.6g} ({o1:.6g}..{o3:.6g})  "
           f"change {n2:.6g} ({n1:.6g}..{n3:.6g})  {ratio:.3f}x better  "
-          f"won {won}/{len(pairs)} lost {lost}  bound {metric['bound']}")
+          f"won {won}/{len(pairs)} lost {lost}  bound {metric['bound']}  "
+          f"verdict: {verdict(worse, metric['bound'])}")
     print(f"{'':>22}   parent runs {' '.join(f'{v:.6g}' for v in old)}")
     print(f"{'':>22}   change runs {' '.join(f'{v:.6g}' for v in new)}")
 EOF
