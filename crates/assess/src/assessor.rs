@@ -1219,16 +1219,19 @@ mod tests {
     }
 
     #[test]
-    fn a_perfect_plan_meets_a_ciw_target_after_one_chunk() {
-        // Nothing can fail => score 1.0, CIW 0 after the first chunk.
+    fn a_perfect_plan_meets_a_ciw_target_once_the_wilson_width_does() {
+        // Nothing can fail => score 1.0 and Eq 3's CIW 0 from the first
+        // chunk on, which proves nothing: the drive stops at the first
+        // chunk boundary where z²/(n + z²) <= 1e-3, n >= 3,838.
         let t = FatTreeParams::new(4).build();
         let mut a = Assessor::new(&t, FaultModel::new(&t, &ProbabilityConfig::Uniform(0.0), 0));
         let spec = ApplicationSpec::k_of_n(2, 2);
         let plan = DeploymentPlan::new(&spec, vec![t.hosts()[..2].to_vec()]);
-        let r = to_target(&mut a, &spec, &plan, 1e-6, 1_000_000, 0);
+        let r = to_target(&mut a, &spec, &plan, 1e-3, 1_000_000, 0);
         assert!(!r.completed);
         assert_eq!(r.assessment.estimate.score, 1.0);
-        assert!(r.assessment.estimate.rounds <= 3_000, "one chunk suffices");
+        let (rounds, chunk) = (r.assessment.estimate.rounds, a.chunk_layout(1 << 20)[0].1 as u64);
+        assert!((3_838..3_838 + chunk).contains(&rounds), "{rounds} rounds in chunks of {chunk}");
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //!   semantics. A requirement `(Ci, Cj, k)` then holds when at least `k`
 //!   alive instances of Ci are reachable from Cj's active set.
 //!
+//! K-of-N is the one-component case of the fixpoint, and the one scalar
+//! checker ([`StructureChecker::round_reliable`]) answers it as such. The
+//! 256-lane paths answer it as a bit-sliced count over the hosts' reach
+//! words, with one counting kernel for a chunk and for a wide word alike.
+//!
 //! The checker owns per-plan scratch and never allocates per round.
 
 use recloud_apps::{ApplicationSpec, Connectivity, DeploymentPlan, Source};
@@ -28,21 +33,18 @@ pub struct StructureChecker {
     /// Flattened instance hosts per component.
     hosts: Vec<Vec<ComponentId>>,
     requirements: Vec<Connectivity>,
-    /// True when the fast K-of-N path applies (single component, external
-    /// requirements only).
+    /// `Some(k)` when the plan is K-of-N (one component, external
+    /// requirements only, `k` the most of them asks): the 256-lane paths
+    /// then count reach words instead of running the fixpoint.
     simple_k: Option<u32>,
     /// Scratch: active flags per component instance.
     active: Vec<Vec<bool>>,
     /// Scratch for the bit-sliced K-of-N count: `gew[j]` is the round-lane
     /// mask of "at least j+1 instances reachable so far".
     gew: Vec<WideWord>,
-    /// Scratch for the chunk-level check: the plan's reach rows, one row
-    /// of the chunk's wide words per host.
+    /// Scratch for the K-of-N count: the plan's reach rows, one row of the
+    /// chunk's wide words (or of one wide word) per host.
     reach: Vec<WideWord>,
-    /// Memoized all-alive-world verdict (what screened-out rounds resolve
-    /// to). Valid for the lifetime of the checker: the plan is fixed and
-    /// the baseline depends only on plan and topology.
-    baseline: Option<bool>,
 }
 
 impl StructureChecker {
@@ -55,7 +57,6 @@ impl StructureChecker {
             active: Vec::new(),
             gew: Vec::new(),
             reach: Vec::new(),
-            baseline: None,
         };
         checker.retarget(spec, plan);
         checker
@@ -84,7 +85,6 @@ impl StructureChecker {
         self.simple_k = (components == 1
             && self.requirements.iter().all(|r| r.from == Source::External))
         .then(|| self.requirements.iter().map(|r| r.k).max().expect("non-empty requirements"));
-        self.baseline = None;
     }
 
     /// Every instance host of the plan, in component order — the hosts
@@ -98,13 +98,12 @@ impl StructureChecker {
     /// verdicts into `acc`, bit-identical to
     /// [`StructureChecker::wide_reliable`] wide word by wide word.
     ///
-    /// K-of-N on a wide-native router asks once per chunk: one
-    /// [`Router::external_reach_keyed`] call hands back every host's reach
-    /// over all its wide words (from what the router kept under `key`,
-    /// where it keeps anything), and the verdicts are a count over those
-    /// rows with no routing in it. Everything else — BFS routers, structures
-    /// with cross-component requirements — goes wide word by wide word
-    /// through the unkeyed [`Router::begin_wide`] and `wide_reliable`.
+    /// K-of-N asks once per chunk: one [`Router::external_reach_keyed`]
+    /// call hands back every host's reach over all its wide words (from
+    /// what the router kept under `key`, where it keeps anything), and the
+    /// verdicts are a count over those rows with no routing in it.
+    /// Structures with cross-component requirements go wide word by wide
+    /// word through the unkeyed [`Router::begin_wide`] and `wide_reliable`.
     pub fn chunk_reliable(
         &mut self,
         router: &mut dyn Router,
@@ -114,8 +113,15 @@ impl StructureChecker {
         acc: &mut ResultAccumulator,
     ) {
         let wides = rounds.div_ceil(WideWord::LANES);
-        let k = match self.simple_k {
-            Some(k) if k > 0 && wides > 0 && router.wide_native() => k as usize,
+        match self.simple_k {
+            Some(k) if k > 0 => {
+                let hosts = &self.hosts[0];
+                self.reach.resize(hosts.len() * wides, WideWord::ZERO);
+                router.external_reach_keyed(states, key, hosts, wides, &mut self.reach);
+                count_chunk(&mut self.gew, &self.reach, hosts.len(), k as usize, wides, |ww, w| {
+                    acc.push_wide(w, lanes_of(rounds, ww) as u32)
+                });
+            }
             _ => {
                 for ww in 0..wides {
                     let lanes = lanes_of(rounds, ww);
@@ -123,27 +129,6 @@ impl StructureChecker {
                     let mask = self.wide_reliable(router, states, ww, lanes);
                     acc.push_wide(mask, lanes as u32);
                 }
-                return;
-            }
-        };
-        let hosts = &self.hosts[0];
-        self.reach.resize(hosts.len() * wides, WideWord::ZERO);
-        router.external_reach_keyed(states, key, hosts, wides, &mut self.reach);
-        // Count whichever settles a lane sooner: k reachable hosts, or the
-        // n − k + 1 unreachable ones that rule them out (4-of-5 is "fewer
-        // than two down"). A short counter lives in registers: same
-        // kernel, its length known to the compiler.
-        let reach = &self.reach;
-        let down = (hosts.len() + 1).saturating_sub(k);
-        let (need, of_down) = if (1..k).contains(&down) { (down, true) } else { (k, false) };
-        match need {
-            1 => count_chunk(&mut [WideWord::ZERO; 1], reach, of_down, wides, rounds, acc),
-            2 => count_chunk(&mut [WideWord::ZERO; 2], reach, of_down, wides, rounds, acc),
-            3 => count_chunk(&mut [WideWord::ZERO; 3], reach, of_down, wides, rounds, acc),
-            4 => count_chunk(&mut [WideWord::ZERO; 4], reach, of_down, wides, rounds, acc),
-            _ => {
-                self.gew.resize(need, WideWord::ZERO);
-                count_chunk(&mut self.gew, reach, of_down, wides, rounds, acc)
             }
         }
     }
@@ -154,14 +139,14 @@ impl StructureChecker {
     /// `n` lanes are meaningful. The router must already have had
     /// [`Router::begin_wide`] called for (`states`, `wide`).
     ///
-    /// Strategy: K-of-N on a wide-native router (the fat-tree analytic
-    /// one) folds 256-lane reach words through a bit-sliced counter — no
-    /// per-round work at all. Everything else runs round-major behind a
-    /// screen: the OR of every row's wide word proves in which rounds
-    /// nothing failed, those resolve to the memoized all-alive verdict
-    /// without routing, and only the dirty rounds pay for scalar routing
-    /// (or the complex fixpoint). Verdicts are a pure function of a round's
-    /// states, so a stale or poisoned row can only make the screen more
+    /// Strategy: K-of-N gathers each host's 256-lane reach word
+    /// ([`Router::external_reach_wide`]) and counts them with the chunk
+    /// path's kernel — no per-round work in the checker. Cross-component
+    /// structures run round-major behind a screen: the OR of every row's
+    /// wide word proves in which rounds nothing failed, those all take the
+    /// verdict of the first of them, and only the dirty rounds pay for the
+    /// scalar fixpoint. Verdicts are a pure function of a round's states,
+    /// so a stale or poisoned row can only make the screen more
     /// conservative.
     pub fn wide_reliable(
         &mut self,
@@ -171,16 +156,26 @@ impl StructureChecker {
         n: usize,
     ) -> WideWord {
         debug_assert!(n >= 1 && n <= WideWord::LANES, "a verdict wide word holds 1..=256 rounds");
-        if router.wide_native() {
-            if let Some(k) = self.simple_k {
-                return self.k_of_n_wide(router, states, wide, k);
+        if let Some(k) = self.simple_k {
+            if k == 0 {
+                return WideWord::ONES; // vacuous requirement, reliable in every round
             }
+            let hosts = &self.hosts[0];
+            self.reach.clear();
+            self.reach.extend(hosts.iter().map(|&h| router.external_reach_wide(states, h, wide)));
+            let mut out = WideWord::ZERO;
+            count_chunk(&mut self.gew, &self.reach, hosts.len(), k as usize, 1, |_, w| out = w);
+            return out;
         }
         let valid = WideWord::lane_mask(n);
         let dirty = states.any_failed_wide(wide) & valid;
-        let mut out = WideWord::ZERO;
-        if dirty != valid && self.baseline_reliable(router, states) {
-            out = valid & !dirty;
+        let (clean, mut out) = (valid & !dirty, WideWord::ZERO);
+        if let Some((i, w)) = clean.words().iter().enumerate().find(|(_, w)| **w != 0) {
+            let round = wide * WideWord::LANES + i * 64 + w.trailing_zeros() as usize;
+            router.begin_round(states, round);
+            if self.round_reliable(router, states, round) {
+                out = clean;
+            }
         }
         for (i, &word) in dirty.words().iter().enumerate() {
             let (mut left, mut ok) = (word, out.word(i));
@@ -198,47 +193,8 @@ impl StructureChecker {
         out
     }
 
-    /// Bit-sliced K-of-N over a wide-native router: fold each host's
-    /// 256-round reach word into a saturating unary counter of `k` lanes.
-    fn k_of_n_wide(
-        &mut self,
-        router: &mut dyn Router,
-        states: &BitMatrix,
-        wide: usize,
-        k: u32,
-    ) -> WideWord {
-        if k == 0 {
-            return WideWord::ONES; // vacuous requirement, reliable in every round
-        }
-        let k = k as usize;
-        self.gew.clear();
-        self.gew.resize(k, WideWord::ZERO);
-        for &h in &self.hosts[0] {
-            count_reach(&mut self.gew, router.external_reach_wide(states, h, wide));
-            // Early exit once every lane has k reachable instances; the
-            // remaining hosts cannot change the verdict.
-            if self.gew[k - 1].is_ones() {
-                break;
-            }
-        }
-        self.gew[k - 1]
-    }
-
-    /// The all-alive-world verdict, computed once per checker through the
-    /// router's scalar path on a synthetic 1-round matrix. Clobbers the
-    /// router's per-round context (the caller re-begins dirty rounds).
-    fn baseline_reliable(&mut self, router: &mut dyn Router, states: &BitMatrix) -> bool {
-        if let Some(v) = self.baseline {
-            return v;
-        }
-        let alive = BitMatrix::new(states.components(), 1);
-        router.begin_round(&alive, 0);
-        let v = self.round_reliable(router, &alive, 0);
-        self.baseline = Some(v);
-        v
-    }
-
-    /// Checks one round. The router must already have had
+    /// Checks one round: the fixpoint of the module docs, of which K-of-N
+    /// is the one-component case. The router must already have had
     /// [`Router::begin_round`] called for (`states`, `round`).
     pub fn round_reliable(
         &mut self,
@@ -246,30 +202,6 @@ impl StructureChecker {
         states: &BitMatrix,
         round: usize,
     ) -> bool {
-        if let Some(k) = self.simple_k {
-            // Fast path: count border-reachable instances, stop at k.
-            let mut alive = 0u32;
-            let need = k;
-            let hosts = &self.hosts[0];
-            for (idx, &h) in hosts.iter().enumerate() {
-                if router.external_reaches(states, h) {
-                    alive += 1;
-                    if alive >= need {
-                        return true;
-                    }
-                }
-                // Early abort: not enough hosts left to reach k.
-                let remaining = (hosts.len() - idx - 1) as u32;
-                if alive + remaining < need {
-                    return false;
-                }
-            }
-            return alive >= need;
-        }
-        self.complex_round(router, states, round)
-    }
-
-    fn complex_round(&mut self, router: &mut dyn Router, states: &BitMatrix, round: usize) -> bool {
         // Initialize active = alive.
         for (c, hosts) in self.hosts.iter().enumerate() {
             for (i, &h) in hosts.iter().enumerate() {
@@ -360,19 +292,45 @@ fn count_reach(ge: &mut [WideWord], reach: WideWord) {
     ge[0] |= reach;
 }
 
-/// The kernel over a chunk: `reach[i · wides + ww]` is host i's reach over
-/// wide word `ww`, `ge` a counter of as many lanes as hosts are needed.
-/// Wide word by wide word, `acc` gets the lanes in which that many hosts
-/// are reachable — or, counting `of_down`, the lanes in which fewer than
-/// that many are unreachable.
+/// The K-of-N kernel over reach rows: `reach[i · wides + ww]` is host i's
+/// reach over wide word `ww`, for `n` hosts. Wide word by wide word,
+/// `verdict` gets the lanes in which at least `k` ≥ 1 of them are
+/// reachable. It counts whichever settles a lane sooner: k reachable
+/// hosts, or the n − k + 1 unreachable ones that rule them out (4-of-5 is
+/// "fewer than two down"). A short counter lives in registers: same
+/// kernel, its length known to the compiler; a longer one in `gew`.
 #[inline(always)]
 fn count_chunk(
+    gew: &mut Vec<WideWord>,
+    reach: &[WideWord],
+    n: usize,
+    k: usize,
+    wides: usize,
+    verdict: impl FnMut(usize, WideWord),
+) {
+    let down = (n + 1).saturating_sub(k);
+    let (need, of_down) = if (1..k).contains(&down) { (down, true) } else { (k, false) };
+    match need {
+        1 => count_words(&mut [WideWord::ZERO; 1], reach, of_down, wides, verdict),
+        2 => count_words(&mut [WideWord::ZERO; 2], reach, of_down, wides, verdict),
+        3 => count_words(&mut [WideWord::ZERO; 3], reach, of_down, wides, verdict),
+        4 => count_words(&mut [WideWord::ZERO; 4], reach, of_down, wides, verdict),
+        _ => {
+            gew.resize(need, WideWord::ZERO);
+            count_words(gew, reach, of_down, wides, verdict)
+        }
+    }
+}
+
+/// [`count_chunk`] with its counter `ge` chosen: as many lanes as hosts
+/// are needed, counting reachable hosts or, `of_down`, unreachable ones.
+#[inline(always)]
+fn count_words(
     ge: &mut [WideWord],
     reach: &[WideWord],
     of_down: bool,
     wides: usize,
-    rounds: usize,
-    acc: &mut ResultAccumulator,
+    mut verdict: impl FnMut(usize, WideWord),
 ) {
     for ww in 0..wides {
         ge.fill(WideWord::ZERO);
@@ -380,7 +338,7 @@ fn count_chunk(
             count_reach(ge, if of_down { !row[ww] } else { row[ww] });
         }
         let enough = ge[ge.len() - 1];
-        acc.push_wide(if of_down { !enough } else { enough }, lanes_of(rounds, ww) as u32);
+        verdict(ww, if of_down { !enough } else { enough });
     }
 }
 

@@ -47,8 +47,9 @@ pub struct PartialEstimate {
     pub r: f64,
     /// Running 95% confidence-interval width (Eq 3).
     pub ciw: f64,
-    /// True when a configured CIW target has been reached — the driver's
-    /// own stopping rule; consumers may also stop for their own reasons.
+    /// True when a configured CIW target has been reached by `ciw` and the
+    /// Wilson width (`ciw` is 0 while no round failed) — the driver's own
+    /// stopping rule; consumers may also stop for their own reasons.
     pub stop_hint: bool,
 }
 
@@ -115,7 +116,7 @@ impl AssessmentDriver {
     /// Creates a driver over an [`Assessor::chunk_layout`] (chunk ids must
     /// be dense from zero — the layout's own invariant). A `target_ciw`
     /// arms the driver's stopping rule: partials report `stop_hint` once
-    /// the running CIW₉₅ drops to the target.
+    /// the running CIW₉₅ and the Wilson width both drop to the target.
     pub fn new(layout: Vec<(u32, usize)>, master_seed: u64, target_ciw: Option<f64>) -> Self {
         let rounds_total = layout.iter().map(|(_, n)| *n as u64).sum();
         AssessmentDriver {
@@ -170,6 +171,7 @@ impl AssessmentDriver {
         self.obs.rounds_batch += rounds;
         let estimate = self.acc.estimate();
         let ciw = estimate.ciw95();
+        let width = ciw.max(wilson_width95(estimate.rounds, estimate.successes));
         PartialEstimate {
             chunk,
             chunks_total: self.layout.len() as u32,
@@ -177,7 +179,7 @@ impl AssessmentDriver {
             rounds_total: self.rounds_total,
             r: estimate.score,
             ciw,
-            stop_hint: self.target_ciw.is_some_and(|t| ciw <= t),
+            stop_hint: self.target_ciw.is_some_and(|t| width <= t),
         }
     }
 
@@ -205,6 +207,14 @@ impl AssessmentDriver {
     pub fn is_complete(&self) -> bool {
         self.fed == self.layout.len()
     }
+}
+
+/// Width of the 95 % Wilson score interval for `successes` of `rounds`:
+/// z²/(n + z²), about 3.84/n, when no round failed; a little under Eq 3's
+/// once a few dozen have.
+fn wilson_width95(rounds: u64, successes: u64) -> f64 {
+    let (n, p, z) = (rounds as f64, successes as f64 / rounds as f64, 1.96);
+    2.0 * z / (1.0 + z * z / n) * (p * (1.0 - p) / n + z * z / (4.0 * n * n)).sqrt()
 }
 
 #[cfg(test)]
@@ -250,11 +260,18 @@ mod tests {
 
     #[test]
     fn stop_hint_fires_exactly_when_the_target_is_reached() {
-        // An all-successes stream has CIW 0 from the first chunk.
-        let mut d = AssessmentDriver::new(layout(&[10, 10]), 1, Some(1e-9));
+        // An all-successes stream has CIW 0 from the first chunk, which
+        // proves nothing: it stops once the Wilson width, z²/(n + z²), is
+        // down to the target.
+        let mut d = AssessmentDriver::new(layout(&[10, 10_000, 10]), 1, Some(1e-3));
         let p = d.feed(0, 10, 10);
-        assert!(p.stop_hint);
+        assert_eq!(p.ciw, 0.0);
+        assert!(!p.stop_hint, "10 rounds without a failure cannot satisfy a 1e-3 CIW");
+        let p = d.feed(1, 10_000, 10_000);
+        assert!(p.stop_hint, "3.84 / 10,014 <= 1e-3");
         assert!(!d.is_complete(), "stopping early leaves the layout unfinished");
+        let wilson = wilson_width95(d.rounds_done(), d.rounds_done());
+        assert!((wilson - 3.8416 / (10_010.0 + 3.8416)).abs() < 1e-15, "{wilson}");
 
         // A mixed stream only reaches a loose target once n is large.
         let mut d = AssessmentDriver::new(layout(&[10, 100_000]), 1, Some(0.01));

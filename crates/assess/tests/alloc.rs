@@ -13,7 +13,7 @@ use recloud_apps::{ApplicationSpec, DeploymentPlan};
 use recloud_assess::{Assessor, StructureChecker};
 use recloud_faults::{FaultModel, ProbabilityConfig};
 use recloud_sampling::{ResultAccumulator, Rng};
-use recloud_topology::FatTreeParams;
+use recloud_topology::{FatTreeParams, JellyfishParams, LeafSpineParams};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -122,6 +122,33 @@ fn assessments_allocate_nothing_once_the_engine_is_warm() {
         engine.assess(&spec, &plan, rounds, 5);
     });
     assert_eq!(allocs, 0, "after reseed: {allocs} allocations");
+}
+
+/// The BFS router's two paths allocate nothing once warm either: a 2-layer
+/// spec on a leaf-spine takes the screened scalar fixpoint, whose
+/// host-to-host floods keep their visited sets from round to round, and
+/// 4-of-5 on a Jellyfish takes the 256-lane flood, whose scratch is the
+/// router's from construction.
+#[test]
+fn bfs_router_assessments_allocate_nothing_once_warm() {
+    let leaf_spine = LeafSpineParams::new(3, 4, 3).border_spines(2).build();
+    let cases = [
+        ("leaf-spine", leaf_spine, ApplicationSpec::layered(&[(1, 2), (1, 2)])),
+        ("Jellyfish", JellyfishParams::new(40, 6, 4).build(), ApplicationSpec::k_of_n(4, 5)),
+    ];
+    for (name, t, spec) in cases {
+        let mut rng = Rng::new(6);
+        let plan = DeploymentPlan::random(&spec, t.hosts(), &mut rng);
+        let mut engine = Assessor::new(&t, FaultModel::paper_default(&t, 11));
+        let rounds = 9_000;
+        engine.assess(&spec, &plan, rounds, 1);
+        for seed in 2..=7 {
+            let allocs = allocations_during(|| {
+                engine.assess(&spec, &plan, rounds, seed);
+            });
+            assert_eq!(allocs, 0, "{name} seed {seed}: {allocs} allocations");
+        }
+    }
 }
 
 /// A seed changes the model's numbers, not its structure. Taking a warmed

@@ -33,7 +33,9 @@ use recloud_sampling::{
     prop_assert_eq, BitMatrix, ExtendedDaggerSampler, MonteCarloSampler, ResultAccumulator,
     Sampler, WideWord,
 };
-use recloud_topology::{FatTreeParams, LeafSpineParams, Topology};
+use recloud_topology::{
+    BCubeParams, FatTreeParams, JellyfishParams, LeafSpineParams, Topology, Vl2Params,
+};
 use std::ops::ControlFlow;
 
 /// The full-width reference: every row of every chunk, at the table's
@@ -100,16 +102,24 @@ impl FullWidth {
 /// Builds the router under test on a fabric.
 type RouterFor = fn(&Topology) -> Box<dyn Router + Send>;
 
+/// Fabrics [`fabric`] knows.
+const FABRICS: usize = 9;
+
 /// A fabric and a way to build the router under test on it: the analytic
 /// fat-tree router, the valley-free reference BFS, and physical BFS on a
-/// fat-tree and on a leaf-spine.
+/// fat-tree (with and without link components), a leaf-spine, a
+/// Jellyfish, a BCube (whose hosts forward traffic) and a VL2.
 fn fabric(which: usize) -> (Topology, RouterFor) {
     match which {
         0 => (FatTreeParams::new(4).build(), make_router),
         1 => (FatTreeParams::new(6).build(), make_router),
         2 => (FatTreeParams::new(4).build(), |t| Box::new(UpDownRouter::for_fat_tree(t))),
         3 => (FatTreeParams::new(4).build(), |t| Box::new(GenericRouter::new(t))),
-        _ => (LeafSpineParams::new(3, 4, 3).border_spines(2).build(), make_router),
+        4 => (LeafSpineParams::new(3, 4, 3).border_spines(2).build(), make_router),
+        5 => (JellyfishParams::new(10, 3, 2).border_switches(2).build(), make_router),
+        6 => (BCubeParams::new(3, 1).build(), make_router),
+        7 => (Vl2Params::new(4, 4).servers_per_tor(2).build(), make_router),
+        _ => (FatTreeParams::new(4).with_links(true).build(), |t| Box::new(GenericRouter::new(t))),
     }
 }
 
@@ -132,7 +142,7 @@ fn unreliable_model(t: &Topology, g: &mut recloud_sampling::proptest::Gen) -> Fa
 #[test]
 fn cone_materialised_equals_full_width() {
     forall("cone-materialised == full-width, over plan sequences", |g| {
-        let (t, router_for) = fabric(g.usize_in(0..5));
+        let (t, router_for) = fabric(g.usize_in(0..FABRICS));
         let mut model = unreliable_model(&t, g);
         if g.any_bool() {
             model.attach_shared_software(&t, g.usize_in(1..4), 0.06, 0.03);

@@ -432,10 +432,6 @@ impl Router for FatTreeRouter {
         self.stats
     }
 
-    fn wide_native(&self) -> bool {
-        true
-    }
-
     fn external_reach_wide(
         &mut self,
         states: &BitMatrix,

@@ -10,13 +10,17 @@
 //! round; host-to-host queries flood from the source host on demand and
 //! memoize the visited set for the rest of the round, so assessing a
 //! K-instance component costs at most K floods per round.
+//! [`Router::external_reach_keyed`] floods 256 rounds at once instead: the
+//! least fixpoint of `reach[v] = alive[v] ∧ ⋁ over v's half-edges
+//! (reach[u] ∧ alive[link])`, `reach[ext] = alive[ext]`, swept from zero in
+//! the order an all-alive world is reached until no word changes.
 //!
-//! All scratch (epoch-stamped visited arrays, queue) is allocated once at
-//! router construction — per-round work is allocation-free, which keeps
-//! the measured "context setup" honest.
+//! All scratch (epoch-stamped visited arrays, queue, flood words) is kept
+//! from construction or a round's first use — per-round work is
+//! allocation-free once warm, which keeps the measured "context setup" honest.
 
-use crate::Router;
-use recloud_sampling::BitMatrix;
+use crate::{Router, TableKey};
+use recloud_sampling::{BitMatrix, WideWord};
 use recloud_topology::{ComponentId, Topology};
 
 /// BFS-based router for arbitrary topologies.
@@ -28,9 +32,17 @@ pub struct GenericRouter {
     ext_visited: Vec<u32>,
     ext_done: bool,
     ext_alive: bool,
-    /// Memoized per-source visited sets for host-to-host queries.
+    /// Per-source visited sets for host-to-host queries: the first
+    /// `floods` are this round's, the rest wait for a later round.
     flood_cache: Vec<(ComponentId, Vec<u32>)>,
+    floods: usize,
     queue: Vec<u32>,
+    /// The nodes an all-alive world reaches from the external node, in
+    /// BFS order (the external node first).
+    reachable: Vec<u32>,
+    /// The wide flood, one word per component; only `reachable` entries
+    /// are ever written, so every other node reads as never reached.
+    wide_reach: Vec<WideWord>,
 }
 
 impl GenericRouter {
@@ -38,6 +50,8 @@ impl GenericRouter {
     /// are long-lived and reused across all rounds and plans).
     pub fn new(topology: &Topology) -> Self {
         let n = topology.num_components();
+        let (mut queue, ext) = (Vec::with_capacity(n), topology.external());
+        Self::flood(topology, &BitMatrix::new(n, 1), 0, &mut queue, &mut vec![0; n], 1, ext, None);
         GenericRouter {
             topology: topology.clone(),
             round: 0,
@@ -46,7 +60,10 @@ impl GenericRouter {
             ext_done: false,
             ext_alive: false,
             flood_cache: Vec::new(),
-            queue: Vec::with_capacity(n),
+            floods: 0,
+            reachable: queue.clone(),
+            queue,
+            wide_reach: vec![WideWord::ZERO; n],
         }
     }
 
@@ -100,7 +117,7 @@ impl Router for GenericRouter {
         self.round = round;
         self.epoch = self.epoch.wrapping_add(1).max(1);
         self.ext_done = false;
-        self.flood_cache.clear();
+        self.floods = 0;
     }
 
     fn external_reaches(&mut self, states: &BitMatrix, host: ComponentId) -> bool {
@@ -134,12 +151,16 @@ impl Router for GenericRouter {
         if a == b {
             return true;
         }
-        let slot = match self.flood_cache.iter().position(|(s, _)| *s == a) {
+        let slot = match self.flood_cache[..self.floods].iter().position(|(s, _)| *s == a) {
             Some(i) => i,
             None => {
-                let n = self.topology.num_components();
-                self.flood_cache.push((a, vec![0; n]));
-                let i = self.flood_cache.len() - 1;
+                if self.floods == self.flood_cache.len() {
+                    self.flood_cache.push((a, vec![0; self.topology.num_components()]));
+                }
+                let i = self.floods;
+                self.floods += 1;
+                // A kept set holds only earlier rounds' stamps.
+                self.flood_cache[i].0 = a;
                 // East-west floods never hairpin through the external peer.
                 let skip = Some(self.topology.external());
                 Self::flood(
@@ -155,19 +176,58 @@ impl Router for GenericRouter {
                 i
             }
         };
-        // A cache slot found by position() is always from this round,
-        // because begin_round clears the cache.
         self.flood_cache[slot].1[b.index()] == self.epoch
     }
 
     fn name(&self) -> &'static str {
         "generic-bfs"
     }
+
+    /// The 256-lane flood, wide word by wide word: lane for lane the set
+    /// the scalar flood visits, as the graph is undirected (pulling over
+    /// `neighbors(v)` sees what their push does), and no node outside
+    /// `reachable` is ever reached. It keeps nothing, so `key` is unread.
+    fn external_reach_keyed(
+        &mut self,
+        states: &BitMatrix,
+        _key: TableKey,
+        hosts: &[ComponentId],
+        wides: usize,
+        out: &mut [WideWord],
+    ) {
+        assert_eq!(out.len(), hosts.len() * wides, "one row of `wides` words per host");
+        let GenericRouter { topology, reachable, wide_reach, .. } = self;
+        let (&ext, rest) = reachable.split_first().expect("the external node reaches itself");
+        for ww in 0..wides {
+            let alive = |c: usize| !states.wide_word(c, ww);
+            rest.iter().for_each(|&v| wide_reach[v as usize] = WideWord::ZERO);
+            wide_reach[ext as usize] = alive(ext as usize);
+            let mut changed = true;
+            while changed {
+                changed = false;
+                for &v in rest {
+                    let mut fed = WideWord::ZERO;
+                    for e in topology.graph().neighbors(ComponentId(v)) {
+                        let cable = e.link_id().map_or(WideWord::ONES, |l| alive(l.index()));
+                        fed |= wide_reach[e.to.index()] & cable;
+                    }
+                    let reach = fed & alive(v as usize);
+                    changed |= reach != wide_reach[v as usize];
+                    wide_reach[v as usize] = reach;
+                }
+            }
+            for (row, &h) in out.chunks_exact_mut(wides).zip(hosts) {
+                row[ww] = wide_reach[h.index()];
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use recloud_sampling::prop_assert_eq;
+    use recloud_sampling::proptest::{forall, Gen};
     use recloud_topology::{ComponentKind, LeafSpineParams, TopologyBuilder};
 
     /// ext -- sw1 -- h1 ; sw1 -- sw2 -- h2 (sw2 not border).
@@ -274,6 +334,69 @@ mod tests {
         let h = t.hosts();
         assert_eq!(r.connects(&states, h[0], h[5]), r.connects(&states, h[5], h[0]));
         assert!(r.connects(&states, h[0], h[5]));
+    }
+
+    /// One cable, through a fallible link component or not.
+    fn wire(b: &mut TopologyBuilder, g: &mut Gen, x: ComponentId, y: ComponentId) {
+        if g.any_bool() {
+            b.connect_via_link(x, y);
+        } else {
+            b.connect(x, y);
+        }
+    }
+
+    /// The 256-lane flood equals the scalar flood lane for lane: random
+    /// graphs with link components and cycles, an island the external
+    /// node cannot reach, every component failing at random — the
+    /// external node included — at every round count around the 64- and
+    /// 256-lane boundaries.
+    #[test]
+    fn keyed_flood_equals_the_scalar_flood() {
+        forall("keyed flood == scalar external_reaches", |g| {
+            let mut b = TopologyBuilder::new();
+            b.external();
+            let mut nodes: Vec<_> =
+                (0..g.usize_in(1..3)).map(|_| b.add(ComponentKind::BorderSwitch)).collect();
+            nodes.iter().for_each(|&s| b.mark_border(s));
+            nodes.extend((0..g.usize_in(0..8)).map(|_| b.add(ComponentKind::EdgeSwitch)));
+            nodes.extend(b.add_hosts(g.usize_in(1..12)));
+            // A random tree over the nodes, then extra cables: cycles.
+            for i in 1..nodes.len() {
+                let j = g.usize_in(0..i);
+                wire(&mut b, g, nodes[i], nodes[j]);
+            }
+            for _ in 0..g.usize_in(0..nodes.len() + 1) {
+                let (x, y) = (g.usize_in(0..nodes.len()), g.usize_in(0..nodes.len()));
+                if x != y {
+                    wire(&mut b, g, nodes[x], nodes[y]);
+                }
+            }
+            let island = b.add(ComponentKind::EdgeSwitch);
+            for h in b.add_hosts(g.usize_in(1..3)) {
+                wire(&mut b, g, island, h);
+            }
+            let t = b.build();
+            let rounds = [1, 63, 64, 65, 255, 256, 257, 300][g.usize_in(0..8)];
+            let density = g.f64_in(0.0..0.4);
+            let mut states = BitMatrix::new(t.num_components(), rounds);
+            for c in 0..t.num_components() {
+                (0..rounds).filter(|_| g.f64_in(0.0..1.0) < density).for_each(|r| states.set(c, r));
+            }
+            let (hosts, wides) = (t.hosts(), states.wide_words_per_row());
+            let mut wide = vec![WideWord::ZERO; hosts.len() * wides];
+            let key = TableKey { slot: 0, generation: std::num::NonZeroU64::MIN };
+            let mut r = GenericRouter::new(&t);
+            r.external_reach_keyed(&states, key, hosts, wides, &mut wide);
+            for round in 0..rounds {
+                r.begin_round(&states, round);
+                for (i, &h) in hosts.iter().enumerate() {
+                    let lane =
+                        wide[i * wides + round / WideWord::LANES].bit(round % WideWord::LANES);
+                    prop_assert_eq!(lane, r.external_reaches(&states, h), "round {round} host {h}");
+                }
+            }
+            Ok(())
+        });
     }
 
     #[test]

@@ -31,11 +31,13 @@
 //! round — is the reference, and all a new router must write; per-round
 //! *context setup* is its own step because §4.2.3 attributes most of the
 //! per-plan cost to it. The *wide* protocol — [`Router::begin_wide`] +
-//! [`Router::external_reach_wide`], 256 rounds per answer — is the kernel:
-//! provided as a loop over the scalar one, overridden by the analytic
-//! router with closed-form masks. [`Router::external_reach_keyed`] is the
-//! wide protocol a chunk at a time over a table whose contents have a
-//! name, which is what lets a router keep what it derived.
+//! [`Router::external_reach_wide`], 256 rounds per answer — is provided as
+//! a loop over the scalar one and overridden by the analytic router with
+//! closed-form masks. [`Router::external_reach_keyed`] is the wide
+//! protocol a chunk at a time over a table whose contents have a name,
+//! which is what lets a router keep what it derived; it is the kernel
+//! every K-of-N assessment runs through, answered by the analytic router
+//! from its masks and by the BFS router with a 256-lane flood.
 
 pub mod fattree;
 pub mod generic;
@@ -67,8 +69,7 @@ use std::num::NonZeroU64;
 /// that round. Lanes beyond the matrix's round count are unspecified —
 /// callers mask with [`BitMatrix::wide_mask`]. The provided implementation
 /// loops the scalar protocol over the lanes; a router that answers in
-/// 256-lane bit algebra overrides it and says so in
-/// [`Router::wide_native`].
+/// 256-lane bit algebra overrides it.
 ///
 /// Keyed protocol (the wide one, a chunk at a time): when `states` is a
 /// slot of a failure-state table, [`Router::external_reach_keyed`] answers
@@ -162,14 +163,6 @@ pub trait Router {
     /// default keeps nothing.
     fn memo_stats(&self) -> MemoStats {
         MemoStats::default()
-    }
-
-    /// True when the wide queries are answered natively in 256-lane bit
-    /// algebra rather than by the lane loop below. Batched callers use
-    /// this to decide between host-major wide queries (native) and
-    /// round-major screening (the reference).
-    fn wide_native(&self) -> bool {
-        false
     }
 
     /// 256-round batched [`Router::external_reaches`]: lane r of the
@@ -431,14 +424,6 @@ mod agreement_tests {
                 assert_eq!(ask(&states), ask(&poisoned), "{name}: round {round}");
             }
         }
-    }
-
-    #[test]
-    fn only_analytic_router_is_wide_native() {
-        let t = FatTreeParams::new(4).build();
-        assert!(FatTreeRouter::new(&t).wide_native());
-        assert!(!UpDownRouter::for_fat_tree(&t).wide_native());
-        assert!(!GenericRouter::new(&t).wide_native());
     }
 
     #[test]

@@ -96,7 +96,11 @@ echo "== retired names gate =="
 # several segments needed, and public API nothing called: the RAII span
 # timer, the journal's by-name record and bulk export, and three getters.
 # And the hand-rolled MPMC channel and worker pool: std's mpsc and scoped
-# threads carry every cross-thread queue.
+# threads carry every cross-thread queue. And the second K-of-N path: the
+# router flag that chose between a count of reach words and the screened
+# round loop, the per-wide-word counter beside the chunk kernel, and the
+# scalar checker's K-of-N shortcut beside the fixpoint — every router
+# answers K-of-N through `external_reach_keyed` and one counting kernel.
 RETIRED='StatsResponse|SearchPlacement|set_batched|Word64|JobFrame|RCW1'
 RETIRED="$RETIRED|begin_wide_keyed|border_of|border_ok_wide|pod_ext_wide|memo_row|name_cone|recheck_base"
 RETIRED="$RETIRED|eval_word|eval_node_word|eval_matrix"
@@ -121,6 +125,7 @@ RETIRED="$RETIRED|segment_max_bytes|segment_paths|segments_dropped|segments_remo
 RETIRED="$RETIRED|parse_segment_id|list_segments|segment_file_name|sealed_bytes"
 RETIRED="$RETIRED|SpanGuard|record_named|export_json_lines|chunks_fed|workload_mut|num_network_nodes"
 RETIRED="$RETIRED|scoped_workers|recloud_sampling::sync"
+RETIRED="$RETIRED|wide_native|k_of_n_wide|complex_round"
 if grep -rnE "$RETIRED" crates/ src/ tests/ examples/ \
     | grep -vE '^crates/server/src/(protocol/tests\.rs|frame_table\.md):.*(SearchPlacement|CacheSync|CacheSegment|ComparePlans)'; then
   echo "retired names gate: a retired name is back (see above)"; exit 1

@@ -20,6 +20,9 @@
 # The header says A/A when <parent-ref> is HEAD on a clean tree: both sides
 # run the same code, so any verdict but "within bound" or "unresolved" is
 # noise. Every run's result line is kept in target/pairs/<workload>.jsonl.
+# Before the first pair, `repro answers` (one digest per workload shape) is
+# built and run on both sides: "answers: same", or the shapes whose digest
+# differs, or that the parent has no such subcommand.
 # benchmark/ is used as it is; nothing is written under it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -45,6 +48,21 @@ if [ "$(cat "$PARENT/.pairs-commit" 2>/dev/null)" != "$PARENT_COMMIT" ]; then
   mkdir -p "$PARENT"
   git archive "$PARENT_COMMIT" | tar -x -C "$PARENT"
   echo "$PARENT_COMMIT" > "$PARENT/.pairs-commit"
+fi
+
+# `repro answers` of one side, built in its own checkout and target directory.
+answers() { # <checkout>
+  (cd "$1" && unset CARGO_TARGET_DIR && cargo build --release -q --offline -p recloud-bench --bin repro \
+    && target/release/repro answers)
+}
+CHANGE_ANSWERS="$(answers "$PWD")"
+if ! PARENT_ANSWERS="$(answers "$PARENT" 2>/dev/null)"; then
+  echo "answers: the parent's \`repro answers\` did not build or run"
+elif [ "$PARENT_ANSWERS" = "$CHANGE_ANSWERS" ]; then
+  echo "answers: same"
+else
+  echo "answers: differ on $(comm -13 <(sort <<<"$PARENT_ANSWERS") <(sort <<<"$CHANGE_ANSWERS") \
+    | cut -d' ' -f1 | tr '\n' ' ')"
 fi
 
 # One run of one side; prints the result line.
