@@ -61,6 +61,9 @@ impl SamplerKind {
     }
 }
 
+/// What [`Assessor::drive`] hands each partial estimate to.
+type OnPartial<'a> = &'a mut dyn FnMut(&PartialEstimate) -> ControlFlow<()>;
+
 /// Lane width of the route-and-check kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchWidth {
@@ -281,16 +284,8 @@ impl AssessInstruments {
         if let Some(ctx) = span {
             let end_us = recloud_obs::trace::now_us();
             let start_us = end_us.saturating_sub((sampling + collapse + check).as_micros() as u64);
-            let tracer = recloud_obs::tracer();
-            tracer.record(
-                ctx.trace_id,
-                ctx.span,
-                "assess.chunk",
-                start_us,
-                end_us,
-                rounds as u64,
-                chunk as u64,
-            );
+            let (tracer, tags) = (recloud_obs::tracer(), (rounds as u64, chunk as u64));
+            tracer.record(ctx.trace_id, ctx.span, "assess.chunk", (start_us, end_us), tags);
         }
     }
 
@@ -603,8 +598,8 @@ impl Assessor {
     /// is the first to read plus the route-and-check — the fast path of
     /// common-random-number searches.
     ///
-    /// Thin consumer of [`Assessor::drive`]: runs the full layout with no
-    /// stopping rule.
+    /// [`Assessor::drive`] with no stopping rule and no one to see a
+    /// partial estimate, so none is worked out: runs the full layout.
     pub fn assess(
         &mut self,
         spec: &ApplicationSpec,
@@ -612,7 +607,7 @@ impl Assessor {
         rounds: usize,
         seed: u64,
     ) -> Assessment {
-        self.drive(spec, plan, rounds, seed, None, &mut |_| ControlFlow::Continue(())).assessment
+        self.run(spec, plan, rounds, seed, None, None).assessment
     }
 
     /// Runs the [`AssessmentDriver`] over `rounds`, executing chunks
@@ -634,6 +629,20 @@ impl Assessor {
         target_ciw: Option<f64>,
         on_partial: &mut dyn FnMut(&PartialEstimate) -> ControlFlow<()>,
     ) -> DrivenAssessment {
+        self.run(spec, plan, rounds, seed, target_ciw, Some(on_partial))
+    }
+
+    /// [`Assessor::drive`], with no partial estimates worked out when no
+    /// one watches them (no callback and no target).
+    fn run(
+        &mut self,
+        spec: &ApplicationSpec,
+        plan: &DeploymentPlan,
+        rounds: usize,
+        seed: u64,
+        target_ciw: Option<f64>,
+        mut on_partial: Option<OnPartial>,
+    ) -> DrivenAssessment {
         assert!(rounds > 0, "cannot assess over zero rounds");
         let mut checker = self.checker.take().unwrap_or_else(|| StructureChecker::new(spec, plan));
         checker.retarget(spec, plan);
@@ -644,8 +653,12 @@ impl Assessor {
         while let Some(task) = driver.next_task() {
             let mut local = ResultAccumulator::new();
             self.chunk(task.chunk as usize, &mut checker, task.seed, task.rounds, &mut local);
+            if on_partial.is_none() && target_ciw.is_none() {
+                driver.push(local.rounds(), local.successes());
+                continue;
+            }
             let partial = driver.feed(task.chunk, local.rounds(), local.successes());
-            let flow = on_partial(&partial);
+            let flow = on_partial.as_mut().map_or(ControlFlow::Continue(()), |f| f(&partial));
             if partial.stop_hint || flow.is_break() {
                 break;
             }
@@ -982,23 +995,30 @@ mod tests {
     }
 
     /// What the router keeps is sized by the plans it is shown, not by the
-    /// hosts a search visits: a 2,000-step walk of one-host moves on the
-    /// Medium fabric touches ~1,500 of its 3,312 hosts, and the memo is
-    /// byte for byte as large as after 50 steps; of the engine's arena only
-    /// the table grew, by the rows of the hosts visited. Every step still
-    /// derives its new host's rows.
+    /// hosts a search visits: a 2,000-plan walk of one-host moves on the
+    /// Medium fabric at the search benchmark's 10⁴ rounds touches ~1,500 of
+    /// its 3,312 hosts, and the memo is byte for byte as large as after 50
+    /// plans; of the engine's arena only the table grew, by the rows of the
+    /// hosts visited. Every step still derives its new host's rows, and
+    /// every 100th answer — counted from the rows the router lends — equals
+    /// a fresh engine's.
     #[test]
     fn memo_bytes_do_not_grow_with_hosts_visited() {
         let t = recloud_topology::Scale::Medium.build();
-        let mut a = Assessor::new(&t, FaultModel::paper_default(&t, 11));
+        let model = FaultModel::paper_default(&t, 11);
+        let mut a = Assessor::new(&t, model.clone());
         let spec = ApplicationSpec::k_of_n(4, 5);
         let mut rng = Rng::new(8);
         let mut plan = DeploymentPlan::random(&spec, t.hosts(), &mut rng);
-        let (rounds, chunks) = (4_000, 2);
+        let (rounds, chunks) = (10_000, 4);
         let mut walk = |a: &mut Assessor, steps: usize| {
-            for _ in 0..steps {
+            for step in 0..steps {
                 plan = plan.neighbor(t.hosts(), &mut rng);
-                a.assess(&spec, &plan, rounds, 5);
+                let got = a.assess(&spec, &plan, rounds, 5).estimate;
+                if step % 100 == 99 {
+                    let fresh = Assessor::new(&t, model.clone()).assess(&spec, &plan, rounds, 5);
+                    assert_eq!(got, fresh.estimate, "step {step}: {plan}");
+                }
             }
             (a.router.memo_stats(), a.arena_bytes(), a.table.written_bytes())
         };
@@ -1013,12 +1033,14 @@ mod tests {
             "one reach row per slot per step, but for a host still in the set: {built}"
         );
         // Per slot: twice the hosts of the largest plan shown — 10 reach
-        // rows, whatever the fabric's size — and per wide word the built
-        // bits, a border row and a `pod_ext` per pod.
+        // rows, whatever the fabric's size — the index that finds them, per
+        // pod a built count, and per wide word a border row and a
+        // `pod_ext` per pod.
         let m = t.fat_tree().unwrap();
         let wides = a.chunk_layout(1 << 20)[0].1 / WideWord::LANES;
-        let digests = wides * (16 + 32 * (m.half + m.host_pods) as usize);
-        assert_eq!(late.bytes, chunks as usize * (10 * (wides * 32 + 16) + digests));
+        let pods = m.host_pods as usize;
+        let digests = wides * 32 * (m.half as usize + pods) + 4 * pods;
+        assert_eq!(late.bytes, chunks as usize * (10 * (wides * 32 + 16) + 128 + digests));
     }
 
     /// The table's memory contract, in rows rather than resident bytes so

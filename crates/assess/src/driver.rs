@@ -29,7 +29,7 @@
 
 use crate::assessor::Assessor;
 use recloud_obs::Counter;
-use recloud_sampling::{ReliabilityEstimate, ResultAccumulator};
+use recloud_sampling::{wilson95, ReliabilityEstimate, ResultAccumulator};
 use std::sync::Arc;
 
 /// A snapshot of the running estimate, yielded after every fed chunk.
@@ -166,12 +166,10 @@ impl AssessmentDriver {
     /// estimate. Chunks may arrive in any order; the estimate is a pure
     /// function of the accumulated totals.
     pub fn feed(&mut self, chunk: u32, rounds: u64, successes: u64) -> PartialEstimate {
-        self.acc.push_batch(rounds, successes);
-        self.fed += 1;
-        self.obs.rounds_batch += rounds;
+        self.push(rounds, successes);
         let estimate = self.acc.estimate();
         let ciw = estimate.ciw95();
-        let width = ciw.max(wilson_width95(estimate.rounds, estimate.successes));
+        let wilson = || 2.0 * wilson95(estimate.score, estimate.rounds).1;
         PartialEstimate {
             chunk,
             chunks_total: self.layout.len() as u32,
@@ -179,8 +177,16 @@ impl AssessmentDriver {
             rounds_total: self.rounds_total,
             r: estimate.score,
             ciw,
-            stop_hint: self.target_ciw.is_some_and(|t| width <= t),
+            stop_hint: self.target_ciw.is_some_and(|t| ciw.max(wilson()) <= t),
         }
+    }
+
+    /// [`AssessmentDriver::feed`] for a drive nobody watches: no partial
+    /// estimate is worked out, as none can stop it.
+    pub(crate) fn push(&mut self, rounds: u64, successes: u64) {
+        self.acc.push_batch(rounds, successes);
+        self.fed += 1;
+        self.obs.rounds_batch += rounds;
     }
 
     /// The running estimate over every chunk fed so far.
@@ -207,14 +213,6 @@ impl AssessmentDriver {
     pub fn is_complete(&self) -> bool {
         self.fed == self.layout.len()
     }
-}
-
-/// Width of the 95 % Wilson score interval for `successes` of `rounds`:
-/// z²/(n + z²), about 3.84/n, when no round failed; a little under Eq 3's
-/// once a few dozen have.
-fn wilson_width95(rounds: u64, successes: u64) -> f64 {
-    let (n, p, z) = (rounds as f64, successes as f64 / rounds as f64, 1.96);
-    2.0 * z / (1.0 + z * z / n) * (p * (1.0 - p) / n + z * z / (4.0 * n * n)).sqrt()
 }
 
 #[cfg(test)]
@@ -270,7 +268,7 @@ mod tests {
         let p = d.feed(1, 10_000, 10_000);
         assert!(p.stop_hint, "3.84 / 10,014 <= 1e-3");
         assert!(!d.is_complete(), "stopping early leaves the layout unfinished");
-        let wilson = wilson_width95(d.rounds_done(), d.rounds_done());
+        let wilson = 2.0 * wilson95(1.0, d.rounds_done()).1;
         assert!((wilson - 3.8416 / (10_010.0 + 3.8416)).abs() < 1e-15, "{wilson}");
 
         // A mixed stream only reaches a loose target once n is large.

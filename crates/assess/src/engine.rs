@@ -59,15 +59,9 @@ impl Engine {
             self.assessor.reseed(model);
             self.seed = seed;
             if let (Some(ctx), Some(start_us)) = (recloud_obs::current_span(), span_start) {
-                trace::tracer().record(
-                    ctx.trace_id,
-                    ctx.span,
-                    "engine.reseed",
-                    start_us,
-                    trace::now_us(),
-                    self.assessor.topology().num_components() as u64,
-                    0,
-                );
+                let tags = (self.assessor.topology().num_components() as u64, 0);
+                let span = (start_us, trace::now_us());
+                trace::tracer().record(ctx.trace_id, ctx.span, "engine.reseed", span, tags);
             }
         }
         &mut self.assessor

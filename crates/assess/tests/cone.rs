@@ -39,14 +39,18 @@ use recloud_topology::{
 use std::ops::ControlFlow;
 
 /// The full-width reference: every row of every chunk, at the table's
-/// full chunk width, checked over the chunk's own rounds.
+/// full chunk width, checked over the chunk's own rounds. A chunk's rows
+/// are a function of its seed, so each chunk of a seed is sampled and
+/// collapsed once and checked for every plan that follows.
 struct FullWidth {
     model: FaultModel,
     kind: SamplerKind,
     injector: Option<FaultInjector>,
     router: Box<dyn Router + Send>,
     raw: BitMatrix,
-    states: BitMatrix,
+    /// The seed `states` were drawn under, and per chunk index its rows.
+    seed: Option<u64>,
+    states: Vec<Option<BitMatrix>>,
 }
 
 impl FullWidth {
@@ -59,12 +63,44 @@ impl FullWidth {
     ) -> Self {
         FullWidth {
             raw: BitMatrix::new(model.num_events(), chunk_rounds),
-            states: BitMatrix::new(model.num_topology_components(), chunk_rounds),
+            seed: None,
+            states: Vec::new(),
             router,
             model,
             kind,
             injector,
         }
+    }
+
+    /// Chunk `chunk`'s collapsed rows under `seed`: every event sampled,
+    /// injections forced, every row collapsed — the first time they are
+    /// asked for.
+    fn states(&mut self, seed: u64, chunk: u32) -> &BitMatrix {
+        if self.seed != Some(seed) {
+            (self.seed, self.states) = (Some(seed), Vec::new());
+        }
+        let chunk = chunk as usize;
+        if self.states.len() <= chunk {
+            self.states.resize_with(chunk + 1, || None);
+        }
+        let FullWidth { model, kind, injector, raw, .. } = self;
+        self.states[chunk].get_or_insert_with(|| {
+            let chunk_seed = Assessor::chunk_seed(seed, chunk as u32);
+            match kind {
+                SamplerKind::ExtendedDagger => {
+                    ExtendedDaggerSampler::seeded(chunk_seed).sample_into(model.probs(), raw)
+                }
+                SamplerKind::MonteCarlo => {
+                    MonteCarloSampler::seeded(chunk_seed).sample_into(model.probs(), raw)
+                }
+            }
+            if let Some(injector) = injector {
+                injector.apply(raw);
+            }
+            let mut states = BitMatrix::new(model.num_topology_components(), raw.rounds());
+            model.collapse_into(raw, &mut states);
+            states
+        })
     }
 
     fn assess(
@@ -77,21 +113,12 @@ impl FullWidth {
         let mut checker = StructureChecker::new(spec, plan);
         let mut acc = ResultAccumulator::new();
         for &(chunk, n) in layout {
-            let chunk_seed = Assessor::chunk_seed(seed, chunk);
-            match self.kind {
-                SamplerKind::ExtendedDagger => ExtendedDaggerSampler::seeded(chunk_seed)
-                    .sample_into(self.model.probs(), &mut self.raw),
-                SamplerKind::MonteCarlo => MonteCarloSampler::seeded(chunk_seed)
-                    .sample_into(self.model.probs(), &mut self.raw),
-            }
-            if let Some(injector) = &self.injector {
-                injector.apply(&mut self.raw);
-            }
-            self.model.collapse_into(&self.raw, &mut self.states);
+            self.states(seed, chunk);
+            let states = self.states[chunk as usize].as_ref().expect("just sampled");
             for ww in 0..n.div_ceil(WideWord::LANES) {
                 let lanes = (n - ww * WideWord::LANES).min(WideWord::LANES);
-                self.router.begin_wide(&self.states, ww);
-                let mask = checker.wide_reliable(self.router.as_mut(), &self.states, ww, lanes);
+                self.router.begin_wide(states, ww);
+                let mask = checker.wide_reliable(self.router.as_mut(), states, ww, lanes);
                 acc.push_wide(mask, lanes as u32);
             }
         }
@@ -213,6 +240,13 @@ fn kept_digests_equal_a_fresh_unkeyed_replay_across_generation_edges() {
         // The engine under test: one for the whole sequence, 256 lanes,
         // so the analytic router's memo is live from the first plan on.
         let mut engine = Assessor::with_sampler(&t, model.clone(), kind);
+        // The reference: rows drawn once per (model, injector, seed) and
+        // chunk, a fresh router on the unkeyed path for every plan.
+        let reference_for = |engine: &Assessor, injector: &Option<FaultInjector>| {
+            let (model, chunk_rounds) = (engine.model().clone(), engine.chunk_layout(1 << 20)[0].1);
+            FullWidth::new(model, kind, injector.clone(), make_router(&t), chunk_rounds)
+        };
+        let mut reference = reference_for(&engine, &injector);
         let mut seed = g.any_u64();
         let mut plan = DeploymentPlan::random(&spec, t.hosts(), g.rng());
         let mut visited = vec![plan.clone()];
@@ -254,12 +288,14 @@ fn kept_digests_equal_a_fresh_unkeyed_replay_across_generation_edges() {
                 }
                 _ => {} // same seed: a shorter follow-up, or a longer one
             }
+            if matches!(edge, 1 | 2) {
+                reference = reference_for(&engine, &injector);
+            }
             let chunk_rounds = engine.chunk_layout(1 << 20)[0].1;
             let rounds = g.usize_in(1..2 * chunk_rounds + 400);
             let layout = engine.chunk_layout(rounds);
-            let fresh = routers[router](&t);
-            let want = FullWidth::new(model.clone(), kind, injector.clone(), fresh, chunk_rounds)
-                .assess(&spec, &plan, &layout, seed);
+            reference.router = routers[router](&t);
+            let want = reference.assess(&spec, &plan, &layout, seed);
             let got = match edge {
                 // Stopped after the first chunk, then resumed on the rows
                 // (and digests) the stop left behind.

@@ -203,14 +203,14 @@ pub fn assess(p: &Parsed) -> Result<String, CliError> {
         let cadence = p.usize_or("cadence", 4)?.max(1);
         let target = p.f64_opt("target-ciw")?;
         if let Some(ciw) = target {
-            if !(ciw > 0.0) {
+            if ciw.is_nan() || ciw <= 0.0 {
                 return Err(CliError::Invalid("--target-ciw must be a positive width".into()));
             }
         }
         let mut fed = 0usize;
         let driven = assessor.drive(&spec, &plan, rounds, seed, target, &mut |partial| {
             fed += 1;
-            if fed % cadence == 0
+            if fed.is_multiple_of(cadence)
                 || partial.stop_hint
                 || partial.rounds_done == partial.rounds_total
             {
@@ -249,11 +249,26 @@ pub fn assess(p: &Parsed) -> Result<String, CliError> {
     );
     let _ = writeln!(
         out,
-        "implied annual downtime: {:.1} hours; assessed in {:?}",
-        a.estimate.annual_downtime_hours(),
+        "implied annual downtime: {}; assessed in {:?}",
+        downtime(&a.estimate),
         a.timings.total
     );
     Ok(out)
+}
+
+/// The annual downtime an estimate implies, in hours. With no failed round
+/// the point estimate is 0, which no finite sample shows: the one-sided
+/// 95 % upper bound is printed instead, 3/n of a year (the rule of three).
+fn downtime(e: &ReliabilityEstimate) -> String {
+    if e.successes < e.rounds {
+        return format!("{:.1} hours", e.annual_downtime_hours());
+    }
+    let bound = ReliabilityEstimate { score: 1.0 - 3.0 / e.rounds as f64, ..*e };
+    format!(
+        "at most {:.1} hours (95% upper bound: no failed round in {})",
+        bound.annual_downtime_hours(),
+        e.rounds
+    )
 }
 
 /// `recloud search [--workers N] [--stream] [--iters I]` — the
@@ -314,7 +329,7 @@ pub fn search(p: &Parsed) -> Result<String, CliError> {
     );
     if p.has("stream") {
         let mut events = events.into_inner().unwrap();
-        events.sort_by(|a, b| (a.chain, a.iteration).cmp(&(b.chain, b.iteration)));
+        events.sort_by_key(|e| (e.chain, e.iteration));
         for e in &events {
             let _ = writeln!(
                 out,
@@ -437,7 +452,7 @@ fn assess_remote(p: &Parsed) -> Result<String, CliError> {
 
     let connect_start = trace::now_us();
     let mut client = connect(&addr, Duration::from_secs(300))?;
-    tracer.record(trace_id, root, "client.connect", connect_start, trace::now_us(), 0, 0);
+    tracer.record(trace_id, root, "client.connect", (connect_start, trace::now_us()), (0, 0));
     client.set_trace(trace_id, root).map_err(|e| CliError::Invalid(format!("arm trace: {e}")))?;
 
     let mut out = String::new();
@@ -449,15 +464,8 @@ fn assess_remote(p: &Parsed) -> Result<String, CliError> {
             .assess_streaming(request, cadence, |partial| {
                 partials += 1;
                 let at = trace::now_us();
-                tracer.record(
-                    trace_id,
-                    root,
-                    "client.partial",
-                    at,
-                    at,
-                    partial.rounds_done,
-                    partials,
-                );
+                let tags = (partial.rounds_done, partials);
+                tracer.record(trace_id, root, "client.partial", (at, at), tags);
                 let _ = writeln!(
                     out,
                     "  partial {:>3}: {:>9}/{} rounds  R {:.5}  CIW {:.2e}",

@@ -278,6 +278,16 @@ mod tests {
         assert!(out.contains("downtime"), "{out}");
     }
 
+    /// A plan no round of the sample failed is not shown to have no
+    /// downtime: the line gives the rule-of-three bound, 3/10⁴ of a year.
+    #[test]
+    fn a_perfect_sample_prints_an_upper_bound_not_zero_downtime() {
+        let out = run_str("assess --scale medium --k 1 --n 5 --rounds 10000 --seed 1").unwrap();
+        assert!(out.contains("reliability 1.00000"), "{out}");
+        assert!(out.contains("downtime: at most 2.6 hours"), "{out}");
+        assert!(!out.contains("0.0 hours"), "{out}");
+    }
+
     #[test]
     fn assess_accepts_explicit_hosts() {
         // In the tiny (k=8) fat-tree, hosts start after 16 core + 28 agg

@@ -54,7 +54,7 @@ impl FaultTree {
     }
 
     /// Number of nodes (gates + leaves); at least one, the root.
-    #[allow(clippy::len_without_is_empty)]
+    #[allow(clippy::len_without_is_empty)] // a tree always has its root: it is never empty
     pub fn len(&self) -> usize {
         self.nodes.len()
     }

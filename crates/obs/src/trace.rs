@@ -184,7 +184,7 @@ impl Tracer {
     /// Opens a span under `parent` (0 = root) and returns its id, or 0
     /// when the trace is unknown or tracing is off.
     pub fn start(&self, trace_id: u64, parent: u32, kind: &'static str) -> u32 {
-        self.push(trace_id, parent, kind, now_us(), 0, 0, 0)
+        self.record(trace_id, parent, kind, (now_us(), 0), (0, 0))
     }
 
     /// Closes an open span, stamping its end time.
@@ -213,29 +213,15 @@ impl Tracer {
     }
 
     /// Records an already-completed span in one call (an engine's timed
-    /// chunk measures first, records after). Returns the span id.
+    /// chunk measures first, records after): its `(start, end)` times in
+    /// µs and its `(v0, v1)` tags. Returns the span id.
     pub fn record(
         &self,
         trace_id: u64,
         parent: u32,
         kind: &'static str,
-        start_us: u64,
-        end_us: u64,
-        v0: u64,
-        v1: u64,
-    ) -> u32 {
-        self.push(trace_id, parent, kind, start_us, end_us, v0, v1)
-    }
-
-    fn push(
-        &self,
-        trace_id: u64,
-        parent: u32,
-        kind: &'static str,
-        start_us: u64,
-        end_us: u64,
-        v0: u64,
-        v1: u64,
+        (start_us, end_us): (u64, u64),
+        (v0, v1): (u64, u64),
     ) -> u32 {
         if trace_id == 0 {
             return 0;

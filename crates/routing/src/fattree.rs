@@ -32,10 +32,19 @@
 //! last plan finds all but one of its rows built; a K-of-N verdict over a
 //! held table is then a count over N kept rows with no routing in it.
 //!
+//! A kept row is found in O(1): a small index maps a host's hash to the
+//! row it was last put in, a hint checked against the row's host, so the
+//! scan for the least recently used row runs only on a miss. A new row is
+//! built from three row slices resolved once — the host's, its edge
+//! switch's and its pod's `pod_ext` — and the rows are not copied out:
+//! the call lends them in place as [`ReachRows`], and only a plan with
+//! as many hosts as the memo has rows (which would push its own rows out
+//! mid-call) has its rows copied into the caller's [`ReachBuf`].
+//!
 //! Verdict-equivalence with the valley-free reference BFS is enforced by
 //! tests in `lib.rs` and by property tests.
 
-use crate::{MemoStats, Router, TableKey};
+use crate::{MemoStats, ReachBuf, ReachRows, Router, TableKey};
 use recloud_sampling::{BitMatrix, WideWord};
 use recloud_topology::{ComponentId, FatTreeMeta, Topology};
 
@@ -64,27 +73,38 @@ pub struct FatTreeRouter {
 
 /// What is kept of one state matrix under one generation: per wide word
 /// the plan-independent digests, each built the first time it is read, and
-/// a small set of per-host reach rows. A new generation clears the `built`
-/// bits and empties the rows, and so forgets everything.
+/// a small set of per-host reach rows with an index to find them by. A new
+/// generation zeroes the built counts and empties the rows, and so forgets
+/// everything.
 #[derive(Default)]
 struct Memo {
     /// What everything below was built under; 0 before the first.
     generation: u64,
-    /// `[wide]`: bit p set iff `pod_ext` of pod p is built (k ≤ 128, so
-    /// p ≤ 126); bit [`BORDER_BUILT`] set iff the word's `border_ok` is.
-    built: Vec<u128>,
+    /// Memo wide word `at` holds the matrix's wide word `base + at`: 0 for a
+    /// table slot, the installed wide word for the unkeyed memo.
+    base: usize,
+    /// Memo wide words per row.
+    width: usize,
+    /// Wide words `0..border_built` of `border_ok` are built.
+    border_built: usize,
     /// `[wide · half + g]`: border(g) alive AND some core of group g alive.
     /// Every `pod_ext` of the wide word is built from it, whenever a plan
     /// first brings its pod there.
     border_ok: Vec<WideWord>,
-    /// `[wide · pods + p]`: OR over g of `agg(p, g) & border_ok[g]` — the
-    /// rounds in which pod p has some externally-viable uplink group.
+    /// `[pod]`: wide words `0..pod_built[p]` of pod p's `pod_ext` are built.
+    pod_built: Vec<u32>,
+    /// `[pod · width + wide]`: OR over g of `agg(p, g) & border_ok[g]` —
+    /// the rounds in which pod p has some externally-viable uplink group.
     pod_ext: Vec<WideWord>,
-    /// The hosts whose reach is kept, and `[row · wides + wide]` their
+    /// The hosts whose reach is kept, and `[row · width + wide]` their
     /// reach: host ∧ edge ∧ `pod_ext[pod]`. At most [`MAX_REACH_ROWS`],
     /// and no more than twice the hosts of the largest plan shown.
     rows: Vec<ReachRow>,
     reach: Vec<WideWord>,
+    /// `[hash(host)]`: the row `host` was last put in, if it is still
+    /// there — a hint, checked against `rows`, that spares the LRU scan.
+    /// [`INDEX`] entries once the memo keeps any row.
+    index: Vec<u8>,
     /// [`Router::external_reach_keyed`] calls so far: a row `used` in this
     /// one belongs to the plan being checked.
     call: u64,
@@ -106,58 +126,60 @@ struct ReachRow {
 const NO_HOST: u32 = u32::MAX;
 const EMPTY_ROW: ReachRow = ReachRow { host: NO_HOST, built: 0, used: 0 };
 
-/// Bit of [`Memo::built`] that says the wide word's `border_ok` is built.
-const BORDER_BUILT: u32 = 127;
-
 /// Most reach rows kept per slot, whatever the plan: a plan with more
 /// hosts than this is answered through the same rows, a few at a time.
 /// 64 rows of a 10⁴-round Medium slot (10 wide words) are 20 KB.
 const MAX_REACH_ROWS: usize = 64;
 
+/// Entries of [`Memo::index`]: twice the most rows, so that the hosts of
+/// one plan rarely share one.
+const INDEX: usize = 2 * MAX_REACH_ROWS;
+
 impl Memo {
-    /// Starts over under `generation`, for a matrix of `wides` wide words
+    /// Starts over under `generation`, for a matrix of `width` wide words
     /// per row. Allocates only when a size changes.
-    fn restart(&mut self, generation: u64, wides: usize, meta: &FatTreeMeta) {
+    fn restart(&mut self, generation: u64, width: usize, meta: &FatTreeMeta) {
         self.generation = generation;
-        self.built.clear();
-        self.built.resize(wides, 0);
-        self.border_ok.resize(wides * meta.half as usize, WideWord::ZERO);
-        self.pod_ext.resize(wides * meta.host_pods as usize, WideWord::ZERO);
+        self.width = width;
+        self.border_built = 0;
+        self.pod_built.clear();
+        self.pod_built.resize(meta.host_pods as usize, 0);
+        self.border_ok.resize(width * meta.half as usize, WideWord::ZERO);
+        self.pod_ext.resize(width * meta.host_pods as usize, WideWord::ZERO);
         self.rows.fill(EMPTY_ROW);
-        self.reach.resize(self.rows.len() * wides, WideWord::ZERO);
+        self.reach.resize(self.rows.len() * width, WideWord::ZERO);
     }
 
     fn bytes(&self) -> usize {
         let wide_words = self.border_ok.len() + self.pod_ext.len() + self.reach.len();
         std::mem::size_of::<WideWord>() * wide_words
-            + std::mem::size_of::<u128>() * self.built.len()
+            + std::mem::size_of_val(&self.pod_built[..])
             + std::mem::size_of::<ReachRow>() * self.rows.len()
+            + self.index.len()
     }
 
-    /// Pod `pod`'s externally-viable-uplink mask over wide word `wide` of
-    /// `states`, kept as wide word `at` of the memo; built on first read
-    /// from the pod's agg rows and the word's `border_ok`, itself built on
-    /// first read from the border and core rows. It reads only the base cone
-    /// and a `pod` host's cone, and only when such a host is asked about.
-    /// Adds what it built to `digests`.
-    #[inline]
-    fn pod_ext(
+    /// Builds pod `pod`'s externally-viable-uplink mask over the memo's wide
+    /// words `0..wides`, those not built yet, from the pod's agg rows and
+    /// each word's `border_ok`, itself built on first read from the border
+    /// and core rows. It reads only the base cone and a `pod` host's cone,
+    /// and only when such a host is asked about. Adds what it built to
+    /// `digests`.
+    fn build_pod_ext(
         &mut self,
         meta: &FatTreeMeta,
         states: &BitMatrix,
-        (wide, at): (usize, usize),
         pod: u32,
+        wides: usize,
         digests: &mut u64,
-    ) -> WideWord {
-        let (half, pods) = (meta.half as usize, meta.host_pods as usize);
-        let built = &mut self.built[at];
-        let ext = &mut self.pod_ext[at * pods + pod as usize];
-        if (*built >> pod) & 1 == 1 {
-            return *ext;
+    ) {
+        let (half, p) = (meta.half as usize, pod as usize);
+        let from = self.pod_built[p] as usize;
+        if from >= wides {
+            return;
         }
-        let border_ok = &mut self.border_ok[at * half..][..half];
-        if (*built >> BORDER_BUILT) & 1 == 0 {
-            for (g, ok) in border_ok.iter_mut().enumerate() {
+        for at in self.border_built..wides {
+            let wide = self.base + at;
+            for (g, ok) in self.border_ok[at * half..][..half].iter_mut().enumerate() {
                 let mut any = WideWord::ZERO;
                 for j in 0..half {
                     let core = meta.core(g as u32, j as u32);
@@ -168,27 +190,36 @@ impl Memo {
                 }
                 *ok = any & FatTreeRouter::alive_wide(states, meta.border(g as u32), wide);
             }
-            *built |= 1 << BORDER_BUILT;
             *digests += 1;
         }
-        *ext = WideWord::ZERO;
-        for (g, &ok) in border_ok.iter().enumerate() {
-            *ext |= FatTreeRouter::alive_wide(states, meta.agg(pod, g as u32), wide) & ok;
+        self.border_built = self.border_built.max(wides);
+        let ext = &mut self.pod_ext[p * self.width..][from..wides];
+        ext.fill(WideWord::ZERO);
+        for g in 0..half {
+            let agg = states.row_words(meta.agg(pod, g as u32).index());
+            for (at, ext) in (from..wides).zip(ext.iter_mut()) {
+                *ext |= alive_at(agg, self.base + at) & self.border_ok[at * half + g];
+            }
         }
-        *built |= 1 << pod;
-        *digests += 1;
-        *ext
+        self.pod_built[p] = wides as u32;
+        *digests += (wides - from) as u64;
     }
 
-    /// The row that holds `host`'s reach — the one it is already in, or
-    /// the least recently used one, emptied. With at least one row more
-    /// than the plan has hosts, that is never a row of the plan being
-    /// checked.
+    /// The row that holds `host`'s reach: the one the index names, if it
+    /// still holds the host; else, by a scan, the one it is in or the
+    /// least recently used one, emptied. With at least one row more than
+    /// the plan has hosts, that is never a row of the plan being checked.
     #[inline]
     fn row_of(&mut self, host: u32) -> usize {
+        let hash = (host.wrapping_mul(0x9E37_79B9) >> (32 - INDEX.trailing_zeros())) as usize;
+        let hint = self.index[hash] as usize;
+        if self.rows.get(hint).is_some_and(|row| row.host == host) {
+            return hint;
+        }
         let mut oldest = 0;
         for (i, row) in self.rows.iter().enumerate() {
             if row.host == host {
+                self.index[hash] = i as u8;
                 return i;
             }
             if row.used < self.rows[oldest].used {
@@ -196,8 +227,16 @@ impl Memo {
             }
         }
         self.rows[oldest] = ReachRow { host, ..EMPTY_ROW };
+        self.index[hash] = oldest as u8;
         oldest
     }
+}
+
+/// Lanes alive in wide word `ww` of a row's raw words.
+#[inline(always)]
+fn alive_at(row: &[u64], ww: usize) -> WideWord {
+    let w = &row[ww * WideWord::WORDS..][..WideWord::WORDS];
+    !WideWord([w[0], w[1], w[2], w[3]])
 }
 
 impl FatTreeRouter {
@@ -238,22 +277,23 @@ impl FatTreeRouter {
         !states.wide_word(c.index(), wide)
     }
 
-    /// Makes `memos[memo]` hold `generation` of a matrix of `wides` wide
+    /// Makes `memos[memo]` hold `generation` of a matrix of `width` wide
     /// words per row — forgetting what it held under any other — with room
     /// for at least `rows` reach rows.
-    fn memo_under(&mut self, memo: usize, generation: u64, wides: usize, rows: usize) {
+    fn memo_under(&mut self, memo: usize, generation: u64, width: usize, rows: usize) {
         if self.memos.len() <= memo {
             self.memos.resize_with(memo + 1, Memo::default);
         }
         let m = &mut self.memos[memo];
         let before = m.bytes();
         if m.generation != generation {
-            m.restart(generation, wides, &self.meta);
+            m.restart(generation, width, &self.meta);
         }
-        debug_assert_eq!(m.built.len(), wides, "a generation names one matrix");
+        debug_assert_eq!(m.width, width, "a generation names one matrix");
         if m.rows.len() < rows {
             m.rows.resize(rows, EMPTY_ROW);
-            m.reach.resize(rows * wides, WideWord::ZERO);
+            m.reach.resize(rows * width, WideWord::ZERO);
+            m.index.resize(INDEX, 0);
         }
         self.stats.bytes = self.stats.bytes + m.bytes() - before;
     }
@@ -379,52 +419,67 @@ impl Router for FatTreeRouter {
     fn begin_wide(&mut self, _states: &BitMatrix, wide: usize) {
         let forgotten = self.memos.first().map_or(0, |m| m.generation) + 1;
         self.memo_under(0, forgotten, 1, 0);
+        self.memos[0].base = wide;
         self.wide = wide;
     }
 
-    /// Serves each host's reach from table slot `key.slot`'s memo. Rows
+    /// Lends each host's reach from table slot `key.slot`'s memo. Rows
     /// never change under one generation, so whatever an earlier plan
     /// built under `key.generation` — a pod's digest, a host's whole row —
     /// is served as it is; only a host the slot's last few plans did not
     /// hold is derived, from its own row, its edge switch's and its pod's
-    /// digest.
-    fn external_reach_keyed(
-        &mut self,
+    /// digest. A plan with at least as many hosts as the memo has rows
+    /// would push its own rows out: its rows are copied into `buf` as they
+    /// are built, and lent from there.
+    fn external_reach_keyed<'a>(
+        &'a mut self,
         states: &BitMatrix,
         key: TableKey,
         hosts: &[ComponentId],
         wides: usize,
-        out: &mut [WideWord],
-    ) {
-        assert_eq!(out.len(), hosts.len() * wides, "one row of `wides` words per host");
+        buf: &'a mut ReachBuf,
+    ) -> ReachRows<'a> {
         let width = states.wide_words_per_row();
         assert!(wides <= width, "more wide words than the matrix holds");
-        if wides == 0 {
-            return;
-        }
         let rows = (2 * hosts.len()).min(MAX_REACH_ROWS);
         self.memo_under(1 + key.slot, key.generation.get(), width, rows);
         let FatTreeRouter { memos, stats, meta, .. } = self;
         let m = &mut memos[1 + key.slot];
         m.call += 1;
-        for (&host, out) in hosts.iter().zip(out.chunks_exact_mut(wides)) {
+        let lend = hosts.len() < m.rows.len();
+        if lend {
+            buf.starts.clear();
+        } else {
+            buf.fill(hosts.len(), wides);
+        }
+        for (i, &host) in hosts.iter().enumerate() {
             debug_assert!(meta.is_host(host), "external_reach_keyed takes host ids");
             let row = m.row_of(host.0);
             m.rows[row].used = m.call;
             let built = m.rows[row].built as usize;
             if built < wides {
                 let pos = meta.host_position(host);
-                let edge = meta.edge(pos.pod, pos.edge);
+                m.build_pod_ext(meta, states, pos.pod, wides, &mut stats.digests_built);
+                let own = states.row_words(host.index());
+                let edge = states.row_words(meta.edge(pos.pod, pos.edge).index());
+                let ext = &m.pod_ext[pos.pod as usize * width..][..wides];
+                let reach = &mut m.reach[row * width..][..wides];
                 for ww in built..wides {
-                    let ext = m.pod_ext(meta, states, (ww, ww), pos.pod, &mut stats.digests_built);
-                    m.reach[row * width + ww] = Self::alive_wide(states, host, ww)
-                        & Self::alive_wide(states, edge, ww)
-                        & ext;
+                    reach[ww] = alive_at(own, ww) & alive_at(edge, ww) & ext[ww];
                 }
                 m.rows[row].built = wides as u32;
                 stats.reach_rows_built += 1;
             }
-            out.copy_from_slice(&m.reach[row * width..][..wides]);
+            if lend {
+                buf.starts.push(row * width);
+            } else {
+                buf.words[i * wides..][..wides].copy_from_slice(&m.reach[row * width..][..wides]);
+            }
+        }
+        if lend {
+            ReachRows { words: &m.reach, starts: &buf.starts }
+        } else {
+            buf.lend()
         }
     }
 
@@ -442,11 +497,10 @@ impl Router for FatTreeRouter {
         debug_assert_eq!(wide, self.wide, "begin_wide installs the wide context");
         let pos = self.meta.host_position(host);
         let unkeyed = &mut self.memos[0];
-        let ext =
-            unkeyed.pod_ext(&self.meta, states, (wide, 0), pos.pod, &mut self.stats.digests_built);
+        unkeyed.build_pod_ext(&self.meta, states, pos.pod, 1, &mut self.stats.digests_built);
         Self::alive_wide(states, host, wide)
             & Self::alive_wide(states, self.meta.edge(pos.pod, pos.edge), wide)
-            & ext
+            & unkeyed.pod_ext[pos.pod as usize]
     }
 }
 
@@ -600,7 +654,7 @@ mod tests {
         match key {
             Some((key, plan)) => {
                 for (hosts, out) in t.hosts().chunks(plan).zip(out.chunks_mut(plan * wides)) {
-                    r.external_reach_keyed(s, key, hosts, wides, out);
+                    out.copy_from_slice(&keyed(r, s, key, hosts, wides));
                 }
             }
             None => {
@@ -616,6 +670,19 @@ mod tests {
             row.iter_mut().enumerate().for_each(|(ww, w)| *w &= s.wide_mask(ww));
         }
         out
+    }
+
+    /// `hosts`' keyed reach rows over `wides` wide words, back to back.
+    fn keyed(
+        r: &mut FatTreeRouter,
+        s: &BitMatrix,
+        key: TableKey,
+        hosts: &[ComponentId],
+        wides: usize,
+    ) -> Vec<WideWord> {
+        let mut buf = ReachBuf::default();
+        let rows = r.external_reach_keyed(s, key, hosts, wides, &mut buf);
+        crate::agreement_tests::host_major(rows, hosts.len(), wides)
     }
 
     /// What is kept is kept per (slot, generation) and only there. The
@@ -661,13 +728,12 @@ mod tests {
         assert_eq!(second.bytes, first.bytes, "the set is bounded by the plan, not the walk");
         // The last plan again: served as it is.
         let last = &t.hosts()[t.hosts().len() - 4..];
-        let mut out = vec![WideWord::ZERO; 4 * wides as usize];
-        r.external_reach_keyed(&a, key, last, wides as usize, &mut out);
+        keyed(&mut r, &a, key, last, wides as usize);
         assert_eq!(r.memo_stats(), second, "a repeat builds nothing");
         // A row first built for one wide word is extended for two.
         let fresh = TableKey { slot: 3, generation: generation(20) };
-        r.external_reach_keyed(&a, fresh, last, 1, &mut out[..4]);
-        r.external_reach_keyed(&a, fresh, last, 2, &mut out);
+        keyed(&mut r, &a, fresh, last, 1);
+        let out = keyed(&mut r, &a, fresh, last, 2);
         let got: Vec<_> = out.iter().enumerate().map(|(i, w)| *w & a.wide_mask(i % 2)).collect();
         assert_eq!(got, want_a[want_a.len() - 8..], "extended rows");
         assert_eq!(r.memo_stats().reach_rows_built, second.reach_rows_built + 8);
@@ -685,16 +751,70 @@ mod tests {
         assert_eq!(r.memo_stats().digests_built, built);
         // A plan larger than the set can ever be is answered all the same.
         let many: Vec<ComponentId> = t.hosts().iter().cycle().take(100).copied().collect();
-        let mut out = vec![WideWord::ZERO; 100 * wides as usize];
-        r.external_reach_keyed(&b, rekeyed, &many, wides as usize, &mut out);
+        let out = keyed(&mut r, &b, rekeyed, &many, wides as usize);
         for (i, row) in out.chunks(wides as usize).enumerate() {
             let at = (i % t.hosts().len()) * wides as usize;
             let got: Vec<_> = row.iter().enumerate().map(|(ww, w)| *w & b.wide_mask(ww)).collect();
             assert_eq!(got, want_b[at..at + wides as usize], "host {i} of 100");
         }
         let capped = r.memo_stats().bytes;
-        r.external_reach_keyed(&b, rekeyed, &many, wides as usize, &mut out);
+        keyed(&mut r, &b, rekeyed, &many, wides as usize);
         assert_eq!(r.memo_stats().bytes, capped, "the set has a cap");
+    }
+
+    /// Every row the keyed call lends equals the unkeyed
+    /// `external_reach_wide`, wide word by wide word: fat-trees with and
+    /// without link components; walks of one-host moves over two slots
+    /// that return to hosts the memo has since dropped; new generations,
+    /// some over new contents; calls shorter and longer than the last under
+    /// a generation; and plans with more hosts than the memo keeps rows.
+    #[test]
+    fn lent_rows_equal_the_unkeyed_wide_path() {
+        use recloud_sampling::prop_assert_eq;
+        use recloud_sampling::proptest::forall;
+        forall("lent rows == external_reach_wide", |g| {
+            let k = [4, 6, 8][g.usize_in(0..3)];
+            let t = FatTreeParams::new(k).with_links(g.any_bool()).build();
+            let hosts = t.hosts();
+            let rounds = [1, 255, 257, 600][g.usize_in(0..4)];
+            let tables: Vec<BitMatrix> =
+                (0..3).map(|_| random_states(&t, rounds, g.any_u64())).collect();
+            let width = tables[0].wide_words_per_row();
+            let (mut r, mut reference) = (FatTreeRouter::new(&t), FatTreeRouter::new(&t));
+            let mut buf = ReachBuf::default();
+            let n = match g.usize_in(0..6) {
+                0 => g.usize_in(MAX_REACH_ROWS..MAX_REACH_ROWS + 40),
+                _ => g.usize_in(1..8),
+            };
+            let mut plan: Vec<ComponentId> =
+                (0..n).map(|_| hosts[g.usize_in(0..hosts.len())]).collect();
+            // Per slot: its generation and the table it names.
+            let mut slots = [(1u64, 0usize), (2, 1)];
+            let mut minted = 2;
+            for step in 0..g.usize_in(1..40) {
+                let slot = g.usize_in(0..2);
+                if g.usize_in(0..5) == 0 {
+                    minted += 1;
+                    slots[slot] = (minted, g.usize_in(0..tables.len()));
+                }
+                let (generation, table) = slots[slot];
+                let key =
+                    TableKey { slot, generation: std::num::NonZeroU64::new(generation).unwrap() };
+                let (s, wides) = (&tables[table], g.usize_in(1..width + 1));
+                let rows = r.external_reach_keyed(s, key, &plan, wides, &mut buf);
+                for ww in 0..wides {
+                    reference.begin_wide(s, ww);
+                    prop_assert_eq!(rows.column(ww).count(), plan.len());
+                    for (&h, got) in plan.iter().zip(rows.column(ww)) {
+                        let want = reference.external_reach_wide(s, h, ww) & s.wide_mask(ww);
+                        let got = got & s.wide_mask(ww);
+                        prop_assert_eq!(got, want, "step {step} host {h} wide word {ww}");
+                    }
+                }
+                plan[g.usize_in(0..n)] = hosts[g.usize_in(0..hosts.len())];
+            }
+            Ok(())
+        });
     }
 
     /// The provided `external_reach_keyed` is `begin_wide` +
@@ -711,8 +831,9 @@ mod tests {
         ];
         for mut r in routers {
             let hosts: Vec<ComponentId> = t.hosts().iter().step_by(3).copied().collect();
-            let mut got = vec![WideWord::ZERO; hosts.len() * wides];
-            r.external_reach_keyed(&s, key, &hosts, wides, &mut got);
+            let mut buf = ReachBuf::default();
+            let rows = r.external_reach_keyed(&s, key, &hosts, wides, &mut buf);
+            let got: Vec<WideWord> = crate::agreement_tests::host_major(rows, hosts.len(), wides);
             for ww in 0..wides {
                 r.begin_wide(&s, ww);
                 for (i, &h) in hosts.iter().enumerate() {

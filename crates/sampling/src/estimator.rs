@@ -93,6 +93,16 @@ impl ResultAccumulator {
     }
 }
 
+/// The 95 % Wilson score interval of a `score` measured over `rounds`
+/// rounds, as (centre, half-width). Unlike Eq 3's interval it keeps a
+/// width when no round failed: its lower end is then n/(n + z²), not 1.
+pub fn wilson95(score: f64, rounds: u64) -> (f64, f64) {
+    let (n, p, z) = (rounds as f64, score, 1.96);
+    let d = 1.0 + z * z / n;
+    let half = z / d * (p * (1.0 - p) / n + z * z / (4.0 * n * n)).sqrt();
+    ((p + z * z / (2.0 * n)) / d, half)
+}
+
 /// A finalized reliability assessment of one deployment plan.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ReliabilityEstimate {

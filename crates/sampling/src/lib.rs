@@ -48,7 +48,7 @@ pub mod wide;
 pub mod wire;
 
 pub use dagger::DaggerCycle;
-pub use estimator::{ReliabilityEstimate, ResultAccumulator};
+pub use estimator::{wilson95, ReliabilityEstimate, ResultAccumulator};
 pub use extended::ExtendedDaggerSampler;
 pub use montecarlo::MonteCarloSampler;
 pub use rng::{derive_seed, Rng};

@@ -28,7 +28,7 @@ use crate::transform::SymmetryChecker;
 use recloud_apps::{ApplicationSpec, DeploymentPlan, PlacementRules, WorkloadMap};
 use recloud_assess::Assessor;
 use recloud_obs::{Counter, KindId};
-use recloud_sampling::Rng;
+use recloud_sampling::{wilson95, Rng};
 use recloud_topology::ComponentId;
 use std::sync::Arc;
 use std::time::Duration;
@@ -40,9 +40,11 @@ pub struct SearchConfig {
     pub budget: SearchBudget,
     /// Route-and-check rounds per assessment (paper default 10⁴).
     pub rounds: usize,
-    /// Stop early once the best plan's *measure* reaches this value
-    /// (`R_desired`); 1.0 or more spends the whole budget, as in §4.1 (a
-    /// table on which no round failed measures 1.0 without proving it).
+    /// Stop early once the best plan's *measure* is shown to reach this
+    /// value (`R_desired`): its measure at the 95 % Wilson lower bound of
+    /// its in-sample reliability, as a table on which no round failed
+    /// measures 1.0 without proving it. 1.0 or more spends the whole
+    /// budget, as in §4.1.
     pub desired: f64,
     /// Placement constraints; violating neighbors are discarded instantly
     /// (§3.3.3 "quickly discard any generated deployment plans that do not
@@ -397,12 +399,18 @@ impl<'a> Searcher<'a> {
         // the initial one, so skip Steps 3-6 and return it as the
         // outcome instead of crashing mid-search.
         let saturated = spec.total_instances() >= hosts.len();
-        let reached = |measure: f64| config.desired < 1.0 && measure >= config.desired;
+        // The chain ends once the best plan is shown to meet `desired`: its
+        // measure at the 95 % Wilson lower bound of its in-sample
+        // reliability, which a table with no failed round does not lift to 1.
+        let reached = |plan: &DeploymentPlan, reliability: f64| {
+            let (centre, half) = wilson95(reliability, config.rounds as u64);
+            config.desired < 1.0 && objective.measure(plan, centre - half) >= config.desired
+        };
         // Each step's neighbor is written over this; an accepted one swaps.
         let mut neighbor = current.clone();
 
         // Steps 3-6.
-        while !saturated && !clock.exhausted() && !reached(best_measure) {
+        while !saturated && !clock.exhausted() && !reached(&best_plan, best_rel) {
             // Step 3: neighbor generation with rule/symmetry filtering.
             let found = (0..config.max_neighbor_retries).any(|_| {
                 current.neighbor_into(hosts, &mut rng, &mut neighbor);
@@ -474,7 +482,7 @@ impl<'a> Searcher<'a> {
             // per loop pass, so equal budgets cross the same boundaries —
             // the alignment the parallel rendezvous relies on.
             let every = driver.boundary_every();
-            if every != 0 && clock.iterations() % every == 0 {
+            if every != 0 && clock.iterations().is_multiple_of(every) {
                 let report = BestReport {
                     plan: best_plan.clone(),
                     measure: best_measure,
@@ -792,6 +800,28 @@ mod tests {
                 assert_eq!(out.stats.plans_assessed, 2_000, "{k}-of-5, seed {seed}");
             }
         }
+    }
+
+    /// Medium 1-of-5 finds plans no round of a 10⁴-round table fails; a
+    /// perfect sample of 10⁴ rounds bounds the reliability below by
+    /// 10⁴/(10⁴ + 1.96²) ≈ 0.99962 only, short of 0.9999, so the chain goes
+    /// on past the first such plan and spends its budget.
+    #[test]
+    fn a_desired_score_below_one_is_not_met_by_a_perfect_sample_too_small_to_show_it() {
+        let t = recloud_topology::Scale::Medium.build();
+        let mut assessor = Assessor::new(&t, FaultModel::paper_default(&t, 1));
+        let spec = ApplicationSpec::k_of_n(1, 5);
+        let mut cfg = SearchConfig::iterations(200, 10_000, 1);
+        cfg.desired = 0.9999;
+        let out = Searcher::new(&mut assessor).search(&spec, &ReliabilityObjective, &cfg, None);
+        let first = |pass: &dyn Fn(f64) -> bool| {
+            out.trajectory.iter().find(|p| pass(p.reliability)).map(|p| p.iteration)
+        };
+        let met = first(&|r| r >= cfg.desired).expect("an in-sample measure at 0.9999");
+        assert!(out.stats.plans_assessed > met, "stopped at plan {met}");
+        let perfect = first(&|r| r == 1.0).expect("a failure-free plan on the table");
+        assert!(out.stats.plans_assessed > perfect, "stopped at plan {perfect}");
+        assert_eq!(out.stats.plans_assessed, 200, "nothing shows 0.9999 at 10⁴ rounds");
     }
 
     #[test]

@@ -201,7 +201,7 @@ impl Conn {
         if let Some((SpanCtx { trace_id, span }, t0)) = traced {
             let sent = !matches!(self.state, State::Zombie(_)) as u64;
             let t1 = trace::now_us();
-            trace::tracer().record(trace_id, span, "partial.emit", t0, t1, sent, 0);
+            trace::tracer().record(trace_id, span, "partial.emit", (t0, t1), (sent, 0));
         }
     }
 

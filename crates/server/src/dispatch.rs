@@ -101,7 +101,7 @@ impl<'a> Dispatch<'a> {
         let hit = self.srv.cache.lock().unwrap().get(key);
         if let (Some(SpanCtx { trace_id, span }), Some(t0)) = (traced, t0) {
             let (t1, v0) = (trace::now_us(), hit.is_some() as u64);
-            trace::tracer().record(trace_id, span, "cache.lookup", t0, t1, v0, 0);
+            trace::tracer().record(trace_id, span, "cache.lookup", (t0, t1), (v0, 0));
         }
         if let Some(hit) = hit {
             self.srv.obs.cache_hits.inc();

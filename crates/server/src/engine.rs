@@ -102,7 +102,7 @@ impl EnginePool {
         let driven =
             engine.at(req.seed).drive(spec, plan, req.rounds as usize, req.seed, None, &mut |p| {
                 fed += 1;
-                if fed % cadence == 0 {
+                if fed.is_multiple_of(cadence) {
                     on_partial(p);
                 }
                 if cancel.load(Ordering::Acquire) {
@@ -287,7 +287,7 @@ mod tests {
         assert!(!events.is_empty());
         assert!(events.iter().all(|e| e.chain < 3));
         let topology = Preset::Tiny.scale().build();
-        check_hosts(&topology, &[a.hosts.clone()]).unwrap();
+        check_hosts(&topology, std::slice::from_ref(&a.hosts)).unwrap();
     }
 
     /// `iters = 0`: one chain on the request's wall-clock budget.
@@ -307,6 +307,6 @@ mod tests {
         assert!(resp.plans_assessed >= 1);
         assert!((0.0..=1.0).contains(&resp.reliability));
         let topology = Preset::Tiny.scale().build();
-        check_hosts(&topology, &[resp.hosts.clone()]).unwrap();
+        check_hosts(&topology, std::slice::from_ref(&resp.hosts)).unwrap();
     }
 }

@@ -421,7 +421,7 @@ impl Server {
         let n = journal_tail as usize;
         let mut events = self.obs.registry.journal().tail(n);
         events.extend(recloud_obs::global().journal().tail(n));
-        events.sort_by(|a, b| (a.ts_micros, a.seq).cmp(&(b.ts_micros, b.seq)));
+        events.sort_by_key(|e| (e.ts_micros, e.seq));
         if events.len() > n {
             events.drain(..events.len() - n);
         }
@@ -555,15 +555,8 @@ impl Server {
             if let (Some(SpanCtx { trace_id, span }), Some(t0)) = (recloud_obs::current_span(), t0)
             {
                 let t1 = trace::now_us();
-                trace::tracer().record(
-                    trace_id,
-                    span,
-                    "store.append",
-                    t0,
-                    t1,
-                    ops_appended,
-                    compacted,
-                );
+                let tags = (ops_appended, compacted);
+                trace::tracer().record(trace_id, span, "store.append", (t0, t1), tags);
             }
         }
     }

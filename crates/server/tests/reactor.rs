@@ -323,11 +323,7 @@ fn bind_compacts_a_replay_crossed_threshold() {
     let warmed = start(ServerConfig {
         workers: 2,
         store_dir: Some(dir.clone()),
-        store_config: StoreConfig {
-            compact_min_bytes: 1,
-            compact_live_ratio: 2.0,
-            ..StoreConfig::default()
-        },
+        store_config: StoreConfig { compact_min_bytes: 1, compact_live_ratio: 2.0 },
         ..ServerConfig::default()
     });
     let mut client = Client::connect(warmed.addr).unwrap();

@@ -20,6 +20,11 @@ echo "== release build, warnings denied =="
 # left in target/release from an earlier build.
 RUSTFLAGS="-D warnings" cargo build --release --workspace --all-targets
 
+echo "== clippy, warnings denied =="
+# Every lint clippy warns of by default fails the gate; an `#[allow]` in
+# the tree carries a one-line reason next to it.
+cargo clippy --workspace --all-targets -- -D warnings
+
 echo "== examples =="
 # --all-targets above compiles every example; this runs each once as
 # built, so an example that panics fails here rather than only compiling
