@@ -61,9 +61,6 @@ impl SamplerKind {
     }
 }
 
-/// What [`Assessor::drive`] hands each partial estimate to.
-type OnPartial<'a> = &'a mut dyn FnMut(&PartialEstimate) -> ControlFlow<()>;
-
 /// Lane width of the route-and-check kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchWidth {
@@ -598,8 +595,8 @@ impl Assessor {
     /// is the first to read plus the route-and-check — the fast path of
     /// common-random-number searches.
     ///
-    /// [`Assessor::drive`] with no stopping rule and no one to see a
-    /// partial estimate, so none is worked out: runs the full layout.
+    /// Thin consumer of [`Assessor::drive`]: runs the full layout with no
+    /// stopping rule.
     pub fn assess(
         &mut self,
         spec: &ApplicationSpec,
@@ -607,7 +604,7 @@ impl Assessor {
         rounds: usize,
         seed: u64,
     ) -> Assessment {
-        self.run(spec, plan, rounds, seed, None, None).assessment
+        self.drive(spec, plan, rounds, seed, None, &mut |_| ControlFlow::Continue(())).assessment
     }
 
     /// Runs the [`AssessmentDriver`] over `rounds`, executing chunks
@@ -629,20 +626,6 @@ impl Assessor {
         target_ciw: Option<f64>,
         on_partial: &mut dyn FnMut(&PartialEstimate) -> ControlFlow<()>,
     ) -> DrivenAssessment {
-        self.run(spec, plan, rounds, seed, target_ciw, Some(on_partial))
-    }
-
-    /// [`Assessor::drive`], with no partial estimates worked out when no
-    /// one watches them (no callback and no target).
-    fn run(
-        &mut self,
-        spec: &ApplicationSpec,
-        plan: &DeploymentPlan,
-        rounds: usize,
-        seed: u64,
-        target_ciw: Option<f64>,
-        mut on_partial: Option<OnPartial>,
-    ) -> DrivenAssessment {
         assert!(rounds > 0, "cannot assess over zero rounds");
         let mut checker = self.checker.take().unwrap_or_else(|| StructureChecker::new(spec, plan));
         checker.retarget(spec, plan);
@@ -653,12 +636,8 @@ impl Assessor {
         while let Some(task) = driver.next_task() {
             let mut local = ResultAccumulator::new();
             self.chunk(task.chunk as usize, &mut checker, task.seed, task.rounds, &mut local);
-            if on_partial.is_none() && target_ciw.is_none() {
-                driver.push(local.rounds(), local.successes());
-                continue;
-            }
             let partial = driver.feed(task.chunk, local.rounds(), local.successes());
-            let flow = on_partial.as_mut().map_or(ControlFlow::Continue(()), |f| f(&partial));
+            let flow = on_partial(&partial);
             if partial.stop_hint || flow.is_break() {
                 break;
             }
@@ -1000,7 +979,7 @@ mod tests {
     /// its 3,312 hosts, and the memo is byte for byte as large as after 50
     /// plans; of the engine's arena only the table grew, by the rows of the
     /// hosts visited. Every step still derives its new host's rows, and
-    /// every 100th answer — counted from the rows the router lends — equals
+    /// every 100th answer — counted from the rows the router kept — equals
     /// a fresh engine's.
     #[test]
     fn memo_bytes_do_not_grow_with_hosts_visited() {

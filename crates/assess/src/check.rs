@@ -24,7 +24,7 @@
 //! The checker owns per-plan scratch and never allocates per round.
 
 use recloud_apps::{ApplicationSpec, Connectivity, DeploymentPlan, Source};
-use recloud_routing::{ReachBuf, Router, TableKey};
+use recloud_routing::{Router, TableKey};
 use recloud_sampling::{BitMatrix, ResultAccumulator, WideWord};
 use recloud_topology::ComponentId;
 
@@ -42,11 +42,9 @@ pub struct StructureChecker {
     /// Scratch for the bit-sliced K-of-N count: `gew[j]` is the round-lane
     /// mask of "at least j+1 instances reachable so far".
     gew: Vec<WideWord>,
-    /// Scratch for the K-of-N count over one wide word: the plan's reach
-    /// words, one per host.
+    /// Scratch for the K-of-N count: the plan's reach rows, one row of the
+    /// chunk's wide words (or of one wide word) per host.
     reach: Vec<WideWord>,
-    /// What a router that keeps no reach rows fills for a chunk and lends.
-    rows: ReachBuf,
 }
 
 impl StructureChecker {
@@ -59,7 +57,6 @@ impl StructureChecker {
             active: Vec::new(),
             gew: Vec::new(),
             reach: Vec::new(),
-            rows: ReachBuf::default(),
         };
         checker.retarget(spec, plan);
         checker
@@ -102,9 +99,9 @@ impl StructureChecker {
     /// [`StructureChecker::wide_reliable`] wide word by wide word.
     ///
     /// K-of-N asks once per chunk: one [`Router::external_reach_keyed`]
-    /// call lends every host's reach over all its wide words (the rows the
-    /// router kept under `key`, where it keeps anything), and the verdicts
-    /// are a count over those rows, read in place, with no routing in it.
+    /// call hands back every host's reach over all its wide words (from
+    /// what the router kept under `key`, where it keeps anything), and the
+    /// verdicts are a count over those rows with no routing in it.
     /// Structures with cross-component requirements go wide word by wide
     /// word through the unkeyed [`Router::begin_wide`] and `wide_reliable`.
     pub fn chunk_reliable(
@@ -119,9 +116,9 @@ impl StructureChecker {
         match self.simple_k {
             Some(k) if k > 0 => {
                 let hosts = &self.hosts[0];
-                let rows = router.external_reach_keyed(states, key, hosts, wides, &mut self.rows);
-                let reach = |ww| rows.column(ww);
-                count_chunk(&mut self.gew, reach, hosts.len(), k as usize, wides, |ww, w| {
+                self.reach.resize(hosts.len() * wides, WideWord::ZERO);
+                router.external_reach_keyed(states, key, hosts, wides, &mut self.reach);
+                count_chunk(&mut self.gew, &self.reach, hosts.len(), k as usize, wides, |ww, w| {
                     acc.push_wide(w, lanes_of(rounds, ww) as u32)
                 });
             }
@@ -169,8 +166,8 @@ impl StructureChecker {
             let hosts = &self.hosts[0];
             self.reach.clear();
             self.reach.extend(hosts.iter().map(|&h| router.external_reach_wide(states, h, wide)));
-            let (reach, mut out) = (|_| self.reach.iter().copied(), WideWord::ZERO);
-            count_chunk(&mut self.gew, reach, hosts.len(), k as usize, 1, |_, w| out = w);
+            let mut out = WideWord::ZERO;
+            count_chunk(&mut self.gew, &self.reach, hosts.len(), k as usize, 1, |_, w| out = w);
             return out;
         }
         let valid = WideWord::lane_mask(n);
@@ -298,17 +295,17 @@ fn count_reach(ge: &mut [WideWord], reach: WideWord) {
     ge[0] |= reach;
 }
 
-/// The K-of-N kernel over reach rows: `reach(ww)` yields each of `n`
-/// hosts' reach over wide word `ww`. Wide word by wide word, `verdict`
-/// gets the lanes in which at least `k` ≥ 1 of them are reachable. It
-/// counts whichever settles a lane sooner: k reachable hosts, or the
-/// n − k + 1 unreachable ones that rule them out (4-of-5 is "fewer than
-/// two down"). A short counter lives in registers: same kernel, its length
-/// known to the compiler; a longer one in `gew`.
+/// The K-of-N kernel over reach rows: `reach[i · wides + ww]` is host i's
+/// reach over wide word `ww`, for `n` hosts. Wide word by wide word,
+/// `verdict` gets the lanes in which at least `k` ≥ 1 of them are
+/// reachable. It counts whichever settles a lane sooner: k reachable
+/// hosts, or the n − k + 1 unreachable ones that rule them out (4-of-5 is
+/// "fewer than two down"). A short counter lives in registers: same
+/// kernel, its length known to the compiler; a longer one in `gew`.
 #[inline(always)]
-fn count_chunk<I: Iterator<Item = WideWord>>(
+fn count_chunk(
     gew: &mut Vec<WideWord>,
-    reach: impl Fn(usize) -> I,
+    reach: &[WideWord],
     n: usize,
     k: usize,
     wides: usize,
@@ -331,17 +328,17 @@ fn count_chunk<I: Iterator<Item = WideWord>>(
 /// [`count_chunk`] with its counter `ge` chosen: as many lanes as hosts
 /// are needed, counting reachable hosts or, `of_down`, unreachable ones.
 #[inline(always)]
-fn count_words<I: Iterator<Item = WideWord>>(
+fn count_words(
     ge: &mut [WideWord],
-    reach: impl Fn(usize) -> I,
+    reach: &[WideWord],
     of_down: bool,
     wides: usize,
     mut verdict: impl FnMut(usize, WideWord),
 ) {
     for ww in 0..wides {
         ge.fill(WideWord::ZERO);
-        for word in reach(ww) {
-            count_reach(ge, if of_down { !word } else { word });
+        for row in reach.chunks_exact(wides) {
+            count_reach(ge, if of_down { !row[ww] } else { row[ww] });
         }
         let enough = ge[ge.len() - 1];
         verdict(ww, if of_down { !enough } else { enough });

@@ -166,7 +166,9 @@ impl AssessmentDriver {
     /// estimate. Chunks may arrive in any order; the estimate is a pure
     /// function of the accumulated totals.
     pub fn feed(&mut self, chunk: u32, rounds: u64, successes: u64) -> PartialEstimate {
-        self.push(rounds, successes);
+        self.acc.push_batch(rounds, successes);
+        self.fed += 1;
+        self.obs.rounds_batch += rounds;
         let estimate = self.acc.estimate();
         let ciw = estimate.ciw95();
         let wilson = || 2.0 * wilson95(estimate.score, estimate.rounds).1;
@@ -179,14 +181,6 @@ impl AssessmentDriver {
             ciw,
             stop_hint: self.target_ciw.is_some_and(|t| ciw.max(wilson()) <= t),
         }
-    }
-
-    /// [`AssessmentDriver::feed`] for a drive nobody watches: no partial
-    /// estimate is worked out, as none can stop it.
-    pub(crate) fn push(&mut self, rounds: u64, successes: u64) {
-        self.acc.push_batch(rounds, successes);
-        self.fed += 1;
-        self.obs.rounds_batch += rounds;
     }
 
     /// The running estimate over every chunk fed so far.

@@ -257,18 +257,16 @@ pub fn assess(p: &Parsed) -> Result<String, CliError> {
 }
 
 /// The annual downtime an estimate implies, in hours. With no failed round
-/// the point estimate is 0, which no finite sample shows: the one-sided
-/// 95 % upper bound is printed instead, 3/n of a year (the rule of three).
+/// the point estimate is 0, which no finite sample shows: the exact
+/// one-sided 95 % upper bound on the failure rate, 1 − 0.05^(1/n), is
+/// printed instead — about 3/n of a year (the rule of three) at large n,
+/// and short of the whole year at any n.
 fn downtime(e: &ReliabilityEstimate) -> String {
     if e.successes < e.rounds {
         return format!("{:.1} hours", e.annual_downtime_hours());
     }
-    let bound = ReliabilityEstimate { score: 1.0 - 3.0 / e.rounds as f64, ..*e };
-    format!(
-        "at most {:.1} hours (95% upper bound: no failed round in {})",
-        bound.annual_downtime_hours(),
-        e.rounds
-    )
+    let hours = (1.0 - 0.05f64.powf(1.0 / e.rounds as f64)) * 365.25 * 24.0;
+    format!("at most {hours:.1} hours (95% upper bound: no failed round in {})", e.rounds)
 }
 
 /// `recloud search [--workers N] [--stream] [--iters I]` — the

@@ -279,13 +279,17 @@ mod tests {
     }
 
     /// A plan no round of the sample failed is not shown to have no
-    /// downtime: the line gives the rule-of-three bound, 3/10⁴ of a year.
+    /// downtime: the line gives the 95 % upper bound, ≈ 3/10⁴ of a year at
+    /// 10⁴ rounds, and 0.95 of a year — never more than the year — at one.
     #[test]
     fn a_perfect_sample_prints_an_upper_bound_not_zero_downtime() {
-        let out = run_str("assess --scale medium --k 1 --n 5 --rounds 10000 --seed 1").unwrap();
-        assert!(out.contains("reliability 1.00000"), "{out}");
-        assert!(out.contains("downtime: at most 2.6 hours"), "{out}");
-        assert!(!out.contains("0.0 hours"), "{out}");
+        for (rounds, bound) in [(10_000, "2.6"), (1, "8327.7")] {
+            let cmd = format!("assess --scale medium --k 1 --n 5 --rounds {rounds} --seed 1");
+            let out = run_str(&cmd).unwrap();
+            assert!(out.contains("reliability 1.00000"), "{out}");
+            assert!(out.contains(&format!("downtime: at most {bound} hours")), "{out}");
+            assert!(!out.contains("0.0 hours"), "{out}");
+        }
     }
 
     #[test]

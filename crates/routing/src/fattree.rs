@@ -36,15 +36,13 @@
 //! row it was last put in, a hint checked against the row's host, so the
 //! scan for the least recently used row runs only on a miss. A new row is
 //! built from three row slices resolved once — the host's, its edge
-//! switch's and its pod's `pod_ext` — and the rows are not copied out:
-//! the call lends them in place as [`ReachRows`], and only a plan with
-//! as many hosts as the memo has rows (which would push its own rows out
-//! mid-call) has its rows copied into the caller's [`ReachBuf`].
+//! switch's and its pod's `pod_ext` — and then copied, as every kept row
+//! is, into the caller's buffer.
 //!
 //! Verdict-equivalence with the valley-free reference BFS is enforced by
 //! tests in `lib.rs` and by property tests.
 
-use crate::{MemoStats, ReachBuf, ReachRows, Router, TableKey};
+use crate::{MemoStats, Router, TableKey};
 use recloud_sampling::{BitMatrix, WideWord};
 use recloud_topology::{ComponentId, FatTreeMeta, Topology};
 
@@ -423,22 +421,21 @@ impl Router for FatTreeRouter {
         self.wide = wide;
     }
 
-    /// Lends each host's reach from table slot `key.slot`'s memo. Rows
+    /// Serves each host's reach from table slot `key.slot`'s memo. Rows
     /// never change under one generation, so whatever an earlier plan
     /// built under `key.generation` — a pod's digest, a host's whole row —
     /// is served as it is; only a host the slot's last few plans did not
     /// hold is derived, from its own row, its edge switch's and its pod's
-    /// digest. A plan with at least as many hosts as the memo has rows
-    /// would push its own rows out: its rows are copied into `buf` as they
-    /// are built, and lent from there.
-    fn external_reach_keyed<'a>(
-        &'a mut self,
+    /// digest.
+    fn external_reach_keyed(
+        &mut self,
         states: &BitMatrix,
         key: TableKey,
         hosts: &[ComponentId],
         wides: usize,
-        buf: &'a mut ReachBuf,
-    ) -> ReachRows<'a> {
+        out: &mut [WideWord],
+    ) {
+        assert_eq!(out.len(), hosts.len() * wides, "one row of `wides` words per host");
         let width = states.wide_words_per_row();
         assert!(wides <= width, "more wide words than the matrix holds");
         let rows = (2 * hosts.len()).min(MAX_REACH_ROWS);
@@ -446,13 +443,7 @@ impl Router for FatTreeRouter {
         let FatTreeRouter { memos, stats, meta, .. } = self;
         let m = &mut memos[1 + key.slot];
         m.call += 1;
-        let lend = hosts.len() < m.rows.len();
-        if lend {
-            buf.starts.clear();
-        } else {
-            buf.fill(hosts.len(), wides);
-        }
-        for (i, &host) in hosts.iter().enumerate() {
+        for (&host, out) in hosts.iter().zip(out.chunks_exact_mut(wides)) {
             debug_assert!(meta.is_host(host), "external_reach_keyed takes host ids");
             let row = m.row_of(host.0);
             m.rows[row].used = m.call;
@@ -470,16 +461,7 @@ impl Router for FatTreeRouter {
                 m.rows[row].built = wides as u32;
                 stats.reach_rows_built += 1;
             }
-            if lend {
-                buf.starts.push(row * width);
-            } else {
-                buf.words[i * wides..][..wides].copy_from_slice(&m.reach[row * width..][..wides]);
-            }
-        }
-        if lend {
-            ReachRows { words: &m.reach, starts: &buf.starts }
-        } else {
-            buf.lend()
+            out.copy_from_slice(&m.reach[row * width..][..wides]);
         }
     }
 
@@ -654,7 +636,7 @@ mod tests {
         match key {
             Some((key, plan)) => {
                 for (hosts, out) in t.hosts().chunks(plan).zip(out.chunks_mut(plan * wides)) {
-                    out.copy_from_slice(&keyed(r, s, key, hosts, wides));
+                    r.external_reach_keyed(s, key, hosts, wides, out);
                 }
             }
             None => {
@@ -670,19 +652,6 @@ mod tests {
             row.iter_mut().enumerate().for_each(|(ww, w)| *w &= s.wide_mask(ww));
         }
         out
-    }
-
-    /// `hosts`' keyed reach rows over `wides` wide words, back to back.
-    fn keyed(
-        r: &mut FatTreeRouter,
-        s: &BitMatrix,
-        key: TableKey,
-        hosts: &[ComponentId],
-        wides: usize,
-    ) -> Vec<WideWord> {
-        let mut buf = ReachBuf::default();
-        let rows = r.external_reach_keyed(s, key, hosts, wides, &mut buf);
-        crate::agreement_tests::host_major(rows, hosts.len(), wides)
     }
 
     /// What is kept is kept per (slot, generation) and only there. The
@@ -728,12 +697,13 @@ mod tests {
         assert_eq!(second.bytes, first.bytes, "the set is bounded by the plan, not the walk");
         // The last plan again: served as it is.
         let last = &t.hosts()[t.hosts().len() - 4..];
-        keyed(&mut r, &a, key, last, wides as usize);
+        let mut out = vec![WideWord::ZERO; 4 * wides as usize];
+        r.external_reach_keyed(&a, key, last, wides as usize, &mut out);
         assert_eq!(r.memo_stats(), second, "a repeat builds nothing");
         // A row first built for one wide word is extended for two.
         let fresh = TableKey { slot: 3, generation: generation(20) };
-        keyed(&mut r, &a, fresh, last, 1);
-        let out = keyed(&mut r, &a, fresh, last, 2);
+        r.external_reach_keyed(&a, fresh, last, 1, &mut out[..4]);
+        r.external_reach_keyed(&a, fresh, last, 2, &mut out);
         let got: Vec<_> = out.iter().enumerate().map(|(i, w)| *w & a.wide_mask(i % 2)).collect();
         assert_eq!(got, want_a[want_a.len() - 8..], "extended rows");
         assert_eq!(r.memo_stats().reach_rows_built, second.reach_rows_built + 8);
@@ -751,28 +721,29 @@ mod tests {
         assert_eq!(r.memo_stats().digests_built, built);
         // A plan larger than the set can ever be is answered all the same.
         let many: Vec<ComponentId> = t.hosts().iter().cycle().take(100).copied().collect();
-        let out = keyed(&mut r, &b, rekeyed, &many, wides as usize);
+        let mut out = vec![WideWord::ZERO; 100 * wides as usize];
+        r.external_reach_keyed(&b, rekeyed, &many, wides as usize, &mut out);
         for (i, row) in out.chunks(wides as usize).enumerate() {
             let at = (i % t.hosts().len()) * wides as usize;
             let got: Vec<_> = row.iter().enumerate().map(|(ww, w)| *w & b.wide_mask(ww)).collect();
             assert_eq!(got, want_b[at..at + wides as usize], "host {i} of 100");
         }
         let capped = r.memo_stats().bytes;
-        keyed(&mut r, &b, rekeyed, &many, wides as usize);
+        r.external_reach_keyed(&b, rekeyed, &many, wides as usize, &mut out);
         assert_eq!(r.memo_stats().bytes, capped, "the set has a cap");
     }
 
-    /// Every row the keyed call lends equals the unkeyed
+    /// Every row the keyed call answers equals the unkeyed
     /// `external_reach_wide`, wide word by wide word: fat-trees with and
     /// without link components; walks of one-host moves over two slots
     /// that return to hosts the memo has since dropped; new generations,
     /// some over new contents; calls shorter and longer than the last under
     /// a generation; and plans with more hosts than the memo keeps rows.
     #[test]
-    fn lent_rows_equal_the_unkeyed_wide_path() {
+    fn keyed_rows_equal_the_unkeyed_wide_path() {
         use recloud_sampling::prop_assert_eq;
         use recloud_sampling::proptest::forall;
-        forall("lent rows == external_reach_wide", |g| {
+        forall("keyed rows == external_reach_wide", |g| {
             let k = [4, 6, 8][g.usize_in(0..3)];
             let t = FatTreeParams::new(k).with_links(g.any_bool()).build();
             let hosts = t.hosts();
@@ -781,7 +752,7 @@ mod tests {
                 (0..3).map(|_| random_states(&t, rounds, g.any_u64())).collect();
             let width = tables[0].wide_words_per_row();
             let (mut r, mut reference) = (FatTreeRouter::new(&t), FatTreeRouter::new(&t));
-            let mut buf = ReachBuf::default();
+            let mut out = Vec::new();
             let n = match g.usize_in(0..6) {
                 0 => g.usize_in(MAX_REACH_ROWS..MAX_REACH_ROWS + 40),
                 _ => g.usize_in(1..8),
@@ -801,13 +772,13 @@ mod tests {
                 let key =
                     TableKey { slot, generation: std::num::NonZeroU64::new(generation).unwrap() };
                 let (s, wides) = (&tables[table], g.usize_in(1..width + 1));
-                let rows = r.external_reach_keyed(s, key, &plan, wides, &mut buf);
+                out.resize(n * wides, WideWord::ZERO);
+                r.external_reach_keyed(s, key, &plan, wides, &mut out);
                 for ww in 0..wides {
                     reference.begin_wide(s, ww);
-                    prop_assert_eq!(rows.column(ww).count(), plan.len());
-                    for (&h, got) in plan.iter().zip(rows.column(ww)) {
+                    for (&h, row) in plan.iter().zip(out.chunks_exact(wides)) {
                         let want = reference.external_reach_wide(s, h, ww) & s.wide_mask(ww);
-                        let got = got & s.wide_mask(ww);
+                        let got = row[ww] & s.wide_mask(ww);
                         prop_assert_eq!(got, want, "step {step} host {h} wide word {ww}");
                     }
                 }
@@ -831,9 +802,8 @@ mod tests {
         ];
         for mut r in routers {
             let hosts: Vec<ComponentId> = t.hosts().iter().step_by(3).copied().collect();
-            let mut buf = ReachBuf::default();
-            let rows = r.external_reach_keyed(&s, key, &hosts, wides, &mut buf);
-            let got: Vec<WideWord> = crate::agreement_tests::host_major(rows, hosts.len(), wides);
+            let mut got = vec![WideWord::ZERO; hosts.len() * wides];
+            r.external_reach_keyed(&s, key, &hosts, wides, &mut got);
             for ww in 0..wides {
                 r.begin_wide(&s, ww);
                 for (i, &h) in hosts.iter().enumerate() {

@@ -19,7 +19,7 @@
 //! from construction or a round's first use — per-round work is
 //! allocation-free once warm, which keeps the measured "context setup" honest.
 
-use crate::{ReachBuf, ReachRows, Router, TableKey};
+use crate::{Router, TableKey};
 use recloud_sampling::{BitMatrix, WideWord};
 use recloud_topology::{ComponentId, Topology};
 
@@ -186,17 +186,16 @@ impl Router for GenericRouter {
     /// The 256-lane flood, wide word by wide word: lane for lane the set
     /// the scalar flood visits, as the graph is undirected (pulling over
     /// `neighbors(v)` sees what their push does), and no node outside
-    /// `reachable` is ever reached. It keeps nothing, so `key` is unread and
-    /// the rows are lent from `buf`, which it fills.
-    fn external_reach_keyed<'a>(
-        &'a mut self,
+    /// `reachable` is ever reached. It keeps nothing, so `key` is unread.
+    fn external_reach_keyed(
+        &mut self,
         states: &BitMatrix,
         _key: TableKey,
         hosts: &[ComponentId],
         wides: usize,
-        buf: &'a mut ReachBuf,
-    ) -> ReachRows<'a> {
-        let out = buf.fill(hosts.len(), wides);
+        out: &mut [WideWord],
+    ) {
+        assert_eq!(out.len(), hosts.len() * wides, "one row of `wides` words per host");
         let GenericRouter { topology, reachable, wide_reach, .. } = self;
         let (&ext, rest) = reachable.split_first().expect("the external node reaches itself");
         for ww in 0..wides {
@@ -221,7 +220,6 @@ impl Router for GenericRouter {
                 row[ww] = wide_reach[h.index()];
             }
         }
-        buf.lend()
     }
 }
 
@@ -385,11 +383,10 @@ mod tests {
                 (0..rounds).filter(|_| g.f64_in(0.0..1.0) < density).for_each(|r| states.set(c, r));
             }
             let (hosts, wides) = (t.hosts(), states.wide_words_per_row());
+            let mut wide = vec![WideWord::ZERO; hosts.len() * wides];
             let key = TableKey { slot: 0, generation: std::num::NonZeroU64::MIN };
             let mut r = GenericRouter::new(&t);
-            let mut buf = ReachBuf::default();
-            let rows = r.external_reach_keyed(&states, key, hosts, wides, &mut buf);
-            let wide: Vec<WideWord> = crate::agreement_tests::host_major(rows, hosts.len(), wides);
+            r.external_reach_keyed(&states, key, hosts, wides, &mut wide);
             for round in 0..rounds {
                 r.begin_round(&states, round);
                 for (i, &h) in hosts.iter().enumerate() {

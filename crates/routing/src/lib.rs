@@ -124,11 +124,10 @@ pub trait Router {
 
     /// [`Router::external_reach_wide`] for a matrix with an identity, a
     /// chunk at a time: `states` is slot `key.slot` of a failure-state
-    /// table, and the call lends back, for every `i`, `hosts[i]`'s reach
-    /// over wide words `0..wides` — what [`Router::begin_wide`] +
-    /// [`Router::external_reach_wide`] answer for `(states, hosts[i], ww)`,
-    /// which is the default. A router lends the rows it keeps where it
-    /// keeps them; one that keeps none fills `buf` and lends that.
+    /// table, and for every `i` and every `ww < wides` the call sets
+    /// `out[i · wides + ww]` to `hosts[i]`'s reach over wide word `ww` —
+    /// what [`Router::begin_wide`] + [`Router::external_reach_wide`] answer
+    /// for `(states, hosts[i], ww)`, which is the default.
     ///
     /// Every row the router may read for the hosts it is asked about (the
     /// base [`Router::cone`] and theirs) holds the same bits whenever the
@@ -143,22 +142,21 @@ pub trait Router {
     ///
     /// Clobbers the wide context: re-issue [`Router::begin_wide`] before
     /// the next [`Router::external_reach_wide`].
-    fn external_reach_keyed<'a>(
-        &'a mut self,
+    fn external_reach_keyed(
+        &mut self,
         states: &BitMatrix,
         _key: TableKey,
         hosts: &[ComponentId],
         wides: usize,
-        buf: &'a mut ReachBuf,
-    ) -> ReachRows<'a> {
-        let out = buf.fill(hosts.len(), wides);
+        out: &mut [WideWord],
+    ) {
+        assert_eq!(out.len(), hosts.len() * wides, "one row of `wides` words per host");
         for ww in 0..wides {
             self.begin_wide(states, ww);
             for (i, &host) in hosts.iter().enumerate() {
                 out[i * wides + ww] = self.external_reach_wide(states, host, ww);
             }
         }
-        buf.lend()
     }
 
     /// What the router keeps for [`Router::external_reach_keyed`]. The
@@ -206,49 +204,6 @@ pub struct MemoStats {
     pub reach_rows_built: u64,
 }
 
-/// The reach rows [`Router::external_reach_keyed`] lends: row `i`, host
-/// `i`'s reach over the call's wide words, sits at `words[starts[i]..]`
-/// — in the router's own memory or in the [`ReachBuf`] it filled.
-#[derive(Clone, Copy, Debug)]
-pub struct ReachRows<'a> {
-    words: &'a [WideWord],
-    starts: &'a [usize],
-}
-
-impl<'a> ReachRows<'a> {
-    /// Every host's reach over wide word `ww` (one the call covered), host
-    /// by host.
-    #[inline(always)]
-    pub fn column(&self, ww: usize) -> impl Iterator<Item = WideWord> + 'a {
-        let words = self.words;
-        self.starts.iter().map(move |&start| words[start + ww])
-    }
-}
-
-/// Storage a caller hands [`Router::external_reach_keyed`] for the rows a
-/// router has nowhere else to keep, and for the row positions it lends.
-/// Grows to the largest call and is reused from then on.
-#[derive(Debug, Default)]
-pub struct ReachBuf {
-    words: Vec<WideWord>,
-    starts: Vec<usize>,
-}
-
-impl ReachBuf {
-    /// `hosts` rows of `wides` words, back to back, to be filled.
-    fn fill(&mut self, hosts: usize, wides: usize) -> &mut [WideWord] {
-        self.words.resize(hosts * wides, WideWord::ZERO);
-        self.starts.clear();
-        self.starts.extend((0..hosts).map(|i| i * wides));
-        &mut self.words
-    }
-
-    /// What [`ReachBuf::fill`] handed out, lent.
-    fn lend(&self) -> ReachRows<'_> {
-        ReachRows { words: &self.words, starts: &self.starts }
-    }
-}
-
 /// Names the contents of one slot of a failure-state table for
 /// [`Router::external_reach_keyed`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -276,13 +231,6 @@ mod agreement_tests {
     use super::*;
     use recloud_sampling::{ExtendedDaggerSampler, Rng, Sampler};
     use recloud_topology::{ComponentKind, FatTreeParams};
-
-    /// Lent rows back to back, host by host: `[i · wides + ww]` is host `i`'s
-    /// reach over wide word `ww`.
-    pub(crate) fn host_major(rows: ReachRows<'_>, hosts: usize, wides: usize) -> Vec<WideWord> {
-        let columns: Vec<Vec<WideWord>> = (0..wides).map(|ww| rows.column(ww).collect()).collect();
-        (0..hosts * wides).map(|at| columns[at % wides][at / wides]).collect()
-    }
 
     fn random_states(t: &Topology, rounds: usize, p: f64, seed: u64) -> BitMatrix {
         let mut states = BitMatrix::new(t.num_components(), rounds);
@@ -456,10 +404,9 @@ mod agreement_tests {
             // poisoned rows rather than serve what it kept of the first.
             let mut ask_keyed = |m: &BitMatrix, generation: u64| -> Vec<WideWord> {
                 let key = TableKey { slot: 0, generation: NonZeroU64::new(generation).unwrap() };
-                let mut buf = ReachBuf::default();
-                let rows = r.external_reach_keyed(m, key, &hosts, wides, &mut buf);
-                let rows = host_major(rows, hosts.len(), wides).into_iter();
-                rows.enumerate().map(|(i, w)| w & m.wide_mask(i % wides)).collect()
+                let mut out = vec![WideWord::ZERO; hosts.len() * wides];
+                r.external_reach_keyed(m, key, &hosts, wides, &mut out);
+                out.iter().enumerate().map(|(i, w)| *w & m.wide_mask(i % wides)).collect()
             };
             assert_eq!(ask_keyed(&states, 1), ask_keyed(&poisoned, 2), "{name}: keyed");
             for round in (0..rounds).step_by(7) {
